@@ -45,27 +45,18 @@ def test_bench_executor_throughput_nvm_only(benchmark):
 def test_bench_executor_with_data_manager(benchmark):
     """Full manager in the loop: profiling + planning + enforcement.
 
-    The planner's process-global solver cache (and the plan memos it
-    attaches to the interned graph) would make every rep after the first
-    a warm replay; clearing them in the un-timed setup keeps each rep a
-    cold placement pass — the cost this benchmark exists to bound.
+    The planner's process-global solver cache would make every rep after
+    the first a warm replay; clearing it in the un-timed setup keeps each
+    rep a cold placement pass — the cost this benchmark exists to bound.
     """
     w = build("heat", grid=6, iterations=6)
-
-    def reset():
-        clear_solver_cache()
-        for memo in (
-            "_replan_projection_memo", "_replan_plan_memo",
-            "_parallel_slack_memo", "_placement_cols_memo",
-        ):
-            w.graph.__dict__.pop(memo, None)
 
     def run():
         return Executor(_machine(), ExecutorConfig(n_workers=8)).run(
             w.graph, DataManagerPolicy()
         )
 
-    tr = benchmark.pedantic(run, setup=reset, rounds=5)
+    tr = benchmark.pedantic(run, setup=clear_solver_cache, rounds=5)
     assert len(tr.records) == w.n_tasks
 
 

@@ -21,7 +21,8 @@ The batch is split in two halves:
 Everything stays bitwise identical to the retired ``ObjectDemand``-list
 path: columns hold exactly the floats the per-object accumulators held,
 in the same (first-touch) order, and :meth:`to_demands` reconstructs the
-list form for the differential reference weigher.
+list form for the differential reference weigher
+(``tests/reference_weigher.py``).
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ class DemandBatch:
     def to_demands(self) -> list["ObjectDemand"]:
         """Reconstruct the list-of-:class:`ObjectDemand` form.
 
-        The differential reference path (``_weights_for_ref``) and the
-        one-release compatibility shim consume this; columns round-trip
+        The differential reference weigher
+        (``tests/reference_weigher.py``) consumes this; columns round-trip
         through it bit-for-bit.
         """
         from repro.core.placement import ObjectDemand

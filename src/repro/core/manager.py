@@ -25,9 +25,7 @@ Every piece of software work is charged to the worker as overhead, so the
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -91,33 +89,6 @@ class ManagerConfig:
 # exactly as the paper's offline step prescribes.
 _CALIBRATION_CACHE: dict[tuple[str, str, int, int], CalibrationResult] = {}
 
-_TID_OF = attrgetter("tid")
-
-
-def _machine_signature(
-    nvm: MemoryDevice, dram: MemoryDevice, calib: CalibrationResult, plan: PlanConfig
-) -> tuple:
-    """Content key over every machine-side input ``make_plan`` reads, so
-    plan memo entries keyed by it survive across manager instances (bench
-    reps build a fresh policy per run) without ever aliasing two machines."""
-
-    def dev(d: MemoryDevice) -> tuple:
-        return (
-            d.name, d.capacity_bytes, d.read_latency_s, d.write_latency_s,
-            d.read_bandwidth, d.write_bandwidth,
-        )
-
-    return (
-        dev(nvm),
-        dev(dram),
-        calib.cf_bw, calib.cf_lat, calib.cf_bw_raw, calib.cf_lat_raw,
-        tuple(sorted(calib.peak_bandwidth.items())),
-        calib.chase_bandwidth,
-        tuple(sorted(calib.chase_latency.items())),
-        calib.sampling_interval,
-        dataclasses.astuple(plan),
-    )
-
 
 class DataManagerPolicy(BasePolicy):
     """Runtime data placement manager for task-parallel programs."""
@@ -148,7 +119,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._machine_sig: tuple | None = None
         self._type_names: list[str] | None = None
         self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self._by_uid: dict[int, Any] | None = None
@@ -178,7 +148,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._machine_sig = None
         self._type_names = None
         self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self.stats = {
@@ -586,108 +555,34 @@ class DataManagerPolicy(BasePolicy):
 
         need_window = cfg.enable_local_search and not scopes_coincide
 
-        # The projection pass (demand stats + first-use offsets) is a pure
-        # function of the remaining task sequence, the per-type model
-        # content, and the worker count.  Deterministic experiment runs on
-        # interned graphs replay the exact same replan sequence, so the
-        # pass is memoized on the graph keyed by those inputs — by model
-        # *content* (slot rows + mean duration), not object identity,
-        # because ``id()`` values can be recycled across runs.
-        proj_memo = getattr(ctx.graph, "_replan_projection_memo", None)
-        if proj_memo is None:
-            proj_memo = ctx.graph._replan_projection_memo = {}
-        # Signature over the graph's full (sorted) type set rather than the
-        # per-replan remaining set: a superset only makes memo keys
-        # stricter, and it turns an O(remaining) scan per replan into an
-        # O(#types) loop.
+        # Per-type mean durations are fixed for the duration of one
+        # replan, so the offsets pass indexes them by type instead of
+        # calling back per task; 1e-4 is ``_duration_of``'s modelless
+        # fallback.
         type_names = self._type_names
         if type_names is None:
             type_names = self._type_names = sorted(
                 {t.type_name for t in ctx.graph.tasks}
             )
-        model_sig = []
-        # Per-type durations for the offsets pass fall out of the same
-        # model resolution; 1e-4 is ``_duration_of``'s modelless fallback.
         dur_map: dict[str, float] = {}
         for tname in type_names:
             m = self._model_for(tname)
-            if m is None:
-                model_sig.append((tname, 0.0, None))
-                dur_map[tname] = 1e-4
-            else:
-                model_sig.append((tname, m.mean_duration, m.slot_rows()))
-                dur_map[tname] = m.mean_duration
-        proj_key = (
-            ctx.graph._version,
-            tuple(map(_TID_OF, remaining)),
-            cfg.lookahead_tasks,
-            need_window,
-            n_workers,
-            tuple(model_sig),
-        )
-        entry = proj_memo.get(proj_key)
-        if entry is None:
-            # Both scopes share one pass over the remaining tasks: the
-            # window is a prefix, so its demand stats and first-use
-            # offsets fall out of the full-horizon accumulation bitwise
-            # unchanged.
-            splits = self._demand_stats_split(
+            dur_map[tname] = m.mean_duration if m is not None else 1e-4
+        # Both scopes share one pass over the remaining tasks: the window
+        # is a prefix, so its demand stats and first-use offsets fall out
+        # of the full-horizon accumulation bitwise unchanged.
+        (local_batch, local_horizon), (global_batch, global_horizon) = (
+            self._demand_stats_split(
                 remaining, cfg.lookahead_tasks, need_window=need_window
             )
-            # Type mean durations are fixed for the duration of one
-            # replan; the dict built with ``model_sig`` above lets the
-            # offsets pass index by type instead of calling back per task.
-            offset_split = first_use_offsets_split(
-                remaining, cfg.lookahead_tasks, self._duration_of, n_workers,
-                duration_by_type=dur_map,
-            )
-            # Downstream memo keys embed a small interned token instead of
-            # ``proj_key`` itself: hashing the full key (a tuple holding
-            # every remaining tid) once per replan is unavoidable for this
-            # lookup, but the plan/slack keys below would rehash it several
-            # more times.  The counter never repeats, so distinct
-            # projections never share a token; an evicted-and-recomputed
-            # projection gets a fresh token and merely misses those memos.
-            token = ctx.graph._replan_key_counter = (
-                getattr(ctx.graph, "_replan_key_counter", 0) + 1
-            )
-            entry = proj_memo[proj_key] = (splits, offset_split, token)
-            while len(proj_memo) > 256:
-                proj_memo.pop(next(iter(proj_memo)))
-        (
-            ((local_batch, local_horizon), (global_batch, global_horizon)),
-            (local_offsets, global_offsets),
-            proj_token,
-        ) = entry
+        )
+        local_offsets, global_offsets = first_use_offsets_split(
+            remaining, cfg.lookahead_tasks, self._duration_of, n_workers,
+            duration_by_type=dur_map,
+        )
         resident_uids = ctx.hms.dram_resident_uids()
         dram_capacity = ctx.dram.capacity_bytes
         dram_used = ctx.hms.dram_used_bytes()
-
-        # Finished plans are memoized on the graph alongside the
-        # projection memo: ``proj_key`` already pins the demand stats and
-        # offsets bitwise, so adding the resident set, DRAM occupancy,
-        # benefit scale, and the machine constants pins every input
-        # ``make_plan`` reads.  Deterministic reruns (bench reps, cache
-        # replays) hit this at full rate; plans are never mutated after
-        # construction, so sharing the object is safe.
-        plan_memo = getattr(ctx.graph, "_replan_plan_memo", None)
-        if plan_memo is None:
-            plan_memo = ctx.graph._replan_plan_memo = {}
-        # Parallel slack is a pure function of the scope's task set and
-        # the worker count, both pinned by ``proj_key`` — don't rewalk the
-        # horizon's dependence levels when only placement state changed.
-        slack_memo = getattr(ctx.graph, "_parallel_slack_memo", None)
-        if slack_memo is None:
-            slack_memo = ctx.graph._parallel_slack_memo = {}
-        cols_memo = getattr(ctx.graph, "_placement_cols_memo", None)
-        if cols_memo is None:
-            cols_memo = ctx.graph._placement_cols_memo = {}
-        machine_sig = self._machine_sig
-        if machine_sig is None:
-            machine_sig = self._machine_sig = _machine_signature(
-                ctx.nvm, ctx.dram, self.calib, cfg.plan
-            )
-        resident_key = frozenset(resident_uids)
 
         def build(
             scope: str,
@@ -699,58 +594,31 @@ class DataManagerPolicy(BasePolicy):
             if len(batch) == 0:
                 return None
             if cfg.plan.use_parallel_slack:
-                slack_key = (proj_token, scope)
-                slack = slack_memo.get(slack_key)
-                if slack is None:
-                    slack = slack_memo[slack_key] = self._parallel_slack(tasks, ctx)
-                    while len(slack_memo) > 512:
-                        slack_memo.pop(next(iter(slack_memo)))
+                slack = self._parallel_slack(tasks, ctx)
             else:
                 slack = 1.0
-            benefit_scale = self._skepticism * slack
-            plan_key = (
-                proj_token, scope, resident_key, dram_capacity, dram_used,
-                benefit_scale, machine_sig,
+            # Placement columns (residency + overlap offsets) attach to
+            # the scope-shared projection batch without copying it.
+            offsets_get = offsets.get
+            uid_list = batch.uid_list
+            n = len(uid_list)
+            in_dram = np.fromiter(
+                (u in resident_uids for u in uid_list), np.bool_, count=n
             )
-            plan = plan_memo.get(plan_key)
-            if plan is None:
-                # Placement columns (residency + overlap offsets) attach
-                # to the memo-shared projection batch without copying it.
-                # They depend only on (projection, scope, resident set) —
-                # a plan miss from a changed benefit scale or occupancy
-                # alone reuses them (the arrays are never mutated).
-                cols_key = (proj_token, scope, resident_key)
-                cols = cols_memo.get(cols_key)
-                if cols is None:
-                    offsets_get = offsets.get
-                    uid_list = batch.uid_list
-                    n = len(uid_list)
-                    cols = cols_memo[cols_key] = (
-                        np.fromiter(
-                            (u in resident_uids for u in uid_list),
-                            np.bool_, count=n,
-                        ),
-                        np.fromiter(
-                            (offsets_get(u, 0.0) for u in uid_list),
-                            np.float64, count=n,
-                        ),
-                    )
-                    while len(cols_memo) > 512:
-                        cols_memo.pop(next(iter(cols_memo)))
-                in_dram, first_use = cols
-                plan = plan_memo[plan_key] = make_plan(
-                    scope,
-                    batch.with_placement(in_dram, first_use),
-                    dram_capacity,
-                    dram_used,
-                    ctx.nvm,
-                    ctx.dram,
-                    self.calib,
-                    cfg.plan,
-                    benefit_scale=benefit_scale,
-                )
-                while len(plan_memo) > 512:
-                    plan_memo.pop(next(iter(plan_memo)))
+            first_use = np.fromiter(
+                (offsets_get(u, 0.0) for u in uid_list), np.float64, count=n
+            )
+            plan = make_plan(
+                scope,
+                batch.with_placement(in_dram, first_use),
+                dram_capacity,
+                dram_used,
+                ctx.nvm,
+                ctx.dram,
+                self.calib,
+                cfg.plan,
+                benefit_scale=self._skepticism * slack,
+            )
             # Delta gain: what enforcing the plan buys *over doing
             # nothing* — the plan set's worth minus the worth of the
             # current resident set under the same demand model.
@@ -758,24 +626,13 @@ class DataManagerPolicy(BasePolicy):
             # more total traffic, not whichever scope's enforcement helps
             # more.  Skipping non-positive weights is exact: adding
             # ``max(w, 0.0)`` for ``w <= 0`` adds a zero, which never
-            # changes the non-negative accumulator.  The sum is a pure
-            # function of (plan, resident set), and plans are memo-shared
-            # across deterministic reruns that replay the same residency
-            # snapshots — cache it on the plan per snapshot.
-            cur_memo = plan.__dict__.get("_current_by_resident")
-            if cur_memo is None:
-                cur_memo = plan.__dict__["_current_by_resident"] = {}
-            current = cur_memo.get(resident_key)
-            if current is None:
-                weights_get = plan.weights.get
-                current = 0.0
-                for uid in resident_uids:
-                    w = weights_get(uid, 0.0)
-                    if w > 0.0:
-                        current += w
-                cur_memo[resident_key] = current
-                while len(cur_memo) > 8:
-                    cur_memo.pop(next(iter(cur_memo)))
+            # changes the non-negative accumulator.
+            weights_get = plan.weights.get
+            current = 0.0
+            for uid in resident_uids:
+                w = weights_get(uid, 0.0)
+                if w > 0.0:
+                    current += w
             delta = plan.predicted_gain - current
             return plan, delta, max(horizon / max(1, n_workers), 1e-9)
 
@@ -877,19 +734,10 @@ class DataManagerPolicy(BasePolicy):
                     inputs={"reason": reason, **inputs},
                 )
 
-        # The by-weight promotion order is a pure function of the plan
-        # (dram_set iteration order included — the set is never mutated),
-        # and plans are memo-shared across replans and reps, so the sort
-        # runs once per plan instead of once per enforcement.
-        order = plan.__dict__.get("_enforce_order")
-        if order is None:
-            weights_get = plan.weights.get
-            order = plan.__dict__["_enforce_order"] = sorted(
-                plan.dram_set, key=lambda u: -weights_get(u, 0.0)
-            )
+        weights_get = plan.weights.get
         incoming = [
             by_uid[uid]
-            for uid in order
+            for uid in sorted(plan.dram_set, key=lambda u: -weights_get(u, 0.0))
             if uid not in resident_uids and uid in by_uid
         ]
         if not incoming:

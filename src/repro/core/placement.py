@@ -17,7 +17,7 @@ the better scope, per the paper's "choose the best of the two searches".
 The weigher is array-shaped: :func:`_weights_for` computes Eq. 7 for a
 whole :class:`~repro.core.demand.DemandBatch` with numpy column
 arithmetic, mirroring the executor-core rebuild of PR 6.  The retired
-per-object loop survives verbatim as :func:`_weights_for_ref`, the
+per-object loop survives verbatim in ``tests/reference_weigher.py``, the
 differential reference that pins the vector path bitwise (see
 ``tests/test_placement_batch.py``).
 """
@@ -28,16 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.benefit import benefit_bandwidth, benefit_latency
 from repro.core.cost import eviction_cost
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import greedy_by_density, solve_knapsack_arrays
 from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
-from repro.core.sensitivity import Sensitivity
 from repro.core.models import ObjectStats
 from repro.memory.device import MemoryDevice
 from repro.profiling.calibration import CalibrationResult
-from repro.util.deprecation import warn_deprecated
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require
 
@@ -192,8 +189,8 @@ def _weights_for(
     column arithmetic.
 
     Bitwise contract: every per-object float comes out of the exact
-    operation sequence the scalar reference (:func:`_weights_for_ref`)
-    performs.  Elementwise float64 ufuncs are IEEE-identical to the
+    operation sequence the scalar reference
+    (``tests/reference_weigher.py``) performs.  Elementwise float64 ufuncs are IEEE-identical to the
     scalar ops, so the only places needing care are the ones where numpy
     idioms *differ* from Python semantics:
 
@@ -420,112 +417,9 @@ def _weights_for(
     return weights
 
 
-def _weights_for_ref(
-    demands: list[ObjectDemand],
-    nvm: MemoryDevice,
-    dram: MemoryDevice,
-    calib: CalibrationResult,
-    cfg: PlanConfig,
-    dram_pressure: float,
-    benefit_scale: float = 1.0,
-) -> list[float]:
-    """Scalar reference for :func:`_weights_for` — the retired per-object
-    loop, kept verbatim as the differential oracle (PR 6 pattern).
-
-    Per-plan invariants (peak bandwidth, CF factors, config flags) are
-    hoisted out of the loop, and the device speed ratios — functions of
-    the load fraction alone once the devices are fixed — are memoized per
-    distinct ``lf``.
-    """
-    peak = calib.peak_of(nvm)
-    t1, t2 = cfg.t1, cfg.t2
-    use_miss = cfg.use_miss_counter
-    distinguish = cfg.distinguish_rw
-    use_conf = cfg.use_confidence
-    margin = cfg.cost_margin
-    cf_bw_time, cf_lat_time = calib.cf_bw, calib.cf_lat
-    raw_cf_bw: float | None = None
-    raw_cf_lat = 0.0
-    bw_ratio: dict[float, float] = {}
-    lat_ratio: dict[float, float] = {}
-    mig_ct: dict[int, float] = {}
-    ev_ct: dict[int, float] = {}
-    bandwidth_sens, latency_sens = Sensitivity.BANDWIDTH, Sensitivity.LATENCY
-    require(0.0 < t2 < t1 <= 1.5, f"need 0 < t2 < t1, got t1={t1}, t2={t2}")
-    t1_peak = t1 * peak
-    t2_peak = t2 * peak
-
-    weights: list[float] = []
-    for demand in demands:
-        st = demand.stats
-        bw_d = st.bw_demand
-        if bw_d >= t1_peak:
-            sens = bandwidth_sens
-        elif bw_d <= t2_peak:
-            sens = latency_sens
-        else:
-            sens = None  # mixed
-        if use_miss and st.mem_seconds > 0:
-            total = st.loads + st.stores
-            lf = st.loads / total if total > 0 else 1.0
-            if not distinguish:
-                lf = 1.0  # price everything at read characteristics (Eqs. 2/3)
-            r_bw = bw_ratio.get(lf)
-            if r_bw is None:
-                r_bw = bw_ratio[lf] = _speed_ratio_bw(lf, dram, nvm)
-            r_lat = lat_ratio.get(lf)
-            if r_lat is None:
-                r_lat = lat_ratio[lf] = _speed_ratio_lat(lf, dram, nvm, calib)
-            ms, df = st.mem_seconds, st.dram_frac
-            t_nvm = ms * (1.0 - df) + ms * df / r_bw
-            bw_gain = (t_nvm * (1.0 - r_bw)) * cf_bw_time
-            t_nvm = ms * (1.0 - df) + ms * df / r_lat
-            lat_gain = (t_nvm * (1.0 - r_lat)) * cf_lat_time
-        else:
-            eff_loads, eff_stores = st.effective_counts(use_miss)
-            if raw_cf_bw is None:
-                raw_cf_bw = calib.bandwidth_factor(False)
-                raw_cf_lat = calib.latency_factor(False)
-            cf_lat = raw_cf_lat * calib.mlp_discount(st.bw_demand)
-            bw_gain = benefit_bandwidth(
-                eff_loads, eff_stores, nvm, dram, raw_cf_bw, distinguish
-            )
-            lat_gain = benefit_latency(
-                eff_loads, eff_stores, nvm, dram, cf_lat, distinguish
-            )
-        if sens is bandwidth_sens:
-            bft = bw_gain
-        elif sens is latency_sens:
-            bft = lat_gain
-        else:
-            bft = max(bw_gain, lat_gain)
-        bft *= benefit_scale
-        if use_conf:
-            bft *= st.confidence
-        if demand.in_dram:
-            weights.append(bft)
-            continue
-        size = st.size_bytes
-        ct = mig_ct.get(size)
-        if ct is None:
-            ct = mig_ct[size] = copy_time(
-                size, nvm, dram, DEFAULT_MIGRATION_OVERHEAD_S
-            )
-        off = demand.first_use_offset
-        cost = max(ct - max(off, 0.0), 0.0)
-        extra = 0.0
-        if dram_pressure > 0.0:
-            ev = ev_ct.get(size)
-            if ev is None:
-                ev = ev_ct[size] = eviction_cost([size], dram, nvm)
-            extra = dram_pressure * ev
-        weights.append(bft - margin * (cost + extra))
-    return weights
-
-
 def make_plan(
     scope: str,
-    demands: DemandBatch | list[ObjectDemand],
+    demands: DemandBatch,
     dram_capacity_bytes: int,
     dram_used_bytes: int,
     nvm: MemoryDevice,
@@ -537,16 +431,9 @@ def make_plan(
     """Weigh every demand and solve the capacity-constrained selection.
 
     ``demands`` is a :class:`~repro.core.demand.DemandBatch` with
-    placement columns attached.  The list-of-:class:`ObjectDemand` form
-    is deprecated (one release, PR 6 ``ExecContext`` view pattern) and is
-    converted on entry.
+    placement columns attached (build one from a list of
+    :class:`ObjectDemand` with :meth:`DemandBatch.from_demands`).
     """
-    if not isinstance(demands, DemandBatch):
-        warn_deprecated(
-            "make_plan(list[ObjectDemand]) is deprecated; pass a "
-            "DemandBatch (build one with DemandBatch.from_demands)"
-        )
-        demands = DemandBatch.from_demands(demands)
     batch = demands
     budget = int(dram_capacity_bytes * cfg.capacity_fraction)
     pressure = max(0.0, min(1.0, dram_used_bytes / max(1, budget)))

@@ -12,7 +12,7 @@ codes (0 ok, 1 a run or gate failed, 2 usage / unknown name)::
     repro-experiments metrics cg --policy tahoe --format prom
     repro-experiments serve heat --policy tahoe --stream '{"horizon_s":0.4}'
     repro-experiments serve-api --port 8077 --workers 2
-    repro-experiments bench --out BENCH_PR5.json
+    repro-experiments bench              # writes BENCH.json (gitignored)
 
 ``serve`` runs one described workload as an open multi-tenant service
 (seeded arrivals, credit-based admission, batch scheduling rounds — see
@@ -588,8 +588,8 @@ def _bench_main(argv: list[str]) -> int:
         parents=[_common_parser(("json",), "json")],
     )
     parser.add_argument(
-        "--out", metavar="PATH", default="BENCH_PR6.json",
-        help="output profile path (default: BENCH_PR6.json)",
+        "--out", metavar="PATH", default="BENCH.json",
+        help="output profile path (default: BENCH.json, gitignored)",
     )
     parser.add_argument(
         "--reps", type=int, default=3, help="repetitions per cell (default: 3)"

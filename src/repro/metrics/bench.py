@@ -17,9 +17,11 @@ Host wall clock is machine-dependent, so the profile also stores every
 time normalized by a calibration primitive (a fixed pure-Python loop
 timed on the same machine); regression gates compare normalized totals
 so a slower CI runner does not read as a regression.  The profile is
-plain JSON (``BENCH_PR6.json`` by convention); ``check_against_baseline``
-implements the relative CI gate and ``check_phase_budgets`` the absolute
-per-phase ceilings (e.g. the executor-core ``executor_loop`` budget).
+plain JSON: ``BENCH.json`` by default, which git ignores; per-change
+records are checked in as ``benchmarks/BENCH_PR<n>.json``.
+``check_against_baseline`` implements the relative CI gate and
+``check_phase_budgets`` the absolute per-phase ceilings (e.g. the
+executor-core ``executor_loop`` budget).
 """
 
 from __future__ import annotations

@@ -21,9 +21,8 @@ All three share one call convention::
 snapshot mapping either produces — so cached results (which only carry
 the dict) export identically to fresh runs, in every format.  The text
 is always returned; ``stream`` (a writable text file object) or ``path``
-(mutually exclusive) additionally deliver it somewhere.  The historical
-positional-``indent`` form of ``to_json`` survives one release as a
-deprecated shim.
+(mutually exclusive) additionally deliver it somewhere.  ``to_json``
+also takes a keyword-only ``indent``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import IO, Any, Mapping
 
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.metrics.telemetry import Telemetry
-from repro.util.deprecation import warn_deprecated
 
 __all__ = [
     "to_json",
@@ -80,20 +78,12 @@ def _deliver(text: str, stream: IO[str] | None, path: Any) -> str:
 # ----------------------------------------------------------------------
 def to_json(
     data: Telemetry | MetricsRegistry | Mapping[str, Any],
-    *legacy_indent: int | None,
+    *,
     indent: int | None = None,
     stream: IO[str] | None = None,
     path: Any = None,
 ) -> str:
     """Canonical JSON: sorted keys, fixed separators, no NaN/Infinity."""
-    if legacy_indent:
-        if len(legacy_indent) > 1 or indent is not None:
-            raise TypeError("to_json() takes one indent value")
-        warn_deprecated(
-            "to_json(data, N) positional indent is deprecated; pass "
-            "to_json(data, indent=N) (keyword-only next release)"
-        )
-        indent = legacy_indent[0]
     export = _as_export(data)
     separators = (",", ":") if indent is None else (",", ": ")
     text = json.dumps(

@@ -140,26 +140,6 @@ class SamplingProfiler:
                 mem_times[obj.uid] = 0.0
                 devices[obj.uid] = ""
 
-        # Past this point the profile is a pure function of the task's own
-        # footprint, the profiler parameters (which seed the noise stream),
-        # the duration, and the per-object residency captured above — so a
-        # repeat profile of an interned task (graphs are reused across runs
-        # of an experiment suite) is served from a small memo on the task.
-        # TaskProfile and ObjectSample are frozen, so sharing is safe.
-        memo_key = (
-            self._seed,
-            self.interval_cycles,
-            self.cpu_hz,
-            duration,
-            tuple(mem_times.values()),
-            tuple(devices.values()),
-        )
-        memo = task.__dict__.get("_profile_memo")
-        if memo is not None:
-            hit = memo.get(memo_key)
-            if hit is not None:
-                return hit
-
         # Pooled: the generator is drained entirely inside this call, so
         # recycling one object per stream key is safe and skips the
         # bit-generator construction cost on every re-profile.
@@ -223,9 +203,4 @@ class SamplingProfiler:
             duration=duration,
             objects=objects,
         )
-        if memo is None:
-            memo = task.__dict__["_profile_memo"] = {}
-        memo[memo_key] = profile
-        while len(memo) > 8:  # a task sees few distinct (duration, residency)
-            memo.pop(next(iter(memo)))
         return profile

@@ -52,7 +52,6 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, SchedulingPolicy, make_scheduler
 from repro.tasking.task import Task
 from repro.tasking.trace import ExecutionTrace, TaskRecord
-from repro.util.deprecation import warn_deprecated
 
 __all__ = ["ExecutorConfig", "ExecContext", "PlacementPolicy", "Executor"]
 
@@ -483,7 +482,6 @@ class Executor:
         self,
         hms: HeterogeneousMemorySystem,
         config: ExecutorConfig | None = None,
-        scheduler: SchedulingPolicy | None = None,
         injector: "FaultInjector | None" = None,
         telemetry: "Telemetry | None" = None,
         **legacy,
@@ -497,15 +495,7 @@ class Executor:
             )
         self.hms = hms
         self.config = config or ExecutorConfig()
-        sched = scheduler
-        if sched is not None:
-            warn_deprecated(
-                "passing a scheduler directly to Executor(...) is deprecated "
-                "and will be removed in the next release; set "
-                "ExecutorConfig(scheduler=...) instead"
-            )
-        else:
-            sched = self.config.scheduler
+        sched = self.config.scheduler
         if isinstance(sched, str):
             sched = make_scheduler(sched)
         self.scheduler: SchedulingPolicy = sched if sched is not None else FIFOPolicy()

@@ -1,9 +1,9 @@
-"""The one-release deprecation shims around the frozen execution API.
+"""Deprecation machinery and the retired shims around the frozen API.
 
 The suite-wide ``filterwarnings = error::…ReproDeprecationWarning`` in
 pyproject.toml turns any *unasserted* use of a deprecated form into a
-hard failure; these tests are the only places the shims are exercised,
-each inside an explicit ``pytest.warns`` block.
+hard failure.  No shim is live today; these tests pin that the expired
+ones are gone and fail with a hint rather than silently working.
 """
 
 import pytest
@@ -50,12 +50,13 @@ class TestContextListShimsRemoved:
 
 
 class TestExecutorConstructor:
-    def test_direct_scheduler_arg_warns_but_works(self):
+    def test_direct_scheduler_arg_rejected_with_hint(self):
+        # The PR 6 shim expired: the scheduler lives on the config only.
         hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
-        sched = LIFOPolicy()
-        with pytest.warns(ReproDeprecationWarning, match="ExecutorConfig"):
-            ex = Executor(hms, ExecutorConfig(n_workers=1), scheduler=sched)
-        assert ex.scheduler is sched
+        with pytest.raises(TypeError, match=r"scheduler.*ExecutorConfig"):
+            Executor(hms, ExecutorConfig(n_workers=1), scheduler=LIFOPolicy())
+        ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler=LIFOPolicy()))
+        assert isinstance(ex.scheduler, LIFOPolicy)
         tr = ex.run(make_fork_join_graph(width=4, obj_mib=4.0), NVMOnlyPolicy())
         tr.validate()
 
@@ -68,57 +69,19 @@ class TestExecutorConstructor:
 
 
 class TestExporterPositionalIndent:
-    """The exporter unification made ``to_json``'s indent keyword-only;
-    the positional spelling warns for one release."""
+    """The PR 9 shim expired: ``to_json``'s indent is keyword-only."""
 
-    def test_positional_indent_warns_but_works(self):
-        import json
-
+    def test_positional_indent_rejected(self):
         from repro.metrics.export import to_json
         from repro.metrics.registry import MetricsRegistry
 
         reg = MetricsRegistry()
         reg.counter("x").inc()
-        with pytest.warns(ReproDeprecationWarning, match="indent"):
-            legacy = to_json(reg, 2)
-        assert legacy == to_json(reg, indent=2)
-        assert json.loads(legacy)["metrics"]["series"]
-
-    def test_positional_and_keyword_indent_conflict(self):
-        from repro.metrics.export import to_json
-        from repro.metrics.registry import MetricsRegistry
-
-        # The conflict is rejected before the shim ever warns.
-        with pytest.raises(TypeError, match="indent"):
-            to_json(MetricsRegistry(), 2, indent=4)
-
-
-class TestMakePlanListShim:
-    """PR 10 moved the planner onto ``DemandBatch`` columns; the
-    list-of-``ObjectDemand`` argument converts (bit-for-bit, see
-    tests/test_placement_batch.py) and warns for one release."""
-
-    def test_list_form_warns_but_works(self):
-        from repro.core.models import ObjectStats
-        from repro.core.placement import ObjectDemand, PlanConfig, make_plan
-        from repro.memory.presets import dram, nvm_bandwidth_scaled
-        from repro.profiling.calibration import calibrate
-        from repro.tasking.executor import ExecutorConfig
-
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        calib = calibrate(d, n, ExecutorConfig(n_workers=2))
-        demands = [
-            ObjectDemand(
-                ObjectStats(uid=1, size_bytes=1 << 20, loads=1e6, misses=1e5),
-                in_dram=False,
-            )
-        ]
-        with pytest.warns(ReproDeprecationWarning, match="DemandBatch"):
-            plan = make_plan(
-                "global", demands, 64 << 20, 0, n, d, calib, PlanConfig()
-            )
-        assert plan.scope == "global"
-        assert set(plan.weights) == {1}
+        with pytest.raises(TypeError, match="positional"):
+            to_json(reg, 2)
+        with pytest.raises(TypeError, match="positional"):
+            to_json(reg, 2, indent=4)
+        assert to_json(reg, indent=2).startswith("{\n")
 
 
 class TestSchedulerRegistry:

@@ -15,7 +15,9 @@ routed around the tier-1 configurations.  This module pins that promise:
   memo layer (graph interning, knapsack cache, calibration cache) and
   must reproduce the first run byte-identically — including the
   partitioned ``tahoe-part`` variant, whose graph must never share a
-  memo entry with the unpartitioned build.
+  memo entry with the unpartitioned build;
+- a run-order check over what-if variants of one managed spec: no
+  variant's payload may depend on which variants ran before it.
 """
 
 from __future__ import annotations
@@ -152,6 +154,48 @@ def test_repeat_run_hits_memos_and_stays_exact(key: str) -> None:
     first = run_and_summarize(spec).to_payload()
     second = run_and_summarize(spec).to_payload()
     assert first == second, f"{key}: warm-memo rerun diverged from cold run"
+
+
+def test_whatif_variants_do_not_depend_on_run_order() -> None:
+    """A managed run on an interned graph must not depend on which
+    what-if variants ran on that graph before it — the property the
+    served ``/v1/whatif`` path relies on.  Three variants of one ~1k-task
+    heat spec under tahoe run in forward order, then (from a cold process
+    state) in reverse order; each variant's payload must be
+    byte-identical both times.  The DRAM size is small enough that the
+    variants migrate differently, so a memo keyed on too few inputs
+    leaks one variant's state into the next."""
+    base = RunSpec(
+        "heat",
+        "tahoe",
+        nvm_bandwidth_scaled(0.5),
+        dram_capacity=96 * MIB,
+        fast=True,
+        workload_overrides={"grid": 10, "iterations": 10},
+    )
+    nvm = base.nvm
+    variants = [
+        base,
+        base.with_overrides(**{"memory.dram_bytes": 2 * base.dram_capacity}),
+        base.with_overrides(
+            **{
+                "nvm.read_bandwidth": nvm.read_bandwidth * 0.5,
+                "nvm.write_bandwidth": nvm.write_bandwidth * 0.5,
+            }
+        ),
+    ]
+    assert len({v.cache_key() for v in variants}) == 3
+
+    def blob(spec: RunSpec) -> str:
+        payload = run_and_summarize(spec).to_payload()
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    reset_process_caches()
+    forward = [blob(v) for v in variants]
+    reset_process_caches()
+    reverse = [blob(v) for v in reversed(variants)][::-1]
+    for i, (a, b) in enumerate(zip(forward, reverse)):
+        assert a == b, f"variant {i}: payload depends on the variants run before it"
 
 
 @pytest.mark.parametrize(

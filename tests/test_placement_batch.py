@@ -2,7 +2,7 @@
 
 The array weigher (:func:`repro.core.placement._weights_for`) must be
 *bitwise* identical to the retired scalar loop, which survives verbatim
-as ``_weights_for_ref``.  Hypothesis drives both over adversarial demand
+in ``tests/reference_weigher.py``.  Hypothesis drives both over adversarial demand
 batches — mixed sensitivity classes, zero-count objects, duplicate
 sizes/load-fractions (the per-value memo paths), every config-flag
 combination, and both residency mixes (the all-out fast path and the
@@ -15,7 +15,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,16 +28,11 @@ from repro.core.knapsack import (
     solver_cache_stats,
 )
 from repro.core.models import ObjectStats
-from repro.core.placement import (
-    ObjectDemand,
-    PlanConfig,
-    _weights_for,
-    _weights_for_ref,
-    make_plan,
-)
+from repro.core.placement import ObjectDemand, PlanConfig, _weights_for
 from repro.memory.presets import dram, nvm_bandwidth_scaled
-from repro.util.deprecation import ReproDeprecationWarning
 from repro.util.rng import pooled_rng, spawn_rng
+
+from tests.reference_weigher import weights_for_ref
 
 DRAM = dram()
 NVM = nvm_bandwidth_scaled(0.5)
@@ -128,7 +122,7 @@ class TestWeightsDifferential:
     def test_bitwise_equal(self, calibration_bw, demands, cfg, pressure, scale):
         batch = DemandBatch.from_demands(demands)
         vec = _weights_for(batch, NVM, DRAM, calibration_bw, cfg, pressure, scale)
-        ref = _weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, pressure, scale)
+        ref = weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, pressure, scale)
         assert_bitwise(vec, ref)
 
     @settings(max_examples=50, deadline=None)
@@ -141,7 +135,7 @@ class TestWeightsDifferential:
         cfg = PlanConfig()
         batch = DemandBatch.from_demands(demands)
         vec = _weights_for(batch, NVM, DRAM, calibration_bw, cfg, 0.7)
-        ref = _weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, 0.7)
+        ref = weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, 0.7)
         assert_bitwise(vec, ref)
 
     def test_empty_batch(self, calibration_bw):
@@ -162,29 +156,6 @@ class TestWeightsDifferential:
             assert a.stats == b.stats
             assert a.in_dram == b.in_dram
             assert bits(a.first_use_offset) == bits(b.first_use_offset)
-
-
-# ----------------------------------------------------------------------
-# make_plan: batch form vs deprecated list form
-# ----------------------------------------------------------------------
-class TestMakePlanEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(demands=demand_list(), solver=st.sampled_from(["dp", "greedy"]))
-    def test_list_shim_matches_batch(self, calibration_bw, demands, solver):
-        cfg = PlanConfig(solver=solver)
-        cap, used = 64 << 20, 16 << 20
-        batch = DemandBatch.from_demands(demands)
-        plan = make_plan("global", batch, cap, used, NVM, DRAM, calibration_bw, cfg)
-        with pytest.warns(ReproDeprecationWarning, match="DemandBatch"):
-            shim = make_plan(
-                "global", list(demands), cap, used, NVM, DRAM, calibration_bw, cfg
-            )
-        assert shim.dram_set == plan.dram_set
-        assert bits(shim.predicted_gain) == bits(plan.predicted_gain)
-        assert set(shim.weights) == set(plan.weights)
-        for uid, w in plan.weights.items():
-            assert bits(shim.weights[uid]) == bits(w)
-            assert bits(shim.first_use[uid]) == bits(plan.first_use[uid])
 
 
 # ----------------------------------------------------------------------

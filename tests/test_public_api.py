@@ -97,7 +97,6 @@ class TestFrozenExecutionAPI:
             "self",
             "hms",
             "config",
-            "scheduler",  # deprecated shim, one release
             "injector",
             "telemetry",
             "legacy",
@@ -136,11 +135,11 @@ class TestExporterConvention:
             assert list(params) == ["data", "stream", "path"], fn.__name__
             assert params["stream"].kind is inspect.Parameter.KEYWORD_ONLY
             assert params["path"].kind is inspect.Parameter.KEYWORD_ONLY
-        # to_json additionally keeps its indent knob (and, for one
-        # release, the deprecated positional spelling of it).
+        # to_json additionally keeps its indent knob, keyword-only too.
         params = inspect.signature(to_json).parameters
-        assert list(params) == ["data", "legacy_indent", "indent", "stream", "path"]
-        assert params["stream"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert list(params) == ["data", "indent", "stream", "path"]
+        for name in ("indent", "stream", "path"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_stream_and_path_are_exclusive(self):
         import io
