@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
+from repro.tasking.graph import AccessCSR
 from repro.tasking.task import Task
 
 __all__ = [
@@ -44,22 +47,6 @@ def estimate_start_offsets(
     return offsets
 
 
-def _traffic_uids(task: Task) -> list[int]:
-    """Uids of the task's objects with nonzero counted traffic.
-
-    A task's access footprint is fixed at graph build, so the filtered
-    uid list is computed once and cached on the task — graphs are
-    interned across runs, so every later lookahead pass skips the
-    per-access ``acc.accesses`` test entirely.
-    """
-    uids = task.__dict__.get("_traffic_uids")
-    if uids is None:
-        uids = task.__dict__["_traffic_uids"] = [
-            obj.uid for obj, acc in task.accesses.items() if acc.accesses
-        ]
-    return uids
-
-
 def first_use_offsets(
     tasks: Sequence[Task],
     duration_of: Callable[[Task], float],
@@ -69,48 +56,44 @@ def first_use_offsets(
     offsets = estimate_start_offsets(tasks, duration_of, n_workers)
     first: dict[int, float] = {}
     for t, off in zip(tasks, offsets):
-        for uid in _traffic_uids(t):
-            if uid not in first:
-                first[uid] = off
+        for obj, acc in t.accesses.items():
+            if acc.accesses and obj.uid not in first:
+                first[obj.uid] = off
     return first
 
 
 def first_use_offsets_split(
-    tasks: Sequence[Task],
+    csr: AccessCSR,
+    tasks: np.ndarray,
     window_len: int,
-    duration_of: Callable[[Task], float],
+    duration_by_type: np.ndarray,
     n_workers: int,
-    duration_by_type: dict[str, float] | None = None,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """(window, full-horizon) first-use offsets from a single pass.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(window, full-horizon) first-use offsets of the dense-indexed
+    ``tasks`` (spawn order), the window being their first ``window_len``.
 
-    The start-offset accumulation is a prefix sum, so the offsets of the
-    first ``window_len`` tasks equal those of a standalone pass over the
-    window — the two dicts are bitwise what two :func:`first_use_offsets`
-    calls would produce, at half the model lookups.
-
-    The start-offset prefix sum is fused into the first-use walk (one
-    pass, no intermediate offsets list); the additions run in the same
-    task order as :func:`estimate_start_offsets`, so the offsets are
-    bitwise unchanged.  When ``duration_by_type`` is given, per-task
-    durations come from that dict keyed by ``type_name`` instead of
-    calling ``duration_of`` — callers whose duration model is constant
-    per type within one pass skip a Python call per task.
+    Each scope is a pair of arrays in first-use order: dense object
+    indices (into ``csr``) and their offsets.  A task's start offset is
+    the sequential prefix sum of ``duration_by_type[type] / workers``
+    over the tasks ahead of it — ``np.cumsum`` after a leading zero is
+    the same additions in the same order as :func:`estimate_start_offsets`
+    — and an object's first use is its first access row with traffic.
+    The window is the prefix of the full map whose first use falls in
+    the first ``window_len`` tasks.
     """
-    window: dict[int, float] = {}
-    full: dict[int, float] = {}
-    acc = 0.0
     inv = 1.0 / max(1, n_workers)
-    by_type = duration_by_type
-    for i, t in enumerate(tasks):
-        off = acc
-        if by_type is None:
-            acc = off + duration_of(t) * inv
-        else:
-            acc = off + by_type[t.type_name] * inv
-        for uid in _traffic_uids(t):
-            if uid not in full:
-                full[uid] = off
-                if i < window_len:
-                    window[uid] = off
-    return window, full
+    steps = duration_by_type[csr.type_id[tasks]] * inv
+    starts = np.cumsum(np.concatenate(([0.0], steps)))
+    rows, lens = csr.gather(tasks)
+    hot = csr.traffic[rows]
+    pos = np.repeat(np.arange(len(tasks)), lens)[hot]
+    first = np.full(len(csr.obj_uid), len(pos))
+    np.minimum.at(first, csr.obj[rows[hot]], np.arange(len(pos)))
+    objs = np.flatnonzero(first < len(pos))
+    first = first[objs]
+    order = np.argsort(first)
+    objs = objs[order]
+    pos = pos[first[order]]
+    offsets = starts[pos]
+    k = int(np.searchsorted(pos, window_len))
+    return (objs[:k], offsets[:k]), (objs, offsets)

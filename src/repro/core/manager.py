@@ -39,6 +39,7 @@ from repro.core.models import TypeModel
 from repro.core.placement import PlacementPlan, PlanConfig, make_plan
 from repro.profiling.calibration import CalibrationResult, calibrate
 from repro.tasking.executor import ExecContext
+from repro.tasking.graph import AccessCSR
 from repro.tasking.task import Task
 from repro.tasking.trace import TaskRecord
 from repro.util.log import get_logger
@@ -85,6 +86,142 @@ class ManagerConfig:
     max_lane_backlog_s: float = 0.25
 
 
+#: Projection row of an access whose type model has no slots: field for
+#: field what an empty ``SlotStats()`` reports (confidence 1.0, the rest 0).
+_EMPTY_SLOT_ROW = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def _fold_rows(
+    objs: np.ndarray,
+    rank: np.ndarray,
+    terms: np.ndarray,
+    bw: np.ndarray,
+    csr: AccessCSR,
+    prefix: int | None = None,
+) -> list[tuple[DemandBatch, np.ndarray]]:
+    """Fold projected access rows into per-object demand.
+
+    Row ``i`` (rows in task order) touches dense object ``objs[i]`` for
+    the ``rank[i]``-th time and carries ``terms[i]``, three pairs:
+    ``(misses, mem_seconds)``, ``(loads, stores)`` and ``(confidence *
+    misses, dram_frac * mem_seconds)``; ``bw[i]`` is its bandwidth
+    demand.  Returns ``[(batch, objects)]``: batch rows in first-touch
+    order and their dense object indices.  With ``prefix``, a second
+    entry holds the fold of just the first ``prefix`` rows.
+
+    Each object's demand is a sequential fold over its own rows — sums,
+    a strict ``>`` running max, and two running weighted means whose
+    per-step divisions are data dependent — and objects never mix, so
+    the fold runs rank by rank across all objects at once, each object
+    seeing the floating-point operations of the per-row accumulator it
+    replaces in the same order.  The columns are therefore bitwise those
+    of the scalar fold:
+
+    - sums are ``np.cumsum`` (``add.accumulate``: sequential, never the
+      pairwise ``np.sum``) along the rank axis of a zero-padded
+      rank x object matrix whose leading zero row is the accumulators'
+      initial ``0.0``; an object's total is read at its own row count,
+      so the padding after its last row is never added;
+    - ``bw_demand`` is the max of the values that pass ``bw > 0.0``
+      (the ``if bw > cur`` update from ``cur = 0.0``);
+    - confidence and ``dram_frac`` run ``(cur * old + term) / new`` per
+      rank with the divide masked by ``new > 0``, over the objects still
+      active at that rank (columns are ordered by row count, so those
+      are a prefix).
+
+    An object's prefix rows are its first rows, so the prefix fold is
+    the full fold read early: sums at the object's prefix row count, the
+    means snapshotted when the loop reaches that rank.
+    """
+    n_rows = len(objs)
+    if n_rows == 0:
+        return [(DemandBatch.empty(), objs)] * (1 if prefix is None else 2)
+    n_all = len(csr.obj_uid)
+    first = np.full(n_all, n_rows)
+    np.minimum.at(first, objs, np.arange(n_rows))
+    present = np.flatnonzero(first < n_rows)
+    order = present[np.argsort(first[present])]  # first-touch order
+    counts = np.bincount(objs, minlength=n_all)[order]
+    n = len(order)
+    # Matrix columns: objects by descending row count, so the objects
+    # with a row at rank k are the first ``active[k]`` columns.
+    by_count = np.argsort(-counts, kind="stable")
+    col = np.empty(n_all, dtype=np.int64)
+    col[order[by_count]] = np.arange(n)
+    rows_of_col = counts[by_count]
+    depth = int(rows_of_col[0])
+    active = np.searchsorted(-rows_of_col, -np.arange(depth), side="left")
+    rcol = col[objs]
+
+    # Rank x pair x column x 2; rank 0 is the accumulators' zero row.
+    pad = np.zeros((depth + 1, 3, n, 2))
+    pad[rank + 1, :, rcol] = terms.reshape(n_rows, 3, 2)
+    sums = np.cumsum(pad[:, :2], axis=0)  # sums[k]: totals before rank k
+    # The running means step through flat (column, mean) rows, so the
+    # objects active at rank k are the first 2 * active[k] entries.
+    weights = sums[:, 0].reshape(depth + 1, 2 * n)
+    products = pad[1:, 2].reshape(depth, 2 * n)
+    positive = weights[1:] > 0.0
+    means = np.zeros((n, 2))
+    means[:, 0] = 1.0  # confidence; dram_frac starts at 0
+    flat = means.reshape(-1)
+    scopes = [(n_rows, counts, order, means)]
+    snapshots: dict[int, np.ndarray] = {}
+    if prefix is not None:
+        # Prefix row counts per column; a column's prefix means are final
+        # when the loop reaches its count.
+        p_counts = np.bincount(rcol[:prefix], minlength=n)
+        by_p = np.argsort(p_counts, kind="stable")
+        edges = np.searchsorted(p_counts[by_p], np.arange(depth + 2)).tolist()
+        for k in range(1, depth + 1):
+            if edges[k] < edges[k + 1]:
+                snapshots[k] = by_p[edges[k] : edges[k + 1]]
+        p_means = np.empty((n, 2))
+        p_order = order[: n - edges[1]]
+        scopes.append((prefix, p_counts[col[p_order]], p_order, p_means))
+    # Runs of ranks with the same active count share their slices.
+    starts = np.flatnonzero(np.diff(active, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [depth]):
+        m = 2 * int(active[lo])
+        cur = flat[:m]
+        w = weights[lo : hi + 1, :m]
+        p = products[lo:hi, :m]
+        q = positive[lo:hi, :m]
+        for j in range(hi - lo):
+            taken = snapshots.get(lo + j)
+            if taken is not None:
+                p_means[taken] = means[taken]
+            acc = cur * w[j]
+            acc += p[j]
+            np.divide(acc, w[j + 1], out=cur, where=q[j])
+    taken = snapshots.get(depth)
+    if taken is not None:
+        p_means[taken] = means[taken]
+
+    bw = np.where(bw > 0.0, bw, 0.0)
+    out = []
+    for rows, n_scope, objects, folded in scopes:
+        c = col[objects]
+        totals = sums[n_scope, :, c].reshape(-1, 4).T.copy()
+        folded = folded[c].T.copy()
+        bw_max = np.zeros(n_all)
+        np.maximum.at(bw_max, objs[:rows], bw[:rows])
+        batch = DemandBatch(
+            csr.obj_uid[objects],
+            csr.obj_size[objects],
+            totals[2],  # loads
+            totals[3],  # stores
+            totals[0],  # misses
+            bw_max[objects],
+            n_scope,
+            folded[0],  # confidence
+            totals[1],  # mem_seconds
+            folded[1],  # dram_frac
+        )
+        out.append((batch, objects))
+    return out
+
+
 # Calibration results are per-platform, reused across runs and policies,
 # exactly as the paper's offline step prescribes.
 _CALIBRATION_CACHE: dict[tuple[str, str, int, int], CalibrationResult] = {}
@@ -119,12 +256,8 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._type_names: list[str] | None = None
         self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self._by_uid: dict[int, Any] | None = None
-        #: tid -> (model, model.n_profiles, flattened access rows); see
-        #: :meth:`_demand_stats_split`.
-        self._proj_cache: dict[int, tuple[TypeModel, int, list[tuple]]] = {}
         self.stats: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -148,7 +281,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._type_names = None
         self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self.stats = {
             "replans": 0,
@@ -172,7 +304,6 @@ class DataManagerPolicy(BasePolicy):
                 {o.uid: o for o in ctx.graph.objects},
             )
         self._by_uid = uid_memo[1]
-        self._proj_cache = {}
         self.calib = self._given_calibration or self._platform_calibration(ctx)
         if self.config.enable_initial_placement:
             # The chosen set is a pure function of the graph's object list
@@ -290,165 +421,88 @@ class DataManagerPolicy(BasePolicy):
         return None
 
     def _demand_stats_split(
-        self, tasks: list[Task], window_len: int, need_window: bool = True
-    ) -> tuple[tuple[DemandBatch, float], tuple[DemandBatch, float]]:
-        """(window, full-horizon) demand batches from a single pass.
+        self,
+        csr: AccessCSR,
+        tasks: np.ndarray,
+        window_len: int,
+        need_window: bool = True,
+    ) -> tuple[
+        tuple[DemandBatch, float, np.ndarray], tuple[DemandBatch, float, np.ndarray]
+    ]:
+        """(window, full-horizon) demand projections of the dense-indexed
+        ``tasks`` (spawn order), the window being their first
+        ``window_len``.
 
-        The projection accumulates straight into parallel columns (one
-        Python list per :class:`DemandBatch` field, indexed by a
-        uid -> dense-row dict in first-touch order) instead of a dict of
-        per-object ``ObjectStats``.  The accumulation statements are the
-        exact op sequence ``ObjectStats.add`` runs — the sequential
-        weighted means for confidence and ``dram_frac`` have data-
-        dependent divisions per step and must not be reassociated — so
-        the frozen columns are bitwise what the retired object path
-        produced, in the same row order the plan dicts and knapsack saw.
+        Each scope is ``(batch, horizon, objects)``: the batch rows are in
+        first-touch order and ``objects`` holds their dense indices into
+        ``csr``.  Tasks whose type has no ready model are skipped; every
+        other task's access rows take their slot's model row (the last
+        slot for extra accesses, an empty ``SlotStats`` row for a
+        slot-less model).  The rows are folded per object by
+        :func:`_fold_rows`, the window as the fold of the prefix rows.
 
-        Accumulation over the window prefix is exactly what an
-        independent pass over ``tasks[:window_len]`` would run, so
-        snapshotting the columns at the boundary (plain list copies)
-        yields bitwise-identical window stats; the originals then keep
-        accumulating into the full-horizon projection.
-
-        ``need_window=False`` skips the boundary snapshot when the caller
-        will not build a window-scoped plan; the snapshot has no effect
-        on the full-horizon accumulators, so the global result is
-        unchanged.
+        ``need_window=False`` skips the window fold when the caller will
+        not build a window-scoped plan (the window is then empty unless
+        it covers every task).
         """
-        # Column accumulators, indexed by row[uid] (first-touch order).
-        row_of: dict[int, int] = {}
-        uids: list[int] = []
-        sizes: list[int] = []
-        loads_c: list[float] = []
-        stores_c: list[float] = []
-        misses_c: list[float] = []
-        bw_c: list[float] = []
-        ntasks_c: list[int] = []
-        conf_c: list[float] = []
-        mem_c: list[float] = []
-        dfrac_c: list[float] = []
-        horizon = 0.0
-        win_batch: DemandBatch | None = None
-        win_horizon = 0.0
-        model_for = self._model_for
-        proj_cache = self._proj_cache
-        # Per-type model resolution is invariant across the pass (the
-        # model dicts only change between replans), so resolve each type
-        # once instead of per task.
-        model_of_type: dict[str, TypeModel | None] = {}
-        type_get = model_of_type.get
-        # Out-of-model fallback row: field-for-field what an empty
-        # ``SlotStats()`` reports (confidence 1.0, everything else zero).
-        empty_row = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-        # Accumulator bindings ride in as default arguments: the inner
-        # loop is the projection's hot path, and default args are plain
-        # locals (LOAD_FAST) where closure cells cost a dereference each.
-        def accumulate(
-            chunk,
-            row_of=row_of, uids=uids, sizes=sizes,
-            loads_c=loads_c, stores_c=stores_c, misses_c=misses_c,
-            bw_c=bw_c, ntasks_c=ntasks_c, conf_c=conf_c, mem_c=mem_c,
-            dfrac_c=dfrac_c, model_of_type=model_of_type, type_get=type_get,
-            model_for=model_for, proj_cache=proj_cache,
-            empty_row=empty_row,
-        ) -> None:
-            nonlocal horizon
-            for t in chunk:
-                tname = t.type_name
-                model = type_get(tname, empty_row)
-                if model is empty_row:
-                    model = model_of_type[tname] = model_for(tname)
-                if model is None:
-                    continue
-                horizon += model.mean_duration
-                # A task's flattened (uid, size, slot row) list is
-                # invariant while its type model version (n_profiles)
-                # holds, and each task is re-projected by every later
-                # replan — memoize it.
-                n_profiles = model.n_profiles
-                try:
-                    cached_model, cached_np, task_rows = proj_cache[t.tid]
-                    if cached_model is not model or cached_np != n_profiles:
-                        raise KeyError  # stale entry: model replaced/regrown
-                except KeyError:
-                    rows = model.slot_rows()
-                    n_slots = len(rows)
-                    task_rows = []
-                    for j, obj in enumerate(t.accesses):
-                        if n_slots:
-                            row = rows[j] if j < n_slots else rows[-1]
-                        else:
-                            row = empty_row
-                        task_rows.append((obj.uid, obj.size_bytes) + row)
-                    proj_cache[t.tid] = (model, n_profiles, task_rows)
-                for uid, size_bytes, loads, stores, misses, bw, conf, mem_s, dfrac in task_rows:
-                    # Zero-cost try/except (3.11+) beats a dict.get call
-                    # here: almost every row visit is a re-touch of an
-                    # already-registered uid, so the except arm is cold.
-                    try:
-                        r = row_of[uid]
-                    except KeyError:
-                        r = row_of[uid] = len(uids)
-                        uids.append(uid)
-                        sizes.append(size_bytes)
-                        loads_c.append(0.0)
-                        stores_c.append(0.0)
-                        misses_c.append(0.0)
-                        bw_c.append(0.0)
-                        ntasks_c.append(0)
-                        conf_c.append(1.0)
-                        mem_c.append(0.0)
-                        dfrac_c.append(0.0)
-                    # Inlined ObjectStats.add — identical statements in
-                    # identical order, so the accumulators stay bitwise
-                    # equal.
-                    old_misses = misses_c[r]
-                    new_misses = old_misses + misses
-                    if new_misses > 0:
-                        conf_c[r] = (
-                            conf_c[r] * old_misses + conf * misses
-                        ) / new_misses
-                    old_mem = mem_c[r]
-                    new_mem = old_mem + mem_s
-                    if new_mem > 0:
-                        dfrac_c[r] = (
-                            dfrac_c[r] * old_mem + dfrac * mem_s
-                        ) / new_mem
-                    mem_c[r] = new_mem
-                    loads_c[r] += loads
-                    stores_c[r] += stores
-                    misses_c[r] = new_misses
-                    if bw > bw_c[r]:
-                        bw_c[r] = bw
-                    ntasks_c[r] += 1
-
-        # The window is a prefix: accumulate it, snapshot, then continue
-        # with the suffix — no per-task boundary test in the hot loop.
-        if need_window and len(tasks) > window_len:
-            accumulate(tasks[:window_len])
-            win_batch = DemandBatch.from_columns(
-                list(uids), list(sizes), list(loads_c), list(stores_c),
-                list(misses_c), list(bw_c), list(ntasks_c), list(conf_c),
-                list(mem_c), list(dfrac_c),
-            )
-            win_horizon = horizon
-            accumulate(tasks[window_len:])
-        else:
-            accumulate(tasks)
-        batch = DemandBatch.from_columns(
-            uids, sizes, loads_c, stores_c, misses_c, bw_c, ntasks_c,
-            conf_c, mem_c, dfrac_c,
+        models = [self._model_for(name) for name in csr.type_names]
+        has_model = np.array([m is not None for m in models], dtype=np.bool_)
+        durations = np.array(
+            [m.mean_duration if m is not None else 0.0 for m in models]
         )
-        if len(tasks) <= window_len:
-            win_batch, win_horizon = batch, horizon
-        elif win_batch is None:
-            win_batch = DemandBatch.empty()
-        return (win_batch, win_horizon), (batch, horizon)
+        # One row table for every modelled type's slots, plus the
+        # fallback row: what an empty ``SlotStats()`` reports.
+        table: list[tuple[float, ...]] = []
+        base = np.zeros(len(models), dtype=np.int64)
+        last = np.full(len(models), -1, dtype=np.int64)
+        for k, m in enumerate(models):
+            if m is not None:
+                slots = m.slot_rows()
+                base[k] = len(table)
+                last[k] = len(slots) - 1
+                table.extend(slots)
+        fallback = len(table)
+        table.append(_EMPTY_SLOT_ROW)
+        # The fold's per-row operands, per slot: (misses, mem_seconds,
+        # loads, stores, confidence * misses, dram_frac * mem_seconds).
+        slot_rows = np.array(table, dtype=np.float64)
+        slot_terms = np.empty((len(table), 6))
+        slot_terms[:, :4] = slot_rows[:, (2, 5, 0, 1)]
+        slot_terms[:, 4:] = slot_rows[:, (4, 6)] * slot_rows[:, (2, 5)]
 
-    def _duration_of(self, task: Task) -> float:
-        model = self._model_for(task.type_name)
-        return model.mean_duration if model is not None else 1e-4
+        type_of = csr.type_id[tasks]
+        keep = has_model[type_of]
+        kept = tasks[keep]
+        # Horizon: the sequential sum of the kept tasks' durations.
+        horizon = np.cumsum(np.concatenate(([0.0], durations[type_of[keep]])))
+        rows, lens = csr.gather(kept)
+        row_type = np.repeat(type_of[keep], lens)
+        row_last = last[row_type]
+        slot = np.where(
+            row_last >= 0,
+            base[row_type] + np.minimum(csr.slot[rows], row_last),
+            fallback,
+        )
+        objs = csr.obj[rows]
+        rank = csr.ranks(kept, rows)
+        terms = slot_terms[slot]
+        bw = slot_rows[slot, 3]
+
+        if len(tasks) <= window_len or not need_window:
+            ((batch, order),) = _fold_rows(objs, rank, terms, bw, csr)
+            full = (batch, float(horizon[-1]), order)
+            if len(tasks) <= window_len:
+                return full, full
+            return (DemandBatch.empty(), 0.0, order[:0]), full
+        # The window's rows are a prefix of the rows.
+        n_kept = int(np.count_nonzero(keep[:window_len]))
+        (batch, order), (w_batch, w_order) = _fold_rows(
+            objs, rank, terms, bw, csr, prefix=int(lens[:n_kept].sum())
+        )
+        return (
+            (w_batch, float(horizon[n_kept]), w_order),
+            (batch, float(horizon[-1]), order),
+        )
 
     def _update_skepticism(self) -> None:
         """Realized-benefit feedback (monitor-and-adjust).
@@ -488,7 +542,8 @@ class DataManagerPolicy(BasePolicy):
             if m.ready
         }
 
-    def _parallel_slack(self, tasks: list[Task], ctx: ExecContext) -> float:
+    @staticmethod
+    def _parallel_slack(depths: np.ndarray, n_workers: int) -> float:
         """Throughput-vs-wave discriminator for the additive benefit model.
 
         Per dependence level of the horizon, ask how the level's makespan
@@ -502,18 +557,20 @@ class DataManagerPolicy(BasePolicy):
           eight smooths on eight workers): the level ends when its slowest
           sibling does, so speeding one task contributes only ~1/width.
 
-        The returned scale is the task-weighted mean of per-level shares.
+        The returned scale is the task-weighted mean of per-level shares;
+        ``depths`` holds the horizon's task depths in task order, and the
+        shares are summed over distinct depths in first-occurrence order.
         """
-        if not tasks:
+        n = len(depths)
+        if n == 0:
             return 1.0
-        depths = ctx.graph.depths()
-        widths: dict[int, int] = {}
-        for t in tasks:
-            d = depths[t.tid]
-            widths[d] = widths.get(d, 0) + 1
-        workers = max(1, ctx.config.n_workers)
+        first = np.full(int(depths.max()) + 1, n)
+        np.minimum.at(first, depths, np.arange(n))
+        levels = np.flatnonzero(first < n)
+        widths = np.bincount(depths)[levels[np.argsort(first[levels])]]
+        workers = max(1, n_workers)
         num = 0.0
-        for width in widths.values():
+        for width in widths.tolist():
             if width <= 1:
                 share = 1.0
             else:
@@ -524,7 +581,7 @@ class DataManagerPolicy(BasePolicy):
                     base = 1.0 / width
                     share = base + (1.0 - base) * max(0.0, waves - 1.0)
             num += width * share
-        return num / len(tasks)
+        return num / n
 
     def _replan(self, ctx: ExecContext, now: float) -> float:
         """Re-run both searches, pick the better, enforce it.  Returns the
@@ -535,8 +592,9 @@ class DataManagerPolicy(BasePolicy):
         self.stats["replans"] += 1
         self._update_skepticism()
 
-        remaining = ctx.remaining_view()
+        remaining = ctx.remaining_indices()
         window = remaining[: cfg.lookahead_tasks]
+        csr = ctx.graph.exec_core().accesses
         n_workers = ctx.config.n_workers
 
         plans: list[tuple[float, PlacementPlan]] = []
@@ -545,8 +603,8 @@ class DataManagerPolicy(BasePolicy):
         # Endgame: once the window covers every remaining task the local
         # search would rebuild the identical plan and lose the stable-sort
         # tie to the global scope, so only its bookkeeping overhead is
-        # charged and the duplicate solve (and the window-boundary stats
-        # snapshot feeding it) is skipped.
+        # charged and the duplicate solve (and the window fold feeding
+        # it) is skipped.
         scopes_coincide = (
             len(remaining) <= cfg.lookahead_tasks
             and cfg.enable_global_search
@@ -555,62 +613,50 @@ class DataManagerPolicy(BasePolicy):
 
         need_window = cfg.enable_local_search and not scopes_coincide
 
-        # Per-type mean durations are fixed for the duration of one
-        # replan, so the offsets pass indexes them by type instead of
-        # calling back per task; 1e-4 is ``_duration_of``'s modelless
-        # fallback.
-        type_names = self._type_names
-        if type_names is None:
-            type_names = self._type_names = sorted(
-                {t.type_name for t in ctx.graph.tasks}
-            )
-        dur_map: dict[str, float] = {}
-        for tname in type_names:
-            m = self._model_for(tname)
-            dur_map[tname] = m.mean_duration if m is not None else 1e-4
-        # Both scopes share one pass over the remaining tasks: the window
-        # is a prefix, so its demand stats and first-use offsets fall out
-        # of the full-horizon accumulation bitwise unchanged.
-        (local_batch, local_horizon), (global_batch, global_horizon) = (
-            self._demand_stats_split(
-                remaining, cfg.lookahead_tasks, need_window=need_window
-            )
+        # Both scopes come from one fold of the remaining tasks' access
+        # rows: the window is a prefix, read off the same fold.
+        local_proj, global_proj = self._demand_stats_split(
+            csr, remaining, cfg.lookahead_tasks, need_window=need_window
+        )
+        # Per-type durations for the start-offset estimate; 1e-4 s stands
+        # in for a type without a ready model.
+        durations = np.array(
+            [
+                m.mean_duration if m is not None else 1e-4
+                for m in map(self._model_for, csr.type_names)
+            ]
         )
         local_offsets, global_offsets = first_use_offsets_split(
-            remaining, cfg.lookahead_tasks, self._duration_of, n_workers,
-            duration_by_type=dur_map,
+            csr, remaining, cfg.lookahead_tasks, durations, n_workers
         )
         resident_uids = ctx.hms.dram_resident_uids()
+        resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
+        index_of = csr.obj_index.get
+        resident[[i for i in map(index_of, resident_uids) if i is not None]] = True
         dram_capacity = ctx.dram.capacity_bytes
         dram_used = ctx.hms.dram_used_bytes()
 
         def build(
             scope: str,
-            batch: DemandBatch,
-            horizon: float,
-            offsets: dict[int, float],
-            tasks: list[Task],
+            projection: tuple[DemandBatch, float, np.ndarray],
+            offsets: tuple[np.ndarray, np.ndarray],
+            tasks: np.ndarray,
         ) -> tuple[PlacementPlan, float, float] | None:
+            batch, horizon, objects = projection
             if len(batch) == 0:
                 return None
             if cfg.plan.use_parallel_slack:
-                slack = self._parallel_slack(tasks, ctx)
+                slack = self._parallel_slack(csr.depth[tasks], n_workers)
             else:
                 slack = 1.0
             # Placement columns (residency + overlap offsets) attach to
-            # the scope-shared projection batch without copying it.
-            offsets_get = offsets.get
-            uid_list = batch.uid_list
-            n = len(uid_list)
-            in_dram = np.fromiter(
-                (u in resident_uids for u in uid_list), np.bool_, count=n
-            )
-            first_use = np.fromiter(
-                (offsets_get(u, 0.0) for u in uid_list), np.float64, count=n
-            )
+            # the scope-shared projection batch without copying it; an
+            # object with no traffic in scope has offset 0.
+            first_use = np.zeros(len(csr.obj_uid))
+            first_use[offsets[0]] = offsets[1]
             plan = make_plan(
                 scope,
-                batch.with_placement(in_dram, first_use),
+                batch.with_placement(resident[objects], first_use[objects]),
                 dram_capacity,
                 dram_used,
                 ctx.nvm,
@@ -637,9 +683,7 @@ class DataManagerPolicy(BasePolicy):
             return plan, delta, max(horizon / max(1, n_workers), 1e-9)
 
         if cfg.enable_global_search:
-            built = build(
-                "global", global_batch, global_horizon, global_offsets, remaining
-            )
+            built = build("global", global_proj, global_offsets, remaining)
             if built is not None:
                 plan, delta, horizon = built
                 plans.append((delta / horizon, plan))
@@ -647,7 +691,7 @@ class DataManagerPolicy(BasePolicy):
                 if scopes_coincide:
                     overhead += len(plan.weights) * cfg.per_demand_plan_overhead_s
         if cfg.enable_local_search and not scopes_coincide:
-            built = build("local", local_batch, local_horizon, local_offsets, window)
+            built = build("local", local_proj, local_offsets, window)
             if built is not None:
                 plan, delta, horizon = built
                 plans.append((delta / horizon, plan))

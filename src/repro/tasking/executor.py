@@ -294,11 +294,12 @@ class ExecContext:
         #: dense dispatched mask + spawn-order cursor of the first
         #: not-yet-dispatched task; together they define the lookahead
         #: frontier the views are computed from.
-        self._dispatched_mask = [False] * len(core.tasks)
+        self._dispatched_mask = bytearray(len(core.tasks))
         self._next_index = 0
-        #: Bumped per dispatch; versions the cached remaining view.
+        #: Bumped per dispatch; versions the cached remaining views.
         self._epoch = 0
         self._remaining_cache: tuple[int, tuple[Task, ...]] | None = None
+        self._remaining_idx_cache: tuple[int, np.ndarray] | None = None
         from repro.profiling.sampler import SamplingProfiler
 
         self._profiler = SamplingProfiler(
@@ -425,13 +426,27 @@ class ExecContext:
         cached = self._remaining_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        tasks = self._core.tasks
-        mask = self._dispatched_mask
-        rem = tuple(
-            tasks[i] for i in range(self._next_index, len(tasks)) if not mask[i]
-        )
+        rem = tuple(map(self._core.tasks.__getitem__, self.remaining_indices().tolist()))
         self._remaining_cache = (self._epoch, rem)
         return rem
+
+    def remaining_indices(self) -> np.ndarray:
+        """:meth:`remaining_view` as a read-only int64 array of dense
+        task indices (spawn order, indexing ``graph.exec_core()``).
+
+        Array-shaped policies gather per-task data with it — for example
+        from ``graph.exec_core().accesses`` — without touching ``Task``
+        objects.  Cached per dispatch epoch like :meth:`remaining_view`."""
+        cached = self._remaining_idx_cache
+        if cached is not None and cached[0] == self._epoch:
+            return cached[1]
+        start = self._next_index
+        pending = np.frombuffer(self._dispatched_mask, dtype=np.uint8)[start:] == 0
+        idx = np.flatnonzero(pending)
+        idx += start
+        idx.flags.writeable = False
+        self._remaining_idx_cache = (self._epoch, idx)
+        return idx
 
     def profile(self, task: Task, record: TaskRecord):
         """Sample the task through the emulated hardware counters.
@@ -465,7 +480,7 @@ class ExecContext:
             if finish > prev:
                 luf[uid] = finish
         mask = self._dispatched_mask
-        mask[self._core.index[task.tid]] = True
+        mask[self._core.index[task.tid]] = 1
         self._epoch += 1
         # Advance the spawn-order frontier past the dispatched prefix.
         n = len(self._core.tasks)

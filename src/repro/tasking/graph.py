@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -21,7 +22,9 @@ from repro.tasking.access import AccessMode
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
 
-__all__ = ["TaskGraph", "GraphExecCore", "DependenceKind", "Dependence"]
+__all__ = [
+    "TaskGraph", "GraphExecCore", "AccessCSR", "DependenceKind", "Dependence",
+]
 
 
 class DependenceKind(enum.Enum):
@@ -36,6 +39,68 @@ class Dependence:
     dst: Task
     kind: DependenceKind
     obj: DataObject
+
+
+@dataclass(frozen=True)
+class AccessCSR:
+    """Every declared access of a graph as flat arrays (CSR by task).
+
+    Row ``indptr[i]:indptr[i + 1]`` holds task ``i``'s accesses (dense
+    spawn-order index, as in :class:`GraphExecCore`) in declaration
+    order.  Objects get dense indices in first-touch order over the
+    spawn order.  The data manager's per-replan passes (demand
+    projection, first-use offsets, parallel slack) gather from these
+    arrays instead of walking ``Task`` objects.
+    """
+
+    indptr: np.ndarray  #: int64 row pointers (len = n_tasks + 1)
+    obj: np.ndarray  #: int64 dense object index per access
+    #: int64 per access: how many earlier accesses (spawn order) touch
+    #: the same object.
+    rank: np.ndarray
+    slot: np.ndarray  #: int64 declaration position within its task
+    traffic: np.ndarray  #: bool: the access has nonzero counted traffic
+    type_id: np.ndarray  #: int64 per task, indexes ``type_names``
+    type_names: tuple[str, ...]  #: sorted distinct task type names
+    depth: np.ndarray  #: int64 longest-path DAG depth per task (roots 0)
+    obj_uid: np.ndarray  #: int64 uid per dense object index
+    obj_index: dict[int, int]  #: uid -> dense object index
+    obj_size: np.ndarray  #: int64 size in bytes per dense object index
+
+    def gather(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Access-row indices of ``tasks`` (dense indices), concatenated
+        in the given task order, plus the row count of each task."""
+        starts = self.indptr[tasks]
+        lens = self.indptr[tasks + 1] - starts
+        ends = np.cumsum(lens)
+        rows = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+        rows += np.repeat(starts - (ends - lens), lens)
+        return rows, lens
+
+    def ranks(self, tasks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Per gathered row (``rows, _ = gather(tasks)``, ``tasks``
+        ascending), how many earlier gathered rows touch the same object.
+
+        That is the row's graph-wide :attr:`rank` less the accesses of
+        its object by the tasks left out: those before ``tasks[0]`` (a
+        per-object count) and those after it (typically a narrow band of
+        tasks dispatched out of order), counted per row by a search
+        over their sorted ``(object, row)`` keys — no sort over the
+        gathered rows themselves.
+        """
+        if len(tasks) == 0:
+            return rows.copy()
+        lo = int(tasks[0])
+        objs = self.obj[rows]
+        before = np.bincount(self.obj[: self.indptr[lo]], minlength=len(self.obj_uid))
+        gathered = np.zeros(len(self.type_id) - lo, dtype=np.bool_)
+        gathered[tasks - lo] = True
+        left_out, _ = self.gather(np.flatnonzero(~gathered) + lo)
+        n_rows = len(self.obj)
+        keys = np.sort(self.obj[left_out] * n_rows + left_out)
+        first_key = objs * n_rows
+        skipped = np.searchsorted(keys, first_key + rows) - np.searchsorted(keys, first_key)
+        return self.rank[rows] - before[objs] - skipped
 
 
 @dataclass(frozen=True)
@@ -57,6 +122,67 @@ class GraphExecCore:
     succ: tuple[tuple[int, ...], ...]  #: dense successor indices, tid order
     succ_indptr: np.ndarray  #: int32 CSR row pointers (len = n_tasks + 1)
     succ_indices: np.ndarray  #: int32 CSR column indices (tid order per row)
+
+    @cached_property
+    def accesses(self) -> AccessCSR:
+        """The access CSR, built on first use: only managed runs read it,
+        so static-policy runs never pay for it."""
+        tasks = self.tasks
+        n = len(tasks)
+        obj_index: dict[int, int] = {}
+        obj_uid: list[int] = []
+        obj_size: list[int] = []
+        counts: list[int] = []
+        objs: list[int] = []
+        ranks: list[int] = []
+        touches: list[int] = []  # per object, accesses so far
+        slots: list[int] = []
+        traffic: list[bool] = []
+        for t in tasks:
+            rows = t.exec_rows()
+            counts.append(len(rows))
+            for j, (obj, _acc, uid, _writes, has_traffic) in enumerate(rows):
+                k = obj_index.get(uid)
+                if k is None:
+                    k = obj_index[uid] = len(obj_uid)
+                    obj_uid.append(uid)
+                    obj_size.append(obj.size_bytes)
+                    touches.append(0)
+                objs.append(k)
+                ranks.append(touches[k])
+                touches[k] += 1
+                slots.append(j)
+                traffic.append(has_traffic)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
+        type_names = tuple(sorted({t.type_name for t in tasks}))
+        type_of = {name: i for i, name in enumerate(type_names)}
+        # Longest-path depth in a Kahn order over the successor rows
+        # (equal to ``TaskGraph.depths`` whatever the topological order).
+        indeg = self.indeg0.tolist()
+        depth = [0] * n
+        ready = [i for i in range(n) if indeg[i] == 0]
+        for i in ready:
+            d = depth[i] + 1
+            for s in self.succ[i]:
+                if depth[s] < d:
+                    depth[s] = d
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    ready.append(s)
+        return AccessCSR(
+            indptr=indptr,
+            obj=np.array(objs, dtype=np.int64),
+            rank=np.array(ranks, dtype=np.int64),
+            slot=np.array(slots, dtype=np.int64),
+            traffic=np.array(traffic, dtype=np.bool_),
+            type_id=np.array([type_of[t.type_name] for t in tasks], dtype=np.int64),
+            type_names=type_names,
+            depth=np.array(depth, dtype=np.int64),
+            obj_uid=np.array(obj_uid, dtype=np.int64),
+            obj_index=obj_index,
+            obj_size=np.array(obj_size, dtype=np.int64),
+        )
 
 
 class TaskGraph:

@@ -1,0 +1,177 @@
+"""Scalar reference projection for differential testing.
+
+These are the per-task loops the data manager's replan ran before its
+demand projection, first-use offsets and parallel slack moved onto the
+graph's access CSR, kept statement for statement (minus the per-run
+task-row memo, which only cached what the loop recomputes).  The
+production passes — ``DataManagerPolicy._demand_stats_split``,
+:func:`repro.core.lookahead.first_use_offsets_split` and
+``DataManagerPolicy._parallel_slack`` — fold the same rows with numpy;
+``tests/test_projection_fold.py`` drives both over Hypothesis-generated
+graphs and slot tables and compares every column by its IEEE-754 bytes.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from repro.core.demand import DemandBatch
+from repro.tasking.task import Task
+
+__all__ = [
+    "demand_stats_split_ref",
+    "first_use_offsets_split_ref",
+    "parallel_slack_ref",
+]
+
+
+def demand_stats_split_ref(
+    tasks: Sequence[Task],
+    window_len: int,
+    model_for: Callable[[str], object],
+    need_window: bool = True,
+) -> tuple[tuple[DemandBatch, float], tuple[DemandBatch, float]]:
+    """(window, full-horizon) demand batches from a single pass.
+
+    ``model_for(type_name)`` returns a ready type model (anything with
+    ``mean_duration`` and ``slot_rows()``) or ``None``.
+    """
+    row_of: dict[int, int] = {}
+    uids: list[int] = []
+    sizes: list[int] = []
+    loads_c: list[float] = []
+    stores_c: list[float] = []
+    misses_c: list[float] = []
+    bw_c: list[float] = []
+    ntasks_c: list[int] = []
+    conf_c: list[float] = []
+    mem_c: list[float] = []
+    dfrac_c: list[float] = []
+    horizon = 0.0
+    win_batch: DemandBatch | None = None
+    win_horizon = 0.0
+    model_of_type: dict[str, object] = {}
+    empty_row = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+    def accumulate(chunk) -> None:
+        nonlocal horizon
+        for t in chunk:
+            tname = t.type_name
+            model = model_of_type.get(tname, empty_row)
+            if model is empty_row:
+                model = model_of_type[tname] = model_for(tname)
+            if model is None:
+                continue
+            horizon += model.mean_duration
+            rows = model.slot_rows()
+            n_slots = len(rows)
+            task_rows = []
+            for j, obj in enumerate(t.accesses):
+                if n_slots:
+                    row = rows[j] if j < n_slots else rows[-1]
+                else:
+                    row = empty_row
+                task_rows.append((obj.uid, obj.size_bytes) + row)
+            for uid, size_bytes, loads, stores, misses, bw, conf, mem_s, dfrac in task_rows:
+                try:
+                    r = row_of[uid]
+                except KeyError:
+                    r = row_of[uid] = len(uids)
+                    uids.append(uid)
+                    sizes.append(size_bytes)
+                    loads_c.append(0.0)
+                    stores_c.append(0.0)
+                    misses_c.append(0.0)
+                    bw_c.append(0.0)
+                    ntasks_c.append(0)
+                    conf_c.append(1.0)
+                    mem_c.append(0.0)
+                    dfrac_c.append(0.0)
+                old_misses = misses_c[r]
+                new_misses = old_misses + misses
+                if new_misses > 0:
+                    conf_c[r] = (
+                        conf_c[r] * old_misses + conf * misses
+                    ) / new_misses
+                old_mem = mem_c[r]
+                new_mem = old_mem + mem_s
+                if new_mem > 0:
+                    dfrac_c[r] = (
+                        dfrac_c[r] * old_mem + dfrac * mem_s
+                    ) / new_mem
+                mem_c[r] = new_mem
+                loads_c[r] += loads
+                stores_c[r] += stores
+                misses_c[r] = new_misses
+                if bw > bw_c[r]:
+                    bw_c[r] = bw
+                ntasks_c[r] += 1
+
+    if need_window and len(tasks) > window_len:
+        accumulate(tasks[:window_len])
+        win_batch = DemandBatch.from_columns(
+            list(uids), list(sizes), list(loads_c), list(stores_c),
+            list(misses_c), list(bw_c), list(ntasks_c), list(conf_c),
+            list(mem_c), list(dfrac_c),
+        )
+        win_horizon = horizon
+        accumulate(tasks[window_len:])
+    else:
+        accumulate(tasks)
+    batch = DemandBatch.from_columns(
+        uids, sizes, loads_c, stores_c, misses_c, bw_c, ntasks_c,
+        conf_c, mem_c, dfrac_c,
+    )
+    if len(tasks) <= window_len:
+        win_batch, win_horizon = batch, horizon
+    elif win_batch is None:
+        win_batch = DemandBatch.empty()
+    return (win_batch, win_horizon), (batch, horizon)
+
+
+def first_use_offsets_split_ref(
+    tasks: Sequence[Task],
+    window_len: int,
+    duration_by_type: dict[str, float],
+    n_workers: int,
+) -> tuple[dict[int, float], dict[int, float]]:
+    """(window, full-horizon) ``{uid: first-use offset}`` maps."""
+    window: dict[int, float] = {}
+    full: dict[int, float] = {}
+    acc = 0.0
+    inv = 1.0 / max(1, n_workers)
+    for i, t in enumerate(tasks):
+        off = acc
+        acc = off + duration_by_type[t.type_name] * inv
+        for uid in [obj.uid for obj, a in t.accesses.items() if a.accesses]:
+            if uid not in full:
+                full[uid] = off
+                if i < window_len:
+                    window[uid] = off
+    return window, full
+
+
+def parallel_slack_ref(
+    tasks: Sequence[Task], depths: dict[int, int], n_workers: int
+) -> float:
+    """Task-weighted mean of per-level shares (``depths``: tid -> depth)."""
+    if not tasks:
+        return 1.0
+    widths: dict[int, int] = {}
+    for t in tasks:
+        d = depths[t.tid]
+        widths[d] = widths.get(d, 0) + 1
+    workers = max(1, n_workers)
+    num = 0.0
+    for width in widths.values():
+        if width <= 1:
+            share = 1.0
+        else:
+            waves = width / workers
+            if waves >= 2.0:
+                share = 1.0
+            else:
+                base = 1.0 / width
+                share = base + (1.0 - base) * max(0.0, waves - 1.0)
+        num += width * share
+    return num / len(tasks)

@@ -373,7 +373,7 @@ class TestStablePolicyAPI:
         }
         assert public == {
             "dram", "nvm", "place_initial", "request_migration",
-            "upcoming_view", "remaining_view", "profile",
+            "upcoming_view", "remaining_view", "remaining_indices", "profile",
             "migration_backlog", "profiling_overhead",
         }
 

@@ -16,14 +16,16 @@ routed around the tier-1 configurations.  This module pins that promise:
   must reproduce the first run byte-identically — including the
   partitioned ``tahoe-part`` variant, whose graph must never share a
   memo entry with the unpartitioned build;
-- a run-order check over what-if variants of one managed spec: no
-  variant's payload may depend on which variants ran before it.
+- a run-order check over what-if variants of one managed spec, and one
+  over all spot specs in a shuffled order: no payload may depend on
+  which runs came before it in the process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -102,13 +104,9 @@ def reset_process_caches() -> None:
     iteration order of uid *sets* (and with it float summation order), so
     they are rewound as well.
     """
-    import itertools
-
     from repro.core import knapsack, manager
-    from repro.tasking import dataobj, task
 
-    dataobj._uid_counter = itertools.count(1)
-    task._tid_counter = itertools.count(1)
+    rewind_id_counters()
     manager._CALIBRATION_CACHE.clear()
     clear_knapsack = getattr(knapsack, "clear_solver_cache", None)
     if clear_knapsack is not None:
@@ -119,6 +117,17 @@ def reset_process_caches() -> None:
         pass
     else:
         clear_build_cache()
+
+
+def rewind_id_counters() -> None:
+    """Restart the process-global uid/tid counters (absolute uid values
+    steer uid-set iteration order, see :func:`reset_process_caches`)."""
+    import itertools
+
+    from repro.tasking import dataobj, task
+
+    dataobj._uid_counter = itertools.count(1)
+    task._tid_counter = itertools.count(1)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +205,28 @@ def test_whatif_variants_do_not_depend_on_run_order() -> None:
     reverse = [blob(v) for v in reversed(variants)][::-1]
     for i, (a, b) in enumerate(zip(forward, reverse)):
         assert a == b, f"variant {i}: payload depends on the variants run before it"
+
+
+def test_spot_specs_in_shuffled_order_match_goldens(goldens: dict) -> None:
+    """Every spot spec, run in one process in a seeded shuffled order
+    with the memo layers left warm between specs, reproduces its golden.
+
+    Several spot specs share one interned graph (six run the same cg
+    build under different policies, worker counts, solvers and DRAM
+    sizes), so graph-attached state — the access CSR, timing rows, the
+    initial-placement memo — and the knapsack memo and warm starts are
+    shared across them.  Only the uid/tid counters are rewound before
+    each spec, as the goldens were generated from fresh counters; a memo
+    keyed on too few inputs shows up as a digest mismatch."""
+    order = sorted(SPOT_SPECS)
+    random.Random(13).shuffle(order)
+    reset_process_caches()
+    for exp in order:
+        rewind_id_counters()
+        payload = run_and_summarize(SPOT_SPECS[exp]).to_payload()
+        assert _canonical_digest(payload) == goldens[exp]["payload_sha256"], (
+            f"{exp}: payload depends on the specs run before it ({order})"
+        )
 
 
 @pytest.mark.parametrize(

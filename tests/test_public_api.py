@@ -117,6 +117,7 @@ class TestFrozenExecutionAPI:
             "profiling_overhead",
             "upcoming_view",
             "remaining_view",
+            "remaining_indices",
         }
 
 
