@@ -71,10 +71,6 @@ def execute_capturing(spec: RunSpec) -> RunResult:
         return RunResult.failure(spec, exc)
 
 
-#: Backward-compatible private alias (pre-server name).
-_execute_capturing = execute_capturing
-
-
 def run_spec(
     spec: RunSpec,
     cache: ResultCache | None | bool = None,

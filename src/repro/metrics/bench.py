@@ -105,10 +105,8 @@ def _timed_policy(inner: Any, clock: _PhaseClock) -> Any:
 
     Policies whose per-task hooks are the no-op ``BasePolicy``
     implementations get a shim that times only ``on_run_start`` and
-    *inherits* the no-op hooks: wrapping those too would both bill pure
-    proxy overhead as placement time and — because the executor detects
-    trivial hooks by identity — knock static-placement runs off the fast
-    path the product actually takes."""
+    *inherits* the no-op hooks: wrapping those too would bill pure proxy
+    overhead, which no placement work causes, to the placement phase."""
     from repro.baselines.policies import BasePolicy
 
     cls = type(inner)

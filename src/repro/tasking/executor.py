@@ -12,13 +12,15 @@ virtual time:
 - software overhead charged by the placement policy (profiling, modeling,
   queue synchronization) — the "pure runtime cost" of the paper.
 
-The core is array-shaped: task state lives in structure-of-arrays form
-(numpy unresolved-dependency counts, ready/dispatch/finish timestamps and
-worker free times indexed by the graph's dense spawn order, see
+The core is array-shaped: task state lives in flat lists indexed by the
+graph's dense spawn order (unresolved-dependency counts, ready times; see
 :meth:`TaskGraph.exec_core`), and per-task access rows carry precomputed
 base (latency, bandwidth) times for both tiers so the dispatch loop never
 re-derives timing from Python object traversal.  Completions drain from a
 flat event heap ordered by the deterministic ``(finish, tid)`` tie-break.
+Every policy runs the same dispatch loop; one whose hooks are no-ops
+never hands the migration engine a record, so the loop's copy-tracking
+passes stay off for it.
 
 Placement policies implement :class:`PlacementPolicy` and interact with
 the machine only through :class:`ExecContext`; in particular they never
@@ -242,25 +244,6 @@ def _timing_rows(
     return rows_all
 
 
-_TRIVIAL_HOOKS: tuple | None = None
-
-
-def _trivial_hook_impls() -> tuple:
-    """The no-op ``before_task``/``after_task`` implementations.
-
-    A policy whose hook methods *are* these (by identity, not behavior)
-    provably cannot charge overhead, migrate data, or observe mid-run
-    state — the precondition for the executor's static fast path.
-    Resolved lazily: ``repro.baselines`` imports this module.
-    """
-    global _TRIVIAL_HOOKS
-    if _TRIVIAL_HOOKS is None:
-        from repro.baselines.policies import BasePolicy
-
-        _TRIVIAL_HOOKS = (BasePolicy.before_task, BasePolicy.after_task)
-    return _TRIVIAL_HOOKS
-
-
 class ExecContext:
     """The window through which a placement policy sees the machine.
 
@@ -469,26 +452,6 @@ class ExecContext:
         (the policy charges this to the worker as overhead)."""
         return self._profiler.overhead_time(duration)
 
-    # ------------------------------------------------------------------
-    # Executor-side bookkeeping
-    # ------------------------------------------------------------------
-    def _note_dispatch(self, task: Task, finish: float) -> None:
-        luf = self.last_use_finish
-        for obj in task.accesses:
-            uid = obj.uid
-            prev = luf.get(uid, 0.0)
-            if finish > prev:
-                luf[uid] = finish
-        mask = self._dispatched_mask
-        mask[self._core.index[task.tid]] = 1
-        self._epoch += 1
-        # Advance the spawn-order frontier past the dispatched prefix.
-        n = len(self._core.tasks)
-        i = self._next_index
-        while i < n and mask[i]:
-            i += 1
-        self._next_index = i
-
 
 class Executor:
     """Runs one task graph to completion in virtual time."""
@@ -528,19 +491,6 @@ class Executor:
         injector = self.injector
         telemetry = self.telemetry
         hms = self.hms
-
-        # Static baselines (trivial hooks, no injector/telemetry/cache
-        # mode) cannot change placement or schedule copies after
-        # ``on_run_start``: residency, per-row tier timings, and touched
-        # sets are run constants, and a specialized loop computes the
-        # byte-identical trace at a fraction of the cost.
-        if injector is None and telemetry is None and cfg.dram_cache is None:
-            t_before, t_after = _trivial_hook_impls()
-            if (
-                type(policy).before_task is t_before
-                and type(policy).after_task is t_after
-            ):
-                return self._run_static(graph, policy)
         engine = MigrationEngine(overhead_s=cfg.migration_overhead_s, injector=injector)
         ctx = ExecContext(graph, hms, engine, cfg)
         ctx.telemetry = telemetry
@@ -551,14 +501,6 @@ class Executor:
         succ = core.succ
         n_total = len(tasks)
         nw = cfg.n_workers
-
-        # Structure-of-arrays task/worker state, indexed by dense spawn
-        # order (workers by worker id).
-        indeg = core.indeg0.copy()  # unresolved-dependency counts
-        ready_at = np.zeros(n_total, dtype=np.float64)
-        dispatch_t = np.full(n_total, -1.0, dtype=np.float64)
-        finish_t = np.full(n_total, -1.0, dtype=np.float64)
-        worker_free = np.zeros(nw, dtype=np.float64)
 
         # Flat event heap of (finish, tid, dense_index): the (finish, tid)
         # prefix is the deterministic drain order; tids are unique so the
@@ -607,21 +549,17 @@ class Executor:
         scheduler.prepare(graph)
         if hasattr(scheduler, "bind"):
             scheduler.bind(hms)
+
+        # Task and worker state as plain lists (a list subscript costs a
+        # third of numpy scalar indexing): unresolved-dependency counts
+        # and ready times by dense spawn order, free times by worker id.
+        indeg_l = core.indeg0.tolist()
         for i in range(n_total):
-            if indeg[i] == 0:
+            if not indeg_l[i]:
                 scheduler.push(tasks[i])
-
+        ready_l = [0.0] * n_total
+        wfl = [0.0] * nw
         n_done = 0
-
-        # Hot-loop working mirrors of the SoA arrays: element-wise reads
-        # and writes go through plain lists (numpy scalar indexing costs
-        # ~3x a list subscript); the arrays are bulk-synced after the
-        # loop and stay the canonical bulk representation.
-        indeg_l = indeg.tolist()
-        ready_l = ready_at.tolist()
-        dispatch_l = dispatch_t.tolist()
-        finish_l = finish_t.tolist()
-        wfl = worker_free.tolist()
 
         def drain_completions(up_to: float) -> None:
             nonlocal n_done
@@ -652,14 +590,15 @@ class Executor:
         pending_get = engine._pending_first_use.get
         eng_records = engine.records  # non-empty once any copy was scheduled
         slowdown = cfg.contention.slowdown
-        slow_memo = cfg.contention._slowdown_memo
         dram_cache = cfg.dram_cache
         before_task = policy.before_task
         after_task = policy.after_task
         heappush = heapq.heappush
         heappop = heapq.heappop
         overlap_keep = 1.0 - cfg.overlap_factor
-        note_dispatch = ctx._note_dispatch
+        luf = ctx.last_use_finish
+        luf_get = luf.get
+        dispatched = ctx._dispatched_mask
         records_append = records.append
         active: dict[str, int] = {}  # live stream count per device name
         active_get = active.get
@@ -744,37 +683,41 @@ class Executor:
                     active[d] -= 1
                 active_n -= len(devs)
 
+            # Per-tier multipliers are task constants: stream counts only
+            # change between dispatches.  Memory Mode streams every row
+            # against both tiers, so one total count governs both.
+            # Injected degradation slows both timing laws, unlike
+            # contention which queues only the bandwidth term.
+            if dram_cache is None:
+                s_d = slowdown(active_get(dram_name, 0) + 1)
+                s_n = slowdown(active_get(nvm_name, 0) + 1)
+            else:
+                s_d = s_n = slowdown(active_n + 1)
+            pen_d = pen_n = 1.0
+            if injector is not None:
+                pen_d = injector.lat_penalty(dram_name, start_exec)
+                s_d *= injector.bw_penalty(dram_name, start_exec)
+                pen_n = injector.lat_penalty(nvm_name, start_exec)
+                s_n *= injector.bw_penalty(nvm_name, start_exec)
+
             # Ground-truth memory time and residency snapshot, one pass.
             mem = 0.0
             residency: dict[int, str] = {}
             if dram_cache is not None:
                 # Memory Mode: hardware cache, placement-oblivious.
-                n_str = active_n + 1
-                slow = slowdown(n_str)
                 blend = dram_cache.blend
-                if injector is None:
-                    for uid, _w, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
-                        residency[uid] = placements[uid].device
-                        if not has_traffic:
-                            continue
-                        b = bw_d * slow
-                        t_d = lat_d if lat_d >= b else b
-                        b = bw_n * slow
-                        t_n = lat_n if lat_n >= b else b
-                        mem += blend(t_d, t_n, working_set)
-                else:
-                    for uid, _w, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
-                        residency[uid] = placements[uid].device
-                        if not has_traffic:
-                            continue
-                        a_ = lat_d * injector.lat_penalty(dram_name, start_exec)
-                        b = bw_d * (slow * injector.bw_penalty(dram_name, start_exec))
-                        t_d = a_ if a_ >= b else b
-                        a_ = lat_n * injector.lat_penalty(nvm_name, start_exec)
-                        b = bw_n * (slow * injector.bw_penalty(nvm_name, start_exec))
-                        t_n = a_ if a_ >= b else b
-                        mem += blend(t_d, t_n, working_set)
-            elif injector is None:
+                for uid, _w, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
+                    residency[uid] = placements[uid].device
+                    if not has_traffic:
+                        continue
+                    lat = lat_d * pen_d
+                    b = bw_d * s_d
+                    t_d = lat if lat >= b else b
+                    lat = lat_n * pen_n
+                    b = bw_n * s_n
+                    t_n = lat if lat >= b else b
+                    mem += blend(t_d, t_n, working_set)
+            else:
                 for uid, writes, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
                     name = placements[uid].device
                     residency[uid] = name
@@ -787,39 +730,12 @@ class Executor:
                         if rec is not None:
                             name = rec.src
                     if name == dram_name:
-                        lat = lat_d
-                        bw = bw_d
+                        lat = lat_d * pen_d
+                        b = bw_d * s_d
                     else:
-                        lat = lat_n
-                        bw = bw_n
-                    k = active_get(name, 0) + 1
-                    s = slow_memo.get(k)
-                    if s is None:
-                        s = slowdown(k)
-                    b = bw * s
+                        lat = lat_n * pen_n
+                        b = bw_n * s_n
                     mem += lat if lat >= b else b
-            else:
-                for uid, writes, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
-                    name = placements[uid].device
-                    residency[uid] = name
-                    if not has_traffic:
-                        continue
-                    if eng_active and not writes and avail_get(uid, 0.0) > start_exec:
-                        rec = last_rec_get(uid)
-                        if rec is not None:
-                            name = rec.src
-                    if name == dram_name:
-                        lat = lat_d
-                        bw = bw_d
-                    else:
-                        lat = lat_n
-                        bw = bw_n
-                    # Injected degradation slows both timing laws, unlike
-                    # contention which queues only the bandwidth term.
-                    slow = slowdown(active_get(name, 0) + 1)
-                    a_ = lat * injector.lat_penalty(name, start_exec)
-                    b = bw * (slow * injector.bw_penalty(name, start_exec))
-                    mem += a_ if a_ >= b else b
 
             compute = task.compute_time
             if compute >= mem:
@@ -882,18 +798,20 @@ class Executor:
             for d in touched:
                 active[d] = active_get(d, 0) + 1
             active_n += len(touched)
-            note_dispatch(task, finish)
-            dispatch_l[di] = now
-            finish_l[di] = worker_free_t
+            # Dispatch bookkeeping the policy reads through the context:
+            # each touched object's last dependency-safe point, and the
+            # lookahead frontier (dispatched mask, epoch, cursor).
+            for uid in residency:
+                if finish > luf_get(uid, 0.0):
+                    luf[uid] = finish
+            dispatched[di] = 1
+            ctx._epoch += 1
+            i = ctx._next_index
+            while i < n_total and dispatched[i]:
+                i += 1
+            ctx._next_index = i
             heappush(completions, (worker_free_t, task.tid, di))
             wfl[wid] = worker_free_t
-
-        # Sync the canonical SoA arrays from the hot-loop mirrors.
-        indeg[:] = indeg_l
-        ready_at[:] = ready_l
-        dispatch_t[:] = dispatch_l
-        finish_t[:] = finish_l
-        worker_free[:] = wfl
 
         makespan = max((r.finish for r in records), default=0.0)
         trace = ExecutionTrace(
@@ -928,181 +846,6 @@ class Executor:
                 ],
             }
         return trace
-
-    def _run_static(self, graph: TaskGraph, policy: PlacementPolicy) -> ExecutionTrace:
-        """Specialized dispatch loop for static-placement runs.
-
-        Preconditions (checked by ``run``): the policy's hooks are the
-        no-op ``BasePolicy`` implementations, and there is no injector,
-        telemetry plane, or hardware-cache mode.  Then after
-        ``on_run_start`` nothing can move an object or schedule a copy:
-        every stall is zero, every overhead is zero, and each task's
-        residency snapshot, per-row (latency, bandwidth) pair, dirty
-        marks, and touched-device set are run constants hoisted into a
-        per-task table.  The remaining loop is scheduling plus the
-        contention-dependent bandwidth term — byte-identical to the
-        general loop by construction (and pinned by the differential
-        property suite against the object-mode reference executor).
-        """
-        cfg = self.config
-        hms = self.hms
-        engine = MigrationEngine(overhead_s=cfg.migration_overhead_s)
-        ctx = ExecContext(graph, hms, engine, cfg)
-
-        core = graph.exec_core()
-        tasks = core.tasks
-        index = core.index
-        succ = core.succ
-        n_total = len(tasks)
-        nw = cfg.n_workers
-
-        policy.on_run_start(ctx)
-        for obj in graph.objects:
-            if not hms.is_placed(obj):
-                hms.allocate(obj, hms.nvm)
-
-        scheduler = self.scheduler
-        scheduler.prepare(graph)
-        if hasattr(scheduler, "bind"):
-            scheduler.bind(hms)
-
-        indeg_l = core.indeg0.tolist()
-        for i in range(n_total):
-            if not indeg_l[i]:
-                scheduler.push(tasks[i])
-        ready_l = [0.0] * n_total
-        wfl = [0.0] * nw
-
-        rows_all = _timing_rows(graph, hms.dram, hms.nvm)
-        placements = hms._placements
-        dirty = hms._dirty
-        dram_name = hms.dram.name
-        slowdown = cfg.contention.slowdown
-        slow_memo = cfg.contention._slowdown_memo
-        overlap_keep = 1.0 - cfg.overlap_factor
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        # Run-constant per-task tables: traffic rows on their (fixed)
-        # resident tier, the residency snapshot, and the touched set.
-        # Dirty marks are order-independent set inserts, applied up front.
-        static_rows = []
-        for di in range(n_total):
-            trows = []
-            residency: dict[int, str] = {}
-            touch: list[str] = []
-            for uid, writes, has_traffic, lat_d, bw_d, lat_n, bw_n in rows_all[di][0]:
-                name = placements[uid].device
-                residency[uid] = name
-                if name not in touch:
-                    touch.append(name)
-                if not has_traffic:
-                    continue
-                if writes and name == dram_name:
-                    dirty.add(uid)
-                if name == dram_name:
-                    trows.append((name, lat_d, bw_d))
-                else:
-                    trows.append((name, lat_n, bw_n))
-            static_rows.append((trows, residency, frozenset(touch)))
-
-        completions: list[tuple[float, int, int]] = []
-        running: list[tuple[float, int, frozenset[str]]] = []
-        records: list[TaskRecord] = []
-        records_append = records.append
-        active: dict[str, int] = {}
-        active_get = active.get
-        n_done = 0
-
-        def drain_completions(up_to: float) -> None:
-            nonlocal n_done
-            cutoff = up_to + 1e-15
-            while completions and completions[0][0] <= cutoff:
-                t_done, _tid, di = heappop(completions)
-                n_done += 1
-                for si in succ[di]:
-                    v = indeg_l[si] - 1
-                    indeg_l[si] = v
-                    if not v:
-                        ready_l[si] = t_done
-                        scheduler.push(tasks[si])
-
-        while n_done < n_total:
-            free_at = wfl[0]
-            wid = 0
-            for w in range(1, nw):
-                v = wfl[w]
-                if v < free_at:
-                    free_at = v
-                    wid = w
-            drain_completions(free_at)
-            if n_done >= n_total:
-                break
-            if len(scheduler) == 0:
-                if not completions:
-                    raise RuntimeError(
-                        "deadlock: no ready tasks and no pending completions "
-                        "(cyclic graph or lost wakeup)"
-                    )
-                next_t = completions[0][0]
-                drain_completions(next_t)
-                wfl[wid] = next_t if next_t > free_at else free_at
-                continue
-
-            task = scheduler.pop()
-            di = index[task.tid]
-            r = ready_l[di]
-            now = free_at if free_at >= r else r
-
-            cutoff = now + 1e-15
-            while running and running[0][0] <= cutoff:
-                devs = heappop(running)[2]
-                for d in devs:
-                    active[d] -= 1
-
-            trows, residency, touched = static_rows[di]
-            mem = 0.0
-            for name, lat, bw in trows:
-                k = active_get(name, 0) + 1
-                s = slow_memo.get(k)
-                if s is None:
-                    s = slowdown(k)
-                b = bw * s
-                mem += lat if lat >= b else b
-
-            compute = task.compute_time
-            if compute >= mem:
-                exec_time = compute + overlap_keep * mem
-            else:
-                exec_time = mem + overlap_keep * compute
-            finish = now + exec_time
-
-            records_append(
-                TaskRecord(
-                    task=task,
-                    worker=wid,
-                    start=now,
-                    finish=finish,
-                    compute_time=compute,
-                    memory_time=mem,
-                    overhead_time=0.0,
-                    stall_time=0.0,
-                    residency=residency,
-                )
-            )
-            heappush(running, (finish, task.tid, touched))
-            for d in touched:
-                active[d] = active_get(d, 0) + 1
-            heappush(completions, (finish, task.tid, di))
-            wfl[wid] = finish
-
-        makespan = max((r.finish for r in records), default=0.0)
-        return ExecutionTrace(
-            records=records,
-            migrations=engine,
-            makespan=makespan,
-            n_workers=cfg.n_workers,
-        )
 
     def _apply_capacity_losses(
         self, injector: "FaultInjector", engine: MigrationEngine, now: float

@@ -7,8 +7,10 @@ task Python object traversal, dict-based indegree/ready bookkeeping, a
 double ``TaskRecord`` construction around ``after_task``.  The production
 :class:`repro.tasking.executor.Executor` rewrote all of this around a
 structure-of-arrays core; the property suite asserts both produce
-byte-identical traces on random programs, with and without migrations and
-fault injection.
+byte-identical traces on random programs, with and without migrations,
+Memory Mode and fault injection.  The context's dispatch bookkeeping
+(last-use finish times, dispatched mask, frontier cursor) is written
+inline, as the production loop does it.
 """
 
 from __future__ import annotations
@@ -177,7 +179,17 @@ class ReferenceExecutor:
 
             touched = frozenset(placement_of(o).device for o in task.accesses)
             running.append((finish, task, touched))
-            ctx._note_dispatch(task, finish)
+            luf = ctx.last_use_finish
+            for obj in task.accesses:
+                if finish > luf.get(obj.uid, 0.0):
+                    luf[obj.uid] = finish
+            mask = ctx._dispatched_mask
+            mask[ctx._core.index[task.tid]] = 1
+            ctx._epoch += 1
+            i = ctx._next_index
+            while i < len(mask) and mask[i]:
+                i += 1
+            ctx._next_index = i
             heappush(completions, (worker_free, task.tid))
             heappush(workers, (worker_free, wid))
 

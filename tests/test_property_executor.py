@@ -6,7 +6,8 @@ both the production :class:`Executor` and the object-mode
 :class:`tests.reference_executor.ReferenceExecutor` (the pre-rewrite
 dispatch loop, kept verbatim), and the two traces must agree on every
 ``TaskRecord`` field bit-for-bit — with and without schedulers,
-migrations, and fault injection.
+migrations, Memory Mode, and fault injection.  A last property pins
+that turning telemetry on leaves every record untouched.
 """
 
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy
 from repro.baselines.policies import BasePolicy
 from repro.core.manager import DataManagerPolicy
 from repro.faults import FaultInjector, resolve_plan
+from repro.memory.cache import DRAMCacheModel
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
+from repro.metrics import Telemetry, TelemetryConfig
 from repro.tasking.access import AccessMode, ObjectAccess, PATTERNS
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
@@ -155,8 +158,10 @@ def _assert_traces_identical(got, want):
 
 
 def _run_pair(graph, make_policy, workers, *, scheduler=None, faults=None,
-              dram_bytes=None):
-    cfg = ExecutorConfig(n_workers=workers, scheduler=scheduler)
+              dram_bytes=None, dram_cache=None):
+    cfg = ExecutorConfig(
+        n_workers=workers, scheduler=scheduler, dram_cache=dram_cache
+    )
     nvm = nvm_bandwidth_scaled(0.5)
     traces = []
     for cls in (Executor, ReferenceExecutor):
@@ -205,3 +210,43 @@ def test_soa_matches_reference_with_migrations(graph, workers):
 def test_soa_matches_reference_under_faults(graph, workers, faults):
     got, want = _run_pair(graph, DataManagerPolicy, workers, faults=faults)
     _assert_traces_identical(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    graph=random_program(),
+    workers=st.integers(1, 6),
+    cache_mib=st.integers(1, 64),
+    faults=st.sampled_from([None, "brownout", "moderate"]),
+)
+def test_soa_matches_reference_memory_mode(graph, workers, cache_mib, faults):
+    cache = DRAMCacheModel(dram_capacity_bytes=cache_mib * MIB)
+    got, want = _run_pair(
+        graph, NVMOnlyPolicy, workers, faults=faults, dram_cache=cache
+    )
+    _assert_traces_identical(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    graph=random_program(),
+    workers=st.integers(1, 6),
+    make_policy=st.sampled_from([NVMOnlyPolicy, DataManagerPolicy]),
+)
+def test_telemetry_leaves_trace_identical(graph, workers, make_policy):
+    traces = []
+    for telemetry in (None, Telemetry(TelemetryConfig())):
+        hms = HeterogeneousMemorySystem(
+            dram(int(16 * MIB)), nvm_bandwidth_scaled(0.5)
+        )
+        executor = Executor(
+            hms, ExecutorConfig(n_workers=workers), telemetry=telemetry
+        )
+        traces.append(executor.run(graph, make_policy()))
+    bare, instrumented = traces
+    assert instrumented.telemetry is not None
+    assert [_record_tuple(r) for r in instrumented.records] == [
+        _record_tuple(r) for r in bare.records
+    ]
+    assert instrumented.makespan == bare.makespan
+    assert instrumented.migrations.records == bare.migrations.records
