@@ -24,7 +24,8 @@ def _machine():
 
 
 def test_bench_graph_construction(benchmark):
-    """Dependence inference throughput (tasks+edges per second)."""
+    """Cold graph construction: task spawns, interned footprints and
+    dependence inference into edge sets (no per-edge records)."""
     w = benchmark(build, "cholesky", n_tiles=10)
     assert w.n_tasks > 100
 

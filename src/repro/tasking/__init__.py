@@ -12,7 +12,7 @@ contribution and all baselines) plug into the executor through the
 from repro.tasking.access import AccessMode, ObjectAccess, AccessPattern
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
-from repro.tasking.graph import TaskGraph, DependenceKind
+from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import (
     FIFOPolicy,
     LIFOPolicy,
@@ -38,7 +38,6 @@ __all__ = [
     "DataObject",
     "Task",
     "TaskGraph",
-    "DependenceKind",
     "FIFOPolicy",
     "LIFOPolicy",
     "CriticalPathPolicy",

@@ -4,9 +4,18 @@ Workload generators and user code describe accesses in *bytes touched*;
 these helpers convert to instruction counts (64-bit word granularity) and
 attach the right pattern class.  ``reuse`` multiplies the touch count for
 algorithms that sweep an object several times within one task.
+
+Footprints are interned: equal ``(mode, loads, stores, pattern)`` yield
+one shared :class:`ObjectAccess`.  A workload spawns thousands of tasks
+with a handful of distinct footprints, and the instances are frozen (the
+precomputed traffic values depend only on the fields), so sharing them
+is invisible to every reader.  The intern table is a bounded LRU: a
+long-lived process sweeping many sizes keeps only the recent ones.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.tasking.access import (
     BLOCKED,
@@ -37,18 +46,25 @@ def _count(nbytes: float, reuse: float) -> int:
     return max(0, int(round(nbytes * reuse / WORD_BYTES)))
 
 
+@lru_cache(maxsize=4096)
+def _interned(
+    mode: AccessMode, loads: int, stores: int, pattern: AccessPattern
+) -> ObjectAccess:
+    return ObjectAccess(mode, loads=loads, stores=stores, pattern=pattern)
+
+
 def read_footprint(
     nbytes: float, pattern: AccessPattern = STREAMING, reuse: float = 1.0
 ) -> ObjectAccess:
     """A read-only sweep over ``nbytes`` (times ``reuse``)."""
-    return ObjectAccess(AccessMode.READ, loads=_count(nbytes, reuse), stores=0, pattern=pattern)
+    return _interned(AccessMode.READ, _count(nbytes, reuse), 0, pattern)
 
 
 def write_footprint(
     nbytes: float, pattern: AccessPattern = STREAMING, reuse: float = 1.0
 ) -> ObjectAccess:
     """A write-only sweep over ``nbytes`` (times ``reuse``)."""
-    return ObjectAccess(AccessMode.WRITE, loads=0, stores=_count(nbytes, reuse), pattern=pattern)
+    return _interned(AccessMode.WRITE, 0, _count(nbytes, reuse), pattern)
 
 
 def update_footprint(
@@ -58,11 +74,11 @@ def update_footprint(
     reuse: float = 1.0,
 ) -> ObjectAccess:
     """A read-modify-write footprint."""
-    return ObjectAccess(
+    return _interned(
         AccessMode.READWRITE,
-        loads=_count(read_bytes, reuse),
-        stores=_count(written_bytes, reuse),
-        pattern=pattern,
+        _count(read_bytes, reuse),
+        _count(written_bytes, reuse),
+        pattern,
     )
 
 
@@ -70,4 +86,4 @@ def chase_footprint(n_hops: int, stores_per_hop: float = 0.0) -> ObjectAccess:
     """A pointer-chase of ``n_hops`` dependent loads (latency-bound)."""
     stores = int(round(n_hops * stores_per_hop))
     mode = AccessMode.READWRITE if stores else AccessMode.READ
-    return ObjectAccess(mode, loads=int(n_hops), stores=stores, pattern=POINTER_CHASE)
+    return _interned(mode, int(n_hops), stores, POINTER_CHASE)

@@ -10,7 +10,6 @@ manager's lookahead both exploit.
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,23 +21,7 @@ from repro.tasking.access import AccessMode
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
 
-__all__ = [
-    "TaskGraph", "GraphExecCore", "AccessCSR", "DependenceKind", "Dependence",
-]
-
-
-class DependenceKind(enum.Enum):
-    RAW = "raw"  #: read-after-write (true dependence)
-    WAW = "waw"  #: write-after-write (output dependence)
-    WAR = "war"  #: write-after-read (anti dependence)
-
-
-@dataclass(frozen=True)
-class Dependence:
-    src: Task
-    dst: Task
-    kind: DependenceKind
-    obj: DataObject
+__all__ = ["TaskGraph", "GraphExecCore", "AccessCSR"]
 
 
 @dataclass(frozen=True)
@@ -193,7 +176,6 @@ class TaskGraph:
         self._succ: dict[int, set[int]] = defaultdict(set)
         self._pred: dict[int, set[int]] = defaultdict(set)
         self._by_tid: dict[int, Task] = {}
-        self.dependences: list[Dependence] = []
         # Dataflow state for incremental dependence inference.
         self._last_writer: dict[int, Task] = {}
         self._readers_since_write: dict[int, list[Task]] = defaultdict(list)
@@ -208,6 +190,7 @@ class TaskGraph:
         self._pred_cache: dict[int, list[Task]] = {}
         self._objects_cache: list[DataObject] | None = None
         self._topo_cache: list[Task] | None = None
+        self._depths_cache: dict[int, int] | None = None
         self._exec_core_cache: GraphExecCore | None = None
         self._cache_version = -1
 
@@ -232,21 +215,29 @@ class TaskGraph:
     # Construction
     # ------------------------------------------------------------------
     def add(self, task: Task) -> Task:
-        """Append a task and infer its incoming dependences."""
-        if task.tid in self._by_tid:
-            raise ValueError(f"task {task.tid} already in graph")
+        """Append a task and infer its incoming dependences.
+
+        Only the edge sets are kept: which accesses induced an edge, and
+        of which kind, is never read back, so no per-edge record exists.
+        """
+        tid = task.tid
+        if tid in self._by_tid:
+            raise ValueError(f"task {tid} already in graph")
         self._version += 1
         self.tasks.append(task)
-        self._by_tid[task.tid] = task
-        self._succ.setdefault(task.tid, set())
-        self._pred.setdefault(task.tid, set())
-        # Localized hot loop: graph build runs once per workload shape but
-        # its cold cost is a visible slice of the benched suite.  Mode
-        # predicates are identity checks (what the enum properties compute).
+        self._by_tid[tid] = task
+        succ = self._succ
+        succ.setdefault(tid, set())
+        preds = self._pred[tid]
+        add_pred = preds.add
+        # Localized hot loop: graph build is most of a cold spec's set-up
+        # cost.  Mode predicates are identity checks (what the enum
+        # properties compute).  Predecessors are collected in edge order
+        # (RAW/WAW on the last writer, then WAR on the readers since), so
+        # the sets fill in the same order as per-edge insertion would.
         objects = self._objects
         last_writer = self._last_writer
         readers_since = self._readers_since_write
-        add_edge = self._add_edge
         read_mode = AccessMode.READ
         write_mode = AccessMode.WRITE
         for obj, access in task.accesses.items():
@@ -256,34 +247,22 @@ class TaskGraph:
             if not access.infer_deps:
                 continue
             mode = access.mode
-            reads = mode is not write_mode
-            if reads:
-                lw = last_writer.get(uid)
-                if lw is not None:
-                    add_edge(lw, task, DependenceKind.RAW, obj)
-            if mode is not read_mode:  # writes
-                lw = last_writer.get(uid)
-                if lw is not None:
-                    add_edge(lw, task, DependenceKind.WAW, obj)
-                for reader in readers_since[uid]:
-                    if reader is not task:
-                        add_edge(reader, task, DependenceKind.WAR, obj)
-                last_writer[uid] = task
-                readers_since[uid] = []
-            if reads:
+            lw = last_writer.get(uid)
+            if lw is not None:
+                add_pred(lw.tid)
+            if mode is read_mode:
                 readers_since[uid].append(task)
+                continue
+            for reader in readers_since[uid]:
+                add_pred(reader.tid)
+            last_writer[uid] = task
+            readers_since[uid] = [] if mode is write_mode else [task]
+        preds.discard(tid)
+        for p in preds:
+            succ[p].add(tid)
         return task
 
-    def _add_edge(self, src: Task, dst: Task, kind: DependenceKind, obj: DataObject) -> None:
-        if src is dst:
-            return
-        if dst.tid not in self._succ[src.tid]:
-            self._version += 1
-            self._succ[src.tid].add(dst.tid)
-            self._pred[dst.tid].add(src.tid)
-        self.dependences.append(Dependence(src, dst, kind, obj))
-
-    def add_edge(self, src: Task, dst: Task, obj: DataObject | None = None) -> None:
+    def add_edge(self, src: Task, dst: Task) -> None:
         """Manually declare ``src`` -> ``dst`` ordering.
 
         Used with ``infer_deps=False`` accesses, where the workload knows
@@ -294,13 +273,10 @@ class TaskGraph:
             raise KeyError("both tasks must already be in the graph")
         if dst.tid <= src.tid:
             raise ValueError("manual edges must point forward in spawn order")
-        sentinel = obj if obj is not None else next(iter(src.accesses), None)
         if dst.tid not in self._succ[src.tid]:
             self._version += 1
             self._succ[src.tid].add(dst.tid)
             self._pred[dst.tid].add(src.tid)
-        if sentinel is not None:
-            self.dependences.append(Dependence(src, dst, DependenceKind.RAW, sentinel))
 
     def extend(self, tasks: Iterable[Task]) -> None:
         for t in tasks:
@@ -452,7 +428,7 @@ class TaskGraph:
     def depths(self) -> dict[int, int]:
         """Longest-path depth of every task (roots at 0).  Cached until
         the next graph mutation."""
-        cached = getattr(self._caches(), "_depths_cache", None)
+        cached = self._caches()._depths_cache
         if cached is not None:
             return cached
         depths: dict[int, int] = {}

@@ -88,7 +88,7 @@ def build_fft(
         )
         graph.add(task)
         for dep in {cover[i] for i in range(lo, hi) if cover[i] is not None}:
-            graph.add_edge(dep, task, obj=src)
+            graph.add_edge(dep, task)
         for i in range(lo, hi):
             cover[i] = task
         return task

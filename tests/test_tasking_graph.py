@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
-from repro.tasking.graph import DependenceKind, TaskGraph
+from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+
+from tests.reference_graph import DependenceKind, ReferenceGraph
 
 
 def mk_obj(name="o", mib=1.0):
@@ -20,15 +22,23 @@ def mk_task(name, accesses, type_name=None):
     return Task(name=name, type_name=type_name or name, accesses=accesses)
 
 
+def build_both(tasks):
+    """The production graph and the record-keeping oracle over ``tasks``."""
+    g, ref = TaskGraph(), ReferenceGraph()
+    for t in tasks:
+        g.add(t)
+        ref.add(t)
+    return g, ref
+
+
 class TestDependenceInference:
     def test_raw_dependence(self):
-        g = TaskGraph()
         o = mk_obj()
-        w = g.add(mk_task("w", {o: write_footprint(o.size_bytes)}))
-        r = g.add(mk_task("r", {o: read_footprint(o.size_bytes)}))
+        w = mk_task("w", {o: write_footprint(o.size_bytes)})
+        r = mk_task("r", {o: read_footprint(o.size_bytes)})
+        g, ref = build_both([w, r])
         assert g.predecessors(r) == [w]
-        kinds = {d.kind for d in g.dependences}
-        assert DependenceKind.RAW in kinds
+        assert ref.kinds() == {DependenceKind.RAW}
 
     def test_waw_dependence(self):
         g = TaskGraph()
@@ -38,13 +48,16 @@ class TestDependenceInference:
         assert g.predecessors(w2) == [w1]
 
     def test_war_dependence(self):
-        g = TaskGraph()
         o = mk_obj()
-        g.add(mk_task("w0", {o: write_footprint(o.size_bytes)}))
-        r = g.add(mk_task("r", {o: read_footprint(o.size_bytes)}))
-        w = g.add(mk_task("w", {o: write_footprint(o.size_bytes)}))
-        assert r in g.predecessors(w)
-        assert DependenceKind.WAR in {d.kind for d in g.dependences}
+        w0 = mk_task("w0", {o: write_footprint(o.size_bytes)})
+        r = mk_task("r", {o: read_footprint(o.size_bytes)})
+        w = mk_task("w", {o: write_footprint(o.size_bytes)})
+        g, ref = build_both([w0, r, w])
+        assert g.predecessors(w) == [w0, r]
+        assert {(d.src.name, d.kind) for d in ref.dependences if d.dst is w} == {
+            ("w0", DependenceKind.WAW),
+            ("r", DependenceKind.WAR),
+        }
 
     def test_independent_readers_are_parallel(self):
         g = TaskGraph()
@@ -85,6 +98,16 @@ class TestDependenceInference:
         b = g.add(mk_task("b", {o: update_footprint(8, 8)}))
         with pytest.raises(ValueError):
             g.add_edge(b, a)
+
+    def test_no_self_edge_when_objects_share_a_uid(self):
+        x = mk_obj("x")
+        y = DataObject(name="y", size_bytes=x.size_bytes, uid=x.uid)
+        w = mk_task("w", {x: write_footprint(8)})
+        t = mk_task("t", {x: read_footprint(8), y: write_footprint(8)})
+        g, ref = build_both([w, t])
+        assert g.predecessors(t) == [w]
+        assert g.successors(t) == []
+        assert ref.pred[t.tid] == {w.tid}
 
     def test_duplicate_task_rejected(self):
         g = TaskGraph()
@@ -213,3 +236,89 @@ def test_dependence_inference_properties(accesses):
                         seen.add(cur.tid)
                         stack.extend(g.successors(cur))
                     assert stack is None, f"{a.name} and {b.name} unordered"
+
+
+MODES = ("read", "write", "readwrite")
+
+#: One access: (object index, mode, whether inference sees it).
+access_st = st.tuples(st.integers(0, 4), st.sampled_from(MODES), st.booleans())
+
+
+@st.composite
+def access_programs(draw):
+    """Tasks in spawn order, each a list of accesses (an object listed
+    twice merges into one READWRITE/READ/WRITE access), plus manual
+    forward edges keyed by their destination task."""
+    n = draw(st.integers(1, 24))
+    tasks = [
+        draw(st.lists(access_st, min_size=0, max_size=4)) for _ in range(n)
+    ]
+    manual = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
+    )
+    return tasks, [(a, b) for a, b in manual if a < b]
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=access_programs())
+def test_edge_sets_match_record_keeping_oracle(program):
+    """Differential: the edge-set-only inference yields exactly the edges
+    of the retired per-edge record log, for every task, through every
+    query the runtime reads — including ``exec_core`` rebuilt after
+    later mutations."""
+    specs, manual = program
+    objs = [mk_obj(f"o{i}") for i in range(5)]
+    g, ref = TaskGraph(), ReferenceGraph()
+    tasks = []
+    for i, accesses in enumerate(specs):
+        t = Task(name=f"t{i}", type_name="t", accesses={})
+        for oi, mode, infer in accesses:
+            m = AccessMode(mode)
+            t.add_access(
+                objs[oi],
+                ObjectAccess(
+                    m,
+                    loads=8 if m.reads else 0,
+                    stores=8 if m.writes else 0,
+                    infer_deps=infer,
+                ),
+            )
+        tasks.append(t)
+        g.add(t)
+        ref.add(t)
+        # Fill the derived-query caches: the manual edges below and later
+        # spawns must invalidate them.
+        g.exec_core()
+        g.predecessors(t)
+        for a, b in manual:
+            if b == i:
+                g.successors(tasks[a])
+                g.add_edge(tasks[a], t)
+                ref.add_edge(tasks[a], t)
+
+    by_tid = {t.tid: t for t in tasks}
+    core = g.exec_core()
+    assert [t.tid for t in core.tasks] == [t.tid for t in tasks]
+    for i, t in enumerate(tasks):
+        preds = sorted(ref.pred[t.tid])
+        succs = sorted(ref.succ[t.tid])
+        assert g.predecessors(t) == [by_tid[p] for p in preds]
+        assert g.successors(t) == [by_tid[s] for s in succs]
+        assert g.in_degree(t) == len(preds)
+        assert int(core.indeg0[i]) == len(preds)
+        row = core.succ_indices[core.succ_indptr[i] : core.succ_indptr[i + 1]]
+        assert row.tolist() == [core.index[s] for s in succs]
+        assert core.succ[i] == tuple(row.tolist())
+    assert int(core.succ_indptr[-1]) == sum(len(s) for s in ref.succ.values())
+    g.validate()
+
+
+def test_depths_cache_resets_on_mutation():
+    o = mk_obj()
+    g = TaskGraph()
+    assert g._depths_cache is None
+    a = g.add(mk_task("a", {o: update_footprint(8, 8)}))
+    assert g.depths() == {a.tid: 0}
+    assert g.depths() is g.depths()
+    b = g.add(mk_task("b", {o: update_footprint(8, 8)}))
+    assert g.depths() == {a.tid: 0, b.tid: 1}
