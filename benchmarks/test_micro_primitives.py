@@ -62,9 +62,9 @@ def test_bench_executor_with_data_manager(benchmark):
 
 
 def test_bench_knapsack_dp(benchmark):
-    """One cold DP solve per rep: the exact-fingerprint memo and the
-    warm-start states are dropped in the un-timed setup, otherwise every
-    rep after the first measures a dict probe instead of the DP."""
+    """One cold DP solve per rep: the exact-fingerprint memo is dropped
+    in the un-timed setup, otherwise every rep after the first measures
+    a dict probe instead of the DP."""
     rng = spawn_rng(1, "bench-knap")
     n = 200
     values = rng.uniform(0.1, 10.0, n).tolist()

@@ -7,29 +7,21 @@ the capacity axis with numpy; a value-density greedy is provided both as
 the ablation comparator and as the fallback for item counts where the DP
 table would be wasteful.
 
-The placement manager re-solves every adaptation epoch, usually with the
-same or an almost-identical instance, so the DP is incremental:
+The placement manager re-solves every adaptation epoch:
 
 - an exact-fingerprint memo returns the cached keep-mask when the whole
-  (values, sizes, capacity) instance repeats;
-- otherwise the solve warm-starts from the previous instance's DP rows —
-  the DP state after processing items ``[0..k)`` depends only on that
-  item prefix, so the longest common prefix of the candidate arrays can
-  be skipped bit-for-bit and only the changed suffix recomputed;
+  (values, sizes, capacity) instance repeats (it does across what-if
+  variants and repeated specs; a near-identical instance is re-solved
+  from scratch, because the weigher reorders and re-values candidates
+  every replan, so a changed instance almost never shares a DP prefix);
 - the backtracking ``keep`` table is bit-packed (one bit per DP cell
   instead of a numpy bool byte), cutting its memory traffic 8x;
 - instances whose DP table would exceed :data:`AUTO_GREEDY_CELLS` cells
   are routed to :func:`greedy_bounded`, whose value is provably >= 1/2 of
   the optimum (density greedy vs. best single item, whichever is better).
 
-Both module-level caches are bounded insertion-ordered LRUs: the exact
-memo at :data:`_MEMO_MAX` masks and the warm-start states at
-:data:`_STATES_MAX` capacity geometries (a long-lived ``serve-api``
-process sweeping DRAM sizes would otherwise keep one set of DP
-checkpoints per distinct ``cap_units`` forever).
-
-All cached paths reproduce the from-scratch solve exactly: identical
-floating-point operations in identical order on identical inputs.
+The memo is a thread-safe LRU bounded at :data:`_MEMO_MAX` masks, and a
+hit returns exactly the mask the from-scratch solve produced.
 """
 
 from __future__ import annotations
@@ -38,6 +30,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.util.lru import BoundedLRU
 from repro.util.validation import require
 
 __all__ = [
@@ -57,56 +50,22 @@ __all__ = [
 #: tier-1 instances are ~1e5 cells), so routing never changes their results.
 AUTO_GREEDY_CELLS = 4_000_000
 
-#: Warm-start checkpoint spacing: a DP row snapshot is kept every this
-#: many items, bounding re-solve work after a prefix change to at most
-#: one checkpoint interval plus the changed suffix.
-_CHECKPOINT_EVERY = 16
-
 _MEMO_MAX = 128
-#: Warm-start states retained (one per distinct ``cap_units``); each holds
-#: full DP checkpoints + keep rows, so the bound is deliberately small.
-_STATES_MAX = 8
 
-
-class _SolveState:
-    """Incremental DP state for one capacity geometry (cap_units)."""
-
-    __slots__ = ("w", "v", "checkpoints", "keep_rows")
-
-    def __init__(self) -> None:
-        self.w = np.empty(0, dtype=np.int64)
-        self.v = np.empty(0, dtype=np.float64)
-        #: item index k -> copy of the dp row after processing items [0..k)
-        self.checkpoints: dict[int, np.ndarray] = {}
-        #: bit-packed keep rows, one matrix row per item (uint8,
-        #: big-endian bit order) — kept 2-D so prefix reuse is a slice
-        #: and the backtrack blob is a single ``tobytes``.
-        self.keep_rows: np.ndarray = np.empty((0, 0), dtype=np.uint8)
-
-
-#: exact instance fingerprint -> keep-mask (insertion-ordered LRU)
-_memo: dict[Any, list[bool]] = {}
-#: cap_units -> previous solve's DP state (insertion-ordered LRU)
-_states: dict[int, _SolveState] = {}
-_stats = {
-    "exact_hits": 0,
-    "solves": 0,
-    "warm_started_rows": 0,
-    "computed_rows": 0,
-    "greedy_routed": 0,
-}
+#: exact instance fingerprint -> keep-mask
+_memo: BoundedLRU[Any, list[bool]] = BoundedLRU(_MEMO_MAX)
+_stats = {"exact_hits": 0, "solves": 0, "greedy_routed": 0}
 
 
 def clear_solver_cache() -> None:
-    """Drop all memoized DP state (tests and long-lived processes)."""
+    """Drop the memoized masks and zero the counters (tests, long-lived processes)."""
     _memo.clear()
-    _states.clear()
     for k in _stats:
         _stats[k] = 0
 
 
 def solver_cache_stats() -> dict[str, int]:
-    """Counters for the memo/warm-start machinery (observability)."""
+    """Exact-memo hits, DP solves and greedy routes (observability)."""
     return dict(_stats)
 
 
@@ -162,9 +121,8 @@ def solve_knapsack_arrays(
     taken.  ``granularity`` bounds the DP table's capacity axis; sizes are
     rounded *up* so the selection always fits the true capacity.
 
-    ``use_cache=False`` bypasses both the exact-fingerprint memo and the
-    warm-start state (the from-scratch reference path; the property tests
-    compare the two).
+    ``use_cache=False`` bypasses the exact-fingerprint memo (the
+    reference path; the property tests compare the two).
     """
     v_all = np.asarray(values, dtype=np.float64)
     s_all = np.asarray(sizes, dtype=np.int64)
@@ -194,114 +152,44 @@ def solve_knapsack_arrays(
     v = v_all[idx_arr]
 
     if not use_cache:
-        keep_rows = _dp_rows(w, v, cap_units, state=None)
-        return _backtrack(keep_rows, idx, w, n, cap_units)
+        return _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
 
     key = (int(capacity), int(granularity), n, idx_arr.tobytes(), w.tobytes(), v.tobytes())
     cached = _memo.get(key)
     if cached is not None:
-        # LRU bump: reinsert at the back of the insertion order.
-        _memo[key] = _memo.pop(key)
         _stats["exact_hits"] += 1
         return list(cached)
 
     _stats["solves"] += 1
-    state = _states.get(cap_units)
-    if state is None:
-        state = _SolveState()
-    else:
-        # LRU bump for the geometry, mirroring the memo above.
-        del _states[cap_units]
-    _states[cap_units] = state
-    while len(_states) > _STATES_MAX:
-        _states.pop(next(iter(_states)))
-    keep_rows = _dp_rows(w, v, cap_units, state=state)
-    mask = _backtrack(keep_rows, idx, w, n, cap_units)
-
-    _memo[key] = mask
-    while len(_memo) > _MEMO_MAX:
-        _memo.pop(next(iter(_memo)))
+    mask = _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
+    _memo.put(key, mask)
     return list(mask)
 
 
-def _dp_rows(
-    w: np.ndarray, v: np.ndarray, cap_units: int, state: _SolveState | None
-) -> np.ndarray:
+def _dp_rows(w: np.ndarray, v: np.ndarray, cap_units: int) -> np.ndarray:
     """Run the DP, returning the bit-packed keep rows (one per item).
 
-    With ``state``, rows for the longest common (w, v) prefix with the
-    previous instance are reused and the DP resumes from the nearest
-    row checkpoint — bitwise identical to a cold solve because the DP
-    after ``k`` items is a pure function of the first ``k`` items.
+    The per-item keep bits accumulate into one bool matrix packed in a
+    single ``np.packbits`` call after the loop (8 bytes -> 1 bit, one C
+    pass) instead of one small pack per item; the item loop itself is
+    down to three ufunc calls writing into preallocated buffers.  Rows
+    for oversized items stay all-zero without touching the matrix.
     """
-    m = len(w)
-    start = 0
-    prefix_rows: np.ndarray | None = None
-    dp = None
-    if state is not None and len(state.keep_rows) > 0:
-        lim = min(m, len(state.w))
-        if lim:
-            diff = np.flatnonzero(
-                (state.w[:lim] != w[:lim]) | (state.v[:lim] != v[:lim])
-            )
-            prefix = int(diff[0]) if diff.size else lim
-        else:
-            prefix = 0
-        best_ckpt = 0
-        for k in state.checkpoints:
-            if best_ckpt < k <= prefix:
-                best_ckpt = k
-        if best_ckpt:
-            start = best_ckpt
-            dp = state.checkpoints[best_ckpt].copy()
-            prefix_rows = state.keep_rows[:best_ckpt]
-            _stats["warm_started_rows"] += best_ckpt
-    if dp is None:
-        dp = np.zeros(cap_units + 1, dtype=np.float64)
-
-    checkpoints = {}
-    if state is not None:
-        checkpoints = {k: r for k, r in state.checkpoints.items() if k <= start}
-
-    # The per-item keep bits accumulate into one bool matrix packed in a
-    # single ``np.packbits`` call after the loop (8 bytes -> 1 bit, one
-    # C pass) instead of one small pack per item; the item loop itself is
-    # down to three ufunc calls writing into preallocated buffers.  Rows
-    # for oversized items stay all-zero without touching the matrix.
-    n_new = m - start
-    row_bits = np.zeros((n_new, cap_units + 1), dtype=bool)
+    dp = np.zeros(cap_units + 1, dtype=np.float64)
+    row_bits = np.zeros((len(w), cap_units + 1), dtype=bool)
     cand_buf = np.empty(cap_units + 1, dtype=np.float64)
-    w_l = w.tolist()
     v_l = v.tolist()  # Python floats are exact float64; avoids np scalars
     add, greater, copyto = np.add, np.greater, np.copyto
-    next_ckpt = (start // _CHECKPOINT_EVERY + 1) * _CHECKPOINT_EVERY
-    for r in range(n_new):
-        k = start + r
-        wk = w_l[k]
+    for k, wk in enumerate(w.tolist()):
         if wk <= cap_units:
             span = cap_units + 1 - wk
             cand = cand_buf[:span]
             add(dp[:span], v_l[k], out=cand)
             tail = dp[wk:]
-            better = row_bits[r, wk:]
+            better = row_bits[k, wk:]
             greater(cand, tail, out=better)
             copyto(tail, cand, where=better)
-        if k + 1 == next_ckpt:
-            checkpoints[k + 1] = dp.copy()
-            next_ckpt += _CHECKPOINT_EVERY
-    packed = np.packbits(row_bits, axis=1)
-    keep_rows = (
-        packed if prefix_rows is None
-        else np.concatenate((prefix_rows, packed))
-    )
-    _stats["computed_rows"] += n_new
-
-    if state is not None:
-        state.w = w
-        state.v = v
-        state.checkpoints = checkpoints
-        state.keep_rows = keep_rows
-    return keep_rows
+    return np.packbits(row_bits, axis=1)
 
 
 def _backtrack(

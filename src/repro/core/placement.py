@@ -35,6 +35,7 @@ from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.core.models import ObjectStats
 from repro.memory.device import MemoryDevice
 from repro.profiling.calibration import CalibrationResult
+from repro.util.lru import BoundedLRU
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require
 
@@ -157,21 +158,17 @@ def _lf_column(loads: np.ndarray, stores: np.ndarray) -> np.ndarray:
 # replaces a per-call ``np.unique`` sort + gather.  The cached scalars
 # come from the exact scalar helpers the reference loop memoizes, so the
 # gathered columns stay bitwise identical.
-_RATIO_MEMOS: dict[tuple, dict[float, tuple[float, float]]] = {}
-_COST_MEMOS: dict[tuple, dict[float, tuple[float, float]]] = {}
 _MEMO_KEYS_MAX = 64
 _MEMO_VALUES_MAX = 65536
+_RATIO_MEMOS: BoundedLRU[tuple, dict[float, tuple[float, float]]] = BoundedLRU(_MEMO_KEYS_MAX)
+_COST_MEMOS: BoundedLRU[tuple, dict[float, tuple[float, float]]] = BoundedLRU(_MEMO_KEYS_MAX)
 
 
 def _per_value_memo(
-    memos: dict[tuple, dict[float, tuple[float, float]]], key: tuple
+    memos: BoundedLRU[tuple, dict[float, tuple[float, float]]], key: tuple
 ) -> dict[float, tuple[float, float]]:
-    m = memos.get(key)
-    if m is None:
-        if len(memos) >= _MEMO_KEYS_MAX:
-            memos.pop(next(iter(memos)))
-        m = memos[key] = {}
-    elif len(m) >= _MEMO_VALUES_MAX:
+    m = memos.get(key, dict)
+    if len(m) >= _MEMO_VALUES_MAX:
         m.clear()
     return m
 

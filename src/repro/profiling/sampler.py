@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.tasking.task import Task
-from repro.util.rng import pooled_rng
+from repro.util.rng import spawn_rng
 from repro.util.units import CACHELINE_BYTES
 
 __all__ = ["ObjectSample", "TaskProfile", "SamplingProfiler"]
@@ -140,10 +140,7 @@ class SamplingProfiler:
                 mem_times[obj.uid] = 0.0
                 devices[obj.uid] = ""
 
-        # Pooled: the generator is drained entirely inside this call, so
-        # recycling one object per stream key is safe and skips the
-        # bit-generator construction cost on every re-profile.
-        rng = pooled_rng(self._seed, "sampler", task.name, task.type_name)
+        rng = spawn_rng(self._seed, "sampler", task.name, task.type_name)
         p = 1.0 / self.interval_cycles
         n_samp = self.n_samples(duration)
 

@@ -122,24 +122,9 @@ def _timing_rows(
       actually move bytes — the migration stall pass reads nothing else;
     - ``writer_uids``: traffic rows that write, for the dirty-bit pass.
 
-    Memoized on the graph, keyed by structure version and both tiers'
-    timing parameters.
+    Recomputed on every call; only the device-independent columns
+    below are memoized on the graph.
     """
-    key = (
-        graph._version,
-        dram.read_latency_s,
-        dram.write_latency_s,
-        dram.read_bandwidth,
-        dram.write_bandwidth,
-        nvm.read_latency_s,
-        nvm.write_latency_s,
-        nvm.read_bandwidth,
-        nvm.write_bandwidth,
-    )
-    memo = graph.__dict__.get("_exec_timing_memo")
-    if memo is not None and memo[0] == key:
-        return memo[1]
-
     # Device-independent traffic matrix, flattened across tasks: one
     # column per access row holding the operands of the two timing laws.
     # Built once per graph version — retiming the same graph for another
@@ -239,9 +224,7 @@ def _timing_rows(
             (tuple(rows_flat[pos : pos + n]), traffic_all[ti], writers_all[ti])
         )
         pos += n
-    rows_all = tuple(rows_all)
-    graph._exec_timing_memo = (key, rows_all)
-    return rows_all
+    return tuple(rows_all)
 
 
 class ExecContext:

@@ -10,17 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_rng", "pooled_rng"]
+__all__ = ["spawn_rng"]
 
-
-# Seeding a PCG64 from a SeedSequence costs tens of microseconds (the
-# sequence runs its entropy-mixing hash); profiling-heavy paths spawn the
-# same (seed, key) streams over and over (one per profiled task), so the
-# *initial bit-generator state* is cached per word tuple and restored into
-# a cheaply-constructed PCG64.  State restoration is exact, so the draw
-# sequence is bit-identical to a fresh ``default_rng(SeedSequence(words))``.
-_STATE_CACHE: dict[tuple[int, ...], dict] = {}
-_STATE_CACHE_MAX = 1024
 
 # numpy initializes its Generator machinery lazily on first use — >10 ms
 # of one-time module setup that would otherwise land inside the first
@@ -40,84 +31,20 @@ def spawn_rng(seed: int | np.random.Generator | None, *key: int | str) -> np.ran
     """
     if isinstance(seed, np.random.Generator):
         # Already a generator: derive a child deterministically from its
-        # state.  The parent stream advances, so this path is never cached.
+        # state (the parent stream advances).
         base = int(seed.integers(0, 2**63 - 1))
     else:
         base = 0 if seed is None else int(seed)
     words = [base & 0xFFFFFFFF, (base >> 32) & 0xFFFFFFFF]
-    for part in key:
-        words.append(_stable_hash(part))
-    cache_key = tuple(words)
-    state = _STATE_CACHE.get(cache_key)
-    if state is None:
-        bg = np.random.PCG64(np.random.SeedSequence(words))
-        state = bg.state
-        if len(_STATE_CACHE) >= _STATE_CACHE_MAX:
-            _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
-        _STATE_CACHE[cache_key] = state
-    else:
-        bg = np.random.PCG64(0)
-        bg.state = state
-    return np.random.Generator(bg)
-
-
-# One recycled Generator per stream key for :func:`pooled_rng`.  Even with
-# the state cache above, ``PCG64(0)`` construction costs ~15 us per spawn;
-# resetting a pooled generator's state costs ~2 us and reproduces the
-# stream bit-for-bit (a PCG64 Generator's entire draw state lives in
-# ``bit_generator.state``).
-_GEN_POOL: dict[tuple[int, ...], np.random.Generator] = {}
-_GEN_POOL_MAX = 256
-
-
-def pooled_rng(seed: int | None, *key: int | str) -> np.random.Generator:
-    """:func:`spawn_rng` that recycles one Generator object per stream key.
-
-    The returned generator starts at the stream's initial state, so its
-    draw sequence is bitwise what ``spawn_rng(seed, *key)`` yields — but
-    the *same object* is handed out every time the key repeats.  Only use
-    it when the generator's lifetime is strictly call-local (all draws
-    finish before the same key can be spawned again), e.g. the sampling
-    profiler's per-task noise streams; concurrent holders of one key
-    would interleave a single stream.
-    """
-    base = 0 if seed is None else int(seed)
-    words = [base & 0xFFFFFFFF, (base >> 32) & 0xFFFFFFFF]
-    for part in key:
-        words.append(_stable_hash(part))
-    cache_key = tuple(words)
-    state = _STATE_CACHE.get(cache_key)
-    if state is None:
-        bg = np.random.PCG64(np.random.SeedSequence(words))
-        state = bg.state
-        if len(_STATE_CACHE) >= _STATE_CACHE_MAX:
-            _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
-        _STATE_CACHE[cache_key] = state
-    gen = _GEN_POOL.get(cache_key)
-    if gen is None:
-        if len(_GEN_POOL) >= _GEN_POOL_MAX:
-            _GEN_POOL.pop(next(iter(_GEN_POOL)))
-        gen = _GEN_POOL[cache_key] = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = state
-    return gen
-
-
-#: FNV-1a digests per string — stream keys repeat the same few strings
-#: (component names, task names) thousands of times.
-_HASH_CACHE: dict[str, int] = {}
-_HASH_CACHE_MAX = 65536
+    words.extend(_stable_hash(part) for part in key)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _stable_hash(part: int | str) -> int:
     if isinstance(part, int):
         return part & 0xFFFFFFFF
-    h = _HASH_CACHE.get(part)
-    if h is None:
-        h = 0x811C9DC5
-        for byte in str(part).encode("utf-8"):
-            h ^= byte
-            h = (h * 0x01000193) & 0xFFFFFFFF
-        if len(_HASH_CACHE) >= _HASH_CACHE_MAX:
-            _HASH_CACHE.clear()
-        _HASH_CACHE[part] = h
+    h = 0x811C9DC5
+    for byte in str(part).encode("utf-8"):
+        h ^= byte
+        h = (h * 0x01000193) & 0xFFFFFFFF
     return h

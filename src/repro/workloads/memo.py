@@ -16,15 +16,18 @@ graph handed to :func:`~repro.core.partition.partition_graph` must never
 be the unpartitioned cache entry.  The chunk size is therefore part of
 the memo key and the partitioning runs on a freshly built graph.
 
-``REPRO_NO_GRAPH_MEMO=1`` disables interning (every call builds fresh).
+The memo is a thread-safe LRU of :data:`_MEMO_MAX` workloads, so jobs on
+the digital-twin server's thread pool can share it.  Two threads that
+miss on the same key at once both build; the later build replaces the
+earlier entry, and each caller runs on the graph it built.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.core.partition import partition_graph
+from repro.util.lru import BoundedLRU
 from repro.workloads.base import Workload, build
 
 __all__ = ["build_cached", "clear_build_cache", "build_cache_stats"]
@@ -32,7 +35,7 @@ __all__ = ["build_cached", "clear_build_cache", "build_cache_stats"]
 _MEMO_MAX = 32
 
 #: (name, frozen params, partition bytes, model version) -> Workload
-_memo: dict[Any, Workload] = {}
+_memo: BoundedLRU[Any, Workload] = BoundedLRU(_MEMO_MAX)
 _stats = {"hits": 0, "misses": 0}
 
 
@@ -57,19 +60,12 @@ def build_cached(
     repeated runs bitwise reproducible where fresh builds would differ in
     uid-dependent set-iteration order.
     """
-    if os.environ.get("REPRO_NO_GRAPH_MEMO"):
-        wl = build(name, **params)
-        if partition_max_bytes:
-            partition_graph(wl.graph, partition_max_bytes)
-        return wl
-
     # Imported lazily: experiments imports workloads at package import.
     from repro.experiments.spec import MODEL_VERSION
 
     key = (name, _freeze(params), partition_max_bytes, MODEL_VERSION)
     wl = _memo.get(key)
     if wl is not None:
-        _memo[key] = _memo.pop(key)  # LRU bump
         _stats["hits"] += 1
         return wl
 
@@ -77,9 +73,7 @@ def build_cached(
     wl = build(name, **params)
     if partition_max_bytes:
         partition_graph(wl.graph, partition_max_bytes)
-    _memo[key] = wl
-    while len(_memo) > _MEMO_MAX:
-        _memo.pop(next(iter(_memo)))
+    _memo.put(key, wl)
     return wl
 
 

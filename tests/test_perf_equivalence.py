@@ -213,8 +213,8 @@ def test_spot_specs_in_shuffled_order_match_goldens(goldens: dict) -> None:
 
     Several spot specs share one interned graph (six run the same cg
     build under different policies, worker counts, solvers and DRAM
-    sizes), so graph-attached state — the access CSR, timing rows, the
-    initial-placement memo — and the knapsack memo and warm starts are
+    sizes), so graph-attached state — the access CSR, the traffic
+    columns, the initial-placement memo — and the knapsack memo are
     shared across them.  Only the uid/tid counters are rewound before
     each spec, as the goldens were generated from fresh counters; a memo
     keyed on too few inputs shows up as a digest mismatch."""

@@ -19,18 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.demand import DemandBatch
-from repro.core.knapsack import (
-    _STATES_MAX,
-    _states,
-    clear_solver_cache,
-    solve_knapsack,
-    solve_knapsack_arrays,
-    solver_cache_stats,
-)
+from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays
 from repro.core.models import ObjectStats
 from repro.core.placement import ObjectDemand, PlanConfig, _weights_for
 from repro.memory.presets import dram, nvm_bandwidth_scaled
-from repro.util.rng import pooled_rng, spawn_rng
 
 from tests.reference_weigher import weights_for_ref
 
@@ -159,7 +151,7 @@ class TestWeightsDifferential:
 
 
 # ----------------------------------------------------------------------
-# Knapsack: array front-end and bounded warm-start state
+# Knapsack: array front-end
 # ----------------------------------------------------------------------
 class TestKnapsackArrays:
     @settings(max_examples=60, deadline=None)
@@ -184,53 +176,3 @@ class TestKnapsackArrays:
         )
         seq = solve_knapsack(values, sizes, cap, use_cache=False)
         assert arr == seq
-
-    def test_states_lru_is_bounded(self):
-        clear_solver_cache()
-        values = np.asarray([3.0, 2.0, 5.0])
-        # More distinct capacity geometries than the LRU admits.
-        for i in range(_STATES_MAX + 5):
-            cap = (i + 1) * 100_000
-            sizes = np.asarray([cap // 3, cap // 4, cap // 2], dtype=np.int64)
-            solve_knapsack_arrays(values, sizes, cap)
-        assert len(_states) <= _STATES_MAX
-        stats = solver_cache_stats()
-        assert stats["solves"] == _STATES_MAX + 5
-        assert stats["computed_rows"] > 0
-
-    def test_states_lru_keeps_recent_geometry(self):
-        clear_solver_cache()
-        values = np.asarray([3.0, 2.0, 5.0])
-        caps = [(i + 1) * 100_000 for i in range(_STATES_MAX + 3)]
-        for cap in caps:
-            sizes = np.asarray([cap // 3, cap // 4, cap // 2], dtype=np.int64)
-            solve_knapsack_arrays(values, sizes, cap)
-        # The most recent geometries survive the eviction sweep.
-        unit = caps[-1] // 512
-        assert caps[-1] // max(1, unit) in _states
-
-
-# ----------------------------------------------------------------------
-# Pooled RNG: recycled generators reproduce fresh spawns bit-for-bit
-# ----------------------------------------------------------------------
-class TestPooledRng:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**63 - 1),
-        key=st.lists(
-            st.one_of(st.integers(min_value=0, max_value=1 << 30), st.text(max_size=8)),
-            max_size=3,
-        ),
-    )
-    def test_matches_spawn(self, seed, key):
-        fresh = spawn_rng(seed, *key).integers(0, 2**63, size=16)
-        pooled = pooled_rng(seed, *key).integers(0, 2**63, size=16)
-        assert pooled.tolist() == fresh.tolist()
-
-    def test_reset_between_uses(self):
-        # Draining a pooled generator must not perturb the next checkout
-        # of the same stream key.
-        a = pooled_rng(3, "sampler", "x").integers(0, 2**63, size=8)
-        pooled_rng(3, "sampler", "x").random(100)  # drain arbitrarily
-        b = pooled_rng(3, "sampler", "x").integers(0, 2**63, size=8)
-        assert a.tolist() == b.tolist()

@@ -40,6 +40,20 @@ class TestSpawnRng:
         child = spawn_rng(parent, "c")
         assert isinstance(child, np.random.Generator)
 
+    def test_sampler_stream_draws_are_pinned(self):
+        # Literal draws of a sampling-profiler stream key: any change to
+        # the word derivation (FNV-1a of string keys, seed split) or to
+        # the bit generator moves every profiled run.
+        g = spawn_rng(3, "sampler", "t", "ty")
+        assert g.integers(0, 2**63, size=4).tolist() == [
+            4456289461210808732,
+            6263236794851311953,
+            1560616828601106964,
+            5864885101767729619,
+        ]
+        assert g.random(2).tolist() == [0.7091666362939887, 0.883363379429936]
+        assert g.binomial(1000, 0.3, size=3).tolist() == [300, 333, 308]
+
 
 class TestTable:
     def test_render_alignment_and_title(self):
