@@ -296,7 +296,8 @@ class DataManagerPolicy(BasePolicy):
         # Per-run object index: the graph's object set is fixed once the
         # run starts (partitioning happens before execution), so the
         # uid -> object map is built once per graph version and shared
-        # across runs (bench reps rebuild the policy, not the graph).
+        # across runs (what-if variants on an interned graph build a new
+        # policy, not a new graph).
         uid_memo = getattr(ctx.graph, "_by_uid_memo", None)
         if uid_memo is None or uid_memo[0] != ctx.graph._version:
             uid_memo = ctx.graph._by_uid_memo = (

@@ -2,7 +2,7 @@
 
 The CLI is verb-structured; every verb shares one common option block
 (``--seed``, ``--jobs``, ``--cache-dir``, ``--format``) and the same exit
-codes (0 ok, 1 a run or gate failed, 2 usage / unknown name)::
+codes (0 ok, 1 a run failed, 2 usage / unknown name)::
 
     repro-experiments e1 e3              # default verb: run experiments
     repro-experiments run all --full     # the whole suite, full sizes
@@ -12,7 +12,6 @@ codes (0 ok, 1 a run or gate failed, 2 usage / unknown name)::
     repro-experiments metrics cg --policy tahoe --format prom
     repro-experiments serve heat --policy tahoe --stream '{"horizon_s":0.4}'
     repro-experiments serve-api --port 8077 --workers 2
-    repro-experiments bench              # writes BENCH.json (gitignored)
 
 ``serve`` runs one described workload as an open multi-tenant service
 (seeded arrivals, credit-based admission, batch scheduling rounds — see
@@ -20,9 +19,8 @@ codes (0 ok, 1 a run or gate failed, 2 usage / unknown name)::
 HTTP API over the cached simulator (``docs/server.md``).  ``metrics``
 executes one described run under telemetry and exports the
 metric series, time-series samples and placement audit log (JSON / CSV /
-Prometheus text).  ``bench`` runs the tier-1 benchmark suite under
-self-instrumentation and writes a wall-clock profile (see
-:mod:`repro.metrics.bench`).
+Prometheus text).  Host-time performance is measured by the repository
+benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -576,131 +574,6 @@ def _serve_api_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def _bench_main(argv: list[str]) -> int:
-    """The ``bench`` verb: self-instrumented tier-1 benchmark suite."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments bench",
-        description="Run the tier-1 benchmark suite under self-instrumentation "
-        "(wall-clock per phase: graph build, placement, executor loop, cache "
-        "I/O) and write a machine-comparable profile.",
-        parents=[_common_parser(("json",), "json")],
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default="BENCH.json",
-        help="output profile path (default: BENCH.json, gitignored)",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=3, help="repetitions per cell (default: 3)"
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="compare against a checked-in baseline profile",
-    )
-    parser.add_argument(
-        "--gate", type=float, default=20.0, metavar="PCT",
-        help="fail (exit 1) if normalized wall clock regresses more than "
-        "PCT%% vs --baseline (default: 20)",
-    )
-    parser.add_argument(
-        "--phase-gate", type=float, default=25.0, metavar="PCT",
-        help="also fail if any single normalized phase regresses more than "
-        "PCT%% vs --baseline; pass a negative value to disable (default: 25)",
-    )
-    parser.add_argument(
-        "--phase-budget", action="append", default=[], metavar="PHASE=MAX",
-        help="absolute ceiling on one normalized phase (seconds summed over "
-        "all reps / calibration time), e.g. executor_loop=2.0; repeatable; "
-        "fails (exit 1) when exceeded, with or without --baseline",
-    )
-    parser.add_argument(
-        "--phase", action="append", default=[], metavar="PHASE",
-        help="report only the named phase (repeatable) and skip side "
-        "passes the subset does not need — a focused `bench --phase "
-        "placement` run; default: all phases",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the suite under cProfile and print the top 25 functions "
-        "by cumulative time",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="write the cProfile binary stats to PATH (implies --profile); "
-        "inspect later with `python -m pstats PATH`",
-    )
-    args = parser.parse_args(argv)
-    _apply_common(args)
-
-    from repro.metrics.bench import (
-        check_against_baseline,
-        check_phase_budgets,
-        run_bench,
-        write_profile,
-    )
-
-    budgets: dict[str, float] = {}
-    for item in args.phase_budget:
-        phase, sep, value = item.partition("=")
-        try:
-            if not sep:
-                raise ValueError
-            budgets[phase.strip()] = float(value)
-        except ValueError:
-            print(f"bad --phase-budget {item!r} (want PHASE=MAX)", file=sys.stderr)
-            return 2
-
-    profiling = args.profile or args.profile_out is not None
-    profiler = None
-    if profiling:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        profile = run_bench(
-            reps=args.reps, seed=args.seed, only_phases=args.phase or None
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        if profiler is not None:
-            profiler.disable()
-    write_profile(profile, args.out)
-    print(
-        f"bench: {profile['n_runs']} runs in {profile['total_wall_s']:.3f} s "
-        f"(normalized {profile['normalized_total']:.1f}); wrote {args.out}"
-    )
-    for phase, t in sorted(profile["phases"].items()):
-        print(f"  {phase:<14} {t * 1e3:9.2f} ms")
-    if profiler is not None:
-        import pstats
-
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(25)
-        if args.profile_out:
-            stats.dump_stats(args.profile_out)
-            print(f"wrote cProfile stats to {args.profile_out}", file=sys.stderr)
-    if args.baseline:
-        phase_gate = args.phase_gate if args.phase_gate >= 0 else None
-        ok, message = check_against_baseline(
-            profile, args.baseline, args.gate, phase_gate_pct=phase_gate,
-            phase_budgets=budgets or None,
-        )
-        print(message)
-        if not ok:
-            return 1
-    elif budgets:
-        ok, message = check_phase_budgets(profile, budgets)
-        print(message)
-        if not ok:
-            return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
 _VERBS = {
     "run": _run_main,
     "sweep": _sweep_main,
@@ -708,7 +581,6 @@ _VERBS = {
     "metrics": _metrics_main,
     "serve": _serve_main,
     "serve-api": _serve_api_main,
-    "bench": _bench_main,
 }
 
 

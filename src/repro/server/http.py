@@ -259,13 +259,16 @@ class AsyncHttpServer:
 
         body = b""
         if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise HttpError(400, "bad Content-Length") from None
-            if length < 0 or length > self.max_body:
+            # RFC 9110 ``1*DIGIT``: int() alone would take "+3", "1_0" and
+            # "-1", and str.isdigit() alone takes non-ASCII digits ("²").
+            value = headers["content-length"]
+            if not (value.isascii() and value.isdigit()):
+                raise HttpError(400, "bad Content-Length")
+            # Count digits first: int() refuses strings past 4,300 digits.
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(self.max_body)) or int(digits) > self.max_body:
                 raise HttpError(413, f"body exceeds {self.max_body} bytes")
-            body = await reader.readexactly(length)
+            body = await reader.readexactly(int(digits))
         elif headers.get("transfer-encoding", "").lower() == "chunked":
             raise HttpError(501, "chunked request bodies not supported")
 

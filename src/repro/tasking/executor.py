@@ -128,8 +128,8 @@ def _timing_rows(
     # Device-independent traffic matrix, flattened across tasks: one
     # column per access row holding the operands of the two timing laws.
     # Built once per graph version — retiming the same graph for another
-    # machine (bench cells, NVM sweeps) reuses it and pays only the two
-    # vectorized law evaluations below.
+    # machine (what-if variants on an interned graph, NVM sweeps) reuses
+    # it and pays only the two vectorized law evaluations below.
     from repro.memory.device import MISS_BASE_LATENCY_S
     from repro.util.units import CACHELINE_BYTES
 

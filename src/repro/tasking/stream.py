@@ -76,10 +76,12 @@ class JobRecord:
 
     @property
     def slowdown(self) -> float:
-        """Response time over isolated service time (>= 1 in steady state)."""
+        """Response time over isolated service time, floored at 1: for a
+        job that starts on submission, ``finish_s - submit_s`` can round
+        one ulp below ``service_s``."""
         if self.service_s <= 0.0:
             return 1.0
-        return self.response_s / self.service_s
+        return max(1.0, self.response_s / self.service_s)
 
 
 @dataclass(frozen=True)

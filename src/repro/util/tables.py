@@ -2,7 +2,7 @@
 
 Every experiment prints its results as a table shaped like the corresponding
 figure/table of the paper line (rows = workloads, columns = systems), so the
-bench output is directly comparable to EXPERIMENTS.md.
+CLI output is directly comparable to EXPERIMENTS.md.
 """
 
 from __future__ import annotations

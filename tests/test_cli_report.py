@@ -17,10 +17,12 @@ class TestCLI:
         assert "bw-1/2" in out
 
     def test_unknown_experiment_errors(self, capsys):
-        rc = cli_main(["e99"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "unknown experiment" in err
+        # "bench" names no verb, so it is an unknown experiment id.
+        for name in ("e99", "bench"):
+            rc = cli_main([name])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "unknown experiment" in err
 
     def test_multiple_experiments(self, capsys):
         rc = cli_main(["e2", "e5"])

@@ -1,6 +1,6 @@
 """Telemetry subsystem: registry/export determinism, Prometheus lint,
 audit-log reconciliation with the migration engine, disabled-mode
-neutrality, the bench profile, and the frozen policy-API surface."""
+neutrality, and the frozen policy-API surface."""
 
 from __future__ import annotations
 
@@ -283,63 +283,6 @@ class TestExporters:
         reg.counter("x_total")
         with pytest.raises(TypeError, match="x_total"):
             reg.gauge("x_total")
-
-
-class TestBenchProfile:
-    def test_profile_shape_and_gate(self, tmp_path):
-        from repro.metrics.bench import (
-            check_against_baseline,
-            run_bench,
-            write_profile,
-        )
-
-        profile = run_bench(reps=1)
-        assert profile["n_runs"] == len(profile["runs"]) > 0
-        assert set(profile["phases"]) == {
-            "graph_build", "placement", "executor_loop", "cache_io",
-            "service_round",
-        }
-        assert profile["calibration_s"] > 0
-        assert profile["normalized_total"] > 0
-
-        base = tmp_path / "baseline.json"
-        write_profile(profile, base)
-        ok, msg = check_against_baseline(profile, base, gate_pct=20.0)
-        assert ok and "+0.0%" in msg
-
-        slow = dict(profile, normalized_best_rep=profile["normalized_best_rep"] * 2)
-        ok, msg = check_against_baseline(slow, base, gate_pct=20.0)
-        assert not ok and "REGRESSION" in msg
-
-    def test_phase_budgets(self, tmp_path):
-        from repro.metrics.bench import (
-            check_against_baseline,
-            check_phase_budgets,
-            run_bench,
-            write_profile,
-        )
-
-        profile = run_bench(reps=1)
-        loop = profile["normalized_phases"]["executor_loop"]
-
-        # Standalone: generous ceiling passes, impossible ceiling fails.
-        ok, msg = check_phase_budgets(profile, {"executor_loop": loop + 1.0})
-        assert ok and "budget executor_loop" in msg
-        ok, msg = check_phase_budgets(profile, {"executor_loop": loop / 2})
-        assert not ok and "OVER BUDGET" in msg
-
-        # Unknown phase names fail loudly instead of silently gating nothing.
-        ok, msg = check_phase_budgets(profile, {"executor_lop": 2.0})
-        assert not ok and "unknown phase" in msg
-
-        # Budgets ride along the baseline comparison: the relative gates
-        # pass against self, but an absolute ceiling still fails.
-        base = tmp_path / "baseline.json"
-        write_profile(profile, base)
-        ok, msg = check_against_baseline(
-            profile, base, phase_budgets={"executor_loop": loop / 2}
-        )
-        assert not ok and "OVER BUDGET" in msg
 
 
 class TestStablePolicyAPI:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -327,6 +328,43 @@ class TestHttpEdges:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=30)
         assert exc_info.value.code == 400
+
+    @staticmethod
+    def _raw_post(live, content_length: str) -> tuple[int, dict]:
+        """POST with a verbatim Content-Length header and no body."""
+        head = (
+            "POST /v1/runs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            (live.server.http.host, live.server.http.port), timeout=10
+        ) as sock:
+            sock.sendall(head.encode("latin-1"))
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        status_line, _, rest = raw.partition(b"\r\n")
+        return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+    @pytest.mark.parametrize(
+        "value", ["-1", "1_0", "+3", "\u00b2"],
+        ids=["negative", "underscore", "plus-sign", "superscript-two"],
+    )
+    def test_malformed_content_length_400(self, live, value):
+        status, body = self._raw_post(live, value)
+        assert status == 400
+        assert body["error"] == "bad Content-Length"
+
+    @pytest.mark.parametrize(
+        "value_of",
+        [lambda max_body: str(max_body + 1), lambda max_body: "9" * 5000],
+        # 5,000 digits exceed Python's default int-string limit (4,300).
+        ids=["max-body-plus-one", "5000-digits"],
+    )
+    def test_oversized_content_length_413(self, live, value_of):
+        status, body = self._raw_post(live, value_of(live.server.http.max_body))
+        assert status == 413
+        assert "body exceeds" in body["error"]
 
     def test_non_spec_document_400(self, live):
         status, body = live.post("/v1/runs", {"spec": {"nope": 1}})

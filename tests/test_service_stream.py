@@ -139,6 +139,8 @@ class TestStreamDriver:
         assert sum(result.admitted.values()) == len(done)
         for j in done:
             assert j.finish_s >= j.start_s >= j.submit_s
+            # slowdown is floored at 1, so check the bound it rests on.
+            assert j.finish_s == j.start_s + j.service_s
             assert j.slowdown >= 1.0 or j.service_s == 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -163,6 +165,21 @@ class TestStreamDriver:
         b = _drive(batch)
         assert a.event_log == b.event_log
         assert a.jobs == b.jobs
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [(0.02, "a", 1, 0.014810549294355683)],
+            [(0.15, "a", 1, 0.03538498845011801)],
+        ],
+    )
+    def test_immediate_start_slowdown_not_below_one(self, batch):
+        # (submit + service) - submit rounds below service for these
+        # inputs; the job starts on submission, so its slowdown is 1.
+        (job,) = _drive(batch).jobs
+        assert job.start_s == job.submit_s
+        assert job.response_s < job.service_s
+        assert job.slowdown == 1.0
 
     def test_overdraft_rejected_not_queued(self):
         batch = [(0.0, "a", 600, 0.01)]  # demand 600 MiB > 256 MiB credit
