@@ -41,7 +41,7 @@ class XMemPolicy(BasePolicy):
     def on_run_start(self, ctx: ExecContext) -> None:
         graph = self._graph if self._graph is not None else ctx.graph
         self._counters = GroundTruthCounters.profile_graph(graph)
-        by_uid = {o.uid: o for o in ctx.graph.objects}
+        by_uid = ctx.graph.exec_core().by_uid
         for uid in self._counters.hottest_first():
             obj = by_uid.get(uid)
             if obj is None:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.tasking.graph import AccessCSR
+from repro.tasking.graph import GraphExecCore
 from repro.tasking.task import Task
 
 __all__ = [
@@ -63,7 +63,7 @@ def first_use_offsets(
 
 
 def first_use_offsets_split(
-    csr: AccessCSR,
+    core: GraphExecCore,
     tasks: np.ndarray,
     window_len: int,
     duration_by_type: np.ndarray,
@@ -73,16 +73,17 @@ def first_use_offsets_split(
     ``tasks`` (spawn order), the window being their first ``window_len``.
 
     Each scope is a pair of arrays in first-use order: dense object
-    indices (into ``csr``) and their offsets.  A task's start offset is
-    the sequential prefix sum of ``duration_by_type[type] / workers``
-    over the tasks ahead of it — ``np.cumsum`` after a leading zero is
+    indices (into ``core.accesses``) and their offsets.  A task's start
+    offset is the sequential prefix sum of ``duration_by_type[type] /
+    workers`` over the tasks ahead of it — ``np.cumsum`` after a leading zero is
     the same additions in the same order as :func:`estimate_start_offsets`
     — and an object's first use is its first access row with traffic.
     The window is the prefix of the full map whose first use falls in
     the first ``window_len`` tasks.
     """
     inv = 1.0 / max(1, n_workers)
-    steps = duration_by_type[csr.type_id[tasks]] * inv
+    csr = core.accesses
+    steps = duration_by_type[core.type_id[tasks]] * inv
     starts = np.cumsum(np.concatenate(([0.0], steps)))
     rows, lens = csr.gather(tasks)
     hot = csr.traffic[rows]

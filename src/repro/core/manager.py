@@ -26,20 +26,18 @@ Every piece of software work is charged to the worker as overhead, so the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from repro.baselines.policies import BasePolicy
 from repro.core.adaptation import DeviationDetector
 from repro.core.demand import DemandBatch
-from repro.core.initial import initial_placement
 from repro.core.lookahead import first_use_offsets_split
 from repro.core.models import TypeModel
 from repro.core.placement import PlacementPlan, PlanConfig, make_plan
 from repro.profiling.calibration import CalibrationResult, calibrate
 from repro.tasking.executor import ExecContext
-from repro.tasking.graph import AccessCSR
+from repro.tasking.graph import AccessCSR, GraphExecCore
 from repro.tasking.task import Task
 from repro.tasking.trace import TaskRecord
 from repro.util.log import get_logger
@@ -257,7 +255,6 @@ class DataManagerPolicy(BasePolicy):
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
         self._sync_overhead_s = self.config.per_task_sync_overhead_s
-        self._by_uid: dict[int, Any] | None = None
         self.stats: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -293,40 +290,12 @@ class DataManagerPolicy(BasePolicy):
         if ctx.engine.injector is not None:
             self.stats["migrations_failed"] = 0
             self.stats["migrations_recovered"] = 0
-        # Per-run object index: the graph's object set is fixed once the
-        # run starts (partitioning happens before execution), so the
-        # uid -> object map is built once per graph version and shared
-        # across runs (what-if variants on an interned graph build a new
-        # policy, not a new graph).
-        uid_memo = getattr(ctx.graph, "_by_uid_memo", None)
-        if uid_memo is None or uid_memo[0] != ctx.graph._version:
-            uid_memo = ctx.graph._by_uid_memo = (
-                ctx.graph._version,
-                {o.uid: o for o in ctx.graph.objects},
-            )
-        self._by_uid = uid_memo[1]
         self.calib = self._given_calibration or self._platform_calibration(ctx)
         if self.config.enable_initial_placement:
-            # The chosen set is a pure function of the graph's object list
-            # and the DRAM budget; graphs are interned across runs, so the
-            # greedy fill is cached on the graph keyed by capacity.
-            memo = getattr(ctx.graph, "_initial_placement_memo", None)
-            if memo is None:
-                memo = ctx.graph._initial_placement_memo = {}
-            # The graph version guards against post-run graph mutation.
-            # The memo stores the chosen objects already in graph order,
-            # so each run loops over the selection, not every object; the
-            # per-run fits test keeps the sequential capacity semantics.
-            key = (ctx.graph._version, ctx.dram.capacity_bytes)
-            chosen_objs = memo.get(key)
-            if chosen_objs is None:
-                chosen = initial_placement(
-                    ctx.graph.objects, ctx.dram.capacity_bytes
-                )
-                chosen_objs = memo[key] = [
-                    o for o in ctx.graph.objects if o.uid in chosen
-                ]
-            for obj in chosen_objs:
+            # The per-run fits test keeps the sequential capacity
+            # semantics over the graph's (shared) initial DRAM set.
+            core = ctx.graph.exec_core()
+            for obj in core.initial_dram_objects(ctx.dram.capacity_bytes):
                 if ctx.hms.dram_fits(obj.size_bytes):
                     ctx.place_initial(obj, ctx.dram)
 
@@ -354,60 +323,43 @@ class DataManagerPolicy(BasePolicy):
             model = TypeModel(tname)
             self._models[tname] = model
         if model.n_profiles >= cfg.profile_instances:
-            # Steady state (the per-task hot path): EWMA duration tracking
-            # plus drift detection against a slow baseline.  Both the
-            # ``track_duration`` fold and the no-drift arm of ``_adapt``
-            # are inlined statement-for-statement — this path runs once
-            # per task and the two call frames were its main cost.
+            # Steady state (the per-task hot path): EWMA duration tracking,
+            # the ``track_duration`` fold inlined statement for statement
+            # (this path runs once per task and the call frame was its
+            # main cost).
             model.n_instances += 1
             rd = model.recent_duration
             if rd <= 0.0:
                 model.recent_duration = duration
             else:
                 model.recent_duration = rd + (duration - rd) * 0.3
-            if cfg.enable_adaptation:
-                if self._detector.observe(tname, duration, task.iteration):
-                    self._on_drift(model, tname)
-                else:
-                    model.mean_duration += (
-                        duration - model.mean_duration
-                    ) * cfg.duration_alpha
-            return 0.0
-        profile = ctx.profile(task, record)
-        model.observe(profile, dram_name=ctx.dram.name)
-        overhead = ctx.profiling_overhead(duration)
-        self.stats["profiled_tasks"] += 1
-        if model.n_profiles >= cfg.profile_instances:
+            overhead = 0.0
+        else:
+            profile = ctx.profile(task, record)
+            model.observe(profile, dram_name=ctx.dram.name)
+            overhead = ctx.profiling_overhead(duration)
+            self.stats["profiled_tasks"] += 1
+            if model.n_profiles < cfg.profile_instances:
+                return overhead
+            # The instance that completes profiling also enters drift
+            # tracking immediately.
             self._stale_models.pop(tname, None)
             self._replan_needed = True
-            # The instance that completes profiling also enters drift
-            # tracking immediately (same call, as the combined branch in
-            # the pre-split form did).
-            if cfg.enable_adaptation:
-                self._adapt(model, tname, duration, task.iteration, cfg)
+        if cfg.enable_adaptation:
+            # Drift check against a slow baseline: a fast step change
+            # beyond the threshold archives the model and re-profiles
+            # the type.
+            if self._detector.observe(tname, duration, task.iteration):
+                self._stale_models[tname] = model
+                self._models[tname] = TypeModel(tname)
+                self._replan_needed = True
+                self.stats["adaptation_triggers"] += 1
+                log.debug("adaptation trigger: type=%s re-profiling", tname)
+            else:
+                model.mean_duration += (
+                    duration - model.mean_duration
+                ) * cfg.duration_alpha
         return overhead
-
-    def _adapt(
-        self, model: TypeModel, tname: str, duration: float, iteration: int,
-        cfg: ManagerConfig,
-    ) -> None:
-        """Drift check for one completed instance: a fast step change
-        beyond the threshold re-activates profiling for the type."""
-        if self._detector.observe(tname, duration, iteration):
-            self._on_drift(model, tname)
-        else:
-            model.mean_duration += (
-                duration - model.mean_duration
-            ) * cfg.duration_alpha
-
-    def _on_drift(self, model: TypeModel, tname: str) -> None:
-        """Slow path shared by the inline steady-state check and
-        :meth:`_adapt`: archive the drifted model and re-profile."""
-        self._stale_models[tname] = model
-        self._models[tname] = TypeModel(tname)
-        self._replan_needed = True
-        self.stats["adaptation_triggers"] += 1
-        log.debug("adaptation trigger: type=%s re-profiling", tname)
 
     # ------------------------------------------------------------------
     # Decision machinery
@@ -423,7 +375,7 @@ class DataManagerPolicy(BasePolicy):
 
     def _demand_stats_split(
         self,
-        csr: AccessCSR,
+        core: GraphExecCore,
         tasks: np.ndarray,
         window_len: int,
         need_window: bool = True,
@@ -436,7 +388,7 @@ class DataManagerPolicy(BasePolicy):
 
         Each scope is ``(batch, horizon, objects)``: the batch rows are in
         first-touch order and ``objects`` holds their dense indices into
-        ``csr``.  Tasks whose type has no ready model are skipped; every
+        ``core.accesses``.  Tasks whose type has no ready model are skipped; every
         other task's access rows take their slot's model row (the last
         slot for extra accesses, an empty ``SlotStats`` row for a
         slot-less model).  The rows are folded per object by
@@ -446,7 +398,8 @@ class DataManagerPolicy(BasePolicy):
         not build a window-scoped plan (the window is then empty unless
         it covers every task).
         """
-        models = [self._model_for(name) for name in csr.type_names]
+        csr = core.accesses
+        models = [self._model_for(name) for name in core.type_names]
         has_model = np.array([m is not None for m in models], dtype=np.bool_)
         durations = np.array(
             [m.mean_duration if m is not None else 0.0 for m in models]
@@ -471,7 +424,7 @@ class DataManagerPolicy(BasePolicy):
         slot_terms[:, :4] = slot_rows[:, (2, 5, 0, 1)]
         slot_terms[:, 4:] = slot_rows[:, (4, 6)] * slot_rows[:, (2, 5)]
 
-        type_of = csr.type_id[tasks]
+        type_of = core.type_id[tasks]
         keep = has_model[type_of]
         kept = tasks[keep]
         # Horizon: the sequential sum of the kept tasks' durations.
@@ -595,7 +548,7 @@ class DataManagerPolicy(BasePolicy):
 
         remaining = ctx.remaining_indices()
         window = remaining[: cfg.lookahead_tasks]
-        csr = ctx.graph.exec_core().accesses
+        core = ctx.graph.exec_core()
         n_workers = ctx.config.n_workers
 
         plans: list[tuple[float, PlacementPlan]] = []
@@ -617,20 +570,21 @@ class DataManagerPolicy(BasePolicy):
         # Both scopes come from one fold of the remaining tasks' access
         # rows: the window is a prefix, read off the same fold.
         local_proj, global_proj = self._demand_stats_split(
-            csr, remaining, cfg.lookahead_tasks, need_window=need_window
+            core, remaining, cfg.lookahead_tasks, need_window=need_window
         )
         # Per-type durations for the start-offset estimate; 1e-4 s stands
         # in for a type without a ready model.
         durations = np.array(
             [
                 m.mean_duration if m is not None else 1e-4
-                for m in map(self._model_for, csr.type_names)
+                for m in map(self._model_for, core.type_names)
             ]
         )
         local_offsets, global_offsets = first_use_offsets_split(
-            csr, remaining, cfg.lookahead_tasks, durations, n_workers
+            core, remaining, cfg.lookahead_tasks, durations, n_workers
         )
         resident_uids = ctx.hms.dram_resident_uids()
+        csr = core.accesses
         resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
         index_of = csr.obj_index.get
         resident[[i for i in map(index_of, resident_uids) if i is not None]] = True
@@ -647,7 +601,7 @@ class DataManagerPolicy(BasePolicy):
             if len(batch) == 0:
                 return None
             if cfg.plan.use_parallel_slack:
-                slack = self._parallel_slack(csr.depth[tasks], n_workers)
+                slack = self._parallel_slack(core.depth[tasks], n_workers)
             else:
                 slack = 1.0
             # Placement columns (residency + overlap offsets) attach to
@@ -762,9 +716,7 @@ class DataManagerPolicy(BasePolicy):
         from repro.memory.migration import copy_time
 
         cfg = self.config
-        by_uid = self._by_uid
-        if by_uid is None:
-            by_uid = self._by_uid = {o.uid: o for o in ctx.graph.objects}
+        by_uid = ctx.graph.exec_core().by_uid
         if resident_uids is None:
             resident_uids = ctx.hms.dram_resident_uids()
         overhead = 0.0

@@ -35,17 +35,18 @@ def partition_graph(graph: TaskGraph, max_chunk_bytes: int) -> TaskGraph:
     """
     if max_chunk_bytes <= 0:
         raise ValueError("max_chunk_bytes must be positive")
-    if getattr(graph, "_partitioned_at", None) == max_chunk_bytes:
+    if graph.partitioned_at == max_chunk_bytes:
         return graph
 
     chunk_map: dict[int, list[DataObject]] = {}
-    for obj in list(graph.objects):
+    for obj in graph.objects:
         if obj.partitionable and obj.size_bytes > max_chunk_bytes:
             n = -(-obj.size_bytes // max_chunk_bytes)  # ceil
             chunk_map[obj.uid] = obj.partition(n)
 
+    rewritten: dict[int, dict[DataObject, ObjectAccess]] = {}
     if not chunk_map:
-        graph._partitioned_at = max_chunk_bytes  # type: ignore[attr-defined]
+        graph.repartition(max_chunk_bytes, chunk_map, rewritten)
         return graph
 
     for task in graph.tasks:
@@ -73,13 +74,7 @@ def partition_graph(graph: TaskGraph, max_chunk_bytes: int) -> TaskGraph:
                     span=None,
                 )
         if changed:
-            task.accesses = new_accesses
+            rewritten[task.tid] = new_accesses
 
-    # Refresh the graph's object registry.
-    for uid, chunks in chunk_map.items():
-        del graph._objects[uid]
-        for chunk in chunks:
-            graph._objects[chunk.uid] = chunk
-    graph._partitioned_at = max_chunk_bytes  # type: ignore[attr-defined]
-    graph.invalidate_caches()
+    graph.repartition(max_chunk_bytes, chunk_map, rewritten)
     return graph

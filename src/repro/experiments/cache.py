@@ -31,6 +31,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Iterable
@@ -154,7 +155,11 @@ class ResultCache:
         else:
             entry = self._entry(key)
             stale = self._binary_entry(key)
-        tmp = entry.with_suffix(f".tmp.{os.getpid()}")
+        # One temp name per writer (process and thread): server pool
+        # threads share a pid and may put the same key at once.
+        tmp = entry.with_name(
+            f"{entry.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         try:
             tmp.write_bytes(blob)
             os.replace(tmp, entry)
@@ -226,7 +231,15 @@ class ResultCache:
         return sum(1 for _ in self._all_entries())
 
     def size_bytes(self) -> int:
-        return sum(e.stat().st_size for e in self._all_entries())
+        """Total size of every entry; entries that vanish mid-scan
+        (concurrent prune, invalidate or put) are skipped."""
+        total = 0
+        for entry in self._all_entries():
+            try:
+                total += entry.stat().st_size
+            except OSError:
+                continue
+        return total
 
     def stats(self) -> dict[str, Any]:
         n_binary = sum(1 for _ in self.path.glob("*.jsonz"))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any
 
 from repro.experiments.spec import RunResult, RunSpec, canonical_json
 from repro.metrics.service import (
@@ -33,6 +33,7 @@ from repro.metrics.service import (
 )
 from repro.tasking.stream import AdmissionController, JobRequest, StreamDriver
 from repro.util.units import MIB
+from repro.util.validation import resolve_plane
 from repro.workloads.arrivals import TenantSpec, generate_arrivals
 
 __all__ = ["StreamSpec", "resolve_stream", "run_service"]
@@ -94,39 +95,9 @@ def _default_tenants() -> tuple[TenantSpec, ...]:
 
 def resolve_stream(value: Any) -> StreamSpec | None:
     """Normalize anything spec-shaped into a :class:`StreamSpec` (or
-    ``None`` = closed-DAG mode).  Mirrors :func:`resolve_telemetry` /
-    :func:`resolve_plan` so the RunSpec treats all three planes
-    uniformly.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return StreamSpec()
-    if isinstance(value, StreamSpec):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text.lower() in ("on", "default", "true", "1"):
-            return StreamSpec()
-        if text.lower() in ("off", "false", "0", ""):
-            return None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"bad stream spec {value!r}: expected 'on', 'off' or a "
-                f"JSON object of StreamSpec fields ({exc})"
-            ) from None
-        return resolve_stream(data)
-    if isinstance(value, Mapping):
-        known = {f.name for f in fields(StreamSpec)}
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown stream spec fields {unknown} (known: {sorted(known)})"
-            )
-        return StreamSpec(**dict(value))
-    raise TypeError(f"cannot interpret {type(value).__name__} as a stream spec")
+    ``None`` = closed-DAG mode), the same way :func:`resolve_telemetry`
+    treats its plane (see :func:`repro.util.validation.resolve_plane`)."""
+    return resolve_plane(value, StreamSpec, "stream", "stream spec")
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,9 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import IO, Any, Callable, Mapping
 
-from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.telemetry import Telemetry
 
 __all__ = [
@@ -243,47 +243,16 @@ def _prom_float(v: float) -> str:
     return repr(float(v))
 
 
-def _prom_lines_registry(registry: MetricsRegistry) -> list[str]:
-    by_name: dict[str, list] = {}
-    for inst in registry.series():
-        by_name.setdefault(inst.name, []).append(inst)
-
-    lines: list[str] = []
-    for name in sorted(by_name):
-        insts = by_name[name]
-        pname = _prom_name(name)
-        kind = insts[0].kind
-        help_text = registry.help_of(name)
-        if help_text:
-            lines.append(f"# HELP {pname} {_prom_escape_help(help_text)}")
-        lines.append(f"# TYPE {pname} {kind}")
-        for inst in insts:
-            labels = inst.labels_dict
-            if isinstance(inst, Histogram):
-                for bound, cum in inst.cumulative():
-                    lines.append(
-                        f"{pname}_bucket"
-                        f"{_prom_labels(labels, {'le': _prom_float(bound)})}"
-                        f" {cum}"
-                    )
-                lines.append(f"{pname}_sum{_prom_labels(labels)} {_prom_float(inst.sum)}")
-                lines.append(f"{pname}_count{_prom_labels(labels)} {inst.count}")
-            else:
-                lines.append(
-                    f"{pname}{_prom_labels(labels)} {_prom_float(inst.value)}"
-                )
-    return lines
-
-
 def _prom_le(le: Any) -> str:
     return "+Inf" if le == "+Inf" else _prom_float(float(le))
 
 
-def _prom_lines_snapshot(series: list[Mapping[str, Any]]) -> list[str]:
-    """Exposition lines from a registry *snapshot* (the JSON export's
-    ``metrics.series`` list).  HELP text is not part of a snapshot, so
-    these renders carry TYPE lines only — everything else, including the
-    cumulative bucket semantics, is preserved."""
+def _prom_lines(
+    series: list[Mapping[str, Any]], help_of: Callable[[str], str] | None = None
+) -> list[str]:
+    """Exposition lines from registry-snapshot series (the JSON export's
+    ``metrics.series`` list), with ``# HELP`` lines from ``help_of``
+    when given (a snapshot carries no HELP text)."""
     by_name: dict[str, list[Mapping[str, Any]]] = {}
     for entry in series:
         by_name.setdefault(entry["name"], []).append(entry)
@@ -292,6 +261,9 @@ def _prom_lines_snapshot(series: list[Mapping[str, Any]]) -> list[str]:
     for name in sorted(by_name):
         entries = by_name[name]
         pname = _prom_name(name)
+        help_text = help_of(name) if help_of is not None else ""
+        if help_text:
+            lines.append(f"# HELP {pname} {_prom_escape_help(help_text)}")
         lines.append(f"# TYPE {pname} {entries[0]['kind']}")
         for entry in entries:
             labels = entry.get("labels", {})
@@ -330,9 +302,10 @@ def to_prometheus(
     JSON/CSV exports.
     """
     if isinstance(data, Telemetry):
-        lines = _prom_lines_registry(data.registry)
-    elif isinstance(data, MetricsRegistry):
-        lines = _prom_lines_registry(data)
+        data = data.registry
+    if isinstance(data, MetricsRegistry):
+        snapshot = data.snapshot(every_bucket=True)
+        lines = _prom_lines(snapshot["series"], data.help_of)
     else:
         body = data.get("metrics", data)
         series = body.get("series") if isinstance(body, Mapping) else None
@@ -341,7 +314,7 @@ def to_prometheus(
                 "mapping passed to to_prometheus() carries no metric series "
                 "(expected a telemetry export or a registry snapshot)"
             )
-        lines = _prom_lines_snapshot(list(series))
+        lines = _prom_lines(list(series))
     text = "\n".join(lines) + ("\n" if lines else "")
     return _deliver(text, stream, path)
 

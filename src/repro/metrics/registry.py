@@ -205,8 +205,12 @@ class MetricsRegistry:
         """Every instrument, sorted by (name, labels) — export order."""
         return [self._series[k] for k in sorted(self._series)]
 
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-data view of every series (the JSON exporter's input)."""
+    def snapshot(self, *, every_bucket: bool = False) -> dict[str, Any]:
+        """Plain-data view of every series (the JSON exporter's input).
+
+        Histogram buckets keep only the boundaries where the cumulative
+        count moves (plus +Inf); ``every_bucket`` keeps them all, as the
+        Prometheus scrape of a live registry lists them."""
         out: list[dict[str, Any]] = []
         for inst in self.series():
             entry: dict[str, Any] = {
@@ -222,7 +226,7 @@ class MetricsRegistry:
                 for b, c in inst.cumulative():
                     # Keep only boundaries where the cumulative count moves
                     # (plus +Inf), so empty tails don't bloat the export.
-                    if c != prev or b == float("inf"):
+                    if every_bucket or c != prev or b == float("inf"):
                         # JSON has no Infinity literal; Prometheus spelling.
                         buckets.append(
                             {"le": "+Inf" if b == float("inf") else b, "count": c}

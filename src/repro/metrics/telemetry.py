@@ -16,13 +16,13 @@ the disabled-mode overhead within the <5 % wall-clock budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.metrics.audit import PlacementAuditLog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.samplers import SamplerSet, TimeSeriesSampler
+from repro.util.validation import resolve_plane
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hms import HeterogeneousMemorySystem
@@ -60,42 +60,11 @@ class TelemetryConfig:
 
 
 def resolve_telemetry(value: Any) -> TelemetryConfig | None:
-    """Normalize anything spec-shaped into a config (or ``None`` = off).
-
-    Accepts ``None``/``False`` (off), ``True``/``"on"`` (defaults), a
-    mapping or JSON-object string of field overrides, or a ready
-    :class:`TelemetryConfig`.  Mirrors ``resolve_plan`` for faults so the
-    RunSpec treats both planes uniformly.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return TelemetryConfig()
-    if isinstance(value, TelemetryConfig):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text.lower() in ("on", "default", "true", "1"):
-            return TelemetryConfig()
-        if text.lower() in ("off", "false", "0", ""):
-            return None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"bad telemetry spec {value!r}: expected 'on', 'off' or a "
-                f"JSON object of TelemetryConfig fields ({exc})"
-            ) from None
-        return resolve_telemetry(data)
-    if isinstance(value, Mapping):
-        known = {f.name for f in fields(TelemetryConfig)}
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown telemetry config fields {unknown} (known: {sorted(known)})"
-            )
-        return TelemetryConfig(**dict(value))
-    raise TypeError(f"cannot interpret {type(value).__name__} as a telemetry config")
+    """Normalize anything spec-shaped into a config (or ``None`` = off):
+    ``None``/``False``, ``True``/``"on"``, a mapping or JSON-object string
+    of field overrides, or a ready :class:`TelemetryConfig` (see
+    :func:`repro.util.validation.resolve_plane`)."""
+    return resolve_plane(value, TelemetryConfig, "telemetry", "telemetry config")
 
 
 class Telemetry:

@@ -50,7 +50,7 @@ from repro.memory.migration import (
     MigrationRecord,
 )
 from repro.tasking.dataobj import DataObject
-from repro.tasking.graph import TaskGraph
+from repro.tasking.graph import AccessCSR, TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, SchedulingPolicy, make_scheduler
 from repro.tasking.task import Task
 from repro.tasking.trace import ExecutionTrace, TaskRecord
@@ -106,7 +106,7 @@ class PlacementPolicy(Protocol):
 
 
 def _timing_rows(
-    graph: TaskGraph, dram: MemoryDevice, nvm: MemoryDevice
+    csr: AccessCSR, dram: MemoryDevice, nvm: MemoryDevice
 ) -> tuple[tuple, ...]:
     """Per-task access rows with precomputed per-tier base times.
 
@@ -122,84 +122,12 @@ def _timing_rows(
       actually move bytes — the migration stall pass reads nothing else;
     - ``writer_uids``: traffic rows that write, for the dirty-bit pass.
 
-    Recomputed on every call; only the device-independent columns
-    below are memoized on the graph.
+    The device-independent columns come from the graph's access table,
+    so retiming one graph for another machine (what-if variants on an
+    interned graph, NVM sweeps) pays only the two vectorized law
+    evaluations below.
     """
-    # Device-independent traffic matrix, flattened across tasks: one
-    # column per access row holding the operands of the two timing laws.
-    # Built once per graph version — retiming the same graph for another
-    # machine (what-if variants on an interned graph, NVM sweeps) reuses
-    # it and pays only the two vectorized law evaluations below.
     from repro.memory.device import MISS_BASE_LATENCY_S
-    from repro.util.units import CACHELINE_BYTES
-
-    tm = graph.__dict__.get("_exec_traffic_memo")
-    if tm is None or tm[0] != graph._version:
-        counts: list[int] = []
-        uids: list[int] = []
-        writes_l: list[bool] = []
-        has_l: list[bool] = []
-        traffic_all: list[tuple] = []
-        writers_all: list[tuple] = []
-        loads: list[int] = []
-        stores: list[int] = []
-        hits: list[float] = []
-        mlps: list[float] = []
-        for t in graph.exec_core().tasks:
-            n = 0
-            traffic: list[tuple[int, bool]] = []
-            writer_uids: list[int] = []
-            for _obj, acc, uid, writes, has_traffic in t.exec_rows():
-                n += 1
-                uids.append(uid)
-                writes_l.append(writes)
-                has_l.append(has_traffic)
-                if has_traffic:
-                    traffic.append((uid, writes))
-                    if writes:
-                        writer_uids.append(uid)
-                pat = acc.pattern
-                loads.append(acc.loads)
-                stores.append(acc.stores)
-                hits.append(pat.hit_ratio)
-                mlps.append(pat.mlp)
-            counts.append(n)
-            traffic_all.append(tuple(traffic))
-            writers_all.append(tuple(writer_uids))
-        miss_loads = np.array(loads, dtype=np.float64) * (
-            1.0 - np.array(hits, dtype=np.float64)
-        )
-        miss_stores = np.array(stores, dtype=np.float64) * (
-            1.0 - np.array(hits, dtype=np.float64)
-        )
-        tm = graph._exec_traffic_memo = (
-            graph._version,
-            counts,
-            uids,
-            writes_l,
-            has_l,
-            traffic_all,
-            writers_all,
-            miss_loads,
-            miss_stores,
-            miss_loads * CACHELINE_BYTES,
-            miss_stores * CACHELINE_BYTES,
-            np.array(mlps, dtype=np.float64),
-        )
-    (
-        _ver,
-        counts,
-        uids,
-        writes_l,
-        has_l,
-        traffic_all,
-        writers_all,
-        miss_loads,
-        miss_stores,
-        read_tb,
-        write_tb,
-        mlp,
-    ) = tm
 
     def law_times(dev: MemoryDevice) -> tuple[list[float], list[float]]:
         # Same expression shape as ObjectAccess.base_times resolves to
@@ -207,24 +135,31 @@ def _timing_rows(
         # elementwise: IEEE-754 ops in the same order, so every pair is
         # bitwise what the scalar path produced.
         lat = (
-            miss_loads * (MISS_BASE_LATENCY_S + dev.read_latency_s)
-            + miss_stores * (MISS_BASE_LATENCY_S + dev.write_latency_s)
-        ) / mlp
-        bw = read_tb / dev.read_bandwidth + write_tb / dev.write_bandwidth
+            csr.miss_loads * (MISS_BASE_LATENCY_S + dev.read_latency_s)
+            + csr.miss_stores * (MISS_BASE_LATENCY_S + dev.write_latency_s)
+        ) / csr.mlp
+        bw = csr.read_bytes / dev.read_bandwidth + csr.write_bytes / dev.write_bandwidth
         return lat.tolist(), bw.tolist()
 
     lat_ds, bw_ds = law_times(dram)
     lat_ns, bw_ns = law_times(nvm)
 
-    rows_flat = list(zip(uids, writes_l, has_l, lat_ds, bw_ds, lat_ns, bw_ns))
-    rows_all = []
-    pos = 0
-    for ti, n in enumerate(counts):
-        rows_all.append(
-            (tuple(rows_flat[pos : pos + n]), traffic_all[ti], writers_all[ti])
+    rows_flat = list(
+        zip(
+            csr.obj_uid[csr.obj].tolist(),
+            csr.writes.tolist(),
+            csr.traffic.tolist(),
+            lat_ds,
+            bw_ds,
+            lat_ns,
+            bw_ns,
         )
-        pos += n
-    return tuple(rows_all)
+    )
+    bounds = csr.indptr.tolist()
+    return tuple(
+        (tuple(rows_flat[bounds[i] : bounds[i + 1]]), traffic, writers)
+        for i, (traffic, writers) in enumerate(zip(csr.task_traffic, csr.task_writers))
+    )
 
 
 class ExecContext:
@@ -510,7 +445,7 @@ class Executor:
 
             # Export-side uid normalization: uids come from a process-global
             # counter, so digest equality across runs needs per-run ids.
-            telemetry.uid_map = {obj.uid: i for i, obj in enumerate(graph.objects)}
+            telemetry.uid_map = {obj.uid: i for i, obj in enumerate(core.objects)}
             telemetry.begin_run(
                 hms,
                 engine,
@@ -523,7 +458,7 @@ class Executor:
         # Initial placement: the policy places what it wants; everything
         # else lands on the NVM backing tier.
         policy.on_run_start(ctx)
-        for obj in graph.objects:
+        for obj in core.objects:
             if not hms.is_placed(obj):
                 hms.allocate(obj, hms.nvm)
 
@@ -563,7 +498,7 @@ class Executor:
         # Loop-invariant bindings for the dispatch loop: attribute and
         # bound-method lookups on these dominate the per-task overhead of
         # small-task graphs, and none of them can change mid-run.
-        rows_all = _timing_rows(graph, hms.dram, hms.nvm)
+        rows_all = _timing_rows(core.accesses, hms.dram, hms.nvm)
         dram_name = hms.dram.name
         nvm_name = hms.nvm.name
         placements = hms._placements

@@ -6,18 +6,22 @@ would: a reader depends on the last writer (RAW), a writer depends on the
 last writer (WAW) and on every reader since (WAR).  Spawn order is thus a
 topological order by construction, which the executor and the data
 manager's lookahead both exploit.
+
+Everything derived from a graph's structure lives in one place: the
+:class:`GraphExecCore` snapshot that :meth:`TaskGraph.exec_core` rebuilds
+whenever the graph mutates.  No other module caches per-graph state.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.tasking.access import AccessMode
+from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
 
@@ -26,29 +30,125 @@ __all__ = ["TaskGraph", "GraphExecCore", "AccessCSR"]
 
 @dataclass(frozen=True)
 class AccessCSR:
-    """Every declared access of a graph as flat arrays (CSR by task).
+    """Every declared access of a graph as flat columns (CSR by task).
 
     Row ``indptr[i]:indptr[i + 1]`` holds task ``i``'s accesses (dense
     spawn-order index, as in :class:`GraphExecCore`) in declaration
     order.  Objects get dense indices in first-touch order over the
-    spawn order.  The data manager's per-replan passes (demand
-    projection, first-use offsets, parallel slack) gather from these
-    arrays instead of walking ``Task`` objects.
+    spawn order.  Two readers share the table: the executor's dispatch
+    loop (the timing-law operands and the per-task traffic and writer
+    rows) and the data manager's per-replan passes (demand projection,
+    first-use offsets), which gather from the arrays instead of walking
+    ``Task`` objects.  Columns only the manager reads are derived on
+    first use.
     """
 
     indptr: np.ndarray  #: int64 row pointers (len = n_tasks + 1)
     obj: np.ndarray  #: int64 dense object index per access
-    #: int64 per access: how many earlier accesses (spawn order) touch
-    #: the same object.
-    rank: np.ndarray
-    slot: np.ndarray  #: int64 declaration position within its task
+    writes: np.ndarray  #: bool: the access's mode writes
     traffic: np.ndarray  #: bool: the access has nonzero counted traffic
-    type_id: np.ndarray  #: int64 per task, indexes ``type_names``
-    type_names: tuple[str, ...]  #: sorted distinct task type names
-    depth: np.ndarray  #: int64 longest-path DAG depth per task (roots 0)
+    #: float64 per access, the operands of the two timing laws
+    #: (``ObjectAccess.miss_loads``/``miss_stores``/``read_traffic_bytes``
+    #: /``write_traffic_bytes`` and the pattern's MLP).
+    miss_loads: np.ndarray
+    miss_stores: np.ndarray
+    read_bytes: np.ndarray
+    write_bytes: np.ndarray
+    mlp: np.ndarray
+    #: Per task, ``(uid, writes)`` of its accesses with traffic — all the
+    #: executor's migration-stall pass reads.
+    task_traffic: tuple[tuple[tuple[int, bool], ...], ...]
+    #: Per task, the uids of its traffic accesses that write (dirty bits).
+    task_writers: tuple[tuple[int, ...], ...]
     obj_uid: np.ndarray  #: int64 uid per dense object index
     obj_index: dict[int, int]  #: uid -> dense object index
     obj_size: np.ndarray  #: int64 size in bytes per dense object index
+
+    @classmethod
+    def build(cls, tasks: tuple[Task, ...]) -> "AccessCSR":
+        """One walk over every task's ``accesses``, in spawn order."""
+        obj_index: dict[int, int] = {}
+        obj_uid: list[int] = []
+        obj_size: list[int] = []
+        counts: list[int] = []
+        objs: list[int] = []
+        writes_l: list[bool] = []
+        traffic_l: list[bool] = []
+        miss_loads: list[float] = []
+        miss_stores: list[float] = []
+        read_bytes: list[float] = []
+        write_bytes: list[float] = []
+        mlps: list[float] = []
+        task_traffic: list[tuple[tuple[int, bool], ...]] = []
+        task_writers: list[tuple[int, ...]] = []
+        read_mode = AccessMode.READ
+        for t in tasks:
+            traffic: list[tuple[int, bool]] = []
+            writers: list[int] = []
+            for obj, acc in t.accesses.items():
+                uid = obj.uid
+                k = obj_index.get(uid)
+                if k is None:
+                    k = obj_index[uid] = len(obj_uid)
+                    obj_uid.append(uid)
+                    obj_size.append(obj.size_bytes)
+                objs.append(k)
+                writes = acc.mode is not read_mode
+                has_traffic = acc.accesses > 0
+                writes_l.append(writes)
+                traffic_l.append(has_traffic)
+                if has_traffic:
+                    traffic.append((uid, writes))
+                    if writes:
+                        writers.append(uid)
+                miss_loads.append(acc.miss_loads)
+                miss_stores.append(acc.miss_stores)
+                read_bytes.append(acc.read_traffic_bytes)
+                write_bytes.append(acc.write_traffic_bytes)
+                mlps.append(acc.pattern.mlp)
+            counts.append(len(t.accesses))
+            task_traffic.append(tuple(traffic))
+            task_writers.append(tuple(writers))
+        indptr = np.zeros(len(tasks) + 1, dtype=np.int64)
+        np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
+        f64 = np.float64
+        return cls(
+            indptr=indptr,
+            obj=np.array(objs, dtype=np.int64),
+            writes=np.array(writes_l, dtype=np.bool_),
+            traffic=np.array(traffic_l, dtype=np.bool_),
+            miss_loads=np.array(miss_loads, dtype=f64),
+            miss_stores=np.array(miss_stores, dtype=f64),
+            read_bytes=np.array(read_bytes, dtype=f64),
+            write_bytes=np.array(write_bytes, dtype=f64),
+            mlp=np.array(mlps, dtype=f64),
+            task_traffic=tuple(task_traffic),
+            task_writers=tuple(task_writers),
+            obj_uid=np.array(obj_uid, dtype=np.int64),
+            obj_index=obj_index,
+            obj_size=np.array(obj_size, dtype=np.int64),
+        )
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """int64 declaration position of each access within its task."""
+        starts = self.indptr[:-1]
+        return np.arange(len(self.obj), dtype=np.int64) - np.repeat(
+            starts, np.diff(self.indptr)
+        )
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """int64 per access: how many earlier accesses (spawn order)
+        touch the same object."""
+        order = np.argsort(self.obj, kind="stable")
+        grouped = self.obj[order]
+        n = len(grouped)
+        first = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        group_start = np.repeat(first, np.diff(np.append(first, n)))
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64) - group_start
+        return rank
 
     def gather(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Access-row indices of ``tasks`` (dense indices), concatenated
@@ -76,7 +176,7 @@ class AccessCSR:
         lo = int(tasks[0])
         objs = self.obj[rows]
         before = np.bincount(self.obj[: self.indptr[lo]], minlength=len(self.obj_uid))
-        gathered = np.zeros(len(self.type_id) - lo, dtype=np.bool_)
+        gathered = np.zeros(len(self.indptr) - 1 - lo, dtype=np.bool_)
         gathered[tasks - lo] = True
         left_out, _ = self.gather(np.flatnonzero(~gathered) + lo)
         n_rows = len(self.obj)
@@ -88,84 +188,90 @@ class AccessCSR:
 
 @dataclass(frozen=True)
 class GraphExecCore:
-    """Structure-of-arrays snapshot of a graph for the executor hot loop.
+    """Snapshot of one graph version: the home of every derived table.
 
-    Tasks get dense indices in spawn order; dependence structure is a CSR
-    adjacency (``succ_indptr``/``succ_indices``) with per-task successor
-    tuples alongside for cheap small-fanout iteration.  ``indeg0`` holds
-    the initial unresolved-dependency count per task — the executor copies
-    it and decrements the copy as completions drain.  Rebuilt lazily when
-    the graph's structure version moves (same idiom as the other derived-
-    query caches).
+    Tasks get dense indices in spawn order, with per-task successor
+    tuples (tid order) and the initial unresolved-dependency count per
+    task in ``indeg0`` — the executor copies it and decrements the copy
+    as completions drain.  Everything else — the access table, Kahn
+    order, depths, task types, the uid -> object map and the initial
+    DRAM sets — is derived on first use and lives as long as the
+    snapshot: :meth:`TaskGraph.exec_core` builds a new one when the
+    graph mutates, so nothing here can go stale.
     """
 
     tasks: tuple[Task, ...]
     index: dict[int, int]  #: tid -> dense index (spawn order)
     indeg0: np.ndarray  #: int32 initial in-degree per dense index
     succ: tuple[tuple[int, ...], ...]  #: dense successor indices, tid order
-    succ_indptr: np.ndarray  #: int32 CSR row pointers (len = n_tasks + 1)
-    succ_indices: np.ndarray  #: int32 CSR column indices (tid order per row)
+    objects: tuple[DataObject, ...]  #: every registered object, first-touch order
+    _initial_sets: dict[int, tuple[DataObject, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def accesses(self) -> AccessCSR:
-        """The access CSR, built on first use: only managed runs read it,
-        so static-policy runs never pay for it."""
-        tasks = self.tasks
-        n = len(tasks)
-        obj_index: dict[int, int] = {}
-        obj_uid: list[int] = []
-        obj_size: list[int] = []
-        counts: list[int] = []
-        objs: list[int] = []
-        ranks: list[int] = []
-        touches: list[int] = []  # per object, accesses so far
-        slots: list[int] = []
-        traffic: list[bool] = []
-        for t in tasks:
-            rows = t.exec_rows()
-            counts.append(len(rows))
-            for j, (obj, _acc, uid, _writes, has_traffic) in enumerate(rows):
-                k = obj_index.get(uid)
-                if k is None:
-                    k = obj_index[uid] = len(obj_uid)
-                    obj_uid.append(uid)
-                    obj_size.append(obj.size_bytes)
-                    touches.append(0)
-                objs.append(k)
-                ranks.append(touches[k])
-                touches[k] += 1
-                slots.append(j)
-                traffic.append(has_traffic)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
-        type_names = tuple(sorted({t.type_name for t in tasks}))
-        type_of = {name: i for i, name in enumerate(type_names)}
-        # Longest-path depth in a Kahn order over the successor rows
-        # (equal to ``TaskGraph.depths`` whatever the topological order).
+        """The access table (one walk over every task's accesses)."""
+        return AccessCSR.build(self.tasks)
+
+    @cached_property
+    def by_uid(self) -> dict[int, DataObject]:
+        """uid -> registered object."""
+        return {o.uid: o for o in self.objects}
+
+    @cached_property
+    def topo(self) -> tuple[int, ...]:
+        """Kahn order as dense indices: roots in tid order, then each
+        task as its last predecessor leaves the queue."""
         indeg = self.indeg0.tolist()
-        depth = [0] * n
-        ready = [i for i in range(n) if indeg[i] == 0]
-        for i in ready:
+        tids = [t.tid for t in self.tasks]
+        order = sorted((i for i, d in enumerate(indeg) if not d), key=tids.__getitem__)
+        succ = self.succ
+        for i in order:
+            for s in succ[i]:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    order.append(s)
+        if len(order) != len(indeg):
+            raise ValueError("task graph contains a cycle")
+        return tuple(order)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """int64 longest-path DAG depth per task (roots 0)."""
+        depth = [0] * len(self.tasks)
+        succ = self.succ
+        for i in self.topo:
             d = depth[i] + 1
-            for s in self.succ[i]:
+            for s in succ[i]:
                 if depth[s] < d:
                     depth[s] = d
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        return AccessCSR(
-            indptr=indptr,
-            obj=np.array(objs, dtype=np.int64),
-            rank=np.array(ranks, dtype=np.int64),
-            slot=np.array(slots, dtype=np.int64),
-            traffic=np.array(traffic, dtype=np.bool_),
-            type_id=np.array([type_of[t.type_name] for t in tasks], dtype=np.int64),
-            type_names=type_names,
-            depth=np.array(depth, dtype=np.int64),
-            obj_uid=np.array(obj_uid, dtype=np.int64),
-            obj_index=obj_index,
-            obj_size=np.array(obj_size, dtype=np.int64),
-        )
+        return np.array(depth, dtype=np.int64)
+
+    @cached_property
+    def type_names(self) -> tuple[str, ...]:
+        """Sorted distinct task type names."""
+        return tuple(sorted({t.type_name for t in self.tasks}))
+
+    @cached_property
+    def type_id(self) -> np.ndarray:
+        """int64 per task, indexes :attr:`type_names`."""
+        type_of = {name: i for i, name in enumerate(self.type_names)}
+        return np.array([type_of[t.type_name] for t in self.tasks], dtype=np.int64)
+
+    def initial_dram_objects(self, capacity_bytes: int) -> tuple[DataObject, ...]:
+        """The objects :func:`repro.core.initial.initial_placement` puts
+        in a DRAM of ``capacity_bytes``, in graph order.  A pure function
+        of the object list and the budget, kept per capacity: runs on an
+        interned graph share it."""
+        chosen = self._initial_sets.get(capacity_bytes)
+        if chosen is None:
+            from repro.core.initial import initial_placement
+
+            uids = initial_placement(self.objects, capacity_bytes)
+            chosen = tuple(o for o in self.objects if o.uid in uids)
+            self._initial_sets[capacity_bytes] = chosen
+        return chosen
 
 
 class TaskGraph:
@@ -181,35 +287,12 @@ class TaskGraph:
         self._readers_since_write: dict[int, list[Task]] = defaultdict(list)
         # Object registry in first-touch order.
         self._objects: dict[int, DataObject] = {}
-        # Monotonic structure version; every mutation bumps it and the
-        # derived-query caches below revalidate against it.  The executor
-        # asks for successors/objects/topological order in its inner loop,
-        # and rebuilding those per call dominated the graph-side profile.
+        # Monotonic structure version: every mutation bumps it, and
+        # exec_core() rebuilds its snapshot when it moved.
         self._version = 0
-        self._succ_cache: dict[int, list[Task]] = {}
-        self._pred_cache: dict[int, list[Task]] = {}
-        self._objects_cache: list[DataObject] | None = None
-        self._topo_cache: list[Task] | None = None
-        self._depths_cache: dict[int, int] | None = None
-        self._exec_core_cache: GraphExecCore | None = None
-        self._cache_version = -1
-
-    def invalidate_caches(self) -> None:
-        """Bump the structure version (for external in-place transforms
-        such as partitioning, which rewrite ``_objects`` directly)."""
-        self._version += 1
-
-    def _caches(self) -> "TaskGraph":
-        """Reset derived-query caches if the structure moved on."""
-        if self._cache_version != self._version:
-            self._succ_cache.clear()
-            self._pred_cache.clear()
-            self._objects_cache = None
-            self._topo_cache = None
-            self._depths_cache = None
-            self._exec_core_cache = None
-            self._cache_version = self._version
-        return self
+        self._core: tuple[int, GraphExecCore] | None = None
+        # Chunk size of the last partitioning pass (see repartition).
+        self._partitioned_at: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -282,6 +365,33 @@ class TaskGraph:
         for t in tasks:
             self.add(t)
 
+    @property
+    def partitioned_at(self) -> int | None:
+        """Chunk size of the last :meth:`repartition` (``None``: never)."""
+        return self._partitioned_at
+
+    def repartition(
+        self,
+        chunk_bytes: int,
+        chunks: dict[int, list[DataObject]],
+        accesses: dict[int, dict[DataObject, ObjectAccess]],
+    ) -> None:
+        """Install a partitioning pass (see
+        :func:`repro.core.partition.partition_graph`): each split object
+        (by uid) gives way to its ``chunks`` in the object registry, each
+        rewritten task (by tid) gets its new access map, and the graph is
+        marked as partitioned at ``chunk_bytes``.  Dependence edges are
+        left as they are."""
+        for tid, new_accesses in accesses.items():
+            self._by_tid[tid].accesses = new_accesses
+        for uid, parts in chunks.items():
+            del self._objects[uid]
+            for chunk in parts:
+                self._objects[chunk.uid] = chunk
+        self._partitioned_at = chunk_bytes
+        if chunks:
+            self._version += 1
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -295,75 +405,49 @@ class TaskGraph:
         return self._by_tid[tid]
 
     def successors(self, task: Task) -> list[Task]:
-        """Successor tasks in tid order.  The list is cached per tid until
-        the next graph mutation — callers must not mutate it."""
-        cache = self._caches()._succ_cache
-        succ = cache.get(task.tid)
-        if succ is None:
-            succ = cache[task.tid] = [
-                self._by_tid[t] for t in sorted(self._succ[task.tid])
-            ]
-        return succ
+        """Successor tasks in tid order."""
+        return [self._by_tid[t] for t in sorted(self._succ[task.tid])]
 
     def predecessors(self, task: Task) -> list[Task]:
-        """Predecessor tasks in tid order (cached like :meth:`successors`)."""
-        cache = self._caches()._pred_cache
-        pred = cache.get(task.tid)
-        if pred is None:
-            pred = cache[task.tid] = [
-                self._by_tid[t] for t in sorted(self._pred[task.tid])
-            ]
-        return pred
+        """Predecessor tasks in tid order."""
+        return [self._by_tid[t] for t in sorted(self._pred[task.tid])]
 
     def in_degree(self, task: Task) -> int:
         return len(self._pred[task.tid])
 
     @property
     def objects(self) -> list[DataObject]:
-        """All data objects touched by any task, in first-touch order.
-        Cached until the next graph mutation; callers must not mutate it."""
-        objs = self._caches()._objects_cache
-        if objs is None:
-            objs = self._objects_cache = list(self._objects.values())
-        return objs
+        """All data objects touched by any task, in first-touch order."""
+        return list(self._objects.values())
 
     def total_object_bytes(self) -> int:
         return sum(o.size_bytes for o in self._objects.values())
 
     def exec_core(self) -> GraphExecCore:
-        """The SoA execution core for this graph (cached per version).
+        """The snapshot of the current graph version (rebuilt when the
+        graph has mutated since the last call).
 
         Successor rows are in tid order, matching :meth:`successors`, so
         the executor's completion drain enables tasks in the same order
         whichever representation it walks.
         """
-        core = self._caches()._exec_core_cache
-        if core is not None:
-            return core
+        cached = self._core
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         tasks = tuple(self.tasks)
         index = {t.tid: i for i, t in enumerate(tasks)}
-        n = len(tasks)
-        indeg0 = np.fromiter(
-            (len(self._pred[t.tid]) for t in tasks), dtype=np.int32, count=n
-        )
-        succ = tuple(
-            tuple(index[s] for s in sorted(self._succ[t.tid])) for t in tasks
-        )
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        for i, row in enumerate(succ):
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = np.fromiter(
-            (s for row in succ for s in row), dtype=np.int32, count=int(indptr[-1])
-        )
         core = GraphExecCore(
             tasks=tasks,
             index=index,
-            indeg0=indeg0,
-            succ=succ,
-            succ_indptr=indptr,
-            succ_indices=indices,
+            indeg0=np.fromiter(
+                (len(self._pred[t.tid]) for t in tasks), dtype=np.int32, count=len(tasks)
+            ),
+            succ=tuple(
+                tuple(index[s] for s in sorted(self._succ[t.tid])) for t in tasks
+            ),
+            objects=tuple(self._objects.values()),
         )
-        self._exec_core_cache = core
+        self._core = (self._version, core)
         return core
 
     def roots(self) -> list[Task]:
@@ -377,28 +461,9 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def topological_order(self) -> list[Task]:
         """Kahn topological order (equals spawn order for well-formed use,
-        but recomputed here for validation).  Cached until the next graph
-        mutation; callers must not mutate the returned list."""
-        topo = self._caches()._topo_cache
-        if topo is not None:
-            return topo
-        indeg = {t.tid: len(self._pred[t.tid]) for t in self.tasks}
-        ready = [t for t in self.tasks if indeg[t.tid] == 0]
-        order: list[Task] = []
-        i = 0
-        ready.sort(key=lambda t: t.tid)
-        while i < len(ready):
-            t = ready[i]
-            i += 1
-            order.append(t)
-            for s in sorted(self._succ[t.tid]):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(self._by_tid[s])
-        if len(order) != len(self.tasks):
-            raise ValueError("task graph contains a cycle")
-        self._topo_cache = order
-        return order
+        but recomputed here for validation)."""
+        core = self.exec_core()
+        return [core.tasks[i] for i in core.topo]
 
     def critical_path(self, duration: Callable[[Task], float]) -> tuple[float, list[Task]]:
         """Longest path through the DAG under ``duration`` (ignores worker
@@ -426,17 +491,9 @@ class TaskGraph:
         return finish[end_tid], list(reversed(path))
 
     def depths(self) -> dict[int, int]:
-        """Longest-path depth of every task (roots at 0).  Cached until
-        the next graph mutation."""
-        cached = self._caches()._depths_cache
-        if cached is not None:
-            return cached
-        depths: dict[int, int] = {}
-        for t in self.topological_order():
-            preds = self._pred[t.tid]
-            depths[t.tid] = 1 + max((depths[p] for p in preds), default=-1)
-        self._depths_cache = depths
-        return depths
+        """Longest-path depth of every task (roots at 0), by tid."""
+        core = self.exec_core()
+        return {t.tid: d for t, d in zip(core.tasks, core.depth.tolist())}
 
     def bottom_levels(self, duration: Callable[[Task], float]) -> dict[int, float]:
         """Length of the longest downward path from each task (HEFT rank)."""

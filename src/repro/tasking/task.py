@@ -62,14 +62,7 @@ class Task:
 
     @property
     def total_accesses(self) -> int:
-        # Cached like exec_rows (the profiler reads this per sample pass);
-        # add_access drops it.
-        t = self.__dict__.get("_total_accesses")
-        if t is None:
-            t = self.__dict__["_total_accesses"] = sum(
-                a.accesses for a in self.accesses.values()
-            )
-        return t
+        return sum(a.accesses for a in self.accesses.values())
 
     def access_of(self, obj: DataObject) -> ObjectAccess:
         return self.accesses[obj]
@@ -80,24 +73,6 @@ class Task:
             self.accesses[obj] = merge_accesses(self.accesses[obj], access)
         else:
             self.accesses[obj] = access
-        self.__dict__.pop("_exec_rows", None)
-        self.__dict__.pop("_total_accesses", None)
-
-    def exec_rows(self) -> tuple[tuple[DataObject, ObjectAccess, int, bool, bool], ...]:
-        """Flattened access rows for the executor's dispatch loop.
-
-        One ``(obj, access, uid, writes, has_traffic)`` row per declared
-        access, in declaration order.  Tasks are immutable once a graph is
-        built, so the rows are cached on the instance; :meth:`add_access`
-        (the only mutator) drops the cache.
-        """
-        rows = self.__dict__.get("_exec_rows")
-        if rows is None:
-            rows = self.__dict__["_exec_rows"] = tuple(
-                (obj, acc, obj.uid, acc.mode.writes, acc.accesses > 0)
-                for obj, acc in self.accesses.items()
-            )
-        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task({self.name!r}, type={self.type_name!r}, tid={self.tid})"

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.baselines import NVMOnlyPolicy
 from repro.core.demand import DemandBatch
 from repro.core.initial import initial_placement
 from repro.core.lookahead import estimate_start_offsets, first_use_offsets
+from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.models import ObjectStats
 from repro.core.partition import partition_graph
 from repro.core.placement import (
@@ -18,8 +20,10 @@ from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.footprints import read_footprint, update_footprint
 from repro.tasking.graph import TaskGraph
+from repro.tasking.runtime import TaskRuntime
 from repro.tasking.task import Task
 from repro.util.units import MIB
+from repro.workloads.base import build
 
 
 class TestPartitionGraph:
@@ -91,6 +95,38 @@ class TestPartitionGraph:
         g, *_ = self._graph()
         with pytest.raises(ValueError):
             partition_graph(g, 0)
+
+    def test_partition_after_a_run_retimes_the_chunks(self):
+        """A graph that already ran unpartitioned, then under a
+        partitioning policy: every run times the current chunks, never
+        a stale access table of the original objects."""
+        fft = build("fft").graph
+        rt = TaskRuntime()
+        rt.run(NVMOnlyPolicy(), graph=fft)
+        trace = rt.run(
+            DataManagerPolicy(ManagerConfig(partition_max_bytes=16 * MIB)), graph=fft
+        )
+        trace.validate()
+        assert fft.partitioned_at == 16 * MIB
+        fresh = partition_graph(build("fft").graph, 16 * MIB)
+        assert rt.run(NVMOnlyPolicy(), graph=fft).makespan == (
+            rt.run(NVMOnlyPolicy(), graph=fresh).makespan
+        )
+
+    def test_runs_and_partitions_add_no_graph_attributes(self):
+        """Derived state lives in the graph's snapshot, never as
+        attributes that runs or partitioning attach to the graph."""
+        graph = build("fft").graph
+        keys = set(vars(graph))
+        task_keys = [set(vars(t)) for t in graph.tasks]
+        rt = TaskRuntime()
+        rt.run(DataManagerPolicy(), graph=graph)
+        assert set(vars(graph)) == keys
+        rt.run(NVMOnlyPolicy(), graph=graph)
+        assert set(vars(graph)) == keys
+        partition_graph(graph, 16 * MIB)
+        assert set(vars(graph)) == keys
+        assert [set(vars(t)) for t in graph.tasks] == task_keys
 
 
 class TestInitialPlacement:

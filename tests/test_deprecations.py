@@ -1,9 +1,7 @@
-"""Deprecation machinery and the retired shims around the frozen API.
+"""The retired shims around the frozen API.
 
-The suite-wide ``filterwarnings = error::…ReproDeprecationWarning`` in
-pyproject.toml turns any *unasserted* use of a deprecated form into a
-hard failure.  No shim is live today; these tests pin that the expired
-ones are gone and fail with a hint rather than silently working.
+No shim is live today; these tests pin that the expired ones are gone
+and fail with a hint rather than silently working.
 """
 
 import pytest
@@ -14,7 +12,6 @@ from repro.memory.migration import MigrationEngine
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.executor import ExecContext, Executor, ExecutorConfig
 from repro.tasking.scheduler import LIFOPolicy, make_scheduler
-from repro.util.deprecation import ReproDeprecationWarning
 
 from tests.helpers import make_fork_join_graph
 
@@ -25,11 +22,6 @@ def _context():
     cfg = ExecutorConfig(n_workers=2)
     engine = MigrationEngine(overhead_s=cfg.migration_overhead_s)
     return graph, ExecContext(graph, hms, engine, cfg)
-
-
-class TestWarningCategory:
-    def test_is_a_deprecation_warning(self):
-        assert issubclass(ReproDeprecationWarning, DeprecationWarning)
 
 
 class TestContextListShimsRemoved:

@@ -171,6 +171,38 @@ class TestExporterEscaping:
 
         assert parse_labels_str(row["labels"]) == self.NASTY
 
+    def test_prom_registry_scrape_is_pinned(self):
+        """A live registry renders through its snapshot (every bucket)
+        plus its HELP text; the bytes are pinned, flat bucket runs and
+        escaping included."""
+        reg = MetricsRegistry()
+        reg.counter(
+            "copies_total", labels={"dst": "dram"}, help='Copies "issued"\nper tier'
+        ).inc(3)
+        reg.gauge("lane_backlog_seconds", labels={"lane": 'helper "0"'}).set(0.25)
+        hist = reg.histogram(
+            "task_seconds", help="Task time", bounds=(1e-3, 5e-3, 0.1, 1.0, 5e-6)
+        )
+        hist.observe(0.002)
+        hist.observe(0.5)
+        assert to_prometheus(reg) == (
+            '# HELP repro_copies_total Copies "issued"\\nper tier\n'
+            "# TYPE repro_copies_total counter\n"
+            'repro_copies_total{dst="dram"} 3.0\n'
+            "# TYPE repro_lane_backlog_seconds gauge\n"
+            'repro_lane_backlog_seconds{lane="helper \\"0\\""} 0.25\n'
+            "# HELP repro_task_seconds Task time\n"
+            "# TYPE repro_task_seconds histogram\n"
+            'repro_task_seconds_bucket{le="5e-06"} 0\n'
+            'repro_task_seconds_bucket{le="0.001"} 0\n'
+            'repro_task_seconds_bucket{le="0.005"} 1\n'
+            'repro_task_seconds_bucket{le="0.1"} 1\n'
+            'repro_task_seconds_bucket{le="1.0"} 2\n'
+            'repro_task_seconds_bucket{le="+Inf"} 2\n'
+            "repro_task_seconds_sum 0.502\n"
+            "repro_task_seconds_count 2\n"
+        )
+
     def test_prom_help_keeps_quotes_verbatim(self):
         reg = MetricsRegistry()
         reg.counter("hits", help='Counts "hits" per tier \\ tenant').inc()

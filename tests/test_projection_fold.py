@@ -177,7 +177,7 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
     }
 
     # Demand projection, both scopes.
-    got = policy._demand_stats_split(csr, remaining, window, need_window)
+    got = policy._demand_stats_split(core, remaining, window, need_window)
     want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
     for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
         assert_batch_bitwise(g_batch, w_batch)
@@ -187,11 +187,11 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
     # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
     durations = {
         name: models[name][0] if models.get(name) is not None else 1e-4
-        for name in csr.type_names
+        for name in core.type_names
     }
     got_fu = first_use_offsets_split(
-        csr, remaining, window,
-        np.array([durations[n] for n in csr.type_names]), n_workers,
+        core, remaining, window,
+        np.array([durations[n] for n in core.type_names]), n_workers,
     )
     want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
     for g_scope, w_scope in zip(got_fu, want_fu):
@@ -200,20 +200,31 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
         ]
 
     # Parallel slack over the full horizon and the window.
-    depths = graph.depths()
+    depths = spawn_order_depths(graph)
     for scope in (remaining, remaining[:window]):
-        got_slack = DataManagerPolicy._parallel_slack(csr.depth[scope], n_workers)
+        got_slack = DataManagerPolicy._parallel_slack(core.depth[scope], n_workers)
         want_slack = parallel_slack_ref(
             tuple(core.tasks[i] for i in scope.tolist()), depths, n_workers
         )
         assert bits(got_slack) == bits(want_slack)
 
 
+def spawn_order_depths(graph: TaskGraph) -> dict[int, int]:
+    """Longest-path depth per tid, one pass in spawn order (a
+    topological order): the scalar definition the core's Kahn pass
+    must reproduce."""
+    depths: dict[int, int] = {}
+    for t in graph.tasks:
+        depths[t.tid] = 1 + max((depths[p.tid] for p in graph.predecessors(t)), default=-1)
+    return depths
+
+
 def test_csr_depth_matches_graph_depths() -> None:
     graph = build_graph(200, 8, 3, True)
     core = graph.exec_core()
-    depths = graph.depths()
-    assert core.accesses.depth.tolist() == [depths[t.tid] for t in core.tasks]
+    depths = spawn_order_depths(graph)
+    assert core.depth.tolist() == [depths[t.tid] for t in core.tasks]
+    assert graph.depths() == depths
 
 
 def test_remaining_indices_track_the_frontier() -> None:
