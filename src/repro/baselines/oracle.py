@@ -21,14 +21,14 @@ from repro.tasking.executor import ExecContext
 
 __all__ = ["OracleStaticPolicy"]
 
+#: Fraction of DRAM the oracle's knapsack may fill.
+CAPACITY_FRACTION = 0.98
+
 
 class OracleStaticPolicy(BasePolicy):
     """Exact-benefit static knapsack (not realizable; evaluation only)."""
 
     name = "oracle-static"
-
-    def __init__(self, capacity_fraction: float = 0.98):
-        self.capacity_fraction = capacity_fraction
 
     def on_run_start(self, ctx: ExecContext) -> None:
         objs = ctx.graph.objects
@@ -38,7 +38,7 @@ class OracleStaticPolicy(BasePolicy):
                 benefit[obj.uid] += acc.memory_time(ctx.nvm) - acc.memory_time(ctx.dram)
         values = [benefit[o.uid] for o in objs]
         sizes = [o.size_bytes for o in objs]
-        budget = int(ctx.dram.capacity_bytes * self.capacity_fraction)
+        budget = int(ctx.dram.capacity_bytes * CAPACITY_FRACTION)
         mask = solve_knapsack(values, sizes, budget, granularity=1024)
         for obj, keep in zip(objs, mask):
             if keep and ctx.hms.dram_fits(obj.size_bytes):

@@ -84,11 +84,8 @@ class RandomPolicy(BasePolicy):
 
     name = "random"
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
     def on_run_start(self, ctx: ExecContext) -> None:
-        rng = spawn_rng(self.seed, "random-policy")
+        rng = spawn_rng(0, "random-policy")
         objs = list(ctx.graph.objects)
         rng.shuffle(objs)
         for obj in objs:

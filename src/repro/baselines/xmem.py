@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro.baselines.policies import BasePolicy
 from repro.profiling.counters import GroundTruthCounters
 from repro.tasking.executor import ExecContext
-from repro.tasking.graph import TaskGraph
 
 __all__ = ["XMemPolicy"]
 
@@ -32,19 +31,12 @@ class XMemPolicy(BasePolicy):
 
     name = "xmem"
 
-    def __init__(self, graph: TaskGraph | None = None):
-        #: Offline profile; computed lazily from the executed graph when not
-        #: supplied (the offline run sees the same program).
-        self._graph = graph
-        self._counters: GroundTruthCounters | None = None
-
     def on_run_start(self, ctx: ExecContext) -> None:
-        graph = self._graph if self._graph is not None else ctx.graph
-        self._counters = GroundTruthCounters.profile_graph(graph)
+        # The offline profile: exact counts over the executed graph (the
+        # offline run sees the same program).
+        counters = GroundTruthCounters.profile_graph(ctx.graph)
         by_uid = ctx.graph.exec_core().by_uid
-        for uid in self._counters.hottest_first():
-            obj = by_uid.get(uid)
-            if obj is None:
-                continue
+        for uid in counters.hottest_first():
+            obj = by_uid[uid]
             if ctx.hms.dram_fits(obj.size_bytes):
                 ctx.place_initial(obj, ctx.dram)

@@ -55,7 +55,6 @@ class DemandBatch:
         "dram_frac",
         "in_dram",
         "first_use_offset",
-        "_uid_list",
     )
 
     def __init__(
@@ -87,7 +86,6 @@ class DemandBatch:
         self.in_dram = in_dram
         #: float column; ``None`` until :meth:`with_placement` attaches it.
         self.first_use_offset = first_use_offset
-        self._uid_list: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -107,7 +105,7 @@ class DemandBatch:
         dram_frac: Sequence[float],
     ) -> "DemandBatch":
         """Freeze accumulator columns (plain Python lists) into arrays."""
-        batch = cls(
+        return cls(
             np.asarray(uid, dtype=np.int64),
             np.asarray(size_bytes, dtype=np.int64),
             np.asarray(loads, dtype=np.float64),
@@ -119,9 +117,6 @@ class DemandBatch:
             np.asarray(mem_seconds, dtype=np.float64),
             np.asarray(dram_frac, dtype=np.float64),
         )
-        if isinstance(uid, list):
-            batch._uid_list = uid
-        return batch
 
     @classmethod
     def empty(cls) -> "DemandBatch":
@@ -157,7 +152,7 @@ class DemandBatch:
         construction), so attaching per-plan machine state costs two
         array references, not a copy of the projection.
         """
-        view = DemandBatch(
+        return DemandBatch(
             self.uid,
             self.size_bytes,
             self.loads,
@@ -171,22 +166,12 @@ class DemandBatch:
             in_dram=np.asarray(in_dram, dtype=np.bool_),
             first_use_offset=np.asarray(first_use_offset, dtype=np.float64),
         )
-        view._uid_list = self._uid_list
-        return view
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.uid.shape[0])
-
-    @property
-    def uid_list(self) -> list[int]:
-        """The uid column as Python ints (cached; plan-dict key order)."""
-        cached = self._uid_list
-        if cached is None:
-            cached = self._uid_list = self.uid.tolist()
-        return cached
 
     def to_demands(self) -> list["ObjectDemand"]:
         """Reconstruct the list-of-:class:`ObjectDemand` form.
@@ -203,7 +188,7 @@ class DemandBatch:
         in_dram_l = in_dram.tolist() if in_dram is not None else [False] * n
         first_l = first.tolist() if first is not None else [0.0] * n
         out: list[ObjectDemand] = []
-        for i, uid in enumerate(self.uid_list):
+        for i, uid in enumerate(self.uid.tolist()):
             st = ObjectStats(
                 uid=uid,
                 size_bytes=int(self.size_bytes[i]),

@@ -34,7 +34,7 @@ from repro.core.adaptation import DeviationDetector
 from repro.core.demand import DemandBatch
 from repro.core.lookahead import first_use_offsets_split
 from repro.core.models import TypeModel
-from repro.core.placement import PlacementPlan, PlanConfig, make_plan
+from repro.core.placement import COST_MARGIN, PlacementPlan, PlanConfig, make_plan
 from repro.profiling.calibration import CalibrationResult, calibrate
 from repro.tasking.executor import ExecContext
 from repro.tasking.graph import AccessCSR, GraphExecCore
@@ -47,10 +47,26 @@ __all__ = ["ManagerConfig", "DataManagerPolicy"]
 
 log = get_logger(__name__)
 
+#: Software cost constants (charged as worker overhead).
+PER_TASK_SYNC_OVERHEAD_S = 0.5 * US
+PER_DEMAND_PLAN_OVERHEAD_S = 2.0 * US
+PER_PLAN_FIXED_OVERHEAD_S = 20.0 * US
+PER_MIGRATION_REQUEST_OVERHEAD_S = 1.0 * US
+#: Slow EWMA rate for post-profiling duration tracking.
+DURATION_ALPHA = 0.05
+#: Ping-pong breaker: after this many crossings an object is pinned.
+MAX_MOVES_PER_OBJECT = 4
+#: Decision-overhead budget: fraction of machine time the planner may
+#: consume; beyond it the replan interval backs off exponentially
+#: (tiny-task programs with many objects would otherwise spend more time
+#: planning than working).
+DECISION_OVERHEAD_BUDGET = 0.02
+
 
 @dataclass(frozen=True)
 class ManagerConfig:
-    """All knobs of the data manager (ablation surface)."""
+    """The data manager's ablation surface (the fixed cost and tuning
+    constants are module constants)."""
 
     profile_instances: int = 2
     lookahead_tasks: int = 48
@@ -63,20 +79,6 @@ class ManagerConfig:
     #: When set, the runtime partitions partitionable objects larger than
     #: this before execution (chunking optimization).
     partition_max_bytes: int | None = None
-    #: Software cost constants (charged as worker overhead).
-    per_task_sync_overhead_s: float = 0.5 * US
-    per_demand_plan_overhead_s: float = 2.0 * US
-    per_plan_fixed_overhead_s: float = 20.0 * US
-    per_migration_request_overhead_s: float = 1.0 * US
-    #: Slow EWMA rate for post-profiling duration tracking.
-    duration_alpha: float = 0.05
-    #: Ping-pong breaker: after this many crossings an object is pinned.
-    max_moves_per_object: int = 4
-    #: Decision-overhead budget: fraction of machine time the planner may
-    #: consume; beyond it the replan interval backs off exponentially
-    #: (tiny-task programs with many objects would otherwise spend more
-    #: time planning than working).
-    decision_overhead_budget: float = 0.02
     #: Volume guard: stop issuing copies once the helper thread's lane is
     #: backed up this far.  Individually-justified migrations can still
     #: serialize into a pile-up on devices with storage-class copy
@@ -233,11 +235,9 @@ class DataManagerPolicy(BasePolicy):
     def __init__(
         self,
         config: ManagerConfig | None = None,
-        calibration: CalibrationResult | None = None,
         name: str | None = None,
     ):
         self.config = config or ManagerConfig()
-        self._given_calibration = calibration
         if name:
             self.name = name
         # Per-run state, created in on_run_start.
@@ -254,7 +254,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self.stats: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -278,7 +277,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._sync_overhead_s = self.config.per_task_sync_overhead_s
         self.stats = {
             "replans": 0,
             "profiled_tasks": 0,
@@ -290,7 +288,7 @@ class DataManagerPolicy(BasePolicy):
         if ctx.engine.injector is not None:
             self.stats["migrations_failed"] = 0
             self.stats["migrations_recovered"] = 0
-        self.calib = self._given_calibration or self._platform_calibration(ctx)
+        self.calib = self._platform_calibration(ctx)
         if self.config.enable_initial_placement:
             # The per-run fits test keeps the sequential capacity
             # semantics over the graph's (shared) initial DRAM set.
@@ -300,7 +298,7 @@ class DataManagerPolicy(BasePolicy):
                     ctx.place_initial(obj, ctx.dram)
 
     def before_task(self, task: Task, ctx: ExecContext, now: float) -> float:
-        overhead = self._sync_overhead_s
+        overhead = PER_TASK_SYNC_OVERHEAD_S
         self._tasks_since_decision += 1
         # Inlined ``_should_replan`` with the cheap flag tests hoisted in
         # front of the model lookup: the common case (no trigger pending,
@@ -358,7 +356,7 @@ class DataManagerPolicy(BasePolicy):
             else:
                 model.mean_duration += (
                     duration - model.mean_duration
-                ) * cfg.duration_alpha
+                ) * DURATION_ALPHA
         return overhead
 
     # ------------------------------------------------------------------
@@ -552,7 +550,7 @@ class DataManagerPolicy(BasePolicy):
         n_workers = ctx.config.n_workers
 
         plans: list[tuple[float, PlacementPlan]] = []
-        overhead = cfg.per_plan_fixed_overhead_s
+        overhead = PER_PLAN_FIXED_OVERHEAD_S
 
         # Endgame: once the window covers every remaining task the local
         # search would rebuild the identical plan and lose the stable-sort
@@ -642,15 +640,15 @@ class DataManagerPolicy(BasePolicy):
             if built is not None:
                 plan, delta, horizon = built
                 plans.append((delta / horizon, plan))
-                overhead += len(plan.weights) * cfg.per_demand_plan_overhead_s
+                overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
                 if scopes_coincide:
-                    overhead += len(plan.weights) * cfg.per_demand_plan_overhead_s
+                    overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
         if cfg.enable_local_search and not scopes_coincide:
             built = build("local", local_proj, local_offsets, window)
             if built is not None:
                 plan, delta, horizon = built
                 plans.append((delta / horizon, plan))
-                overhead += len(plan.weights) * cfg.per_demand_plan_overhead_s
+                overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
 
         if not plans:
             return overhead
@@ -687,7 +685,7 @@ class DataManagerPolicy(BasePolicy):
         cfg = self.config
         self._decision_overhead += overhead
         machine_time = max(now, 1e-9) * max(1, ctx.config.n_workers)
-        if self._decision_overhead > cfg.decision_overhead_budget * machine_time:
+        if self._decision_overhead > DECISION_OVERHEAD_BUDGET * machine_time:
             self._replan_interval = min(self._replan_interval * 2, 4096)
         elif self._replan_interval > cfg.decide_every:
             self._replan_interval = max(cfg.decide_every, self._replan_interval // 2)
@@ -752,7 +750,7 @@ class DataManagerPolicy(BasePolicy):
                 break  # lane pile-up: defer the rest to a later replan
             # Ping-pong breaker: an object that keeps crossing the bus is
             # being mispredicted; pin it where it is.
-            if self._move_counts.get(obj.uid, 0) >= cfg.max_moves_per_object:
+            if self._move_counts.get(obj.uid, 0) >= MAX_MOVES_PER_OBJECT:
                 refuse(obj, "pinned", moves=self._move_counts[obj.uid])
                 continue
             ct = copy_time(obj.size_bytes, ctx.nvm, ctx.dram, ctx.config.migration_overhead_s)
@@ -788,7 +786,7 @@ class DataManagerPolicy(BasePolicy):
             # Economics of the whole swap: the newcomer's net weight must
             # beat what the victims were still worth plus the eviction
             # copies (with the same hysteresis margin as promotions).
-            if in_weight <= victim_value + cfg.plan.cost_margin * evict_time:
+            if in_weight <= victim_value + COST_MARGIN * evict_time:
                 refuse(
                     obj, "swap_economics",
                     in_weight=in_weight, victim_value=victim_value,
@@ -799,7 +797,7 @@ class DataManagerPolicy(BasePolicy):
             # copy; only an *additional* exposed stall beyond that refusal
             # threshold vetoes the move.
             stall_est = max(0.0, backlog + evict_time + ct - first_use)
-            if stall_est > in_weight + cfg.plan.cost_margin * ct:
+            if stall_est > in_weight + COST_MARGIN * ct:
                 refuse(
                     obj, "stall_guard",
                     stall_est=stall_est, in_weight=in_weight, copy_time=ct,
@@ -817,7 +815,7 @@ class DataManagerPolicy(BasePolicy):
                 self._note_outcome(rec_v)
                 self._move_counts[v.uid] = self._move_counts.get(v.uid, 0) + 1
                 self.stats["migrations_requested"] += 1
-                overhead += cfg.per_migration_request_overhead_s
+                overhead += PER_MIGRATION_REQUEST_OVERHEAD_S
             victims = [v for v in victims if v not in planned_victims]
             if not ctx.hms.dram_fits(obj.size_bytes):
                 refuse(obj, "fragmentation")
@@ -841,7 +839,7 @@ class DataManagerPolicy(BasePolicy):
                       len(planned_victims))
             self._move_counts[obj.uid] = self._move_counts.get(obj.uid, 0) + 1
             self.stats["migrations_requested"] += 1
-            overhead += cfg.per_migration_request_overhead_s
+            overhead += PER_MIGRATION_REQUEST_OVERHEAD_S
             backlog += evict_time + ct
         return overhead
 

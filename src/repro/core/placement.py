@@ -31,9 +31,10 @@ import numpy as np
 from repro.core.cost import eviction_cost
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import greedy_by_density, solve_knapsack_arrays
-from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.core.models import ObjectStats
+from repro.core.sensitivity import T1, T2
 from repro.memory.device import MemoryDevice
+from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.profiling.calibration import CalibrationResult
 from repro.util.lru import BoundedLRU
 from repro.util.units import CACHELINE_BYTES
@@ -41,33 +42,32 @@ from repro.util.validation import require
 
 __all__ = ["PlanConfig", "ObjectDemand", "PlacementPlan", "make_plan"]
 
+#: Fraction of DRAM the planner may fill (headroom for in-flight moves).
+CAPACITY_FRACTION = 0.95
+#: Hysteresis: a migration must promise more than ``COST_MARGIN`` times
+#: its cost before it is worth the churn (the weigher and the manager's
+#: enforcement both charge it).
+COST_MARGIN = 1.5
+
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Model knobs shared by both planning scopes."""
+    """Model knobs shared by both planning scopes (the ablation switches;
+    the fixed model constants are module constants)."""
 
-    t1: float = 0.80
-    t2: float = 0.10
     distinguish_rw: bool = True
     solver: str = "dp"  #: "dp" (knapsack DP) or "greedy" (density ablation)
-    #: Fraction of DRAM the planner may fill (headroom for in-flight moves).
-    capacity_fraction: float = 0.95
     #: Combine the LLC-miss counter with the load/store counters (magnitude
     #: from misses, direction from loads/stores).  False reproduces the
     #: paper's loads/stores-only configuration, whose cache-blind counts
     #: overprice cache-friendly objects (E9 ablation).
     use_miss_counter: bool = True
-    #: Hysteresis: a migration must promise more than ``cost_margin`` times
-    #: its cost before it is worth the churn.
-    cost_margin: float = 1.5
     #: Scale benefits by the horizon's parallel slack (tasks per worker per
     #: dependence level): in a wave-limited region (one task per worker per
     #: level, e.g. MG's eight parallel smooths on eight workers) speeding a
     #: subset of siblings does not shorten the makespan, so the additive
     #: benefit model must be discounted.
     use_parallel_slack: bool = True
-    #: Damp benefits by slot-model confidence (types whose instances vary).
-    use_confidence: bool = True
 
 
 @dataclass(slots=True)
@@ -208,15 +208,13 @@ def _weights_for(
     """
     n = len(batch)
     peak = calib.peak_of(nvm)
-    t1, t2 = cfg.t1, cfg.t2
     use_miss = cfg.use_miss_counter
     distinguish = cfg.distinguish_rw
-    # Inline classify_bandwidth: validate the thresholds once, hoist the
-    # two threshold products (same operands, so the comparisons below are
-    # bitwise the ones classify_bandwidth would make per object).
-    require(0.0 < t2 < t1 <= 1.5, f"need 0 < t2 < t1, got t1={t1}, t2={t2}")
-    t1_peak = t1 * peak
-    t2_peak = t2 * peak
+    # Inline classify_bandwidth: hoist the two threshold products (same
+    # operands, so the comparisons below are bitwise the ones
+    # classify_bandwidth would make per object).
+    t1_peak = T1 * peak
+    t2_peak = T2 * peak
 
     if n == 0:
         return np.empty(0, dtype=np.float64)
@@ -361,10 +359,10 @@ def _weights_for(
         bw_d >= t1_peak, bw_gain, np.where(bw_d <= t2_peak, lat_gain, mixed)
     )
     # ``bft`` is fresh out of np.where, so the scalings run in place —
-    # same elementwise products, two allocations fewer.
+    # same elementwise products, two allocations fewer.  Confidence damps
+    # the benefit of types whose instances vary.
     bft *= benefit_scale
-    if cfg.use_confidence:
-        bft *= batch.confidence
+    bft *= batch.confidence
 
     in_dram = batch.in_dram
     require(in_dram is not None, "batch has no placement columns; "
@@ -408,9 +406,9 @@ def _weights_for(
     if all_out:
         # Nothing resident: the masked scatter is the identity, so the
         # full-array arithmetic below is the same elementwise sequence.
-        return bft - cfg.cost_margin * total_cost
+        return bft - COST_MARGIN * total_cost
     weights = bft.copy()
-    weights[out_mask] = bft[out_mask] - cfg.cost_margin * total_cost
+    weights[out_mask] = bft[out_mask] - COST_MARGIN * total_cost
     return weights
 
 
@@ -432,7 +430,7 @@ def make_plan(
     :class:`ObjectDemand` with :meth:`DemandBatch.from_demands`).
     """
     batch = demands
-    budget = int(dram_capacity_bytes * cfg.capacity_fraction)
+    budget = int(dram_capacity_bytes * CAPACITY_FRACTION)
     pressure = max(0.0, min(1.0, dram_used_bytes / max(1, budget)))
     weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale)
     if cfg.solver == "greedy":
@@ -440,7 +438,7 @@ def make_plan(
     else:
         mask = solve_knapsack_arrays(weights, batch.size_bytes, budget)
     plan = PlacementPlan(scope=scope)
-    uids = batch.uid_list
+    uids = batch.uid.tolist()
     w_list = weights.tolist()
     plan.weights = dict(zip(uids, w_list))
     plan.first_use = dict(zip(uids, batch.first_use_offset.tolist()))

@@ -12,7 +12,8 @@ the same estimated-traffic units):
   sparse, so exposed latency, not throughput, is what hurts);
 - in between -> mixed: take the larger of the two benefit estimates.
 
-Thresholds default to the paper's t1=80, t2=10.
+The thresholds are the paper's fixed t1=80 %, t2=10 % (:data:`T1`,
+:data:`T2`); the placement weigher reads the same constants.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from repro.profiling.sampler import ObjectSample
 from repro.util.validation import require
 
 __all__ = ["Sensitivity", "object_bandwidth", "classify_bandwidth"]
+
+#: Bandwidth-sensitivity threshold: share of the NVM peak at or above
+#: which an object is bandwidth-sensitive.
+T1 = 0.80
+#: Latency-sensitivity threshold: share of the NVM peak at or below which
+#: an object is latency-sensitive.
+T2 = 0.10
 
 
 class Sensitivity(enum.Enum):
@@ -41,8 +49,8 @@ def object_bandwidth(sample: ObjectSample, duration: float) -> float:
 def classify_bandwidth(
     bw_obj: float,
     peak_nvm_bandwidth: float,
-    t1: float = 0.80,
-    t2: float = 0.10,
+    t1: float = T1,
+    t2: float = T2,
 ) -> Sensitivity:
     """Classify an object's demand against the NVM achievable peak."""
     require(0.0 < t2 < t1 <= 1.5, f"need 0 < t2 < t1, got t1={t1}, t2={t2}")

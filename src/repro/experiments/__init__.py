@@ -4,7 +4,7 @@ The run description is :class:`RunSpec`; :func:`run_many` executes
 batches of specs in parallel with an on-disk result cache; every
 experiment module exposes ``TITLE``, ``run(fast=True) -> ExperimentResult``
 and registers itself in :data:`repro.experiments.registry.EXPERIMENTS`.
-``repro-experiments <id> [--workers N] [--no-cache]`` (or
+``repro-experiments <id> [--jobs N] [--no-cache]`` (or
 ``python -m repro.experiments.cli``) runs and prints any of them.
 EXPERIMENTS.md records expected-vs-measured.
 """

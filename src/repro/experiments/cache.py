@@ -7,9 +7,8 @@ formats:
 - ``<key>.json`` — plain canonical JSON (the default, human-greppable);
 - ``<key>.jsonz`` — a 4-byte magic/version header (``RPZ1``) followed by
   the gzip-compressed canonical JSON.  Opt in per instance
-  (``ResultCache(binary=True)``) or process-wide with
-  ``REPRO_CACHE_BINARY=1``; sweep-sized summaries compress ~10x and cost
-  proportionally less cache I/O time.
+  (``ResultCache(binary=True)``); sweep-sized summaries compress ~10x and
+  cost proportionally less cache I/O time.
 
 Readers understand both formats regardless of the write preference, and a
 corrupt or truncated entry degrades to a miss, never an error: the torn
@@ -41,6 +40,7 @@ __all__ = [
     "BINARY_MAGIC",
     "cache_dir",
     "get_cache",
+    "resolve_cache",
     "set_cache_enabled",
     "cache_enabled",
 ]
@@ -58,20 +58,15 @@ def cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
-def _binary_default() -> bool:
-    return bool(os.environ.get("REPRO_CACHE_BINARY"))
-
-
 class ResultCache:
     """A directory of per-key result payloads with hit/miss statistics.
 
-    ``binary`` selects the *write* format (``None`` defers to the
-    ``REPRO_CACHE_BINARY`` environment switch); reads always accept both.
+    ``binary`` selects the *write* format; reads always accept both.
     """
 
-    def __init__(self, path: Path | str | None = None, binary: bool | None = None):
+    def __init__(self, path: Path | str | None = None, binary: bool = False):
         self.path = Path(path).expanduser() if path is not None else cache_dir()
-        self.binary = _binary_default() if binary is None else bool(binary)
+        self.binary = bool(binary)
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -290,4 +285,15 @@ def get_cache() -> ResultCache | None:
     cache = _CACHES.get(path)
     if cache is None:
         cache = _CACHES[path] = ResultCache(path)
+    return cache
+
+
+def resolve_cache(cache: ResultCache | None | bool) -> ResultCache | None:
+    """A cache argument as callers pass it: an instance is used as is,
+    ``None``/``True`` mean the process default (:func:`get_cache`) and
+    ``False`` disables caching."""
+    if cache is False:
+        return None
+    if cache is None or cache is True:
+        return get_cache()
     return cache

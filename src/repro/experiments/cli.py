@@ -180,9 +180,6 @@ def _run_main(argv: list[str]) -> int:
         "--full", action="store_true",
         help="use full problem sizes (default: fast sizes)",
     )
-    # Pre-verb spelling of --jobs, kept as a hidden alias.
-    parser.add_argument("--workers", type=int, default=None, dest="jobs",
-                        help=argparse.SUPPRESS)
     parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache ($REPRO_CACHE_DIR)",
@@ -386,7 +383,7 @@ def _metrics_main(argv: list[str]) -> int:
     _apply_common(args)
 
     from repro.experiments.runner import execute_spec
-    from repro.metrics.export import json_digest, to_csv, to_json, to_prometheus
+    from repro.metrics.export import export_as, json_digest
     from repro.metrics.telemetry import Telemetry
 
     try:
@@ -401,12 +398,7 @@ def _metrics_main(argv: list[str]) -> int:
         return 2
 
     export = tel.export()
-    if args.format == "prom":
-        text = to_prometheus(tel)
-    elif args.format == "csv":
-        text = to_csv(export)
-    else:
-        text = to_json(export, indent=2)
+    text = export_as(tel, args.format)
     print(
         f"{spec.label()}: makespan {trace.makespan * 1e3:.3f} ms, "
         f"{len(export['metrics']['series'])} metric series, "
@@ -540,10 +532,6 @@ def _serve_api_main(argv: list[str]) -> int:
         help="concurrent simulations (default: 2)",
     )
     parser.add_argument(
-        "--procs", action="store_true",
-        help="execute jobs on a process pool instead of threads",
-    )
-    parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="result-cache directory (overrides $REPRO_CACHE_DIR)",
     )
@@ -564,7 +552,6 @@ def _serve_api_main(argv: list[str]) -> int:
         port=args.port,
         workers=args.workers,
         cache=False if args.no_cache else None,
-        use_processes=args.procs,
     )
     try:
         asyncio.run(serve(config))

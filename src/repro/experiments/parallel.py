@@ -19,7 +19,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
-from repro.experiments.cache import ResultCache, get_cache
+from repro.experiments.cache import ResultCache, resolve_cache
 from repro.experiments.runner import run_and_summarize
 from repro.experiments.spec import RunResult, RunSpec
 
@@ -39,7 +39,7 @@ _DEFAULT_WORKERS: int | None = None
 
 def set_default_workers(n: int | None) -> None:
     """Process-wide default for ``run_many(workers=None)`` (the CLI's
-    ``--workers``)."""
+    ``--jobs``)."""
     global _DEFAULT_WORKERS
     _DEFAULT_WORKERS = None if n is None else max(1, int(n))
 
@@ -104,7 +104,7 @@ def run_many(
     specs = list(specs)
     total = len(specs)
     results: list[RunResult | None] = [None] * total
-    store = _resolve_cache(cache)
+    store = resolve_cache(cache)
     done = 0
 
     def _finish(indices: Sequence[int], result: RunResult) -> None:
@@ -160,14 +160,6 @@ def run_many(
         for r in out:
             r.raise_if_failed()
     return out
-
-
-def _resolve_cache(cache: ResultCache | None | bool) -> ResultCache | None:
-    if cache is False:
-        return None
-    if cache is None or cache is True:
-        return get_cache()
-    return cache
 
 
 def _store(store: ResultCache | None, key: str, result: RunResult) -> None:

@@ -37,7 +37,7 @@ from typing import Any, AsyncIterator
 
 import repro
 from repro.core.knapsack import export_cache_metrics
-from repro.experiments.cache import ResultCache, get_cache
+from repro.experiments.cache import ResultCache, resolve_cache
 from repro.experiments.spec import RunResult, RunSpec
 from repro.metrics.export import to_prometheus
 from repro.metrics.registry import MetricsRegistry
@@ -80,18 +80,6 @@ class ServerConfig:
     #: Result cache: an instance, ``None``/``True`` for the process
     #: default (``$REPRO_CACHE_DIR``), ``False`` to disable caching.
     cache: ResultCache | None | bool = None
-    #: Run jobs on a process pool instead of threads (true parallelism
-    #: at the cost of per-job pickling; threads suffice for CI-sized
-    #: specs).
-    use_processes: bool = False
-
-
-def _resolve_cache(cache: ResultCache | None | bool) -> ResultCache | None:
-    if cache is False:
-        return None
-    if cache is None or cache is True:
-        return get_cache()
-    return cache
 
 
 class DigitalTwinServer:
@@ -100,13 +88,8 @@ class DigitalTwinServer:
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self.registry = MetricsRegistry()
-        self.cache = _resolve_cache(self.config.cache)
-        self.jobs = JobManager(
-            self.cache,
-            self.registry,
-            workers=self.config.workers,
-            use_processes=self.config.use_processes,
-        )
+        self.cache = resolve_cache(self.config.cache)
+        self.jobs = JobManager(self.cache, self.registry, workers=self.config.workers)
         self.http = AsyncHttpServer(self.config.host, self.config.port)
         self._route("GET", "/healthz", self._healthz)
         self._route("POST", "/v1/runs", self._post_run)

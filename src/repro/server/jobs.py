@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator
 
@@ -85,7 +84,7 @@ class JobManager:
 
     Must be constructed (and used) on the event loop that serves the
     requests; the only work leaving that loop is ``execute_capturing``
-    itself, shipped to a thread (default) or process pool.
+    itself, shipped to a thread pool.
     """
 
     def __init__(
@@ -93,7 +92,6 @@ class JobManager:
         cache: ResultCache | None,
         registry: MetricsRegistry,
         workers: int = 2,
-        use_processes: bool = False,
     ):
         self.cache = cache
         self.registry = registry
@@ -102,13 +100,9 @@ class JobManager:
         self._conditions: dict[str, asyncio.Condition] = {}
         self._tasks: set[asyncio.Task[None]] = set()
         self._semaphore = asyncio.Semaphore(self.workers)
-        self._pool: _FuturesExecutor
-        if use_processes:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-job"
-            )
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-job"
+        )
 
         self._hits = registry.counter(
             "server_cache_hits_total",

@@ -151,34 +151,11 @@ class ObjectAccess:
         """The unscaled (latency, bandwidth) time pair on ``device``.
 
         A pure function of this footprint and the device's four timing
-        parameters, memoized per timing signature.  The executor's
-        precomputed timing rows read these once per (footprint, device)
-        and apply the roofline max inline — ``max(lat, bw * slowdown)``
-        is bit-identical to :meth:`memory_time` with the default
-        ``lat_slowdown`` because ``lat * 1.0 == lat`` for every finite
-        nonnegative float.
+        parameters.
         """
-        key = (
-            device.read_latency_s,
-            device.write_latency_s,
-            device.read_bandwidth,
-            device.write_bandwidth,
-        )
-        cache = self.__dict__.get("_base_times")
-        if cache is None:
-            # Direct __dict__ write: allowed on a frozen dataclass (only
-            # __setattr__ is blocked), same trick cached_property uses.
-            cache = self.__dict__["_base_times"] = {}
-        base = cache.get(key)
-        if base is None:
-            lat = device.latency_time(
-                self.miss_loads, self.miss_stores, self.pattern.mlp
-            )
-            bw = device.bandwidth_time(
-                self.read_traffic_bytes, self.write_traffic_bytes
-            )
-            base = cache[key] = (lat, bw)
-        return base
+        lat = device.latency_time(self.miss_loads, self.miss_stores, self.pattern.mlp)
+        bw = device.bandwidth_time(self.read_traffic_bytes, self.write_traffic_bytes)
+        return lat, bw
 
     def memory_time(
         self,

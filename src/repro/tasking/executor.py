@@ -197,10 +197,6 @@ class ExecContext:
         #: frontier the views are computed from.
         self._dispatched_mask = bytearray(len(core.tasks))
         self._next_index = 0
-        #: Bumped per dispatch; versions the cached remaining views.
-        self._epoch = 0
-        self._remaining_cache: tuple[int, tuple[Task, ...]] | None = None
-        self._remaining_idx_cache: tuple[int, np.ndarray] | None = None
         from repro.profiling.sampler import SamplingProfiler
 
         self._profiler = SamplingProfiler(
@@ -320,16 +316,8 @@ class ExecContext:
         return tuple(out)
 
     def remaining_view(self) -> tuple[Task, ...]:
-        """Every not-yet-dispatched task in spawn order.
-
-        Cached per dispatch epoch: repeated calls between dispatches (a
-        policy replanning from several angles) cost one tuple build."""
-        cached = self._remaining_cache
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
-        rem = tuple(map(self._core.tasks.__getitem__, self.remaining_indices().tolist()))
-        self._remaining_cache = (self._epoch, rem)
-        return rem
+        """Every not-yet-dispatched task in spawn order."""
+        return tuple(map(self._core.tasks.__getitem__, self.remaining_indices().tolist()))
 
     def remaining_indices(self) -> np.ndarray:
         """:meth:`remaining_view` as a read-only int64 array of dense
@@ -337,16 +325,12 @@ class ExecContext:
 
         Array-shaped policies gather per-task data with it — for example
         from ``graph.exec_core().accesses`` — without touching ``Task``
-        objects.  Cached per dispatch epoch like :meth:`remaining_view`."""
-        cached = self._remaining_idx_cache
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
+        objects."""
         start = self._next_index
         pending = np.frombuffer(self._dispatched_mask, dtype=np.uint8)[start:] == 0
         idx = np.flatnonzero(pending)
         idx += start
         idx.flags.writeable = False
-        self._remaining_idx_cache = (self._epoch, idx)
         return idx
 
     def profile(self, task: Task, record: TaskRecord):
@@ -718,12 +702,11 @@ class Executor:
             active_n += len(touched)
             # Dispatch bookkeeping the policy reads through the context:
             # each touched object's last dependency-safe point, and the
-            # lookahead frontier (dispatched mask, epoch, cursor).
+            # lookahead frontier (dispatched mask, cursor).
             for uid in residency:
                 if finish > luf_get(uid, 0.0):
                     luf[uid] = finish
             dispatched[di] = 1
-            ctx._epoch += 1
             i = ctx._next_index
             while i < n_total and dispatched[i]:
                 i += 1

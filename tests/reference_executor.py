@@ -185,7 +185,6 @@ class ReferenceExecutor:
                     luf[obj.uid] = finish
             mask = ctx._dispatched_mask
             mask[ctx._core.index[task.tid]] = 1
-            ctx._epoch += 1
             i = ctx._next_index
             while i < len(mask) and mask[i]:
                 i += 1

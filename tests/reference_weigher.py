@@ -13,16 +13,16 @@ from __future__ import annotations
 from repro.core.benefit import benefit_bandwidth, benefit_latency
 from repro.core.cost import eviction_cost
 from repro.core.placement import (
+    COST_MARGIN,
     ObjectDemand,
     PlanConfig,
     _speed_ratio_bw,
     _speed_ratio_lat,
 )
-from repro.core.sensitivity import Sensitivity
+from repro.core.sensitivity import T1, T2, Sensitivity
 from repro.memory.device import MemoryDevice
 from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.profiling.calibration import CalibrationResult
-from repro.util.validation import require
 
 __all__ = ["weights_for_ref"]
 
@@ -44,11 +44,9 @@ def weights_for_ref(
     distinct ``lf``.
     """
     peak = calib.peak_of(nvm)
-    t1, t2 = cfg.t1, cfg.t2
     use_miss = cfg.use_miss_counter
     distinguish = cfg.distinguish_rw
-    use_conf = cfg.use_confidence
-    margin = cfg.cost_margin
+    margin = COST_MARGIN
     cf_bw_time, cf_lat_time = calib.cf_bw, calib.cf_lat
     raw_cf_bw: float | None = None
     raw_cf_lat = 0.0
@@ -57,9 +55,8 @@ def weights_for_ref(
     mig_ct: dict[int, float] = {}
     ev_ct: dict[int, float] = {}
     bandwidth_sens, latency_sens = Sensitivity.BANDWIDTH, Sensitivity.LATENCY
-    require(0.0 < t2 < t1 <= 1.5, f"need 0 < t2 < t1, got t1={t1}, t2={t2}")
-    t1_peak = t1 * peak
-    t2_peak = t2 * peak
+    t1_peak = T1 * peak
+    t2_peak = T2 * peak
 
     weights: list[float] = []
     for demand in demands:
@@ -106,8 +103,7 @@ def weights_for_ref(
         else:
             bft = max(bw_gain, lat_gain)
         bft *= benefit_scale
-        if use_conf:
-            bft *= st.confidence
+        bft *= st.confidence
         if demand.in_dram:
             weights.append(bft)
             continue

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy
+from repro.baselines import NVMOnlyPolicy
+from repro.core import manager
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.placement import PlanConfig
+from repro.experiments.runner import make_policy
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.presets import dram, nvm_bandwidth_scaled, nvm_latency_scaled
+from repro.memory.presets import dram
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import (
@@ -150,9 +152,31 @@ class TestManagerConfigKnobs:
         tr = run(g, pol, nvm_bw)
         assert tr.migration_count == 0
 
-    def test_move_cap_limits_pingpong(self, nvm_bw):
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "per_task_sync_overhead_s",
+            "per_demand_plan_overhead_s",
+            "per_plan_fixed_overhead_s",
+            "per_migration_request_overhead_s",
+            "duration_alpha",
+            "max_moves_per_object",
+            "decision_overhead_budget",
+            "t1",
+            "t2",
+            "capacity_fraction",
+            "cost_margin",
+            "use_confidence",
+        ],
+    )
+    def test_fixed_constants_are_not_settable(self, name):
+        with pytest.raises(TypeError):
+            make_policy("tahoe", **{name: 1})
+
+    def test_move_cap_limits_pingpong(self, nvm_bw, monkeypatch):
+        monkeypatch.setattr(manager, "MAX_MOVES_PER_OBJECT", 1)
         g, *_ = hot_cold_program(iterations=30)
-        pol = DataManagerPolicy(ManagerConfig(max_moves_per_object=1))
+        pol = DataManagerPolicy()
         tr = run(g, pol, nvm_bw)
         # with the cap, each object crosses at most once in each direction
         per_obj: dict[int, int] = {}

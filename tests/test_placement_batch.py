@@ -95,8 +95,6 @@ _CFGS = st.builds(
     PlanConfig,
     distinguish_rw=st.booleans(),
     use_miss_counter=st.booleans(),
-    use_confidence=st.booleans(),
-    cost_margin=st.sampled_from([0.0, 1.0, 1.5]),
 )
 
 

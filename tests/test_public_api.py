@@ -214,7 +214,6 @@ class TestDispatchAndServerSurface:
         cfg = ServerConfig()
         assert cfg.host == "127.0.0.1"
         assert cfg.workers == 2
-        assert cfg.use_processes is False
 
     def test_execute_capturing_is_public(self):
         from repro.experiments.parallel import execute_capturing
