@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.util.units import CACHELINE_BYTES, NS, bytes_per_second
+from repro.util.units import NS, bytes_per_second
 from repro.util.validation import require_positive
 
 
@@ -130,10 +130,6 @@ class MemoryDevice:
             n_loads * (MISS_BASE_LATENCY_S + self.read_latency_s)
             + n_stores * (MISS_BASE_LATENCY_S + self.write_latency_s)
         ) / mlp
-
-    def cacheline_traffic(self, n_accesses: float) -> float:
-        """Bytes of main-memory traffic for ``n_accesses`` cache-line misses."""
-        return n_accesses * CACHELINE_BYTES
 
     def describe(self) -> str:
         """Human-readable one-liner for logs and reports."""

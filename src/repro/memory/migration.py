@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.memory.device import MemoryDevice
 from repro.util.units import US
 from repro.util.validation import require_nonnegative
@@ -40,17 +42,20 @@ FAILURE_DETECT_FRACTION: float = 0.5
 
 
 def copy_time(
-    nbytes: int,
+    nbytes: int | np.ndarray,
     src: MemoryDevice,
     dst: MemoryDevice,
     overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
-) -> float:
+) -> float | np.ndarray:
     """Virtual time to copy ``nbytes`` from ``src`` to ``dst``.
 
     The copy streams at the minimum of the source read bandwidth and the
     destination write bandwidth (``mem_copy_bw`` in the paper's Eq. 6).
+    ``nbytes`` may be a numpy column of sizes: the same operations then
+    run elementwise, bitwise equal to one scalar call per size.
     """
-    require_nonnegative(nbytes, "nbytes")
+    lowest = nbytes.min(initial=0) if isinstance(nbytes, np.ndarray) else nbytes
+    require_nonnegative(lowest, "nbytes")
     bw = min(src.read_bandwidth, dst.write_bandwidth)
     return nbytes / bw + overhead_s
 

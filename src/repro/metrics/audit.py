@@ -126,12 +126,5 @@ class PlacementAuditLog:
     def promotions(self, dram_name: str) -> list[AuditEntry]:
         return [e for e in self.copies() if e.dst == dram_name]
 
-    def by_object(self) -> dict[int, list[AuditEntry]]:
-        out: dict[int, list[AuditEntry]] = {}
-        for e in self.entries:
-            if e.obj_uid >= 0:
-                out.setdefault(e.obj_uid, []).append(e)
-        return out
-
     def to_list(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self.entries]

@@ -504,18 +504,6 @@ class TaskGraph:
             levels[t.tid] = duration(t) + tail
         return levels
 
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (nodes are tids)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for t in self.tasks:
-            g.add_node(t.tid, task=t)
-        for tid, succs in self._succ.items():
-            for s in succs:
-                g.add_edge(tid, s)
-        return g
-
     def validate(self) -> None:
         """Check DAG invariants (acyclicity, edge symmetry)."""
         self.topological_order()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Generic, Hashable, TypeVar
 
 __all__ = ["BoundedLRU"]
 
@@ -28,27 +28,20 @@ class BoundedLRU(Generic[K, V]):
         self._data: OrderedDict[K, V] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: K, factory: Callable[[], V] | None = None) -> V | None:
-        """The value under ``key``; on a miss, store and return
-        ``factory()`` if one is given, else return ``None``."""
+    def get(self, key: K) -> V | None:
+        """The value under ``key``, or ``None`` on a miss."""
         with self._lock:
             value = self._data.get(key)
             if value is not None:
                 self._data.move_to_end(key)
-            elif factory is not None:
-                value = self._insert(key, factory())
             return value
 
     def put(self, key: K, value: V) -> None:
         with self._lock:
-            self._insert(key, value)
-
-    def _insert(self, key: K, value: V) -> V:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-        return value
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:

@@ -1,30 +1,52 @@
 """Scalar reference weigher for differential testing.
 
 This is the per-object Eq. 7 loop the placement plane ran before its
-structure-of-arrays rebuild, kept verbatim.  The production weigher
+structure-of-arrays rebuild, kept verbatim together with the scalar
+speed-ratio helpers it calls.  The production weigher
 :func:`repro.core.placement._weights_for` computes the same weights as
-numpy column arithmetic; ``tests/test_placement_batch.py`` drives both
-over Hypothesis-generated demand batches and compares every lane by its
-IEEE-754 bytes.
+numpy column arithmetic and shares none of this code, so a bug on
+either side shows; ``tests/test_placement_batch.py`` drives both over
+Hypothesis-generated devices, calibrations and demand batches and
+compares every lane by its IEEE-754 bytes.
 """
 
 from __future__ import annotations
 
 from repro.core.benefit import benefit_bandwidth, benefit_latency
 from repro.core.cost import eviction_cost
-from repro.core.placement import (
-    COST_MARGIN,
-    ObjectDemand,
-    PlanConfig,
-    _speed_ratio_bw,
-    _speed_ratio_lat,
-)
+from repro.core.placement import COST_MARGIN, ObjectDemand, PlanConfig
 from repro.core.sensitivity import T1, T2, Sensitivity
 from repro.memory.device import MemoryDevice
 from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.profiling.calibration import CalibrationResult
 
 __all__ = ["weights_for_ref"]
+
+
+def _speed_ratio_bw(lf: float, dram: MemoryDevice, nvm: MemoryDevice) -> float:
+    """r = DRAM time / NVM time for bandwidth-bound traffic with read
+    share ``lf`` (datasheet bandwidths, direction-weighted)."""
+    t_dram = lf / dram.read_bandwidth + (1.0 - lf) / dram.write_bandwidth
+    t_nvm = lf / nvm.read_bandwidth + (1.0 - lf) / nvm.write_bandwidth
+    return max(1e-3, min(1.0, t_dram / t_nvm))
+
+
+def _speed_ratio_lat(
+    lf: float, dram: MemoryDevice, nvm: MemoryDevice, calib: CalibrationResult
+) -> float:
+    """r = DRAM time / NVM time for latency-bound traffic.
+
+    Per-miss loaded latency comes from the calibration chase runs (which
+    capture the platform's fixed miss cost); the read/write asymmetry is
+    layered on from the datasheet latencies.
+    """
+    base_d = calib.chase_latency.get(dram.name, dram.read_latency_s)
+    base_n = calib.chase_latency.get(nvm.name, nvm.read_latency_s)
+    t_dram = base_d + (1.0 - lf) * (dram.write_latency_s - dram.read_latency_s)
+    t_nvm = base_n + (1.0 - lf) * (nvm.write_latency_s - nvm.read_latency_s)
+    if t_nvm <= 0:
+        return 1.0
+    return max(1e-3, min(1.0, t_dram / t_nvm))
 
 
 def weights_for_ref(

@@ -1,13 +1,13 @@
 """The process-global memos must survive concurrent use.
 
 The digital-twin server runs jobs on a thread pool, so the knapsack
-mask memo, the interned-workload memo and the placement weigher's
-per-machine value memos are probed, bumped and evicted from several
-threads at once.  Each memo test below hammers one memo from 8 threads
-with a microsecond switch interval, over more keys than the memo holds
-(so hits, bumps and evictions interleave), and asserts that no thread
-raised and that the memo stayed within its bound.  The on-disk result
-cache and a graph's shared snapshot are exercised the same way.
+mask memo and the interned-workload memo are probed, bumped and evicted
+from several threads at once.  Each memo test below hammers one memo
+from 8 threads with a microsecond switch interval, over more keys than
+the memo holds (so hits, bumps and evictions interleave), and asserts
+that no thread raised and that the memo stayed within its bound.  The
+on-disk result cache and a graph's shared snapshot are exercised the
+same way.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import sys
 import threading
 
 import numpy as np
-import pytest
 
-import repro.core.placement as placement
 import repro.experiments.cache as cache_module
 import repro.workloads.memo as workload_memo
 from repro.core.knapsack import _MEMO_MAX, _memo, clear_solver_cache, solve_knapsack
@@ -104,25 +102,6 @@ def test_build_memo_concurrent_hits_and_evictions(monkeypatch):
         assert stats["hits"] > 0 and stats["misses"] > n_keys
     finally:
         workload_memo.clear_build_cache()
-
-
-@pytest.mark.parametrize("memos_name", ["_RATIO_MEMOS", "_COST_MEMOS"])
-def test_placement_value_memos_concurrent(memos_name):
-    memos = getattr(placement, memos_name)
-    n_keys = placement._MEMO_KEYS_MAX + 16
-    memos.clear()
-
-    def work(t: int, i: int) -> None:
-        k = (i * 3 + t * 7) % n_keys
-        m = placement._per_value_memo(memos, ("machine", k))
-        m[float(k)] = (1.0, 2.0)
-
-    try:
-        errors = hammer(work, 1500)
-        assert errors == []
-        assert len(memos) <= placement._MEMO_KEYS_MAX
-    finally:
-        memos.clear()
 
 
 def test_result_cache_concurrent_puts_of_one_key(tmp_path, monkeypatch):

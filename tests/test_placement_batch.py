@@ -1,20 +1,23 @@
-"""Differential suite for the SoA placement plane (PR 10 tentpole).
+"""Differential suite for the SoA placement plane.
 
-The array weigher (:func:`repro.core.placement._weights_for`) must be
-*bitwise* identical to the retired scalar loop, which survives verbatim
-in ``tests/reference_weigher.py``.  Hypothesis drives both over adversarial demand
-batches — mixed sensitivity classes, zero-count objects, duplicate
-sizes/load-fractions (the per-value memo paths), every config-flag
-combination, and both residency mixes (the all-out fast path and the
-masked scatter) — and every float is compared by its IEEE-754 bytes,
-not by ``==``.
+The column weigher (:func:`repro.core.placement._weights_for`) must be
+*bitwise* identical to the retired scalar loop, which survives verbatim,
+with its own scalar speed-ratio helpers, in ``tests/reference_weigher.py``.
+Hypothesis drives both over adversarial demand batches — mixed
+sensitivity classes, zero-count objects, timed and untimed lanes side by
+side, every config-flag combination, resident and incoming objects — on
+the calibrated platform and on drawn machines (asymmetric read/write
+devices, calibrations with and without chase runs), and every float is
+compared by its IEEE-754 bytes, not by ``==``.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,17 @@ from repro.core.demand import DemandBatch
 from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays
 from repro.core.models import ObjectStats
 from repro.core.placement import ObjectDemand, PlanConfig, _weights_for
-from repro.memory.presets import dram, nvm_bandwidth_scaled
+from repro.memory.presets import (
+    dram,
+    numa_emulated,
+    nvm_bandwidth_scaled,
+    nvm_latency_scaled,
+    optane_pm,
+    pcram,
+    reram,
+    stt_ram,
+)
+from repro.profiling.calibration import CalibrationResult
 
 from tests.reference_weigher import weights_for_ref
 
@@ -45,9 +58,10 @@ def assert_bitwise(vec: np.ndarray, ref: list[float]) -> None:
 # ----------------------------------------------------------------------
 # Demand strategies
 # ----------------------------------------------------------------------
-# Duplicate-heavy pools exercise the per-value memos; the bw_demand pool
-# straddles the t1/t2 thresholds so batches mix all three sensitivity
-# classes.  peak_of(NVM) is ~1e10-ish; cover both sides generously.
+# Duplicate-heavy size pools repeat sizes within a batch; the bw_demand
+# pool straddles the t1/t2 thresholds so batches mix all three
+# sensitivity classes.  peak_of(NVM) is ~1e10-ish; cover both sides
+# generously.
 _SIZES = st.sampled_from([4096, 1 << 20, 1 << 22, 3 << 20, 1 << 26])
 _COUNTS = st.one_of(
     st.just(0.0),
@@ -91,11 +105,82 @@ def demand_list(draw, min_size=0, max_size=12):
     return [draw(demand(uid)) for uid in range(1, n + 1)]
 
 
+@st.composite
+def mixed_timing_list(draw):
+    """A batch holding at least one timed (``mem_seconds > 0``) and one
+    untimed lane, in drawn order."""
+    demands = draw(demand_list(min_size=2))
+    timed = draw(st.floats(min_value=1e-9, max_value=10.0))
+    demands[0].stats.mem_seconds = 0.0
+    demands[1].stats.mem_seconds = timed
+    order = draw(st.permutations(range(len(demands))))
+    return [demands[i] for i in order]
+
+
 _CFGS = st.builds(
     PlanConfig,
     distinguish_rw=st.booleans(),
     use_miss_counter=st.booleans(),
 )
+_FLAG_COMBOS = pytest.mark.parametrize(
+    "distinguish_rw,use_miss_counter",
+    [(True, True), (True, False), (False, True), (False, False)],
+)
+
+
+# ----------------------------------------------------------------------
+# Machine strategies: device pairs and calibrations
+# ----------------------------------------------------------------------
+_NVM_PRESETS = st.sampled_from([
+    stt_ram(), pcram(), reram(), optane_pm(), numa_emulated(),
+    nvm_bandwidth_scaled(0.25), nvm_latency_scaled(4.0),
+])
+# Write-side scales below 1 make writes faster than reads — on the
+# latency side that can drive the chase-based NVM time to <= 0 (the
+# ratio guard) when the chase base is small.
+_SCALES = st.sampled_from([0.05, 0.3, 1.0, 3.0, 20.0])
+
+
+@st.composite
+def asymmetric(draw, base):
+    """``base`` scaled as a whole, then its write side scaled apart."""
+    dev = base.scaled(latency_scale=draw(_SCALES), bandwidth_scale=draw(_SCALES))
+    return replace(
+        dev,
+        write_latency_s=dev.write_latency_s * draw(_SCALES),
+        write_bandwidth=dev.write_bandwidth * draw(_SCALES),
+    )
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+# Chase bases from far below to far above the preset latencies.
+_LATENCY = st.sampled_from([1e-10, 2e-9, 1e-8, 1e-7, 1e-6])
+
+
+@st.composite
+def machine(draw):
+    """(nvm, dram, calibration): a drawn device pair and a calibration
+    with or without chase runs (per device) and a zero or positive
+    chase bandwidth."""
+    nvm = draw(asymmetric(draw(_NVM_PRESETS)))
+    dev_d = draw(asymmetric(dram()))
+    chase_latency = {}
+    for dev in (dev_d, nvm):
+        if draw(st.booleans()):
+            chase_latency[dev.name] = draw(_LATENCY)
+    calib = CalibrationResult(
+        cf_bw=draw(_POSITIVE),
+        cf_lat=draw(_POSITIVE),
+        cf_bw_raw=draw(_POSITIVE),
+        cf_lat_raw=draw(_POSITIVE),
+        peak_bandwidth={nvm.name: draw(st.floats(min_value=1e8, max_value=1e12))},
+        chase_bandwidth=draw(
+            st.one_of(st.just(0.0), st.floats(min_value=1e6, max_value=1e11))
+        ),
+        chase_latency=chase_latency,
+        sampling_interval=1,
+    )
+    return nvm, dev_d, calib
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +200,29 @@ class TestWeightsDifferential:
         ref = weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, pressure, scale)
         assert_bitwise(vec, ref)
 
+    @_FLAG_COMBOS
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mach=machine(),
+        demands=mixed_timing_list(),
+        pressure=st.sampled_from([0.0, 0.3, 1.0]),
+        scale=st.sampled_from([1.0, 0.25, 2.0]),
+    )
+    def test_bitwise_equal_on_drawn_machines(
+        self, distinguish_rw, use_miss_counter, mach, demands, pressure, scale
+    ):
+        nvm, dev_d, calib = mach
+        cfg = PlanConfig(distinguish_rw=distinguish_rw, use_miss_counter=use_miss_counter)
+        batch = DemandBatch.from_demands(demands)
+        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure, scale)
+        ref = weights_for_ref(demands, nvm, dev_d, calib, cfg, pressure, scale)
+        assert_bitwise(vec, ref)
+
     @settings(max_examples=50, deadline=None)
     @given(demands=demand_list(min_size=1), resident=st.booleans())
     def test_homogeneous_residency(self, calibration_bw, demands, resident):
-        # Force every object to one side so both the all-out fast path
-        # (scatter-is-identity) and the all-in early return are hit.
+        # Every object on one side: all resident (no lane pays a cost)
+        # or all incoming (every lane does).
         for d in demands:
             d.in_dram = resident
         cfg = PlanConfig()

@@ -181,12 +181,6 @@ class TestAnalyses:
         g.add(mk_task("t2", {o2: update_footprint(8, 8)}))
         assert g.tasks_using(o1) == [t1]
 
-    def test_to_networkx(self):
-        g = self.chain(3)
-        nx_g = g.to_networkx()
-        assert nx_g.number_of_nodes() == 3
-        assert nx_g.number_of_edges() == 2
-
     def test_validate(self):
         g = self.chain(3)
         g.validate()
