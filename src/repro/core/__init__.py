@@ -7,10 +7,13 @@ granularity):
    through the emulated hardware counters (``repro.profiling``); a
    :class:`~repro.core.models.TypeModel` summarizes per-argument-slot
    load/store behaviour.
-2. **Modeling** — per-object bandwidth demand (Eq. 1 analogue) classifies
-   bandwidth vs latency sensitivity; benefit models with read/write
-   asymmetry (Eqs. 2–5) and a migration-cost model with DAG-lookahead
-   overlap (Eq. 6) and eviction cost (Eq. 7) produce a weight per object.
+2. **Modeling** — the manager folds the slot models over the planning
+   horizon into a :class:`~repro.core.demand.DemandBatch`, and one column
+   weigher (``repro.core.placement._weights_for``) prices every object:
+   per-object bandwidth demand (Eq. 1 analogue) picks bandwidth or
+   latency sensitivity, benefit models with read/write asymmetry
+   (Eqs. 2–5) and a migration cost with DAG-lookahead overlap (Eq. 6)
+   and eviction cost (Eq. 7) give its weight.
 3. **Decision & enforcement** — a 0/1 knapsack over DRAM capacity picks
    residents; window-local search and cross-run global search are both
    evaluated and the better is enforced through helper-thread proactive
@@ -20,30 +23,19 @@ Optimizations: static-reference-count initial placement, large-object
 partitioning, >10 % deviation adaptation (re-profiling).
 """
 
-from repro.core.sensitivity import Sensitivity, classify_bandwidth
-from repro.core.benefit import benefit_bandwidth, benefit_latency, movement_benefit
-from repro.core.cost import migration_cost, eviction_cost
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays, greedy_by_density
-from repro.core.models import SlotStats, TypeModel, ObjectStats
+from repro.core.models import SlotStats, TypeModel
 from repro.core.partition import partition_graph
 from repro.core.manager import DataManagerPolicy
 
 __all__ = [
-    "Sensitivity",
-    "classify_bandwidth",
-    "benefit_bandwidth",
-    "benefit_latency",
-    "movement_benefit",
-    "migration_cost",
-    "eviction_cost",
     "DemandBatch",
     "solve_knapsack",
     "solve_knapsack_arrays",
     "greedy_by_density",
     "SlotStats",
     "TypeModel",
-    "ObjectStats",
     "partition_graph",
     "DataManagerPolicy",
 ]

@@ -18,23 +18,16 @@ The batch is split in two halves:
 - **placement columns** (``in_dram``, ``first_use_offset``): the current
   machine state, attached per plan without copying the projection.
 
-Everything stays bitwise identical to the retired ``ObjectDemand``-list
-path: columns hold exactly the floats the per-object accumulators held,
-in the same (first-touch) order, and :meth:`to_demands` reconstructs the
-list form for the differential reference weigher
-(``tests/reference_weigher.py``).
+A batch is the only planning input: :func:`~repro.core.placement.make_plan`
+takes one, and the scalar reference weigher (``tests/reference_weigher.py``)
+walks its columns lane by lane.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.core.models import ObjectStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.placement import ObjectDemand
 
 __all__ = ["DemandBatch"]
 
@@ -49,7 +42,6 @@ class DemandBatch:
         "stores",
         "misses",
         "bw_demand",
-        "n_tasks",
         "confidence",
         "mem_seconds",
         "dram_frac",
@@ -65,7 +57,6 @@ class DemandBatch:
         stores: np.ndarray,
         misses: np.ndarray,
         bw_demand: np.ndarray,
-        n_tasks: np.ndarray,
         confidence: np.ndarray,
         mem_seconds: np.ndarray,
         dram_frac: np.ndarray,
@@ -78,7 +69,6 @@ class DemandBatch:
         self.stores = stores
         self.misses = misses
         self.bw_demand = bw_demand
-        self.n_tasks = n_tasks
         self.confidence = confidence
         self.mem_seconds = mem_seconds
         self.dram_frac = dram_frac
@@ -99,7 +89,6 @@ class DemandBatch:
         stores: Sequence[float],
         misses: Sequence[float],
         bw_demand: Sequence[float],
-        n_tasks: Sequence[int],
         confidence: Sequence[float],
         mem_seconds: Sequence[float],
         dram_frac: Sequence[float],
@@ -112,7 +101,6 @@ class DemandBatch:
             np.asarray(stores, dtype=np.float64),
             np.asarray(misses, dtype=np.float64),
             np.asarray(bw_demand, dtype=np.float64),
-            np.asarray(n_tasks, dtype=np.int64),
             np.asarray(confidence, dtype=np.float64),
             np.asarray(mem_seconds, dtype=np.float64),
             np.asarray(dram_frac, dtype=np.float64),
@@ -120,28 +108,7 @@ class DemandBatch:
 
     @classmethod
     def empty(cls) -> "DemandBatch":
-        return cls.from_columns([], [], [], [], [], [], [], [], [], [])
-
-    @classmethod
-    def from_demands(cls, demands: Iterable["ObjectDemand"]) -> "DemandBatch":
-        """Build a batch (placement columns included) from the list form."""
-        demands = list(demands)
-        batch = cls.from_columns(
-            [d.stats.uid for d in demands],
-            [d.stats.size_bytes for d in demands],
-            [d.stats.loads for d in demands],
-            [d.stats.stores for d in demands],
-            [d.stats.misses for d in demands],
-            [d.stats.bw_demand for d in demands],
-            [d.stats.n_tasks for d in demands],
-            [d.stats.confidence for d in demands],
-            [d.stats.mem_seconds for d in demands],
-            [d.stats.dram_frac for d in demands],
-        )
-        return batch.with_placement(
-            np.asarray([d.in_dram for d in demands], dtype=np.bool_),
-            np.asarray([d.first_use_offset for d in demands], dtype=np.float64),
-        )
+        return cls.from_columns([], [], [], [], [], [], [], [], [])
 
     def with_placement(
         self, in_dram: np.ndarray, first_use_offset: np.ndarray
@@ -159,7 +126,6 @@ class DemandBatch:
             self.stores,
             self.misses,
             self.bw_demand,
-            self.n_tasks,
             self.confidence,
             self.mem_seconds,
             self.dram_frac,
@@ -172,34 +138,3 @@ class DemandBatch:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.uid.shape[0])
-
-    def to_demands(self) -> list["ObjectDemand"]:
-        """Reconstruct the list-of-:class:`ObjectDemand` form.
-
-        The differential reference weigher
-        (``tests/reference_weigher.py``) consumes this; columns round-trip
-        through it bit-for-bit.
-        """
-        from repro.core.placement import ObjectDemand
-
-        in_dram = self.in_dram
-        first = self.first_use_offset
-        n = len(self)
-        in_dram_l = in_dram.tolist() if in_dram is not None else [False] * n
-        first_l = first.tolist() if first is not None else [0.0] * n
-        out: list[ObjectDemand] = []
-        for i, uid in enumerate(self.uid.tolist()):
-            st = ObjectStats(
-                uid=uid,
-                size_bytes=int(self.size_bytes[i]),
-                loads=float(self.loads[i]),
-                stores=float(self.stores[i]),
-                misses=float(self.misses[i]),
-                bw_demand=float(self.bw_demand[i]),
-                n_tasks=int(self.n_tasks[i]),
-                confidence=float(self.confidence[i]),
-                mem_seconds=float(self.mem_seconds[i]),
-                dram_frac=float(self.dram_frac[i]),
-            )
-            out.append(ObjectDemand(st, in_dram_l[i], first_l[i]))
-        return out

@@ -18,48 +18,11 @@ copy sooner than strictly needed.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from repro.tasking.graph import GraphExecCore
-from repro.tasking.task import Task
 
-__all__ = [
-    "estimate_start_offsets",
-    "first_use_offsets",
-    "first_use_offsets_split",
-]
-
-
-def estimate_start_offsets(
-    tasks: Sequence[Task],
-    duration_of: Callable[[Task], float],
-    n_workers: int,
-) -> list[float]:
-    """Offset (seconds from now) at which each of ``tasks`` should start."""
-    offsets: list[float] = []
-    acc = 0.0
-    inv = 1.0 / max(1, n_workers)
-    for t in tasks:
-        offsets.append(acc)
-        acc += duration_of(t) * inv
-    return offsets
-
-
-def first_use_offsets(
-    tasks: Sequence[Task],
-    duration_of: Callable[[Task], float],
-    n_workers: int,
-) -> dict[int, float]:
-    """Per-object uid, the offset of its first use within ``tasks``."""
-    offsets = estimate_start_offsets(tasks, duration_of, n_workers)
-    first: dict[int, float] = {}
-    for t, off in zip(tasks, offsets):
-        for obj, acc in t.accesses.items():
-            if acc.accesses and obj.uid not in first:
-                first[obj.uid] = off
-    return first
+__all__ = ["first_use_offsets_split"]
 
 
 def first_use_offsets_split(
@@ -75,9 +38,9 @@ def first_use_offsets_split(
     Each scope is a pair of arrays in first-use order: dense object
     indices (into ``core.accesses``) and their offsets.  A task's start
     offset is the sequential prefix sum of ``duration_by_type[type] /
-    workers`` over the tasks ahead of it — ``np.cumsum`` after a leading zero is
-    the same additions in the same order as :func:`estimate_start_offsets`
-    — and an object's first use is its first access row with traffic.
+    workers`` over the tasks ahead of it (``np.cumsum`` after a leading
+    zero: the area argument above, accumulated left to right) — and an
+    object's first use is its first access row with traffic.
     The window is the prefix of the full map whose first use falls in
     the first ``window_len`` tasks.
     """

@@ -213,7 +213,6 @@ def _fold_rows(
             totals[3],  # stores
             totals[0],  # misses
             bw_max[objects],
-            n_scope,
             folded[0],  # confidence
             totals[1],  # mem_seconds
             folded[1],  # dram_frac
@@ -321,10 +320,9 @@ class DataManagerPolicy(BasePolicy):
             model = TypeModel(tname)
             self._models[tname] = model
         if model.n_profiles >= cfg.profile_instances:
-            # Steady state (the per-task hot path): EWMA duration tracking,
-            # the ``track_duration`` fold inlined statement for statement
-            # (this path runs once per task and the call frame was its
-            # main cost).
+            # Steady state (the per-task hot path): fold the duration into
+            # the model's fast EWMA (rate 0.3; the first instance seeds
+            # it).  Inline because this runs once per task.
             model.n_instances += 1
             rd = model.recent_duration
             if rd <= 0.0:
@@ -617,6 +615,7 @@ class DataManagerPolicy(BasePolicy):
                 self.calib,
                 cfg.plan,
                 benefit_scale=self._skepticism * slack,
+                overhead_s=ctx.config.migration_overhead_s,
             )
             # Delta gain: what enforcing the plan buys *over doing
             # nothing* — the plan set's worth minus the worth of the

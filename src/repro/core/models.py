@@ -9,16 +9,20 @@ predicted to behave like the mean of slot ``i`` across the profiled
 instances.  This is the scalability move that distinguishes the
 task-parallel system from per-phase profiling — profiling cost is
 O(types), prediction covers O(instances).
+
+Per-object demand over a planning horizon is not kept here: the data
+manager folds these slot means straight into
+:class:`~repro.core.demand.DemandBatch` columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.sensitivity import Sensitivity, classify_bandwidth, object_bandwidth
+from repro.core.sensitivity import object_bandwidth
 from repro.profiling.sampler import TaskProfile
 
-__all__ = ["SlotStats", "TypeModel", "ObjectStats"]
+__all__ = ["SlotStats", "TypeModel"]
 
 
 @dataclass
@@ -76,27 +80,6 @@ class SlotStats:
         cv2 = var / (self.misses * self.misses)
         return 1.0 / (1.0 + cv2)
 
-    @property
-    def accesses(self) -> float:
-        return self.loads + self.stores
-
-    def effective_counts(self, use_miss_counter: bool) -> tuple[float, float]:
-        """(loads, stores) the benefit models should price.
-
-        With the miss counter, magnitude comes from misses and the
-        read/write split from the load/store ratio; without it (the
-        paper's loads/stores-only configuration) the raw pre-cache counts
-        are used and the CF factors must absorb cache filtering.
-        """
-        if not use_miss_counter:
-            return self.loads, self.stores
-        total = self.loads + self.stores
-        lf = self.loads / total if total > 0 else 1.0
-        return self.misses * lf, self.misses * (1.0 - lf)
-
-    def sensitivity(self, peak_nvm_bw: float, t1: float, t2: float) -> Sensitivity:
-        return classify_bandwidth(self.bw_demand, peak_nvm_bw, t1, t2)
-
 
 @dataclass
 class TypeModel:
@@ -106,17 +89,10 @@ class TypeModel:
     slots: list[SlotStats] = field(default_factory=list)
     mean_duration: float = 0.0
     n_profiles: int = 0
-    #: Fast EWMA of recent instance durations (placement-feedback signal).
+    #: Fast EWMA of recent instance durations (placement-feedback signal),
+    #: folded in by ``DataManagerPolicy.after_task`` once profiling is done.
     recent_duration: float = 0.0
     n_instances: int = 0
-
-    def track_duration(self, duration: float, alpha: float = 0.3) -> None:
-        """Fold a post-profiling instance duration into the fast EWMA."""
-        self.n_instances += 1
-        if self.recent_duration <= 0.0:
-            self.recent_duration = duration
-        else:
-            self.recent_duration += (duration - self.recent_duration) * alpha
 
     def observe(self, profile: TaskProfile, dram_name: str = "dram") -> None:
         """Fold one profiled instance in (slot order = access-dict order)."""
@@ -140,12 +116,6 @@ class TypeModel:
     @property
     def ready(self) -> bool:
         return self.n_profiles > 0
-
-    def slot(self, i: int) -> SlotStats:
-        """Stats for slot ``i`` (out-of-arity slots fall back to slot 0)."""
-        if not self.slots:
-            return SlotStats()
-        return self.slots[i] if i < len(self.slots) else self.slots[-1]
 
     def slot_rows(self) -> tuple[tuple[float, float, float, float, float, float, float], ...]:
         """Per-slot ``(loads, stores, misses, bw_demand, confidence,
@@ -175,67 +145,3 @@ class TypeModel:
         )
         self.__dict__["_slot_rows"] = (self.n_profiles, rows)
         return rows
-
-
-@dataclass(slots=True)
-class ObjectStats:
-    """Model-projected demand on one object over some horizon of tasks.
-
-    ``slots=True``: tens of thousands are built and mutated per replan
-    pass, and slot storage makes both construction and the accumulator
-    attribute writes measurably cheaper than ``__dict__`` entries.
-    """
-
-    uid: int
-    size_bytes: int
-    loads: float = 0.0
-    stores: float = 0.0
-    misses: float = 0.0
-    #: max per-task Eq.-1 bandwidth estimate seen for this object — an
-    #: object is bandwidth-sensitive if *some* task streams it hard.
-    bw_demand: float = 0.0
-    n_tasks: int = 0
-    #: access-weighted mean confidence of the contributing slot models.
-    confidence: float = 1.0
-    #: total projected memory-active seconds over the horizon.
-    mem_seconds: float = 0.0
-    #: mem_seconds-weighted fraction observed DRAM-resident while profiled.
-    dram_frac: float = 0.0
-
-    def add(
-        self, loads: float, stores: float, misses: float, bw: float,
-        confidence: float = 1.0,
-        mem_seconds: float = 0.0,
-        dram_frac: float = 0.0,
-    ) -> None:
-        new_misses = self.misses + misses
-        if new_misses > 0:
-            self.confidence = (
-                self.confidence * self.misses + confidence * misses
-            ) / new_misses
-        new_mem = self.mem_seconds + mem_seconds
-        if new_mem > 0:
-            self.dram_frac = (
-                self.dram_frac * self.mem_seconds + dram_frac * mem_seconds
-            ) / new_mem
-        self.mem_seconds = new_mem
-        self.loads += loads
-        self.stores += stores
-        self.misses = new_misses
-        self.bw_demand = max(self.bw_demand, bw)
-        self.n_tasks += 1
-
-    @property
-    def accesses(self) -> float:
-        return self.loads + self.stores
-
-    def effective_counts(self, use_miss_counter: bool) -> tuple[float, float]:
-        """See :meth:`SlotStats.effective_counts`."""
-        if not use_miss_counter:
-            return self.loads, self.stores
-        total = self.loads + self.stores
-        lf = self.loads / total if total > 0 else 1.0
-        return self.misses * lf, self.misses * (1.0 - lf)
-
-    def sensitivity(self, peak_nvm_bw: float, t1: float, t2: float) -> Sensitivity:
-        return classify_bandwidth(self.bw_demand, peak_nvm_bw, t1, t2)

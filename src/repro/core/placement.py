@@ -18,10 +18,11 @@ The weigher is straight-line column arithmetic: :func:`_weights_for`
 computes Eq. 7 for a whole :class:`~repro.core.demand.DemandBatch` —
 speed ratios, both benefit estimators and the movement cost as numpy
 columns over every lane, then ``np.where`` picks per object — with no
-per-object loop and no cross-plan memo.  The per-object loop it replaced
-survives in ``tests/reference_weigher.py``, the independent differential
-reference that pins the column path bitwise (see
-``tests/test_placement_batch.py``).
+per-object loop and no cross-plan memo.  It is the package's one
+implementation of the Eq. 1 classes and Eqs. 2–7.  The per-object loop
+it replaced survives, with its scalar benefit and cost helpers, in
+``tests/reference_weigher.py``, the independent differential reference
+that pins the column path bitwise (see ``tests/test_placement_batch.py``).
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ import numpy as np
 
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import greedy_by_density, solve_knapsack_arrays
-from repro.core.models import ObjectStats
 from repro.core.sensitivity import T1, T2
 from repro.memory.device import MemoryDevice
-from repro.memory.migration import copy_time
+from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
 from repro.profiling.calibration import CalibrationResult
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require
 
-__all__ = ["PlanConfig", "ObjectDemand", "PlacementPlan", "make_plan"]
+__all__ = ["PlanConfig", "PlacementPlan", "make_plan"]
 
 #: Fraction of DRAM the planner may fill (headroom for in-flight moves).
 CAPACITY_FRACTION = 0.95
@@ -70,16 +70,6 @@ class PlanConfig:
     use_parallel_slack: bool = True
 
 
-@dataclass(slots=True)
-class ObjectDemand:
-    """One object's projected demand over the planning horizon."""
-
-    stats: ObjectStats
-    in_dram: bool
-    #: seconds from now until the object's first use (overlap window).
-    first_use_offset: float = 0.0
-
-
 @dataclass
 class PlacementPlan:
     """The chosen DRAM resident set and its predicted net gain."""
@@ -92,28 +82,6 @@ class PlacementPlan:
     first_use: dict[int, float] = field(default_factory=dict)
 
 
-def object_weight(
-    demand: ObjectDemand,
-    nvm: MemoryDevice,
-    dram: MemoryDevice,
-    calib: CalibrationResult,
-    cfg: PlanConfig,
-    dram_pressure: float,
-    benefit_scale: float = 1.0,
-) -> float:
-    """Eq. 7: w = BFT - COST - extra_COST for one object.
-
-    Objects already DRAM-resident pay no movement cost (keeping them is
-    free); incoming objects pay the non-overlapped part of their copy,
-    plus — when DRAM is nearly full (``dram_pressure`` ~ 1) — the eviction
-    of an equal volume of victims.
-    """
-    batch = DemandBatch.from_demands([demand])
-    return float(
-        _weights_for(batch, nvm, dram, calib, cfg, dram_pressure, benefit_scale)[0]
-    )
-
-
 def _weights_for(
     batch: DemandBatch,
     nvm: MemoryDevice,
@@ -122,9 +90,17 @@ def _weights_for(
     cfg: PlanConfig,
     dram_pressure: float,
     benefit_scale: float = 1.0,
+    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> np.ndarray:
     """Eq. 7 over a whole demand batch — the planner's hot loop, as
     straight-line column arithmetic.
+
+    Eq. 7: w = BFT - COST - extra_COST per object.  Objects already
+    DRAM-resident pay no movement cost (keeping them is free); incoming
+    objects pay the non-overlapped part of their copy, plus — when DRAM
+    is nearly full (``dram_pressure`` ~ 1) — the eviction of an equal
+    volume of victims.  Both copies carry the fixed per-migration
+    ``overhead_s`` the enforcement path charges.
 
     Both benefit estimators and the movement cost are evaluated on every
     lane; ``np.where`` then picks each object's estimator, sensitivity
@@ -199,15 +175,17 @@ def _weights_for(
         eff_stores = batch.misses * (1.0 - lf)
     else:
         eff_loads, eff_stores = loads, stores
-    # mlp_discount: min(1.0, chase / bw_demand), 1.0 where bw_demand <= 0
-    # or there was no chase run.  Subnormal bw demands overflow the ratio
-    # to inf — harmless, the clamp takes 1.0 exactly as the scalar does.
+    # MLP discount: min(1.0, chase / bw_demand), 1.0 where bw_demand <= 0
+    # or there was no chase run (the reference's ``mlp_discount``).
+    # Subnormal bw demands overflow the ratio to inf — harmless, the
+    # clamp takes 1.0 exactly as the scalar does.
     chase_bw = calib.chase_bandwidth
     discount = np.ones_like(bw_d)
     with np.errstate(over="ignore"):
         np.divide(chase_bw, bw_d, out=discount, where=(bw_d > 0) & (chase_bw > 0))
     np.minimum(discount, 1.0, out=discount)
-    # benefit_bandwidth / benefit_latency, elementwise (same ops).
+    # Eqs. 2/4 and 3/5 elementwise: the reference's ``benefit_bandwidth``
+    # and ``benefit_latency``, same ops.
     lb = eff_loads * CACHELINE_BYTES
     sb = eff_stores * CACHELINE_BYTES
     if distinguish:
@@ -227,9 +205,10 @@ def _weights_for(
 
     bw_gain = np.where(timed, bw_time, bw_count)
     lat_gain = np.where(timed, lat_time, lat_count)
-    # Sensitivity classification (classify_bandwidth) as comparisons
-    # against the threshold products; mixed objects take max(bw, lat)
-    # with Python max semantics (np.where, not np.maximum — signed zeros).
+    # Eq. 1 sensitivity classes as comparisons against the threshold
+    # products (bandwidth at >= T1 x peak, latency at <= T2 x peak);
+    # mixed objects take max(bw, lat) with Python max semantics
+    # (np.where, not np.maximum — signed zeros).
     peak = calib.peak_of(nvm)
     mixed = np.where(lat_gain > bw_gain, lat_gain, bw_gain)
     bft = np.where(
@@ -242,13 +221,16 @@ def _weights_for(
 
     # Movement cost (Eq. 6) for incoming objects: the non-overlapped part
     # of the copy, max(copy - max(offset, 0), 0), plus — when DRAM is
-    # nearly full — the eviction of an equal volume of victims, which is
-    # ``eviction_cost([size], dram, nvm)``, i.e. the reverse copy.
+    # nearly full — the eviction of an equal volume of victims (Eq. 7's
+    # extra_COST), i.e. the reverse copy: the reference's
+    # ``eviction_cost([size], dram, nvm, overhead_s=overhead_s)``.
     size = batch.size_bytes
     off = batch.first_use_offset
-    diff = copy_time(size, nvm, dram) - np.where(off >= 0.0, off, 0.0)
+    diff = copy_time(size, nvm, dram, overhead_s) - np.where(off >= 0.0, off, 0.0)
     cost = np.where(diff >= 0.0, diff, 0.0)
-    extra = dram_pressure * copy_time(size, dram, nvm) if dram_pressure > 0.0 else 0.0
+    extra = 0.0
+    if dram_pressure > 0.0:
+        extra = dram_pressure * copy_time(size, dram, nvm, overhead_s)
     # Resident objects pay nothing: keeping them is free.
     return np.where(in_dram, bft, bft - COST_MARGIN * (cost + extra))
 
@@ -263,17 +245,19 @@ def make_plan(
     calib: CalibrationResult,
     cfg: PlanConfig,
     benefit_scale: float = 1.0,
+    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> PlacementPlan:
     """Weigh every demand and solve the capacity-constrained selection.
 
     ``demands`` is a :class:`~repro.core.demand.DemandBatch` with
-    placement columns attached (build one from a list of
-    :class:`ObjectDemand` with :meth:`DemandBatch.from_demands`).
+    placement columns attached (:meth:`DemandBatch.with_placement`);
+    ``overhead_s`` is the machine's fixed per-migration overhead
+    (``ExecutorConfig.migration_overhead_s``), priced into every copy.
     """
     batch = demands
     budget = int(dram_capacity_bytes * CAPACITY_FRACTION)
     pressure = max(0.0, min(1.0, dram_used_bytes / max(1, budget)))
-    weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale)
+    weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale, overhead_s)
     if cfg.solver == "greedy":
         mask = greedy_by_density(weights, batch.size_bytes, budget)
     else:

@@ -1,4 +1,4 @@
-"""Bandwidth-vs-latency sensitivity classification (Eq. 1 analogue).
+"""Bandwidth-vs-latency sensitivity (Eq. 1 analogue).
 
 An object's estimated main-memory bandwidth demand is::
 
@@ -13,17 +13,15 @@ the same estimated-traffic units):
 - in between -> mixed: take the larger of the two benefit estimates.
 
 The thresholds are the paper's fixed t1=80 %, t2=10 % (:data:`T1`,
-:data:`T2`); the placement weigher reads the same constants.
+:data:`T2`); the placement weigher
+(:func:`repro.core.placement._weights_for`) classifies against them.
 """
 
 from __future__ import annotations
 
-import enum
-
 from repro.profiling.sampler import ObjectSample
-from repro.util.validation import require
 
-__all__ = ["Sensitivity", "object_bandwidth", "classify_bandwidth"]
+__all__ = ["object_bandwidth"]
 
 #: Bandwidth-sensitivity threshold: share of the NVM peak at or above
 #: which an object is bandwidth-sensitive.
@@ -33,29 +31,8 @@ T1 = 0.80
 T2 = 0.10
 
 
-class Sensitivity(enum.Enum):
-    BANDWIDTH = "bandwidth"
-    LATENCY = "latency"
-    MIXED = "mixed"
-
-
 def object_bandwidth(sample: ObjectSample, duration: float) -> float:
     """Eq. 1: estimated bandwidth demand (bytes/s) of one object in one
     profiled task execution."""
     active_time = max(sample.active_fraction, 1e-9) * max(duration, 1e-12)
     return sample.accessed_bytes / active_time
-
-
-def classify_bandwidth(
-    bw_obj: float,
-    peak_nvm_bandwidth: float,
-    t1: float = T1,
-    t2: float = T2,
-) -> Sensitivity:
-    """Classify an object's demand against the NVM achievable peak."""
-    require(0.0 < t2 < t1 <= 1.5, f"need 0 < t2 < t1, got t1={t1}, t2={t2}")
-    if bw_obj >= t1 * peak_nvm_bandwidth:
-        return Sensitivity.BANDWIDTH
-    if bw_obj <= t2 * peak_nvm_bandwidth:
-        return Sensitivity.LATENCY
-    return Sensitivity.MIXED

@@ -20,8 +20,8 @@ Also measured:
   Eq.-1 classification denominator;
 - the single-stream chase rate ``chase_bandwidth`` — the bandwidth a
   concurrency-1 access stream sustains; the ratio of an object's Eq.-1
-  demand to this rate estimates its memory-level parallelism, which
-  discounts the latency law for mixed-class objects.
+  demand to this rate estimates its memory-level parallelism, with which
+  the placement weigher discounts the count-based latency law.
 
 Both CF pairs are produced: miss-counter based (default) and pre-cache
 loads/stores-only (the paper's configuration, for the E9 ablation).
@@ -69,14 +69,6 @@ class CalibrationResult:
 
     def latency_factor(self, use_miss_counter: bool) -> float:
         return self.cf_lat if use_miss_counter else self.cf_lat_raw
-
-    def mlp_discount(self, bw_demand: float) -> float:
-        """Discount on the latency law for an object whose Eq.-1 demand is
-        ``bw_demand``: demand above the single-stream chase rate implies
-        overlapping misses, which shrink exposed latency proportionally."""
-        if bw_demand <= 0 or self.chase_bandwidth <= 0:
-            return 1.0
-        return min(1.0, self.chase_bandwidth / bw_demand)
 
 
 def _sum_counts(trace, hms, profiler):

@@ -90,13 +90,6 @@ class TaskProfile:
     duration: float
     objects: dict[int, ObjectSample]  #: keyed by DataObject uid
 
-    def object_bandwidth(self, uid: int) -> float:
-        """Eq. 1: estimated main-memory bandwidth demand of the object,
-        bytes/second = accessed_bytes / (active_fraction * duration)."""
-        s = self.objects[uid]
-        active_time = max(s.active_fraction, 1e-9) * max(self.duration, 1e-12)
-        return s.accessed_bytes / active_time
-
 
 class SamplingProfiler:
     """Emulated PEBS/IBS sampling of a task's loads and stores."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.baselines import NVMOnlyPolicy
+from repro.core.demand import DemandBatch
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram
 from repro.tasking.dataobj import DataObject
@@ -77,3 +78,44 @@ def run_graph(graph, dram_dev, nvm_dev, policy=None, workers: int = 4, **cfg_kw)
 def dram_for(graph):
     """A DRAM device big enough to hold the graph's working set."""
     return dram(max(2 * graph.total_object_bytes(), 64 * MIB))
+
+
+#: Per-object value of each demand column a builder call omits: the
+#: projection's empty accumulator (confidence 1.0, the rest zero), an
+#: NVM-resident object, first used right now.
+DEMAND_DEFAULTS = {
+    "loads": 0.0,
+    "stores": 0.0,
+    "misses": 0.0,
+    "bw_demand": 0.0,
+    "confidence": 1.0,
+    "mem_seconds": 0.0,
+    "dram_frac": 0.0,
+    "in_dram": False,
+    "first_use_offset": 0.0,
+}
+
+
+def demand_batch(size_bytes, uid=None, **columns) -> DemandBatch:
+    """A planning-ready :class:`DemandBatch` from per-object column lists.
+
+    Built the way the manager builds one — ``from_columns`` then
+    ``with_placement``.  ``uid`` defaults to ``1..n``; every other omitted
+    column takes its :data:`DEMAND_DEFAULTS` value for each object.
+    """
+    n = len(size_bytes)
+    unknown = set(columns) - set(DEMAND_DEFAULTS)
+    assert not unknown, f"unknown demand columns: {sorted(unknown)}"
+    col = {name: columns.get(name, [v] * n) for name, v in DEMAND_DEFAULTS.items()}
+    batch = DemandBatch.from_columns(
+        list(range(1, n + 1)) if uid is None else uid,
+        size_bytes,
+        col["loads"],
+        col["stores"],
+        col["misses"],
+        col["bw_demand"],
+        col["confidence"],
+        col["mem_seconds"],
+        col["dram_frac"],
+    )
+    return batch.with_placement(col["in_dram"], col["first_use_offset"])

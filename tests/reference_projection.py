@@ -43,7 +43,6 @@ def demand_stats_split_ref(
     stores_c: list[float] = []
     misses_c: list[float] = []
     bw_c: list[float] = []
-    ntasks_c: list[int] = []
     conf_c: list[float] = []
     mem_c: list[float] = []
     dfrac_c: list[float] = []
@@ -83,7 +82,6 @@ def demand_stats_split_ref(
                     stores_c.append(0.0)
                     misses_c.append(0.0)
                     bw_c.append(0.0)
-                    ntasks_c.append(0)
                     conf_c.append(1.0)
                     mem_c.append(0.0)
                     dfrac_c.append(0.0)
@@ -105,22 +103,21 @@ def demand_stats_split_ref(
                 misses_c[r] = new_misses
                 if bw > bw_c[r]:
                     bw_c[r] = bw
-                ntasks_c[r] += 1
 
     if need_window and len(tasks) > window_len:
         accumulate(tasks[:window_len])
         win_batch = DemandBatch.from_columns(
             list(uids), list(sizes), list(loads_c), list(stores_c),
-            list(misses_c), list(bw_c), list(ntasks_c), list(conf_c),
-            list(mem_c), list(dfrac_c),
+            list(misses_c), list(bw_c), list(conf_c), list(mem_c),
+            list(dfrac_c),
         )
         win_horizon = horizon
         accumulate(tasks[window_len:])
     else:
         accumulate(tasks)
     batch = DemandBatch.from_columns(
-        uids, sizes, loads_c, stores_c, misses_c, bw_c, ntasks_c,
-        conf_c, mem_c, dfrac_c,
+        uids, sizes, loads_c, stores_c, misses_c, bw_c, conf_c, mem_c,
+        dfrac_c,
     )
     if len(tasks) <= window_len:
         win_batch, win_horizon = batch, horizon

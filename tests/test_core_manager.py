@@ -1,13 +1,20 @@
 """The data manager end-to-end on controlled micro-programs."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import NVMOnlyPolicy
 from repro.core import manager
 from repro.core.manager import DataManagerPolicy, ManagerConfig
-from repro.core.placement import PlanConfig
+from repro.core.placement import (
+    CAPACITY_FRACTION,
+    COST_MARGIN,
+    PlanConfig,
+    _weights_for,
+)
 from repro.experiments.runner import make_policy
 from repro.memory.hms import HeterogeneousMemorySystem
+from repro.memory.migration import copy_time
 from repro.memory.presets import dram
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
@@ -215,3 +222,42 @@ class TestManagerConfigKnobs:
         )
         tr = run(g, pol, nvm_bw)
         tr.validate()
+
+
+class TestPlanCopyCost:
+    def test_plan_prices_the_configured_migration_overhead(self, nvm_bw, monkeypatch):
+        """The planner's copy costs (Eqs. 6–7) carry the executor's
+        configured per-migration overhead — the one enforcement and the
+        copy lane charge — on every non-resident object."""
+        overhead = 5e-3  # 250x the default
+        calls = []
+        real = manager.make_plan
+
+        def spy(*args, **kw):
+            plan = real(*args, **kw)
+            calls.append((args, kw["benefit_scale"], plan))
+            return plan
+
+        monkeypatch.setattr(manager, "make_plan", spy)
+        g, *_ = hot_cold_program()
+        hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
+        config = ExecutorConfig(n_workers=2, migration_overhead_s=overhead)
+        Executor(hms, config).run(g, DataManagerPolicy())
+
+        priced = 0
+        for (_, batch, capacity, used, nvm, dram_dev, calib, cfg), scale, plan in calls:
+            # Each lane's benefit alone: the batch weighed as if resident.
+            resident = batch.with_placement(np.ones(len(batch)), batch.first_use_offset)
+            benefit = _weights_for(resident, nvm, dram_dev, calib, cfg, 0.0, scale)
+            pressure = max(0.0, min(1.0, used / max(1, int(capacity * CAPACITY_FRACTION))))
+            for i in np.flatnonzero(~batch.in_dram).tolist():
+                size = int(batch.size_bytes[i])
+                unhidden = copy_time(size, nvm, dram_dev, overhead) - max(
+                    float(batch.first_use_offset[i]), 0.0
+                )
+                cost = max(unhidden, 0.0) + pressure * copy_time(size, dram_dev, nvm, overhead)
+                assert plan.weights[int(batch.uid[i])] == pytest.approx(
+                    benefit[i] - COST_MARGIN * cost, rel=1e-12
+                )
+                priced += cost > 0.0
+        assert priced > 0

@@ -1,20 +1,14 @@
 """Partitioning transform, initial placement, lookahead, placement planning."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import NVMOnlyPolicy
-from repro.core.demand import DemandBatch
 from repro.core.initial import initial_placement
-from repro.core.lookahead import estimate_start_offsets, first_use_offsets
+from repro.core.lookahead import first_use_offsets_split
 from repro.core.manager import DataManagerPolicy, ManagerConfig
-from repro.core.models import ObjectStats
 from repro.core.partition import partition_graph
-from repro.core.placement import (
-    ObjectDemand,
-    PlanConfig,
-    make_plan,
-    object_weight,
-)
+from repro.core.placement import PlanConfig, make_plan
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
@@ -24,6 +18,8 @@ from repro.tasking.runtime import TaskRuntime
 from repro.tasking.task import Task
 from repro.util.units import MIB
 from repro.workloads.base import build
+
+from tests.helpers import demand_batch
 
 
 class TestPartitionGraph:
@@ -154,26 +150,43 @@ class TestInitialPlacement:
 
 
 class TestLookahead:
-    def _tasks(self, n=4):
-        o = DataObject(name="o", size_bytes=int(MIB))
+    """First-use offsets (the Eq. 6 overlap windows) as the replan
+    computes them, every task type lasting 1 s."""
+
+    @staticmethod
+    def _first_use(tasks, n_workers):
+        g = TaskGraph()
+        for t in tasks:
+            g.add(t)
+        core = g.exec_core()
+        _, (objs, offsets) = first_use_offsets_split(
+            core, np.arange(len(tasks)), len(tasks),
+            np.ones(len(core.type_names)), n_workers,
+        )
+        return dict(zip(core.accesses.obj_uid[objs].tolist(), offsets.tolist()))
+
+    def _tasks(self, n=4, shared=True):
+        objs = [DataObject(name=f"o{i}", size_bytes=int(MIB)) for i in range(n)]
+        if shared:
+            objs = [objs[0]] * n
         return [
             Task(
                 name=f"t{i}",
                 type_name="t",
                 accesses={o: update_footprint(o.size_bytes, o.size_bytes)},
             )
-            for i in range(n)
-        ], o
+            for i, o in enumerate(objs)
+        ], objs
 
     def test_start_offsets_area_argument(self):
-        tasks, _ = self._tasks(4)
-        offs = estimate_start_offsets(tasks, lambda t: 1.0, n_workers=2)
-        assert offs == pytest.approx([0.0, 0.5, 1.0, 1.5])
+        tasks, objs = self._tasks(4, shared=False)
+        first = self._first_use(tasks, n_workers=2)
+        assert [first[o.uid] for o in objs] == pytest.approx([0.0, 0.5, 1.0, 1.5])
 
     def test_first_use_offsets(self):
-        tasks, o = self._tasks(3)
-        first = first_use_offsets(tasks, lambda t: 1.0, n_workers=1)
-        assert first[o.uid] == pytest.approx(0.0)
+        tasks, objs = self._tasks(3)
+        first = self._first_use(tasks, n_workers=1)
+        assert first == {objs[0].uid: pytest.approx(0.0)}
 
     def test_zero_traffic_access_not_first_use(self):
         o = DataObject(name="o", size_bytes=int(MIB))
@@ -185,56 +198,58 @@ class TestLookahead:
         t1 = Task(
             name="r", type_name="r", accesses={o: read_footprint(o.size_bytes)}
         )
-        first = first_use_offsets([t0, t1], lambda t: 1.0, n_workers=1)
+        first = self._first_use([t0, t1], n_workers=1)
         assert first[o.uid] == pytest.approx(1.0)
 
 
 class TestPlanning:
-    def _demand(self, mem_seconds=0.5, size=int(8 * MIB), in_dram=False, offset=0.0,
-                bw=5e9):
-        st = ObjectStats(uid=DataObject(name="x", size_bytes=size).uid, size_bytes=size)
-        st.add(10_000, 1_000, 8_000, bw, mem_seconds=mem_seconds, dram_frac=0.0)
-        return ObjectDemand(stats=st, in_dram=in_dram, first_use_offset=offset)
+    def _plan(self, calib, *, n=1, mem_seconds=0.5, in_dram=False, offset=0.0,
+              used=0, capacity=int(64 * MIB), benefit_scale=1.0):
+        """Plan ``n`` 8 MiB objects with the same counts; ``mem_seconds``,
+        ``in_dram`` and ``offset`` are one value for all or a list of one
+        per object.  Returns the plan and the batch it weighed."""
+
+        def col(v):
+            return v if isinstance(v, list) else [v] * n
+
+        batch = demand_batch(
+            [int(8 * MIB)] * n,
+            loads=[10_000.0] * n, stores=[1_000.0] * n, misses=[8_000.0] * n,
+            bw_demand=[5e9] * n, mem_seconds=col(mem_seconds),
+            in_dram=col(in_dram), first_use_offset=col(offset),
+        )
+        d, nvm = dram(), nvm_bandwidth_scaled(0.5)
+        plan = make_plan(
+            "global", batch, capacity, used, nvm, d, calib, PlanConfig(),
+            benefit_scale=benefit_scale,
+        )
+        return plan, batch
 
     def test_resident_weight_has_no_cost(self, calibration_bw):
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        cfg = PlanConfig()
-        w_in = object_weight(self._demand(in_dram=True), n, d, calibration_bw, cfg, 0.0)
-        w_out = object_weight(self._demand(in_dram=False), n, d, calibration_bw, cfg, 0.0)
-        assert w_in > w_out
+        plan, _ = self._plan(calibration_bw, n=2, in_dram=[True, False])
+        assert plan.weights[1] > plan.weights[2]
 
     def test_overlap_window_reduces_cost(self, calibration_bw):
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        cfg = PlanConfig()
-        near = object_weight(self._demand(offset=0.0), n, d, calibration_bw, cfg, 0.0)
-        far = object_weight(self._demand(offset=10.0), n, d, calibration_bw, cfg, 0.0)
-        assert far > near
+        plan, _ = self._plan(calibration_bw, n=2, offset=[0.0, 10.0])
+        assert plan.weights[2] > plan.weights[1]
 
     def test_dram_pressure_adds_eviction_cost(self, calibration_bw):
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        cfg = PlanConfig()
-        empty = object_weight(self._demand(), n, d, calibration_bw, cfg, 0.0)
-        full = object_weight(self._demand(), n, d, calibration_bw, cfg, 1.0)
-        assert full < empty
+        empty, _ = self._plan(calibration_bw)
+        full, _ = self._plan(calibration_bw, used=int(64 * MIB))
+        assert full.weights[1] < empty.weights[1]
 
     def test_make_plan_respects_capacity(self, calibration_bw):
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        demands = [self._demand(mem_seconds=0.5 + i * 0.1) for i in range(8)]
-        batch = DemandBatch.from_demands(demands)
-        plan = make_plan(
-            "global", batch, int(16 * MIB), 0, n, d, calibration_bw, PlanConfig()
+        plan, batch = self._plan(
+            calibration_bw, n=8, mem_seconds=[0.5 + i * 0.1 for i in range(8)],
+            capacity=int(16 * MIB),
         )
         chosen = sum(
-            de.stats.size_bytes for de in demands if de.stats.uid in plan.dram_set
+            size for uid, size in zip(batch.uid.tolist(), batch.size_bytes.tolist())
+            if uid in plan.dram_set
         )
-        assert chosen <= 16 * MIB
+        assert plan.dram_set and chosen <= 16 * MIB
 
     def test_benefit_scale_shrinks_selection_value(self, calibration_bw):
-        d, n = dram(), nvm_bandwidth_scaled(0.5)
-        batch = DemandBatch.from_demands([self._demand()])
-        full = make_plan("g", batch, int(64 * MIB), 0, n, d, calibration_bw, PlanConfig())
-        damped = make_plan(
-            "g", batch, int(64 * MIB), 0, n, d, calibration_bw, PlanConfig(),
-            benefit_scale=0.01,
-        )
+        full, _ = self._plan(calibration_bw)
+        damped, _ = self._plan(calibration_bw, benefit_scale=0.01)
         assert damped.predicted_gain < full.predicted_gain

@@ -2,8 +2,10 @@
 
 The column weigher (:func:`repro.core.placement._weights_for`) must be
 *bitwise* identical to the retired scalar loop, which survives verbatim,
-with its own scalar speed-ratio helpers, in ``tests/reference_weigher.py``.
-Hypothesis drives both over adversarial demand batches — mixed
+with its own scalar benefit, cost and speed-ratio helpers, in
+``tests/reference_weigher.py``.  Hypothesis draws demand batches as
+columns, built the way the manager builds them (``from_columns`` then
+``with_placement``), and drives both weighers over them — mixed
 sensitivity classes, zero-count objects, timed and untimed lanes side by
 side, every config-flag combination, resident and incoming objects — on
 the calibrated platform and on drawn machines (asymmetric read/write
@@ -23,8 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays
-from repro.core.models import ObjectStats
-from repro.core.placement import ObjectDemand, PlanConfig, _weights_for
+from repro.core.placement import PlanConfig, _weights_for
 from repro.memory.presets import (
     dram,
     numa_emulated,
@@ -37,6 +38,7 @@ from repro.memory.presets import (
 )
 from repro.profiling.calibration import CalibrationResult
 
+from tests.helpers import demand_batch
 from tests.reference_weigher import weights_for_ref
 
 DRAM = dram()
@@ -74,47 +76,47 @@ _BW = st.one_of(
 _FRAC = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-@st.composite
-def demand(draw, uid):
-    stats = ObjectStats(
-        uid=uid,
-        size_bytes=draw(_SIZES),
-        loads=draw(_COUNTS),
-        stores=draw(_COUNTS),
-        misses=draw(_COUNTS),
-        bw_demand=draw(_BW),
-        n_tasks=draw(st.integers(min_value=0, max_value=64)),
-        confidence=draw(_FRAC),
-        mem_seconds=draw(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=10.0))
-        ),
-        dram_frac=draw(_FRAC),
-    )
-    return ObjectDemand(
-        stats,
-        in_dram=draw(st.booleans()),
-        first_use_offset=draw(
-            st.floats(min_value=-1.0, max_value=5.0, allow_nan=False)
-        ),
-    )
+_MEM_SECONDS = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=10.0))
+_OFFSET = st.floats(min_value=-1.0, max_value=5.0, allow_nan=False)
+#: Column name -> the strategy drawing one object's value.
+_COLUMNS = {
+    "size_bytes": _SIZES,
+    "loads": _COUNTS,
+    "stores": _COUNTS,
+    "misses": _COUNTS,
+    "bw_demand": _BW,
+    "confidence": _FRAC,
+    "mem_seconds": _MEM_SECONDS,
+    "dram_frac": _FRAC,
+    "in_dram": st.booleans(),
+    "first_use_offset": _OFFSET,
+}
 
 
 @st.composite
-def demand_list(draw, min_size=0, max_size=12):
+def demand_columns(draw, min_size=0, max_size=12):
+    """Per-object column lists for :func:`tests.helpers.demand_batch`."""
     n = draw(st.integers(min_value=min_size, max_value=max_size))
-    return [draw(demand(uid)) for uid in range(1, n + 1)]
+    return {
+        name: draw(st.lists(value, min_size=n, max_size=n))
+        for name, value in _COLUMNS.items()
+    }
+
+
+def demand_batches(min_size=0, max_size=12):
+    return demand_columns(min_size, max_size).map(lambda cols: demand_batch(**cols))
 
 
 @st.composite
-def mixed_timing_list(draw):
+def mixed_timing_batch(draw):
     """A batch holding at least one timed (``mem_seconds > 0``) and one
     untimed lane, in drawn order."""
-    demands = draw(demand_list(min_size=2))
-    timed = draw(st.floats(min_value=1e-9, max_value=10.0))
-    demands[0].stats.mem_seconds = 0.0
-    demands[1].stats.mem_seconds = timed
-    order = draw(st.permutations(range(len(demands))))
-    return [demands[i] for i in order]
+    cols = draw(demand_columns(min_size=2))
+    cols["mem_seconds"][:2] = [0.0, draw(st.floats(min_value=1e-9, max_value=10.0))]
+    order = draw(st.permutations(range(len(cols["size_bytes"]))))
+    return demand_batch(
+        **{name: [values[i] for i in order] for name, values in cols.items()}
+    )
 
 
 _CFGS = st.builds(
@@ -189,66 +191,51 @@ def machine(draw):
 class TestWeightsDifferential:
     @settings(max_examples=200, deadline=None)
     @given(
-        demands=demand_list(),
+        batch=demand_batches(),
         cfg=_CFGS,
         pressure=st.sampled_from([0.0, 0.3, 1.0]),
         scale=st.sampled_from([1.0, 0.25, 2.0]),
     )
-    def test_bitwise_equal(self, calibration_bw, demands, cfg, pressure, scale):
-        batch = DemandBatch.from_demands(demands)
+    def test_bitwise_equal(self, calibration_bw, batch, cfg, pressure, scale):
         vec = _weights_for(batch, NVM, DRAM, calibration_bw, cfg, pressure, scale)
-        ref = weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, pressure, scale)
+        ref = weights_for_ref(batch, NVM, DRAM, calibration_bw, cfg, pressure, scale)
         assert_bitwise(vec, ref)
 
     @_FLAG_COMBOS
     @settings(max_examples=100, deadline=None)
     @given(
         mach=machine(),
-        demands=mixed_timing_list(),
+        batch=mixed_timing_batch(),
         pressure=st.sampled_from([0.0, 0.3, 1.0]),
         scale=st.sampled_from([1.0, 0.25, 2.0]),
+        overhead=st.sampled_from([20e-6, 0.0, 1e-3]),
     )
     def test_bitwise_equal_on_drawn_machines(
-        self, distinguish_rw, use_miss_counter, mach, demands, pressure, scale
+        self, distinguish_rw, use_miss_counter, mach, batch, pressure, scale, overhead
     ):
         nvm, dev_d, calib = mach
         cfg = PlanConfig(distinguish_rw=distinguish_rw, use_miss_counter=use_miss_counter)
-        batch = DemandBatch.from_demands(demands)
-        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure, scale)
-        ref = weights_for_ref(demands, nvm, dev_d, calib, cfg, pressure, scale)
+        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure, scale, overhead)
+        ref = weights_for_ref(batch, nvm, dev_d, calib, cfg, pressure, scale, overhead)
         assert_bitwise(vec, ref)
 
     @settings(max_examples=50, deadline=None)
-    @given(demands=demand_list(min_size=1), resident=st.booleans())
-    def test_homogeneous_residency(self, calibration_bw, demands, resident):
+    @given(batch=demand_batches(min_size=1), resident=st.booleans())
+    def test_homogeneous_residency(self, calibration_bw, batch, resident):
         # Every object on one side: all resident (no lane pays a cost)
         # or all incoming (every lane does).
-        for d in demands:
-            d.in_dram = resident
+        batch = batch.with_placement(
+            np.full(len(batch), resident), batch.first_use_offset
+        )
         cfg = PlanConfig()
-        batch = DemandBatch.from_demands(demands)
         vec = _weights_for(batch, NVM, DRAM, calibration_bw, cfg, 0.7)
-        ref = weights_for_ref(demands, NVM, DRAM, calibration_bw, cfg, 0.7)
+        ref = weights_for_ref(batch, NVM, DRAM, calibration_bw, cfg, 0.7)
         assert_bitwise(vec, ref)
 
     def test_empty_batch(self, calibration_bw):
-        vec = _weights_for(
-            DemandBatch.from_demands([]), NVM, DRAM, calibration_bw, PlanConfig(), 0.0
-        )
+        batch = DemandBatch.empty().with_placement([], [])
+        vec = _weights_for(batch, NVM, DRAM, calibration_bw, PlanConfig(), 0.0)
         assert vec.shape == (0,)
-
-    @settings(max_examples=50, deadline=None)
-    @given(demands=demand_list())
-    def test_batch_round_trip(self, demands):
-        # to_demands must reconstruct the list form bit-for-bit — it is
-        # what feeds the reference weigher.
-        batch = DemandBatch.from_demands(demands)
-        back = batch.to_demands()
-        assert len(back) == len(demands)
-        for a, b in zip(demands, back):
-            assert a.stats == b.stats
-            assert a.in_dram == b.in_dram
-            assert bits(a.first_use_offset) == bits(b.first_use_offset)
 
 
 # ----------------------------------------------------------------------

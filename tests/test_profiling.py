@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.sensitivity import object_bandwidth
 from repro.memory.presets import dram, nvm_bandwidth_scaled, nvm_latency_scaled
 from repro.profiling.counters import GroundTruthCounters
 from repro.profiling.sampler import SamplingProfiler
@@ -11,6 +12,8 @@ from repro.tasking.footprints import chase_footprint, read_footprint, write_foot
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+
+from tests.reference_weigher import mlp_discount
 
 
 def stream_task(mib=8.0):
@@ -121,7 +124,7 @@ class TestSamplingProfiler:
         a = t.objects[0]
         duration = sum(acc.memory_time(d) for acc in t.accesses.values()) + t.compute_time
         p = SamplingProfiler(seed=7).sample_task(t, duration, device_of=lambda o: d)
-        bw = p.object_bandwidth(a.uid)
+        bw = object_bandwidth(p.objects[a.uid], p.duration)
         # A streaming object's demand approaches device bandwidth.
         assert bw > 0.2 * d.read_bandwidth
 
@@ -181,6 +184,7 @@ class TestCalibration:
 
     def test_mlp_discount(self, calibration_bw):
         c = calibration_bw
-        assert c.mlp_discount(c.chase_bandwidth / 2) == 1.0
-        assert c.mlp_discount(c.chase_bandwidth * 4) == pytest.approx(0.25)
-        assert c.mlp_discount(0.0) == 1.0
+        assert c.chase_bandwidth > 0
+        assert mlp_discount(c, c.chase_bandwidth / 2) == 1.0
+        assert mlp_discount(c, c.chase_bandwidth * 4) == pytest.approx(0.25)
+        assert mlp_discount(c, 0.0) == 1.0

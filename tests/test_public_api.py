@@ -1,6 +1,8 @@
 """Public API surface: imports, exports, and the README quickstart."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,56 @@ class TestImportSurface:
         assert callable(repro.TaskRuntime)
         assert callable(repro.DataManagerPolicy)
         assert callable(repro.read_footprint)
+
+
+def _package_uses(skip: Path) -> set[str]:
+    """Names the package's own code uses, ``skip`` (a re-exporting
+    ``__init__``) aside.
+
+    A name is used when some module imports it, when module-level code
+    references it (as a name or an attribute), or when a used top-level
+    function or class references it.  References from inside a
+    definition count only once that definition is itself used, so an
+    export reached only from another unused export stays unused.
+    """
+    used: set[str] = set()
+    refs_of: dict[str, set[str]] = {}
+
+    def refs(node: ast.AST) -> set[str]:
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        if path == skip:
+            continue
+        tree = ast.parse(path.read_text())
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                refs_of.setdefault(node.name, set()).update(refs(node))
+            else:
+                used |= refs(node)
+    frontier = list(used)
+    while frontier:
+        for name in refs_of.pop(frontier.pop(), ()):
+            if name not in used:
+                used.add(name)
+                frontier.append(name)
+    return used
+
+
+class TestCoreSurface:
+    def test_every_core_export_is_used_by_the_package(self):
+        """``repro.core`` exports only what the package itself runs: a
+        scalar oracle that only tests reach belongs under ``tests/``."""
+        core = importlib.import_module("repro.core")
+        used = _package_uses(Path(core.__file__))
+        assert [name for name in core.__all__ if name not in used] == []
 
 
 class TestFrozenExecutionAPI:
