@@ -47,8 +47,6 @@ _EXPERIMENT_EXPORTS = (
     "RunSpec",
     "RunResult",
     "run_many",
-    "run_spec",
-    "run_workload",
     "make_policy",
 )
 

@@ -93,6 +93,3 @@ class DeviationDetector:
         ref_std = sqrt(var)
         dev = abs(mean - ref_mean)
         return dev > self.threshold * ref_mean and dev > self.sigmas * ref_std
-
-    def reset(self, type_name: str) -> None:
-        self._types.pop(type_name, None)

@@ -18,14 +18,12 @@ from repro.experiments.cache import (
 )
 from repro.experiments.parallel import (
     run_many,
-    run_spec,
     get_default_workers,
     set_default_workers,
 )
 from repro.experiments.runner import (
     ExperimentResult,
     execute_spec,
-    run_workload,
     make_policy,
     make_scheduler,
     POLICIES,
@@ -42,12 +40,10 @@ __all__ = [
     "set_cache_enabled",
     "cache_enabled",
     "run_many",
-    "run_spec",
     "get_default_workers",
     "set_default_workers",
     "ExperimentResult",
     "execute_spec",
-    "run_workload",
     "make_policy",
     "make_scheduler",
     "POLICIES",

@@ -177,8 +177,8 @@ class ResultCache:
         the survivor set is deterministic).  ``now`` is the reference
         clock for the age cutoff — injectable so age-based eviction is
         testable without sleeping; ``None`` reads the wall clock.
-        Entries that vanish mid-scan (concurrent prune or invalidate) are
-        skipped silently.
+        Entries that vanish mid-scan (a concurrent prune) are skipped
+        silently.
         """
         stamped: list[tuple[float, str, Path]] = []
         for entry in self._all_entries():
@@ -205,29 +205,13 @@ class ResultCache:
                 pass
         return removed
 
-    def invalidate(self, key: str | None = None) -> int:
-        """Drop one key's entries (or every entry when ``key`` is
-        ``None``); returns the number of files removed."""
-        if key is not None:
-            targets = [self._entry(key), self._binary_entry(key)]
-        else:
-            targets = list(self._all_entries())
-        removed = 0
-        for entry in targets:
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     # ------------------------------------------------------------------
     def entries(self) -> int:
         return sum(1 for _ in self._all_entries())
 
     def size_bytes(self) -> int:
         """Total size of every entry; entries that vanish mid-scan
-        (concurrent prune, invalidate or put) are skipped."""
+        (concurrent prune or put) are skipped."""
         total = 0
         for entry in self._all_entries():
             try:

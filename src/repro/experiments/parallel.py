@@ -25,7 +25,6 @@ from repro.experiments.spec import RunResult, RunSpec
 
 __all__ = [
     "run_many",
-    "run_spec",
     "execute_capturing",
     "get_default_workers",
     "set_default_workers",
@@ -69,14 +68,6 @@ def execute_capturing(spec: RunSpec) -> RunResult:
         if isinstance(exc, KeyboardInterrupt):
             raise
         return RunResult.failure(spec, exc)
-
-
-def run_spec(
-    spec: RunSpec,
-    cache: ResultCache | None | bool = None,
-) -> RunResult:
-    """Run (or fetch) a single spec through the cache."""
-    return run_many([spec], workers=1, cache=cache)[0]
 
 
 def run_many(

@@ -1,15 +1,12 @@
 """Shared machinery for the experiment suite.
 
 The run description is a :class:`~repro.experiments.spec.RunSpec`; the
-central helper is :func:`run_workload`: build the workload, build the
+central helper is :func:`execute_spec`: build the workload, build the
 machine (DRAM capacity + NVM config), build the policy from the unified
 registry, execute, and return the trace.  DRAM-only reference runs
 automatically get a DRAM tier large enough for the full working set, as
 the paper's DRAM-only baseline does.
 
-``run_workload(spec)`` takes a :class:`RunSpec` and nothing else — the
-historical keyword form (``run_workload("heat", "tahoe", nvm, ...)``)
-was removed after its deprecation cycle and now raises ``TypeError``.
 For sweeps, prefer :func:`repro.experiments.parallel.run_many`, which
 adds process fan-out and the on-disk result cache.
 """
@@ -60,7 +57,6 @@ __all__ = [
     "StreamRunOutcome",
     "execute_spec",
     "run_and_summarize",
-    "run_workload",
     "STANDARD_WORKLOADS",
 ]
 
@@ -333,24 +329,6 @@ def run_and_summarize(spec: RunSpec) -> RunResult:
     caller gets the :class:`RunResult` digest.
     """
     return dispatch_spec(spec).result
-
-
-def run_workload(spec: RunSpec, *args: Any, **kwargs: Any) -> ExecutionTrace:
-    """Execute one run and return its :class:`ExecutionTrace`.
-
-    Takes a :class:`RunSpec` and nothing else.  The pre-RunSpec keyword
-    form (``run_workload("heat", "tahoe", nvm, ...)``) was removed after
-    its deprecation cycle; calling it that way raises ``TypeError`` with
-    migration instructions.
-    """
-    if not isinstance(spec, RunSpec) or args or kwargs:
-        raise TypeError(
-            "run_workload() takes a single RunSpec; the keyword form "
-            "run_workload(workload, policy, nvm, ...) was removed. Build a "
-            "RunSpec(workload=..., policy=..., nvm=...) and pass it instead "
-            "(or use repro.experiments.parallel.run_many for sweeps)."
-        )
-    return execute_spec(spec)
 
 
 @dataclass

@@ -46,7 +46,6 @@ __all__ = [
     "RunResult",
     "canonical_json",
     "device_fingerprint",
-    "flatten_spec_dict",
     "version_salt",
 ]
 
@@ -141,23 +140,6 @@ SPEC_PATH_ALIASES: dict[str, str] = {
     "memory.dram_capacity": "dram_capacity",
     "memory.nvm": "nvm",
 }
-
-
-def flatten_spec_dict(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
-    """Flatten a nested spec dict into ``{dotted_path: leaf_value}``.
-
-    Non-empty mappings recurse; everything else (including empty override
-    mappings) is a leaf.  Sorted, so the path order is canonical.
-    """
-    out: dict[str, Any] = {}
-    for key in sorted(data, key=str):
-        value = data[key]
-        path = f"{prefix}{key}"
-        if isinstance(value, Mapping) and value:
-            out.update(flatten_spec_dict(value, f"{path}."))
-        else:
-            out[path] = value
-    return out
 
 
 def _canonical_path(path: str) -> str:

@@ -11,27 +11,14 @@ fragmentation, and it exposes fragmentation statistics for tests.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 
 from repro.util.validation import require_nonnegative, require_positive
 
-__all__ = ["FreeListAllocator", "OutOfMemoryError", "Extent"]
+__all__ = ["FreeListAllocator", "OutOfMemoryError"]
 
 
 class OutOfMemoryError(Exception):
     """Raised when an allocation cannot be satisfied from the free list."""
-
-
-@dataclass(frozen=True)
-class Extent:
-    """A contiguous address range ``[offset, offset + size)``."""
-
-    offset: int
-    size: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.size
 
 
 class FreeListAllocator:

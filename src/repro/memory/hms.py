@@ -13,7 +13,7 @@ tasking layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.memory.allocator import FreeListAllocator, OutOfMemoryError
 from repro.memory.device import DeviceKind, MemoryDevice
@@ -193,10 +193,6 @@ class HeterogeneousMemorySystem:
             ).inc()
         return pl
 
-    def move_many(self, objs: Iterable[Placeable], device: MemoryDevice | str) -> None:
-        for obj in objs:
-            self.move(obj, device)
-
     def lose_capacity(
         self, device: MemoryDevice | str, nbytes: int
     ) -> tuple[int, list[tuple[Placeable, bool]]]:
@@ -240,5 +236,13 @@ class HeterogeneousMemorySystem:
     def check_invariants(self) -> None:
         for alloc in self._allocators.values():
             alloc.check_invariants()
+        assert self._placements.keys() == self._objects.keys(), "placement/object uids differ"
         for uid, pl in self._placements.items():
-            assert self._objects[uid].size_bytes == pl.size or True
+            assert pl.size == self._objects[uid].size_bytes, f"object {uid}: size mismatch"
+            alloc = self._allocators[pl.device]
+            assert alloc._allocated.get(pl.offset) == alloc._round_up(pl.size), (
+                f"object {uid}: offset {pl.offset} not allocated on {pl.device}"
+            )
+        for uid in self._dirty:
+            pl = self._placements.get(uid)
+            assert pl is not None and pl.device == self.dram.name, f"dirty object {uid} not in DRAM"

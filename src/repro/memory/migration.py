@@ -88,13 +88,6 @@ class MigrationRecord:
             self.needed_by < self.end_time
         ) else 0.0
 
-    @property
-    def overlapped_fraction(self) -> float:
-        """Fraction of copy time hidden behind computation."""
-        if self.duration <= 0:
-            return 1.0
-        return 1.0 - min(self.duration, self.exposed) / self.duration
-
 
 class MigrationEngine:
     """A single helper thread's copy lane in virtual time.

@@ -120,11 +120,5 @@ class PlacementAuditLog:
     def migrated_bytes(self) -> int:
         return sum(e.size_bytes for e in self.copies() if e.outcome == "ok")
 
-    def rollbacks(self) -> list[AuditEntry]:
-        return self.select(action="copy", outcome="failed")
-
-    def promotions(self, dram_name: str) -> list[AuditEntry]:
-        return [e for e in self.copies() if e.dst == dram_name]
-
     def to_list(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self.entries]

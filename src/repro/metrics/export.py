@@ -10,19 +10,11 @@
   counters keep their names, histograms expand into
   ``_bucket``/``_sum``/``_count`` as the format requires.
 
-All three share one call convention::
-
-    to_json(data, *, stream=None, path=None) -> str
-    to_csv(data, *, stream=None, path=None) -> str
-    to_prometheus(data, *, stream=None, path=None) -> str
-
-``data`` is a live :class:`~repro.metrics.telemetry.Telemetry`, a bare
-:class:`~repro.metrics.registry.MetricsRegistry`, or the plain export /
-snapshot mapping either produces — so cached results (which only carry
-the dict) export identically to fresh runs, in every format.  The text
-is always returned; ``stream`` (a writable text file object) or ``path``
-(mutually exclusive) additionally deliver it somewhere.  ``to_json``
-also takes a keyword-only ``indent``.
+Each takes ``data``, a live :class:`~repro.metrics.telemetry.Telemetry`,
+a bare :class:`~repro.metrics.registry.MetricsRegistry`, or the plain
+export / snapshot mapping either produces — so cached results (which
+only carry the dict) export identically to fresh runs, in every format —
+and returns the text.  ``to_json`` also takes a keyword-only ``indent``.
 """
 
 from __future__ import annotations
@@ -32,8 +24,7 @@ import hashlib
 import io
 import json
 import re
-from pathlib import Path
-from typing import IO, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.telemetry import Telemetry
@@ -42,7 +33,6 @@ __all__ = [
     "to_json",
     "json_digest",
     "to_csv",
-    "parse_labels_str",
     "to_prometheus",
     "EXPORT_FORMATS",
     "export_as",
@@ -62,17 +52,6 @@ def _as_export(data: Telemetry | MetricsRegistry | Mapping[str, Any]) -> dict[st
     return dict(data)
 
 
-def _deliver(text: str, stream: IO[str] | None, path: Any) -> str:
-    """The shared ``stream | path`` delivery tail of every exporter."""
-    if stream is not None and path is not None:
-        raise ValueError("pass stream= or path=, not both")
-    if stream is not None:
-        stream.write(text)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
 # ----------------------------------------------------------------------
 # Canonical JSON
 # ----------------------------------------------------------------------
@@ -80,16 +59,13 @@ def to_json(
     data: Telemetry | MetricsRegistry | Mapping[str, Any],
     *,
     indent: int | None = None,
-    stream: IO[str] | None = None,
-    path: Any = None,
 ) -> str:
     """Canonical JSON: sorted keys, fixed separators, no NaN/Infinity."""
     export = _as_export(data)
     separators = (",", ":") if indent is None else (",", ": ")
-    text = json.dumps(
+    return json.dumps(
         export, sort_keys=True, separators=separators, indent=indent, allow_nan=False
     )
-    return _deliver(text, stream, path)
 
 
 def json_digest(data: Telemetry | MetricsRegistry | Mapping[str, Any]) -> str:
@@ -122,51 +98,7 @@ def _labels_str(labels: Mapping[str, str]) -> str:
     )
 
 
-def parse_labels_str(text: str) -> dict[str, str]:
-    """Inverse of the CSV ``labels`` column encoding (round-trip tested).
-
-    Splits on unescaped ``;`` into pairs and on the first unescaped ``=``
-    within each pair, then unescapes ``\\\\``/``\\=``/``\\;``.
-    """
-    if not text:
-        return {}
-    out: dict[str, str] = {}
-    key_parts: list[str] = []
-    val_parts: list[str] = []
-    current = key_parts
-    i = 0
-    n = len(text)
-
-    def flush() -> None:
-        nonlocal key_parts, val_parts, current
-        if key_parts or val_parts:
-            out["".join(key_parts)] = "".join(val_parts)
-        key_parts, val_parts = [], []
-        current = key_parts
-
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            current.append(text[i + 1])
-            i += 2
-            continue
-        if ch == ";":
-            flush()
-        elif ch == "=" and current is key_parts:
-            current = val_parts
-        else:
-            current.append(ch)
-        i += 1
-    flush()
-    return out
-
-
-def to_csv(
-    data: Telemetry | MetricsRegistry | Mapping[str, Any],
-    *,
-    stream: IO[str] | None = None,
-    path: Any = None,
-) -> str:
+def to_csv(data: Telemetry | MetricsRegistry | Mapping[str, Any]) -> str:
     """Long-form CSV: one row per metric sample / sampler point / audit entry."""
     export = _as_export(data)
     buf = io.StringIO()
@@ -198,7 +130,7 @@ def to_csv(
                 e["size_bytes"],
             ]
         )
-    return _deliver(buf.getvalue(), stream, path)
+    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +217,7 @@ def _prom_lines(
     return lines
 
 
-def to_prometheus(
-    data: Telemetry | MetricsRegistry | Mapping[str, Any],
-    *,
-    stream: IO[str] | None = None,
-    path: Any = None,
-) -> str:
+def to_prometheus(data: Telemetry | MetricsRegistry | Mapping[str, Any]) -> str:
     """Final registry state in the Prometheus text exposition format.
 
     Accepts a live ``Telemetry``/``MetricsRegistry`` (full output,
@@ -315,8 +242,7 @@ def to_prometheus(
                 "(expected a telemetry export or a registry snapshot)"
             )
         lines = _prom_lines(list(series))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    return _deliver(text, stream, path)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
@@ -325,18 +251,12 @@ def to_prometheus(
 EXPORT_FORMATS = ("json", "csv", "prom")
 
 
-def export_as(
-    data: Telemetry | MetricsRegistry | Mapping[str, Any],
-    fmt: str,
-    *,
-    stream: IO[str] | None = None,
-    path: Any = None,
-) -> str:
+def export_as(data: Telemetry | MetricsRegistry | Mapping[str, Any], fmt: str) -> str:
     """Render telemetry in the named format (CLI ``--format`` values)."""
     if fmt == "json":
-        return to_json(data, indent=2, stream=stream, path=path)
+        return to_json(data, indent=2)
     if fmt == "csv":
-        return to_csv(data, stream=stream, path=path)
+        return to_csv(data)
     if fmt in ("prom", "prometheus", "openmetrics"):
-        return to_prometheus(data, stream=stream, path=path)
+        return to_prometheus(data)
     raise ValueError(f"unknown export format {fmt!r} (known: {EXPORT_FORMATS})")

@@ -195,9 +195,6 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels, help, bounds=bounds)
 
     # ------------------------------------------------------------------
-    def kind_of(self, name: str) -> str | None:
-        return self._kinds.get(name)
-
     def help_of(self, name: str) -> str:
         return self._help.get(name, "")
 

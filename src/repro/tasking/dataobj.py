@@ -46,10 +46,6 @@ class DataObject:
 
     # ------------------------------------------------------------------
     @property
-    def is_chunk(self) -> bool:
-        return self.parent is not None
-
-    @property
     def root(self) -> "DataObject":
         """The top-level logical object this (possibly chunk) belongs to."""
         return self.parent.root if self.parent is not None else self

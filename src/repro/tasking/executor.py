@@ -167,8 +167,8 @@ class ExecContext:
 
     The context is a *view* over the executor's structure-of-arrays state:
     the lookahead frontier is a dense boolean dispatched mask plus a
-    spawn-order cursor, and :meth:`upcoming_view` / :meth:`remaining_view`
-    materialize tuples straight from it.  This surface is frozen — see
+    spawn-order cursor, and :meth:`remaining_indices` reads it as an
+    array of task indices.  This surface is frozen — see
     ``docs/architecture.md`` §10 and ``tests/test_public_api.py``.
     """
 
@@ -190,12 +190,10 @@ class ExecContext:
         #: finish time of the latest dispatched task touching each object —
         #: the earliest dependency-safe start for a migration of that object.
         self.last_use_finish: dict[int, float] = {}
-        core = graph.exec_core()
-        self._core = core
         #: dense dispatched mask + spawn-order cursor of the first
         #: not-yet-dispatched task; together they define the lookahead
-        #: frontier the views are computed from.
-        self._dispatched_mask = bytearray(len(core.tasks))
+        #: frontier :meth:`remaining_indices` reads.
+        self._dispatched_mask = bytearray(len(graph.exec_core().tasks))
         self._next_index = 0
         from repro.profiling.sampler import SamplingProfiler
 
@@ -298,30 +296,9 @@ class ExecContext:
             )
         return rec
 
-    def upcoming_view(self, window: int) -> tuple[Task, ...]:
-        """The next ``window`` not-yet-dispatched tasks in spawn order —
-        the lookahead the proactive migration mechanism works with.
-
-        Computed from the dispatched mask starting at the frontier cursor,
-        so the scan cost is bounded by the lookahead depth plus the (small)
-        band of out-of-order dispatches, not the graph size."""
-        out: list[Task] = []
-        mask = self._dispatched_mask
-        tasks = self._core.tasks
-        for i in range(self._next_index, len(tasks)):
-            if not mask[i]:
-                out.append(tasks[i])
-                if len(out) >= window:
-                    break
-        return tuple(out)
-
-    def remaining_view(self) -> tuple[Task, ...]:
-        """Every not-yet-dispatched task in spawn order."""
-        return tuple(map(self._core.tasks.__getitem__, self.remaining_indices().tolist()))
-
     def remaining_indices(self) -> np.ndarray:
-        """:meth:`remaining_view` as a read-only int64 array of dense
-        task indices (spawn order, indexing ``graph.exec_core()``).
+        """Every not-yet-dispatched task, as a read-only int64 array of
+        dense task indices (spawn order, indexing ``graph.exec_core()``).
 
         Array-shaped policies gather per-task data with it — for example
         from ``graph.exec_core().accesses`` — without touching ``Task``
@@ -364,15 +341,7 @@ class Executor:
         config: ExecutorConfig | None = None,
         injector: "FaultInjector | None" = None,
         telemetry: "Telemetry | None" = None,
-        **legacy,
     ):
-        if legacy:
-            names = ", ".join(sorted(legacy))
-            raise TypeError(
-                f"Executor() got unexpected keyword argument(s): {names}. "
-                "Machine knobs live on the configuration object — pass "
-                "Executor(hms, ExecutorConfig(...)) instead."
-            )
         self.hms = hms
         self.config = config or ExecutorConfig()
         sched = self.config.scheduler

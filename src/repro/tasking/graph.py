@@ -453,9 +453,6 @@ class TaskGraph:
     def roots(self) -> list[Task]:
         return [t for t in self.tasks if not self._pred[t.tid]]
 
-    def tasks_using(self, obj: DataObject) -> list[Task]:
-        return [t for t in self.tasks if obj in t.accesses]
-
     # ------------------------------------------------------------------
     # Analyses
     # ------------------------------------------------------------------
@@ -464,31 +461,6 @@ class TaskGraph:
         but recomputed here for validation)."""
         core = self.exec_core()
         return [core.tasks[i] for i in core.topo]
-
-    def critical_path(self, duration: Callable[[Task], float]) -> tuple[float, list[Task]]:
-        """Longest path through the DAG under ``duration`` (ignores worker
-        and memory constraints; a lower bound on any makespan)."""
-        finish: dict[int, float] = {}
-        best_pred: dict[int, int | None] = {}
-        for t in self.topological_order():
-            preds = self._pred[t.tid]
-            if preds:
-                p = max(preds, key=lambda p: finish[p])
-                start = finish[p]
-                best_pred[t.tid] = p
-            else:
-                start = 0.0
-                best_pred[t.tid] = None
-            finish[t.tid] = start + duration(t)
-        if not finish:
-            return 0.0, []
-        end_tid = max(finish, key=lambda k: finish[k])
-        path = []
-        cur: int | None = end_tid
-        while cur is not None:
-            path.append(self._by_tid[cur])
-            cur = best_pred[cur]
-        return finish[end_tid], list(reversed(path))
 
     def depths(self) -> dict[int, int]:
         """Longest-path depth of every task (roots at 0), by tid."""

@@ -131,9 +131,6 @@ class AdmissionController:
         self.rejected: dict[str, int] = {t: 0 for t in self._limit}
         self.credit_floor: dict[str, int] = dict(self._avail)
 
-    def available(self, tenant: str) -> int:
-        return self._avail[tenant]
-
     def try_admit(self, tenant: str, demand_bytes: int) -> bool:
         if tenant not in self._avail:
             raise KeyError(f"unknown tenant {tenant!r}")

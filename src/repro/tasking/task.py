@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.tasking.access import AccessMode, ObjectAccess, merge_accesses
+from repro.tasking.access import ObjectAccess, merge_accesses
 from repro.tasking.dataobj import DataObject
 from repro.util.validation import require_nonnegative
 
@@ -57,15 +57,8 @@ class Task:
         return [o for o, a in self.accesses.items() if a.mode.writes]
 
     @property
-    def footprint_bytes(self) -> int:
-        return sum(o.size_bytes for o in self.accesses)
-
-    @property
     def total_accesses(self) -> int:
         return sum(a.accesses for a in self.accesses.values())
-
-    def access_of(self, obj: DataObject) -> ObjectAccess:
-        return self.accesses[obj]
 
     def add_access(self, obj: DataObject, access: ObjectAccess) -> None:
         """Attach (or merge) a footprint on ``obj``."""
@@ -79,19 +72,3 @@ class Task:
 
     def __hash__(self) -> int:
         return self.tid
-
-
-def make_access(
-    mode: AccessMode | str,
-    loads: int = 0,
-    stores: int = 0,
-    pattern=None,
-) -> ObjectAccess:
-    """Convenience constructor accepting string modes ("read"/"write"/...)."""
-    from repro.tasking.access import BLOCKED
-
-    if isinstance(mode, str):
-        mode = AccessMode(mode)
-    return ObjectAccess(
-        mode=mode, loads=loads, stores=stores, pattern=pattern or BLOCKED
-    )

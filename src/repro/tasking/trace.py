@@ -107,12 +107,6 @@ class ExecutionTrace:
         return self.migrations.overlap_fraction() if self.migrations else 1.0
 
     # ------------------------------------------------------------------
-    def by_type(self) -> dict[str, list[TaskRecord]]:
-        out: dict[str, list[TaskRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.task.type_name, []).append(r)
-        return out
-
     def summary(self) -> dict[str, Any]:
         """Flat metrics dict for tables and regression tests."""
         out = {

@@ -10,13 +10,11 @@ from repro.util.units import (
     MS,
     GBPS,
     bytes_per_second,
-    format_bytes,
-    format_time,
 )
 from repro.util.rng import spawn_rng
 from repro.util.validation import require, require_positive, require_nonnegative
 from repro.util.tables import Table
-from repro.util.log import get_logger, enable_debug_logging
+from repro.util.log import get_logger
 
 __all__ = [
     "CACHELINE_BYTES",
@@ -28,13 +26,10 @@ __all__ = [
     "MS",
     "GBPS",
     "bytes_per_second",
-    "format_bytes",
-    "format_time",
     "spawn_rng",
     "require",
     "require_positive",
     "require_nonnegative",
     "Table",
     "get_logger",
-    "enable_debug_logging",
 ]

@@ -8,8 +8,6 @@ the application opts in::
     logging.getLogger("repro").addHandler(logging.StreamHandler())
     logging.getLogger("repro").setLevel(logging.DEBUG)
 
-or, for quick experiments, :func:`enable_debug_logging`.
-
 The interesting streams:
 
 - ``repro.core.manager`` — replans, scope choices, migrations issued,
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import logging
 
-__all__ = ["get_logger", "enable_debug_logging"]
+__all__ = ["get_logger"]
 
 _root = logging.getLogger("repro")
 _root.addHandler(logging.NullHandler())
@@ -33,17 +31,3 @@ def get_logger(name: str) -> logging.Logger:
         name = f"repro.{name}"
     return logging.getLogger(name)
 
-
-def enable_debug_logging(level: int = logging.DEBUG) -> None:
-    """Attach a stderr handler to the library's root logger (idempotent)."""
-    has_stream = any(
-        isinstance(h, logging.StreamHandler) and not isinstance(h, logging.NullHandler)
-        for h in _root.handlers
-    )
-    if not has_stream:
-        handler = logging.StreamHandler()
-        handler.setFormatter(
-            logging.Formatter("%(name)s %(levelname)s: %(message)s")
-        )
-        _root.addHandler(handler)
-    _root.setLevel(level)

@@ -61,6 +61,3 @@ class Table:
         out.extend(line(row) for row in body)
         return "\n".join(out)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dictionaries keyed by column name (for tests)."""
-        return [dict(zip(self.columns, row)) for row in self.rows]

@@ -28,23 +28,3 @@ def bytes_per_second(gb_per_s: float) -> float:
     """Convert a bandwidth quoted in GB/s into bytes/second."""
     return gb_per_s * GBPS
 
-
-def format_bytes(n: float) -> str:
-    """Render a byte count with a binary suffix, e.g. ``1.5 MiB``."""
-    n = float(n)
-    for suffix, unit in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if abs(n) >= unit:
-            return f"{n / unit:.2f} {suffix}"
-    return f"{n:.0f} B"
-
-
-def format_time(seconds: float) -> str:
-    """Render a duration with an appropriate suffix, e.g. ``3.2 ms``."""
-    s = float(seconds)
-    if abs(s) >= 1.0:
-        return f"{s:.3f} s"
-    if abs(s) >= MS:
-        return f"{s / MS:.3f} ms"
-    if abs(s) >= US:
-        return f"{s / US:.3f} us"
-    return f"{s / NS:.1f} ns"

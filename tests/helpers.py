@@ -119,3 +119,73 @@ def demand_batch(size_bytes, uid=None, **columns) -> DemandBatch:
         col["dram_frac"],
     )
     return batch.with_placement(col["in_dram"], col["first_use_offset"])
+
+
+def critical_path(graph: TaskGraph, duration) -> tuple[float, list[Task]]:
+    """Longest path through the DAG under ``duration`` (ignores worker
+    and memory constraints; a lower bound on any makespan).
+
+    A second longest-path walk beside ``TaskGraph.bottom_levels``, kept
+    as its oracle: the critical-path scheduler ranks by bottom levels.
+    """
+    finish: dict[int, float] = {}
+    best_pred: dict[int, Task | None] = {}
+    for t in graph.topological_order():
+        preds = graph.predecessors(t)
+        if preds:
+            p = max(preds, key=lambda p: finish[p.tid])
+            start = finish[p.tid]
+            best_pred[t.tid] = p
+        else:
+            start = 0.0
+            best_pred[t.tid] = None
+        finish[t.tid] = start + duration(t)
+    if not finish:
+        return 0.0, []
+    end = max(graph.tasks, key=lambda t: finish[t.tid])
+    path = []
+    cur: Task | None = end
+    while cur is not None:
+        path.append(cur)
+        cur = best_pred[cur.tid]
+    return finish[end.tid], list(reversed(path))
+
+
+def parse_labels_str(text: str) -> dict[str, str]:
+    """Inverse of the CSV ``labels`` column encoding
+    (``repro.metrics.export._labels_str``).
+
+    Splits on unescaped ``;`` into pairs and on the first unescaped ``=``
+    within each pair, then unescapes ``\\\\``/``\\=``/``\\;``.
+    """
+    if not text:
+        return {}
+    out: dict[str, str] = {}
+    key_parts: list[str] = []
+    val_parts: list[str] = []
+    current = key_parts
+    i = 0
+    n = len(text)
+
+    def flush() -> None:
+        nonlocal key_parts, val_parts, current
+        if key_parts or val_parts:
+            out["".join(key_parts)] = "".join(val_parts)
+        key_parts, val_parts = [], []
+        current = key_parts
+
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            current.append(text[i + 1])
+            i += 2
+            continue
+        if ch == ";":
+            flush()
+        elif ch == "=" and current is key_parts:
+            current = val_parts
+        else:
+            current.append(ch)
+        i += 1
+    flush()
+    return out

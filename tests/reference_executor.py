@@ -184,7 +184,7 @@ class ReferenceExecutor:
                 if finish > luf.get(obj.uid, 0.0):
                     luf[obj.uid] = finish
             mask = ctx._dispatched_mask
-            mask[ctx._core.index[task.tid]] = 1
+            mask[ctx.graph.exec_core().index[task.tid]] = 1
             i = ctx._next_index
             while i < len(mask) and mask[i]:
                 i += 1

@@ -360,10 +360,3 @@ class TestDeviationDetector:
         self._feed_iterations(det, [1.0] * 8, type_name="a")
         fired = self._feed_iterations(det, [5.0] * 2, type_name="b")
         assert not any(fired)
-
-    def test_reset(self):
-        det = DeviationDetector()
-        self._feed_iterations(det, [1.0] * 8)
-        det.reset("t")
-        fired = self._feed_iterations(det, [5.0] * 2)
-        assert not any(fired)

@@ -1,7 +1,7 @@
 """The retired shims around the frozen API.
 
 No shim is live today; these tests pin that the expired ones are gone
-and fail with a hint rather than silently working.
+and fail rather than silently working.
 """
 
 import pytest
@@ -25,27 +25,28 @@ def _context():
 
 
 class TestContextListShimsRemoved:
-    """PR 6 deprecated the list forms for one release; that release has
-    passed and the shims are gone — the view methods are the only API."""
+    """The list forms and the tuple views that replaced them are gone:
+    ``remaining_indices`` is the only frontier query."""
 
     def test_upcoming_list_form_is_gone(self):
         graph, ctx = _context()
         with pytest.raises(AttributeError):
             ctx.upcoming(3)
-        assert isinstance(ctx.upcoming_view(3), tuple)
+        assert not hasattr(ctx, "upcoming_view")
 
     def test_remaining_list_form_is_gone(self):
         graph, ctx = _context()
         with pytest.raises(AttributeError):
             ctx.remaining()
-        assert len(ctx.remaining_view()) == len(graph.tasks)
+        assert not hasattr(ctx, "remaining_view")
+        assert len(ctx.remaining_indices()) == len(graph.tasks)
 
 
 class TestExecutorConstructor:
     def test_direct_scheduler_arg_rejected_with_hint(self):
         # The PR 6 shim expired: the scheduler lives on the config only.
         hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
-        with pytest.raises(TypeError, match=r"scheduler.*ExecutorConfig"):
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'scheduler'"):
             Executor(hms, ExecutorConfig(n_workers=1), scheduler=LIFOPolicy())
         ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler=LIFOPolicy()))
         assert isinstance(ex.scheduler, LIFOPolicy)
@@ -54,9 +55,9 @@ class TestExecutorConstructor:
 
     def test_machine_knob_kwargs_rejected_with_hint(self):
         hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
-        with pytest.raises(TypeError, match=r"ExecutorConfig"):
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'n_workers'"):
             Executor(hms, n_workers=4)
-        with pytest.raises(TypeError, match=r"n_workers.*overlap_factor|overlap_factor.*n_workers"):
+        with pytest.raises(TypeError, match=r"unexpected keyword argument"):
             Executor(hms, n_workers=4, overlap_factor=0.5)
 
 

@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import execute_spec
 from repro.experiments.spec import RunSpec
 from repro.memory.presets import nvm_bandwidth_scaled, nvm_latency_scaled
 
@@ -29,7 +29,7 @@ def headline():
             ("lat-4x", nvm_latency_scaled(4.0)),
         ):
             def full(policy):
-                return run_workload(
+                return execute_spec(
                     RunSpec(workload=name, policy=policy, nvm=nvm, fast=False)
                 ).makespan
 

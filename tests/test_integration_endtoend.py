@@ -7,7 +7,7 @@ from repro.experiments.e2_object_sensitivity import run as run_e2
 from repro.experiments.e4_breakdown import run as run_e4
 from repro.experiments.e6_scaling import run as run_e6
 from repro.experiments.e9_ablations import run as run_e9
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import execute_spec
 from repro.experiments.spec import RunSpec
 from repro.memory.presets import nvm_bandwidth_scaled, nvm_latency_scaled
 
@@ -21,7 +21,7 @@ class TestPolicyMatrix:
     @pytest.mark.parametrize("workload", ROSTER)
     @pytest.mark.parametrize("policy", POLICY_MATRIX)
     def test_runs_clean(self, workload, policy):
-        tr = run_workload(
+        tr = execute_spec(
             RunSpec(workload=workload, policy=policy, nvm=nvm_bandwidth_scaled(0.5))
         )
         tr.validate()
@@ -29,8 +29,8 @@ class TestPolicyMatrix:
 
     def test_determinism_across_processes_worth(self):
         spec = RunSpec(workload="heat", policy="tahoe", nvm=nvm_bandwidth_scaled(0.5))
-        a = run_workload(spec)
-        b = run_workload(spec)
+        a = execute_spec(spec)
+        b = execute_spec(spec)
         assert a.makespan == pytest.approx(b.makespan, rel=1e-12)
         assert a.migration_count == b.migration_count
 

@@ -1,5 +1,7 @@
 """Heterogeneous memory system placement state machine."""
 
+import dataclasses
+
 import pytest
 
 from repro.memory.allocator import OutOfMemoryError
@@ -100,10 +102,30 @@ class TestPlacement:
         with pytest.raises(KeyError):
             machine.move(o, "bogus")
 
-    def test_move_many(self, machine):
-        objs = [obj(1, f"m{i}") for i in range(4)]
-        for o in objs:
-            machine.allocate(o)
-        machine.move_many(objs, machine.dram)
-        assert all(machine.in_dram(o) for o in objs)
+
+
+class TestInvariants:
+    """``check_invariants`` ties every placement to its object, its
+    allocator extent and the dirty set."""
+
+    @pytest.fixture
+    def placed(self, machine):
+        a, b = obj(2, "a"), obj(3, "b")
+        machine.allocate(a, machine.dram)
+        machine.allocate(b)
+        machine.mark_dirty(a)
         machine.check_invariants()
+        return a, b
+
+    def test_wrong_placement_size_is_caught(self, machine, placed):
+        a, _ = placed
+        pl = machine.placement_of(a)
+        machine._placements[a.uid] = dataclasses.replace(pl, size=pl.size + 1)
+        with pytest.raises(AssertionError):
+            machine.check_invariants()
+
+    def test_dirty_object_on_nvm_is_caught(self, machine, placed):
+        _, b = placed
+        machine._dirty.add(b.uid)
+        with pytest.raises(AssertionError):
+            machine.check_invariants()

@@ -88,7 +88,7 @@ class TestOverlapAccounting:
         eng = MigrationEngine(overhead_s=0.0)
         r = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
         eng.note_first_use(1, r.start_time + r.duration / 2)
-        assert r.overlapped_fraction == pytest.approx(0.5, abs=0.01)
+        assert eng.overlap_fraction() == pytest.approx(0.5, abs=0.01)
 
     def test_statistics_aggregate(self, devices):
         d, n = devices

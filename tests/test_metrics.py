@@ -25,6 +25,8 @@ from repro.metrics import (
     to_prometheus,
 )
 
+from tests.helpers import parse_labels_str
+
 NVM = nvm_bandwidth_scaled(0.5)
 
 
@@ -135,7 +137,7 @@ class TestExporterEscaping:
     }
 
     def test_csv_labels_round_trip(self):
-        from repro.metrics.export import _labels_str, parse_labels_str
+        from repro.metrics.export import _labels_str
 
         encoded = _labels_str(self.NASTY)
         assert parse_labels_str(encoded) == self.NASTY
@@ -153,7 +155,7 @@ class TestExporterEscaping:
         ],
     )
     def test_csv_labels_round_trip_edge_cases(self, labels):
-        from repro.metrics.export import _labels_str, parse_labels_str
+        from repro.metrics.export import _labels_str
 
         assert parse_labels_str(_labels_str(labels)) == labels
 
@@ -167,8 +169,6 @@ class TestExporterEscaping:
         import io
 
         (row,) = list(csv_mod.DictReader(io.StringIO(text)))
-        from repro.metrics.export import parse_labels_str
-
         assert parse_labels_str(row["labels"]) == self.NASTY
 
     def test_prom_registry_scrape_is_pinned(self):
@@ -348,7 +348,7 @@ class TestStablePolicyAPI:
         }
         assert public == {
             "dram", "nvm", "place_initial", "request_migration",
-            "upcoming_view", "remaining_view", "remaining_indices", "profile",
+            "remaining_indices", "profile",
             "migration_backlog", "profiling_overhead",
         }
 

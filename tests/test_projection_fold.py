@@ -26,11 +26,11 @@ from repro.core.lookahead import first_use_offsets_split
 from repro.core.manager import DataManagerPolicy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
-from repro.tasking.access import AccessMode
+from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.graph import TaskGraph
-from repro.tasking.task import Task, make_access
+from repro.tasking.task import Task
 
 from tests.reference_projection import (
     demand_stats_split_ref,
@@ -132,7 +132,7 @@ def build_graph(n_tasks: int, n_objects: int, seed: int, long_run: bool):
         for obj in objs:
             mode = MODES[int(rng.integers(0, 3))]
             traffic = int(rng.integers(0, 3)) * 100  # zero-traffic accesses too
-            accesses[obj] = make_access(
+            accesses[obj] = ObjectAccess(
                 mode,
                 loads=traffic if mode.reads else 0,
                 stores=traffic // 2 if mode.writes else 0,
@@ -228,8 +228,7 @@ def test_csr_depth_matches_graph_depths() -> None:
 
 def test_remaining_indices_track_the_frontier() -> None:
     """At each ``before_task``, the remaining indices are exactly the
-    tasks not handed to the hook before (the current one included), and
-    ``remaining_view`` holds the same tasks."""
+    tasks not handed to the hook before (the current one included)."""
     seen: set[int] = set()
 
     class Probe(BasePolicy):
@@ -242,7 +241,6 @@ def test_remaining_indices_track_the_frontier() -> None:
             assert idx.tolist() == [
                 i for i, t in enumerate(core.tasks) if t.tid not in seen
             ]
-            assert tuple(core.tasks[i] for i in idx.tolist()) == ctx.remaining_view()
             seen.add(task.tid)
             return 0.0
 

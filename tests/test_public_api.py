@@ -52,9 +52,29 @@ class TestImportSurface:
         assert callable(repro.read_footprint)
 
 
-def _package_uses(skip: Path) -> set[str]:
-    """Names the package's own code uses, ``skip`` (a re-exporting
-    ``__init__``) aside.
+ROOT = Path(repro.__file__).parents[2]
+
+
+def _refs(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    return {
+        alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom)
+        for alias in n.names
+    }
+
+
+def _package_uses() -> set[str]:
+    """Names the package's own modules use, ``__init__`` re-export files
+    aside.
 
     A name is used when some module imports it, when module-level code
     references it (as a name or an attribute), or when a used top-level
@@ -64,26 +84,16 @@ def _package_uses(skip: Path) -> set[str]:
     """
     used: set[str] = set()
     refs_of: dict[str, set[str]] = {}
-
-    def refs(node: ast.AST) -> set[str]:
-        return {
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))
-        }
-
     for path in Path(repro.__file__).parent.rglob("*.py"):
-        if path == skip:
+        if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        for n in ast.walk(tree):
-            if isinstance(n, ast.ImportFrom):
-                used.update(alias.name for alias in n.names)
+        used |= _imported(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                refs_of.setdefault(node.name, set()).update(refs(node))
+                refs_of.setdefault(node.name, set()).update(_refs(node))
             else:
-                used |= refs(node)
+                used |= _refs(node)
     frontier = list(used)
     while frontier:
         for name in refs_of.pop(frontier.pop(), ()):
@@ -93,13 +103,37 @@ def _package_uses(skip: Path) -> set[str]:
     return used
 
 
-class TestCoreSurface:
-    def test_every_core_export_is_used_by_the_package(self):
-        """``repro.core`` exports only what the package itself runs: a
-        scalar oracle that only tests reach belongs under ``tests/``."""
-        core = importlib.import_module("repro.core")
-        used = _package_uses(Path(core.__file__))
-        assert [name for name in core.__all__ if name not in used] == []
+def _script_uses() -> set[str]:
+    """Every name ``examples/`` and ``perfbench/`` import or reference."""
+    used: set[str] = set()
+    for folder in ("examples", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            used |= _imported(tree) | _refs(tree)
+    return used
+
+
+class TestPackageSurface:
+    def test_every_export_has_a_caller_outside_the_tests(self):
+        """Each module's ``__all__`` lists only what package code, an
+        example or the benchmark reaches: an oracle that only tests call
+        belongs under ``tests/``.  A re-exporting ``__init__`` is not a
+        caller; a workload builder is reached through ``WORKLOADS``."""
+        from repro.workloads import WORKLOADS
+
+        used = _package_uses() | _script_uses()
+        used |= {builder.__name__ for builder in WORKLOADS.values()}
+        unused = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            rel = path.relative_to(ROOT / "src").with_suffix("")
+            parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+            module = importlib.import_module(".".join(parts))
+            unused += [
+                f"{module.__name__}.{name}"
+                for name in getattr(module, "__all__", ())
+                if name not in used
+            ]
+        assert unused == []
 
 
 class TestFrozenExecutionAPI:
@@ -151,9 +185,7 @@ class TestFrozenExecutionAPI:
             "config",
             "injector",
             "telemetry",
-            "legacy",
         ]
-        assert params["legacy"].kind is inspect.Parameter.VAR_KEYWORD
 
     def test_exec_context_surface(self):
         from repro.tasking.executor import ExecContext
@@ -167,46 +199,26 @@ class TestFrozenExecutionAPI:
             "profile",
             "migration_backlog",
             "profiling_overhead",
-            "upcoming_view",
-            "remaining_view",
             "remaining_indices",
         }
 
 
 class TestExporterConvention:
-    """The metrics exporters share one signature: ``fn(data, *,
-    stream=None, path=None) -> str``.  Pinned so the surface can only
-    grow deliberately."""
+    """The metrics exporters share one signature: ``fn(data) -> str``.
+    Pinned so the surface can only grow deliberately."""
 
     def test_exporters_share_the_signature(self):
         import inspect
 
-        from repro.metrics.export import to_csv, to_json, to_prometheus
+        from repro.metrics.export import export_as, to_csv, to_json, to_prometheus
 
         for fn in (to_csv, to_prometheus):
-            params = inspect.signature(fn).parameters
-            assert list(params) == ["data", "stream", "path"], fn.__name__
-            assert params["stream"].kind is inspect.Parameter.KEYWORD_ONLY
-            assert params["path"].kind is inspect.Parameter.KEYWORD_ONLY
-        # to_json additionally keeps its indent knob, keyword-only too.
+            assert list(inspect.signature(fn).parameters) == ["data"], fn.__name__
+        # to_json additionally keeps its keyword-only indent knob.
         params = inspect.signature(to_json).parameters
-        assert list(params) == ["data", "indent", "stream", "path"]
-        for name in ("indent", "stream", "path"):
-            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
-
-    def test_stream_and_path_are_exclusive(self):
-        import io
-
-        from repro.metrics.export import to_json
-        from repro.metrics.registry import MetricsRegistry
-
-        reg = MetricsRegistry()
-        reg.counter("x").inc()
-        buf = io.StringIO()
-        text = to_json(reg, stream=buf)
-        assert buf.getvalue() == text
-        with pytest.raises(ValueError, match="not both"):
-            to_json(reg, stream=buf, path="nope.json")
+        assert list(params) == ["data", "indent"]
+        assert params["indent"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert list(inspect.signature(export_as).parameters) == ["data", "fmt"]
 
     def test_prometheus_accepts_registry_and_snapshot(self):
         from repro.metrics.export import to_prometheus

@@ -1,5 +1,5 @@
 """The RunSpec harness: spec identity, the parallel runner, the result
-cache, the policy registry, and the RunSpec-only run_workload API."""
+cache, the policy registry, and the execute_spec entry point."""
 
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ from repro.core.manager import DataManagerPolicy
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import spec as spec_mod
 from repro.experiments.cache import ResultCache, get_cache, set_cache_enabled
-from repro.experiments.parallel import run_many, run_spec
+from repro.experiments.parallel import run_many
 from repro.experiments.runner import (
     execute_spec,
     make_policy,
     make_scheduler,
-    run_workload,
 )
 from repro.experiments.spec import RunSpec, canonical_json
 from repro.memory.presets import nvm_bandwidth_scaled
@@ -179,7 +178,7 @@ class TestResultCache:
         run_many([spec], workers=1, cache=cache, strict=True)
         assert cache.entries() == 1
         assert cache.size_bytes() > 0
-        assert cache.invalidate(spec.cache_key()) == 1
+        assert cache.prune(max_entries=0) == 1
         assert cache.get(spec.cache_key()) is None
         s = cache.stats()
         assert (s["hits"], s["puts"], s["entries"]) == (0, 1, 0)
@@ -198,7 +197,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         spec = tiny_spec()
         run_many([spec], workers=1, cache=cache, strict=True)
-        fresh = run_spec(spec, cache=False)
+        fresh = run_many([spec], workers=1, cache=False)[0]
         assert not fresh.cached
 
 
@@ -228,21 +227,9 @@ class TestFailureContainment:
 
 class TestRunWorkloadAPI:
     def test_spec_form_is_the_only_entry_point(self, recwarn):
-        tr = run_workload(tiny_spec())
+        tr = execute_spec(tiny_spec())
         assert tr.makespan > 0
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_removed_kwargs_form_raises_with_migration_hint(self):
-        with pytest.raises(TypeError, match="RunSpec"):
-            run_workload("heat", "tahoe", NVM, fast=True)
-
-    def test_extra_arguments_rejected_even_with_spec(self):
-        with pytest.raises(TypeError, match="RunSpec"):
-            run_workload(tiny_spec(), fast=True)
-
-    def test_bare_workload_string_rejected(self):
-        with pytest.raises(TypeError, match="RunSpec"):
-            run_workload("heat")
 
     def test_top_level_exports(self):
         import repro
@@ -367,20 +354,6 @@ class TestMixedFormatCache:
         assert removed == 2
         assert cache.get("aa") is None and cache.get("bb") is None
         assert cache.get("cc") == {"k": "cc"} and cache.get("dd") == {"k": "dd"}
-
-    def test_invalidate_removes_both_twins(self, tmp_path):
-        import gzip
-        import json
-
-        d = tmp_path / "cache"
-        js = ResultCache(d, binary=False)
-        js.put("gamma", {"makespan": 3.0})
-        # Force a twin pair for one key (put would normally supersede).
-        blob = json.dumps({"makespan": 3.5}).encode("utf-8")
-        (d / "gamma.jsonz").write_bytes(b"RPZ1" + gzip.compress(blob, mtime=0))
-        assert js.entries() == 2
-        assert js.invalidate("gamma") == 2
-        assert js.get("gamma") is None
 
     def test_stats_count_binary_entries(self, tmp_path):
         d = tmp_path / "cache"

@@ -128,9 +128,9 @@ class TestRunSubmission:
         # A key the job table has never seen but the cache has: prime the
         # cache directly, then submit.
         spec = tiny_spec(seed=102)
-        from repro.experiments.parallel import run_spec
+        from repro.experiments.parallel import run_many
 
-        run_spec(spec, cache=live.cache)
+        run_many([spec], cache=live.cache)
         status, body = live.post("/v1/runs", {"spec": spec.to_dict()})
         assert status == 200
         assert body["cached"] is True

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.spec import (
-    SPEC_PATH_ALIASES,
-    RunSpec,
-    flatten_spec_dict,
-)
+from repro.experiments.spec import SPEC_PATH_ALIASES, RunSpec
 from repro.memory.presets import nvm_bandwidth_scaled
 from repro.util.units import MIB
 
@@ -214,12 +210,6 @@ class TestHypothesisRoundTrip:
 
 
 class TestFlattenAndAliases:
-    def test_flatten_paths_are_sorted_and_dotted(self):
-        flat = flatten_spec_dict(tiny_spec().to_dict())
-        assert list(flat) == sorted(flat)
-        assert flat["workload_overrides.grid"] == 4
-        assert "nvm.read_bandwidth" in flat
-
     def test_alias_table_targets_are_real_paths(self):
         spec_fields = set(tiny_spec().to_dict())
         for target in SPEC_PATH_ALIASES.values():

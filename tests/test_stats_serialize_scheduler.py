@@ -1,102 +1,38 @@
-"""Seed-sweep statistics, workload serialization, memory-aware scheduler."""
+"""Seed sweeps through ``sweep(..., seed=[...])`` and the memory-aware scheduler."""
+
+import statistics
 
 import pytest
 
-from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy
 from repro.core.manager import DataManagerPolicy
-from repro.experiments.stats import bootstrap_ci, normalized_sweep, seed_sweep
+from repro.experiments.sweep import sweep
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.scheduler import MemoryAwarePolicy
 from repro.workloads import build
-from repro.workloads.serialize import workload_from_json, workload_to_json
-
-from tests.helpers import dram_for, run_graph
 
 
-class TestBootstrapCI:
-    def test_single_sample_degenerate(self):
-        s = bootstrap_ci([2.0])
-        assert s.mean == s.lo == s.hi == 2.0
-
-    def test_ci_brackets_mean(self):
-        s = bootstrap_ci([1.0, 1.1, 0.9, 1.05, 0.95])
-        assert s.lo <= s.mean <= s.hi
-        assert s.n == 5
-
-    def test_tighter_with_less_spread(self):
-        tight = bootstrap_ci([1.0, 1.001, 0.999, 1.0], seed=1)
-        wide = bootstrap_ci([0.5, 1.5, 0.7, 1.3], seed=1)
-        assert (tight.hi - tight.lo) < (wide.hi - wide.lo)
-
-    def test_deterministic(self):
-        a = bootstrap_ci([1.0, 2.0, 3.0], seed=7)
-        b = bootstrap_ci([1.0, 2.0, 3.0], seed=7)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
+def seed_makespans(policy, seeds=(1, 2, 3)):
+    recs = sweep("heat", policy, nvm_bandwidth_scaled(0.5), seed=list(seeds))
+    return [r["makespan"] for r in recs]
 
 
 class TestSeedSweep:
     def test_seeds_change_manager_outcomes_slightly(self):
-        nvm = nvm_bandwidth_scaled(0.5)
-        values = seed_sweep("heat", "tahoe", nvm, seeds=(1, 2, 3), fast=True)
+        values = seed_makespans("tahoe")
         assert len(values) == 3
         spread = (max(values) - min(values)) / min(values)
         assert spread < 0.2  # noise-robust, not noise-free
 
     def test_trivial_policy_is_seed_invariant(self):
-        nvm = nvm_bandwidth_scaled(0.5)
-        values = seed_sweep("heat", "nvm-only", nvm, seeds=(1, 2, 3), fast=True)
+        values = seed_makespans("nvm-only")
         assert max(values) == pytest.approx(min(values), rel=1e-12)
 
     def test_normalized_sweep_summary(self):
-        nvm = nvm_bandwidth_scaled(0.5)
-        s = normalized_sweep("heat", "tahoe", nvm, seeds=(1, 2, 3), fast=True)
-        assert 1.0 <= s.mean <= 2.0
-        assert s.lo <= s.mean <= s.hi
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name,params", [
-        ("cholesky", dict(n_tiles=4)),
-        ("fft", dict(n_slices=8, iterations=1)),   # manual span edges
-        ("health", dict(steps=2)),
-    ])
-    def test_round_trip_preserves_structure(self, name, params):
-        w = build(name, **params)
-        w2 = workload_from_json(workload_to_json(w))
-        assert w2.name == w.name
-        assert w2.n_tasks == w.n_tasks
-        assert len(w2.objects) == len(w.objects)
-        # edge sets isomorphic under spawn-order indexing
-        def edge_set(g):
-            idx = {t.tid: i for i, t in enumerate(g.tasks)}
-            return {
-                (idx[t.tid], idx[s.tid]) for t in g.tasks for s in g.successors(t)
-            }
-        assert edge_set(w2.graph) == edge_set(w.graph)
-
-    def test_round_trip_preserves_timing(self):
-        nvm = nvm_bandwidth_scaled(0.5)
-        w = build("cholesky", n_tiles=4)
-        text = workload_to_json(w)
-        w2 = workload_from_json(text)
-        t1 = run_graph(w.graph, dram_for(w.graph), nvm, DRAMOnlyPolicy())
-        t2 = run_graph(w2.graph, dram_for(w2.graph), nvm, DRAMOnlyPolicy())
-        assert t2.makespan == pytest.approx(t1.makespan, rel=1e-12)
-
-    def test_fresh_identities_on_load(self):
-        w = build("health", steps=2)
-        w2 = workload_from_json(workload_to_json(w))
-        assert {o.uid for o in w.objects}.isdisjoint({o.uid for o in w2.objects})
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            workload_from_json('{"format": 99}')
+        (ref,) = seed_makespans("dram-only", seeds=(1,))
+        normalized = [m / ref for m in seed_makespans("tahoe")]
+        assert 1.0 <= statistics.fmean(normalized) <= 2.0
 
 
 class TestMemoryAwareScheduler:

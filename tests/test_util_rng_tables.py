@@ -70,11 +70,6 @@ class TestTable:
         with pytest.raises(ValueError):
             t.add_row([1])
 
-    def test_to_dicts(self):
-        t = Table(["x", "y"])
-        t.add_row([1, 2])
-        assert t.to_dicts() == [{"x": 1, "y": 2}]
-
     def test_float_format_override(self):
         t = Table(["v"], float_format="{:.1f}")
         t.add_row([3.14159])

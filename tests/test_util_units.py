@@ -12,8 +12,6 @@ from repro.util.units import (
     NS,
     US,
     bytes_per_second,
-    format_bytes,
-    format_time,
 )
 
 
@@ -37,32 +35,3 @@ def test_bytes_per_second_decimal_gigabytes():
     assert bytes_per_second(10.0) == pytest.approx(10 * GBPS)
     assert bytes_per_second(0.5) == pytest.approx(5e8)
 
-
-@pytest.mark.parametrize(
-    "n,expect",
-    [
-        (512, "512 B"),
-        (2048, "2.00 KiB"),
-        (3 * MIB, "3.00 MiB"),
-        (int(1.5 * GIB), "1.50 GiB"),
-    ],
-)
-def test_format_bytes(n, expect):
-    assert format_bytes(n) == expect
-
-
-@pytest.mark.parametrize(
-    "t,expect",
-    [
-        (2.0, "2.000 s"),
-        (3e-3, "3.000 ms"),
-        (4.5e-6, "4.500 us"),
-        (120e-9, "120.0 ns"),
-    ],
-)
-def test_format_time(t, expect):
-    assert format_time(t) == expect
-
-
-def test_format_time_handles_zero():
-    assert format_time(0.0) == "0.0 ns"
