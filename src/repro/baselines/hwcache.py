@@ -28,18 +28,6 @@ class HWCacheMode(BasePolicy):
     name = "hw-cache"
 
     @staticmethod
-    def configure(
-        base: ExecutorConfig,
-        dram_capacity_bytes: int,
-        conflict_factor: float = 0.15,
-        fill_penalty: float = 0.10,
-    ) -> ExecutorConfig:
+    def configure(base: ExecutorConfig, dram_capacity_bytes: int) -> ExecutorConfig:
         """An executor config with the DRAM-cache timing model enabled."""
-        return replace(
-            base,
-            dram_cache=DRAMCacheModel(
-                dram_capacity_bytes=dram_capacity_bytes,
-                conflict_factor=conflict_factor,
-                fill_penalty=fill_penalty,
-            ),
-        )
+        return replace(base, dram_cache=DRAMCacheModel(dram_capacity_bytes))

@@ -16,11 +16,12 @@ variation moves them.
 
 Guards:
 
-- a baseline of ``min_iterations`` closed iterations before any trigger;
-- the deviation must exceed the threshold *and* ``sigmas`` standard
-  deviations of the baseline iteration means;
-- a ``cooldown_iterations`` refractory period after a trigger, and the
-  baseline is cleared so the new regime measures itself afresh.
+- a baseline of :data:`MIN_ITERATIONS` closed iterations before any
+  trigger;
+- the deviation must exceed :data:`THRESHOLD` *and* :data:`SIGMAS`
+  standard deviations of the baseline iteration means;
+- a :data:`COOLDOWN_ITERATIONS` refractory period after a trigger, and
+  the baseline is cleared so the new regime measures itself afresh.
 
 Tasks with ``iteration < 0`` (no iterative structure) never trigger.
 """
@@ -32,6 +33,15 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 __all__ = ["DeviationDetector"]
+
+#: Relative deviation of an iteration mean that re-activates profiling.
+THRESHOLD: float = 0.10
+#: ... and the deviation must also exceed this many baseline std devs.
+SIGMAS: float = 3.0
+#: Closed iterations of baseline before any trigger.
+MIN_ITERATIONS: int = 3
+#: Iterations after a trigger during which no new trigger fires.
+COOLDOWN_ITERATIONS: int = 2
 
 
 @dataclass(slots=True)
@@ -47,11 +57,6 @@ class _TypeState:
 
 @dataclass
 class DeviationDetector:
-    threshold: float = 0.10
-    sigmas: float = 3.0
-    min_iterations: int = 3
-    cooldown_iterations: int = 2
-
     _types: dict[str, _TypeState] = field(default_factory=dict)
 
     def observe(self, type_name: str, duration: float, iteration: int = -1) -> bool:
@@ -81,9 +86,9 @@ class DeviationDetector:
         return fire
 
     def _test(self, st: _TypeState, mean: float) -> bool:
-        if len(st.closed) < self.min_iterations:
+        if len(st.closed) < MIN_ITERATIONS:
             return False
-        if st.since_trigger < self.cooldown_iterations:
+        if st.since_trigger < COOLDOWN_ITERATIONS:
             return False
         ref = list(st.closed)
         ref_mean = sum(ref) / len(ref)
@@ -92,4 +97,4 @@ class DeviationDetector:
         var = sum((x - ref_mean) ** 2 for x in ref) / max(1, len(ref) - 1)
         ref_std = sqrt(var)
         dev = abs(mean - ref_mean)
-        return dev > self.threshold * ref_mean and dev > self.sigmas * ref_std
+        return dev > THRESHOLD * ref_mean and dev > SIGMAS * ref_std

@@ -18,19 +18,19 @@ from repro.tasking.dataobj import DataObject
 
 __all__ = ["initial_placement"]
 
+#: Share of DRAM filled at program start; the rest is headroom so the
+#: runtime's first migration decisions are not starved for space.
+RESERVE_FRACTION: float = 0.9
+
 
 def initial_placement(
     objects: Iterable[DataObject],
     dram_capacity_bytes: int,
-    reserve_fraction: float = 0.9,
 ) -> set[int]:
-    """Choose uids to place in DRAM at program start.
-
-    ``reserve_fraction`` holds back headroom so the runtime's first
-    migration decisions are not starved for space.
-    """
+    """Choose uids to place in DRAM at program start, within
+    :data:`RESERVE_FRACTION` of its capacity."""
     objs = [o for o in objects if o.static_ref_count > 0]
-    budget = int(dram_capacity_bytes * reserve_fraction)
+    budget = int(dram_capacity_bytes * RESERVE_FRACTION)
     mask = greedy_by_density(
         values=[o.static_ref_count for o in objs],
         sizes=[o.size_bytes for o in objs],

@@ -615,7 +615,6 @@ class DataManagerPolicy(BasePolicy):
                 self.calib,
                 cfg.plan,
                 benefit_scale=self._skepticism * slack,
-                overhead_s=ctx.config.migration_overhead_s,
             )
             # Delta gain: what enforcing the plan buys *over doing
             # nothing* — the plan set's worth minus the worth of the
@@ -752,7 +751,7 @@ class DataManagerPolicy(BasePolicy):
             if self._move_counts.get(obj.uid, 0) >= MAX_MOVES_PER_OBJECT:
                 refuse(obj, "pinned", moves=self._move_counts[obj.uid])
                 continue
-            ct = copy_time(obj.size_bytes, ctx.nvm, ctx.dram, ctx.config.migration_overhead_s)
+            ct = copy_time(obj.size_bytes, ctx.nvm, ctx.dram)
             first_use = plan.first_use.get(obj.uid, 0.0)
             in_weight = plan.weights.get(obj.uid, 0.0)
             # Evictions needed for this object also occupy the lane, cost
@@ -767,9 +766,7 @@ class DataManagerPolicy(BasePolicy):
                 vi += 1
                 planned_victims.append(v)
                 if ctx.hms.is_dirty(v):  # clean evictions are remaps: free
-                    ct_v = copy_time(
-                        v.size_bytes, ctx.dram, ctx.nvm, ctx.config.migration_overhead_s
-                    )
+                    ct_v = copy_time(v.size_bytes, ctx.dram, ctx.nvm)
                     evict_time += ct_v
                     # A dirty victim's writers stall until the copy-back
                     # lands; the part of the copy its next use cannot hide

@@ -35,7 +35,7 @@ from repro.core.demand import DemandBatch
 from repro.core.knapsack import greedy_by_density, solve_knapsack_arrays
 from repro.core.sensitivity import T1, T2
 from repro.memory.device import MemoryDevice
-from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
+from repro.memory.migration import copy_time
 from repro.profiling.calibration import CalibrationResult
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require
@@ -90,7 +90,6 @@ def _weights_for(
     cfg: PlanConfig,
     dram_pressure: float,
     benefit_scale: float = 1.0,
-    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> np.ndarray:
     """Eq. 7 over a whole demand batch — the planner's hot loop, as
     straight-line column arithmetic.
@@ -100,7 +99,7 @@ def _weights_for(
     objects pay the non-overlapped part of their copy, plus — when DRAM
     is nearly full (``dram_pressure`` ~ 1) — the eviction of an equal
     volume of victims.  Both copies carry the fixed per-migration
-    ``overhead_s`` the enforcement path charges.
+    overhead the enforcement path charges (inside :func:`copy_time`).
 
     Both benefit estimators and the movement cost are evaluated on every
     lane; ``np.where`` then picks each object's estimator, sensitivity
@@ -223,14 +222,14 @@ def _weights_for(
     # of the copy, max(copy - max(offset, 0), 0), plus — when DRAM is
     # nearly full — the eviction of an equal volume of victims (Eq. 7's
     # extra_COST), i.e. the reverse copy: the reference's
-    # ``eviction_cost([size], dram, nvm, overhead_s=overhead_s)``.
+    # ``eviction_cost([size], dram, nvm)``.
     size = batch.size_bytes
     off = batch.first_use_offset
-    diff = copy_time(size, nvm, dram, overhead_s) - np.where(off >= 0.0, off, 0.0)
+    diff = copy_time(size, nvm, dram) - np.where(off >= 0.0, off, 0.0)
     cost = np.where(diff >= 0.0, diff, 0.0)
     extra = 0.0
     if dram_pressure > 0.0:
-        extra = dram_pressure * copy_time(size, dram, nvm, overhead_s)
+        extra = dram_pressure * copy_time(size, dram, nvm)
     # Resident objects pay nothing: keeping them is free.
     return np.where(in_dram, bft, bft - COST_MARGIN * (cost + extra))
 
@@ -245,19 +244,16 @@ def make_plan(
     calib: CalibrationResult,
     cfg: PlanConfig,
     benefit_scale: float = 1.0,
-    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> PlacementPlan:
     """Weigh every demand and solve the capacity-constrained selection.
 
     ``demands`` is a :class:`~repro.core.demand.DemandBatch` with
-    placement columns attached (:meth:`DemandBatch.with_placement`);
-    ``overhead_s`` is the machine's fixed per-migration overhead
-    (``ExecutorConfig.migration_overhead_s``), priced into every copy.
+    placement columns attached (:meth:`DemandBatch.with_placement`).
     """
     batch = demands
     budget = int(dram_capacity_bytes * CAPACITY_FRACTION)
     pressure = max(0.0, min(1.0, dram_used_bytes / max(1, budget)))
-    weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale, overhead_s)
+    weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale)
     if cfg.solver == "greedy":
         mask = greedy_by_density(weights, batch.size_bytes, budget)
     else:

@@ -97,11 +97,3 @@ def run(
         "small fraction of the application's own."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

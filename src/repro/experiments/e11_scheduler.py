@@ -80,11 +80,3 @@ def run(
         "without placement recovers nothing (nothing resident to prefer)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -108,11 +108,3 @@ def run(
         "intensity and its margin widens as the NVM brown-out deepens."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -188,11 +188,3 @@ def run(
         "NVM-only on the same machine."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -88,11 +88,3 @@ def run(
         "the BW axis, latency-sensitive (health) to the LAT axis; 1.1x-8.4x band."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

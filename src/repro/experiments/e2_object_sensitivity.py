@@ -106,11 +106,3 @@ def run(fast: bool = True, workers: int | None = None) -> ExperimentResult:
         "lat-4x only; colidx helps under both (mixed sensitivity)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,11 +82,3 @@ def run(
         "closure in the 50-80% range (paper: 78.4% on its roster)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -101,11 +101,3 @@ def run(
         "contributes broadly (warm-up elimination)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

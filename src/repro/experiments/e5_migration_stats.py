@@ -69,11 +69,3 @@ def run(
         "orders of magnitude across workloads."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

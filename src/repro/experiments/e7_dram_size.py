@@ -64,11 +64,3 @@ def run(
         "penalty on mg (indivisible 64-MiB tiles), graceful elsewhere."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -63,11 +63,3 @@ def run(
         "write-heavy workloads (Optane writes at 1/3 of its read bandwidth)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -239,11 +239,3 @@ def run(fast: bool = True, workers: int | None = None) -> ExperimentResult:
         "for protection against copy pile-ups when models mispredict."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=False).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,6 @@ adds process fan-out and the on-disk result cache.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -34,14 +33,11 @@ from repro.memory.device import MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram as dram_preset
 from repro.tasking.executor import Executor, ExecutorConfig
-from repro.tasking.scheduler import (
-    SCHEDULERS,
-    SchedulingPolicy,
-    make_scheduler,
-)
+from repro.tasking.scheduler import SCHEDULERS, make_scheduler
 from repro.tasking.trace import ExecutionTrace
 from repro.util.tables import Table
 from repro.util.units import MIB
+from repro.util.validation import did_you_mean
 from repro.workloads.memo import build_cached
 
 __all__ = [
@@ -154,9 +150,7 @@ POLICIES: dict[str, Callable[..., Any]] = {
 }
 
 def _unknown(kind: str, name: str, known: dict[str, Any]) -> KeyError:
-    suggestions = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-    hint = f"; did you mean {' or '.join(map(repr, suggestions))}?" if suggestions else ""
-    return KeyError(f"unknown {kind} {name!r}{hint} (known: {sorted(known)})")
+    return KeyError(f"unknown {kind} {name!r}{did_you_mean(name, known)} (known: {sorted(known)})")
 
 
 def make_policy(name: str, /, **overrides: Any) -> Any:

@@ -25,7 +25,6 @@ no new fields and existing cache keys stay byte-identical.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import traceback as traceback_mod
@@ -35,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.faults.plan import resolve_plan
 from repro.memory.device import DeviceKind, MemoryDevice
 from repro.memory.presets import DEFAULT_DRAM_CAPACITY
+from repro.util.validation import did_you_mean
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tasking.trace import ExecutionTrace
@@ -154,10 +154,9 @@ def _canonical_path(path: str) -> str:
 
 def _unknown_path(path: str, known: Iterable[str]) -> KeyError:
     candidates = sorted(set(known))
-    suggestions = difflib.get_close_matches(path, candidates, n=3, cutoff=0.4)
-    hint = f"; did you mean {' or '.join(map(repr, suggestions))}?" if suggestions else ""
     return KeyError(
-        f"unknown spec path {path!r}{hint} (known top-level paths: {candidates})"
+        f"unknown spec path {path!r}{did_you_mean(path, candidates)} "
+        f"(known top-level paths: {candidates})"
     )
 
 
@@ -226,6 +225,15 @@ class RunSpec:
 
         for name in ("workload_overrides", "policy_overrides", "exec_overrides"):
             object.__setattr__(self, name, _freeze(getattr(self, name) or ()))
+        if self.exec_overrides:
+            from repro.tasking.executor import ExecutorConfig
+
+            known = {f.name for f in fields(ExecutorConfig)}
+            unknown = sorted(set(self.exec_kwargs) - known)
+            if unknown:
+                raise ValueError(
+                    f"unknown exec_overrides fields {unknown} (known: {sorted(known)})"
+                )
         object.__setattr__(self, "faults", resolve_plan(self.faults))
         object.__setattr__(self, "telemetry", resolve_telemetry(self.telemetry))
         object.__setattr__(self, "stream", resolve_stream(self.stream))

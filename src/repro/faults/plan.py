@@ -31,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
-from repro.util.validation import require, require_nonnegative
+from repro.util.validation import did_you_mean, require, require_nonnegative
 
 __all__ = [
     "DegradedWindow",
@@ -269,16 +269,9 @@ def resolve_plan(value: "FaultPlan | str | Mapping[str, Any] | None") -> FaultPl
         elif text.startswith("{"):
             plan = FaultPlan.from_json(text)
         else:
-            import difflib
-
-            suggestions = difflib.get_close_matches(text, PRESETS, n=3, cutoff=0.4)
-            hint = (
-                f"; did you mean {' or '.join(map(repr, suggestions))}?"
-                if suggestions
-                else ""
-            )
             raise KeyError(
-                f"unknown fault preset {text!r}{hint} (known: {sorted(PRESETS)}; "
+                f"unknown fault preset {text!r}{did_you_mean(text, PRESETS)} "
+                f"(known: {sorted(PRESETS)}; "
                 "a JSON object or @file path also works)"
             )
     else:

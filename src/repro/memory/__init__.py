@@ -26,7 +26,6 @@ from repro.memory.migration import (
     MigrationRecord,
     copy_time,
 )
-from repro.memory.contention import ContentionModel
 from repro.memory.cache import DRAMCacheModel
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "MigrationEngine",
     "MigrationRecord",
     "copy_time",
-    "ContentionModel",
     "DRAMCacheModel",
 ]

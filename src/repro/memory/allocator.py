@@ -16,6 +16,9 @@ from repro.util.validation import require_nonnegative, require_positive
 
 __all__ = ["FreeListAllocator", "OutOfMemoryError"]
 
+#: Allocation granularity in bytes (one cache line).
+ALIGNMENT: int = 64
+
 
 class OutOfMemoryError(Exception):
     """Raised when an allocation cannot be satisfied from the free list."""
@@ -24,11 +27,9 @@ class OutOfMemoryError(Exception):
 class FreeListAllocator:
     """First-fit allocator over a flat ``capacity``-byte address space."""
 
-    def __init__(self, capacity: int, alignment: int = 64):
+    def __init__(self, capacity: int):
         require_positive(capacity, "capacity")
-        require_positive(alignment, "alignment")
         self.capacity = int(capacity)
-        self.alignment = int(alignment)
         # Free list kept sorted by offset: list of [offset, size].
         self._free: list[list[int]] = [[0, self.capacity]]
         self._allocated: dict[int, int] = {}  # offset -> size
@@ -55,8 +56,7 @@ class FreeListAllocator:
 
     # ------------------------------------------------------------------
     def _round_up(self, size: int) -> int:
-        a = self.alignment
-        return (int(size) + a - 1) // a * a
+        return (int(size) + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
     def alloc(self, size: int) -> int:
         """Allocate ``size`` bytes; return the offset.

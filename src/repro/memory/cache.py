@@ -8,8 +8,9 @@ DRAM-cache hit rate.
 
 Hit-rate model: with DRAM capacity ``C`` and application working set ``W``
 (bytes of distinct data with reuse), capacity hits are ``min(1, C/W)``;
-a direct-mapped conflict factor shaves a constant fraction off that, and
-misses additionally pay a cache-fill (DRAM write) per line.  This is
+a direct-mapped conflict factor (:data:`CONFLICT_FACTOR`) shaves a
+constant fraction off that, and misses additionally pay a cache-fill
+(DRAM write) per line (:data:`FILL_PENALTY`).  This is
 deliberately coarse — the baseline's defining property is that hot *and*
 cold data share the cache indiscriminately, which the blend captures.
 """
@@ -18,9 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 __all__ = ["DRAMCacheModel"]
+
+#: Fraction of would-be capacity hits lost to direct-mapped conflicts.
+CONFLICT_FACTOR: float = 0.15
+#: Extra time per miss, as a fraction of the DRAM-resident time, for the
+#: line fill into DRAM on the miss path.
+FILL_PENALTY: float = 0.10
 
 
 @dataclass(frozen=True)
@@ -28,23 +35,16 @@ class DRAMCacheModel:
     """Direct-mapped DRAM cache in front of NVM."""
 
     dram_capacity_bytes: int
-    #: Fraction of would-be capacity hits lost to direct-mapped conflicts.
-    conflict_factor: float = 0.15
-    #: Extra time per miss, as a fraction of the DRAM-resident time, for the
-    #: line fill into DRAM on the miss path.
-    fill_penalty: float = 0.10
 
     def __post_init__(self) -> None:
         require_positive(self.dram_capacity_bytes, "dram_capacity_bytes")
-        require(0.0 <= self.conflict_factor < 1.0, "conflict_factor must be in [0, 1)")
-        require(self.fill_penalty >= 0.0, "fill_penalty must be >= 0")
 
     def hit_rate(self, working_set_bytes: int) -> float:
         """Estimated DRAM-cache hit rate for a given working set."""
         if working_set_bytes <= 0:
             return 1.0
         capacity_hits = min(1.0, self.dram_capacity_bytes / working_set_bytes)
-        return capacity_hits * (1.0 - self.conflict_factor)
+        return capacity_hits * (1.0 - CONFLICT_FACTOR)
 
     def blend(self, time_dram: float, time_nvm: float, working_set_bytes: int) -> float:
         """Effective memory time under Memory Mode.
@@ -53,5 +53,5 @@ class DRAMCacheModel:
         purely DRAM- or NVM-resident.
         """
         h = self.hit_rate(working_set_bytes)
-        miss_time = time_nvm + self.fill_penalty * time_dram
+        miss_time = time_nvm + FILL_PENALTY * time_dram
         return h * time_dram + (1.0 - h) * miss_time

@@ -6,58 +6,33 @@ real memory controllers extract more aggregate bandwidth from multiple
 request streams (bank/channel parallelism) up to saturation.  The
 per-stream bandwidth multiplier for ``n`` concurrent streams is::
 
-    share(n) = min(1, saturation_streams / n) ** rolloff   (n >= 1)
+    share(n) = min(1, SATURATION_STREAMS / n)   (n >= 1)
 
-``saturation_streams`` is how many streams the device sustains at full
-per-stream bandwidth; beyond it, per-stream bandwidth decays like ``1/n``
-(``rolloff=1``) or more gently.  Latency-bound traffic is unaffected —
-contention applies only to the bandwidth term of the timing model, which
-is exactly why bandwidth-sensitive objects hurt more on NVM under high
-task parallelism (a first-order effect the task-parallel paper targets).
+``SATURATION_STREAMS`` is how many streams the device sustains at full
+per-stream bandwidth; beyond it, per-stream bandwidth decays like ``1/n``.
+Latency-bound traffic is unaffected — contention applies only to the
+bandwidth term of the timing model, which is exactly why
+bandwidth-sensitive objects hurt more on NVM under high task parallelism
+(a first-order effect the task-parallel paper targets).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = ["SATURATION_STREAMS", "share", "slowdown"]
 
-from repro.util.validation import require_positive
-
-__all__ = ["ContentionModel"]
-
-
-@dataclass(frozen=True)
-class ContentionModel:
-    """Per-stream bandwidth share as a function of concurrent streams."""
-
-    #: The device bandwidth figures are per-stream capabilities; a modern
-    #: controller sustains several such streams at full rate (channel/bank
-    #: parallelism) before per-stream sharing kicks in.
-    saturation_streams: float = 6.0
-    rolloff: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.saturation_streams, "saturation_streams")
-        require_positive(self.rolloff, "rolloff")
-        # Memo for slowdown(): the executor asks per access in its inner
-        # loop and the domain is tiny (0..n_workers streams).  Stored via
-        # object.__setattr__ because the dataclass is frozen; not a field,
-        # so equality/hash/replace are unaffected.
-        object.__setattr__(self, "_slowdown_memo", {})
-
-    def share(self, n_streams: int) -> float:
-        """Fraction of full device bandwidth each of ``n_streams`` gets."""
-        n = max(1, int(n_streams))
-        raw = min(1.0, self.saturation_streams / n)
-        return raw**self.rolloff
-
-    def slowdown(self, n_streams: int) -> float:
-        """Multiplier on the bandwidth *time* term (>= 1)."""
-        memo = self._slowdown_memo
-        s = memo.get(n_streams)
-        if s is None:
-            s = memo[n_streams] = 1.0 / self.share(n_streams)
-        return s
+#: The device bandwidth figures are per-stream capabilities; a modern
+#: controller sustains several such streams at full rate (channel/bank
+#: parallelism) before per-stream sharing kicks in.
+SATURATION_STREAMS: float = 6.0
 
 
-#: No contention at all — handy for unit tests and model derivations.
-NO_CONTENTION = ContentionModel(saturation_streams=1e12)
+def share(n_streams: int) -> float:
+    """Fraction of full device bandwidth each of ``n_streams`` gets."""
+    return min(1.0, SATURATION_STREAMS / max(1, int(n_streams)))
+
+
+def slowdown(n_streams: int) -> float:
+    """Multiplier on the bandwidth *time* term (>= 1): ``1 / share(n)``,
+    written out so the executor's per-access call skips ``share``'s
+    clamps (bitwise the same for every stream count ``n >= 1``)."""
+    return 1.0 / (SATURATION_STREAMS / n_streams) if n_streams > SATURATION_STREAMS else 1.0

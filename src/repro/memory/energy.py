@@ -13,8 +13,8 @@ static draw.  This module computes, from an execution trace:
   amplification a migration-happy policy adds to a write-limited device.
 
 Numbers follow the literature's ballparks (DRAM ~0.5 nJ/B dynamic,
-~0.4 W/GiB static; PCM-class writes ~2-10 nJ/B, static ~0); they are
-configurable per study.  The model is deliberately first-order: energy
+~0.4 W/GiB static; PCM-class writes ~2-10 nJ/B, static ~0), fixed for
+the one emulated platform.  The model is deliberately first-order: energy
 follows traffic and time, which the simulator tracks exactly.
 """
 
@@ -25,49 +25,29 @@ from dataclasses import dataclass
 from repro.memory.device import DeviceKind, MemoryDevice
 from repro.tasking.trace import ExecutionTrace
 from repro.util.units import GIB
-from repro.util.validation import require_nonnegative
 
-__all__ = ["EnergyModel", "EnergyReport"]
+__all__ = ["EnergyReport"]
+
+#: Dynamic energy per byte read/written (joules/byte).
+DRAM_READ_ENERGY: float = 0.5e-9
+DRAM_WRITE_ENERGY: float = 0.6e-9
+NVM_READ_ENERGY: float = 1.0e-9
+NVM_WRITE_ENERGY: float = 6.0e-9
+#: Static power per GiB of capacity (watts) — DRAM refresh vs NVM ~0.
+DRAM_STATIC_W_PER_GIB: float = 0.4
+NVM_STATIC_W_PER_GIB: float = 0.01
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """First-order per-device energy parameters."""
+def _access_energy(device: MemoryDevice, read_bytes: float, write_bytes: float) -> float:
+    if device.kind is DeviceKind.DRAM:
+        return read_bytes * DRAM_READ_ENERGY + write_bytes * DRAM_WRITE_ENERGY
+    return read_bytes * NVM_READ_ENERGY + write_bytes * NVM_WRITE_ENERGY
 
-    #: dynamic energy per byte read/written (joules/byte)
-    dram_read_energy: float = 0.5e-9
-    dram_write_energy: float = 0.6e-9
-    nvm_read_energy: float = 1.0e-9
-    nvm_write_energy: float = 6.0e-9
-    #: static power per GiB of capacity (watts) — DRAM refresh vs NVM ~0
-    dram_static_w_per_gib: float = 0.4
-    nvm_static_w_per_gib: float = 0.01
 
-    def __post_init__(self) -> None:
-        for name in (
-            "dram_read_energy",
-            "dram_write_energy",
-            "nvm_read_energy",
-            "nvm_write_energy",
-            "dram_static_w_per_gib",
-            "nvm_static_w_per_gib",
-        ):
-            require_nonnegative(getattr(self, name), name)
-
-    # ------------------------------------------------------------------
-    def access_energy(self, device: MemoryDevice, read_bytes: float, write_bytes: float) -> float:
-        if device.kind is DeviceKind.DRAM:
-            return read_bytes * self.dram_read_energy + write_bytes * self.dram_write_energy
-        return read_bytes * self.nvm_read_energy + write_bytes * self.nvm_write_energy
-
-    def static_energy(self, device: MemoryDevice, seconds: float) -> float:
-        gib = device.capacity_bytes / GIB
-        w = (
-            self.dram_static_w_per_gib
-            if device.kind is DeviceKind.DRAM
-            else self.nvm_static_w_per_gib
-        )
-        return w * gib * seconds
+def _static_energy(device: MemoryDevice, seconds: float) -> float:
+    gib = device.capacity_bytes / GIB
+    w = DRAM_STATIC_W_PER_GIB if device.kind is DeviceKind.DRAM else NVM_STATIC_W_PER_GIB
+    return w * gib * seconds
 
 
 @dataclass
@@ -89,7 +69,6 @@ class EnergyReport:
         trace: ExecutionTrace,
         dram: MemoryDevice,
         nvm: MemoryDevice,
-        model: EnergyModel | None = None,
     ) -> "EnergyReport":
         """Account a finished run.
 
@@ -97,19 +76,17 @@ class EnergyReport:
         start (recorded in the trace); migration copies charge a read on
         the source and a write on the destination.
         """
-        model = model or EnergyModel()
         devices = {dram.name: dram, nvm.name: nvm}
         rep = cls()
         # Hot accounting loop: one (read_coef, write_coef, is_nvm) triple
-        # per residency name replaces the per-access device dispatch, and
-        # the per-access traffic comes straight from the cached-property
-        # slots.  Accumulation order is unchanged, so the totals are
-        # bitwise what the naive loop produced.
+        # per residency name replaces the per-access device dispatch.
+        # Accumulation order is unchanged, so the totals are bitwise what
+        # the naive loop produced.
         coef = {
             name: (
-                (model.dram_read_energy, model.dram_write_energy, False)
+                (DRAM_READ_ENERGY, DRAM_WRITE_ENERGY, False)
                 if dev.kind is DeviceKind.DRAM
-                else (model.nvm_read_energy, model.nvm_write_energy, True)
+                else (NVM_READ_ENERGY, NVM_WRITE_ENERGY, True)
             )
             for name, dev in devices.items()
         }
@@ -122,14 +99,8 @@ class EnergyReport:
             res_get = rec.residency.get
             for obj, acc in rec.task.accesses.items():
                 re_, we_, is_nvm = coef_get(res_get(obj.uid, nvm_name), default_coef)
-                slots = acc.__dict__
-                rb = slots.get("read_traffic_bytes")
-                if rb is None:
-                    rb = acc.read_traffic_bytes
-                wb = slots.get("write_traffic_bytes")
-                if wb is None:
-                    wb = acc.write_traffic_bytes
-                dynamic_j += rb * re_ + wb * we_
+                wb = acc.write_traffic_bytes
+                dynamic_j += acc.read_traffic_bytes * re_ + wb * we_
                 if is_nvm:
                     nvm_written += wb
         rep.dynamic_j = dynamic_j
@@ -138,12 +109,12 @@ class EnergyReport:
             for m in trace.migrations.records:
                 src = devices.get(m.src, nvm)
                 dst = devices.get(m.dst, nvm)
-                rep.migration_j += model.access_energy(src, m.nbytes, 0)
-                rep.migration_j += model.access_energy(dst, 0, m.nbytes)
+                rep.migration_j += _access_energy(src, m.nbytes, 0)
+                rep.migration_j += _access_energy(dst, 0, m.nbytes)
                 if dst.kind is DeviceKind.NVM:
                     rep.nvm_bytes_written += m.nbytes
-        rep.static_j += model.static_energy(dram, trace.makespan)
-        rep.static_j += model.static_energy(nvm, trace.makespan)
+        rep.static_j += _static_energy(dram, trace.makespan)
+        rep.static_j += _static_energy(nvm, trace.makespan)
         return rep
 
     def summary(self) -> dict[str, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.memory.allocator import FreeListAllocator, OutOfMemoryError
+from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import DeviceKind, MemoryDevice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -29,13 +29,13 @@ __all__ = ["copy_time", "MigrationRecord", "MigrationEngine"]
 #: Fixed software overhead per migration (queueing, page remap, pointer
 #: update).  Small but non-zero so migrating thousands of tiny chunks is
 #: correctly penalized — this is what makes naive partitioning lose.
-DEFAULT_MIGRATION_OVERHEAD_S: float = 20.0 * US
+MIGRATION_OVERHEAD_S: float = 20.0 * US
 
 #: Bounded retry-with-backoff for injected copy failures: up to this many
 #: retries after the initial attempt, with exponentially growing virtual
 #: backoff, before the migration is abandoned (graceful degradation).
-DEFAULT_MAX_COPY_RETRIES: int = 3
-DEFAULT_RETRY_BACKOFF_S: float = 50.0 * US
+MAX_COPY_RETRIES: int = 3
+RETRY_BACKOFF_S: float = 50.0 * US
 #: Fraction of the copy that runs before a failure is detected; the lane
 #: is occupied for that long even though no data lands.
 FAILURE_DETECT_FRACTION: float = 0.5
@@ -45,19 +45,19 @@ def copy_time(
     nbytes: int | np.ndarray,
     src: MemoryDevice,
     dst: MemoryDevice,
-    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> float | np.ndarray:
     """Virtual time to copy ``nbytes`` from ``src`` to ``dst``.
 
     The copy streams at the minimum of the source read bandwidth and the
-    destination write bandwidth (``mem_copy_bw`` in the paper's Eq. 6).
+    destination write bandwidth (``mem_copy_bw`` in the paper's Eq. 6),
+    plus the fixed :data:`MIGRATION_OVERHEAD_S`.
     ``nbytes`` may be a numpy column of sizes: the same operations then
     run elementwise, bitwise equal to one scalar call per size.
     """
     lowest = nbytes.min(initial=0) if isinstance(nbytes, np.ndarray) else nbytes
     require_nonnegative(lowest, "nbytes")
     bw = min(src.read_bandwidth, dst.write_bandwidth)
-    return nbytes / bw + overhead_s
+    return nbytes / bw + MIGRATION_OVERHEAD_S
 
 
 @dataclass
@@ -99,17 +99,8 @@ class MigrationEngine:
     then (the queue-as-synchronization mechanism in the paper).
     """
 
-    def __init__(
-        self,
-        overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
-        injector: "FaultInjector | None" = None,
-        max_retries: int = DEFAULT_MAX_COPY_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    ):
-        self.overhead_s = overhead_s
+    def __init__(self, injector: "FaultInjector | None" = None):
         self.injector = injector
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self._lane_free_at: float = 0.0
         self._available_at: dict[int, float] = {}
         self._last_record: dict[int, MigrationRecord] = {}
@@ -141,7 +132,7 @@ class MigrationEngine:
         Under fault injection each copy may take several attempts: a
         failed attempt occupies the lane until the failure is detected,
         then backs off (exponentially, in virtual time) before retrying.
-        After ``max_retries`` failed retries the migration is abandoned
+        After :data:`MAX_COPY_RETRIES` failed retries the migration is abandoned
         (``record.failed``) and the caller must leave the object where it
         was.  ``critical`` copies — emergency dirty write-backs whose data
         would otherwise be lost — are retried until they land and never
@@ -151,7 +142,7 @@ class MigrationEngine:
             self._lane_free_at,
             request_time if earliest_start is None else max(earliest_start, request_time),
         )
-        base = copy_time(nbytes, src, dst, self.overhead_s)
+        base = copy_time(nbytes, src, dst)
         attempts = 1
         failed = False
         if self.injector is None:
@@ -164,18 +155,18 @@ class MigrationEngine:
             while True:
                 ct = base * inj.copy_penalty(src.name, dst.name, t)
                 fails = inj.copy_attempt_fails(ordinal, attempts, t, obj_uid, nbytes)
-                if fails and critical and attempts >= self.max_retries:
+                if fails and critical and attempts >= MAX_COPY_RETRIES:
                     fails = False  # a critical write-back must eventually land
                 attempts += 1
                 if not fails:
                     end = t + ct
                     break
                 t += ct * FAILURE_DETECT_FRACTION
-                if attempts > self.max_retries:
+                if attempts > MAX_COPY_RETRIES:
                     failed = True
                     end = t  # lane time the failed attempts burned
                     break
-                t += self.retry_backoff_s * (2 ** (attempts - 1))
+                t += RETRY_BACKOFF_S * (2 ** (attempts - 1))
         self._lane_free_at = end
         rec = MigrationRecord(
             obj_uid=obj_uid,

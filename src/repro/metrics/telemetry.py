@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.memory.contention import share as bandwidth_share
 from repro.metrics.audit import PlacementAuditLog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.samplers import SamplerSet, TimeSeriesSampler
@@ -91,8 +92,7 @@ class Telemetry:
         engine: "MigrationEngine",
         n_workers: int,
         busy_workers: Callable[[float], float],
-        active_streams: Callable[[str, float], int] | None = None,
-        bandwidth_share: Callable[[int], float] | None = None,
+        active_streams: Callable[[str, float], int],
     ) -> None:
         """Bind instruments to the machine and register the samplers."""
         reg = self.registry
@@ -124,16 +124,15 @@ class Telemetry:
                     max_samples=cfg.max_samples,
                 )
             )
-            if active_streams is not None and bandwidth_share is not None:
-                self.samplers.add(
-                    TimeSeriesSampler(
-                        "device_bandwidth_share",
-                        lambda t, n=name: bandwidth_share(active_streams(n, t)),
-                        cfg.cadence_s,
-                        labels={"device": name, "kind": dev.kind.value},
-                        max_samples=cfg.max_samples,
-                    )
+            self.samplers.add(
+                TimeSeriesSampler(
+                    "device_bandwidth_share",
+                    lambda t, n=name: bandwidth_share(active_streams(n, t)),
+                    cfg.cadence_s,
+                    labels={"device": name, "kind": dev.kind.value},
+                    max_samples=cfg.max_samples,
                 )
+            )
         self.samplers.add(
             TimeSeriesSampler(
                 "migration_backlog_seconds",

@@ -103,7 +103,6 @@ def calibrate(
     config = config or ExecutorConfig()
     profiler = SamplingProfiler(
         interval_cycles=config.sampling_interval_cycles,
-        cpu_ghz=config.cpu_ghz,
         seed=config.seed,
     )
 

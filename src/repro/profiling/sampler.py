@@ -29,6 +29,10 @@ from repro.util.units import CACHELINE_BYTES
 
 __all__ = ["ObjectSample", "TaskProfile", "SamplingProfiler"]
 
+#: Clock of the emulated CPU whose cycles the sampling interval counts.
+CPU_GHZ: float = 2.4
+_CPU_HZ: float = CPU_GHZ * 1e9
+
 
 @dataclass(frozen=True)
 class ObjectSample:
@@ -97,21 +101,20 @@ class SamplingProfiler:
     #: CPU cycles consumed per captured sample (interrupt + buffer drain).
     PER_SAMPLE_CYCLES: float = 8.0
 
-    def __init__(self, interval_cycles: int = 1000, cpu_ghz: float = 2.4, seed: int = 0):
+    def __init__(self, interval_cycles: int = 1000, seed: int = 0):
         if interval_cycles < 1:
             raise ValueError("interval_cycles must be >= 1")
         self.interval_cycles = int(interval_cycles)
-        self.cpu_hz = cpu_ghz * 1e9
         self._seed = seed
 
     # ------------------------------------------------------------------
     def n_samples(self, duration: float) -> int:
         """Samples collected over a task of the given duration."""
-        return int(duration * self.cpu_hz / self.interval_cycles)
+        return int(duration * _CPU_HZ / self.interval_cycles)
 
     def overhead_time(self, duration: float) -> float:
         """Software cost of sampling a task of the given duration."""
-        return self.n_samples(duration) * self.PER_SAMPLE_CYCLES / self.cpu_hz
+        return self.n_samples(duration) * self.PER_SAMPLE_CYCLES / _CPU_HZ
 
     def sample_task(self, task: Task, duration: float, device_of=None) -> TaskProfile:
         """Profile one execution of ``task`` that took ``duration`` seconds.

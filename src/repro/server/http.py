@@ -89,9 +89,8 @@ class EventStream:
     byte chunks, written as they arrive under ``text/event-stream`` with
     a close-delimited body."""
 
-    def __init__(self, chunks: AsyncIterator[bytes], content_type: str = "text/event-stream"):
+    def __init__(self, chunks: AsyncIterator[bytes]):
         self.chunks = chunks
-        self.content_type = content_type
 
 
 Handler = Callable[[Request], Awaitable["Response | EventStream"]]
@@ -139,10 +138,9 @@ def _match(segments: list[str], path: str) -> dict[str, str] | None:
 class AsyncHttpServer:
     """A route table plus the asyncio accept/parse/respond loop."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, max_body: int = MAX_BODY_BYTES):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
-        self.max_body = max_body
         self._routes: list[tuple[str, list[str], Handler]] = []
         self._server: asyncio.AbstractServer | None = None
 
@@ -266,8 +264,8 @@ class AsyncHttpServer:
                 raise HttpError(400, "bad Content-Length")
             # Count digits first: int() refuses strings past 4,300 digits.
             digits = value.lstrip("0") or "0"
-            if len(digits) > len(str(self.max_body)) or int(digits) > self.max_body:
-                raise HttpError(413, f"body exceeds {self.max_body} bytes")
+            if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+                raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             body = await reader.readexactly(int(digits))
         elif headers.get("transfer-encoding", "").lower() == "chunked":
             raise HttpError(501, "chunked request bodies not supported")
@@ -304,7 +302,7 @@ class AsyncHttpServer:
     async def _write_stream(writer: asyncio.StreamWriter, stream: EventStream) -> None:
         head = (
             "HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {stream.content_type}\r\n"
+            "Content-Type: text/event-stream\r\n"
             "Cache-Control: no-store\r\n"
             "Connection: close\r\n\r\n"
         )

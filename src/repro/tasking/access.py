@@ -15,8 +15,7 @@ and get consistent ``hit_ratio``/``mlp`` values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 from repro.memory.device import MemoryDevice
 from repro.util.units import CACHELINE_BYTES
@@ -94,6 +93,15 @@ class ObjectAccess:
     #: object-granularity inference would falsely serialize).
     infer_deps: bool = True
 
+    # Derived traffic, filled once by ``__post_init__``: footprints are
+    # immutable and the executor's timing loop re-reads these for every
+    # (task, object) pair every run.
+    accesses: int = field(init=False, repr=False, compare=False)
+    miss_loads: float = field(init=False, repr=False, compare=False)
+    miss_stores: float = field(init=False, repr=False, compare=False)
+    read_traffic_bytes: float = field(init=False, repr=False, compare=False)
+    write_traffic_bytes: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         require_nonnegative(self.loads, "loads")
         require_nonnegative(self.stores, "stores")
@@ -104,12 +112,7 @@ class ObjectAccess:
         if self.span is not None:
             lo, hi = self.span
             require(0.0 <= lo < hi <= 1.0, f"invalid span {self.span}")
-        # Pre-fill the derived-traffic values the timing loops read.  The
-        # instance ``__dict__`` entries shadow the (non-data) cached_property
-        # descriptors, so the properties below become plain dict reads and
-        # the per-miss descriptor/lock machinery never runs.  Expressions
-        # mirror the property bodies exactly, so the floats are bitwise the
-        # same as a lazy first read would produce.
+        # Written through ``__dict__`` because the dataclass is frozen.
         d = self.__dict__
         miss = 1.0 - self.pattern.hit_ratio
         d["accesses"] = self.loads + self.stores
@@ -117,32 +120,6 @@ class ObjectAccess:
         ms = d["miss_stores"] = self.stores * miss
         d["read_traffic_bytes"] = ml * CACHELINE_BYTES
         d["write_traffic_bytes"] = ms * CACHELINE_BYTES
-
-    # ------------------------------------------------------------------
-    # Derived traffic
-    # ------------------------------------------------------------------
-    # Cached: footprints are immutable and the executor's timing loop
-    # re-reads these for every (task, object) pair every run.  The cache
-    # lands in the instance ``__dict__``, which frozen dataclasses keep.
-    @cached_property
-    def accesses(self) -> int:
-        return self.loads + self.stores
-
-    @cached_property
-    def miss_loads(self) -> float:
-        return self.loads * (1.0 - self.pattern.hit_ratio)
-
-    @cached_property
-    def miss_stores(self) -> float:
-        return self.stores * (1.0 - self.pattern.hit_ratio)
-
-    @cached_property
-    def read_traffic_bytes(self) -> float:
-        return self.miss_loads * CACHELINE_BYTES
-
-    @cached_property
-    def write_traffic_bytes(self) -> float:
-        return self.miss_stores * CACHELINE_BYTES
 
     # ------------------------------------------------------------------
     # Ground-truth timing (roofline-style: max of latency and bandwidth laws)

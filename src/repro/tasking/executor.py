@@ -31,7 +31,7 @@ profiler (``ctx.profile``), preserving the paper's measurement limits.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -41,14 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.telemetry import Telemetry
 
 from repro.memory.cache import DRAMCacheModel
-from repro.memory.contention import ContentionModel
+from repro.memory.contention import slowdown as contention_slowdown
 from repro.memory.device import MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.migration import (
-    DEFAULT_MIGRATION_OVERHEAD_S,
-    MigrationEngine,
-    MigrationRecord,
-)
+from repro.memory.migration import MigrationEngine, MigrationRecord
 from repro.tasking.dataobj import DataObject
 from repro.tasking.graph import AccessCSR, TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, SchedulingPolicy, make_scheduler
@@ -56,6 +52,11 @@ from repro.tasking.task import Task
 from repro.tasking.trace import ExecutionTrace, TaskRecord
 
 __all__ = ["ExecutorConfig", "ExecContext", "PlacementPolicy", "Executor"]
+
+#: Fraction of the smaller of (compute, memory) time hidden by overlap
+#: within a task.  The runtime's analytic models ignore this — their CF
+#: constant factors absorb it, as in the paper.
+OVERLAP_FACTOR: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,12 @@ class ExecutorConfig:
     """
 
     n_workers: int = 4
-    contention: ContentionModel = field(default_factory=ContentionModel)
-    #: Fraction of the smaller of (compute, memory) time hidden by overlap
-    #: within a task.  The runtime's analytic models ignore this — their CF
-    #: constant factors absorb it, as in the paper.
-    overlap_factor: float = 0.25
     #: When set, ignore software placement entirely and time every access
     #: through the hardware DRAM-cache model (Memory Mode baseline).
     dram_cache: DRAMCacheModel | None = None
-    #: Sampling interval (CPU cycles) and clock for the emulated counters.
+    #: Sampling interval (CPU cycles) for the emulated counters.
     sampling_interval_cycles: int = 1000
-    cpu_ghz: float = 2.4
     seed: int = 12345
-    migration_overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S
     #: Ready-queue ordering: a :class:`SchedulingPolicy` instance, a name
     #: registered in :data:`repro.tasking.scheduler.SCHEDULERS`, or ``None``
     #: for the FIFO default.
@@ -199,7 +193,6 @@ class ExecContext:
 
         self._profiler = SamplingProfiler(
             interval_cycles=config.sampling_interval_cycles,
-            cpu_ghz=config.cpu_ghz,
             seed=config.seed,
         )
 
@@ -362,7 +355,7 @@ class Executor:
         injector = self.injector
         telemetry = self.telemetry
         hms = self.hms
-        engine = MigrationEngine(overhead_s=cfg.migration_overhead_s, injector=injector)
+        engine = MigrationEngine(injector=injector)
         ctx = ExecContext(graph, hms, engine, cfg)
         ctx.telemetry = telemetry
 
@@ -405,7 +398,6 @@ class Executor:
                 nw,
                 busy_workers=busy_workers,
                 active_streams=active_streams,
-                bandwidth_share=cfg.contention.share,
             )
 
         # Initial placement: the policy places what it wants; everything
@@ -460,13 +452,13 @@ class Executor:
         last_rec_get = engine._last_record.get
         pending_get = engine._pending_first_use.get
         eng_records = engine.records  # non-empty once any copy was scheduled
-        slowdown = cfg.contention.slowdown
+        slowdown = contention_slowdown
         dram_cache = cfg.dram_cache
         before_task = policy.before_task
         after_task = policy.after_task
         heappush = heapq.heappush
         heappop = heapq.heappop
-        overlap_keep = 1.0 - cfg.overlap_factor
+        overlap_keep = 1.0 - OVERLAP_FACTOR
         luf = ctx.last_use_finish
         luf_get = luf.get
         dispatched = ctx._dispatched_mask

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.memory.device import MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.presets import DEFAULT_NVM_CAPACITY, dram as dram_preset, nvm_bandwidth_scaled
+from repro.memory.presets import dram as dram_preset, nvm_bandwidth_scaled
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig, PlacementPolicy

@@ -14,6 +14,7 @@ from typing import Callable, Protocol
 
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
+from repro.util.validation import did_you_mean
 
 __all__ = [
     "SchedulingPolicy",
@@ -175,13 +176,8 @@ def make_scheduler(name: str) -> SchedulingPolicy:
     try:
         factory = SCHEDULERS[name]
     except KeyError:
-        import difflib
-
-        suggestions = difflib.get_close_matches(name, SCHEDULERS, n=3, cutoff=0.4)
-        hint = (
-            f"; did you mean {' or '.join(map(repr, suggestions))}?" if suggestions else ""
-        )
         raise KeyError(
-            f"unknown scheduler {name!r}{hint} (known: {sorted(SCHEDULERS)})"
+            f"unknown scheduler {name!r}{did_you_mean(name, SCHEDULERS)} "
+            f"(known: {sorted(SCHEDULERS)})"
         ) from None
     return factory()

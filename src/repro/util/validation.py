@@ -6,11 +6,18 @@ construction time beats a NaN surfacing three layers deep in the executor.
 
 from __future__ import annotations
 
+import difflib
 import json
 from dataclasses import fields
-from typing import Any, Mapping, TypeVar
+from typing import Any, Iterable, Mapping, TypeVar
 
-__all__ = ["require", "require_positive", "require_nonnegative", "resolve_plane"]
+__all__ = [
+    "require",
+    "require_positive",
+    "require_nonnegative",
+    "resolve_plane",
+    "did_you_mean",
+]
 
 _C = TypeVar("_C")
 
@@ -31,6 +38,13 @@ def require_nonnegative(value: float, name: str) -> None:
     """Raise unless ``value`` is >= 0."""
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def did_you_mean(name: str, known: Iterable[str]) -> str:
+    """The ``"; did you mean 'a' or 'b'?"`` suffix for an unknown
+    ``name`` (up to three close matches from ``known``), or ``""``."""
+    suggestions = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
+    return f"; did you mean {' or '.join(map(repr, suggestions))}?" if suggestions else ""
 
 
 def resolve_plane(value: Any, cls: type[_C], plane: str, label: str) -> _C | None:

@@ -11,7 +11,7 @@ maximum memory concurrency for exactly this).
 
 from __future__ import annotations
 
-from repro.tasking.footprints import STREAMING, read_footprint, update_footprint, write_footprint
+from repro.tasking.footprints import STREAMING, read_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB

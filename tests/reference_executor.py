@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import heapq
 
+from repro.memory.contention import share
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import MigrationEngine
-from repro.tasking.executor import ExecContext, ExecutorConfig, PlacementPolicy
+from repro.tasking.executor import (
+    OVERLAP_FACTOR,
+    ExecContext,
+    ExecutorConfig,
+    PlacementPolicy,
+)
 from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, make_scheduler
 from repro.tasking.task import Task
@@ -44,7 +50,7 @@ class ReferenceExecutor:
     def run(self, graph: TaskGraph, policy: PlacementPolicy) -> ExecutionTrace:
         cfg = self.config
         injector = self.injector
-        engine = MigrationEngine(overhead_s=cfg.migration_overhead_s, injector=injector)
+        engine = MigrationEngine(injector=injector)
         ctx = ExecContext(graph, self.hms, engine, cfg)
 
         workers = [(0.0, w) for w in range(cfg.n_workers)]
@@ -98,7 +104,7 @@ class ReferenceExecutor:
         after_task = policy.after_task
         heappush = heapq.heappush
         heappop = heapq.heappop
-        overlap_keep = 1.0 - cfg.overlap_factor
+        overlap_keep = 1.0 - OVERLAP_FACTOR
 
         while n_done < n_total:
             free_at, wid = heappop(workers)
@@ -258,7 +264,7 @@ class ReferenceExecutor:
         mem = 0.0
         if cfg.dram_cache is not None:
             n_str = sum(active.values()) + 1
-            slow = cfg.contention.slowdown(n_str)
+            slow = 1.0 / share(n_str)
             for acc in task.accesses.values():
                 if inj is None:
                     t_d = acc.memory_time(self.hms.dram, bw_slowdown=slow)
@@ -277,7 +283,6 @@ class ReferenceExecutor:
                 mem += cfg.dram_cache.blend(t_d, t_n, working_set)
         else:
             device_of = self.hms.device_of
-            slowdown = cfg.contention.slowdown
             in_flight_source = engine.in_flight_source if engine else None
             active_get = active.get
             for obj, acc in task.accesses.items():
@@ -286,7 +291,7 @@ class ReferenceExecutor:
                     src_name = in_flight_source(obj.uid, start)
                     if src_name is not None and not acc.mode.writes:
                         dev = self._device_by_name(src_name, dev)
-                slow = slowdown(active_get(dev.name, 0) + 1)
+                slow = 1.0 / share(active_get(dev.name, 0) + 1)
                 if inj is None:
                     mem += acc.memory_time(dev, bw_slowdown=slow)
                 else:

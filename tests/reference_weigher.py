@@ -21,7 +21,7 @@ from repro.core.demand import DemandBatch
 from repro.core.placement import COST_MARGIN, PlanConfig
 from repro.core.sensitivity import T1, T2
 from repro.memory.device import MemoryDevice
-from repro.memory.migration import DEFAULT_MIGRATION_OVERHEAD_S, copy_time
+from repro.memory.migration import copy_time
 from repro.profiling.calibration import CalibrationResult
 from repro.util.units import CACHELINE_BYTES
 
@@ -83,12 +83,11 @@ def eviction_cost(
     dram: MemoryDevice,
     nvm: MemoryDevice,
     overlap_window_s: float = 0.0,
-    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> float:
     """Eq. 7's extra_COST: copies moving victims out of DRAM."""
     total = 0.0
     for size in victim_sizes:
-        total += copy_time(size, dram, nvm, overhead_s)
+        total += copy_time(size, dram, nvm)
     return max(total - max(overlap_window_s, 0.0), 0.0)
 
 
@@ -152,7 +151,6 @@ def weights_for_ref(
     cfg: PlanConfig,
     dram_pressure: float,
     benefit_scale: float = 1.0,
-    overhead_s: float = DEFAULT_MIGRATION_OVERHEAD_S,
 ) -> list[float]:
     """Eq. 7 weights, one object at a time.
 
@@ -236,15 +234,13 @@ def weights_for_ref(
             continue
         ct = mig_ct.get(size)
         if ct is None:
-            ct = mig_ct[size] = copy_time(size, nvm, dram, overhead_s)
+            ct = mig_ct[size] = copy_time(size, nvm, dram)
         cost = max(ct - max(off, 0.0), 0.0)
         extra = 0.0
         if dram_pressure > 0.0:
             ev = ev_ct.get(size)
             if ev is None:
-                ev = ev_ct[size] = eviction_cost(
-                    [size], dram, nvm, overhead_s=overhead_s
-                )
+                ev = ev_ct[size] = eviction_cost([size], dram, nvm)
             extra = dram_pressure * ev
         weights.append(bft - margin * (cost + extra))
     return weights

@@ -226,10 +226,9 @@ class TestManagerConfigKnobs:
 
 class TestPlanCopyCost:
     def test_plan_prices_the_configured_migration_overhead(self, nvm_bw, monkeypatch):
-        """The planner's copy costs (Eqs. 6–7) carry the executor's
-        configured per-migration overhead — the one enforcement and the
-        copy lane charge — on every non-resident object."""
-        overhead = 5e-3  # 250x the default
+        """The planner's copy costs (Eqs. 6–7) in a live run are the ones
+        enforcement and the copy lane charge — ``copy_time``, fixed
+        per-migration overhead included — on every non-resident object."""
         calls = []
         real = manager.make_plan
 
@@ -241,7 +240,7 @@ class TestPlanCopyCost:
         monkeypatch.setattr(manager, "make_plan", spy)
         g, *_ = hot_cold_program()
         hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
-        config = ExecutorConfig(n_workers=2, migration_overhead_s=overhead)
+        config = ExecutorConfig(n_workers=2)
         Executor(hms, config).run(g, DataManagerPolicy())
 
         priced = 0
@@ -252,10 +251,10 @@ class TestPlanCopyCost:
             pressure = max(0.0, min(1.0, used / max(1, int(capacity * CAPACITY_FRACTION))))
             for i in np.flatnonzero(~batch.in_dram).tolist():
                 size = int(batch.size_bytes[i])
-                unhidden = copy_time(size, nvm, dram_dev, overhead) - max(
+                unhidden = copy_time(size, nvm, dram_dev) - max(
                     float(batch.first_use_offset[i]), 0.0
                 )
-                cost = max(unhidden, 0.0) + pressure * copy_time(size, dram_dev, nvm, overhead)
+                cost = max(unhidden, 0.0) + pressure * copy_time(size, dram_dev, nvm)
                 assert plan.weights[int(batch.uid[i])] == pytest.approx(
                     benefit[i] - COST_MARGIN * cost, rel=1e-12
                 )

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.adaptation import DeviationDetector
+from repro.core.adaptation import COOLDOWN_ITERATIONS, MIN_ITERATIONS, DeviationDetector
 from repro.core.manager import DataManagerPolicy
 from repro.core.models import SlotStats, TypeModel
 from repro.core.placement import COST_MARGIN, PlanConfig, _weights_for
@@ -340,12 +340,14 @@ class TestDeviationDetector:
         assert not any(fired)
 
     def test_needs_min_iterations_of_baseline(self):
-        det = DeviationDetector(min_iterations=3)
+        assert MIN_ITERATIONS == 3
+        det = DeviationDetector()
         fired = self._feed_iterations(det, [1.0, 5.0, 1.0])
         assert not any(fired)
 
     def test_cooldown_limits_rate(self):
-        det = DeviationDetector(cooldown_iterations=4)
+        assert COOLDOWN_ITERATIONS == 2
+        det = DeviationDetector()
         means = [1.0] * 5 + [3.0] * 8
         fired = self._feed_iterations(det, means)
         assert sum(fired) == 1  # baseline cleared; new regime re-baselines

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import NVMOnlyPolicy
-from repro.core.initial import initial_placement
+from repro.core.initial import RESERVE_FRACTION, initial_placement
 from repro.core.lookahead import first_use_offsets_split
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.partition import partition_graph
@@ -132,7 +132,8 @@ class TestInitialPlacement:
             DataObject(name="warm", size_bytes=int(MIB), static_ref_count=1e6),
             DataObject(name="cold", size_bytes=int(MIB), static_ref_count=1e3),
         ]
-        chosen = initial_placement(objs, int(2.5 * MIB), reserve_fraction=1.0)
+        # 90% of 2.5 MiB holds two of the three 1 MiB objects.
+        chosen = initial_placement(objs, int(2.5 * MIB))
         assert objs[0].uid in chosen and objs[1].uid in chosen
         assert objs[2].uid not in chosen
 
@@ -145,8 +146,9 @@ class TestInitialPlacement:
             DataObject(name=f"o{i}", size_bytes=int(MIB), static_ref_count=100.0)
             for i in range(10)
         ]
-        chosen = initial_placement(objs, int(10 * MIB), reserve_fraction=0.5)
-        assert len(chosen) == 5
+        assert RESERVE_FRACTION == 0.9
+        chosen = initial_placement(objs, int(10 * MIB))
+        assert len(chosen) == 9
 
 
 class TestLookahead:

@@ -20,7 +20,7 @@ def _context():
     graph = make_fork_join_graph(width=4, obj_mib=4.0)
     hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
     cfg = ExecutorConfig(n_workers=2)
-    engine = MigrationEngine(overhead_s=cfg.migration_overhead_s)
+    engine = MigrationEngine()
     return graph, ExecContext(graph, hms, engine, cfg)
 
 
@@ -58,7 +58,7 @@ class TestExecutorConstructor:
         with pytest.raises(TypeError, match=r"unexpected keyword argument 'n_workers'"):
             Executor(hms, n_workers=4)
         with pytest.raises(TypeError, match=r"unexpected keyword argument"):
-            Executor(hms, n_workers=4, overlap_factor=0.5)
+            Executor(hms, n_workers=4, seed=1)
 
 
 class TestExporterPositionalIndent:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy, OracleStaticPolicy
-from repro.memory.energy import EnergyModel, EnergyReport
+from repro.memory.energy import EnergyReport, _access_energy, _static_energy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.dataobj import DataObject
@@ -22,26 +22,19 @@ from tests.helpers import dram_for, make_fork_join_graph, run_graph
 
 class TestEnergyModel:
     def test_nvm_writes_most_expensive(self):
-        m = EnergyModel()
         n = nvm_bandwidth_scaled(0.5)
         d = dram()
-        assert m.access_energy(n, 0, 1000) > m.access_energy(n, 1000, 0)
-        assert m.access_energy(n, 0, 1000) > m.access_energy(d, 0, 1000)
+        assert _access_energy(n, 0, 1000) > _access_energy(n, 1000, 0)
+        assert _access_energy(n, 0, 1000) > _access_energy(d, 0, 1000)
 
     def test_static_energy_scales_with_capacity_and_time(self):
-        m = EnergyModel()
         small, big = dram(256 * MIB), dram(1024 * MIB)
-        assert m.static_energy(big, 1.0) == pytest.approx(4 * m.static_energy(small, 1.0))
-        assert m.static_energy(small, 2.0) == pytest.approx(2 * m.static_energy(small, 1.0))
+        assert _static_energy(big, 1.0) == pytest.approx(4 * _static_energy(small, 1.0))
+        assert _static_energy(small, 2.0) == pytest.approx(2 * _static_energy(small, 1.0))
 
     def test_nvm_static_near_zero(self):
-        m = EnergyModel()
         d, n = dram(256 * MIB), nvm_bandwidth_scaled(0.5, 256 * MIB)
-        assert m.static_energy(n, 1.0) < 0.1 * m.static_energy(d, 1.0)
-
-    def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyModel(dram_read_energy=-1.0)
+        assert _static_energy(n, 1.0) < 0.1 * _static_energy(d, 1.0)
 
 
 class TestEnergyReport:

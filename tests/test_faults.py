@@ -21,8 +21,9 @@ from repro.faults.plan import (
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import (
-    DEFAULT_RETRY_BACKOFF_S,
     FAILURE_DETECT_FRACTION,
+    MAX_COPY_RETRIES,
+    RETRY_BACKOFF_S,
     MigrationEngine,
     copy_time,
 )
@@ -168,10 +169,10 @@ class TestEngineRetry:
         inj = FaultInjector(FaultPlan(copy_fail_every=1))  # first attempt always fails
         eng = MigrationEngine(injector=inj)
         rec = eng.schedule(1, MIB, n, d, request_time=0.0)
-        base = copy_time(MIB, n, d, eng.overhead_s)
+        base = copy_time(MIB, n, d)
         assert rec.attempts == 2 and not rec.failed
         assert rec.end_time == pytest.approx(
-            base * FAILURE_DETECT_FRACTION + DEFAULT_RETRY_BACKOFF_S + base
+            base * FAILURE_DETECT_FRACTION + RETRY_BACKOFF_S + base
         )
         assert eng.retry_count == 1 and eng.recovered_count == 1 and eng.failed_count == 0
         assert eng.available_at(1) == rec.end_time
@@ -181,7 +182,7 @@ class TestEngineRetry:
         inj = FaultInjector(FaultPlan(copy_fail_prob=1.0))
         eng = MigrationEngine(injector=inj)
         rec = eng.schedule(1, MIB, n, d, request_time=0.0)
-        assert rec.failed and rec.attempts == eng.max_retries + 1
+        assert rec.failed and rec.attempts == MAX_COPY_RETRIES + 1
         assert rec.exposed == 0.0
         assert eng.failed_count == 1 and eng.recovered_count == 0
         # nothing landed: object availability and byte counts untouched
@@ -196,7 +197,7 @@ class TestEngineRetry:
         eng = MigrationEngine(injector=inj)
         rec = eng.schedule(1, MIB, d, n, request_time=0.0, critical=True)
         assert not rec.failed
-        assert rec.attempts == eng.max_retries + 1
+        assert rec.attempts == MAX_COPY_RETRIES + 1
         assert eng.available_at(1) == rec.end_time
 
     def test_degraded_window_stretches_copy(self):
@@ -206,7 +207,7 @@ class TestEngineRetry:
         )
         eng = MigrationEngine(injector=inj)
         rec = eng.schedule(1, MIB, n, d, request_time=0.0)
-        assert rec.duration == pytest.approx(2.0 * copy_time(MIB, n, d, eng.overhead_s))
+        assert rec.duration == pytest.approx(2.0 * copy_time(MIB, n, d))
 
     def test_no_injector_unchanged(self):
         d, n = self._devices()

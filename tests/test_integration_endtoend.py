@@ -9,7 +9,7 @@ from repro.experiments.e6_scaling import run as run_e6
 from repro.experiments.e9_ablations import run as run_e9
 from repro.experiments.runner import execute_spec
 from repro.experiments.spec import RunSpec
-from repro.memory.presets import nvm_bandwidth_scaled, nvm_latency_scaled
+from repro.memory.presets import nvm_bandwidth_scaled
 
 pytestmark = pytest.mark.integration
 

@@ -1,12 +1,10 @@
 """Data-manager edge cases: degenerate DRAM, fragmentation, huge objects,
 empty/one-task graphs, and the pathological devices."""
 
-import pytest
-
 from repro.baselines import NVMOnlyPolicy
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.presets import dram, nvm_bandwidth_scaled, reram
+from repro.memory.presets import dram, reram
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint

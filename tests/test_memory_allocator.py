@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.allocator import FreeListAllocator, OutOfMemoryError
+from repro.memory.allocator import ALIGNMENT, FreeListAllocator, OutOfMemoryError
 
 
 class TestAllocatorBasics:
     def test_alloc_returns_aligned_offsets(self):
-        a = FreeListAllocator(1024, alignment=64)
+        assert ALIGNMENT == 64
+        a = FreeListAllocator(1024)
         off1 = a.alloc(10)
         off2 = a.alloc(10)
         assert off1 % 64 == 0 and off2 % 64 == 0

@@ -2,60 +2,51 @@
 
 import pytest
 
-from repro.memory.cache import DRAMCacheModel
-from repro.memory.contention import NO_CONTENTION, ContentionModel
+from repro.memory.cache import CONFLICT_FACTOR, FILL_PENALTY, DRAMCacheModel
+from repro.memory.contention import SATURATION_STREAMS, share, slowdown
 from repro.util.units import MIB
 
 
 class TestContention:
     def test_single_stream_full_bandwidth(self):
-        c = ContentionModel(saturation_streams=6)
-        assert c.share(1) == pytest.approx(1.0)
-        assert c.slowdown(1) == pytest.approx(1.0)
+        assert share(1) == pytest.approx(1.0)
+        assert slowdown(1) == pytest.approx(1.0)
 
     def test_below_saturation_no_sharing(self):
-        c = ContentionModel(saturation_streams=6)
-        assert c.share(6) == pytest.approx(1.0)
+        assert SATURATION_STREAMS == 6.0
+        assert share(6) == pytest.approx(1.0)
 
     def test_beyond_saturation_processor_sharing(self):
-        c = ContentionModel(saturation_streams=6, rolloff=1.0)
-        assert c.share(12) == pytest.approx(0.5)
-        assert c.slowdown(12) == pytest.approx(2.0)
+        assert share(12) == pytest.approx(0.5)
+        assert slowdown(12) == pytest.approx(2.0)
 
     def test_share_monotone_nonincreasing(self):
-        c = ContentionModel()
-        shares = [c.share(n) for n in range(1, 40)]
+        shares = [share(n) for n in range(1, 40)]
         assert all(a >= b for a, b in zip(shares, shares[1:]))
 
-    def test_gentle_rolloff(self):
-        hard = ContentionModel(saturation_streams=4, rolloff=1.0)
-        soft = ContentionModel(saturation_streams=4, rolloff=0.5)
-        assert soft.share(16) > hard.share(16)
-
-    def test_no_contention_sentinel(self):
-        assert NO_CONTENTION.share(10_000) == pytest.approx(1.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ContentionModel(saturation_streams=0)
+    def test_slowdown_is_exactly_inverse_share(self):
+        # The executor's branch form of slowdown() must match 1 / share()
+        # bit for bit, or contended task times would drift.
+        for n in range(1, 65):
+            assert slowdown(n) == 1.0 / share(n), n
 
     def test_nonpositive_stream_count_clamped(self):
-        c = ContentionModel()
-        assert c.share(0) == c.share(1)
+        assert share(0) == share(1)
 
 
 class TestDRAMCacheModel:
     def test_hit_rate_full_fit(self):
-        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB), conflict_factor=0.0)
-        assert m.hit_rate(int(128 * MIB)) == pytest.approx(1.0)
+        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB))
+        assert m.hit_rate(int(128 * MIB)) == pytest.approx(1.0 - CONFLICT_FACTOR)
 
     def test_hit_rate_capacity_bound(self):
-        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB), conflict_factor=0.0)
-        assert m.hit_rate(int(512 * MIB)) == pytest.approx(0.5)
+        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB))
+        assert m.hit_rate(int(512 * MIB)) == pytest.approx(0.5 * (1.0 - CONFLICT_FACTOR))
 
     def test_conflict_factor_shaves_hits(self):
-        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB), conflict_factor=0.2)
-        assert m.hit_rate(int(128 * MIB)) == pytest.approx(0.8)
+        m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB))
+        assert CONFLICT_FACTOR == 0.15
+        assert m.hit_rate(int(128 * MIB)) == pytest.approx(0.85)
 
     def test_blend_bounds(self):
         m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB))
@@ -64,7 +55,7 @@ class TestDRAMCacheModel:
         fast = m.blend(t_d, t_n, int(1 * MIB))
         slow = m.blend(t_d, t_n, int(64 * 1024 * MIB))
         assert t_d <= fast < slow
-        assert slow <= t_n + m.fill_penalty * t_d + 1e-9
+        assert slow <= t_n + FILL_PENALTY * t_d + 1e-9
 
     def test_blend_monotone_in_working_set(self):
         m = DRAMCacheModel(dram_capacity_bytes=int(256 * MIB))
@@ -75,5 +66,5 @@ class TestDRAMCacheModel:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             DRAMCacheModel(dram_capacity_bytes=0)
-        with pytest.raises(ValueError):
-            DRAMCacheModel(dram_capacity_bytes=1, conflict_factor=1.0)
+        with pytest.raises(TypeError):
+            DRAMCacheModel(dram_capacity_bytes=1, conflict_factor=0.2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.migration import (
-    DEFAULT_MIGRATION_OVERHEAD_S,
+    MIGRATION_OVERHEAD_S,
     MigrationEngine,
     MigrationRecord,
     copy_time,
@@ -21,12 +21,12 @@ class TestCopyTime:
     def test_uses_min_of_src_read_dst_write(self, devices):
         d, n = devices
         bw = min(n.read_bandwidth, d.write_bandwidth)
-        t = copy_time(int(64 * MIB), n, d, overhead_s=0.0)
-        assert t == pytest.approx(64 * MIB / bw)
+        t = copy_time(int(64 * MIB), n, d)
+        assert t == 64 * MIB / bw + MIGRATION_OVERHEAD_S
 
     def test_overhead_added(self, devices):
         d, n = devices
-        assert copy_time(0, n, d) == pytest.approx(DEFAULT_MIGRATION_OVERHEAD_S)
+        assert copy_time(0, n, d) == pytest.approx(MIGRATION_OVERHEAD_S)
 
     def test_negative_size_rejected(self, devices):
         d, n = devices
@@ -37,28 +37,30 @@ class TestCopyTime:
 class TestEngineLane:
     def test_copies_serialize_on_the_lane(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r1 = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
         r2 = eng.schedule(2, int(8 * MIB), n, d, request_time=0.0)
+        bw = min(n.read_bandwidth, d.write_bandwidth)
+        assert r1.duration == pytest.approx(8 * MIB / bw + MIGRATION_OVERHEAD_S)
         assert r2.start_time == pytest.approx(r1.end_time)
         assert eng.lane_free_at == pytest.approx(r2.end_time)
 
     def test_earliest_start_respected(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r = eng.schedule(1, int(MIB), n, d, request_time=0.0, earliest_start=0.5)
         assert r.start_time == pytest.approx(0.5)
 
     def test_available_at_tracks_last_migration(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         assert eng.available_at(99) == 0.0
         r = eng.schedule(7, int(MIB), n, d, request_time=0.0)
         assert eng.available_at(7) == pytest.approx(r.end_time)
 
     def test_in_flight_source(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r = eng.schedule(7, int(8 * MIB), n, d, request_time=0.0)
         mid = (r.start_time + r.end_time) / 2
         assert eng.in_flight_source(7, mid) == n.name
@@ -69,7 +71,7 @@ class TestEngineLane:
 class TestOverlapAccounting:
     def test_fully_overlapped_when_needed_after_completion(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r = eng.schedule(1, int(MIB), n, d, request_time=0.0)
         eng.note_first_use(1, r.end_time + 1.0)
         assert r.exposed == 0.0
@@ -77,7 +79,7 @@ class TestOverlapAccounting:
 
     def test_exposed_when_needed_immediately(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
         eng.note_first_use(1, 0.0)
         assert r.exposed == pytest.approx(r.duration)
@@ -85,14 +87,14 @@ class TestOverlapAccounting:
 
     def test_partial_overlap(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         r = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
         eng.note_first_use(1, r.start_time + r.duration / 2)
         assert eng.overlap_fraction() == pytest.approx(0.5, abs=0.01)
 
     def test_statistics_aggregate(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         eng.schedule(1, int(MIB), n, d, request_time=0.0)
         eng.schedule(2, int(2 * MIB), n, d, request_time=0.0)
         assert eng.migration_count == 2
@@ -101,7 +103,7 @@ class TestOverlapAccounting:
 
     def test_never_used_counts_as_fully_overlapped(self, devices):
         d, n = devices
-        eng = MigrationEngine(overhead_s=0.0)
+        eng = MigrationEngine()
         eng.schedule(1, int(MIB), n, d, request_time=0.0)
         assert eng.overlap_fraction() == pytest.approx(1.0)
 

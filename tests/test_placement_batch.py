@@ -208,15 +208,14 @@ class TestWeightsDifferential:
         batch=mixed_timing_batch(),
         pressure=st.sampled_from([0.0, 0.3, 1.0]),
         scale=st.sampled_from([1.0, 0.25, 2.0]),
-        overhead=st.sampled_from([20e-6, 0.0, 1e-3]),
     )
     def test_bitwise_equal_on_drawn_machines(
-        self, distinguish_rw, use_miss_counter, mach, batch, pressure, scale, overhead
+        self, distinguish_rw, use_miss_counter, mach, batch, pressure, scale
     ):
         nvm, dev_d, calib = mach
         cfg = PlanConfig(distinguish_rw=distinguish_rw, use_miss_counter=use_miss_counter)
-        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure, scale, overhead)
-        ref = weights_for_ref(batch, nvm, dev_d, calib, cfg, pressure, scale, overhead)
+        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure, scale)
+        ref = weights_for_ref(batch, nvm, dev_d, calib, cfg, pressure, scale)
         assert_bitwise(vec, ref)
 
     @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.sensitivity import object_bandwidth
-from repro.memory.presets import dram, nvm_bandwidth_scaled, nvm_latency_scaled
+from repro.memory.presets import dram, nvm_latency_scaled
 from repro.profiling.counters import GroundTruthCounters
 from repro.profiling.sampler import SamplingProfiler
 from repro.tasking.dataobj import DataObject

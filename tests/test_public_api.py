@@ -159,13 +159,9 @@ class TestFrozenExecutionAPI:
 
         assert [f.name for f in dataclasses.fields(ExecutorConfig)] == [
             "n_workers",
-            "contention",
-            "overlap_factor",
             "dram_cache",
             "sampling_interval_cycles",
-            "cpu_ghz",
             "seed",
-            "migration_overhead_s",
             "scheduler",
         ]
         # the config object is a frozen value type

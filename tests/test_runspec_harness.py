@@ -64,6 +64,12 @@ class TestRunSpecIdentity:
         assert clone == s
         assert clone.cache_key() == s.cache_key()
 
+    def test_unknown_exec_override_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown exec_overrides fields \['cpu_ghz'\]"):
+            tiny_spec(exec_overrides={"cpu_ghz": 3.0})
+        with pytest.raises(ValueError, match="known: .*'sampling_interval_cycles'"):
+            tiny_spec().with_overrides(**{"exec_overrides.no_such_knob": 1})
+
     @pytest.mark.parametrize(
         "changes",
         [

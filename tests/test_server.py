@@ -23,7 +23,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.spec import RunSpec
 from repro.memory.presets import nvm_bandwidth_scaled
 from repro.server import DigitalTwinServer, ServerConfig
-from repro.server.http import AsyncHttpServer, HttpError, Request, _match
+from repro.server.http import MAX_BODY_BYTES, AsyncHttpServer, HttpError, Request, _match
 
 NVM = nvm_bandwidth_scaled(0.5)
 TINY = {"grid": 4, "iterations": 2}
@@ -244,6 +244,19 @@ class TestWhatIf:
         assert status == 400
         assert "did you mean" in body["error"]
 
+    def test_unknown_exec_override_is_400(self, live):
+        doc = tiny_spec(seed=109).to_dict()
+        status, body = live.post(
+            "/v1/whatif",
+            {"base": doc, "overrides": {"exec_overrides.no_such_knob": 1}},
+        )
+        assert status == 400
+        assert "unknown exec_overrides fields ['no_such_knob']" in body["error"]
+        doc["exec_overrides"] = {"no_such_knob": 1}
+        status, body = live.post("/v1/runs", {"spec": doc})
+        assert status == 400
+        assert "unknown exec_overrides fields ['no_such_knob']" in body["error"]
+
     def test_whatif_missing_base_and_overrides(self, live):
         status, body = live.post("/v1/whatif", {"overrides": {"seed": 1}})
         assert status == 400
@@ -362,7 +375,7 @@ class TestHttpEdges:
         ids=["max-body-plus-one", "5000-digits"],
     )
     def test_oversized_content_length_413(self, live, value_of):
-        status, body = self._raw_post(live, value_of(live.server.http.max_body))
+        status, body = self._raw_post(live, value_of(MAX_BODY_BYTES))
         assert status == 413
         assert "body exceeds" in body["error"]
 

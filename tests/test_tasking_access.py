@@ -5,7 +5,6 @@ import pytest
 from repro.memory.device import MISS_BASE_LATENCY_S
 from repro.memory.presets import dram, nvm_bandwidth_scaled, nvm_latency_scaled
 from repro.tasking.access import (
-    BLOCKED,
     PATTERNS,
     POINTER_CHASE,
     RANDOM,
@@ -22,7 +21,7 @@ from repro.tasking.footprints import (
     update_footprint,
     write_footprint,
 )
-from repro.util.units import CACHELINE_BYTES, MIB
+from repro.util.units import MIB
 
 
 class TestAccessMode:

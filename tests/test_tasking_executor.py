@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.policies import BasePolicy, DRAMOnlyPolicy, NVMOnlyPolicy
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.presets import dram, nvm_bandwidth_scaled
+from repro.memory.presets import dram
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
