@@ -14,7 +14,7 @@ from repro.core.manager import DataManagerPolicy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.profiling.sampler import SamplingProfiler
-from repro.tasking.executor import Executor, ExecutorConfig
+from repro.tasking.executor import Executor, ExecutorConfig, placed_memory_times
 from repro.util.rng import spawn_rng
 from repro.workloads import build
 
@@ -90,6 +90,10 @@ def test_bench_knapsack_greedy(benchmark):
 def test_bench_sampling_profiler(benchmark):
     w = build("stream", n_tasks=2, iterations=1)
     task = w.graph.tasks[0]
+    hms = _machine()
+    for obj in w.objects:
+        hms.allocate(obj, hms.nvm)
+    times = placed_memory_times(w.graph, hms)(task)
     prof = SamplingProfiler(seed=3)
-    p = benchmark(prof.sample_task, task, 1e-3)
+    p = benchmark(prof.sample_task, task, 1e-3, *times)
     assert p.objects

@@ -2,9 +2,9 @@
 
 Unlike every realizable policy, the oracle reads the *ground truth*: for
 each object it computes the exact whole-run time saved by DRAM residency
-(per-task ``memory_time`` on NVM minus on DRAM, true footprints, true
-patterns) and solves the same DRAM knapsack with those exact values.  It
-still pays no migrations (placement fixed at t=0), so it bounds what any
+(per-access uncontended memory time on NVM minus on DRAM, from the
+machine's own timing law: true footprints, true patterns) and solves the
+same DRAM knapsack with those exact values.  It still pays no migrations (placement fixed at t=0), so it bounds what any
 *static* placement can achieve; a dynamic policy can beat it only by
 exploiting phase behaviour.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.baselines.policies import BasePolicy
 from repro.core.knapsack import solve_knapsack
-from repro.tasking.executor import ExecContext
+from repro.tasking.executor import ExecContext, memory_times
 
 __all__ = ["OracleStaticPolicy"]
 
@@ -32,10 +32,12 @@ class OracleStaticPolicy(BasePolicy):
 
     def on_run_start(self, ctx: ExecContext) -> None:
         objs = ctx.graph.objects
+        csr = ctx.graph.exec_core().accesses
+        saved = memory_times(csr, ctx.nvm) - memory_times(csr, ctx.dram)
         benefit = {o.uid: 0.0 for o in objs}
-        for task in ctx.graph.tasks:
-            for obj, acc in task.accesses.items():
-                benefit[obj.uid] += acc.memory_time(ctx.nvm) - acc.memory_time(ctx.dram)
+        # Summed per object in task order, one access at a time.
+        for uid, s in zip(csr.obj_uid[csr.obj].tolist(), saved.tolist()):
+            benefit[uid] += s
         values = [benefit[o.uid] for o in objs]
         sizes = [o.size_bytes for o in objs]
         budget = int(ctx.dram.capacity_bytes * CAPACITY_FRACTION)

@@ -20,8 +20,9 @@ Guards:
   trigger;
 - the deviation must exceed :data:`THRESHOLD` *and* :data:`SIGMAS`
   standard deviations of the baseline iteration means;
-- a :data:`COOLDOWN_ITERATIONS` refractory period after a trigger, and
-  the baseline is cleared so the new regime measures itself afresh.
+- a trigger clears the baseline, so the new regime measures itself
+  afresh: :data:`MIN_ITERATIONS` closed iterations must refill it before
+  the next trigger can fire.
 
 Tasks with ``iteration < 0`` (no iterative structure) never trigger.
 """
@@ -40,8 +41,6 @@ THRESHOLD: float = 0.10
 SIGMAS: float = 3.0
 #: Closed iterations of baseline before any trigger.
 MIN_ITERATIONS: int = 3
-#: Iterations after a trigger during which no new trigger fires.
-COOLDOWN_ITERATIONS: int = 2
 
 
 @dataclass(slots=True)
@@ -52,7 +51,6 @@ class _TypeState:
     cur_sum: float = 0.0
     cur_n: int = 0
     closed: deque = field(default_factory=lambda: deque(maxlen=32))
-    since_trigger: int = 10**9  # iterations since last trigger
 
 
 @dataclass
@@ -74,10 +72,8 @@ class DeviationDetector:
             fire = self._test(st, mean)
             if fire:
                 st.closed.clear()
-                st.since_trigger = 0
             else:
                 st.closed.append(mean)
-                st.since_trigger += 1
             st.cur_sum = 0.0
             st.cur_n = 0
         st.cur_iter = iteration
@@ -87,8 +83,6 @@ class DeviationDetector:
 
     def _test(self, st: _TypeState, mean: float) -> bool:
         if len(st.closed) < MIN_ITERATIONS:
-            return False
-        if st.since_trigger < COOLDOWN_ITERATIONS:
             return False
         ref = list(st.closed)
         ref_mean = sum(ref) / len(ref)

@@ -244,8 +244,6 @@ class DataManagerPolicy(BasePolicy):
         self._models: dict[str, TypeModel] = {}
         self._stale_models: dict[str, TypeModel] = {}
         self._detector = DeviationDetector()
-        self._mode: str | None = None
-        self._plan: PlacementPlan | None = None
         self._tasks_since_decision = 0
         self._replan_needed = False
         self._move_counts: dict[int, int] = {}
@@ -267,8 +265,6 @@ class DataManagerPolicy(BasePolicy):
         self._models = {}
         self._stale_models = {}
         self._detector = DeviationDetector()
-        self._mode = None
-        self._plan = None
         self._tasks_since_decision = 0
         self._replan_needed = False
         self._move_counts: dict[int, int] = {}
@@ -652,8 +648,6 @@ class DataManagerPolicy(BasePolicy):
             return overhead
         plans.sort(key=lambda p: -p[0])
         best_rate, best = plans[0]
-        self._mode = best.scope
-        self._plan = best
         log.debug(
             "replan@%.4fs: scope=%s set=%d gain=%.3g skepticism=%.2f",
             now, best.scope, len(best.dram_set), best.predicted_gain, self._skepticism,

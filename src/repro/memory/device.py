@@ -3,8 +3,9 @@
 A :class:`MemoryDevice` captures the four numbers the paper's models care
 about — read/write latency and read/write bandwidth — plus capacity.  NVM
 read/write asymmetry (up to 50x latency, 8x bandwidth for PCRAM in the
-paper's Table 1) is first-class: every timing query distinguishes loads
-from stores.
+paper's Table 1) is first-class: every number is kept separately for
+loads and stores.  The ground-truth timing law that reads them is
+:func:`repro.tasking.executor.law_times`.
 """
 
 from __future__ import annotations
@@ -107,35 +108,4 @@ class MemoryDevice:
             write_latency_s=self.write_latency_s * latency_scale,
             read_bandwidth=self.read_bandwidth * bandwidth_scale,
             write_bandwidth=self.write_bandwidth * bandwidth_scale,
-        )
-
-    # ------------------------------------------------------------------
-    # Timing primitives (ground truth, used by the executor)
-    # ------------------------------------------------------------------
-    def bandwidth_time(self, read_bytes: float, write_bytes: float) -> float:
-        """Time to stream the given traffic at full device bandwidth."""
-        return read_bytes / self.read_bandwidth + write_bytes / self.write_bandwidth
-
-    def latency_time(self, n_loads: float, n_stores: float, mlp: float = 1.0) -> float:
-        """Time for ``n_loads``/``n_stores`` serialized accesses.
-
-        Each miss costs the fixed CPU-side base latency plus the device
-        latency.  ``mlp`` is the memory-level parallelism: the average
-        number of outstanding misses, which divides the exposed latency.
-        Pointer chasing has ``mlp ~= 1``; streaming has a large ``mlp`` so
-        latency all but vanishes and bandwidth dominates instead.
-        """
-        require_positive(mlp, "mlp")
-        return (
-            n_loads * (MISS_BASE_LATENCY_S + self.read_latency_s)
-            + n_stores * (MISS_BASE_LATENCY_S + self.write_latency_s)
-        ) / mlp
-
-    def describe(self) -> str:
-        """Human-readable one-liner for logs and reports."""
-        return (
-            f"{self.name}({self.kind.value}, "
-            f"lat {self.read_latency_s / NS:.0f}/{self.write_latency_s / NS:.0f} ns, "
-            f"bw {self.read_bandwidth / 1e9:.2f}/{self.write_bandwidth / 1e9:.2f} GB/s, "
-            f"cap {self.capacity_bytes} B)"
         )

@@ -90,9 +90,6 @@ class HeterogeneousMemorySystem:
         """The device the object currently resides on."""
         return self._devices[self._placements[obj.uid].device]
 
-    def placement_of(self, obj: Placeable) -> Placement:
-        return self._placements[obj.uid]
-
     def in_dram(self, obj: Placeable) -> bool:
         return self._placements[obj.uid].device == self.dram.name
 

@@ -94,9 +94,12 @@ class MigrationEngine:
 
     Copies are serviced FIFO: each starts at
     ``max(requested_start, lane_free_time)`` and occupies the lane for its
-    copy time.  ``available_at(uid)`` tells the executor when an object's
-    most recent migration lands — a task that needs the object blocks until
-    then (the queue-as-synchronization mechanism in the paper).
+    copy time.  The executor reads three per-object indices inline: when
+    an object's most recent landed copy completes (``_available_at``) — a
+    task that writes the object blocks until then, the
+    queue-as-synchronization mechanism in the paper — that copy's record
+    (``_last_record``, whose source still serves readers meanwhile), and
+    the landed copies not yet first used (``_pending_first_use``).
     """
 
     def __init__(self, injector: "FaultInjector | None" = None):
@@ -105,9 +108,9 @@ class MigrationEngine:
         self._available_at: dict[int, float] = {}
         self._last_record: dict[int, MigrationRecord] = {}
         #: Per-object stack of completed-but-not-yet-first-used records:
-        #: ``note_first_use`` stamps the newest unstamped record, which is
-        #: exactly the top of this stack (records are pushed in lane order
-        #: and failed copies are never pushed).
+        #: the executor stamps ``needed_by`` on the newest unstamped record,
+        #: which is exactly the top of this stack (records are pushed in
+        #: lane order and failed copies are never pushed).
         self._pending_first_use: dict[int, list[MigrationRecord]] = {}
         self.records: list[MigrationRecord] = []
         #: Optional telemetry registry (attached per run when enabled).
@@ -225,33 +228,6 @@ class MigrationEngine:
                 break
             depth += 1
         return depth
-
-    def available_at(self, obj_uid: int) -> float:
-        """Virtual time at which the object's last migration completes.
-
-        Objects never migrated are available immediately (time 0).
-        """
-        return self._available_at.get(obj_uid, 0.0)
-
-    def in_flight_source(self, obj_uid: int, time: float) -> str | None:
-        """Name of the device the object is still being copied *from* at
-        ``time`` — readers may keep using that copy until the migration
-        lands (copy-then-redirect), while writers must wait."""
-        if self._available_at.get(obj_uid, 0.0) <= time:
-            return None
-        rec = self._last_record.get(obj_uid)
-        return rec.src if rec is not None else None
-
-    def note_first_use(self, obj_uid: int, time: float) -> None:
-        """Record when the application first touched the object after its
-        latest migration; drives the %overlap statistic.
-
-        Stamps the newest not-yet-stamped copy of the object (O(1) via the
-        pending stack — equivalent to scanning ``records`` backwards for
-        the latest non-failed record with an unset ``needed_by``)."""
-        pending = self._pending_first_use.get(obj_uid)
-        if pending:
-            pending.pop().needed_by = time
 
     # ------------------------------------------------------------------
     # Statistics (Table-5 analogues)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from repro.memory.device import MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.profiling.sampler import SamplingProfiler
-from repro.tasking.executor import Executor, ExecutorConfig
+from repro.tasking.executor import Executor, ExecutorConfig, placed_memory_times
 from repro.util.log import get_logger
 
 __all__ = ["CalibrationResult", "calibrate"]
@@ -58,7 +58,6 @@ class CalibrationResult:
     #: device name -> measured per-miss time (seconds) of a dependent
     #: access stream — the loaded latency the time-based estimator uses.
     chase_latency: dict[str, float]
-    sampling_interval: int
 
     def peak_of(self, device: MemoryDevice | str) -> float:
         name = device.name if isinstance(device, MemoryDevice) else device
@@ -71,12 +70,13 @@ class CalibrationResult:
         return self.cf_lat if use_miss_counter else self.cf_lat_raw
 
 
-def _sum_counts(trace, hms, profiler):
+def _sum_counts(trace, times, profiler):
     """(miss_loads, miss_stores, raw_loads, raw_stores, bytes_est,
-    mem_active_seconds, time)."""
+    mem_active_seconds, time), profiling each record with ``times`` (the
+    run's :func:`placed_memory_times`), as the runtime profiles online."""
     ml = ms = rl = rs = be = ma = tt = 0.0
     for rec in trace.records:
-        prof = profiler.sample_task(rec.task, rec.duration, device_of=hms.device_of)
+        prof = profiler.sample_task(rec.task, rec.duration, *times(rec.task))
         for s in prof.objects.values():
             ml += s.miss_loads
             ms += s.miss_stores
@@ -108,7 +108,8 @@ def calibrate(
 
     def run(workload, device, workers):
         """Run ``workload`` with all data on ``device`` (a synthetic or real
-        tier exposed as the NVM slot of a scratch machine)."""
+        tier exposed as the NVM slot of a scratch machine); returns the
+        trace and the run's placed memory times."""
         big = workload.total_bytes * 4
         scratch = HeterogeneousMemorySystem(
             dram.scaled(capacity_bytes=big),
@@ -119,15 +120,15 @@ def calibrate(
             trace = Executor(scratch, cfg).run(workload.graph, DRAMOnlyPolicy())
         else:
             trace = Executor(scratch, cfg).run(workload.graph, NVMOnlyPolicy())
-        return trace, scratch
+        return trace, placed_memory_times(workload.graph, scratch)
 
     # ----------------------------------------------------------- CF_bw
     # STREAM on DRAM vs a synthetic half-bandwidth device.
     stream = build("stream", n_tasks=max(4, config.n_workers), iterations=2)
     slow_bw = dram.scaled(name="cal-halfbw", bandwidth_scale=0.5)
-    tr_fast, hms_fast = run(stream, dram, config.n_workers)
+    tr_fast, on_fast = run(stream, dram, config.n_workers)
     tr_slow, _ = run(stream, slow_bw, config.n_workers)
-    ml, ms, rl, rs, bytes_d, mem_d, t_fast = _sum_counts(tr_fast, hms_fast, profiler)
+    ml, ms, rl, rs, bytes_d, mem_d, t_fast = _sum_counts(tr_fast, on_fast, profiler)
     t_slow = sum(r.duration for r in tr_slow.records)
 
     # Time-based prediction: NVM time = measured memory-active time / r,
@@ -151,8 +152,8 @@ def calibrate(
 
     # Peak bandwidths (Eq.-1 units) on the real devices.
     peak = {dram.name: bytes_d / t_fast if t_fast > 0 else dram.read_bandwidth}
-    tr_nvm, hms_nvm = run(stream, nvm, config.n_workers)
-    *_, bytes_n, _mem_n, t_nvm = _sum_counts(tr_nvm, hms_nvm, profiler)
+    tr_nvm, on_nvm = run(stream, nvm, config.n_workers)
+    *_, bytes_n, _mem_n, t_nvm = _sum_counts(tr_nvm, on_nvm, profiler)
     peak[nvm.name] = bytes_n / t_nvm if t_nvm > 0 else nvm.read_bandwidth
 
     # ----------------------------------------------------------- CF_lat
@@ -160,10 +161,10 @@ def calibrate(
     # plus a run on the real NVM for its loaded per-miss latency.
     chase = build("pchase", n_tasks=4, hops_per_task=100_000)
     slow_lat = dram.scaled(name="cal-4xlat", latency_scale=4.0)
-    tr_cf, hms_cf = run(chase, dram, 1)
-    tr_cs, hms_cs = run(chase, slow_lat, 1)
-    cml, cms, crl, crs, cbytes, cmem_d, ct_fast = _sum_counts(tr_cf, hms_cf, profiler)
-    sml, sms, *_rest, ct_slow = _sum_counts(tr_cs, hms_cs, profiler)
+    tr_cf, on_cf = run(chase, dram, 1)
+    tr_cs, on_cs = run(chase, slow_lat, 1)
+    cml, cms, crl, crs, cbytes, cmem_d, ct_fast = _sum_counts(tr_cf, on_cf, profiler)
+    sml, sms, *_rest, ct_slow = _sum_counts(tr_cs, on_cs, profiler)
 
     misses_fast = cml + cms
     misses_slow = sml + sms
@@ -185,8 +186,8 @@ def calibrate(
     cf_lat_raw = meas_lat / pred_lat_raw if pred_lat_raw > 0 else 1.0
 
     # Loaded per-miss latency of the real NVM device.
-    tr_cn, hms_cn = run(chase, nvm, 1)
-    nml, nms, *_r2, ct_nvm = _sum_counts(tr_cn, hms_cn, profiler)
+    tr_cn, on_cn = run(chase, nvm, 1)
+    nml, nms, *_r2, ct_nvm = _sum_counts(tr_cn, on_cn, profiler)
     misses_nvm = nml + nms
     chase_lat[nvm.name] = ct_nvm / misses_nvm if misses_nvm > 0 else per_miss_fast
 
@@ -205,5 +206,4 @@ def calibrate(
         peak_bandwidth=peak,
         chase_bandwidth=chase_bw,
         chase_latency=chase_lat,
-        sampling_interval=config.sampling_interval_cycles,
     )

@@ -21,6 +21,7 @@ and workload build order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.tasking.task import Task
@@ -89,7 +90,6 @@ class ObjectSample:
 class TaskProfile:
     """One profiled execution of one task."""
 
-    task_name: str
     type_name: str
     duration: float
     objects: dict[int, ObjectSample]  #: keyed by DataObject uid
@@ -116,35 +116,32 @@ class SamplingProfiler:
         """Software cost of sampling a task of the given duration."""
         return self.n_samples(duration) * self.PER_SAMPLE_CYCLES / _CPU_HZ
 
-    def sample_task(self, task: Task, duration: float, device_of=None) -> TaskProfile:
+    def sample_task(
+        self,
+        task: Task,
+        duration: float,
+        mem_times: Sequence[float],
+        devices: Sequence[str],
+    ) -> TaskProfile:
         """Profile one execution of ``task`` that took ``duration`` seconds.
 
-        ``device_of`` (obj -> MemoryDevice) lets the active-fraction ground
-        truth reflect where the data lived during the profiled run; when
-        omitted, access-count shares are used.
+        ``mem_times`` and ``devices`` hold, per access of ``task`` in
+        declaration order, its uncontended memory time on the device its
+        object lived on during the profiled run and that device's name
+        (what :func:`repro.tasking.executor.placed_memory_times` gives):
+        the ground truth of the active fractions.
         """
-        # Ground-truth active time per object: its memory time (on its
-        # device, uncontended) plus a proportional share of compute time.
-        mem_times: dict[int, float] = {}
-        devices: dict[int, str] = {}
-        for obj, acc in task.accesses.items():
-            if device_of is not None:
-                dev = device_of(obj)
-                mem_times[obj.uid] = acc.memory_time(dev)
-                devices[obj.uid] = dev.name
-            else:
-                mem_times[obj.uid] = 0.0
-                devices[obj.uid] = ""
-
         rng = spawn_rng(self._seed, "sampler", task.name, task.type_name)
         p = 1.0 / self.interval_cycles
         n_samp = self.n_samples(duration)
 
         total_accesses = max(1, task.total_accesses)
-        sum_mem = sum(mem_times.values())
+        sum_mem = sum(mem_times)
 
         objects: dict[int, ObjectSample] = {}
-        for obj, acc in task.accesses.items():
+        for (obj, acc), mem_time, device in zip(
+            task.accesses.items(), mem_times, devices
+        ):
             cap_loads = int(rng.binomial(acc.loads, p)) if acc.loads else 0
             cap_stores = int(rng.binomial(acc.stores, p)) if acc.stores else 0
             est_loads = cap_loads * self.interval_cycles
@@ -155,9 +152,9 @@ class SamplingProfiler:
 
             share = acc.accesses / total_accesses
             if sum_mem > 0 and duration > 0:
-                active_true = (
-                    mem_times[obj.uid] + task.compute_time * share
-                ) / max(duration, 1e-12)
+                active_true = (mem_time + task.compute_time * share) / max(
+                    duration, 1e-12
+                )
             else:
                 active_true = share
             active_true = min(1.0, max(0.0, active_true))
@@ -167,7 +164,7 @@ class SamplingProfiler:
             else:
                 active_est = active_true
 
-            mem_true = min(1.0, mem_times[obj.uid] / max(duration, 1e-12))
+            mem_true = min(1.0, mem_time / max(duration, 1e-12))
             if n_samp >= 1 and 0.0 < mem_true < 1.0:
                 mem_hits = int(rng.binomial(n_samp, mem_true))
                 mem_est = mem_hits / n_samp
@@ -186,12 +183,11 @@ class SamplingProfiler:
                 misses=float(est_misses),
                 active_fraction=active_est,
                 mem_active_fraction=mem_est,
-                device=devices[obj.uid],
+                device=device,
             )
             objects[obj.uid] = sample
         profile = object.__new__(TaskProfile)
         profile.__dict__.update(
-            task_name=task.name,
             type_name=task.type_name,
             duration=duration,
             objects=objects,

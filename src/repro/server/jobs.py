@@ -34,8 +34,8 @@ from repro.metrics.registry import MetricsRegistry
 
 __all__ = ["Job", "JobManager", "result_payload"]
 
-#: States a job can report; the last two are terminal.
-JOB_STATES = ("queued", "running", "done", "failed")
+#: Terminal job states: a job reports "queued", then "running", then one
+#: of these.
 _TERMINAL = ("done", "failed")
 
 

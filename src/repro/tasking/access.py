@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.memory.device import MemoryDevice
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require, require_nonnegative, require_positive
 
@@ -94,8 +93,8 @@ class ObjectAccess:
     infer_deps: bool = True
 
     # Derived traffic, filled once by ``__post_init__``: footprints are
-    # immutable and the executor's timing loop re-reads these for every
-    # (task, object) pair every run.
+    # immutable, and the access table (the timing law's operands) and the
+    # sampling profiler read these for every (task, object) pair.
     accesses: int = field(init=False, repr=False, compare=False)
     miss_loads: float = field(init=False, repr=False, compare=False)
     miss_stores: float = field(init=False, repr=False, compare=False)
@@ -120,36 +119,6 @@ class ObjectAccess:
         ms = d["miss_stores"] = self.stores * miss
         d["read_traffic_bytes"] = ml * CACHELINE_BYTES
         d["write_traffic_bytes"] = ms * CACHELINE_BYTES
-
-    # ------------------------------------------------------------------
-    # Ground-truth timing (roofline-style: max of latency and bandwidth laws)
-    # ------------------------------------------------------------------
-    def base_times(self, device: MemoryDevice) -> tuple[float, float]:
-        """The unscaled (latency, bandwidth) time pair on ``device``.
-
-        A pure function of this footprint and the device's four timing
-        parameters.
-        """
-        lat = device.latency_time(self.miss_loads, self.miss_stores, self.pattern.mlp)
-        bw = device.bandwidth_time(self.read_traffic_bytes, self.write_traffic_bytes)
-        return lat, bw
-
-    def memory_time(
-        self,
-        device: MemoryDevice,
-        bw_slowdown: float = 1.0,
-        lat_slowdown: float = 1.0,
-    ) -> float:
-        """Time this footprint spends in main memory on ``device``.
-
-        ``bw_slowdown`` (>= 1) is the contention multiplier applied to the
-        bandwidth term only: queueing inflates streaming, not the exposed
-        latency of dependent accesses.  ``lat_slowdown`` (>= 1) scales the
-        latency term instead — injected device degradation (wear/thermal
-        throttling) slows both laws, unlike contention.
-        """
-        lat, bw = self.base_times(device)
-        return max(lat * lat_slowdown, bw * bw_slowdown)
 
     def scaled(self, factor: float) -> "ObjectAccess":
         """A footprint with access counts scaled by ``factor`` (chunking)."""

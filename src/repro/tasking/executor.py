@@ -31,6 +31,7 @@ profiler (``ctx.profile``), preserving the paper's measurement limits.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -42,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.memory.cache import DRAMCacheModel
 from repro.memory.contention import slowdown as contention_slowdown
-from repro.memory.device import MemoryDevice
+from repro.memory.device import MISS_BASE_LATENCY_S, MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import MigrationEngine, MigrationRecord
 from repro.tasking.dataobj import DataObject
@@ -99,6 +100,61 @@ class PlacementPolicy(Protocol):
         Returns software overhead (seconds) charged to the worker."""
 
 
+def law_times(csr: AccessCSR, dev: MemoryDevice) -> tuple[np.ndarray, np.ndarray]:
+    """The ground-truth timing law: per access of ``csr``, the unscaled
+    (latency, bandwidth) time pair on ``dev``.
+
+    This is the package's one implementation of the law.  Each miss
+    costs the fixed CPU-side base latency plus the device latency, and
+    the pattern's memory-level parallelism divides the exposed total;
+    the bandwidth law streams the counted traffic at the device's read
+    and write bandwidths.  The dispatch loop takes
+    ``max(lat * lat_slowdown, bw * bw_slowdown)`` per access;
+    :func:`memory_times` is the uncontended pick.
+    """
+    lat = (
+        csr.miss_loads * (MISS_BASE_LATENCY_S + dev.read_latency_s)
+        + csr.miss_stores * (MISS_BASE_LATENCY_S + dev.write_latency_s)
+    ) / csr.mlp
+    bw = csr.read_bytes / dev.read_bandwidth + csr.write_bytes / dev.write_bandwidth
+    return lat, bw
+
+
+def memory_times(csr: AccessCSR, dev: MemoryDevice) -> np.ndarray:
+    """Uncontended memory time per access on ``dev``: the larger of the
+    two laws, ties to the latency law (Python's ``max(lat, bw)``)."""
+    lat, bw = law_times(csr, dev)
+    return np.where(bw > lat, bw, lat)
+
+
+def placed_memory_times(
+    graph: TaskGraph, hms: HeterogeneousMemorySystem
+) -> Callable[[Task], tuple[list[float], list[str]]]:
+    """``times(task)``: per access of ``task`` (declaration order), its
+    uncontended memory time on the device its object occupies when
+    asked, and that device's name — the ground truth the sampling
+    profiler's active fractions derive from."""
+    core = graph.exec_core()
+    csr = core.accesses
+    index = core.index
+    bounds = csr.indptr.tolist()
+    on_dram = memory_times(csr, hms.dram).tolist()
+    on_nvm = memory_times(csr, hms.nvm).tolist()
+    placements = hms._placements
+    dram_name = hms.dram.name
+
+    def times(task: Task) -> tuple[list[float], list[str]]:
+        lo = bounds[index[task.tid]]
+        names = [placements[obj.uid].device for obj in task.accesses]
+        mem = [
+            on_dram[j] if name == dram_name else on_nvm[j]
+            for j, name in enumerate(names, lo)
+        ]
+        return mem, names
+
+    return times
+
+
 def _timing_rows(
     csr: AccessCSR, dram: MemoryDevice, nvm: MemoryDevice
 ) -> tuple[tuple, ...]:
@@ -107,9 +163,8 @@ def _timing_rows(
     One ``(rows, traffic, writer_uids)`` triple per dense task index:
 
     - ``rows``: ``(uid, writes, has_traffic, lat_dram, bw_dram, lat_nvm,
-      bw_nvm)`` for every access — the base (latency, bandwidth) pairs
-      are exactly what ``access.memory_time`` would derive for each tier,
-      so the dispatch loop reduces every access to
+      bw_nvm)`` for every access — the :func:`law_times` pair for each
+      tier, so the dispatch loop reduces every access to
       ``max(lat * lat_slowdown, bw * bw_slowdown)`` without touching the
       access object;
     - ``traffic``: the ``(uid, writes)`` projection of the rows that
@@ -121,32 +176,18 @@ def _timing_rows(
     interned graph, NVM sweeps) pays only the two vectorized law
     evaluations below.
     """
-    from repro.memory.device import MISS_BASE_LATENCY_S
-
-    def law_times(dev: MemoryDevice) -> tuple[list[float], list[float]]:
-        # Same expression shape as ObjectAccess.base_times resolves to
-        # (device.latency_time / device.bandwidth_time), evaluated
-        # elementwise: IEEE-754 ops in the same order, so every pair is
-        # bitwise what the scalar path produced.
-        lat = (
-            csr.miss_loads * (MISS_BASE_LATENCY_S + dev.read_latency_s)
-            + csr.miss_stores * (MISS_BASE_LATENCY_S + dev.write_latency_s)
-        ) / csr.mlp
-        bw = csr.read_bytes / dev.read_bandwidth + csr.write_bytes / dev.write_bandwidth
-        return lat.tolist(), bw.tolist()
-
-    lat_ds, bw_ds = law_times(dram)
-    lat_ns, bw_ns = law_times(nvm)
+    lat_d, bw_d = law_times(csr, dram)
+    lat_n, bw_n = law_times(csr, nvm)
 
     rows_flat = list(
         zip(
             csr.obj_uid[csr.obj].tolist(),
             csr.writes.tolist(),
             csr.traffic.tolist(),
-            lat_ds,
-            bw_ds,
-            lat_ns,
-            bw_ns,
+            lat_d.tolist(),
+            bw_d.tolist(),
+            lat_n.tolist(),
+            bw_n.tolist(),
         )
     )
     bounds = csr.indptr.tolist()
@@ -195,6 +236,9 @@ class ExecContext:
             interval_cycles=config.sampling_interval_cycles,
             seed=config.seed,
         )
+        #: :func:`placed_memory_times` of this graph and machine, built by
+        #: the first :meth:`profile` call.
+        self._placed_times = None
 
     # ------------------------------------------------------------------
     # Facilities for policies
@@ -310,9 +354,10 @@ class ExecContext:
         it returns undercount-corrected but noisy per-object load/store
         counts and active fractions, like PEBS/IBS sampling would.
         """
-        return self._profiler.sample_task(
-            task, record.duration, device_of=self.hms.device_of
-        )
+        if self._placed_times is None:
+            self._placed_times = placed_memory_times(self.graph, self.hms)
+        mem_times, devices = self._placed_times(task)
+        return self._profiler.sample_task(task, record.duration, mem_times, devices)
 
     def migration_backlog(self, now: float) -> float:
         """How far behind the helper thread's copy lane currently is —
@@ -509,7 +554,7 @@ class Executor:
             # Writers block until in-flight migrations of their data land;
             # readers proceed against the source copy (copy-then-redirect),
             # paying source-device timing until the copy completes.
-            # Zero-traffic accesses (barrier bookkeeping edges) don't touch
+            # Zero-traffic accesses (pure ordering declarations) don't touch
             # memory, so they neither stall nor count as first use.  An
             # engine with no copy history answers 0.0/None to every query,
             # so the whole pass degenerates to dirty marking.

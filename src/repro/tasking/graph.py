@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -361,10 +361,6 @@ class TaskGraph:
             self._succ[src.tid].add(dst.tid)
             self._pred[dst.tid].add(src.tid)
 
-    def extend(self, tasks: Iterable[Task]) -> None:
-        for t in tasks:
-            self.add(t)
-
     @property
     def partitioned_at(self) -> int | None:
         """Chunk size of the last :meth:`repartition` (``None``: never)."""
@@ -401,20 +397,6 @@ class TaskGraph:
     def __iter__(self) -> Iterator[Task]:
         return iter(self.tasks)
 
-    def task(self, tid: int) -> Task:
-        return self._by_tid[tid]
-
-    def successors(self, task: Task) -> list[Task]:
-        """Successor tasks in tid order."""
-        return [self._by_tid[t] for t in sorted(self._succ[task.tid])]
-
-    def predecessors(self, task: Task) -> list[Task]:
-        """Predecessor tasks in tid order."""
-        return [self._by_tid[t] for t in sorted(self._pred[task.tid])]
-
-    def in_degree(self, task: Task) -> int:
-        return len(self._pred[task.tid])
-
     @property
     def objects(self) -> list[DataObject]:
         """All data objects touched by any task, in first-touch order."""
@@ -427,9 +409,8 @@ class TaskGraph:
         """The snapshot of the current graph version (rebuilt when the
         graph has mutated since the last call).
 
-        Successor rows are in tid order, matching :meth:`successors`, so
-        the executor's completion drain enables tasks in the same order
-        whichever representation it walks.
+        Successor rows are in tid order, so the executor's completion
+        drain enables a finished task's successors in tid order.
         """
         cached = self._core
         if cached is not None and cached[0] == self._version:
@@ -449,9 +430,6 @@ class TaskGraph:
         )
         self._core = (self._version, core)
         return core
-
-    def roots(self) -> list[Task]:
-        return [t for t in self.tasks if not self._pred[t.tid]]
 
     # ------------------------------------------------------------------
     # Analyses

@@ -6,7 +6,6 @@ programs against:
 - ``data(...)`` registers a managed allocation (``unimem_malloc``);
 - ``spawn(...)`` creates a task with declared accesses; dependences are
   inferred from the access modes, OpenMP-``depend`` style;
-- ``barrier()`` inserts a full synchronization point;
 - ``run(...)`` executes the accumulated graph on a fresh simulated
   machine under a given placement policy and returns the trace.
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from repro.memory.device import MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram as dram_preset, nvm_bandwidth_scaled
-from repro.tasking.access import AccessMode, ObjectAccess
+from repro.tasking.access import ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig, PlacementPolicy
 from repro.tasking.graph import TaskGraph
@@ -45,7 +44,6 @@ class TaskRuntime:
     def __post_init__(self) -> None:
         self.graph = TaskGraph()
         self._objects: list[DataObject] = []
-        self._barrier_obj: DataObject | None = None
 
     # ------------------------------------------------------------------
     # Program construction
@@ -83,38 +81,6 @@ class TaskRuntime:
             compute_time=compute_time,
             iteration=iteration,
         )
-        if self._barrier_obj is not None and self._barrier_obj not in task.accesses:
-            # Tasks after a barrier read the sentinel, so they depend
-            # (RAW) on the latest barrier task that wrote it.
-            task.add_access(
-                self._barrier_obj, ObjectAccess(AccessMode.READ, loads=1, stores=0)
-            )
-        self.graph.add(task)
-        return task
-
-    def barrier(self) -> Task:
-        """Full synchronization: later tasks run after all earlier ones.
-
-        Implemented with a 64-byte sentinel object: the barrier task
-        read-writes it, subsequent tasks read it (RAW on the barrier), and
-        the next barrier's write picks up WAR edges from every reader —
-        O(tasks) edges instead of O(tasks^2).
-        """
-        if self._barrier_obj is None:
-            self._barrier_obj = DataObject(name="__barrier__", size_bytes=64)
-        task = Task(
-            name="barrier",
-            type_name="__barrier__",
-            accesses={
-                self._barrier_obj: ObjectAccess(AccessMode.READWRITE, loads=1, stores=1)
-            },
-            compute_time=0.0,
-        )
-        # The first barrier must also close over the pre-barrier tasks that
-        # never touched the sentinel: give it WAR edges via their objects.
-        for obj in self.graph.objects:
-            if obj is not self._barrier_obj:
-                task.add_access(obj, ObjectAccess(AccessMode.READ, loads=0, stores=0))
         self.graph.add(task)
         return task
 
@@ -157,5 +123,4 @@ class TaskRuntime:
         )
         rt.graph = self.graph
         rt._objects = self._objects
-        rt._barrier_obj = self._barrier_obj
         return rt

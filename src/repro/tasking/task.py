@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.tasking.access import ObjectAccess, merge_accesses
+from repro.tasking.access import ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.util.validation import require_nonnegative
 
@@ -59,13 +59,6 @@ class Task:
     @property
     def total_accesses(self) -> int:
         return sum(a.accesses for a in self.accesses.values())
-
-    def add_access(self, obj: DataObject, access: ObjectAccess) -> None:
-        """Attach (or merge) a footprint on ``obj``."""
-        if obj in self.accesses:
-            self.accesses[obj] = merge_accesses(self.accesses[obj], access)
-        else:
-            self.accesses[obj] = access
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task({self.name!r}, type={self.type_name!r}, tid={self.tid})"

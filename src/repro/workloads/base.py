@@ -70,7 +70,6 @@ def workload(name: str):
         if name in WORKLOADS:
             raise ValueError(f"workload {name!r} already registered")
         WORKLOADS[name] = fn
-        fn.workload_name = name  # type: ignore[attr-defined]
         return fn
 
     return register

@@ -121,6 +121,21 @@ def demand_batch(size_bytes, uid=None, **columns) -> DemandBatch:
     return batch.with_placement(col["in_dram"], col["first_use_offset"])
 
 
+def successors(graph: TaskGraph, task: Task) -> list[Task]:
+    """``task``'s successors in tid order (the graph's exec-core rows)."""
+    core = graph.exec_core()
+    return [core.tasks[s] for s in core.succ[core.index[task.tid]]]
+
+
+def predecessors(graph: TaskGraph, task: Task) -> list[Task]:
+    """``task``'s predecessors in tid order, read off the exec-core
+    successor rows."""
+    core = graph.exec_core()
+    i = core.index[task.tid]
+    preds = [core.tasks[j] for j, succ in enumerate(core.succ) if i in succ]
+    return sorted(preds, key=lambda t: t.tid)
+
+
 def critical_path(graph: TaskGraph, duration) -> tuple[float, list[Task]]:
     """Longest path through the DAG under ``duration`` (ignores worker
     and memory constraints; a lower bound on any makespan).
@@ -131,7 +146,7 @@ def critical_path(graph: TaskGraph, duration) -> tuple[float, list[Task]]:
     finish: dict[int, float] = {}
     best_pred: dict[int, Task | None] = {}
     for t in graph.topological_order():
-        preds = graph.predecessors(t)
+        preds = predecessors(graph, t)
         if preds:
             p = max(preds, key=lambda p: finish[p.tid])
             start = finish[p.tid]

@@ -1,16 +1,24 @@
 """Object-mode reference executor for differential testing.
 
-This is the pre-rewrite dispatch loop, kept verbatim (telemetry plane
-stripped — the reference is only used for timing/trace equivalence): per
-task Python object traversal, dict-based indegree/ready bookkeeping, a
-``(free_at, wid)`` worker heap, ``memory_time`` calls per access, and the
-double ``TaskRecord`` construction around ``after_task``.  The production
-:class:`repro.tasking.executor.Executor` rewrote all of this around a
-structure-of-arrays core; the property suite asserts both produce
-byte-identical traces on random programs, with and without migrations,
-Memory Mode and fault injection.  The context's dispatch bookkeeping
-(last-use finish times, dispatched mask, frontier cursor) is written
-inline, as the production loop does it.
+This is the pre-rewrite dispatch loop (telemetry plane stripped — the
+reference is only used for timing/trace equivalence): per task Python
+object traversal, dict-based indegree/ready bookkeeping, a ``(free_at,
+wid)`` worker heap, scalar :func:`memory_time` calls per access, and the
+double ``TaskRecord`` construction around ``after_task``.
+The production :class:`repro.tasking.executor.Executor` rewrote all of
+this around a structure-of-arrays core; the property suite asserts both
+produce byte-identical traces on random programs, with and without
+migrations, Memory Mode and fault injection.  The context's dispatch
+bookkeeping (last-use finish times, dispatched mask, frontier cursor) is
+written inline, as the production loop does it.
+
+The module also holds the scalar oracles of the machine model the
+production code computes in vectorized or indexed form: the timing law
+(:func:`latency_time`, :func:`bandwidth_time`, :func:`base_times`,
+:func:`memory_time`, against ``executor.law_times``), and the copy-lane
+queries (:func:`available_at`, :func:`in_flight_source`,
+:func:`note_first_use`), which scan the engine's ``records`` backwards
+instead of reading the per-object indices the production loop keeps.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from __future__ import annotations
 import heapq
 
 from repro.memory.contention import share
+from repro.memory.device import MISS_BASE_LATENCY_S, MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
-from repro.memory.migration import MigrationEngine
+from repro.memory.migration import MigrationEngine, MigrationRecord
+from repro.tasking.access import ObjectAccess
 from repro.tasking.executor import (
     OVERLAP_FACTOR,
     ExecContext,
@@ -31,7 +41,96 @@ from repro.tasking.scheduler import FIFOPolicy, make_scheduler
 from repro.tasking.task import Task
 from repro.tasking.trace import ExecutionTrace, TaskRecord
 
-__all__ = ["ReferenceExecutor"]
+__all__ = [
+    "ReferenceExecutor",
+    "available_at",
+    "bandwidth_time",
+    "base_times",
+    "in_flight_source",
+    "latency_time",
+    "memory_time",
+    "note_first_use",
+    "placed_times",
+]
+
+
+# ----------------------------------------------------------------------
+# Scalar timing law (roofline-style: max of latency and bandwidth laws)
+# ----------------------------------------------------------------------
+def bandwidth_time(device: MemoryDevice, read_bytes: float, write_bytes: float) -> float:
+    """Time to stream the given traffic at full device bandwidth."""
+    return read_bytes / device.read_bandwidth + write_bytes / device.write_bandwidth
+
+
+def latency_time(
+    device: MemoryDevice, n_loads: float, n_stores: float, mlp: float = 1.0
+) -> float:
+    """Time for ``n_loads``/``n_stores`` misses: each costs the fixed
+    CPU-side base latency plus the device latency, and ``mlp``
+    outstanding misses divide the exposed total."""
+    return (
+        n_loads * (MISS_BASE_LATENCY_S + device.read_latency_s)
+        + n_stores * (MISS_BASE_LATENCY_S + device.write_latency_s)
+    ) / mlp
+
+
+def base_times(acc: ObjectAccess, device: MemoryDevice) -> tuple[float, float]:
+    """The unscaled (latency, bandwidth) time pair of ``acc`` on ``device``."""
+    lat = latency_time(device, acc.miss_loads, acc.miss_stores, acc.pattern.mlp)
+    bw = bandwidth_time(device, acc.read_traffic_bytes, acc.write_traffic_bytes)
+    return lat, bw
+
+
+def memory_time(
+    acc: ObjectAccess,
+    device: MemoryDevice,
+    bw_slowdown: float = 1.0,
+    lat_slowdown: float = 1.0,
+) -> float:
+    """Time ``acc`` spends in main memory on ``device``: contention
+    (``bw_slowdown``) queues only the bandwidth term, injected degradation
+    (``lat_slowdown``) also stretches the latency term."""
+    lat, bw = base_times(acc, device)
+    return max(lat * lat_slowdown, bw * bw_slowdown)
+
+
+def placed_times(task: Task, device: MemoryDevice) -> tuple[list[float], list[str]]:
+    """``sample_task``'s ground-truth inputs for ``task`` with every
+    object on ``device``."""
+    accs = task.accesses.values()
+    return [memory_time(acc, device) for acc in accs], [device.name] * len(accs)
+
+
+# ----------------------------------------------------------------------
+# Copy-lane queries, by scanning the engine's records
+# ----------------------------------------------------------------------
+def _latest_landed(engine: MigrationEngine, uid: int) -> MigrationRecord | None:
+    for rec in reversed(engine.records):
+        if rec.obj_uid == uid and not rec.failed:
+            return rec
+    return None
+
+
+def available_at(engine: MigrationEngine, uid: int) -> float:
+    """When the object's latest landed copy completes (0 if never copied)."""
+    rec = _latest_landed(engine, uid)
+    return rec.end_time if rec is not None else 0.0
+
+
+def in_flight_source(engine: MigrationEngine, uid: int, time: float) -> str | None:
+    """The device the object is still being copied *from* at ``time``
+    (readers keep using that copy until the migration lands)."""
+    rec = _latest_landed(engine, uid)
+    return rec.src if rec is not None and rec.end_time > time else None
+
+
+def note_first_use(engine: MigrationEngine, uid: int, time: float) -> None:
+    """Stamp ``time`` as the first use of the object's newest landed copy
+    that has none yet (drives the overlap statistic)."""
+    for rec in reversed(engine.records):
+        if rec.obj_uid == uid and not rec.failed and rec.needed_by == float("inf"):
+            rec.needed_by = time
+            return
 
 
 class ReferenceExecutor:
@@ -68,7 +167,8 @@ class ReferenceExecutor:
         self.scheduler.prepare(graph)
         if hasattr(self.scheduler, "bind"):
             self.scheduler.bind(self.hms)
-        indegree = {t.tid: graph.in_degree(t) for t in graph.tasks}
+        core = graph.exec_core()
+        indegree = {t.tid: int(d) for t, d in zip(core.tasks, core.indeg0)}
         for t in graph.tasks:
             if indegree[t.tid] == 0:
                 self.scheduler.push(t)
@@ -83,9 +183,8 @@ class ReferenceExecutor:
             nonlocal n_done
             while completions and completions[0][0] <= up_to + 1e-15:
                 t_done, tid = heapq.heappop(completions)
-                done = graph.task(tid)
                 n_done += 1
-                for succ in graph.successors(done):
+                for succ in (core.tasks[s] for s in core.succ[core.index[tid]]):
                     indegree[succ.tid] -= 1
                     if indegree[succ.tid] == 0:
                         ready_at[succ.tid] = t_done
@@ -96,10 +195,8 @@ class ReferenceExecutor:
 
         hms = self.hms
         scheduler = self.scheduler
-        placement_of = hms.placement_of
+        device_of = hms.device_of
         mark_dirty = hms.mark_dirty
-        available_at = engine.available_at
-        note_first_use = engine.note_first_use
         before_task = policy.before_task
         after_task = policy.after_task
         heappush = heapq.heappush
@@ -137,13 +234,13 @@ class ReferenceExecutor:
                     continue
                 if acc.mode.writes:
                     mark_dirty(obj)
-                    a = available_at(obj.uid)
+                    a = available_at(engine, obj.uid)
                     if a > t0:
                         if a > avail:
                             avail = a
-                    note_first_use(obj.uid, t0)
-                elif available_at(obj.uid) <= t0:
-                    note_first_use(obj.uid, t0)
+                    note_first_use(engine, obj.uid, t0)
+                elif available_at(engine, obj.uid) <= t0:
+                    note_first_use(engine, obj.uid, t0)
             start_exec = max(t0, avail)
             stall = start_exec - t0
 
@@ -156,7 +253,7 @@ class ReferenceExecutor:
                 exec_time = mem + overlap_keep * compute
             finish = start_exec + exec_time
 
-            residency = {o.uid: placement_of(o).device for o in task.accesses}
+            residency = {o.uid: device_of(o).name for o in task.accesses}
             record = TaskRecord(
                 task=task,
                 worker=wid,
@@ -183,7 +280,7 @@ class ReferenceExecutor:
             )
             records.append(record)
 
-            touched = frozenset(placement_of(o).device for o in task.accesses)
+            touched = frozenset(device_of(o).name for o in task.accesses)
             running.append((finish, task, touched))
             luf = ctx.last_use_finish
             for obj in task.accesses:
@@ -267,15 +364,17 @@ class ReferenceExecutor:
             slow = 1.0 / share(n_str)
             for acc in task.accesses.values():
                 if inj is None:
-                    t_d = acc.memory_time(self.hms.dram, bw_slowdown=slow)
-                    t_n = acc.memory_time(self.hms.nvm, bw_slowdown=slow)
+                    t_d = memory_time(acc, self.hms.dram, bw_slowdown=slow)
+                    t_n = memory_time(acc, self.hms.nvm, bw_slowdown=slow)
                 else:
-                    t_d = acc.memory_time(
+                    t_d = memory_time(
+                        acc,
                         self.hms.dram,
                         bw_slowdown=slow * inj.bw_penalty(self.hms.dram.name, start),
                         lat_slowdown=inj.lat_penalty(self.hms.dram.name, start),
                     )
-                    t_n = acc.memory_time(
+                    t_n = memory_time(
+                        acc,
                         self.hms.nvm,
                         bw_slowdown=slow * inj.bw_penalty(self.hms.nvm.name, start),
                         lat_slowdown=inj.lat_penalty(self.hms.nvm.name, start),
@@ -283,19 +382,19 @@ class ReferenceExecutor:
                 mem += cfg.dram_cache.blend(t_d, t_n, working_set)
         else:
             device_of = self.hms.device_of
-            in_flight_source = engine.in_flight_source if engine else None
             active_get = active.get
             for obj, acc in task.accesses.items():
                 dev = device_of(obj)
-                if in_flight_source is not None:
-                    src_name = in_flight_source(obj.uid, start)
+                if engine is not None:
+                    src_name = in_flight_source(engine, obj.uid, start)
                     if src_name is not None and not acc.mode.writes:
                         dev = self._device_by_name(src_name, dev)
                 slow = 1.0 / share(active_get(dev.name, 0) + 1)
                 if inj is None:
-                    mem += acc.memory_time(dev, bw_slowdown=slow)
+                    mem += memory_time(acc, dev, bw_slowdown=slow)
                 else:
-                    mem += acc.memory_time(
+                    mem += memory_time(
+                        acc,
                         dev,
                         bw_slowdown=slow * inj.bw_penalty(dev.name, start),
                         lat_slowdown=inj.lat_penalty(dev.name, start),

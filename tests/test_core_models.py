@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.adaptation import COOLDOWN_ITERATIONS, MIN_ITERATIONS, DeviationDetector
+from repro.core.adaptation import MIN_ITERATIONS, DeviationDetector
 from repro.core.manager import DataManagerPolicy
 from repro.core.models import SlotStats, TypeModel
 from repro.core.placement import COST_MARGIN, PlanConfig, _weights_for
@@ -31,6 +31,7 @@ from repro.tasking.task import Task
 from repro.util.units import MIB
 
 from tests.helpers import DEMAND_DEFAULTS, demand_batch
+from tests.reference_executor import placed_times
 from tests.reference_weigher import eviction_cost
 
 #: The NVM peak bandwidth of :func:`calib_for` calibrations (bytes/s).
@@ -51,7 +52,6 @@ def calib_for(nvm, cf: float = 1.0) -> CalibrationResult:
         peak_bandwidth={nvm.name: PEAK},
         chase_bandwidth=0.0,
         chase_latency={},
-        sampling_interval=1,
     )
 
 
@@ -198,8 +198,9 @@ class TestTypeModel:
             compute_time=1e-4,
         )
         d = dram(int(64 * MIB))
-        dur = sum(acc.memory_time(d) for acc in t.accesses.values()) + t.compute_time
-        return SamplingProfiler(seed=seed).sample_task(t, dur, device_of=lambda o: d), dur
+        mem_times, devices = placed_times(t, d)
+        dur = sum(mem_times) + t.compute_time
+        return SamplingProfiler(seed=seed).sample_task(t, dur, mem_times, devices), dur
 
     def test_observe_builds_slots(self):
         m = TypeModel("k")
@@ -345,12 +346,26 @@ class TestDeviationDetector:
         fired = self._feed_iterations(det, [1.0, 5.0, 1.0])
         assert not any(fired)
 
-    def test_cooldown_limits_rate(self):
-        assert COOLDOWN_ITERATIONS == 2
+    def test_trigger_rebaselines(self):
         det = DeviationDetector()
         means = [1.0] * 5 + [3.0] * 8
         fired = self._feed_iterations(det, means)
         assert sum(fired) == 1  # baseline cleared; new regime re-baselines
+
+    def test_alternating_regimes_trigger_after_a_full_baseline(self):
+        """A trigger clears the baseline, so the next one needs
+        MIN_ITERATIONS closed iterations first: triggers land at least
+        MIN_ITERATIONS + 1 iteration boundaries apart, however fast the
+        regime flips."""
+        for block in range(1, 7):
+            det = DeviationDetector()
+            means = [1.0] * 5 + ([3.0] * block + [1.0] * block) * 6
+            per_iter = 4
+            fired = self._feed_iterations(det, means, per_iter=per_iter)
+            at = [i // per_iter for i, f in enumerate(fired) if f]
+            assert at, block
+            gaps = [b - a for a, b in zip(at, at[1:])]
+            assert all(g >= MIN_ITERATIONS + 1 for g in gaps), (block, at)
 
     def test_non_iterative_tasks_never_trigger(self):
         det = DeviationDetector()

@@ -32,6 +32,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.util.units import MIB
 
 from tests.helpers import make_fork_join_graph
+from tests.reference_executor import available_at
 
 
 class TestFaultPlan:
@@ -175,7 +176,7 @@ class TestEngineRetry:
             base * FAILURE_DETECT_FRACTION + RETRY_BACKOFF_S + base
         )
         assert eng.retry_count == 1 and eng.recovered_count == 1 and eng.failed_count == 0
-        assert eng.available_at(1) == rec.end_time
+        assert available_at(eng, 1) == eng._available_at[1] == rec.end_time
 
     def test_permanent_failure(self):
         d, n = self._devices()
@@ -186,7 +187,7 @@ class TestEngineRetry:
         assert rec.exposed == 0.0
         assert eng.failed_count == 1 and eng.recovered_count == 0
         # nothing landed: object availability and byte counts untouched
-        assert eng.available_at(1) == 0.0
+        assert available_at(eng, 1) == eng._available_at.get(1, 0.0) == 0.0
         assert eng.migrated_bytes == 0
         # but the lane burned time on the failed attempts
         assert eng.lane_free_at > 0.0
@@ -198,7 +199,7 @@ class TestEngineRetry:
         rec = eng.schedule(1, MIB, d, n, request_time=0.0, critical=True)
         assert not rec.failed
         assert rec.attempts == MAX_COPY_RETRIES + 1
-        assert eng.available_at(1) == rec.end_time
+        assert available_at(eng, 1) == eng._available_at[1] == rec.end_time
 
     def test_degraded_window_stretches_copy(self):
         d, n = self._devices()
@@ -240,8 +241,8 @@ class TestCapacityLossMechanics:
         lost, evicted = hms.lose_capacity("dram", 10 * MIB)
         assert lost == 10 * MIB
         assert [(o.name, dirty) for o, dirty in evicted] == [("big", True)]
-        assert hms.placement_of(big).device == hms.nvm.name
-        assert hms.placement_of(small).device == hms.dram.name
+        assert hms.device_of(big).name == hms.nvm.name
+        assert hms.device_of(small).name == hms.dram.name
         hms.check_invariants()
 
     def test_hms_nvm_loss_never_evicts(self):
@@ -253,7 +254,7 @@ class TestCapacityLossMechanics:
         lost, evicted = hms.lose_capacity(hms.nvm, 8 * MIB)
         assert lost == 2 * MIB  # clamped to free space
         assert evicted == []
-        assert hms.placement_of(obj).device == hms.nvm.name
+        assert hms.device_of(obj).name == hms.nvm.name
 
 
 NVM = nvm_bandwidth_scaled(0.5)

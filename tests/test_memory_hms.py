@@ -62,7 +62,7 @@ class TestPlacement:
         o = obj(1)
         machine.allocate(o, machine.dram)
         p1 = machine.move(o, machine.dram)
-        p2 = machine.placement_of(o)
+        p2 = machine._placements[o.uid]
         assert p1 == p2
 
     def test_dram_capacity_enforced(self, machine):
@@ -119,7 +119,7 @@ class TestInvariants:
 
     def test_wrong_placement_size_is_caught(self, machine, placed):
         a, _ = placed
-        pl = machine.placement_of(a)
+        pl = machine._placements[a.uid]
         machine._placements[a.uid] = dataclasses.replace(pl, size=pl.size + 1)
         with pytest.raises(AssertionError):
             machine.check_invariants()

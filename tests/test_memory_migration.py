@@ -11,6 +11,8 @@ from repro.memory.migration import (
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.util.units import MIB
 
+from tests.reference_executor import available_at, in_flight_source, note_first_use
+
 
 @pytest.fixture
 def devices():
@@ -52,20 +54,25 @@ class TestEngineLane:
         assert r.start_time == pytest.approx(0.5)
 
     def test_available_at_tracks_last_migration(self, devices):
+        """The per-object indices the executor reads inline agree with a
+        backward scan of the records."""
         d, n = devices
         eng = MigrationEngine()
-        assert eng.available_at(99) == 0.0
-        r = eng.schedule(7, int(MIB), n, d, request_time=0.0)
-        assert eng.available_at(7) == pytest.approx(r.end_time)
+        assert available_at(eng, 99) == eng._available_at.get(99, 0.0) == 0.0
+        eng.schedule(7, int(MIB), n, d, request_time=0.0)
+        r = eng.schedule(7, int(MIB), d, n, request_time=0.0)
+        assert available_at(eng, 7) == eng._available_at[7] == r.end_time
+        assert eng._last_record[7] is r
+        assert eng._pending_first_use[7][-1] is r
 
     def test_in_flight_source(self, devices):
         d, n = devices
         eng = MigrationEngine()
         r = eng.schedule(7, int(8 * MIB), n, d, request_time=0.0)
         mid = (r.start_time + r.end_time) / 2
-        assert eng.in_flight_source(7, mid) == n.name
-        assert eng.in_flight_source(7, r.end_time + 1e-9) is None
-        assert eng.in_flight_source(42, 0.0) is None
+        assert in_flight_source(eng, 7, mid) == n.name
+        assert in_flight_source(eng, 7, r.end_time + 1e-9) is None
+        assert in_flight_source(eng, 42, 0.0) is None
 
 
 class TestOverlapAccounting:
@@ -73,7 +80,7 @@ class TestOverlapAccounting:
         d, n = devices
         eng = MigrationEngine()
         r = eng.schedule(1, int(MIB), n, d, request_time=0.0)
-        eng.note_first_use(1, r.end_time + 1.0)
+        note_first_use(eng, 1, r.end_time + 1.0)
         assert r.exposed == 0.0
         assert eng.overlap_fraction() == pytest.approx(1.0)
 
@@ -81,7 +88,7 @@ class TestOverlapAccounting:
         d, n = devices
         eng = MigrationEngine()
         r = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
-        eng.note_first_use(1, 0.0)
+        note_first_use(eng, 1, 0.0)
         assert r.exposed == pytest.approx(r.duration)
         assert eng.overlap_fraction() == pytest.approx(0.0)
 
@@ -89,7 +96,7 @@ class TestOverlapAccounting:
         d, n = devices
         eng = MigrationEngine()
         r = eng.schedule(1, int(8 * MIB), n, d, request_time=0.0)
-        eng.note_first_use(1, r.start_time + r.duration / 2)
+        note_first_use(eng, 1, r.start_time + r.duration / 2)
         assert eng.overlap_fraction() == pytest.approx(0.5, abs=0.01)
 
     def test_statistics_aggregate(self, devices):

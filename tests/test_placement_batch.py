@@ -180,7 +180,6 @@ def machine(draw):
             st.one_of(st.just(0.0), st.floats(min_value=1e6, max_value=1e11))
         ),
         chase_latency=chase_latency,
-        sampling_interval=1,
     )
     return nvm, dev_d, calib
 

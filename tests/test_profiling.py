@@ -1,19 +1,36 @@
 """Sampling profiler emulation, exact counters, and calibration."""
 
-import pytest
+import struct
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import OracleStaticPolicy
 from repro.core.sensitivity import object_bandwidth
-from repro.memory.presets import dram, nvm_latency_scaled
+from repro.memory.device import DeviceKind
+from repro.memory.hms import HeterogeneousMemorySystem
+from repro.memory.migration import MigrationEngine
+from repro.memory.presets import NVM_CONFIGS, dram, nvm_latency_scaled
 from repro.profiling.counters import GroundTruthCounters
 from repro.profiling.sampler import SamplingProfiler
+from repro.tasking.access import PATTERNS, AccessMode, AccessPattern, ObjectAccess
 from repro.tasking.dataobj import DataObject
-from repro.tasking.executor import ExecutorConfig
+from repro.tasking.executor import ExecContext, ExecutorConfig
 from repro.tasking.footprints import chase_footprint, read_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
+from repro.tasking.trace import TaskRecord
 from repro.util.units import MIB
 
+from tests.reference_executor import memory_time, placed_times
 from tests.reference_weigher import mlp_discount
+
+
+def on_dram(task):
+    """``sample_task``'s ground-truth inputs with every object in DRAM."""
+    return placed_times(task, dram(int(64 * MIB)))
 
 
 def stream_task(mib=8.0):
@@ -34,7 +51,7 @@ class TestSamplingProfiler:
     def test_counts_unbiased_within_noise(self):
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=1)
-        p = prof.sample_task(t, duration=5e-3)
+        p = prof.sample_task(t, 5e-3, *on_dram(t))
         a = t.objects[0]
         true_loads = t.accesses[a].loads
         est = p.objects[a.uid].loads
@@ -45,14 +62,14 @@ class TestSamplingProfiler:
         instruction counts, not misses."""
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=2)
-        p = prof.sample_task(t, duration=5e-3)
+        p = prof.sample_task(t, 5e-3, *on_dram(t))
         a = t.objects[0]
         assert p.objects[a.uid].loads > 2 * t.accesses[a].miss_loads
 
     def test_miss_counter_tracks_misses(self):
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=3)
-        p = prof.sample_task(t, duration=5e-3)
+        p = prof.sample_task(t, 5e-3, *on_dram(t))
         a = t.objects[0]
         true_misses = t.accesses[a].miss_loads + t.accesses[a].miss_stores
         assert p.objects[a.uid].misses == pytest.approx(true_misses, rel=0.25)
@@ -60,15 +77,15 @@ class TestSamplingProfiler:
     def test_deterministic_per_task(self):
         t = stream_task()
         prof = SamplingProfiler(seed=5)
-        p1 = prof.sample_task(t, duration=1e-3)
-        p2 = prof.sample_task(t, duration=1e-3)
+        p1 = prof.sample_task(t, 1e-3, *on_dram(t))
+        p2 = prof.sample_task(t, 1e-3, *on_dram(t))
         assert p1.objects == p2.objects
 
     def test_different_seeds_differ(self):
         t = stream_task()
         a = t.objects[0]
-        p1 = SamplingProfiler(seed=1).sample_task(t, duration=1e-3)
-        p2 = SamplingProfiler(seed=2).sample_task(t, duration=1e-3)
+        p1 = SamplingProfiler(seed=1).sample_task(t, 1e-3, *on_dram(t))
+        p2 = SamplingProfiler(seed=2).sample_task(t, 1e-3, *on_dram(t))
         assert p1.objects[a.uid].loads != p2.objects[a.uid].loads
 
     def test_sparser_sampling_noisier(self):
@@ -80,7 +97,7 @@ class TestSamplingProfiler:
             errs = []
             for seed in range(12):
                 p = SamplingProfiler(interval_cycles=interval, seed=seed).sample_task(
-                    t, duration=1e-3
+                    t, 1e-3, *on_dram(t)
                 )
                 errs.append(abs(p.objects[a.uid].loads - true_loads) / true_loads)
             return sum(errs) / len(errs)
@@ -97,7 +114,7 @@ class TestSamplingProfiler:
         t = stream_task()
         d = dram(int(64 * MIB))
         prof = SamplingProfiler(seed=4)
-        p = prof.sample_task(t, duration=5e-3, device_of=lambda o: d)
+        p = prof.sample_task(t, 5e-3, *placed_times(t, d))
         s = next(iter(p.objects.values()))
         assert s.device == d.name
         assert 0.0 <= s.mem_active_fraction <= 1.0
@@ -114,16 +131,17 @@ class TestSamplingProfiler:
         )
         d = dram(int(64 * MIB))
         acc = t.accesses[lst]
-        duration = acc.memory_time(d) + t.compute_time
-        p = SamplingProfiler(seed=6).sample_task(t, duration, device_of=lambda o: d)
+        duration = memory_time(acc, d) + t.compute_time
+        p = SamplingProfiler(seed=6).sample_task(t, duration, *placed_times(t, d))
         assert p.objects[lst.uid].mem_active_fraction > 0.8
 
     def test_object_bandwidth_estimate(self):
         t = stream_task()
         d = dram(int(64 * MIB))
         a = t.objects[0]
-        duration = sum(acc.memory_time(d) for acc in t.accesses.values()) + t.compute_time
-        p = SamplingProfiler(seed=7).sample_task(t, duration, device_of=lambda o: d)
+        mem_times, devices = placed_times(t, d)
+        duration = sum(mem_times) + t.compute_time
+        p = SamplingProfiler(seed=7).sample_task(t, duration, mem_times, devices)
         bw = object_bandwidth(p.objects[a.uid], p.duration)
         # A streaming object's demand approaches device bandwidth.
         assert bw > 0.2 * d.read_bandwidth
@@ -131,6 +149,105 @@ class TestSamplingProfiler:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             SamplingProfiler(interval_cycles=0)
+
+
+def bits(xs) -> bytes:
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+_PATTERN = st.one_of(
+    st.sampled_from(list(PATTERNS.values())),
+    st.builds(
+        AccessPattern,
+        name=st.just("drawn"),
+        hit_ratio=st.floats(0.0, 0.999),
+        mlp=st.floats(0.5, 64.0),
+    ),
+)
+_COUNT = st.one_of(st.just(0), st.integers(1, 10**8))
+
+
+@st.composite
+def _footprint(draw):
+    mode = draw(st.sampled_from(list(AccessMode)))
+    return ObjectAccess(
+        mode,
+        loads=draw(_COUNT) if mode.reads else 0,
+        stores=draw(_COUNT) if mode.writes else 0,
+        pattern=draw(_PATTERN),
+    )
+
+
+@st.composite
+def _device(draw, kind, name):
+    base = draw(st.sampled_from([dram(), *NVM_CONFIGS().values()]))
+    return base.scaled(
+        name=name,
+        kind=kind,
+        capacity_bytes=int(64 * MIB),
+        latency_scale=draw(st.floats(0.25, 16.0)),
+        bandwidth_scale=draw(st.floats(1 / 16, 4.0)),
+    )
+
+
+@st.composite
+def placed_programs(draw):
+    """Tasks over a few objects with drawn footprints, on a machine of
+    two drawn devices, every object placed on a drawn tier."""
+    hms = HeterogeneousMemorySystem(
+        draw(_device(DeviceKind.DRAM, "tier-d")), draw(_device(DeviceKind.NVM, "tier-n"))
+    )
+    objs = [DataObject(name=f"o{i}", size_bytes=4096) for i in range(draw(st.integers(1, 5)))]
+    graph = TaskGraph()
+    for i in range(draw(st.integers(1, 6))):
+        touched = draw(st.lists(st.sampled_from(objs), min_size=1, unique=True))
+        graph.add(
+            Task(
+                name=f"t{i}",
+                type_name="t",
+                accesses={o: draw(_footprint()) for o in touched},
+                compute_time=draw(st.floats(0.0, 1e-3)),
+            )
+        )
+    for o in graph.objects:
+        hms.allocate(o, hms.dram if draw(st.booleans()) else hms.nvm)
+    return graph, hms
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=placed_programs())
+def test_profiler_and_oracle_time_with_the_scalar_law(program):
+    """The executor's vectorized law is the one the profiler and the
+    oracle read: the memory times ``ExecContext.profile`` hands the
+    sampler, and the oracle's per-object values, equal the scalar
+    reference law byte for byte."""
+    graph, hms = program
+    ctx = ExecContext(graph, hms, MigrationEngine(), ExecutorConfig())
+    received = []
+    ctx._profiler.sample_task = lambda task, duration, mem, devs: received.append(
+        (list(mem), list(devs))
+    )
+    for t in graph.tasks:
+        record = TaskRecord(
+            task=t, worker=0, start=0.0, finish=1e-3, compute_time=0.0,
+            memory_time=0.0, overhead_time=0.0, stall_time=0.0, residency={},
+        )
+        ctx.profile(t, record)
+        mem, devs = received.pop()
+        want = [memory_time(acc, hms.device_of(o)) for o, acc in t.accesses.items()]
+        assert bits(mem) == bits(want)
+        assert devs == [hms.device_of(o).name for o in t.accesses]
+
+    benefit = {o.uid: 0.0 for o in graph.objects}
+    for t in graph.tasks:
+        for o, acc in t.accesses.items():
+            benefit[o.uid] += memory_time(acc, hms.nvm) - memory_time(acc, hms.dram)
+    with mock.patch(
+        "repro.baselines.oracle.solve_knapsack", side_effect=lambda v, *a, **k: [False] * len(v)
+    ) as solve:
+        OracleStaticPolicy().on_run_start(ctx)
+    values = solve.call_args.args[0]
+    assert bits(values) == bits([benefit[o.uid] for o in graph.objects])
 
 
 class TestGroundTruthCounters:

@@ -32,6 +32,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 
+from tests.helpers import predecessors
 from tests.reference_projection import (
     demand_stats_split_ref,
     first_use_offsets_split_ref,
@@ -214,7 +215,7 @@ def spawn_order_depths(graph: TaskGraph) -> dict[int, int]:
     must reproduce."""
     depths: dict[int, int] = {}
     for t in graph.tasks:
-        depths[t.tid] = 1 + max((depths[p.tid] for p in graph.predecessors(t)), default=-1)
+        depths[t.tid] = 1 + max((depths[p.tid] for p in predecessors(graph, t)), default=-1)
     return depths
 
 

@@ -28,6 +28,7 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
+from tests.helpers import predecessors
 from tests.reference_executor import ReferenceExecutor
 
 
@@ -82,7 +83,7 @@ def test_execution_invariants_nvm_only(graph, workers):
     finish = {r.task.tid: r.finish for r in tr.records}
     start = {r.task.tid: r.start for r in tr.records}
     for t in graph.tasks:
-        for p in graph.predecessors(t):
+        for p in predecessors(graph, t):
             assert start[t.tid] >= finish[p.tid] - 1e-12
     hms.check_invariants()
 

@@ -135,6 +135,30 @@ class TestPackageSurface:
             ]
         assert unused == []
 
+    def test_every_member_has_a_caller_outside_the_tests(self):
+        """The same rule for class members: every method and property a
+        class body under ``src/repro`` defines is used, as an attribute
+        or a name, by package code, an example or the benchmark.
+        Dunders are the language's to call, and ``validate`` and
+        ``check_invariants`` are correctness checks the tests run."""
+        package = sorted(Path(repro.__file__).parent.rglob("*.py"))
+        trees = {path: ast.parse(path.read_text()) for path in package}
+        used = _script_uses()
+        for tree in trees.values():
+            used |= _refs(tree)
+        unused = [
+            f"{path.relative_to(ROOT / 'src')}::{cls.name}.{node.name}"
+            for path, tree in trees.items()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in ("validate", "check_invariants")
+            and node.name not in used
+        ]
+        assert unused == []
+
 
 class TestFrozenExecutionAPI:
     """The execution API froze with the SoA executor rewrite (see

@@ -23,6 +23,8 @@ from repro.tasking.footprints import (
 )
 from repro.util.units import MIB
 
+from tests.reference_executor import memory_time
+
 
 class TestAccessMode:
     def test_reads_writes_flags(self):
@@ -69,10 +71,13 @@ class TestObjectAccess:
 
 
 class TestGroundTruthTiming:
+    """Roofline physics of the scalar reference law; the differential in
+    test_profiling.py pins the executor's vectorized law to it bitwise."""
+
     def test_streaming_bandwidth_bound(self):
         acc = read_footprint(64 * MIB, STREAMING)
         d = dram()
-        t = acc.memory_time(d)
+        t = memory_time(acc, d)
         assert t == pytest.approx(acc.read_traffic_bytes / d.read_bandwidth, rel=0.05)
 
     def test_chase_latency_bound(self):
@@ -81,32 +86,32 @@ class TestGroundTruthTiming:
         expected = (
             acc.miss_loads * (MISS_BASE_LATENCY_S + d.read_latency_s) / POINTER_CHASE.mlp
         )
-        assert acc.memory_time(d) == pytest.approx(expected, rel=0.05)
+        assert memory_time(acc, d) == pytest.approx(expected, rel=0.05)
 
     def test_bw_scaling_hits_streaming_not_chase(self):
         stream = read_footprint(64 * MIB, STREAMING)
         chase = chase_footprint(100_000)
         d, n = dram(), nvm_bandwidth_scaled(0.5)
-        assert stream.memory_time(n) / stream.memory_time(d) == pytest.approx(2.0, rel=0.05)
-        assert chase.memory_time(n) / chase.memory_time(d) == pytest.approx(1.0, rel=0.05)
+        assert memory_time(stream, n) / memory_time(stream, d) == pytest.approx(2.0, rel=0.05)
+        assert memory_time(chase, n) / memory_time(chase, d) == pytest.approx(1.0, rel=0.05)
 
     def test_lat_scaling_hits_chase_not_streaming(self):
         stream = read_footprint(64 * MIB, STREAMING)
         chase = chase_footprint(100_000)
         d, n = dram(), nvm_latency_scaled(4.0)
-        assert stream.memory_time(n) / stream.memory_time(d) == pytest.approx(1.0, rel=0.05)
-        ratio = chase.memory_time(n) / chase.memory_time(d)
+        assert memory_time(stream, n) / memory_time(stream, d) == pytest.approx(1.0, rel=0.05)
+        ratio = memory_time(chase, n) / memory_time(chase, d)
         assert 1.5 < ratio < 3.0  # diluted by the fixed base miss cost
 
     def test_contention_slowdown_applies_to_bandwidth_term_only(self):
         stream = read_footprint(64 * MIB, STREAMING)
         chase = chase_footprint(100_000)
         d = dram()
-        assert stream.memory_time(d, bw_slowdown=2.0) == pytest.approx(
-            2 * stream.memory_time(d), rel=0.05
+        assert memory_time(stream, d, bw_slowdown=2.0) == pytest.approx(
+            2 * memory_time(stream, d), rel=0.05
         )
-        assert chase.memory_time(d, bw_slowdown=2.0) == pytest.approx(
-            chase.memory_time(d), rel=0.05
+        assert memory_time(chase, d, bw_slowdown=2.0) == pytest.approx(
+            memory_time(chase, d), rel=0.05
         )
 
 

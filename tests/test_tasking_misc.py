@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.footprints import read_footprint, update_footprint
 from repro.tasking.graph import TaskGraph
@@ -76,12 +75,6 @@ class TestTask:
     def test_footprint_and_counts(self):
         t, a, b = self._task()
         assert t.total_accesses == sum(acc.accesses for acc in t.accesses.values())
-
-    def test_add_access_merges(self):
-        t, a, _ = self._task()
-        before = t.accesses[a].loads
-        t.add_access(a, ObjectAccess(AccessMode.READ, loads=5, stores=0))
-        assert t.accesses[a].loads == before + 5
 
     def test_negative_compute_rejected(self):
         with pytest.raises(ValueError):

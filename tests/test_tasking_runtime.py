@@ -9,6 +9,8 @@ from repro.tasking.footprints import read_footprint, update_footprint, write_foo
 from repro.tasking.runtime import TaskRuntime
 from repro.util.units import MIB
 
+from tests.helpers import predecessors
+
 
 @pytest.fixture
 def rt():
@@ -25,32 +27,12 @@ class TestProgramConstruction:
         a = rt.data("a", int(MIB))
         t1 = rt.spawn("w", {a: write_footprint(a.size_bytes)})
         t2 = rt.spawn("r", {a: read_footprint(a.size_bytes)})
-        assert rt.graph.predecessors(t2) == [t1]
+        assert predecessors(rt.graph, t2) == [t1]
 
     def test_spawn_type_name_defaults_to_name(self, rt):
         a = rt.data("a", int(MIB))
         t = rt.spawn("kernel", {a: read_footprint(a.size_bytes)})
         assert t.type_name == "kernel"
-
-    def test_barrier_orders_unrelated_tasks(self, rt):
-        a = rt.data("a", int(MIB))
-        b = rt.data("b", int(MIB))
-        t1 = rt.spawn("t1", {a: update_footprint(a.size_bytes, a.size_bytes)})
-        bar = rt.barrier()
-        t2 = rt.spawn("t2", {b: update_footprint(b.size_bytes, b.size_bytes)})
-        # t2 transitively depends on t1 through the barrier.
-        assert bar in rt.graph.predecessors(t2)
-        assert t1 in rt.graph.predecessors(bar)
-
-    def test_two_barriers_chain(self, rt):
-        a = rt.data("a", int(MIB))
-        rt.spawn("t1", {a: update_footprint(a.size_bytes, a.size_bytes)})
-        b1 = rt.barrier()
-        rt.spawn("t2", {a: update_footprint(a.size_bytes, a.size_bytes)})
-        b2 = rt.barrier()
-        rt.graph.validate()
-        order = rt.graph.topological_order()
-        assert order.index(b1) < order.index(b2)
 
 
 class TestExecution:
