@@ -78,6 +78,23 @@ def test_bench_knapsack_dp(benchmark):
     assert any(mask)
 
 
+def test_bench_knapsack_uniform(benchmark):
+    """One solve of equal-sized candidates per rep: the stable top-k route
+    answers without the DP (the instances of ``test_bench_knapsack_dp``
+    have several sizes, so they stay on the DP)."""
+    rng = spawn_rng(1, "bench-knap")
+    n = 200
+    values = rng.uniform(0.1, 10.0, n).tolist()
+    sizes = [8 * 2**20] * n
+    mask = benchmark.pedantic(
+        solve_knapsack,
+        args=(values, sizes, 256 * 2**20),
+        setup=clear_solver_cache,
+        rounds=20,
+    )
+    assert sum(mask) == 32
+
+
 def test_bench_knapsack_greedy(benchmark):
     rng = spawn_rng(1, "bench-knap")
     n = 200

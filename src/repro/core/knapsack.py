@@ -9,11 +9,17 @@ table would be wasteful.
 
 The placement manager re-solves every adaptation epoch:
 
+- when every candidate has the same size in DP units (heat's equal-sized
+  tiles), the optimum is the ``cap_units // size`` largest values; a
+  stable top-k returns it without the DP unless the boundary gap is
+  within the DP's float rounding, in which case the DP decides, so the
+  mask is always the one the DP would return;
 - an exact-fingerprint memo returns the cached keep-mask when the whole
-  (values, sizes, capacity) instance repeats (it does across what-if
-  variants and repeated specs; a near-identical instance is re-solved
-  from scratch, because the weigher reorders and re-values candidates
-  every replan, so a changed instance almost never shares a DP prefix);
+  (values, sizes, capacity) instance of a DP solve repeats (it does
+  across what-if variants and repeated specs; a near-identical instance
+  is re-solved from scratch, because the weigher reorders and re-values
+  candidates every replan, so a changed instance almost never shares a
+  DP prefix);
 - the backtracking ``keep`` table is bit-packed (one bit per DP cell
   instead of a numpy bool byte), cutting its memory traffic 8x;
 - instances whose DP table would exceed :data:`AUTO_GREEDY_CELLS` cells
@@ -54,7 +60,7 @@ _MEMO_MAX = 128
 
 #: exact instance fingerprint -> keep-mask
 _memo: BoundedLRU[Any, list[bool]] = BoundedLRU(_MEMO_MAX)
-_stats = {"exact_hits": 0, "solves": 0, "greedy_routed": 0}
+_stats = {"exact_hits": 0, "solves": 0, "greedy_routed": 0, "uniform_topk": 0}
 
 
 def clear_solver_cache() -> None:
@@ -65,7 +71,7 @@ def clear_solver_cache() -> None:
 
 
 def solver_cache_stats() -> dict[str, int]:
-    """Exact-memo hits, DP solves and greedy routes (observability)."""
+    """Exact-memo hits, DP solves, greedy routes and one-size top-k routes (observability)."""
     return dict(_stats)
 
 
@@ -121,8 +127,8 @@ def solve_knapsack_arrays(
     taken.  ``granularity`` bounds the DP table's capacity axis; sizes are
     rounded *up* so the selection always fits the true capacity.
 
-    ``use_cache=False`` bypasses the exact-fingerprint memo (the
-    reference path; the property tests compare the two).
+    ``use_cache=False`` bypasses the exact-fingerprint memo only; the
+    one-size top-k route is taken either way.
     """
     v_all = np.asarray(values, dtype=np.float64)
     s_all = np.asarray(sizes, dtype=np.int64)
@@ -147,10 +153,16 @@ def solve_knapsack_arrays(
         _stats["greedy_routed"] += 1
         return greedy_bounded(v_all, s_all, capacity)
 
-    idx = idx_arr.tolist()
     w = -(-s_all[idx_arr] // unit)  # ceil; floor-div + negate, as int math
     v = v_all[idx_arr]
 
+    if int(w.min()) == int(w.max()):
+        mask = _uniform_topk(idx_arr, v, int(w[0]), n, cap_units)
+        if mask is not None:
+            _stats["uniform_topk"] += 1
+            return mask
+
+    idx = idx_arr.tolist()
     if not use_cache:
         return _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
 
@@ -164,6 +176,41 @@ def solve_knapsack_arrays(
     mask = _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
     _memo.put(key, mask)
     return list(mask)
+
+
+def _uniform_topk(
+    idx_arr: np.ndarray,
+    v: np.ndarray,
+    unit_size: int,
+    n: int,
+    cap_units: int,
+) -> list[bool] | None:
+    """The DP's mask for candidates that all weigh ``unit_size`` units.
+
+    Returns ``None`` when the float DP could pick another set; the caller
+    then runs the DP.
+    """
+    k = cap_units // unit_size
+    mask = [False] * n
+    if k == 0:
+        return mask
+    order = np.argsort(-v, kind="stable")
+    top = order[:k]
+    kept = v[top]
+    gap = kept[-1] - v[order[k]] if k < order.size else kept[-1]
+    # Each DP cell is a float sum of at most len(top) + 1 positive terms
+    # in item order, no larger than sum(kept), so it is off its exact value
+    # by under (len(top) + 1) * eps * sum(kept).  Every set but the top k
+    # is exactly at least ``gap`` short (a swap loses the boundary gap, a
+    # drop a kept value), so a gap above twice that error leaves the
+    # top k the DP's only pick; the factor 4 also covers the rounding of
+    # this test.  A tie at the boundary (gap 0) or a value that vanishes
+    # in the running sum (the DP's strict ``>`` never takes it) falls back.
+    if gap <= 4 * (top.size + 1) * np.finfo(np.float64).eps * float(kept.sum()):
+        return None
+    for i in idx_arr[top].tolist():
+        mask[i] = True
+    return mask
 
 
 def _dp_rows(w: np.ndarray, v: np.ndarray, cap_units: int) -> np.ndarray:

@@ -179,9 +179,6 @@ class FaultPlan:
             raise ValueError(f"unknown FaultPlan fields: {sorted(unknown)}")
         return cls(windows=tuple(windows), capacity_losses=tuple(losses), **kwargs)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))

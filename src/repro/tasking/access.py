@@ -128,29 +128,3 @@ class ObjectAccess:
             loads=int(round(self.loads * factor)),
             stores=int(round(self.stores * factor)),
         )
-
-
-def merge_accesses(a: ObjectAccess, b: ObjectAccess) -> ObjectAccess:
-    """Combine two footprints on the same object into one.
-
-    Used when a task touches the same object through two declared roles;
-    the merged mode is the union of the two dependence modes and the
-    pattern is taken from the footprint with more traffic.
-    """
-    if a.mode is b.mode:
-        mode = a.mode
-    else:
-        mode = AccessMode.READWRITE
-    pattern = a.pattern if a.accesses >= b.accesses else b.pattern
-    if a.span is not None and b.span is not None:
-        span = (min(a.span[0], b.span[0]), max(a.span[1], b.span[1]))
-    else:
-        span = None
-    return ObjectAccess(
-        mode=mode,
-        loads=a.loads + b.loads,
-        stores=a.stores + b.stores,
-        pattern=pattern,
-        span=span,
-        infer_deps=a.infer_deps or b.infer_deps,
-    )

@@ -440,11 +440,6 @@ class TaskGraph:
         core = self.exec_core()
         return [core.tasks[i] for i in core.topo]
 
-    def depths(self) -> dict[int, int]:
-        """Longest-path depth of every task (roots at 0), by tid."""
-        core = self.exec_core()
-        return {t.tid: d for t, d in zip(core.tasks, core.depth.tolist())}
-
     def bottom_levels(self, duration: Callable[[Task], float]) -> dict[int, float]:
         """Length of the longest downward path from each task (HEFT rank)."""
         levels: dict[int, float] = {}

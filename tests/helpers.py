@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.baselines import NVMOnlyPolicy
 from repro.core.demand import DemandBatch
+from repro.faults.plan import FaultPlan
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram
 from repro.tasking.dataobj import DataObject
@@ -134,6 +137,19 @@ def predecessors(graph: TaskGraph, task: Task) -> list[Task]:
     i = core.index[task.tid]
     preds = [core.tasks[j] for j, succ in enumerate(core.succ) if i in succ]
     return sorted(preds, key=lambda t: t.tid)
+
+
+def task_depths(graph: TaskGraph) -> dict[int, int]:
+    """Longest-path depth of every task (roots at 0), by tid, read off
+    the graph's exec-core snapshot."""
+    core = graph.exec_core()
+    return {t.tid: d for t, d in zip(core.tasks, core.depth.tolist())}
+
+
+def plan_json(plan: FaultPlan) -> str:
+    """A fault plan as the canonical JSON text ``resolve_plan`` and
+    ``FaultPlan.from_json`` read."""
+    return json.dumps(plan.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def critical_path(graph: TaskGraph, duration) -> tuple[float, list[Task]]:

@@ -16,10 +16,34 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
 
-__all__ = ["Dependence", "DependenceKind", "ReferenceGraph"]
+__all__ = ["Dependence", "DependenceKind", "ReferenceGraph", "merge_accesses"]
+
+
+def merge_accesses(a: ObjectAccess, b: ObjectAccess) -> ObjectAccess:
+    """Combine two footprints on the same object into one.
+
+    The differential's access programs may name an object twice in one
+    task; the merged mode is the union of the two dependence modes and
+    the pattern is taken from the footprint with more traffic.
+    """
+    mode = a.mode if a.mode is b.mode else AccessMode.READWRITE
+    pattern = a.pattern if a.accesses >= b.accesses else b.pattern
+    if a.span is not None and b.span is not None:
+        span = (min(a.span[0], b.span[0]), max(a.span[1], b.span[1]))
+    else:
+        span = None
+    return ObjectAccess(
+        mode=mode,
+        loads=a.loads + b.loads,
+        stores=a.stores + b.stores,
+        pattern=pattern,
+        span=span,
+        infer_deps=a.infer_deps or b.infer_deps,
+    )
 
 
 class DependenceKind(enum.Enum):

@@ -1,16 +1,21 @@
 """Knapsack solvers: unit tests plus property-based check against brute force."""
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.knapsack import (
+    _backtrack,
+    _dp_rows,
     clear_solver_cache,
     greedy_bounded,
     greedy_by_density,
     solve_knapsack,
+    solver_cache_stats,
 )
 
 
@@ -166,3 +171,89 @@ class TestIncrementalSolver:
         mask = greedy_bounded(values, sizes, capacity)
         assert size_of(mask, sizes) <= capacity
         assert total(mask, values) >= 0.5 * best - 1e-9
+
+
+def dp_mask(values, sizes, capacity, granularity):
+    """The DP and backtrack on the solver's candidates, with no other route."""
+    v = np.asarray(values, dtype=np.float64)
+    s = np.asarray(sizes, dtype=np.int64)
+    unit = max(1, capacity // granularity)
+    cap_units = capacity // unit
+    idx = np.flatnonzero((v > 0) & (s > 0) & (s <= capacity))
+    w = -(-s[idx] // unit)
+    return _backtrack(_dp_rows(w, v[idx], cap_units), idx.tolist(), w, len(v), cap_units)
+
+
+@st.composite
+def one_size_instances(draw):
+    """Knapsack instances whose candidates mostly share one DP size.
+
+    Raw sizes are drawn anywhere inside one unit bucket, so they need not
+    be multiples of the unit.  The value shapes put exact ties, 1-ulp
+    near-ties and vanishing values at the top-k boundary; ``all_fit``
+    leaves room for every candidate, ``k0`` draws a size above
+    ``capacity // unit * unit`` that the DP can never take, and
+    ``two_sizes`` mixes in a second size so the DP must run.
+    """
+    shape = draw(
+        st.sampled_from(["free", "tie", "near_tie", "vanish", "all_fit", "k0", "two_sizes"])
+    )
+    n = draw(st.integers(1, 12))
+    if shape == "k0":
+        granularity = draw(st.sampled_from([7, 64]))
+        unit = draw(st.integers(granularity + 1, 4 * granularity))
+        capacity = unit * granularity + draw(st.integers(1, granularity - 1))
+        lo, hi = granularity * unit + 1, capacity
+    else:
+        granularity = draw(st.sampled_from([1, 7, 64, 512]))
+        capacity = draw(st.integers(1, 4096))
+        unit = max(1, capacity // granularity)
+        cap_units = capacity // unit
+        top_units = max(1, cap_units // n) if shape == "all_fit" else cap_units
+        units = draw(st.integers(1, top_units))
+        lo, hi = (units - 1) * unit + 1, min(units * unit, capacity)
+    sizes = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    if shape == "two_sizes":
+        sizes[0] = draw(st.integers(1, capacity))
+    if shape == "tie":
+        values = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    elif shape == "near_tie":
+        base = draw(st.floats(0.5, 100.0))
+        steps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        values = [base if k == 0 else float(np.nextafter(base, k * np.inf)) for k in steps]
+    elif shape == "vanish":
+        values = draw(
+            st.lists(st.sampled_from([1e6, 1.0, 1e-300, 5e-324]), min_size=n, max_size=n)
+        )
+    else:
+        values = draw(
+            st.lists(
+                st.one_of(st.floats(0.001, 100.0), st.sampled_from([0.0, -1.0])),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    return values, sizes, capacity, granularity
+
+
+def test_one_size_route_matches_dp():
+    """Property: the solver's mask equals the DP's on every draw, whether
+    the one-size top-k route answers or its guard hands over to the DP;
+    each of the two routes is taken at least once."""
+    routes = Counter()
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(inst=one_size_instances())
+    # Everything fits, but the DP never adds 1e-300 to 1e6.
+    @example(inst=([1e6, 1e-300], [1, 1], 2, 2))
+    # A 1-ulp gap at the cut: the DP's sums round 7 + (1 - ulp) up to 8.
+    @example(inst=([1.0] * 7 + [float(np.nextafter(1.0, 0.0)), 1.0], [1] * 9, 8, 7))
+    def check(inst):
+        values, sizes, capacity, granularity = inst
+        before = solver_cache_stats()["uniform_topk"]
+        got = solve_knapsack(values, sizes, capacity, granularity, use_cache=False)
+        routes["topk" if solver_cache_stats()["uniform_topk"] > before else "dp"] += 1
+        assert got == dp_mask(values, sizes, capacity, granularity)
+
+    check()
+    assert routes["topk"] > 0 and routes["dp"] > 0, routes

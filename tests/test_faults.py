@@ -31,7 +31,7 @@ from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.util.units import MIB
 
-from tests.helpers import make_fork_join_graph
+from tests.helpers import make_fork_join_graph, plan_json
 from tests.reference_executor import available_at
 
 
@@ -47,9 +47,9 @@ class TestFaultPlan:
             ),
             capacity_losses=(CapacityLoss("dram", 2e-3, 4 * MIB),),
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(plan_json(plan)) == plan
         # inf end_s must survive JSON as null
-        assert json.loads(plan.to_json())["windows"][1]["end_s"] is None
+        assert json.loads(plan_json(plan))["windows"][1]["end_s"] is None
 
     def test_hashable_and_frozen(self):
         a = stress_plan(0.5)
@@ -92,11 +92,11 @@ class TestFaultPlan:
     def test_resolve_forms(self, tmp_path):
         plan = PRESETS["flaky-copies"]
         assert resolve_plan(plan) is plan
-        assert resolve_plan(plan.to_json()) == plan
+        assert resolve_plan(plan_json(plan)) == plan
         assert resolve_plan(plan.to_dict()) == plan
         assert resolve_plan(None) is None
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(plan_json(plan))
         assert resolve_plan(f"@{path}") == plan
         with pytest.raises(KeyError, match="did you mean"):
             resolve_plan("moderat")

@@ -32,7 +32,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 
-from tests.helpers import predecessors
+from tests.helpers import predecessors, task_depths
 from tests.reference_projection import (
     demand_stats_split_ref,
     first_use_offsets_split_ref,
@@ -224,7 +224,7 @@ def test_csr_depth_matches_graph_depths() -> None:
     core = graph.exec_core()
     depths = spawn_order_depths(graph)
     assert core.depth.tolist() == [depths[t.tid] for t in core.tasks]
-    assert graph.depths() == depths
+    assert task_depths(graph) == depths
 
 
 def test_remaining_indices_track_the_frontier() -> None:

@@ -12,7 +12,6 @@ from repro.tasking.access import (
     AccessMode,
     AccessPattern,
     ObjectAccess,
-    merge_accesses,
 )
 from repro.tasking.footprints import (
     WORD_BYTES,
@@ -24,6 +23,7 @@ from repro.tasking.footprints import (
 from repro.util.units import MIB
 
 from tests.reference_executor import memory_time
+from tests.reference_graph import merge_accesses
 
 
 class TestAccessMode:

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tasking.access import AccessMode, ObjectAccess, merge_accesses
+from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import critical_path, predecessors, successors
-from tests.reference_graph import DependenceKind, ReferenceGraph
+from tests.helpers import critical_path, predecessors, successors, task_depths
+from tests.reference_graph import DependenceKind, ReferenceGraph, merge_accesses
 
 
 def mk_obj(name="o", mib=1.0):
@@ -169,7 +169,7 @@ class TestAnalyses:
 
     def test_depths(self):
         g = self.chain(4)
-        depths = g.depths()
+        depths = task_depths(g)
         assert [depths[t.tid] for t in g.tasks] == [0, 1, 2, 3]
 
     def test_roots_and_objects(self):
@@ -299,9 +299,9 @@ def test_edge_sets_match_record_keeping_oracle(program):
 def test_depths_cache_resets_on_mutation():
     o = mk_obj()
     g = TaskGraph()
-    assert g.depths() == {}
+    assert task_depths(g) == {}
     a = g.add(mk_task("a", {o: update_footprint(8, 8)}))
-    assert g.depths() == {a.tid: 0}
+    assert task_depths(g) == {a.tid: 0}
     assert g.exec_core() is g.exec_core()
     b = g.add(mk_task("b", {o: update_footprint(8, 8)}))
-    assert g.depths() == {a.tid: 0, b.tid: 1}
+    assert task_depths(g) == {a.tid: 0, b.tid: 1}

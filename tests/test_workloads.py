@@ -8,7 +8,7 @@ from repro.tasking.access import POINTER_CHASE
 from repro.workloads import WORKLOADS, build
 from repro.util.units import MIB
 
-from tests.helpers import dram_for, run_graph
+from tests.helpers import dram_for, run_graph, task_depths
 
 #: Small parameters per workload so structural tests stay fast.
 SMALL = {
@@ -118,7 +118,7 @@ class TestCharacteristicShapes:
 
     def test_fft_stages_have_intra_stage_parallelism(self):
         w = build("fft", n_slices=8, iterations=1)
-        depths = w.graph.depths()
+        depths = task_depths(w.graph)
         locals_ = [t for t in w.graph.tasks if t.type_name == "fft_local"]
         assert len({depths[t.tid] for t in locals_}) == 1  # all parallel
 
@@ -163,5 +163,5 @@ class TestCharacteristicShapes:
 
     def test_pchase_is_serial_chain(self):
         w = build("pchase", n_tasks=5)
-        depths = w.graph.depths()
+        depths = task_depths(w.graph)
         assert sorted(depths.values()) == list(range(5))
