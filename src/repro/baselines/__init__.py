@@ -2,8 +2,9 @@
 
 - :class:`NVMOnlyPolicy` / :class:`DRAMOnlyPolicy` — the two bounding
   systems every figure normalizes to.
-- :class:`StaticPlacementPolicy`, :class:`RandomPolicy`,
-  :class:`SizeGreedyPolicy` — simple static strategies.
+- :class:`StaticPlacementPolicy` — a fixed set of objects pinned in
+  DRAM (per-object studies and external static plans).
+- :class:`OracleStaticPolicy` — the unrealizable static upper bound.
 - :class:`XMemPolicy` — the X-Mem-class software baseline: offline exact
   profiling, static hotness-density knapsack, no migration-cost model.
 - :class:`HWCacheMode` — hardware Memory Mode (DRAM as a direct-mapped
@@ -16,8 +17,6 @@ from repro.baselines.policies import (
     NVMOnlyPolicy,
     DRAMOnlyPolicy,
     StaticPlacementPolicy,
-    RandomPolicy,
-    SizeGreedyPolicy,
 )
 from repro.baselines.xmem import XMemPolicy
 from repro.baselines.hwcache import HWCacheMode
@@ -28,8 +27,6 @@ __all__ = [
     "NVMOnlyPolicy",
     "DRAMOnlyPolicy",
     "StaticPlacementPolicy",
-    "RandomPolicy",
-    "SizeGreedyPolicy",
     "XMemPolicy",
     "HWCacheMode",
     "OracleStaticPolicy",

@@ -1,20 +1,16 @@
-"""Static and trivial placement policies."""
+"""The bounding policies and static placement."""
 
 from __future__ import annotations
 
-from repro.memory.allocator import OutOfMemoryError
 from repro.tasking.executor import ExecContext
 from repro.tasking.task import Task
 from repro.tasking.trace import TaskRecord
-from repro.util.rng import spawn_rng
 
 __all__ = [
     "BasePolicy",
     "NVMOnlyPolicy",
     "DRAMOnlyPolicy",
     "StaticPlacementPolicy",
-    "RandomPolicy",
-    "SizeGreedyPolicy",
 ]
 
 
@@ -76,33 +72,4 @@ class StaticPlacementPolicy(BasePolicy):
     def on_run_start(self, ctx: ExecContext) -> None:
         for obj in ctx.graph.objects:
             if obj.uid in self.dram_uids or obj.name in self.dram_names:
-                ctx.place_initial(obj, ctx.dram)
-
-
-class RandomPolicy(BasePolicy):
-    """Fill DRAM with randomly chosen objects (sanity baseline)."""
-
-    name = "random"
-
-    def on_run_start(self, ctx: ExecContext) -> None:
-        rng = spawn_rng(0, "random-policy")
-        objs = list(ctx.graph.objects)
-        rng.shuffle(objs)
-        for obj in objs:
-            try:
-                if ctx.hms.dram_fits(obj.size_bytes):
-                    ctx.place_initial(obj, ctx.dram)
-            except OutOfMemoryError:  # pragma: no cover - fits() guards
-                break
-
-
-class SizeGreedyPolicy(BasePolicy):
-    """Pack the smallest objects into DRAM first (maximizes object count,
-    ignores access behaviour entirely)."""
-
-    name = "size-greedy"
-
-    def on_run_start(self, ctx: ExecContext) -> None:
-        for obj in sorted(ctx.graph.objects, key=lambda o: (o.size_bytes, o.uid)):
-            if ctx.hms.dram_fits(obj.size_bytes):
                 ctx.place_initial(obj, ctx.dram)

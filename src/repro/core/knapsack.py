@@ -96,7 +96,6 @@ def solve_knapsack(
     sizes: Sequence[int],
     capacity: int,
     granularity: int = 512,
-    use_cache: bool = True,
 ) -> list[bool]:
     """Exact (up to discretization) 0/1 knapsack; returns a keep-mask.
 
@@ -110,7 +109,6 @@ def solve_knapsack(
         np.asarray(sizes, dtype=np.int64),
         capacity,
         granularity,
-        use_cache,
     )
 
 
@@ -119,16 +117,12 @@ def solve_knapsack_arrays(
     sizes: np.ndarray,
     capacity: int,
     granularity: int = 512,
-    use_cache: bool = True,
 ) -> list[bool]:
     """:func:`solve_knapsack` on ready-made numpy columns.
 
     Items with non-positive value or size exceeding capacity are never
     taken.  ``granularity`` bounds the DP table's capacity axis; sizes are
     rounded *up* so the selection always fits the true capacity.
-
-    ``use_cache=False`` bypasses the exact-fingerprint memo only; the
-    one-size top-k route is taken either way.
     """
     v_all = np.asarray(values, dtype=np.float64)
     s_all = np.asarray(sizes, dtype=np.int64)
@@ -162,10 +156,6 @@ def solve_knapsack_arrays(
             _stats["uniform_topk"] += 1
             return mask
 
-    idx = idx_arr.tolist()
-    if not use_cache:
-        return _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
-
     key = (int(capacity), int(granularity), n, idx_arr.tobytes(), w.tobytes(), v.tobytes())
     cached = _memo.get(key)
     if cached is not None:
@@ -173,7 +163,7 @@ def solve_knapsack_arrays(
         return list(cached)
 
     _stats["solves"] += 1
-    mask = _backtrack(_dp_rows(w, v, cap_units), idx, w, n, cap_units)
+    mask = _backtrack(_dp_rows(w, v, cap_units), idx_arr.tolist(), w, n, cap_units)
     _memo.put(key, mask)
     return list(mask)
 

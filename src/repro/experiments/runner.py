@@ -21,8 +21,6 @@ from repro.baselines import (
     OracleStaticPolicy,
     HWCacheMode,
     NVMOnlyPolicy,
-    RandomPolicy,
-    SizeGreedyPolicy,
     StaticPlacementPolicy,
     XMemPolicy,
 )
@@ -36,7 +34,6 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.scheduler import SCHEDULERS, make_scheduler
 from repro.tasking.trace import ExecutionTrace
 from repro.util.tables import Table
-from repro.util.units import MIB
 from repro.util.validation import did_you_mean
 from repro.workloads.memo import build_cached
 
@@ -83,7 +80,6 @@ _FAST_PARAMS: dict[str, dict[str, Any]] = {
     "fft": {"n_slices": 16, "iterations": 1},
     "strassen": {"depth": 1},
     "randomdag": {"layers": 8, "width": 12},
-    "bfs": {"n_chunks": 6, "levels": 6},
     "kmeans": {"n_chunks": 6, "iterations": 5},
     "stream": {},
     "pchase": {},
@@ -134,19 +130,13 @@ POLICIES: dict[str, Callable[..., Any]] = {
     "nvm-only": NVMOnlyPolicy,
     "xmem": XMemPolicy,
     "hw-cache": HWCacheMode,
-    "random": RandomPolicy,
-    "size-greedy": SizeGreedyPolicy,
     "oracle-static": OracleStaticPolicy,
     "static": _static,
     "tahoe": _tahoe(),
     "tahoe-nodrw": _tahoe(distinguish_rw=False, name="tahoe-nodrw"),
     "tahoe-rawcounters": _tahoe(use_miss_counter=False, name="tahoe-rawcounters"),
     "tahoe-greedy": _tahoe(solver="greedy", name="tahoe-greedy"),
-    "tahoe-noinitial": _tahoe(enable_initial_placement=False, name="tahoe-noinitial"),
     "tahoe-noadapt": _tahoe(enable_adaptation=False, name="tahoe-noadapt"),
-    "tahoe-globalonly": _tahoe(enable_local_search=False, name="tahoe-globalonly"),
-    "tahoe-localonly": _tahoe(enable_global_search=False, name="tahoe-localonly"),
-    "tahoe-part": _tahoe(partition_max_bytes=32 * MIB, name="tahoe-part"),
 }
 
 def _unknown(kind: str, name: str, known: dict[str, Any]) -> KeyError:

@@ -183,11 +183,6 @@ class FaultPlan:
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
 
-    def replace(self, **changes: Any) -> "FaultPlan":
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
-
 
 # ----------------------------------------------------------------------
 # Presets and the E12 intensity dial

@@ -134,10 +134,6 @@ class HeterogeneousMemorySystem:
             if pl.device == self.dram.name
         ]
 
-    def residency(self) -> dict[int, str]:
-        """Snapshot of uid -> device name (for traces and tests)."""
-        return {uid: pl.device for uid, pl in self._placements.items()}
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
@@ -157,13 +153,6 @@ class HeterogeneousMemorySystem:
                 help="Objects placed on each tier",
             ).inc()
         return pl
-
-    def free(self, obj: Placeable) -> None:
-        self._dirty.discard(obj.uid)
-        pl = self._placements.pop(obj.uid)
-        self._objects.pop(obj.uid)
-        self._allocators[pl.device].free(pl.offset)
-        self._version += 1
 
     def move(self, obj: Placeable, device: MemoryDevice | str) -> Placement:
         """Re-place the object on ``device`` (no-op if already there).

@@ -25,7 +25,7 @@ number of ``copy`` entries reconciles exactly with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any
 
 __all__ = ["AuditEntry", "PlacementAuditLog"]
 
@@ -92,33 +92,10 @@ class PlacementAuditLog:
         self.record(AuditEntry(time=time, action=action, **kwargs))
 
     # ------------------------------------------------------------------
-    # Queries (the E5 statistics, recomputed from the log)
+    # Views (E5-style statistics are queries over the exported entries)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.entries)
-
-    def select(
-        self,
-        action: str | None = None,
-        outcome: str | None = None,
-        pred: Callable[[AuditEntry], bool] | None = None,
-    ) -> list[AuditEntry]:
-        out: Iterable[AuditEntry] = self.entries
-        if action is not None:
-            out = (e for e in out if e.action == action)
-        if outcome is not None:
-            out = (e for e in out if e.outcome == outcome)
-        if pred is not None:
-            out = (e for e in out if pred(e))
-        return list(out)
-
-    def copies(self) -> list[AuditEntry]:
-        """Entries that occupied the helper lane (incl. failed copies) —
-        reconciles 1:1 with ``MigrationEngine.records``."""
-        return self.select(action="copy")
-
-    def migrated_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.copies() if e.outcome == "ok")
 
     def to_list(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self.entries]

@@ -62,10 +62,6 @@ class ObjectSample:
     device: str = ""
 
     @property
-    def accesses(self) -> float:
-        return self.loads + self.stores
-
-    @property
     def accessed_bytes(self) -> float:
         """Main-memory traffic estimate Eq. 1 uses: misses x line size."""
         return self.misses * CACHELINE_BYTES

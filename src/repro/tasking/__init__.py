@@ -15,7 +15,6 @@ from repro.tasking.task import Task
 from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import (
     FIFOPolicy,
-    LIFOPolicy,
     CriticalPathPolicy,
     MemoryAwarePolicy,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Task",
     "TaskGraph",
     "FIFOPolicy",
-    "LIFOPolicy",
     "CriticalPathPolicy",
     "MemoryAwarePolicy",
     "Executor",

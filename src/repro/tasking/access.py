@@ -15,7 +15,7 @@ and get consistent ``hit_ratio``/``mlp`` values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.util.units import CACHELINE_BYTES
 from repro.util.validation import require, require_nonnegative, require_positive
@@ -29,14 +29,6 @@ class AccessMode(enum.Enum):
     READ = "read"
     WRITE = "write"
     READWRITE = "readwrite"
-
-    @property
-    def reads(self) -> bool:
-        return self is not AccessMode.WRITE
-
-    @property
-    def writes(self) -> bool:
-        return self is not AccessMode.READ
 
 
 @dataclass(frozen=True)
@@ -119,12 +111,3 @@ class ObjectAccess:
         ms = d["miss_stores"] = self.stores * miss
         d["read_traffic_bytes"] = ml * CACHELINE_BYTES
         d["write_traffic_bytes"] = ms * CACHELINE_BYTES
-
-    def scaled(self, factor: float) -> "ObjectAccess":
-        """A footprint with access counts scaled by ``factor`` (chunking)."""
-        require_positive(factor, "factor")
-        return replace(
-            self,
-            loads=int(round(self.loads * factor)),
-            stores=int(round(self.stores * factor)),
-        )

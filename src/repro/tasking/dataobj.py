@@ -45,11 +45,6 @@ class DataObject:
         self.size_bytes = int(self.size_bytes)
 
     # ------------------------------------------------------------------
-    @property
-    def root(self) -> "DataObject":
-        """The top-level logical object this (possibly chunk) belongs to."""
-        return self.parent.root if self.parent is not None else self
-
     def partition(self, n_chunks: int) -> list["DataObject"]:
         """Split into ``n_chunks`` contiguous chunks (last takes the slack)."""
         require(self.partitionable, f"{self.name} is not partitionable")

@@ -2,9 +2,8 @@
 
 The executor asks a :class:`SchedulingPolicy` which ready task to run next
 whenever a worker frees up.  FIFO (spawn order) is the default and matches
-the lookahead assumptions of the data manager; LIFO approximates depth-
-first work-stealing locality; the critical-path policy is a HEFT-lite rank
-scheduler used in the scaling study.
+the lookahead assumptions of the data manager; the critical-path policy
+is a HEFT-lite rank scheduler used in the scaling study.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.util.validation import did_you_mean
 __all__ = [
     "SchedulingPolicy",
     "FIFOPolicy",
-    "LIFOPolicy",
     "CriticalPathPolicy",
     "MemoryAwarePolicy",
     "SCHEDULERS",
@@ -59,25 +57,6 @@ class FIFOPolicy:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class LIFOPolicy:
-    """Run the most recently enabled task first (depth-first-ish)."""
-
-    def __init__(self) -> None:
-        self._stack: list[Task] = []
-
-    def prepare(self, graph: TaskGraph) -> None:  # noqa: ARG002
-        self._stack.clear()
-
-    def push(self, task: Task) -> None:
-        self._stack.append(task)
-
-    def pop(self) -> Task:
-        return self._stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._stack)
 
 
 class MemoryAwarePolicy:
@@ -162,7 +141,6 @@ class CriticalPathPolicy:
 #: or :class:`ExecutorConfig`).
 SCHEDULERS: dict[str, Callable[[], SchedulingPolicy]] = {
     "fifo": FIFOPolicy,
-    "lifo": LIFOPolicy,
     "critical-path": CriticalPathPolicy,
     "memory-aware": MemoryAwarePolicy,
 }

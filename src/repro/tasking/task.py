@@ -45,18 +45,6 @@ class Task:
 
     # ------------------------------------------------------------------
     @property
-    def objects(self) -> list[DataObject]:
-        return list(self.accesses.keys())
-
-    @property
-    def reads(self) -> list[DataObject]:
-        return [o for o, a in self.accesses.items() if a.mode.reads]
-
-    @property
-    def writes(self) -> list[DataObject]:
-        return [o for o, a in self.accesses.items() if a.mode.writes]
-
-    @property
     def total_accesses(self) -> int:
         return sum(a.accesses for a in self.accesses.values())
 

@@ -28,13 +28,9 @@ class Workload:
     def total_bytes(self) -> int:
         return self.graph.total_object_bytes()
 
-    @property
-    def n_tasks(self) -> int:
-        return len(self.graph)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Workload({self.name!r}, tasks={self.n_tasks}, "
+            f"Workload({self.name!r}, tasks={len(self.graph)}, "
             f"objects={len(self.objects)}, bytes={self.total_bytes})"
         )
 

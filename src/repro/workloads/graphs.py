@@ -1,19 +1,12 @@
-"""Irregular-application workloads: BFS and k-means clustering.
+"""Irregular-application workloads: k-means clustering and a phase shift.
 
-- **bfs**: level-synchronous breadth-first search over a chunked CSR
-  graph.  Per level, one ``expand`` task per adjacency chunk gathers
-  neighbour lists (random word accesses over a large, cold-per-byte
-  adjacency array) and appends to a per-chunk frontier partial; a
-  ``merge`` task folds partials into the next frontier and the visited
-  bitmap (small, white-hot, read-write).  Latency-leaning irregular
-  traffic over big data with a tiny hot core — the graph-analytics
-  placement pattern (cf. ATMem's motivation in the paper line's related
-  work).
 - **kmeans**: Lloyd iterations.  ``assign`` tasks stream their point
   chunk and random-read the centroid table; a ``reduce`` task per
   iteration folds partial sums into new centroids.  Bandwidth-bound bulk
   data plus one small object every task shares — the textbook case for
   keeping the centroids DRAM-resident.
+- **phaseshift**: one kernel over two lookup tables whose hot and cold
+  roles swap mid-run — the adaptation stress case.
 """
 
 from __future__ import annotations
@@ -24,86 +17,13 @@ from repro.tasking.footprints import (
     STREAMING,
     read_footprint,
     update_footprint,
-    write_footprint,
 )
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
-from repro.util.rng import spawn_rng
 from repro.util.units import MIB
 from repro.workloads.base import Workload, finalize_static_refs, workload
 
-__all__ = ["build_bfs", "build_kmeans", "build_phaseshift"]
-
-
-@workload("bfs")
-def build_bfs(
-    n_chunks: int = 8,
-    adjacency_chunk_mib: float = 64.0,
-    frontier_mib: float = 4.0,
-    levels: int = 8,
-    time_per_edge: float = 2e-9,
-    seed: int = 11,
-) -> Workload:
-    """Build the BFS task program (~512 MiB adjacency, 8 levels)."""
-    rng = spawn_rng(seed, "bfs")
-    graph = TaskGraph()
-    adj_bytes = int(adjacency_chunk_mib * MIB)
-    fr_bytes = int(frontier_mib * MIB)
-
-    adj = [DataObject(name=f"adj{i}", size_bytes=adj_bytes) for i in range(n_chunks)]
-    visited = DataObject(name="visited", size_bytes=fr_bytes)
-    frontiers = [
-        DataObject(name=f"frontier{l}", size_bytes=fr_bytes) for l in range(levels + 1)
-    ]
-
-    # Frontier occupancy rises then falls over levels (typical BFS wave).
-    peak = levels / 2
-    for level in range(levels):
-        wave = max(0.05, 1.0 - abs(level - peak) / peak)
-        partials = [
-            DataObject(name=f"part[{level},{c}]", size_bytes=fr_bytes // n_chunks)
-            for c in range(n_chunks)
-        ]
-        for c in range(n_chunks):
-            # Chunk activity varies: irregular degree distribution.
-            activity = wave * float(rng.uniform(0.4, 1.0))
-            touched_adj = adj_bytes * activity
-            graph.add(
-                Task(
-                    name=f"expand[{level},{c}]",
-                    type_name="expand",
-                    accesses={
-                        adj[c]: read_footprint(touched_adj, RANDOM),
-                        frontiers[level]: read_footprint(fr_bytes * wave, RANDOM),
-                        visited: read_footprint(fr_bytes * wave, RANDOM),
-                        partials[c]: write_footprint(fr_bytes * activity / n_chunks, STREAMING),
-                    },
-                    compute_time=(touched_adj / 8) * time_per_edge,
-                    iteration=level,
-                )
-            )
-        graph.add(
-            Task(
-                name=f"merge[{level}]",
-                type_name="merge",
-                accesses={
-                    **{p: read_footprint(p.size_bytes, STREAMING) for p in partials},
-                    frontiers[level + 1]: write_footprint(fr_bytes * wave, STREAMING),
-                    visited: update_footprint(fr_bytes * wave, fr_bytes * wave / 4, RANDOM),
-                },
-                compute_time=(fr_bytes / 8) * time_per_edge,
-                iteration=level,
-            )
-        )
-
-    # Frontier sizes depend on the input graph: statically unknown.
-    finalize_static_refs(graph, known=0.6)
-    return Workload(
-        name="bfs",
-        graph=graph,
-        description="level-synchronous BFS over a chunked CSR graph",
-        params={"n_chunks": n_chunks, "levels": levels},
-    )
+__all__ = ["build_kmeans", "build_phaseshift"]
 
 
 @workload("kmeans")

@@ -9,12 +9,41 @@ from repro.core.demand import DemandBatch
 from repro.faults.plan import FaultPlan
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram
+from repro.metrics.audit import AuditEntry, PlacementAuditLog
+from repro.tasking.access import AccessMode
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+
+
+def reads(mode: AccessMode) -> bool:
+    """Whether a dependence mode reads its object (RAW/WAR inference)."""
+    return mode is not AccessMode.WRITE
+
+
+def writes(mode: AccessMode) -> bool:
+    """Whether a dependence mode writes its object."""
+    return mode is not AccessMode.READ
+
+
+def residency(hms: HeterogeneousMemorySystem) -> dict[int, str]:
+    """Snapshot of every placed object: uid -> device name."""
+    return {uid: pl.device for uid, pl in hms._placements.items()}
+
+
+def audit_select(audit: PlacementAuditLog, action: str) -> list[AuditEntry]:
+    """The audit entries of one action, in log order.  ``copy`` entries
+    reconcile 1:1 with ``MigrationEngine.records`` (failed copies too)."""
+    return [e for e in audit.entries if e.action == action]
+
+
+def audit_migrated_bytes(audit: PlacementAuditLog) -> int:
+    """Bytes the audit log records as successfully copied."""
+    return sum(e.size_bytes for e in audit_select(audit, "copy") if e.outcome == "ok")
+
 
 def make_chain_graph(n_tasks: int = 6, obj_mib: float = 4.0) -> TaskGraph:
     """A serial chain: each task read-writes one shared object."""

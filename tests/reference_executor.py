@@ -41,6 +41,8 @@ from repro.tasking.scheduler import FIFOPolicy, make_scheduler
 from repro.tasking.task import Task
 from repro.tasking.trace import ExecutionTrace, TaskRecord
 
+from tests.helpers import writes
+
 __all__ = [
     "ReferenceExecutor",
     "available_at",
@@ -232,7 +234,7 @@ class ReferenceExecutor:
             for obj, acc in task.accesses.items():
                 if acc.accesses == 0:
                     continue
-                if acc.mode.writes:
+                if writes(acc.mode):
                     mark_dirty(obj)
                     a = available_at(engine, obj.uid)
                     if a > t0:
@@ -387,7 +389,7 @@ class ReferenceExecutor:
                 dev = device_of(obj)
                 if engine is not None:
                     src_name = in_flight_source(engine, obj.uid, start)
-                    if src_name is not None and not acc.mode.writes:
+                    if src_name is not None and not writes(acc.mode):
                         dev = self._device_by_name(src_name, dev)
                 slow = 1.0 / share(active_get(dev.name, 0) + 1)
                 if inj is None:

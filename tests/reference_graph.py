@@ -20,6 +20,8 @@ from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.task import Task
 
+from tests.helpers import reads, writes
+
 __all__ = ["Dependence", "DependenceKind", "ReferenceGraph", "merge_accesses"]
 
 
@@ -79,11 +81,11 @@ class ReferenceGraph:
             if not access.infer_deps:
                 continue
             uid = obj.uid
-            if access.mode.reads:
+            if reads(access.mode):
                 lw = self._last_writer.get(uid)
                 if lw is not None:
                     self._add_edge(lw, task, DependenceKind.RAW, obj)
-            if access.mode.writes:
+            if writes(access.mode):
                 lw = self._last_writer.get(uid)
                 if lw is not None:
                     self._add_edge(lw, task, DependenceKind.WAW, obj)
@@ -92,7 +94,7 @@ class ReferenceGraph:
                         self._add_edge(reader, task, DependenceKind.WAR, obj)
                 self._last_writer[uid] = task
                 self._readers_since_write[uid] = []
-            if access.mode.reads:
+            if reads(access.mode):
                 self._readers_since_write[uid].append(task)
         return task
 

@@ -4,8 +4,6 @@ from repro.baselines import (
     DRAMOnlyPolicy,
     HWCacheMode,
     NVMOnlyPolicy,
-    RandomPolicy,
-    SizeGreedyPolicy,
     StaticPlacementPolicy,
     XMemPolicy,
 )
@@ -59,29 +57,6 @@ class TestTrivialPolicies:
         Executor(hms, ExecutorConfig()).run(g, StaticPlacementPolicy({hot.uid}))
         assert hms.in_dram(hot) and not hms.in_dram(cold)
 
-    def test_random_policy_deterministic_per_seed(self, nvm_bw):
-        g, *_ = hot_cold_graph()
-        r1 = run_graph(g, dram(), nvm_bw, RandomPolicy())
-        r2 = run_graph(g, dram(), nvm_bw, RandomPolicy())
-        assert r1.makespan == r2.makespan
-
-    def test_size_greedy_prefers_small(self, nvm_bw):
-        g = TaskGraph()
-        small = DataObject(name="s", size_bytes=int(MIB))
-        big = DataObject(name="b", size_bytes=int(200 * MIB))
-        g.add(
-            Task(
-                name="t",
-                type_name="t",
-                accesses={
-                    small: read_footprint(small.size_bytes),
-                    big: read_footprint(big.size_bytes),
-                },
-            )
-        )
-        hms = HeterogeneousMemorySystem(dram(int(64 * MIB)), nvm_bw)
-        Executor(hms, ExecutorConfig()).run(g, SizeGreedyPolicy())
-        assert hms.in_dram(small) and not hms.in_dram(big)
 
 
 class TestXMem:

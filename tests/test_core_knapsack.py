@@ -127,13 +127,11 @@ class TestIncrementalSolver:
     )
     def test_memo_matches_uncached(self, items, patches, capacity):
         """Property: every solve through the memo (first miss and later
-        exact-fingerprint hit alike) equals the ``use_cache=False``
-        reference on the same instance.
+        exact-fingerprint hit alike) equals a solve on an empty memo.
 
         The patch sequence mutates one item at a time, so the memo holds
         near-identical instances whose fingerprints differ in one value.
         """
-        clear_solver_cache()
         values = [v for v, _ in items]
         sizes = [s for _, s in items]
         instances = [(list(values), list(sizes))]
@@ -141,8 +139,12 @@ class TestIncrementalSolver:
             values = list(values)
             values[i % len(values)] = new_value
             instances.append((list(values), list(sizes)))
+        colds = []
         for vals, szs in instances:
-            cold = solve_knapsack(vals, szs, capacity, use_cache=False)
+            clear_solver_cache()
+            colds.append(solve_knapsack(vals, szs, capacity))
+        clear_solver_cache()
+        for (vals, szs), cold in zip(instances, colds):
             assert solve_knapsack(vals, szs, capacity) == cold
             # Second cached solve takes the exact-fingerprint memo path.
             assert solve_knapsack(vals, szs, capacity) == cold
@@ -250,9 +252,9 @@ def test_one_size_route_matches_dp():
     @example(inst=([1.0] * 7 + [float(np.nextafter(1.0, 0.0)), 1.0], [1] * 9, 8, 7))
     def check(inst):
         values, sizes, capacity, granularity = inst
-        before = solver_cache_stats()["uniform_topk"]
-        got = solve_knapsack(values, sizes, capacity, granularity, use_cache=False)
-        routes["topk" if solver_cache_stats()["uniform_topk"] > before else "dp"] += 1
+        clear_solver_cache()  # the DP route solves; no memo hit answers it
+        got = solve_knapsack(values, sizes, capacity, granularity)
+        routes["topk" if solver_cache_stats()["uniform_topk"] else "dp"] += 1
         assert got == dp_mask(values, sizes, capacity, granularity)
 
     check()

@@ -11,7 +11,7 @@ from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import MigrationEngine
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.executor import ExecContext, Executor, ExecutorConfig
-from repro.tasking.scheduler import LIFOPolicy, make_scheduler
+from repro.tasking.scheduler import CriticalPathPolicy, make_scheduler
 
 from tests.helpers import make_fork_join_graph
 
@@ -47,9 +47,9 @@ class TestExecutorConstructor:
         # The PR 6 shim expired: the scheduler lives on the config only.
         hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
         with pytest.raises(TypeError, match=r"unexpected keyword argument 'scheduler'"):
-            Executor(hms, ExecutorConfig(n_workers=1), scheduler=LIFOPolicy())
-        ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler=LIFOPolicy()))
-        assert isinstance(ex.scheduler, LIFOPolicy)
+            Executor(hms, ExecutorConfig(n_workers=1), scheduler=CriticalPathPolicy())
+        ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler=CriticalPathPolicy()))
+        assert isinstance(ex.scheduler, CriticalPathPolicy)
         tr = ex.run(make_fork_join_graph(width=4, obj_mib=4.0), NVMOnlyPolicy())
         tr.validate()
 
@@ -83,5 +83,5 @@ class TestSchedulerRegistry:
             make_scheduler("critical_path")
 
     def test_known_names_construct(self):
-        for name in ("fifo", "lifo", "critical-path", "memory-aware"):
+        for name in ("fifo", "critical-path", "memory-aware"):
             assert len(make_scheduler(name)) == 0

@@ -14,7 +14,6 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import (
     CriticalPathPolicy,
     FIFOPolicy,
-    LIFOPolicy,
     MemoryAwarePolicy,
 )
 from repro.tasking.task import Task
@@ -98,7 +97,7 @@ class TestContentionEffects:
 
 class TestSchedulerPolicyMatrix:
     @pytest.mark.parametrize(
-        "sched", [FIFOPolicy, LIFOPolicy, CriticalPathPolicy, MemoryAwarePolicy]
+        "sched", [FIFOPolicy, CriticalPathPolicy, MemoryAwarePolicy]
     )
     @pytest.mark.parametrize("policy_cls", [NVMOnlyPolicy, DataManagerPolicy])
     def test_every_combination_completes(self, sched, policy_cls, nvm_bw):
@@ -170,6 +169,9 @@ class TestSchedulerActuallyEngages:
     requested policy can produce."""
 
     def _independent(self, n):
+        """``n`` independent tasks, each longer than the one spawned
+        before it: FIFO runs them in spawn order, the critical-path
+        policy longest first."""
         g = TaskGraph()
         obj = DataObject(name="o", size_bytes=int(4 * MIB))
         for i in range(n):
@@ -178,14 +180,14 @@ class TestSchedulerActuallyEngages:
                     name=f"t{i}",
                     type_name="w",
                     accesses={obj: read_footprint(MIB)},
-                    compute_time=1e-4,
+                    compute_time=(i + 1) * 1e-4,
                 )
             )
         return g
 
-    def test_lifo_reverses_fifo_order_on_one_worker(self, nvm_bw):
+    def test_critical_path_reverses_fifo_order_on_one_worker(self, nvm_bw):
         names = {}
-        for sched in (FIFOPolicy(), LIFOPolicy()):
+        for sched in (FIFOPolicy(), CriticalPathPolicy()):
             g = self._independent(5)
             hms = HeterogeneousMemorySystem(dram(), nvm_bw)
             tr = Executor(hms, ExecutorConfig(n_workers=1, scheduler=sched)).run(
@@ -193,7 +195,7 @@ class TestSchedulerActuallyEngages:
             )
             names[type(sched).__name__] = [r.task.name for r in tr.records]
         assert names["FIFOPolicy"] == ["t0", "t1", "t2", "t3", "t4"]
-        assert names["LIFOPolicy"] == ["t4", "t3", "t2", "t1", "t0"]
+        assert names["CriticalPathPolicy"] == ["t4", "t3", "t2", "t1", "t0"]
 
     def test_scheduler_sees_every_task(self, nvm_bw):
         class Spy(FIFOPolicy):
@@ -213,8 +215,8 @@ class TestSchedulerActuallyEngages:
     def test_string_scheduler_resolves_in_config(self, nvm_bw):
         g = self._independent(5)
         hms = HeterogeneousMemorySystem(dram(), nvm_bw)
-        ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler="lifo"))
-        assert isinstance(ex.scheduler, LIFOPolicy)
+        ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler="critical-path"))
+        assert isinstance(ex.scheduler, CriticalPathPolicy)
         tr = ex.run(g, NVMOnlyPolicy())
         assert [r.task.name for r in tr.records] == ["t4", "t3", "t2", "t1", "t0"]
 

@@ -1,5 +1,6 @@
 """Fault-injection subsystem: plans, injector, resilience, cache neutrality."""
 
+import dataclasses
 import json
 
 import pytest
@@ -383,5 +384,5 @@ def test_faulted_runs_complete_and_never_beat_fault_free(plan):
 @settings(max_examples=10, deadline=None)
 @given(plan=fault_plans(), seed=st.integers(0, 100))
 def test_identical_plan_and_seed_identical_digest(plan, seed):
-    plan = plan.replace(seed=seed)
+    plan = dataclasses.replace(plan, seed=seed)
     assert _digest(_run_faulted(plan)) == _digest(_run_faulted(plan))

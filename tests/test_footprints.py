@@ -92,7 +92,7 @@ def test_partitioned_run_leaves_other_graphs_payloads_identical():
     must not move a byte of the unpartitioned payload."""
     clear_build_cache()
     nvm = nvm_bandwidth_scaled(0.5)
-    # 48 MiB arrays: above tahoe-part's 32 MiB chunk size, so it splits.
+    # 48 MiB arrays: above the 32 MiB chunk size, so the tahoe run splits.
     params = {"n_tasks": 4, "mib_per_array": 48.0, "iterations": 2}
     spec = RunSpec("stream", "nvm-only", nvm, workload_overrides=params)
 
@@ -101,7 +101,10 @@ def test_partitioned_run_leaves_other_graphs_payloads_identical():
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     first = blob(spec)
-    blob(RunSpec("stream", "tahoe-part", nvm, workload_overrides=params))
+    blob(RunSpec(
+        "stream", "tahoe", nvm, workload_overrides=params,
+        policy_overrides={"name": "tahoe-part", "partition_max_bytes": 32 * MIB},
+    ))
     whole = build_cached("stream", **params).graph
     split = build_cached("stream", partition_max_bytes=32 * MIB, **params).graph
     assert len(split.objects) > len(whole.objects)

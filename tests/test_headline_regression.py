@@ -16,7 +16,7 @@ pytestmark = [pytest.mark.integration, pytest.mark.slow]
 
 ROSTER = (
     "cg", "heat", "cholesky", "lu", "sparselu", "health", "nbody",
-    "mg", "fft", "strassen", "randomdag", "bfs", "kmeans", "phaseshift",
+    "mg", "fft", "strassen", "randomdag", "kmeans", "phaseshift",
 )
 
 

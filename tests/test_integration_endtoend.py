@@ -13,7 +13,7 @@ from repro.memory.presets import nvm_bandwidth_scaled
 
 pytestmark = pytest.mark.integration
 
-POLICY_MATRIX = ("nvm-only", "xmem", "hw-cache", "tahoe", "random", "size-greedy")
+POLICY_MATRIX = ("nvm-only", "xmem", "hw-cache", "tahoe")
 ROSTER = ("cg", "heat", "health", "sparselu")
 
 

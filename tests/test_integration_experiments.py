@@ -174,8 +174,11 @@ class TestRunnerHelpers:
     def test_variant_factories_apply_overrides(self):
         p = runner_mod.make_policy("tahoe-nodrw")
         assert p.config.plan.distinguish_rw is False
-        p2 = runner_mod.make_policy("tahoe-globalonly")
+        p2 = runner_mod.make_policy(
+            "tahoe", name="tahoe-globalonly", enable_local_search=False
+        )
         assert p2.config.enable_local_search is False
+        assert p2.name == "tahoe-globalonly"
 
     def test_workload_params_fast_vs_full(self):
         assert runner_mod.workload_params("cg", fast=True)

@@ -60,7 +60,11 @@ def test_knapsack_memo_concurrent_hits_and_evictions():
         (rng.uniform(0.1, 10.0, 6).tolist(), rng.integers(1, 64, 6).tolist())
         for _ in range(n_keys)
     ]
-    expected = [solve_knapsack(v, s, 128, use_cache=False) for v, s in instances]
+    expected = []
+    for values, sizes in instances:
+        clear_solver_cache()
+        expected.append(solve_knapsack(values, sizes, 128))
+    clear_solver_cache()
     wrong: list[int] = []
 
     def work(t: int, i: int) -> None:

@@ -11,6 +11,8 @@ from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.dataobj import DataObject
 from repro.util.units import MIB
 
+from tests.helpers import residency
+
 
 @pytest.fixture
 def machine():
@@ -73,20 +75,12 @@ class TestPlacement:
         # object stays on NVM after the failed move
         assert not machine.in_dram(big)
 
-    def test_free_releases_space(self, machine):
-        o = obj(8)
-        machine.allocate(o, machine.dram)
-        assert machine.dram_used_bytes() > 0
-        machine.free(o)
-        assert not machine.is_placed(o)
-        assert machine.dram_used_bytes() == 0
-
     def test_objects_in_dram_and_residency(self, machine):
         a, b = obj(1, "a"), obj(1, "b")
         machine.allocate(a, machine.dram)
         machine.allocate(b)
         assert [o.name for o in machine.objects_in_dram()] == ["a"]
-        res = machine.residency()
+        res = residency(machine)
         assert res[a.uid] == machine.dram.name
         assert res[b.uid] == machine.nvm.name
 

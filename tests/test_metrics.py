@@ -25,7 +25,7 @@ from repro.metrics import (
     to_prometheus,
 )
 
-from tests.helpers import parse_labels_str
+from tests.helpers import audit_migrated_bytes, audit_select, parse_labels_str
 
 NVM = nvm_bandwidth_scaled(0.5)
 
@@ -239,27 +239,27 @@ class TestAuditReconciliation:
 
     def test_every_engine_record_has_a_copy_entry(self, run):
         tel, trace = run
-        assert len(tel.audit.copies()) == len(trace.migrations.records)
+        assert len(audit_select(tel.audit, "copy")) == len(trace.migrations.records)
 
     def test_migrated_bytes_reconcile_exactly(self, run):
         tel, trace = run
         engine_bytes = sum(
             m.nbytes for m in trace.migrations.records if not m.failed
         )
-        assert tel.audit.migrated_bytes() == engine_bytes
+        assert audit_migrated_bytes(tel.audit) == engine_bytes
 
     def test_copy_entries_carry_policy_inputs(self, run):
         tel, _ = run
         reasons = {
             e.inputs.get("reason")
-            for e in tel.audit.select(action="copy")
+            for e in audit_select(tel.audit, "copy")
             if e.inputs
         }
         assert "promotion" in reasons
 
     def test_initial_placements_logged(self, run):
         tel, trace = run
-        initial = tel.audit.select(action="initial")
+        initial = audit_select(tel.audit, "initial")
         assert initial and all(e.time == 0.0 for e in initial)
 
     def test_exported_uids_are_dense_per_run_ids(self, run):

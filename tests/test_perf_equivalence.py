@@ -84,7 +84,10 @@ SPOT_SPECS: dict[str, RunSpec] = {
 #: Not tied to an experiment id, but exercises the one graph transform
 #: that mutates graphs in place (partitioning) against the memo layer.
 EXTRA_SPECS: dict[str, RunSpec] = {
-    "partitioned": RunSpec("heat", "tahoe-part", nvm_bandwidth_scaled(0.5), fast=True),
+    "partitioned": RunSpec(
+        "heat", "tahoe", nvm_bandwidth_scaled(0.5), fast=True,
+        policy_overrides={"name": "tahoe-part", "partition_max_bytes": 32 * MIB},
+    ),
 }
 
 

@@ -24,7 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.demand import DemandBatch
-from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays
+from repro.core.knapsack import (
+    clear_solver_cache,
+    solve_knapsack,
+    solve_knapsack_arrays,
+)
 from repro.core.placement import PlanConfig, _weights_for
 from repro.memory.presets import (
     dram,
@@ -257,8 +261,10 @@ class TestKnapsackArrays:
             )
         )
         cap = data.draw(st.integers(min_value=1, max_value=8 << 20))
+        clear_solver_cache()
         arr = solve_knapsack_arrays(
-            np.asarray(values), np.asarray(sizes, dtype=np.int64), cap, use_cache=False
+            np.asarray(values), np.asarray(sizes, dtype=np.int64), cap
         )
-        seq = solve_knapsack(values, sizes, cap, use_cache=False)
+        clear_solver_cache()
+        seq = solve_knapsack(values, sizes, cap)
         assert arr == seq

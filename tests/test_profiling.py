@@ -24,6 +24,7 @@ from repro.tasking.task import Task
 from repro.tasking.trace import TaskRecord
 from repro.util.units import MIB
 
+from tests.helpers import reads, writes
 from tests.reference_executor import memory_time, placed_times
 from tests.reference_weigher import mlp_discount
 
@@ -52,7 +53,7 @@ class TestSamplingProfiler:
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=1)
         p = prof.sample_task(t, 5e-3, *on_dram(t))
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         true_loads = t.accesses[a].loads
         est = p.objects[a.uid].loads
         assert est == pytest.approx(true_loads, rel=0.15)
@@ -63,14 +64,14 @@ class TestSamplingProfiler:
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=2)
         p = prof.sample_task(t, 5e-3, *on_dram(t))
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         assert p.objects[a.uid].loads > 2 * t.accesses[a].miss_loads
 
     def test_miss_counter_tracks_misses(self):
         t = stream_task()
         prof = SamplingProfiler(interval_cycles=1000, seed=3)
         p = prof.sample_task(t, 5e-3, *on_dram(t))
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         true_misses = t.accesses[a].miss_loads + t.accesses[a].miss_stores
         assert p.objects[a.uid].misses == pytest.approx(true_misses, rel=0.25)
 
@@ -83,14 +84,14 @@ class TestSamplingProfiler:
 
     def test_different_seeds_differ(self):
         t = stream_task()
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         p1 = SamplingProfiler(seed=1).sample_task(t, 1e-3, *on_dram(t))
         p2 = SamplingProfiler(seed=2).sample_task(t, 1e-3, *on_dram(t))
         assert p1.objects[a.uid].loads != p2.objects[a.uid].loads
 
     def test_sparser_sampling_noisier(self):
         t = stream_task(mib=0.5)
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         true_loads = t.accesses[a].loads
 
         def err(interval):
@@ -138,7 +139,7 @@ class TestSamplingProfiler:
     def test_object_bandwidth_estimate(self):
         t = stream_task()
         d = dram(int(64 * MIB))
-        a = t.objects[0]
+        a = next(iter(t.accesses))
         mem_times, devices = placed_times(t, d)
         duration = sum(mem_times) + t.compute_time
         p = SamplingProfiler(seed=7).sample_task(t, duration, mem_times, devices)
@@ -172,8 +173,8 @@ def _footprint(draw):
     mode = draw(st.sampled_from(list(AccessMode)))
     return ObjectAccess(
         mode,
-        loads=draw(_COUNT) if mode.reads else 0,
-        stores=draw(_COUNT) if mode.writes else 0,
+        loads=draw(_COUNT) if reads(mode) else 0,
+        stores=draw(_COUNT) if writes(mode) else 0,
         pattern=draw(_PATTERN),
     )
 

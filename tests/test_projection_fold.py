@@ -32,7 +32,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 
-from tests.helpers import predecessors, task_depths
+from tests.helpers import predecessors, reads, task_depths, writes
 from tests.reference_projection import (
     demand_stats_split_ref,
     first_use_offsets_split_ref,
@@ -135,8 +135,8 @@ def build_graph(n_tasks: int, n_objects: int, seed: int, long_run: bool):
             traffic = int(rng.integers(0, 3)) * 100  # zero-traffic accesses too
             accesses[obj] = ObjectAccess(
                 mode,
-                loads=traffic if mode.reads else 0,
-                stores=traffic // 2 if mode.writes else 0,
+                loads=traffic if reads(mode) else 0,
+                stores=traffic // 2 if writes(mode) else 0,
             )
         g.add(Task(f"t{i}", TYPES[int(rng.integers(0, len(TYPES)))], accesses))
     return g

@@ -28,7 +28,7 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import predecessors
+from tests.helpers import predecessors, reads, residency, writes
 from tests.reference_executor import ReferenceExecutor
 
 
@@ -56,8 +56,8 @@ def random_program(draw):
             touched = draw(st.integers(100, 200_000))
             accesses[objects[oi]] = ObjectAccess(
                 mode,
-                loads=touched if mode.reads else 0,
-                stores=touched // 2 if mode.writes else 0,
+                loads=touched if reads(mode) else 0,
+                stores=touched // 2 if writes(mode) else 0,
                 pattern=PATTERNS[draw(st.sampled_from(pattern_names))],
             )
         graph.add(
@@ -114,7 +114,7 @@ def test_manager_respects_machine_invariants(graph):
     tr.validate()
     hms.check_invariants()
     # every object is placed exactly once on exactly one device
-    assert set(hms.residency()) == {o.uid for o in graph.objects}
+    assert set(residency(hms)) == {o.uid for o in graph.objects}
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +129,7 @@ class _PromotingPolicy(BasePolicy):
 
     def after_task(self, task, record, ctx):
         for obj, acc in task.accesses.items():
-            if acc.mode.reads and not ctx.hms.in_dram(obj):
+            if reads(acc.mode) and not ctx.hms.in_dram(obj):
                 if ctx.hms.dram_free_bytes() >= obj.size_bytes:
                     ctx.request_migration(obj, ctx.dram, record.finish)
         return 0.0

@@ -1,5 +1,5 @@
-"""Property-based HMS state machine test: random alloc/move/free sequences
-against a dictionary model."""
+"""Property-based HMS state machine test: random alloc/move/dirty
+sequences against a dictionary model."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +10,14 @@ from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.dataobj import DataObject
 from repro.util.units import MIB
 
+from tests.helpers import residency
+
 
 @settings(max_examples=100, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["alloc_nvm", "alloc_dram", "to_dram", "to_nvm", "free", "dirty"]),
+            st.sampled_from(["alloc_nvm", "alloc_dram", "to_dram", "to_nvm", "dirty"]),
             st.integers(0, 9),
             st.integers(1, 12),
         ),
@@ -59,11 +61,6 @@ def test_hms_matches_dictionary_model(ops):
             model[obj.uid] = hms.nvm.name
             if not was_there:  # a no-op move copies nothing
                 dirty_model.discard(obj.uid)
-        elif kind == "free":
-            hms.free(obj)
-            model.pop(obj.uid)
-            dirty_model.discard(obj.uid)
-            del objs[slot]
         elif kind == "dirty":
             hms.mark_dirty(obj)
             if model[obj.uid] == hms.dram.name:
@@ -71,7 +68,7 @@ def test_hms_matches_dictionary_model(ops):
 
         # Invariants after every step.
         hms.check_invariants()
-        assert hms.residency() == model
+        assert residency(hms) == model
         for o in objs.values():
             if hms.is_placed(o):
                 assert hms.is_dirty(o) == (o.uid in dirty_model)

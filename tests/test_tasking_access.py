@@ -22,15 +22,18 @@ from repro.tasking.footprints import (
 )
 from repro.util.units import MIB
 
+from tests.helpers import reads, writes
 from tests.reference_executor import memory_time
 from tests.reference_graph import merge_accesses
 
 
 class TestAccessMode:
     def test_reads_writes_flags(self):
-        assert AccessMode.READ.reads and not AccessMode.READ.writes
-        assert AccessMode.WRITE.writes and not AccessMode.WRITE.reads
-        assert AccessMode.READWRITE.reads and AccessMode.READWRITE.writes
+        """The read/write classification the reference oracles infer
+        dependences with."""
+        assert reads(AccessMode.READ) and not writes(AccessMode.READ)
+        assert writes(AccessMode.WRITE) and not reads(AccessMode.WRITE)
+        assert reads(AccessMode.READWRITE) and writes(AccessMode.READWRITE)
 
 
 class TestObjectAccess:
@@ -62,12 +65,6 @@ class TestObjectAccess:
         acc = read_footprint(nbytes, RANDOM)
         # random word gathers pull a full line per access: ~8x the bytes
         assert acc.read_traffic_bytes > 5 * nbytes
-
-    def test_scaled(self):
-        acc = ObjectAccess(AccessMode.READWRITE, loads=100, stores=50)
-        half = acc.scaled(0.5)
-        assert half.loads == 50 and half.stores == 25
-        assert half.pattern is acc.pattern
 
 
 class TestGroundTruthTiming:

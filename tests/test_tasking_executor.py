@@ -9,7 +9,7 @@ from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
-from repro.tasking.scheduler import CriticalPathPolicy, FIFOPolicy, LIFOPolicy
+from repro.tasking.scheduler import CriticalPathPolicy, FIFOPolicy
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
@@ -68,7 +68,7 @@ class TestBasicExecution:
 
 
 class TestSchedulers:
-    @pytest.mark.parametrize("sched", [FIFOPolicy, LIFOPolicy, CriticalPathPolicy])
+    @pytest.mark.parametrize("sched", [FIFOPolicy, CriticalPathPolicy])
     def test_all_schedulers_complete(self, sched, nvm_bw):
         g = make_fork_join_graph(width=8)
         hms = HeterogeneousMemorySystem(dram_for(g), nvm_bw)

@@ -11,7 +11,14 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import critical_path, predecessors, successors, task_depths
+from tests.helpers import (
+    critical_path,
+    predecessors,
+    reads,
+    successors,
+    task_depths,
+    writes,
+)
 from tests.reference_graph import DependenceKind, ReferenceGraph, merge_accesses
 
 
@@ -200,8 +207,8 @@ def test_dependence_inference_properties(accesses):
         m = AccessMode(mode)
         acc = ObjectAccess(
             m,
-            loads=8 if m.reads else 0,
-            stores=8 if m.writes else 0,
+            loads=8 if reads(m) else 0,
+            stores=8 if writes(m) else 0,
         )
         g.add(Task(name=f"t{i}", type_name="t", accesses={objs[oi]: acc}))
     g.validate()
@@ -213,7 +220,7 @@ def test_dependence_inference_properties(accesses):
     for i, a in enumerate(g.tasks):
         for b in g.tasks[i + 1 :]:
             for obj in a.accesses:
-                if obj in b.accesses and b.accesses[obj].mode.writes:
+                if obj in b.accesses and writes(b.accesses[obj].mode):
                     # b must be reachable from a
                     seen, stack = set(), [a]
                     while stack:
@@ -266,8 +273,8 @@ def test_edge_sets_match_record_keeping_oracle(program):
             m = AccessMode(mode)
             acc = ObjectAccess(
                 m,
-                loads=8 if m.reads else 0,
-                stores=8 if m.writes else 0,
+                loads=8 if reads(m) else 0,
+                stores=8 if writes(m) else 0,
                 infer_deps=infer,
             )
             old = t.accesses.get(objs[oi])
