@@ -27,7 +27,7 @@ def test_bench_graph_construction(benchmark):
     """Cold graph construction: task spawns, interned footprints and
     dependence inference into edge sets (no per-edge records)."""
     w = benchmark(build, "cholesky", n_tiles=10)
-    assert w.n_tasks > 100
+    assert len(w.graph) > 100
 
 
 def test_bench_executor_throughput_nvm_only(benchmark):
@@ -40,7 +40,7 @@ def test_bench_executor_throughput_nvm_only(benchmark):
         )
 
     tr = benchmark(run)
-    assert len(tr.records) == w.n_tasks
+    assert len(tr.records) == len(w.graph)
 
 
 def test_bench_executor_with_data_manager(benchmark):
@@ -58,7 +58,7 @@ def test_bench_executor_with_data_manager(benchmark):
         )
 
     tr = benchmark.pedantic(run, setup=clear_solver_cache, rounds=5)
-    assert len(tr.records) == w.n_tasks
+    assert len(tr.records) == len(w.graph)
 
 
 def test_bench_knapsack_dp(benchmark):

@@ -24,8 +24,7 @@ class DataObject:
     """A managed allocation.
 
     Identity is by ``uid`` (process-unique); two objects with the same name
-    are distinct allocations.  Chunks produced by :meth:`partition` carry a
-    reference to their parent so traces can aggregate per logical object.
+    are distinct allocations.
     """
 
     name: str
@@ -36,7 +35,6 @@ class DataObject:
     #: Whether the chunking optimization may split this object (regular 1-D
     #: accesses only, per the paper's conservative approach).
     partitionable: bool = False
-    parent: "DataObject | None" = None
     chunk_index: int | None = None
     uid: int = field(default_factory=lambda: next(_uid_counter))
 
@@ -63,7 +61,6 @@ class DataObject:
                     size_bytes=size,
                     static_ref_count=self.static_ref_count / n_chunks,
                     partitionable=False,
-                    parent=self,
                     chunk_index=i,
                 )
             )

@@ -23,7 +23,6 @@ class TestDataObject:
         chunks = o.partition(4)
         assert len(chunks) == 4
         assert sum(c.size_bytes for c in chunks) == 1000
-        assert all(c.parent is o for c in chunks)
         assert chunks[0].static_ref_count == pytest.approx(10)
 
     def test_partition_last_chunk_takes_slack(self):
@@ -40,8 +39,6 @@ class TestDataObject:
         o = DataObject(name="o", size_bytes=100, partitionable=True)
         chunks = o.partition(2)
         assert [c.chunk_index for c in chunks] == [0, 1]
-        assert all(c.parent is o for c in chunks)
-        assert o.parent is None
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
