@@ -3,7 +3,8 @@
 These are classic pytest-benchmark targets (many fast iterations): the
 executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
-the simulator can handle.
+the simulator can handle — plus one cold graph build with its access
+table, the set-up cost of a new spec.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.profiling.sampler import SamplingProfiler
 from repro.tasking.executor import Executor, ExecutorConfig, placed_memory_times
 from repro.util.rng import spawn_rng
 from repro.workloads import build
+from repro.workloads.memo import build_cached, clear_build_cache
 
 
 def _machine():
@@ -28,6 +30,22 @@ def test_bench_graph_construction(benchmark):
     dependence inference into edge sets (no per-edge records)."""
     w = benchmark(build, "cholesky", n_tiles=10)
     assert len(w.graph) > 100
+
+
+def test_bench_cold_graph_build(benchmark):
+    """A cold heat-3k graph (16x16 tiles x 12 sweeps) and its access
+    table: spawns, interned footprints, dependence inference with the
+    table rows appended in the same pass, and the snapshot's array
+    conversion.  The build memo is cleared in the un-timed setup, so
+    every rep builds."""
+
+    def run():
+        w = build_cached("heat", grid=16, iterations=12)
+        return w, w.graph.exec_core().accesses
+
+    w, csr = benchmark.pedantic(run, setup=clear_build_cache, rounds=10)
+    assert len(w.graph) == 3072
+    assert len(csr.indptr) == len(w.graph) + 1
 
 
 def test_bench_executor_throughput_nvm_only(benchmark):

@@ -10,11 +10,17 @@ manager's lookahead both exploit.
 Everything derived from a graph's structure lives in one place: the
 :class:`GraphExecCore` snapshot that :meth:`TaskGraph.exec_core` rebuilds
 whenever the graph mutates.  No other module caches per-graph state.
+
+A task's ``accesses`` are walked once, when it is added: the same loop
+that infers its dependences appends its rows to the access table.  So a
+task's ``accesses`` are fixed once it is in a graph; the one rewrite is
+:meth:`TaskGraph.repartition`, which rebuilds the rows through that loop.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
@@ -35,12 +41,14 @@ class AccessCSR:
     Row ``indptr[i]:indptr[i + 1]`` holds task ``i``'s accesses (dense
     spawn-order index, as in :class:`GraphExecCore`) in declaration
     order.  Objects get dense indices in first-touch order over the
-    spawn order.  Two readers share the table: the executor's dispatch
-    loop (the timing-law operands and the per-task traffic and writer
-    rows) and the data manager's per-replan passes (demand projection,
-    first-use offsets), which gather from the arrays instead of walking
-    ``Task`` objects.  Columns only the manager reads are derived on
-    first use.
+    spawn order.  :meth:`TaskGraph.add` appends the rows as it infers
+    dependences (see :class:`_AccessRows`); the snapshot only turns the
+    finished buffers into arrays.  Two readers share the table: the
+    executor's dispatch loop (the timing-law operands and the per-task
+    traffic and writer rows) and the data manager's per-replan passes
+    (demand projection, first-use offsets), which gather from the arrays
+    instead of walking ``Task`` objects.  Columns only the manager reads
+    are derived on first use.
     """
 
     indptr: np.ndarray  #: int64 row pointers (len = n_tasks + 1)
@@ -63,71 +71,6 @@ class AccessCSR:
     obj_uid: np.ndarray  #: int64 uid per dense object index
     obj_index: dict[int, int]  #: uid -> dense object index
     obj_size: np.ndarray  #: int64 size in bytes per dense object index
-
-    @classmethod
-    def build(cls, tasks: tuple[Task, ...]) -> "AccessCSR":
-        """One walk over every task's ``accesses``, in spawn order."""
-        obj_index: dict[int, int] = {}
-        obj_uid: list[int] = []
-        obj_size: list[int] = []
-        counts: list[int] = []
-        objs: list[int] = []
-        writes_l: list[bool] = []
-        traffic_l: list[bool] = []
-        miss_loads: list[float] = []
-        miss_stores: list[float] = []
-        read_bytes: list[float] = []
-        write_bytes: list[float] = []
-        mlps: list[float] = []
-        task_traffic: list[tuple[tuple[int, bool], ...]] = []
-        task_writers: list[tuple[int, ...]] = []
-        read_mode = AccessMode.READ
-        for t in tasks:
-            traffic: list[tuple[int, bool]] = []
-            writers: list[int] = []
-            for obj, acc in t.accesses.items():
-                uid = obj.uid
-                k = obj_index.get(uid)
-                if k is None:
-                    k = obj_index[uid] = len(obj_uid)
-                    obj_uid.append(uid)
-                    obj_size.append(obj.size_bytes)
-                objs.append(k)
-                writes = acc.mode is not read_mode
-                has_traffic = acc.accesses > 0
-                writes_l.append(writes)
-                traffic_l.append(has_traffic)
-                if has_traffic:
-                    traffic.append((uid, writes))
-                    if writes:
-                        writers.append(uid)
-                miss_loads.append(acc.miss_loads)
-                miss_stores.append(acc.miss_stores)
-                read_bytes.append(acc.read_traffic_bytes)
-                write_bytes.append(acc.write_traffic_bytes)
-                mlps.append(acc.pattern.mlp)
-            counts.append(len(t.accesses))
-            task_traffic.append(tuple(traffic))
-            task_writers.append(tuple(writers))
-        indptr = np.zeros(len(tasks) + 1, dtype=np.int64)
-        np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
-        f64 = np.float64
-        return cls(
-            indptr=indptr,
-            obj=np.array(objs, dtype=np.int64),
-            writes=np.array(writes_l, dtype=np.bool_),
-            traffic=np.array(traffic_l, dtype=np.bool_),
-            miss_loads=np.array(miss_loads, dtype=f64),
-            miss_stores=np.array(miss_stores, dtype=f64),
-            read_bytes=np.array(read_bytes, dtype=f64),
-            write_bytes=np.array(write_bytes, dtype=f64),
-            mlp=np.array(mlps, dtype=f64),
-            task_traffic=tuple(task_traffic),
-            task_writers=tuple(task_writers),
-            obj_uid=np.array(obj_uid, dtype=np.int64),
-            obj_index=obj_index,
-            obj_size=np.array(obj_size, dtype=np.int64),
-        )
 
     @cached_property
     def slot(self) -> np.ndarray:
@@ -186,6 +129,132 @@ class AccessCSR:
         return self.rank[rows] - before[objs] - skipped
 
 
+class _AccessRows:
+    """The access table's buffers, one row per declared access.
+
+    :meth:`TaskGraph.add` appends a task's rows in the loop that infers
+    its dependences.  A row is the access's dense object index (assigned
+    at first touch) and its footprint index: distinct
+    :class:`ObjectAccess` instances get one entry each in a small
+    per-graph table, keyed by identity, so every per-access value is
+    read from that table by one fancy index when the snapshot asks for
+    the :class:`AccessCSR`.  :meth:`freeze` turns the buffers into the
+    table's arrays for a snapshot; an append after that works on a copy,
+    so a snapshot never sees a later task and a finished graph holds one
+    set of arrays, not the arrays and their lists.
+    """
+
+    __slots__ = (
+        "obj", "fp", "indptr", "task_traffic", "task_writers", "obj_index",
+        "obj_uid", "obj_size", "footprints", "fp_of", "frozen",
+    )
+
+    def __init__(self) -> None:
+        self.obj: list[int] | np.ndarray = []  #: dense object index per row
+        self.fp: list[int] | np.ndarray = []  #: footprint index per row
+        self.indptr: list[int] | np.ndarray = [0]  #: row count after each task
+        self.task_traffic: list | tuple = []
+        self.task_writers: list | tuple = []
+        self.obj_index: dict[int, int] = {}  #: uid -> dense object index
+        self.obj_uid: list[int] | np.ndarray = []
+        self.obj_size: list[int] | np.ndarray = []
+        #: Distinct footprints in first-use order; holding them keeps
+        #: their ids (the keys of ``fp_of``) from being reused.
+        self.footprints: list[ObjectAccess] = []
+        #: id(footprint) -> (footprint index, writes, has traffic,
+        #: dependence mode or ``None`` when inference skips it).
+        self.fp_of: dict[int, tuple[int, bool, bool, AccessMode | None]] = {}
+        self.frozen = False
+
+    def __copy__(self) -> "_AccessRows":
+        """Appendable buffers holding the rows of these frozen ones (what
+        :meth:`TaskGraph._append` works on once a snapshot took them)."""
+        new = _AccessRows()
+        new.obj = self.obj.tolist()
+        new.fp = self.fp.tolist()
+        new.indptr = self.indptr.tolist()
+        new.task_traffic = list(self.task_traffic)
+        new.task_writers = list(self.task_writers)
+        new.obj_index = dict(self.obj_index)
+        new.obj_uid = self.obj_uid.tolist()
+        new.obj_size = self.obj_size.tolist()
+        new.footprints = list(self.footprints)
+        new.fp_of = dict(self.fp_of)
+        return new
+
+    def footprint(self, access: ObjectAccess) -> tuple[int, bool, bool, AccessMode | None]:
+        """Enter ``access`` in the footprint table (first use)."""
+        mode = access.mode
+        entry = self.fp_of[id(access)] = (
+            len(self.footprints),
+            mode is not AccessMode.READ,
+            access.accesses > 0,
+            mode if access.infer_deps else None,
+        )
+        self.footprints.append(access)
+        return entry
+
+    def freeze(self) -> None:
+        """Replace the buffers by the table's arrays (idempotent)."""
+        if self.frozen:
+            return
+        i64 = np.int64
+        self.obj = np.array(self.obj, dtype=i64)
+        # Kept only as gather indices: the narrowest dtype that holds them.
+        self.fp = np.array(self.fp, dtype=np.min_scalar_type(len(self.footprints)))
+        self.indptr = np.array(self.indptr, dtype=i64)
+        self.task_traffic = tuple(self.task_traffic)
+        self.task_writers = tuple(self.task_writers)
+        self.obj_uid = np.array(self.obj_uid, dtype=i64)
+        self.obj_size = np.array(self.obj_size, dtype=i64)
+        self.frozen = True
+
+    def table(self) -> AccessCSR:
+        """The :class:`AccessCSR` of frozen rows: the per-footprint
+        values, one row per column, gathered onto the access rows by one
+        fancy index per dtype (``np.take`` keeps each column contiguous)."""
+        fps = self.footprints
+        read_mode = AccessMode.READ
+        flags = np.take(
+            np.array(
+                [[a.mode is not read_mode for a in fps], [a.accesses > 0 for a in fps]],
+                dtype=np.bool_,
+            ),
+            self.fp,
+            axis=1,
+        )
+        values = np.take(
+            np.array(
+                [
+                    [a.miss_loads for a in fps],
+                    [a.miss_stores for a in fps],
+                    [a.read_traffic_bytes for a in fps],
+                    [a.write_traffic_bytes for a in fps],
+                    [a.pattern.mlp for a in fps],
+                ],
+                dtype=np.float64,
+            ),
+            self.fp,
+            axis=1,
+        )
+        return AccessCSR(
+            indptr=self.indptr,
+            obj=self.obj,
+            writes=flags[0],
+            traffic=flags[1],
+            miss_loads=values[0],
+            miss_stores=values[1],
+            read_bytes=values[2],
+            write_bytes=values[3],
+            mlp=values[4],
+            task_traffic=self.task_traffic,
+            task_writers=self.task_writers,
+            obj_uid=self.obj_uid,
+            obj_index=self.obj_index,
+            obj_size=self.obj_size,
+        )
+
+
 @dataclass(frozen=True)
 class GraphExecCore:
     """Snapshot of one graph version: the home of every derived table.
@@ -205,14 +274,16 @@ class GraphExecCore:
     indeg0: np.ndarray  #: int32 initial in-degree per dense index
     succ: tuple[tuple[int, ...], ...]  #: dense successor indices, tid order
     objects: tuple[DataObject, ...]  #: every registered object, first-touch order
+    #: The graph's frozen access rows at this version.
+    _rows: _AccessRows = field(repr=False, compare=False)
     _initial_sets: dict[int, tuple[DataObject, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     @cached_property
     def accesses(self) -> AccessCSR:
-        """The access table (one walk over every task's accesses)."""
-        return AccessCSR.build(self.tasks)
+        """The access table (the rows :meth:`TaskGraph.add` appended)."""
+        return self._rows.table()
 
     @cached_property
     def by_uid(self) -> dict[int, DataObject]:
@@ -287,6 +358,8 @@ class TaskGraph:
         self._readers_since_write: dict[int, list[Task]] = defaultdict(list)
         # Object registry in first-touch order.
         self._objects: dict[int, DataObject] = {}
+        # Access-table rows, appended by add (see _append).
+        self._rows = _AccessRows()
         # Monotonic structure version: every mutation bumps it, and
         # exec_core() rebuilds its snapshot when it moved.
         self._version = 0
@@ -298,7 +371,8 @@ class TaskGraph:
     # Construction
     # ------------------------------------------------------------------
     def add(self, task: Task) -> Task:
-        """Append a task and infer its incoming dependences.
+        """Append a task, infer its incoming dependences and append its
+        access-table rows, in one walk over its accesses (:meth:`_append`).
 
         Only the edge sets are kept: which accesses induced an edge, and
         of which kind, is never read back, so no per-edge record exists.
@@ -312,24 +386,59 @@ class TaskGraph:
         succ = self._succ
         succ.setdefault(tid, set())
         preds = self._pred[tid]
-        add_pred = preds.add
-        # Localized hot loop: graph build is most of a cold spec's set-up
-        # cost.  Mode predicates are identity checks (what the enum
-        # properties compute).  Predecessors are collected in edge order
-        # (RAW/WAW on the last writer, then WAR on the readers since), so
-        # the sets fill in the same order as per-edge insertion would.
+        self._append(task, preds)
+        preds.discard(tid)
+        for p in preds:
+            succ[p].add(tid)
+        return task
+
+    def _append(self, task: Task, preds: set[int] | None) -> None:
+        """The one walk over ``task``'s accesses: append its access-table
+        rows and, given its predecessor set ``preds``, infer its incoming
+        dependences into it (``None``: rows only, for repartition).
+
+        Localized hot loop: graph build is most of a cold spec's set-up
+        cost.  A footprint's row values, write flag and dependence mode
+        are looked up once per distinct instance (``rows.fp_of``).
+        Predecessors are collected in edge order (RAW/WAW on the last
+        writer, then WAR on the readers since), so the sets fill in the
+        same order as per-edge insertion would.
+        """
+        rows = self._rows
+        if rows.frozen:
+            rows = self._rows = copy(rows)
+        obj_index = rows.obj_index
+        fp_of = rows.fp_of
+        obj_append = rows.obj.append
+        fp_append = rows.fp.append
         objects = self._objects
         last_writer = self._last_writer
         readers_since = self._readers_since_write
         read_mode = AccessMode.READ
         write_mode = AccessMode.WRITE
+        add_pred = preds.add if preds is not None else None
+        traffic: list[tuple[int, bool]] = []
+        writers: list[int] = []
         for obj, access in task.accesses.items():
             uid = obj.uid
-            if uid not in objects:
-                objects[uid] = obj
-            if not access.infer_deps:
+            k = obj_index.get(uid)
+            if k is None:
+                k = obj_index[uid] = len(rows.obj_uid)
+                rows.obj_uid.append(uid)
+                rows.obj_size.append(obj.size_bytes)
+                objects.setdefault(uid, obj)
+            entry = fp_of.get(id(access))
+            if entry is None:
+                entry = rows.footprint(access)
+            f, writes, has_traffic, mode = entry
+            obj_append(k)
+            fp_append(f)
+            if has_traffic:
+                traffic.append((uid, writes))
+                if writes:
+                    writers.append(uid)
+            if mode is None or add_pred is None:
                 continue
-            mode = access.mode
             lw = last_writer.get(uid)
             if lw is not None:
                 add_pred(lw.tid)
@@ -340,10 +449,9 @@ class TaskGraph:
                 add_pred(reader.tid)
             last_writer[uid] = task
             readers_since[uid] = [] if mode is write_mode else [task]
-        preds.discard(tid)
-        for p in preds:
-            succ[p].add(tid)
-        return task
+        rows.indptr.append(len(rows.obj))
+        rows.task_traffic.append(tuple(traffic))
+        rows.task_writers.append(tuple(writers))
 
     def add_edge(self, src: Task, dst: Task) -> None:
         """Manually declare ``src`` -> ``dst`` ordering.
@@ -387,6 +495,9 @@ class TaskGraph:
         self._partitioned_at = chunk_bytes
         if chunks:
             self._version += 1
+            self._rows = _AccessRows()
+            for task in self.tasks:
+                self._append(task, None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -401,6 +512,19 @@ class TaskGraph:
     def objects(self) -> list[DataObject]:
         """All data objects touched by any task, in first-touch order."""
         return list(self._objects.values())
+
+    def access_totals(self) -> dict[int, float]:
+        """uid -> declared accesses (loads + stores) summed over every
+        task, read off the access rows: each footprint's count, summed
+        per object in float64 (exact for integer totals below 2**53)."""
+        rows = self._rows
+        counts = np.array([a.accesses for a in rows.footprints], dtype=np.float64)
+        totals = np.bincount(
+            np.asarray(rows.obj, dtype=np.int64),
+            weights=counts[np.asarray(rows.fp, dtype=np.int64)],
+            minlength=len(rows.obj_uid),
+        )
+        return dict(zip(np.asarray(rows.obj_uid).tolist(), totals.tolist()))
 
     def total_object_bytes(self) -> int:
         return sum(o.size_bytes for o in self._objects.values())
@@ -417,6 +541,8 @@ class TaskGraph:
             return cached[1]
         tasks = tuple(self.tasks)
         index = {t.tid: i for i, t in enumerate(tasks)}
+        rows = self._rows
+        rows.freeze()
         core = GraphExecCore(
             tasks=tasks,
             index=index,
@@ -427,6 +553,7 @@ class TaskGraph:
                 tuple(index[s] for s in sorted(self._succ[t.tid])) for t in tasks
             ),
             objects=tuple(self._objects.values()),
+            _rows=rows,
         )
         self._core = (self._version, core)
         return core

@@ -45,14 +45,11 @@ def finalize_static_refs(graph: TaskGraph, known: float = 1.0) -> None:
     placement cannot consider them.  Objects are dropped from the "known"
     set deterministically by uid order.
     """
-    totals: dict[int, int] = {}
-    for task in graph.tasks:
-        for obj, acc in task.accesses.items():
-            totals[obj.uid] = totals.get(obj.uid, 0) + acc.accesses
+    totals = graph.access_totals()
     objs = {o.uid: o for o in graph.objects}
     known_cut = int(len(objs) * known)
     for rank, uid in enumerate(sorted(objs)):
-        objs[uid].static_ref_count = float(totals.get(uid, 0)) if rank < known_cut else 0.0
+        objs[uid].static_ref_count = totals.get(uid, 0.0) if rank < known_cut else 0.0
 
 
 #: name -> builder(**params) registry.

@@ -8,6 +8,13 @@ The production graph keeps only the successor/predecessor sets;
 ``tests/test_tasking_graph.py`` drives both over Hypothesis-generated
 access programs and compares every task's edges, and its kind tests
 read the kinds recorded here.
+
+It also keeps the two walks over every task's ``accesses`` that graph
+construction ran before :meth:`TaskGraph.add` appended the access-table
+rows itself: :func:`reference_access_table` (the retired
+``AccessCSR.build``) and :func:`reference_static_refs` (the retired
+body of ``finalize_static_refs``).  The access-table differential in
+``tests/test_tasking_graph.py`` compares against both.
 """
 
 from __future__ import annotations
@@ -16,13 +23,23 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
+from repro.tasking.graph import AccessCSR, TaskGraph
 from repro.tasking.task import Task
 
 from tests.helpers import reads, writes
 
-__all__ = ["Dependence", "DependenceKind", "ReferenceGraph", "merge_accesses"]
+__all__ = [
+    "Dependence",
+    "DependenceKind",
+    "ReferenceGraph",
+    "merge_accesses",
+    "reference_access_table",
+    "reference_static_refs",
+]
 
 
 def merge_accesses(a: ObjectAccess, b: ObjectAccess) -> ObjectAccess:
@@ -116,3 +133,83 @@ class ReferenceGraph:
 
     def kinds(self) -> set[DependenceKind]:
         return {d.kind for d in self.dependences}
+
+
+def reference_access_table(tasks: tuple[Task, ...]) -> AccessCSR:
+    """The access table by one walk over every task's ``accesses``, in
+    spawn order, one Python list per column."""
+    obj_index: dict[int, int] = {}
+    obj_uid: list[int] = []
+    obj_size: list[int] = []
+    counts: list[int] = []
+    objs: list[int] = []
+    writes_l: list[bool] = []
+    traffic_l: list[bool] = []
+    miss_loads: list[float] = []
+    miss_stores: list[float] = []
+    read_bytes: list[float] = []
+    write_bytes: list[float] = []
+    mlps: list[float] = []
+    task_traffic: list[tuple[tuple[int, bool], ...]] = []
+    task_writers: list[tuple[int, ...]] = []
+    for t in tasks:
+        traffic: list[tuple[int, bool]] = []
+        writers: list[int] = []
+        for obj, acc in t.accesses.items():
+            uid = obj.uid
+            k = obj_index.get(uid)
+            if k is None:
+                k = obj_index[uid] = len(obj_uid)
+                obj_uid.append(uid)
+                obj_size.append(obj.size_bytes)
+            objs.append(k)
+            w = acc.mode is not AccessMode.READ
+            has_traffic = acc.accesses > 0
+            writes_l.append(w)
+            traffic_l.append(has_traffic)
+            if has_traffic:
+                traffic.append((uid, w))
+                if w:
+                    writers.append(uid)
+            miss_loads.append(acc.miss_loads)
+            miss_stores.append(acc.miss_stores)
+            read_bytes.append(acc.read_traffic_bytes)
+            write_bytes.append(acc.write_traffic_bytes)
+            mlps.append(acc.pattern.mlp)
+        counts.append(len(t.accesses))
+        task_traffic.append(tuple(traffic))
+        task_writers.append(tuple(writers))
+    indptr = np.zeros(len(tasks) + 1, dtype=np.int64)
+    np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
+    f64 = np.float64
+    return AccessCSR(
+        indptr=indptr,
+        obj=np.array(objs, dtype=np.int64),
+        writes=np.array(writes_l, dtype=np.bool_),
+        traffic=np.array(traffic_l, dtype=np.bool_),
+        miss_loads=np.array(miss_loads, dtype=f64),
+        miss_stores=np.array(miss_stores, dtype=f64),
+        read_bytes=np.array(read_bytes, dtype=f64),
+        write_bytes=np.array(write_bytes, dtype=f64),
+        mlp=np.array(mlps, dtype=f64),
+        task_traffic=tuple(task_traffic),
+        task_writers=tuple(task_writers),
+        obj_uid=np.array(obj_uid, dtype=np.int64),
+        obj_index=obj_index,
+        obj_size=np.array(obj_size, dtype=np.int64),
+    )
+
+
+def reference_static_refs(graph: TaskGraph, known: float = 1.0) -> dict[int, float]:
+    """uid -> the static reference count ``finalize_static_refs(graph,
+    known)`` sets, by integer sums over every task's ``accesses``."""
+    totals: dict[int, int] = {}
+    for task in graph.tasks:
+        for obj, acc in task.accesses.items():
+            totals[obj.uid] = totals.get(obj.uid, 0) + acc.accesses
+    uids = sorted(o.uid for o in graph.objects)
+    known_cut = int(len(uids) * known)
+    return {
+        uid: float(totals.get(uid, 0)) if rank < known_cut else 0.0
+        for rank, uid in enumerate(uids)
+    }

@@ -3,7 +3,8 @@
 The footprint helpers return one shared :class:`ObjectAccess` per
 distinct ``(mode, loads, stores, pattern)``.  These tests pin that equal
 arguments share an instance, that patterns differing in any field never
-alias, that the intern table is bounded, and that partitioning one graph
+alias, that a repeat call is a bare table probe, that the intern table
+is bounded, and that partitioning one graph
 (the one in-place graph transform) leaves every other graph built from
 the same helpers exactly as it was.
 """
@@ -65,12 +66,53 @@ class TestInterning:
         # Equal by value is the same key, whichever instance it is.
         assert read_footprint(8192, AccessPattern("custom", 0.5, 4.0)) is a
 
+    def test_arguments_that_round_to_equal_counts_share_one_instance(self):
+        # 4100 bytes is 512.5 words, which rounds to 512 like 4096 does.
+        a = read_footprint(4096)
+        assert read_footprint(4100) is a
+        assert read_footprint(2048, reuse=2.0) is a
+        assert read_footprint(4096.0, STREAMING, 1) is a
+        u = update_footprint(800, 400, BLOCKED, 2.0)
+        assert update_footprint(1600, 800) is u
+        assert write_footprint(4100) is write_footprint(4096)
+        assert write_footprint(4096) is not a
+
+    def test_repeat_call_skips_count_and_python_hashing(self, monkeypatch):
+        custom = AccessPattern("custom-repeat", hit_ratio=0.5, mlp=2.0)
+        firsts = [
+            read_footprint(4096, custom, 3.0),
+            write_footprint(4096, custom),
+            update_footprint(64, 32, custom),
+            chase_footprint(100, 0.5),
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("repeat call recomputed or hashed its key")
+
+        monkeypatch.setattr(footprints, "_count", forbidden)
+        monkeypatch.setattr(AccessPattern, "__hash__", forbidden)
+        monkeypatch.setattr(AccessMode, "__hash__", forbidden)
+        assert [
+            read_footprint(4096, custom, 3.0),
+            write_footprint(4096, custom),
+            update_footprint(64, 32, custom),
+            chase_footprint(100, 0.5),
+        ] == firsts
+
     def test_intern_table_is_bounded(self):
-        info = footprints._interned.cache_info()
-        assert info.maxsize is not None
-        for n in range(info.maxsize + 100):
-            read_footprint(8 * (n + 1), STREAMING)
-        assert footprints._interned.cache_info().currsize == info.maxsize
+        bound = footprints.INTERN_MAX
+        first = read_footprint(8, STREAMING)
+        for n in range(bound + 100):
+            read_footprint(8 * (n + 2), STREAMING)
+        assert len(footprints._table) <= bound
+        assert len(footprints._table) >= bound - 1
+        # The oldest keys went first; asking again builds an equal
+        # footprint, and the newest stay shared.
+        again = read_footprint(8, STREAMING)
+        assert snapshot(again) == snapshot(first)
+        newest = 8 * (bound + 101)
+        assert read_footprint(newest, STREAMING) is read_footprint(newest, STREAMING)
+        assert len(footprints._table) <= bound
 
 
 def test_partitioning_one_graph_leaves_shared_accesses_untouched():

@@ -1,15 +1,19 @@
-"""Task graph: dependence inference, analyses, manual edges."""
+"""Task graph: dependence inference, analyses, manual edges, and the
+access table ``TaskGraph.add`` builds (differential against the retired
+walk in ``tests/reference_graph.py``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.partition import partition_graph
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+from repro.workloads import WORKLOADS, build
 
 from tests.helpers import (
     critical_path,
@@ -19,7 +23,12 @@ from tests.helpers import (
     task_depths,
     writes,
 )
-from tests.reference_graph import DependenceKind, ReferenceGraph, merge_accesses
+from tests.reference_graph import (
+    DependenceKind,
+    ReferenceGraph,
+    merge_accesses,
+    reference_access_table,
+)
 
 
 def mk_obj(name="o", mib=1.0):
@@ -312,3 +321,121 @@ def test_depths_cache_resets_on_mutation():
     assert g.exec_core() is g.exec_core()
     b = g.add(mk_task("b", {o: update_footprint(8, 8)}))
     assert task_depths(g) == {a.tid: 0, b.tid: 1}
+
+
+#: The array columns of an ``AccessCSR``.
+CSR_ARRAYS = (
+    "indptr", "obj", "writes", "traffic", "miss_loads", "miss_stores",
+    "read_bytes", "write_bytes", "mlp", "obj_uid", "obj_size",
+)
+
+
+def assert_table_matches_walk(core):
+    """The snapshot's access table equals the retired walk over its
+    tasks: every column by dtype and bytes (and contiguous), the per-task
+    traffic and writer rows, and the uid -> index map in order."""
+    got, want = core.accesses, reference_access_table(core.tasks)
+    for name in CSR_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.flags.c_contiguous, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.task_traffic == want.task_traffic
+    assert got.task_writers == want.task_writers
+    assert list(got.obj_index.items()) == list(want.obj_index.items())
+
+
+def program_tasks(specs, objs, spans=None):
+    """Tasks of an ``access_programs()`` draw over ``objs`` (the counts
+    vary by position so footprints differ; ``spans`` gives each access a
+    span or ``None``)."""
+    tasks = []
+    for i, accesses in enumerate(specs):
+        t = Task(name=f"t{i}", type_name="t", accesses={})
+        for j, (oi, mode, infer) in enumerate(accesses):
+            m = AccessMode(mode)
+            n = 8 * (1 + (i + j) % 3) if (i + j) % 5 else 0
+            acc = ObjectAccess(
+                m,
+                loads=n if reads(m) else 0,
+                stores=n if writes(m) else 0,
+                span=spans[i][j] if spans else None,
+                infer_deps=infer,
+            )
+            old = t.accesses.get(objs[oi])
+            t.accesses[objs[oi]] = acc if old is None else merge_accesses(old, acc)
+        tasks.append(t)
+    return tasks
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=access_programs())
+def test_access_table_matches_walk_oracle(program):
+    """Differential: the rows ``add`` appends give, at every snapshot,
+    the table the retired walk builds over that snapshot's tasks; a later
+    spawn or manual edge never reaches an earlier snapshot."""
+    specs, manual = program
+    objs = [mk_obj(f"o{i}") for i in range(5)]
+    tasks = program_tasks(specs, objs)
+    g = TaskGraph()
+    snapshots = []
+    for i, t in enumerate(tasks):
+        g.add(t)
+        snapshots.append(g.exec_core())
+        for a, b in manual:
+            if b == i:
+                g.add_edge(tasks[a], t)
+    snapshots.append(g.exec_core())
+    for core in snapshots:
+        assert_table_matches_walk(core)
+
+
+@st.composite
+def partitioned_programs(draw):
+    """An ``access_programs()`` draw over partitionable objects of 0.25-4
+    MiB, each access with a span or none."""
+    specs, manual = draw(access_programs())
+    quarters = draw(st.lists(st.integers(1, 16), min_size=5, max_size=5))
+    span_st = st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 7), st.integers(1, 8))
+        .filter(lambda p: p[0] < p[1])
+        .map(lambda p: (p[0] / 8, p[1] / 8)),
+    )
+    spans = [[draw(span_st) for _ in accesses] for accesses in specs]
+    return specs, manual, quarters, spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=partitioned_programs())
+def test_partitioned_access_table_matches_walk_oracle(program):
+    """Differential: after ``partition_graph`` rewrites the accesses, the
+    rows ``repartition`` rebuilds (and rows appended after it) give the
+    retired walk's table."""
+    specs, manual, quarters, spans = program
+    objs = [
+        DataObject(name=f"o{i}", size_bytes=q * MIB // 4, partitionable=True)
+        for i, q in enumerate(quarters)
+    ]
+    tasks = program_tasks(specs, objs, spans)
+    g = TaskGraph()
+    for i, t in enumerate(tasks):
+        g.add(t)
+        for a, b in manual:
+            if b == i:
+                g.add_edge(tasks[a], t)
+    assert_table_matches_walk(g.exec_core())
+    partition_graph(g, MIB)
+    assert_table_matches_walk(g.exec_core())
+    chunks = g.objects[-2:]
+    g.add(mk_task("after", {o: update_footprint(64, 64) for o in chunks}))
+    assert_table_matches_walk(g.exec_core())
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_access_tables_match_walk_oracle(name):
+    """Every registered workload, as built and partitioned at 1 MiB."""
+    g = build(name).graph
+    assert_table_matches_walk(g.exec_core())
+    partition_graph(g, MIB)
+    assert_table_matches_walk(g.exec_core())

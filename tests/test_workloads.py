@@ -6,9 +6,11 @@ from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy
 from repro.memory.presets import dram, nvm_bandwidth_scaled, nvm_latency_scaled
 from repro.tasking.access import POINTER_CHASE
 from repro.workloads import WORKLOADS, build
+from repro.workloads.base import finalize_static_refs
 from repro.util.units import MIB
 
 from tests.helpers import dram_for, run_graph, task_depths
+from tests.reference_graph import reference_static_refs
 
 #: Small parameters per workload so structural tests stay fast.
 SMALL = {
@@ -164,3 +166,16 @@ class TestCharacteristicShapes:
         w = build("pchase", n_tasks=5)
         depths = task_depths(w.graph)
         assert sorted(depths.values()) == list(range(5))
+
+
+@pytest.mark.parametrize("known", [1.0, 0.5])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_static_ref_counts_match_access_walk(name, known):
+    """The per-object totals ``finalize_static_refs`` reads off the
+    access rows equal the integer sums of the retired walk over every
+    task's accesses."""
+    graph = build(name).graph
+    finalize_static_refs(graph, known)
+    got = {o.uid: o.static_ref_count for o in graph.objects}
+    assert got == reference_static_refs(graph, known)
+    assert all(type(v) is float for v in got.values())
