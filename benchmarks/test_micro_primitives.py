@@ -4,11 +4,13 @@ These are classic pytest-benchmark targets (many fast iterations): the
 executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
 the simulator can handle — plus one cold graph build with its access
-table, the set-up cost of a new spec.
+table, the set-up cost of a new spec, and the replans of one managed
+run.
 """
 
 from __future__ import annotations
 
+import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
 from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack
 from repro.core.manager import DataManagerPolicy
@@ -77,6 +79,70 @@ def test_bench_executor_with_data_manager(benchmark):
 
     tr = benchmark.pedantic(run, setup=clear_solver_cache, rounds=5)
     assert len(tr.records) == len(w.graph)
+
+
+class _SeenModel:
+    """A ready type model as one replan read it (duration, slot rows)."""
+
+    ready = True
+
+    def __init__(self, mean_duration: float, rows: tuple) -> None:
+        self.mean_duration = mean_duration
+        self._rows = rows
+
+    def slot_rows(self) -> tuple:
+        return self._rows
+
+
+def test_bench_replan(benchmark, monkeypatch):
+    """The replans of one managed heat-1k run on an interned graph:
+    every demand projection, first-use pass and plan (weigher and
+    knapsack) they ran, recorded with their inputs and replayed in order
+    on a fresh policy, so the per-run row-term table is rebuilt as in
+    the run.  Enforcement, which moves data, is not replayed.  The
+    solver memo is cleared in the un-timed setup."""
+    calls = []
+    split = DataManagerPolicy._demand_stats_split
+
+    def recording_split(self, core, *args):
+        models = {}
+        for name in core.type_names:
+            m = self._model_for(name)
+            if m is not None:
+                models[name] = _SeenModel(m.mean_duration, m.slot_rows())
+        calls.append((split, (core, *args), {"models": models}))
+        return split(self, core, *args)
+
+    def recording(fn):
+        def record(*args, **kwargs):
+            calls.append((fn, args, kwargs))
+            return fn(*args, **kwargs)
+
+        return record
+
+    monkeypatch.setattr(DataManagerPolicy, "_demand_stats_split", recording_split)
+    monkeypatch.setattr(manager, "first_use_offsets_split",
+                        recording(manager.first_use_offsets_split))
+    monkeypatch.setattr(manager, "make_plan", recording(manager.make_plan))
+    w = build_cached("heat", grid=10, iterations=10)
+    policy = DataManagerPolicy()
+    Executor(_machine(), ExecutorConfig(n_workers=8)).run(w.graph, policy)
+    monkeypatch.undo()
+    assert policy.stats["replans"] > 0 and calls
+
+    def replay(fresh):
+        for fn, args, kwargs in calls:
+            if fn is split:
+                fresh._models = kwargs["models"]
+                fn(fresh, *args)
+            else:
+                fn(*args, **kwargs)
+
+    def setup():
+        clear_solver_cache()
+        return (DataManagerPolicy(),), {}
+
+    benchmark.pedantic(replay, setup=setup, rounds=5)
 
 
 def test_bench_knapsack_dp(benchmark):

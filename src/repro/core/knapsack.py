@@ -60,7 +60,16 @@ _MEMO_MAX = 128
 
 #: exact instance fingerprint -> keep-mask
 _memo: BoundedLRU[Any, list[bool]] = BoundedLRU(_MEMO_MAX)
-_stats = {"exact_hits": 0, "solves": 0, "greedy_routed": 0, "uniform_topk": 0}
+#: ``uniform_ties`` counts the one-size instances sent back to the DP
+#: whose values at the cut are bitwise equal (the rest of the fallbacks
+#: are near-ties within the DP's rounding).
+_stats = {
+    "exact_hits": 0,
+    "solves": 0,
+    "greedy_routed": 0,
+    "uniform_topk": 0,
+    "uniform_ties": 0,
+}
 
 
 def clear_solver_cache() -> None:
@@ -71,7 +80,8 @@ def clear_solver_cache() -> None:
 
 
 def solver_cache_stats() -> dict[str, int]:
-    """Exact-memo hits, DP solves, greedy routes and one-size top-k routes (observability)."""
+    """Exact-memo hits, DP solves, greedy routes, one-size top-k routes
+    and one-size exact ties sent to the DP (observability)."""
     return dict(_stats)
 
 
@@ -197,6 +207,8 @@ def _uniform_topk(
     # this test.  A tie at the boundary (gap 0) or a value that vanishes
     # in the running sum (the DP's strict ``>`` never takes it) falls back.
     if gap <= 4 * (top.size + 1) * np.finfo(np.float64).eps * float(kept.sum()):
+        if k < order.size and gap == 0.0:
+            _stats["uniform_ties"] += 1
         return None
     for i in idx_arr[top].tolist():
         mask[i] = True

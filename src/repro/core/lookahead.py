@@ -31,6 +31,7 @@ def first_use_offsets_split(
     window_len: int,
     duration_by_type: np.ndarray,
     n_workers: int,
+    gathered: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """(window, full-horizon) first-use offsets of the dense-indexed
     ``tasks`` (spawn order), the window being their first ``window_len``.
@@ -42,22 +43,26 @@ def first_use_offsets_split(
     zero: the area argument above, accumulated left to right) — and an
     object's first use is its first access row with traffic.
     The window is the prefix of the full map whose first use falls in
-    the first ``window_len`` tasks.
+    the first ``window_len`` tasks.  ``gathered`` is
+    ``core.accesses.gather(tasks)`` when the caller already has it.
     """
     inv = 1.0 / max(1, n_workers)
     csr = core.accesses
     steps = duration_by_type[core.type_id[tasks]] * inv
     starts = np.cumsum(np.concatenate(([0.0], steps)))
-    rows, lens = csr.gather(tasks)
+    rows, lens = csr.gather(tasks) if gathered is None else gathered
     hot = csr.traffic[rows]
     pos = np.repeat(np.arange(len(tasks)), lens)[hot]
+    hot_objs = csr.obj[rows[hot]]
     first = np.full(len(csr.obj_uid), len(pos))
-    np.minimum.at(first, csr.obj[rows[hot]], np.arange(len(pos)))
-    objs = np.flatnonzero(first < len(pos))
-    first = first[objs]
-    order = np.argsort(first)
-    objs = objs[order]
-    pos = pos[first[order]]
+    np.minimum.at(first, hot_objs, np.arange(len(pos)))
+    # Mark each object's first hot row (untouched objects mark the
+    # sentinel past the end) and read the objects off in row order.
+    is_first = np.zeros(len(pos) + 1, dtype=np.bool_)
+    is_first[first] = True
+    at = np.flatnonzero(is_first[:-1])
+    objs = hot_objs[at]
+    pos = pos[at]
     offsets = starts[pos]
     k = int(np.searchsorted(pos, window_len))
     return (objs[:k], offsets[:k]), (objs, offsets)

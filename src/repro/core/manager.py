@@ -102,12 +102,13 @@ def _fold_rows(
     """Fold projected access rows into per-object demand.
 
     Row ``i`` (rows in task order) touches dense object ``objs[i]`` for
-    the ``rank[i]``-th time and carries ``terms[i]``, three pairs:
+    the ``rank[i]``-th time and carries ``terms[:, i]``, three pairs:
     ``(misses, mem_seconds)``, ``(loads, stores)`` and ``(confidence *
     misses, dram_frac * mem_seconds)``; ``bw[i]`` is its bandwidth
-    demand.  Returns ``[(batch, objects)]``: batch rows in first-touch
-    order and their dense object indices.  With ``prefix``, a second
-    entry holds the fold of just the first ``prefix`` rows.
+    demand, already ``0.0`` where it fails ``> 0.0``.  Returns
+    ``[(batch, objects)]``: batch rows in first-touch order and their
+    dense object indices.  With ``prefix``, a second entry holds the
+    fold of just the first ``prefix`` rows.
 
     Each object's demand is a sequential fold over its own rows — sums,
     a strict ``>`` running max, and two running weighted means whose
@@ -117,17 +118,18 @@ def _fold_rows(
     replaces in the same order.  The columns are therefore bitwise those
     of the scalar fold:
 
-    - sums are ``np.cumsum`` (``add.accumulate``: sequential, never the
-      pairwise ``np.sum``) along the rank axis of a zero-padded
-      rank x object matrix whose leading zero row is the accumulators'
-      initial ``0.0``; an object's total is read at its own row count,
-      so the padding after its last row is never added;
+    - sums run ``total + term`` rank by rank (sequential, never the
+      pairwise ``np.sum``) down a rank x object matrix whose leading
+      zero row is the accumulators' initial ``0.0``, over the objects
+      with a row at that rank; an object's total is read at its own row
+      count;
     - ``bw_demand`` is the max of the values that pass ``bw > 0.0``
       (the ``if bw > cur`` update from ``cur = 0.0``);
     - confidence and ``dram_frac`` run ``(cur * old + term) / new`` per
       rank with the divide masked by ``new > 0``, over the objects still
       active at that rank (columns are ordered by row count, so those
-      are a prefix).
+      are a prefix); a rank whose active weights are all positive
+      divides unmasked, which computes the same quotients.
 
     An object's prefix rows are its first rows, so the prefix fold is
     the full fold read early: sums at the object's prefix row count, the
@@ -137,10 +139,7 @@ def _fold_rows(
     if n_rows == 0:
         return [(DemandBatch.empty(), objs)] * (1 if prefix is None else 2)
     n_all = len(csr.obj_uid)
-    first = np.full(n_all, n_rows)
-    np.minimum.at(first, objs, np.arange(n_rows))
-    present = np.flatnonzero(first < n_rows)
-    order = present[np.argsort(first[present])]  # first-touch order
+    order = objs[rank == 0]  # first-touch order: an object's rank-0 row
     counts = np.bincount(objs, minlength=n_all)[order]
     n = len(order)
     # Matrix columns: objects by descending row count, so the objects
@@ -152,16 +151,34 @@ def _fold_rows(
     depth = int(rows_of_col[0])
     active = np.searchsorted(-rows_of_col, -np.arange(depth), side="left")
     rcol = col[objs]
+    # Runs of ranks with the same active count share their slices.
+    bounds = [0, *(np.flatnonzero(active[1:] != active[:-1]) + 1).tolist(), depth]
+    runs = [(lo, hi, int(active[lo])) for lo, hi in zip(bounds, bounds[1:])]
 
-    # Rank x pair x column x 2; rank 0 is the accumulators' zero row.
+    # Rank x pair x column x 2, contiguous, filled through flat offsets;
+    # row k + 1 holds the rank-k terms, row 0 the accumulators' zeros.
     pad = np.zeros((depth + 1, 3, n, 2))
-    pad[rank + 1, :, rcol] = terms.reshape(n_rows, 3, 2)
-    sums = np.cumsum(pad[:, :2], axis=0)  # sums[k]: totals before rank k
+    flat_pad = pad.reshape(-1)
+    at = (rank + 1) * (6 * n) + 2 * rcol
+    for i, offset in enumerate((0, 1, 2 * n, 2 * n + 1, 4 * n, 4 * n + 1)):
+        flat_pad[at + offset] = terms[i]
+    # Sums in place: row k becomes the totals through rank k - 1 for
+    # the columns with a row at rank k - 1; a column is never read past
+    # its own row count, so the rows after it are left as they are.
+    for lo, hi, a in runs:
+        run = pad[lo : hi + 1, :2, :a]
+        for j in range(hi - lo):
+            np.add(run[j], run[j + 1], out=run[j + 1])
     # The running means step through flat (column, mean) rows, so the
     # objects active at rank k are the first 2 * active[k] entries.
-    weights = sums[:, 0].reshape(depth + 1, 2 * n)
+    weights = pad[:, 0].reshape(depth + 1, 2 * n)
     products = pad[1:, 2].reshape(depth, 2 * n)
     positive = weights[1:] > 0.0
+    # Per rank, whether every active weight is positive: its first
+    # non-positive entry (if any) lies past the active prefix.
+    first_bad = np.argmin(positive, axis=1)
+    first_bad[positive.all(axis=1)] = 2 * n
+    clean = (first_bad >= 2 * active).tolist()
     means = np.zeros((n, 2))
     means[:, 0] = 1.0  # confidence; dram_frac starts at 0
     flat = means.reshape(-1)
@@ -179,11 +196,12 @@ def _fold_rows(
         p_means = np.empty((n, 2))
         p_order = order[: n - edges[1]]
         scopes.append((prefix, p_counts[col[p_order]], p_order, p_means))
-    # Runs of ranks with the same active count share their slices.
-    starts = np.flatnonzero(np.diff(active, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [depth]):
-        m = 2 * int(active[lo])
+    buf = np.empty(2 * n)
+    multiply, divide = np.multiply, np.divide
+    for lo, hi, a in runs:
+        m = 2 * a
         cur = flat[:m]
+        acc = buf[:m]
         w = weights[lo : hi + 1, :m]
         p = products[lo:hi, :m]
         q = positive[lo:hi, :m]
@@ -191,18 +209,20 @@ def _fold_rows(
             taken = snapshots.get(lo + j)
             if taken is not None:
                 p_means[taken] = means[taken]
-            acc = cur * w[j]
+            multiply(cur, w[j], out=acc)
             acc += p[j]
-            np.divide(acc, w[j + 1], out=cur, where=q[j])
+            if clean[lo + j]:
+                divide(acc, w[j + 1], out=cur)
+            else:
+                divide(acc, w[j + 1], out=cur, where=q[j])
     taken = snapshots.get(depth)
     if taken is not None:
         p_means[taken] = means[taken]
 
-    bw = np.where(bw > 0.0, bw, 0.0)
     out = []
     for rows, n_scope, objects, folded in scopes:
         c = col[objects]
-        totals = sums[n_scope, :, c].reshape(-1, 4).T.copy()
+        totals = pad[n_scope, :2, c].reshape(-1, 4).T.copy()
         folded = folded[c].T.copy()
         bw_max = np.zeros(n_all)
         np.maximum.at(bw_max, objs[:rows], bw[:rows])
@@ -251,6 +271,9 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
+        #: The demand projection's per-row terms with their key (see
+        #: ``_row_terms``); per run, dropped in on_run_start.
+        self._row_table: tuple | None = None
         self.stats: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -272,6 +295,7 @@ class DataManagerPolicy(BasePolicy):
         self._watch = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
+        self._row_table = None
         self.stats = {
             "replans": 0,
             "profiled_tasks": 0,
@@ -365,12 +389,71 @@ class DataManagerPolicy(BasePolicy):
             return s
         return None
 
+    def _row_terms(
+        self, core: GraphExecCore, models: list[TypeModel | None]
+    ) -> np.ndarray:
+        """Seven columns over the access rows of ``core.accesses``: the
+        fold's six operands ``(misses, mem_seconds, loads, stores,
+        confidence * misses, dram_frac * mem_seconds)`` and the bandwidth
+        demand (``0.0`` where it fails ``> 0.0``) under ``models`` (one
+        per type, ``None`` for a type without a ready model, whose rows
+        are never read).
+
+        A row takes its slot's model row, the last slot for extra
+        accesses and an empty ``SlotStats`` row for a slot-less model.
+        The table depends only on the access table and the models' slot
+        rows, so it is kept until either changes: the key is the
+        ``AccessCSR`` and the ``slot_rows()`` tuple of every type, both
+        compared by identity (``slot_rows`` returns the same tuple until
+        its model observes another profile).  The key holds them, so
+        their ids cannot be reused; :meth:`on_run_start` drops it.
+        """
+        csr = core.accesses
+        key = tuple(m.slot_rows() if m is not None else None for m in models)
+        kept = self._row_table
+        if (
+            kept is not None
+            and kept[0] is csr
+            and all(a is b for a, b in zip(kept[1], key))
+        ):
+            return kept[2]
+        # One row table for every modelled type's slots, plus the
+        # fallback row: what an empty ``SlotStats()`` reports.
+        table: list[tuple[float, ...]] = []
+        base = np.zeros(len(key), dtype=np.int64)
+        last = np.full(len(key), -1, dtype=np.int64)
+        for k, slots in enumerate(key):
+            if slots is not None:
+                base[k] = len(table)
+                last[k] = len(slots) - 1
+                table.extend(slots)
+        fallback = len(table)
+        table.append(_EMPTY_SLOT_ROW)
+        slot_rows = np.array(table, dtype=np.float64).T
+        slot_cols = np.empty((7, len(table)))
+        slot_cols[:4] = slot_rows[[2, 5, 0, 1]]
+        slot_cols[4:6] = slot_rows[[4, 6]] * slot_rows[[2, 5]]
+        bw = slot_rows[3]
+        slot_cols[6] = np.where(bw > 0.0, bw, 0.0)
+
+        row_type = np.repeat(core.type_id, np.diff(csr.indptr))
+        row_last = last[row_type]
+        slot = np.where(
+            row_last >= 0,
+            base[row_type] + np.minimum(csr.slot, row_last),
+            fallback,
+        )
+        cols = np.take(slot_cols, slot, axis=1)
+        self._row_table = (csr, key, cols)
+        return cols
+
     def _demand_stats_split(
         self,
         core: GraphExecCore,
         tasks: np.ndarray,
         window_len: int,
         need_window: bool = True,
+        gathered: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[
         tuple[DemandBatch, float, np.ndarray], tuple[DemandBatch, float, np.ndarray]
     ]:
@@ -380,15 +463,16 @@ class DataManagerPolicy(BasePolicy):
 
         Each scope is ``(batch, horizon, objects)``: the batch rows are in
         first-touch order and ``objects`` holds their dense indices into
-        ``core.accesses``.  Tasks whose type has no ready model are skipped; every
-        other task's access rows take their slot's model row (the last
-        slot for extra accesses, an empty ``SlotStats`` row for a
-        slot-less model).  The rows are folded per object by
+        ``core.accesses``.  Tasks whose type has no ready model are
+        skipped; every other task's access rows take their row terms
+        (:meth:`_row_terms`).  The rows are folded per object by
         :func:`_fold_rows`, the window as the fold of the prefix rows.
 
         ``need_window=False`` skips the window fold when the caller will
         not build a window-scoped plan (the window is then empty unless
-        it covers every task).
+        it covers every task).  ``gathered`` is ``csr.gather(tasks)``
+        when the caller already has it; it is used when no task is
+        skipped.
         """
         csr = core.accesses
         models = [self._model_for(name) for name in core.type_names]
@@ -396,43 +480,23 @@ class DataManagerPolicy(BasePolicy):
         durations = np.array(
             [m.mean_duration if m is not None else 0.0 for m in models]
         )
-        # One row table for every modelled type's slots, plus the
-        # fallback row: what an empty ``SlotStats()`` reports.
-        table: list[tuple[float, ...]] = []
-        base = np.zeros(len(models), dtype=np.int64)
-        last = np.full(len(models), -1, dtype=np.int64)
-        for k, m in enumerate(models):
-            if m is not None:
-                slots = m.slot_rows()
-                base[k] = len(table)
-                last[k] = len(slots) - 1
-                table.extend(slots)
-        fallback = len(table)
-        table.append(_EMPTY_SLOT_ROW)
-        # The fold's per-row operands, per slot: (misses, mem_seconds,
-        # loads, stores, confidence * misses, dram_frac * mem_seconds).
-        slot_rows = np.array(table, dtype=np.float64)
-        slot_terms = np.empty((len(table), 6))
-        slot_terms[:, :4] = slot_rows[:, (2, 5, 0, 1)]
-        slot_terms[:, 4:] = slot_rows[:, (4, 6)] * slot_rows[:, (2, 5)]
+        row_terms = self._row_terms(core, models)
 
         type_of = core.type_id[tasks]
         keep = has_model[type_of]
-        kept = tasks[keep]
+        if gathered is not None and keep.all():
+            kept = tasks
+            rows, lens = gathered
+        else:
+            kept = tasks[keep]
+            type_of = type_of[keep]
+            rows, lens = csr.gather(kept)
         # Horizon: the sequential sum of the kept tasks' durations.
-        horizon = np.cumsum(np.concatenate(([0.0], durations[type_of[keep]])))
-        rows, lens = csr.gather(kept)
-        row_type = np.repeat(type_of[keep], lens)
-        row_last = last[row_type]
-        slot = np.where(
-            row_last >= 0,
-            base[row_type] + np.minimum(csr.slot[rows], row_last),
-            fallback,
-        )
+        horizon = np.cumsum(np.concatenate(([0.0], durations[type_of])))
         objs = csr.obj[rows]
         rank = csr.ranks(kept, rows)
-        terms = slot_terms[slot]
-        bw = slot_rows[slot, 3]
+        cols = np.take(row_terms, rows, axis=1)
+        terms, bw = cols[:6], cols[6]
 
         if len(tasks) <= window_len or not need_window:
             ((batch, order),) = _fold_rows(objs, rank, terms, bw, csr)
@@ -560,9 +624,12 @@ class DataManagerPolicy(BasePolicy):
         need_window = cfg.enable_local_search and not scopes_coincide
 
         # Both scopes come from one fold of the remaining tasks' access
-        # rows: the window is a prefix, read off the same fold.
+        # rows: the window is a prefix, read off the same fold.  The
+        # rows are gathered once for the fold and the first-use pass.
+        csr = core.accesses
+        gathered = csr.gather(remaining)
         local_proj, global_proj = self._demand_stats_split(
-            core, remaining, cfg.lookahead_tasks, need_window=need_window
+            core, remaining, cfg.lookahead_tasks, need_window, gathered
         )
         # Per-type durations for the start-offset estimate; 1e-4 s stands
         # in for a type without a ready model.
@@ -573,10 +640,9 @@ class DataManagerPolicy(BasePolicy):
             ]
         )
         local_offsets, global_offsets = first_use_offsets_split(
-            core, remaining, cfg.lookahead_tasks, durations, n_workers
+            core, remaining, cfg.lookahead_tasks, durations, n_workers, gathered
         )
         resident_uids = ctx.hms.dram_resident_uids()
-        csr = core.accesses
         resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
         index_of = csr.obj_index.get
         resident[[i for i in map(index_of, resident_uids) if i is not None]] = True

@@ -49,6 +49,11 @@ def partition_graph(graph: TaskGraph, max_chunk_bytes: int) -> TaskGraph:
         graph.repartition(max_chunk_bytes, chunk_map, rewritten)
         return graph
 
+    # Equal rewrites of one footprint share an instance, so the graph's
+    # footprint table stays as short as the distinct chunk footprints.
+    # The tasks hold every source footprint for the whole pass, so its
+    # id() is not reused.
+    interned: dict[tuple[int, int, int], ObjectAccess] = {}
     for task in graph.tasks:
         new_accesses: dict[DataObject, ObjectAccess] = {}
         changed = False
@@ -67,12 +72,15 @@ def partition_graph(graph: TaskGraph, max_chunk_bytes: int) -> TaskGraph:
                 if ov <= 0.0:
                     continue
                 frac = ov / width
-                new_accesses[chunk] = replace(
-                    acc,
-                    loads=int(round(acc.loads * frac)),
-                    stores=int(round(acc.stores * frac)),
-                    span=None,
-                )
+                loads = int(round(acc.loads * frac))
+                stores = int(round(acc.stores * frac))
+                key = (id(acc), loads, stores)
+                part = interned.get(key)
+                if part is None:
+                    part = interned[key] = replace(
+                        acc, loads=loads, stores=stores, span=None
+                    )
+                new_accesses[chunk] = part
         if changed:
             rewritten[task.tid] = new_accesses
 

@@ -28,6 +28,7 @@ that pins the column path bitwise (see ``tests/test_placement_batch.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -258,16 +259,18 @@ def make_plan(
         mask = greedy_by_density(weights, batch.size_bytes, budget)
     else:
         mask = solve_knapsack_arrays(weights, batch.size_bytes, budget)
-    plan = PlacementPlan(scope=scope)
     uids = batch.uid.tolist()
     w_list = weights.tolist()
-    plan.weights = dict(zip(uids, w_list))
-    plan.first_use = dict(zip(uids, batch.first_use_offset.tolist()))
-    dram_set = plan.dram_set
-    gain = 0.0  # same left-to-right accumulation as a kept-only loop
-    for uid, w, keep in zip(uids, w_list, mask):
-        if keep:
-            dram_set.add(uid)
-            gain += w
-    plan.predicted_gain = gain
-    return plan
+    # The kept uids enter the set in batch order, as one add per kept
+    # object would; the gain is a left-to-right float sum (not ``sum``,
+    # which compensates on Python 3.12).
+    gain = 0.0
+    for w in compress(w_list, mask):
+        gain += w
+    return PlacementPlan(
+        scope=scope,
+        dram_set=set(compress(uids, mask)),
+        predicted_gain=gain,
+        weights=dict(zip(uids, w_list)),
+        first_use=dict(zip(uids, batch.first_use_offset.tolist())),
+    )

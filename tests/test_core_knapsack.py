@@ -259,3 +259,21 @@ def test_one_size_route_matches_dp():
 
     check()
     assert routes["topk"] > 0 and routes["dp"] > 0, routes
+
+
+def test_uniform_ties_count_exact_ties_at_the_cut():
+    """A one-size instance whose values at the cut are bitwise equal goes
+    to the DP and counts as a tie; a near-tie (1 ulp) goes to the DP
+    without counting; a clear gap takes the top-k route."""
+    near = float(np.nextafter(2.0, 0.0))
+    cases = (
+        ([3.0, 2.0, 2.0, 1.0], {"uniform_ties": 1, "solves": 1, "uniform_topk": 0}),
+        ([3.0, 2.0, near, 1.0], {"uniform_ties": 0, "solves": 1, "uniform_topk": 0}),
+        ([3.0, 2.0, 1.0, 1.0], {"uniform_ties": 0, "solves": 0, "uniform_topk": 1}),
+    )
+    for values, want in cases:
+        clear_solver_cache()
+        mask = solve_knapsack(values, [1] * len(values), 2, 2)
+        assert mask == dp_mask(values, [1] * len(values), 2, 2)
+        stats = solver_cache_stats()
+        assert {k: stats[k] for k in want} == want, values

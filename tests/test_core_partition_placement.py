@@ -92,6 +92,17 @@ class TestPartitionGraph:
         with pytest.raises(ValueError):
             partition_graph(g, 0)
 
+    def test_equal_chunk_footprints_share_one_instance(self):
+        """The rewrite interns its footprints: fft at 1 MiB has 14,526
+        access rows but only a few hundred distinct chunk footprints, so
+        the graph's footprint table stays short."""
+        graph = partition_graph(build("fft").graph, MIB)
+        core = graph.exec_core()
+        n_rows = len(core.accesses.obj)
+        footprints = {id(a) for t in graph.tasks for a in t.accesses.values()}
+        assert n_rows > 10_000
+        assert len(footprints) == len(core._rows.footprints) < n_rows // 10
+
     def test_partition_after_a_run_retimes_the_chunks(self):
         """A graph that already ran unpartitioned, then under a
         partitioning policy: every run times the current chunks, never

@@ -15,6 +15,7 @@ remaining lists — and every float is compared by its IEEE-754 bytes.
 from __future__ import annotations
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from repro.baselines.policies import BasePolicy
 from repro.core.demand import DemandBatch
 from repro.core.lookahead import first_use_offsets_split
-from repro.core.manager import DataManagerPolicy
+from repro.core.manager import DataManagerPolicy, ManagerConfig
+from repro.core.partition import partition_graph
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.access import AccessMode, ObjectAccess
@@ -31,6 +33,7 @@ from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
+from repro.util.units import MIB
 
 from tests.helpers import predecessors, reads, task_depths, writes
 from tests.reference_projection import (
@@ -176,28 +179,32 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
         name: StubModel(*m) for name, m in models.items() if m is not None
     }
 
-    # Demand projection, both scopes.
-    got = policy._demand_stats_split(core, remaining, window, need_window)
+    # Demand projection, both scopes, with and without the caller's
+    # gather of the remaining rows (the replan passes it).
+    gathered = csr.gather(remaining)
     want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
-    for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
-        assert_batch_bitwise(g_batch, w_batch)
-        assert bits(g_horizon) == bits(w_horizon)
-        assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
+    for extra in ((), (gathered,)):
+        got = policy._demand_stats_split(core, remaining, window, need_window, *extra)
+        for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
+            assert_batch_bitwise(g_batch, w_batch)
+            assert bits(g_horizon) == bits(w_horizon)
+            assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
 
     # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
     durations = {
         name: models[name][0] if models.get(name) is not None else 1e-4
         for name in core.type_names
     }
-    got_fu = first_use_offsets_split(
-        core, remaining, window,
-        np.array([durations[n] for n in core.type_names]), n_workers,
-    )
     want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
-    for g_scope, w_scope in zip(got_fu, want_fu):
-        assert offsets_by_uid(csr, g_scope) == [
-            (u, bits(o)) for u, o in w_scope.items()
-        ]
+    for extra in ((), (gathered,)):
+        got_fu = first_use_offsets_split(
+            core, remaining, window,
+            np.array([durations[n] for n in core.type_names]), n_workers, *extra,
+        )
+        for g_scope, w_scope in zip(got_fu, want_fu):
+            assert offsets_by_uid(csr, g_scope) == [
+                (u, bits(o)) for u, o in w_scope.items()
+            ]
 
     # Parallel slack over the full horizon and the window.
     depths = spawn_order_depths(graph)
@@ -207,6 +214,76 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
             tuple(core.tasks[i] for i in scope.tolist()), depths, n_workers
         )
         assert bits(got_slack) == bits(want_slack)
+
+
+def test_row_terms_follow_model_and_graph_changes() -> None:
+    """One policy instance across the events that change the projection's
+    per-row terms: a model's rows replaced by a new tuple (profiling
+    completes), a type losing its model or gaining one (adaptation
+    archives it, a stale model is read) and a new run on a repartitioned
+    graph.  Every projection must still match the scalar reference
+    bitwise, so a row-term table kept past its models or its graph
+    fails."""
+    rng = np.random.default_rng(7)
+    pool = [
+        DataObject(f"p{k}", int(rng.integers(1, 4)) * MIB, partitionable=True)
+        for k in range(5)
+    ]
+    graph = TaskGraph()
+    for i in range(80):
+        chosen = rng.choice(len(pool), size=int(rng.integers(1, 4)), replace=False)
+        accesses = {}
+        for k in chosen.tolist():
+            mode = MODES[int(rng.integers(0, 3))]
+            accesses[pool[k]] = ObjectAccess(
+                mode, loads=100 if reads(mode) else 0, stores=50 if writes(mode) else 0
+            )
+        graph.add(Task(f"t{i}", TYPES[i % len(TYPES)], accesses))
+
+    def slot_rows(seed: int, n_slots: int) -> tuple[tuple[float, ...], ...]:
+        r = np.random.default_rng(seed)
+        return tuple(tuple(r.random(7).tolist()) for _ in range(n_slots))
+
+    policy = DataManagerPolicy(ManagerConfig(enable_initial_placement=False))
+
+    def check(remaining: np.ndarray, window: int = 24) -> None:
+        core = graph.exec_core()
+        tasks = tuple(core.tasks[i] for i in remaining.tolist())
+        got = policy._demand_stats_split(core, remaining, window)
+        want = demand_stats_split_ref(tasks, window, policy._model_for)
+        for (g_batch, g_horizon, _), (w_batch, w_horizon) in zip(got, want):
+            assert_batch_bitwise(g_batch, w_batch)
+            assert bits(g_horizon) == bits(w_horizon)
+
+    every = np.arange(len(graph))
+    a, b = StubModel(0.1, slot_rows(1, 2)), StubModel(0.2, slot_rows(2, 3))
+    policy._models = {"a": a, "b": b}
+    check(every)
+    check(every[10:])
+    # Profiling completes: the same model reports a new rows tuple.
+    a._rows = slot_rows(3, 2)
+    check(every[10:])
+    # Adaptation archives "b"; later its stale model is read again.
+    del policy._models["b"]
+    check(every[20:])
+    policy._stale_models["b"] = b
+    check(every[20:])
+    # A type gains a model.
+    c = policy._models["c"] = StubModel(0.3, slot_rows(4, 1))
+    check(every[30:])
+
+    # A new run on the repartitioned graph, with the same model objects.
+    partition_graph(graph, MIB // 2)
+    ctx = SimpleNamespace(
+        engine=SimpleNamespace(injector=None),
+        dram=dram(),
+        nvm=nvm_bandwidth_scaled(0.5),
+        config=ExecutorConfig(n_workers=4),
+    )
+    policy.on_run_start(ctx)
+    policy._models = {"a": a, "b": b, "c": c}
+    check(every)
+    check(every[40:])
 
 
 def spawn_order_depths(graph: TaskGraph) -> dict[int, int]:
