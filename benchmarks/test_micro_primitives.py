@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
-from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack
+from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack_arrays
 from repro.core.manager import DataManagerPolicy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
@@ -154,7 +154,7 @@ def test_bench_knapsack_dp(benchmark):
     values = rng.uniform(0.1, 10.0, n).tolist()
     sizes = (rng.integers(1, 64, n) * 2**20).tolist()
     mask = benchmark.pedantic(
-        solve_knapsack,
+        solve_knapsack_arrays,
         args=(values, sizes, 256 * 2**20),
         setup=clear_solver_cache,
         rounds=20,
@@ -171,7 +171,7 @@ def test_bench_knapsack_uniform(benchmark):
     values = rng.uniform(0.1, 10.0, n).tolist()
     sizes = [8 * 2**20] * n
     mask = benchmark.pedantic(
-        solve_knapsack,
+        solve_knapsack_arrays,
         args=(values, sizes, 256 * 2**20),
         setup=clear_solver_cache,
         rounds=20,

@@ -16,7 +16,7 @@ cannot hold the working set.
 from __future__ import annotations
 
 from repro.baselines.policies import BasePolicy
-from repro.core.knapsack import solve_knapsack
+from repro.core.knapsack import solve_knapsack_arrays
 from repro.tasking.executor import ExecContext, memory_times
 
 __all__ = ["OracleStaticPolicy"]
@@ -41,7 +41,7 @@ class OracleStaticPolicy(BasePolicy):
         values = [benefit[o.uid] for o in objs]
         sizes = [o.size_bytes for o in objs]
         budget = int(ctx.dram.capacity_bytes * CAPACITY_FRACTION)
-        mask = solve_knapsack(values, sizes, budget, granularity=1024)
+        mask = solve_knapsack_arrays(values, sizes, budget, granularity=1024)
         for obj, keep in zip(objs, mask):
             if keep and ctx.hms.dram_fits(obj.size_bytes):
                 ctx.place_initial(obj, ctx.dram)

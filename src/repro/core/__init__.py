@@ -24,14 +24,13 @@ partitioning, >10 % deviation adaptation (re-profiling).
 """
 
 from repro.core.demand import DemandBatch
-from repro.core.knapsack import solve_knapsack, solve_knapsack_arrays, greedy_by_density
+from repro.core.knapsack import solve_knapsack_arrays, greedy_by_density
 from repro.core.models import SlotStats, TypeModel
 from repro.core.partition import partition_graph
 from repro.core.manager import DataManagerPolicy
 
 __all__ = [
     "DemandBatch",
-    "solve_knapsack",
     "solve_knapsack_arrays",
     "greedy_by_density",
     "SlotStats",

@@ -2,10 +2,10 @@
 
 Maximize total weight of DRAM-resident objects subject to DRAM capacity.
 Sizes are discretized to ``granularity`` buckets (ceil — a solution never
-exceeds real capacity) and solved with the classic DP, vectorized over
-the capacity axis with numpy; a value-density greedy is provided both as
-the ablation comparator and as the fallback for item counts where the DP
-table would be wasteful.
+exceeds real capacity) and solved by :func:`solve_knapsack_arrays` with
+the classic DP, vectorized over the capacity axis with numpy; a
+value-density greedy is provided both as the ablation comparator and as
+the fallback for item counts where the DP table would be wasteful.
 
 The placement manager re-solves every adaptation epoch:
 
@@ -40,7 +40,6 @@ from repro.util.lru import BoundedLRU
 from repro.util.validation import require
 
 __all__ = [
-    "solve_knapsack",
     "solve_knapsack_arrays",
     "greedy_by_density",
     "greedy_bounded",
@@ -101,37 +100,17 @@ def export_cache_metrics(registry) -> None:
         ).set(value)
 
 
-def solve_knapsack(
-    values: Sequence[float],
-    sizes: Sequence[int],
-    capacity: int,
-    granularity: int = 512,
-) -> list[bool]:
-    """Exact (up to discretization) 0/1 knapsack; returns a keep-mask.
-
-    Sequence front-end for :func:`solve_knapsack_arrays` (the planner's
-    batch path feeds that directly; this wrapper only converts).
-    """
-    n = len(values)
-    require(len(sizes) == n, "values and sizes must have equal length")
-    return solve_knapsack_arrays(
-        np.asarray(values, dtype=np.float64),
-        np.asarray(sizes, dtype=np.int64),
-        capacity,
-        granularity,
-    )
-
-
 def solve_knapsack_arrays(
     values: np.ndarray,
     sizes: np.ndarray,
     capacity: int,
     granularity: int = 512,
 ) -> list[bool]:
-    """:func:`solve_knapsack` on ready-made numpy columns.
+    """Exact (up to discretization) 0/1 knapsack; returns a keep-mask.
 
-    Items with non-positive value or size exceeding capacity are never
-    taken.  ``granularity`` bounds the DP table's capacity axis; sizes are
+    ``values`` and ``sizes`` are numpy columns or sequences.  Items with
+    non-positive value or size exceeding capacity are never taken.
+    ``granularity`` bounds the DP table's capacity axis; sizes are
     rounded *up* so the selection always fits the true capacity.
     """
     v_all = np.asarray(values, dtype=np.float64)

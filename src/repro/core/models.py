@@ -94,8 +94,9 @@ class TypeModel:
     recent_duration: float = 0.0
     n_instances: int = 0
 
-    def observe(self, profile: TaskProfile, dram_name: str = "dram") -> None:
-        """Fold one profiled instance in (slot order = access-dict order)."""
+    def observe(self, profile: TaskProfile, dram_name: str) -> None:
+        """Fold one profiled instance in (slot order = access-dict order);
+        samples taken on the device named ``dram_name`` count as DRAM."""
         self.n_profiles += 1
         k = 1.0 / self.n_profiles
         self.mean_duration += (profile.duration - self.mean_duration) * k

@@ -85,11 +85,10 @@ def _nvm_device(name: str):
     return configs[name]
 
 
-def _add_run_description(parser: argparse.ArgumentParser, workload_nargs=None) -> None:
+def _add_run_description(parser: argparse.ArgumentParser) -> None:
     """The spec-shaped options shared by trace/metrics/sweep."""
     parser.add_argument(
         "workload",
-        **({"nargs": workload_nargs} if workload_nargs else {}),
         help="workload name (see repro.workloads); comma-separate for sweeps",
     )
     parser.add_argument("--policy", default="tahoe", help="policy name (default: tahoe)")

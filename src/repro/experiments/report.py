@@ -55,7 +55,7 @@ factor, and where the crossovers fall.
 """
 
 
-def generate(fast: bool = False) -> str:
+def generate(fast: bool) -> str:
     parts = [HEADER.format(mode=" (fast problem sizes)" if fast else " (full problem sizes)")]
     for key in sorted(EXPERIMENTS):
         module = EXPERIMENTS[key]

@@ -124,7 +124,7 @@ def _tenant_demand_bytes(spec: RunSpec, tenant: TenantSpec) -> int:
     return build_cached(closed.workload, **params).total_bytes
 
 
-def run_service(spec: RunSpec, cache: Any = None) -> RunResult:
+def run_service(spec: RunSpec) -> RunResult:
     """Run the open-system service a stream-carrying spec describes.
 
     Deterministic per (spec, stream seed): arrivals, admission decisions,
@@ -152,7 +152,6 @@ def run_service(spec: RunSpec, cache: Any = None) -> RunResult:
     isolated = run_many(
         [closed_specs[t.name] for t in tenants],
         workers=1,
-        cache=cache,
         strict=True,
     )
     makespan = {t.name: r.makespan for t, r in zip(tenants, isolated)}

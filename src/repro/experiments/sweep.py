@@ -11,7 +11,6 @@ building block for custom studies beyond E1–E11, e.g.::
         policy=["nvm-only", "tahoe"],
         nvm=[nvm_bandwidth_scaled(f) for f in (0.5, 0.25)],
         dram_capacity=[128 * MIB, 256 * MIB],
-        workers=4,
     )
     print(pivot(recs, rows="dram_capacity", cols="policy", value="makespan"))
 """
@@ -39,7 +38,7 @@ def sweep_specs(
     workload: str | Sequence[str],
     policy: str | Sequence[str],
     nvm: MemoryDevice | Sequence[MemoryDevice],
-    fast: bool = True,
+    fast: bool,
     **axes: Any,
 ) -> list[RunSpec]:
     """The cartesian product of axis values as a list of specs.
@@ -64,17 +63,15 @@ def sweep(
     policy: str | Sequence[str],
     nvm: MemoryDevice | Sequence[MemoryDevice],
     fast: bool = True,
-    workers: int | None = None,
-    cache: Any = None,
     **axes: Any,
 ) -> list[dict[str, Any]]:
-    """Run every combination; returns one record per run, in product order.
-
-    ``workers``/``cache`` forward to :func:`run_many`; the remaining
-    keyword axes are spec fields as in :func:`sweep_specs`.
+    """Run every combination through :func:`run_many` (the process's
+    worker count and result cache); returns one record per run, in
+    product order.  The keyword axes are spec fields as in
+    :func:`sweep_specs`.
     """
     specs = sweep_specs(workload, policy, nvm, fast=fast, **axes)
-    results = run_many(specs, workers=workers, cache=cache, strict=True)
+    results = run_many(specs, strict=True)
     records: list[dict[str, Any]] = []
     for spec, r in zip(specs, results):
         rec: dict[str, Any] = {

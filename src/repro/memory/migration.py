@@ -68,7 +68,6 @@ class MigrationRecord:
     nbytes: int
     src: str
     dst: str
-    request_time: float  #: when the runtime issued the request
     start_time: float  #: when the helper thread began copying
     end_time: float  #: when the copy finished
     needed_by: float = float("inf")  #: when the application first needs the object
@@ -176,7 +175,6 @@ class MigrationEngine:
             nbytes=nbytes,
             src=src.name,
             dst=dst.name,
-            request_time=request_time,
             start_time=start,
             end_time=end,
             attempts=attempts,

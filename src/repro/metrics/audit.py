@@ -74,7 +74,7 @@ class AuditEntry:
 class PlacementAuditLog:
     """Append-only log of placement decisions for one run."""
 
-    def __init__(self, max_entries: int = 100_000) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.entries: list[AuditEntry] = []
         self.max_entries = int(max_entries)
         self.dropped = 0

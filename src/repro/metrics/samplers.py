@@ -30,8 +30,9 @@ class TimeSeriesSampler:
         name: str,
         value_fn: Callable[[float], float],
         cadence_s: float,
+        *,
+        max_samples: int,
         labels: dict[str, str] | None = None,
-        max_samples: int = 4096,
     ):
         if cadence_s <= 0:
             raise ValueError("cadence_s must be positive")

@@ -97,7 +97,7 @@ class SamplingProfiler:
     #: CPU cycles consumed per captured sample (interrupt + buffer drain).
     PER_SAMPLE_CYCLES: float = 8.0
 
-    def __init__(self, interval_cycles: int = 1000, seed: int = 0):
+    def __init__(self, interval_cycles: int = 1000, *, seed: int):
         if interval_cycles < 1:
             raise ValueError("interval_cycles must be >= 1")
         self.interval_cycles = int(interval_cycles)

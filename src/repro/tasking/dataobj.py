@@ -35,7 +35,6 @@ class DataObject:
     #: Whether the chunking optimization may split this object (regular 1-D
     #: accesses only, per the paper's conservative approach).
     partitionable: bool = False
-    chunk_index: int | None = None
     uid: int = field(default_factory=lambda: next(_uid_counter))
 
     def __post_init__(self) -> None:
@@ -61,7 +60,6 @@ class DataObject:
                     size_bytes=size,
                     static_ref_count=self.static_ref_count / n_chunks,
                     partitionable=False,
-                    chunk_index=i,
                 )
             )
         return chunks

@@ -270,7 +270,6 @@ class ExecContext:
         obj: DataObject,
         device: MemoryDevice | str,
         now: float,
-        earliest_start: float | None = None,
         inputs: dict | None = None,
     ) -> MigrationRecord | None:
         """Move ``obj`` to ``device`` via the helper thread.
@@ -312,7 +311,7 @@ class ExecContext:
                 )
             return None
         safe = self.last_use_finish.get(obj.uid, 0.0)
-        start = max(safe, earliest_start if earliest_start is not None else 0.0)
+        start = max(safe, 0.0)
         was_dirty = self.hms.is_dirty(obj)
         self.hms.move(obj, dst)
         rec = self.engine.schedule(

@@ -89,7 +89,6 @@ class RoundRecord:
     """One batch scheduling round."""
 
     index: int
-    time_s: float
     scheduled: int
     backlog: int
     #: Virtual span from the round instant to the latest finish it
@@ -171,8 +170,8 @@ class StreamDriver:
         jobs: Iterable[JobRequest],
         admission: AdmissionController,
         job_runner: Callable[[JobRequest], float],
-        round_interval_s: float = 0.01,
-        lanes: int = 2,
+        round_interval_s: float,
+        lanes: int,
     ):
         self.jobs = sorted(jobs, key=lambda j: (j.submit_s, j.tenant, j.job_id))
         if round_interval_s <= 0:
@@ -268,7 +267,6 @@ class StreamDriver:
                 rounds.append(
                     RoundRecord(
                         index=index,
-                        time_s=time_s,
                         scheduled=scheduled,
                         backlog=len(backlog),
                         span_s=span_end - time_s,

@@ -17,7 +17,6 @@ class Workload:
 
     name: str
     graph: TaskGraph
-    description: str = ""
     params: dict[str, Any] = field(default_factory=dict)
 
     @property

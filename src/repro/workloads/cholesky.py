@@ -101,6 +101,5 @@ def build_cholesky(
     return Workload(
         name="cholesky",
         graph=graph,
-        description="tiled right-looking Cholesky factorization",
         params={"n_tiles": n_tiles, "tile_elems": tile_elems},
     )

@@ -120,7 +120,6 @@ def build_fft(
     return Workload(
         name="fft",
         graph=graph,
-        description="FT-style FFT over monolithic partitionable arrays",
         params={
             "n_slices": n_slices,
             "array_mib": array_mib,

@@ -80,7 +80,6 @@ def build_kmeans(
     return Workload(
         name="kmeans",
         graph=graph,
-        description="Lloyd k-means: streaming chunks + hot centroid table",
         params={"n_chunks": n_chunks, "iterations": iterations},
     )
 
@@ -137,6 +136,5 @@ def build_phaseshift(
     return Workload(
         name="phaseshift",
         graph=graph,
-        description="two-regime kernel over fixed tables (adaptation stress)",
         params={"steps": steps, "shift_at": shift_at, "table_mib": table_mib},
     )

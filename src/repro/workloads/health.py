@@ -89,6 +89,5 @@ def build_health(
     return Workload(
         name="health",
         graph=graph,
-        description="BOTS health: pointer-chasing village hierarchy",
         params={"levels": levels, "fanout": fanout, "steps": steps},
     )

@@ -89,7 +89,6 @@ def build_heat(
     return Workload(
         name="heat",
         graph=graph,
-        description="tiled 2-D Jacobi heat diffusion (double-buffered)",
         params={
             "grid": grid,
             "tile_elems": tile_elems,

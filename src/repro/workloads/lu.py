@@ -99,6 +99,5 @@ def build_lu(
     return Workload(
         name="lu",
         graph=graph,
-        description="tiled right-looking dense LU (no pivoting)",
         params={"n_tiles": n_tiles, "tile_elems": tile_elems},
     )

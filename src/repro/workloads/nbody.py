@@ -87,7 +87,6 @@ def build_nbody(
     return Workload(
         name="nbody",
         graph=graph,
-        description="tiled all-pairs N-body with per-tile force reduction",
         params={
             "n_tiles": n_tiles,
             "particles_per_tile": particles_per_tile,

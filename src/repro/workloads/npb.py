@@ -114,7 +114,6 @@ def build_cg(
     return Workload(
         name="cg",
         graph=graph,
-        description="NPB-CG-style chunked SpMV conjugate gradient",
         params={"n_chunks": n_chunks, "iterations": iterations},
     )
 
@@ -246,6 +245,5 @@ def build_mg(
     return Workload(
         name="mg",
         graph=graph,
-        description="NPB-MG-style multigrid V-cycles over a grid hierarchy",
         params={"n_fine_tiles": n_fine_tiles, "levels": levels, "iterations": iterations},
     )

@@ -48,7 +48,6 @@ def build_pchase(
     return Workload(
         name="pchase",
         graph=graph,
-        description="pointer chasing: serial latency-bound chain",
         params={
             "n_tasks": n_tasks,
             "mib_list": mib_list,

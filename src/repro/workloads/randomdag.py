@@ -93,6 +93,5 @@ def build_randomdag(
     return Workload(
         name="randomdag",
         graph=graph,
-        description="random layered DAG with mixed access patterns",
         params={"layers": layers, "width": width, "seed": seed},
     )

@@ -129,6 +129,5 @@ def build_sparselu(
     return Workload(
         name="sparselu",
         graph=graph,
-        description="BOTS SparseLU: block-sparse LU with fill-in",
         params={"n_blocks": n_blocks, "block_elems": block_elems, "density": density},
     )

@@ -96,6 +96,5 @@ def build_strassen(
     return Workload(
         name="strassen",
         graph=graph,
-        description="recursive Strassen multiplication with temporaries",
         params={"matrix_elems": matrix_elems, "depth": depth},
     )

@@ -57,7 +57,6 @@ def build_stream(
     return Workload(
         name="stream",
         graph=graph,
-        description="STREAM triad: independent bandwidth-bound slices",
         params={
             "n_tasks": n_tasks,
             "mib_per_array": mib_per_array,

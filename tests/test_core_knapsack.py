@@ -14,7 +14,7 @@ from repro.core.knapsack import (
     clear_solver_cache,
     greedy_bounded,
     greedy_by_density,
-    solve_knapsack,
+    solve_knapsack_arrays,
     solver_cache_stats,
 )
 
@@ -29,42 +29,42 @@ def size_of(mask, sizes):
 
 class TestSolveKnapsack:
     def test_takes_everything_that_fits(self):
-        mask = solve_knapsack([1.0, 2.0], [10, 20], capacity=100)
+        mask = solve_knapsack_arrays([1.0, 2.0], [10, 20], capacity=100)
         assert mask == [True, True]
 
     def test_prefers_higher_value(self):
-        mask = solve_knapsack([1.0, 10.0], [50, 50], capacity=50)
+        mask = solve_knapsack_arrays([1.0, 10.0], [50, 50], capacity=50)
         assert mask == [False, True]
 
     def test_respects_capacity(self):
         values = [5.0, 4.0, 3.0]
         sizes = [40, 40, 40]
-        mask = solve_knapsack(values, sizes, capacity=80)
+        mask = solve_knapsack_arrays(values, sizes, capacity=80)
         assert size_of(mask, sizes) <= 80
         assert total(mask, values) == pytest.approx(9.0)
 
     def test_skips_nonpositive_values(self):
-        mask = solve_knapsack([-1.0, 0.0, 1.0], [10, 10, 10], capacity=100)
+        mask = solve_knapsack_arrays([-1.0, 0.0, 1.0], [10, 10, 10], capacity=100)
         assert mask == [False, False, True]
 
     def test_skips_oversized_items(self):
-        mask = solve_knapsack([100.0, 1.0], [200, 10], capacity=100)
+        mask = solve_knapsack_arrays([100.0, 1.0], [200, 10], capacity=100)
         assert mask == [False, True]
 
     def test_empty_inputs(self):
-        assert solve_knapsack([], [], 100) == []
-        assert solve_knapsack([1.0], [10], 0) == [False]
+        assert solve_knapsack_arrays([], [], 100) == []
+        assert solve_knapsack_arrays([1.0], [10], 0) == [False]
 
     def test_classic_instance(self):
         # values/weights from a standard 0/1 knapsack example
         values = [60.0, 100.0, 120.0]
         sizes = [10, 20, 30]
-        mask = solve_knapsack(values, sizes, capacity=50, granularity=50)
+        mask = solve_knapsack_arrays(values, sizes, capacity=50, granularity=50)
         assert total(mask, values) == pytest.approx(220.0)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            solve_knapsack([1.0], [1, 2], 10)
+            solve_knapsack_arrays([1.0], [1, 2], 10)
 
 
 class TestGreedy:
@@ -78,7 +78,7 @@ class TestGreedy:
         values = [60.0, 100.0, 120.0]
         sizes = [10, 20, 30]
         g = greedy_by_density(values, sizes, capacity=50)
-        d = solve_knapsack(values, sizes, capacity=50, granularity=50)
+        d = solve_knapsack_arrays(values, sizes, capacity=50, granularity=50)
         assert total(d, values) >= total(g, values)
         assert total(g, values) == pytest.approx(160.0)
 
@@ -102,7 +102,7 @@ def test_dp_matches_bruteforce_and_dominates_greedy(items, capacity):
         if sz <= capacity:
             best = max(best, sum(v for v, p in zip(values, picks) if p))
 
-    mask = solve_knapsack(values, sizes, capacity, granularity=capacity)
+    mask = solve_knapsack_arrays(values, sizes, capacity, granularity=capacity)
     gmask = greedy_by_density(values, sizes, capacity)
     assert size_of(mask, sizes) <= capacity
     assert size_of(gmask, sizes) <= capacity
@@ -142,12 +142,12 @@ class TestIncrementalSolver:
         colds = []
         for vals, szs in instances:
             clear_solver_cache()
-            colds.append(solve_knapsack(vals, szs, capacity))
+            colds.append(solve_knapsack_arrays(vals, szs, capacity))
         clear_solver_cache()
         for (vals, szs), cold in zip(instances, colds):
-            assert solve_knapsack(vals, szs, capacity) == cold
+            assert solve_knapsack_arrays(vals, szs, capacity) == cold
             # Second cached solve takes the exact-fingerprint memo path.
-            assert solve_knapsack(vals, szs, capacity) == cold
+            assert solve_knapsack_arrays(vals, szs, capacity) == cold
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -253,7 +253,7 @@ def test_one_size_route_matches_dp():
     def check(inst):
         values, sizes, capacity, granularity = inst
         clear_solver_cache()  # the DP route solves; no memo hit answers it
-        got = solve_knapsack(values, sizes, capacity, granularity)
+        got = solve_knapsack_arrays(values, sizes, capacity, granularity)
         routes["topk" if solver_cache_stats()["uniform_topk"] else "dp"] += 1
         assert got == dp_mask(values, sizes, capacity, granularity)
 
@@ -273,7 +273,7 @@ def test_uniform_ties_count_exact_ties_at_the_cut():
     )
     for values, want in cases:
         clear_solver_cache()
-        mask = solve_knapsack(values, [1] * len(values), 2, 2)
+        mask = solve_knapsack_arrays(values, [1] * len(values), 2, 2)
         assert mask == dp_mask(values, [1] * len(values), 2, 2)
         stats = solver_cache_stats()
         assert {k: stats[k] for k in want} == want, values

@@ -205,7 +205,7 @@ class TestTypeModel:
     def test_observe_builds_slots(self):
         m = TypeModel("k")
         p, dur = self._profile()
-        m.observe(p)
+        m.observe(p, "dram")
         assert m.ready and m.n_profiles == 1
         assert len(m.slots) == 2
         assert m.mean_duration == pytest.approx(dur)
@@ -216,7 +216,7 @@ class TestTypeModel:
         last slot, and every access of a slot-less model an empty one."""
         m = TypeModel("k")
         p, _ = self._profile()
-        m.observe(p)
+        m.observe(p, "dram")
         empty = TypeModel("empty", n_profiles=1)  # ready, no slots
         objs = [DataObject(name=f"o{i}", size_bytes=int(MIB)) for i in range(4)]
         g = TaskGraph()
@@ -239,7 +239,7 @@ class TestTypeModel:
         m = TypeModel("k")
         for seed in range(4):
             p, _ = self._profile(seed)
-            m.observe(p)
+            m.observe(p, "dram")
         assert m.n_profiles == 4
         assert m.slots[0].n == 4
 
@@ -247,7 +247,7 @@ class TestTypeModel:
         m = TypeModel("k")
         for seed in range(4):
             p, _ = self._profile(seed)
-            m.observe(p)
+            m.observe(p, "dram")
         assert m.slots[0].confidence > 0.9
 
     def test_confidence_low_for_erratic_slots(self):

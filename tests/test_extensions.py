@@ -33,7 +33,7 @@ class TestEnergyModel:
         assert _static_energy(small, 2.0) == pytest.approx(2 * _static_energy(small, 1.0))
 
     def test_nvm_static_near_zero(self):
-        d, n = dram(256 * MIB), nvm_bandwidth_scaled(0.5, 256 * MIB)
+        d, n = dram(256 * MIB), nvm_bandwidth_scaled(0.5).scaled(capacity_bytes=256 * MIB)
         assert _static_energy(n, 1.0) < 0.1 * _static_energy(d, 1.0)
 
 

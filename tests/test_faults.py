@@ -249,7 +249,7 @@ class TestCapacityLossMechanics:
     def test_hms_nvm_loss_never_evicts(self):
         from repro.tasking.dataobj import DataObject
 
-        hms = HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5, 8 * MIB))
+        hms = HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5).scaled(capacity_bytes=8 * MIB))
         obj = DataObject(name="o", size_bytes=6 * MIB)
         hms.allocate(obj, hms.nvm)
         lost, evicted = hms.lose_capacity(hms.nvm, 8 * MIB)
@@ -351,7 +351,7 @@ def fault_plans(draw):
 
 def _run_faulted(plan):
     graph = make_fork_join_graph(width=8, obj_mib=4.0)
-    hms = HeterogeneousMemorySystem(dram(8 * MIB), nvm_bandwidth_scaled(0.25, 256 * MIB))
+    hms = HeterogeneousMemorySystem(dram(8 * MIB), nvm_bandwidth_scaled(0.25).scaled(capacity_bytes=256 * MIB))
     injector = FaultInjector.for_hms(plan, hms) if plan is not None else None
     trace = Executor(hms, ExecutorConfig(n_workers=3), injector=injector).run(
         graph, DataManagerPolicy()

@@ -21,7 +21,7 @@ import numpy as np
 
 import repro.experiments.cache as cache_module
 import repro.workloads.memo as workload_memo
-from repro.core.knapsack import _MEMO_MAX, _memo, clear_solver_cache, solve_knapsack
+from repro.core.knapsack import _MEMO_MAX, _memo, clear_solver_cache, solve_knapsack_arrays
 
 N_THREADS = 8
 
@@ -63,14 +63,14 @@ def test_knapsack_memo_concurrent_hits_and_evictions():
     expected = []
     for values, sizes in instances:
         clear_solver_cache()
-        expected.append(solve_knapsack(values, sizes, 128))
+        expected.append(solve_knapsack_arrays(values, sizes, 128))
     clear_solver_cache()
     wrong: list[int] = []
 
     def work(t: int, i: int) -> None:
         k = (i * 7 + t * 13) % n_keys
         values, sizes = instances[k]
-        if solve_knapsack(values, sizes, 128) != expected[k]:
+        if solve_knapsack_arrays(values, sizes, 128) != expected[k]:
             wrong.append(k)
 
     try:

@@ -16,7 +16,7 @@ from tests.helpers import residency
 
 @pytest.fixture
 def machine():
-    return HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5, 256 * MIB))
+    return HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5).scaled(capacity_bytes=256 * MIB))
 
 
 def obj(mib: float, name: str = "o") -> DataObject:

@@ -116,5 +116,5 @@ class TestOverlapAccounting:
 
 
 def test_record_duration_property():
-    r = MigrationRecord(1, 100, "a", "b", 0.0, 1.0, 3.0)
+    r = MigrationRecord(1, 100, "a", "b", 1.0, 3.0)
     assert r.duration == pytest.approx(2.0)

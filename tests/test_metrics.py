@@ -357,7 +357,7 @@ class TestStablePolicyAPI:
 
         sig = inspect.signature(ExecContext.request_migration)
         assert list(sig.parameters) == [
-            "self", "obj", "device", "now", "earliest_start", "inputs",
+            "self", "obj", "device", "now", "inputs",
         ]
 
     def test_metrics_package_exports(self):

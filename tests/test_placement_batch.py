@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core.demand import DemandBatch
 from repro.core.knapsack import (
     clear_solver_cache,
-    solve_knapsack,
     solve_knapsack_arrays,
 )
 from repro.core.placement import PlanConfig, _weights_for
@@ -266,5 +265,5 @@ class TestKnapsackArrays:
             np.asarray(values), np.asarray(sizes, dtype=np.int64), cap
         )
         clear_solver_cache()
-        seq = solve_knapsack(values, sizes, cap)
+        seq = solve_knapsack_arrays(values, sizes, cap)
         assert arr == seq

@@ -26,7 +26,7 @@ from tests.helpers import residency
     )
 )
 def test_hms_matches_dictionary_model(ops):
-    hms = HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5, 256 * MIB))
+    hms = HeterogeneousMemorySystem(dram(16 * MIB), nvm_bandwidth_scaled(0.5).scaled(capacity_bytes=256 * MIB))
     model: dict[int, str] = {}  # uid -> device name
     dirty_model: set[int] = set()
     objs: dict[int, DataObject] = {}

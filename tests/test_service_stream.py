@@ -210,20 +210,24 @@ def _service_spec(**stream_overrides):
 
 
 class TestRunService:
+    @pytest.fixture(autouse=True)
+    def _no_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+
     def test_same_seed_byte_identical(self):
-        a = run_service(_service_spec(), cache=False)
-        b = run_service(_service_spec(), cache=False)
+        a = run_service(_service_spec())
+        b = run_service(_service_spec())
         assert canonical_json(a.summary) == canonical_json(b.summary)
 
     def test_different_seed_different_schedule(self):
-        a = run_service(_service_spec(seed=13), cache=False)
-        b = run_service(_service_spec(seed=14), cache=False)
+        a = run_service(_service_spec(seed=13))
+        b = run_service(_service_spec(seed=14))
         assert (
             a.summary["event_log_digest"] != b.summary["event_log_digest"]
         )
 
     def test_summaries_json_round_trip(self):
-        r = run_service(_service_spec(), cache=False)
+        r = run_service(_service_spec())
         assert r.summary == json.loads(json.dumps(r.summary))
         svc = r.summary["service"]
         assert svc["jobs_completed"] + svc["jobs_rejected"] == svc["jobs_submitted"]
@@ -249,7 +253,7 @@ class TestRunService:
         from repro.experiments.runner import run_and_summarize
 
         closed = run_and_summarize(spec.replace(stream=None))
-        result = run_service(spec, cache=False)
+        result = run_service(spec)
         tenant = result.summary["tenants"]["drain"]
         assert tenant["rejected"] == 0
         assert result.summary["isolated_makespan_s"]["drain"] == pytest.approx(

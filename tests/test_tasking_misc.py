@@ -38,7 +38,7 @@ class TestDataObject:
     def test_chunk_indices(self):
         o = DataObject(name="o", size_bytes=100, partitionable=True)
         chunks = o.partition(2)
-        assert [c.chunk_index for c in chunks] == [0, 1]
+        assert [c.name for c in chunks] == ["o[0]", "o[1]"]
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ def _migrating_trace():
     return run_graph(
         graph,
         dram(8 * MIB),
-        nvm_bandwidth_scaled(0.25, 256 * MIB),
+        nvm_bandwidth_scaled(0.25).scaled(capacity_bytes=256 * MIB),
         policy=DataManagerPolicy(),
         workers=3,
     )
