@@ -20,7 +20,6 @@ set shifts across the run (the Nek5000 effect in the paper line).
 from __future__ import annotations
 
 from repro.baselines.policies import BasePolicy
-from repro.profiling.counters import GroundTruthCounters
 from repro.tasking.executor import ExecContext
 
 __all__ = ["XMemPolicy"]
@@ -32,11 +31,17 @@ class XMemPolicy(BasePolicy):
     name = "xmem"
 
     def on_run_start(self, ctx: ExecContext) -> None:
-        # The offline profile: exact counts over the executed graph (the
-        # offline run sees the same program).
-        counters = GroundTruthCounters.profile_graph(ctx.graph)
+        # The offline profile: exact access totals over the executed graph
+        # (the offline run sees the same program), ranked by density
+        # (accesses per byte), ties to the lower uid.
+        totals = ctx.graph.access_totals()
         by_uid = ctx.graph.exec_core().by_uid
-        for uid in counters.hottest_first():
+
+        def density(uid: int) -> float:
+            size = by_uid[uid].size_bytes
+            return totals[uid] / size if size else 0.0
+
+        for uid in sorted(totals, key=lambda u: (-density(u), u)):
             obj = by_uid[uid]
             if ctx.hms.dram_fits(obj.size_bytes):
                 ctx.place_initial(obj, ctx.dram)

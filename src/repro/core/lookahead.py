@@ -31,7 +31,7 @@ def first_use_offsets_split(
     window_len: int,
     duration_by_type: np.ndarray,
     n_workers: int,
-    gathered: tuple[np.ndarray, np.ndarray] | None = None,
+    gathered: tuple[np.ndarray, np.ndarray],
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """(window, full-horizon) first-use offsets of the dense-indexed
     ``tasks`` (spawn order), the window being their first ``window_len``.
@@ -44,13 +44,13 @@ def first_use_offsets_split(
     object's first use is its first access row with traffic.
     The window is the prefix of the full map whose first use falls in
     the first ``window_len`` tasks.  ``gathered`` is
-    ``core.accesses.gather(tasks)`` when the caller already has it.
+    ``core.accesses.gather(tasks)``.
     """
     inv = 1.0 / max(1, n_workers)
     csr = core.accesses
     steps = duration_by_type[core.type_id[tasks]] * inv
     starts = np.cumsum(np.concatenate(([0.0], steps)))
-    rows, lens = csr.gather(tasks) if gathered is None else gathered
+    rows, lens = gathered
     hot = csr.traffic[rows]
     pos = np.repeat(np.arange(len(tasks)), lens)[hot]
     hot_objs = csr.obj[rows[hot]]

@@ -352,7 +352,7 @@ class DataManagerPolicy(BasePolicy):
             overhead = 0.0
         else:
             profile = ctx.profile(task, record)
-            model.observe(profile, dram_name=ctx.dram.name)
+            model.observe(profile)
             overhead = ctx.profiling_overhead(duration)
             self.stats["profiled_tasks"] += 1
             if model.n_profiles < cfg.profile_instances:
@@ -452,8 +452,8 @@ class DataManagerPolicy(BasePolicy):
         core: GraphExecCore,
         tasks: np.ndarray,
         window_len: int,
-        need_window: bool = True,
-        gathered: tuple[np.ndarray, np.ndarray] | None = None,
+        need_window: bool,
+        gathered: tuple[np.ndarray, np.ndarray],
     ) -> tuple[
         tuple[DemandBatch, float, np.ndarray], tuple[DemandBatch, float, np.ndarray]
     ]:
@@ -470,9 +470,8 @@ class DataManagerPolicy(BasePolicy):
 
         ``need_window=False`` skips the window fold when the caller will
         not build a window-scoped plan (the window is then empty unless
-        it covers every task).  ``gathered`` is ``csr.gather(tasks)``
-        when the caller already has it; it is used when no task is
-        skipped.
+        it covers every task).  ``gathered`` is ``csr.gather(tasks)``;
+        it is used when no task is skipped.
         """
         csr = core.accesses
         models = [self._model_for(name) for name in core.type_names]
@@ -484,7 +483,7 @@ class DataManagerPolicy(BasePolicy):
 
         type_of = core.type_id[tasks]
         keep = has_model[type_of]
-        if gathered is not None and keep.all():
+        if keep.all():
             kept = tasks
             rows, lens = gathered
         else:
@@ -754,7 +753,7 @@ class DataManagerPolicy(BasePolicy):
         plan: PlacementPlan,
         ctx: ExecContext,
         now: float,
-        resident_uids: set[int] | None = None,
+        resident_uids: set[int],
     ) -> float:
         """Issue helper-thread migrations to realize ``plan``.
 
@@ -766,15 +765,12 @@ class DataManagerPolicy(BasePolicy):
         evictions that make room for them) are enqueued.
 
         ``resident_uids`` is the caller's DRAM-residency snapshot (no
-        moves happen between a replan's snapshot and its enforcement);
-        when omitted it is taken here.
+        moves happen between a replan's snapshot and its enforcement).
         """
         from repro.memory.migration import copy_time
 
         cfg = self.config
         by_uid = ctx.graph.exec_core().by_uid
-        if resident_uids is None:
-            resident_uids = ctx.hms.dram_resident_uids()
         overhead = 0.0
         tel = ctx.telemetry
         audit = tel.audit if tel is not None and tel.config.audit else None

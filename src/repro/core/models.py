@@ -94,9 +94,8 @@ class TypeModel:
     recent_duration: float = 0.0
     n_instances: int = 0
 
-    def observe(self, profile: TaskProfile, dram_name: str) -> None:
-        """Fold one profiled instance in (slot order = access-dict order);
-        samples taken on the device named ``dram_name`` count as DRAM."""
+    def observe(self, profile: TaskProfile) -> None:
+        """Fold one profiled instance in (slot order = access-dict order)."""
         self.n_profiles += 1
         k = 1.0 / self.n_profiles
         self.mean_duration += (profile.duration - self.mean_duration) * k
@@ -111,7 +110,7 @@ class TypeModel:
                 sample.active_fraction,
                 bw,
                 mem_seconds=sample.mem_active_fraction * profile.duration,
-                on_dram=sample.device == dram_name,
+                on_dram=sample.on_dram,
             )
 
     @property

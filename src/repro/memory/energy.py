@@ -72,43 +72,32 @@ class EnergyReport:
     ) -> "EnergyReport":
         """Account a finished run.
 
-        Task traffic goes to the device each object resided on at task
-        start (recorded in the trace); migration copies charge a read on
-        the source and a write on the destination.
+        Task traffic goes to the tier each object resided on at task
+        start (the trace's per-access DRAM flags); migration copies
+        charge a read on the source and a write on the destination.
         """
-        devices = {dram.name: dram, nvm.name: nvm}
         rep = cls()
-        # Hot accounting loop: one (read_coef, write_coef, is_nvm) triple
-        # per residency name replaces the per-access device dispatch.
-        # Accumulation order is unchanged, so the totals are bitwise what
-        # the naive loop produced.
-        coef = {
-            name: (
-                (DRAM_READ_ENERGY, DRAM_WRITE_ENERGY, False)
-                if dev.kind is DeviceKind.DRAM
-                else (NVM_READ_ENERGY, NVM_WRITE_ENERGY, True)
-            )
-            for name, dev in devices.items()
-        }
-        default_coef = coef[nvm.name]
         dynamic_j = 0.0
         nvm_written = 0.0
-        nvm_name = nvm.name
-        coef_get = coef.get
+        flags = iter(trace.on_dram)
         for rec in trace.records:
-            res_get = rec.residency.get
-            for obj, acc in rec.task.accesses.items():
-                re_, we_, is_nvm = coef_get(res_get(obj.uid, nvm_name), default_coef)
+            for acc, on_dram in zip(rec.task.accesses.values(), flags):
                 wb = acc.write_traffic_bytes
-                dynamic_j += acc.read_traffic_bytes * re_ + wb * we_
-                if is_nvm:
+                if on_dram:
+                    dynamic_j += (
+                        acc.read_traffic_bytes * DRAM_READ_ENERGY + wb * DRAM_WRITE_ENERGY
+                    )
+                else:
+                    dynamic_j += (
+                        acc.read_traffic_bytes * NVM_READ_ENERGY + wb * NVM_WRITE_ENERGY
+                    )
                     nvm_written += wb
         rep.dynamic_j = dynamic_j
         rep.nvm_bytes_written = nvm_written
         if trace.migrations is not None:
             for m in trace.migrations.records:
-                src = devices.get(m.src, nvm)
-                dst = devices.get(m.dst, nvm)
+                src = dram if m.src == dram.name else nvm
+                dst = dram if m.dst == dram.name else nvm
                 rep.migration_j += _access_energy(src, m.nbytes, 0)
                 rep.migration_j += _access_energy(dst, 0, m.nbytes)
                 if dst.kind is DeviceKind.NVM:

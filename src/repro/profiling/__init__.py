@@ -14,15 +14,12 @@ reproduced here:
 """
 
 from repro.profiling.sampler import ObjectSample, TaskProfile, SamplingProfiler
-from repro.profiling.counters import GroundTruthCounters, ObjectCounts
 from repro.profiling.calibration import CalibrationResult, calibrate
 
 __all__ = [
     "ObjectSample",
     "TaskProfile",
     "SamplingProfiler",
-    "GroundTruthCounters",
-    "ObjectCounts",
     "CalibrationResult",
     "calibrate",
 ]

@@ -58,8 +58,8 @@ class ObjectSample:
     #: the object (memory-event sampling with the latency facility) — the
     #: magnitude the time-based benefit estimator prices.
     mem_active_fraction: float = 0.0
-    #: device the object resided on while profiled.
-    device: str = ""
+    #: whether the object was DRAM-resident while profiled.
+    on_dram: bool = False
 
     @property
     def accessed_bytes(self) -> float:
@@ -117,15 +117,15 @@ class SamplingProfiler:
         task: Task,
         duration: float,
         mem_times: Sequence[float],
-        devices: Sequence[str],
+        on_dram: Sequence[bool],
     ) -> TaskProfile:
         """Profile one execution of ``task`` that took ``duration`` seconds.
 
-        ``mem_times`` and ``devices`` hold, per access of ``task`` in
-        declaration order, its uncontended memory time on the device its
-        object lived on during the profiled run and that device's name
-        (what :func:`repro.tasking.executor.placed_memory_times` gives):
-        the ground truth of the active fractions.
+        ``mem_times`` and ``on_dram`` hold, per access of ``task`` in
+        declaration order, its uncontended memory time on the tier its
+        object lived on during the profiled run and whether that tier is
+        DRAM (what :func:`repro.tasking.executor.placed_memory_times`
+        gives): the ground truth of the active fractions.
         """
         rng = spawn_rng(self._seed, "sampler", task.name, task.type_name)
         p = 1.0 / self.interval_cycles
@@ -135,8 +135,8 @@ class SamplingProfiler:
         sum_mem = sum(mem_times)
 
         objects: dict[int, ObjectSample] = {}
-        for (obj, acc), mem_time, device in zip(
-            task.accesses.items(), mem_times, devices
+        for (obj, acc), mem_time, in_dram in zip(
+            task.accesses.items(), mem_times, on_dram
         ):
             cap_loads = int(rng.binomial(acc.loads, p)) if acc.loads else 0
             cap_stores = int(rng.binomial(acc.stores, p)) if acc.stores else 0
@@ -179,7 +179,7 @@ class SamplingProfiler:
                 misses=float(est_misses),
                 active_fraction=active_est,
                 mem_active_fraction=mem_est,
-                device=device,
+                on_dram=in_dram,
             )
             objects[obj.uid] = sample
         profile = object.__new__(TaskProfile)

@@ -129,28 +129,25 @@ def memory_times(csr: AccessCSR, dev: MemoryDevice) -> np.ndarray:
 
 def placed_memory_times(
     graph: TaskGraph, hms: HeterogeneousMemorySystem
-) -> Callable[[Task], tuple[list[float], list[str]]]:
+) -> Callable[[Task], tuple[list[float], list[bool]]]:
     """``times(task)``: per access of ``task`` (declaration order), its
-    uncontended memory time on the device its object occupies when
-    asked, and that device's name — the ground truth the sampling
+    uncontended memory time on the tier its object occupies when asked,
+    and whether that tier is DRAM — the ground truth the sampling
     profiler's active fractions derive from."""
     core = graph.exec_core()
     csr = core.accesses
     index = core.index
     bounds = csr.indptr.tolist()
-    on_dram = memory_times(csr, hms.dram).tolist()
-    on_nvm = memory_times(csr, hms.nvm).tolist()
+    t_dram = memory_times(csr, hms.dram).tolist()
+    t_nvm = memory_times(csr, hms.nvm).tolist()
     placements = hms._placements
     dram_name = hms.dram.name
 
-    def times(task: Task) -> tuple[list[float], list[str]]:
+    def times(task: Task) -> tuple[list[float], list[bool]]:
         lo = bounds[index[task.tid]]
-        names = [placements[obj.uid].device for obj in task.accesses]
-        mem = [
-            on_dram[j] if name == dram_name else on_nvm[j]
-            for j, name in enumerate(names, lo)
-        ]
-        return mem, names
+        on_dram = [placements[obj.uid].device == dram_name for obj in task.accesses]
+        mem = [t_dram[j] if d else t_nvm[j] for j, d in enumerate(on_dram, lo)]
+        return mem, on_dram
 
     return times
 
@@ -355,8 +352,8 @@ class ExecContext:
         """
         if self._placed_times is None:
             self._placed_times = placed_memory_times(self.graph, self.hms)
-        mem_times, devices = self._placed_times(task)
-        return self._profiler.sample_task(task, record.duration, mem_times, devices)
+        mem_times, on_dram = self._placed_times(task)
+        return self._profiler.sample_task(task, record.duration, mem_times, on_dram)
 
     def migration_backlog(self, now: float) -> float:
         """How far behind the helper thread's copy lane currently is —
@@ -414,11 +411,14 @@ class Executor:
         # prefix is the deterministic drain order; tids are unique so the
         # dense index is never compared.
         completions: list[tuple[float, int, int]] = []
-        # Min-heap of (finish, tid, devices) for tasks still streaming,
-        # with per-device stream counts maintained incrementally (the
-        # drained-prefix pop below replaces a per-dispatch rebuild).
-        running: list[tuple[float, int, frozenset[str]]] = []
+        # Min-heap of (finish, tid, touches_dram, touches_nvm) for tasks
+        # still streaming, with per-tier stream counts maintained
+        # incrementally (the drained-prefix pop below replaces a
+        # per-dispatch rebuild).
+        running: list[tuple[float, int, bool, bool]] = []
         records: list[TaskRecord] = []
+        # Per access row, in record order: served from DRAM at task start.
+        on_dram = bytearray()
 
         if telemetry is not None:
             # Bind instruments before any placement so initial allocations
@@ -426,12 +426,11 @@ class Executor:
             # ``running`` list — exact at any virtual time because machine
             # state only changes at events.
             def busy_workers(t: float) -> float:
-                return float(sum(1 for f, _tid, _d in running if f > t))
+                return float(sum(1 for r in running if r[0] > t))
 
             def active_streams(device: str, t: float) -> int:
-                return sum(
-                    1 for f, _tid, devs in running if f > t and device in devs
-                )
+                k = 2 if device == hms.dram.name else 3
+                return sum(1 for r in running if r[0] > t and r[k])
 
             # Export-side uid normalization: uids come from a process-global
             # counter, so digest equality across runs needs per-run ids.
@@ -507,9 +506,9 @@ class Executor:
         luf_get = luf.get
         dispatched = ctx._dispatched_mask
         records_append = records.append
-        active: dict[str, int] = {}  # live stream count per device name
-        active_get = active.get
-        active_n = 0  # total (task, device) stream pairs among `running`
+        flag_append = on_dram.append
+        flag_count = on_dram.count
+        n_dram = n_nvm = 0  # live stream count per tier among `running`
 
         while n_done < n_total:
             # Earliest-free worker; ties resolve to the lowest worker id
@@ -581,14 +580,13 @@ class Executor:
             stall = start_exec - t0
 
             # Contention: pop drained streams off the running heap and
-            # decrement their device counts (same permanently-removed set
+            # decrement their tier counts (same permanently-removed set
             # as the old in-place prune, kept incremental).
             cutoff = start_exec + 1e-15
             while running and running[0][0] <= cutoff:
-                devs = heappop(running)[2]
-                for d in devs:
-                    active[d] -= 1
-                active_n -= len(devs)
+                _f, _tid, td, tn = heappop(running)
+                n_dram -= td
+                n_nvm -= tn
 
             # Per-tier multipliers are task constants: stream counts only
             # change between dispatches.  Memory Mode streams every row
@@ -596,10 +594,10 @@ class Executor:
             # Injected degradation slows both timing laws, unlike
             # contention which queues only the bandwidth term.
             if dram_cache is None:
-                s_d = slowdown(active_get(dram_name, 0) + 1)
-                s_n = slowdown(active_get(nvm_name, 0) + 1)
+                s_d = slowdown(n_dram + 1)
+                s_n = slowdown(n_nvm + 1)
             else:
-                s_d = s_n = slowdown(active_n + 1)
+                s_d = s_n = slowdown(n_dram + n_nvm + 1)
             pen_d = pen_n = 1.0
             if injector is not None:
                 pen_d = injector.lat_penalty(dram_name, start_exec)
@@ -607,14 +605,13 @@ class Executor:
                 pen_n = injector.lat_penalty(nvm_name, start_exec)
                 s_n *= injector.bw_penalty(nvm_name, start_exec)
 
-            # Ground-truth memory time and residency snapshot, one pass.
+            # Ground-truth memory time and DRAM flags, one pass.
             mem = 0.0
-            residency: dict[int, str] = {}
             if dram_cache is not None:
                 # Memory Mode: hardware cache, placement-oblivious.
                 blend = dram_cache.blend
                 for uid, _w, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
-                    residency[uid] = placements[uid].device
+                    flag_append(placements[uid].device == dram_name)
                     if not has_traffic:
                         continue
                     lat = lat_d * pen_d
@@ -626,8 +623,8 @@ class Executor:
                     mem += blend(t_d, t_n, working_set)
             else:
                 for uid, writes, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
-                    name = placements[uid].device
-                    residency[uid] = name
+                    in_dram = placements[uid].device == dram_name
+                    flag_append(in_dram)
                     if not has_traffic:
                         continue
                     # Readers of an in-flight migration still hit the source
@@ -635,8 +632,8 @@ class Executor:
                     if eng_active and not writes and avail_get(uid, 0.0) > start_exec:
                         rec = last_rec_get(uid)
                         if rec is not None:
-                            name = rec.src
-                    if name == dram_name:
+                            in_dram = rec.src == dram_name
+                    if in_dram:
                         lat = lat_d * pen_d
                         b = bw_d * s_d
                     else:
@@ -660,7 +657,6 @@ class Executor:
                 memory_time=mem,
                 overhead_time=overhead_before,
                 stall_time=stall,
-                residency=residency,
             )
             version_before_hook = hms._version
             overhead_after = after_task(task, record, ctx)
@@ -692,23 +688,26 @@ class Executor:
                         help="Software overhead charged by the placement policy",
                     ).inc(oh)
 
-            # Devices this task streams against, *after* the policy hook —
+            # Tiers this task streams against, *after* the policy hook —
             # after_task may have migrated some of its objects.  When no
             # placement changed under the hook (the common case, detected
-            # by the HMS version counter), the residency snapshot already
-            # holds the answer.
+            # by the HMS version counter), the task's DRAM flags already
+            # hold the answer.
+            n_rows = len(rows)
             if hms._version == version_before_hook:
-                touched = frozenset(residency.values())
+                n_on = flag_count(1, len(on_dram) - n_rows)
             else:
-                touched = frozenset(placements[uid].device for uid in residency)
-            heappush(running, (finish, task.tid, touched))
-            for d in touched:
-                active[d] = active_get(d, 0) + 1
-            active_n += len(touched)
+                n_on = sum([placements[r[0]].device == dram_name for r in rows])
+            td = n_on > 0
+            tn = n_on < n_rows
+            heappush(running, (finish, task.tid, td, tn))
+            n_dram += td
+            n_nvm += tn
             # Dispatch bookkeeping the policy reads through the context:
             # each touched object's last dependency-safe point, and the
             # lookahead frontier (dispatched mask, cursor).
-            for uid in residency:
+            for r in rows:
+                uid = r[0]
                 if finish > luf_get(uid, 0.0):
                     luf[uid] = finish
             dispatched[di] = 1
@@ -725,6 +724,7 @@ class Executor:
             migrations=engine,
             makespan=makespan,
             n_workers=cfg.n_workers,
+            on_dram=on_dram,
         )
         if telemetry is not None:
             telemetry.end_run(makespan)

@@ -1,7 +1,7 @@
 """Execution traces: everything the experiment harness reports.
 
-The trace is the simulator's measurement layer — per-task timings, device
-residency at task start, migration records (via the engine), and the
+The trace is the simulator's measurement layer — per-task timings, one
+DRAM-residency flag per access, migration records (via the engine), and the
 aggregate statistics the paper's tables quote (#migrations, migrated MB,
 pure runtime overhead %, % overlap).
 """
@@ -30,7 +30,6 @@ class TaskRecord:
     memory_time: float
     overhead_time: float  #: placement-policy software overhead
     stall_time: float  #: time spent waiting for in-flight migrations
-    residency: dict[int, str]  #: obj uid -> device name at task start
 
     @property
     def duration(self) -> float:
@@ -46,6 +45,10 @@ class ExecutionTrace:
     makespan: float = 0.0
     n_workers: int = 1
     meta: dict[str, Any] = field(default_factory=dict)
+    #: One byte per access of each record (record order, then the task's
+    #: declaration order): 1 when the object was DRAM-resident at task
+    #: start.
+    on_dram: bytearray = field(default_factory=bytearray)
     #: Fault-injection digest (see :mod:`repro.faults`): injected /
     #: retried / recovered / failed counts, capacity losses, degraded-time
     #: slices and the raw injection events.  ``None`` for fault-free runs,
@@ -140,6 +143,8 @@ class ExecutionTrace:
             assert r.finish >= r.start, "negative duration"
             assert r.finish <= self.makespan + 1e-12, "task finishes after makespan"
             assert r.stall_time >= -1e-12 and r.overhead_time >= -1e-12
+        n_accesses = sum(len(r.task.accesses) for r in self.records)
+        assert len(self.on_dram) == n_accesses, "one DRAM flag per access"
         # No two records on the same worker may overlap in time.
         by_worker: dict[int, list[TaskRecord]] = {}
         for r in self.records:

@@ -16,6 +16,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
+from repro.tasking.trace import ExecutionTrace, TaskRecord
 from repro.util.units import MIB
 
 
@@ -32,6 +33,21 @@ def writes(mode: AccessMode) -> bool:
 def residency(hms: HeterogeneousMemorySystem) -> dict[int, str]:
     """Snapshot of every placed object: uid -> device name."""
     return {uid: pl.device for uid, pl in hms._placements.items()}
+
+
+def dram_flags(trace: ExecutionTrace, record: TaskRecord) -> dict[int, bool]:
+    """One record's slice of the trace's per-access DRAM flags, keyed by
+    object uid: whether each object the task declared was DRAM-resident
+    at task start."""
+    lo = 0
+    for r in trace.records:
+        if r is record:
+            break
+        lo += len(r.task.accesses)
+    else:
+        raise ValueError("record is not in the trace")
+    flags = trace.on_dram[lo : lo + len(record.task.accesses)]
+    return {obj.uid: bool(f) for obj, f in zip(record.task.accesses, flags)}
 
 
 def audit_select(audit: PlacementAuditLog, action: str) -> list[AuditEntry]:

@@ -19,14 +19,19 @@ production code computes in vectorized or indexed form: the timing law
 queries (:func:`available_at`, :func:`in_flight_source`,
 :func:`note_first_use`), which scan the engine's ``records`` backwards
 instead of reading the per-object indices the production loop keeps.
+It also keeps the energy walk over per-task residency dicts
+(:func:`energy_from_residency`), the oracle of
+``EnergyReport.from_trace``, which reads the trace's DRAM flags; the
+reference executor records those dicts in ``residencies``.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from repro.memory import energy
 from repro.memory.contention import share
-from repro.memory.device import MISS_BASE_LATENCY_S, MemoryDevice
+from repro.memory.device import MISS_BASE_LATENCY_S, DeviceKind, MemoryDevice
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import MigrationEngine, MigrationRecord
 from repro.tasking.access import ObjectAccess
@@ -48,6 +53,7 @@ __all__ = [
     "available_at",
     "bandwidth_time",
     "base_times",
+    "energy_from_residency",
     "in_flight_source",
     "latency_time",
     "memory_time",
@@ -96,11 +102,55 @@ def memory_time(
     return max(lat * lat_slowdown, bw * bw_slowdown)
 
 
-def placed_times(task: Task, device: MemoryDevice) -> tuple[list[float], list[str]]:
+def placed_times(task: Task, device: MemoryDevice) -> tuple[list[float], list[bool]]:
     """``sample_task``'s ground-truth inputs for ``task`` with every
     object on ``device``."""
     accs = task.accesses.values()
-    return [memory_time(acc, device) for acc in accs], [device.name] * len(accs)
+    on_dram = device.kind is DeviceKind.DRAM
+    return [memory_time(acc, device) for acc in accs], [on_dram] * len(accs)
+
+
+# ----------------------------------------------------------------------
+# Energy accounting over per-task residency dicts
+# ----------------------------------------------------------------------
+def energy_from_residency(
+    trace: ExecutionTrace,
+    residencies: list[dict[int, str]],
+    dram: MemoryDevice,
+    nvm: MemoryDevice,
+) -> energy.EnergyReport:
+    """``EnergyReport.from_trace`` with each record's residency given as
+    a ``uid -> device name`` dict (``residencies``, in record order):
+    one ``(read_coef, write_coef, is_nvm)`` triple per device name, an
+    unknown name charged as NVM, summed in the production loop's order."""
+    devices = {dram.name: dram, nvm.name: nvm}
+    coef = {
+        name: (
+            (energy.DRAM_READ_ENERGY, energy.DRAM_WRITE_ENERGY, False)
+            if dev.kind is DeviceKind.DRAM
+            else (energy.NVM_READ_ENERGY, energy.NVM_WRITE_ENERGY, True)
+        )
+        for name, dev in devices.items()
+    }
+    rep = energy.EnergyReport()
+    for rec, residency in zip(trace.records, residencies, strict=True):
+        for obj, acc in rec.task.accesses.items():
+            re_, we_, is_nvm = coef.get(residency.get(obj.uid, nvm.name), coef[nvm.name])
+            wb = acc.write_traffic_bytes
+            rep.dynamic_j += acc.read_traffic_bytes * re_ + wb * we_
+            if is_nvm:
+                rep.nvm_bytes_written += wb
+    if trace.migrations is not None:
+        for m in trace.migrations.records:
+            src = devices.get(m.src, nvm)
+            dst = devices.get(m.dst, nvm)
+            rep.migration_j += energy._access_energy(src, m.nbytes, 0)
+            rep.migration_j += energy._access_energy(dst, 0, m.nbytes)
+            if dst.kind is DeviceKind.NVM:
+                rep.nvm_bytes_written += m.nbytes
+    rep.static_j += energy._static_energy(dram, trace.makespan)
+    rep.static_j += energy._static_energy(nvm, trace.makespan)
+    return rep
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +196,8 @@ class ReferenceExecutor:
             sched = make_scheduler(sched)
         self.scheduler = sched if sched is not None else FIFOPolicy()
         self.injector = injector
+        #: Per record of the last run: ``uid -> device name`` at task start.
+        self.residencies: list[dict[int, str]] = []
 
     # ------------------------------------------------------------------
     def run(self, graph: TaskGraph, policy: PlacementPolicy) -> ExecutionTrace:
@@ -159,6 +211,8 @@ class ReferenceExecutor:
         completions: list[tuple[float, int]] = []
         running: list[tuple[float, Task, frozenset[str]]] = []
         records: list[TaskRecord] = []
+        self.residencies = []
+        on_dram = bytearray()
 
         policy.on_run_start(ctx)
         for obj in graph.objects:
@@ -256,6 +310,8 @@ class ReferenceExecutor:
             finish = start_exec + exec_time
 
             residency = {o.uid: device_of(o).name for o in task.accesses}
+            self.residencies.append(residency)
+            on_dram.extend(hms.in_dram(o) for o in task.accesses)
             record = TaskRecord(
                 task=task,
                 worker=wid,
@@ -265,7 +321,6 @@ class ReferenceExecutor:
                 memory_time=mem,
                 overhead_time=overhead_before,
                 stall_time=stall,
-                residency=residency,
             )
             overhead_after = after_task(task, record, ctx)
             worker_free = finish + overhead_after
@@ -278,7 +333,6 @@ class ReferenceExecutor:
                 memory_time=mem,
                 overhead_time=overhead_before + overhead_after,
                 stall_time=stall,
-                residency=residency,
             )
             records.append(record)
 
@@ -303,6 +357,7 @@ class ReferenceExecutor:
             migrations=engine,
             makespan=makespan,
             n_workers=cfg.n_workers,
+            on_dram=on_dram,
         )
         if injector is not None:
             trace.faults = {

@@ -67,6 +67,25 @@ class TestXMem:
         assert hms.in_dram(hot)
         assert not hms.in_dram(cold)
 
+    def test_equal_densities_place_lower_uid_first(self, nvm_bw):
+        """Objects of equal access density rank by uid, not by the order
+        the program declares them in."""
+        low = DataObject(name="low", size_bytes=int(4 * MIB))
+        high = DataObject(name="high", size_bytes=int(4 * MIB))
+        assert low.uid < high.uid
+        g = TaskGraph()
+        g.add(
+            Task(
+                name="t",
+                type_name="t",
+                accesses={o: read_footprint(o.size_bytes) for o in (high, low)},
+            )
+        )
+        hms = HeterogeneousMemorySystem(dram(int(5 * MIB)), nvm_bw)
+        Executor(hms, ExecutorConfig()).run(g, XMemPolicy())
+        assert hms.in_dram(low)
+        assert not hms.in_dram(high)
+
     def test_never_migrates_at_runtime(self, nvm_bw):
         g, *_ = hot_cold_graph()
         tr = run_graph(g, dram(), nvm_bw, XMemPolicy())

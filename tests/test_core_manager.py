@@ -27,6 +27,8 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
+from tests.helpers import dram_flags
+
 
 def hot_cold_program(iterations=12, hot_mib=8, cold_mib=48):
     """One hot streamed object + one cold object, repeatedly; the manager
@@ -136,7 +138,7 @@ class TestManagerConfigKnobs:
         hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
         tr = Executor(hms, ExecutorConfig(n_workers=2)).run(g, pol)
         first = min(tr.records, key=lambda r: r.start)
-        assert first.residency[hot.uid] == "dram"
+        assert dram_flags(tr, first)[hot.uid]
 
     def test_disable_initial_placement(self, nvm_bw):
         g, hot, _ = hot_cold_program()
@@ -145,7 +147,7 @@ class TestManagerConfigKnobs:
         hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
         tr = Executor(hms, ExecutorConfig(n_workers=2)).run(g, pol)
         first = min(tr.records, key=lambda r: r.start)
-        assert first.residency[hot.uid] == hms.nvm.name
+        assert not dram_flags(tr, first)[hot.uid]
 
     def test_disable_both_searches_never_migrates(self, nvm_bw):
         g, *_ = hot_cold_program()

@@ -198,14 +198,14 @@ class TestTypeModel:
             compute_time=1e-4,
         )
         d = dram(int(64 * MIB))
-        mem_times, devices = placed_times(t, d)
+        mem_times, on_dram = placed_times(t, d)
         dur = sum(mem_times) + t.compute_time
-        return SamplingProfiler(seed=seed).sample_task(t, dur, mem_times, devices), dur
+        return SamplingProfiler(seed=seed).sample_task(t, dur, mem_times, on_dram), dur
 
     def test_observe_builds_slots(self):
         m = TypeModel("k")
         p, dur = self._profile()
-        m.observe(p, "dram")
+        m.observe(p)
         assert m.ready and m.n_profiles == 1
         assert len(m.slots) == 2
         assert m.mean_duration == pytest.approx(dur)
@@ -216,7 +216,7 @@ class TestTypeModel:
         last slot, and every access of a slot-less model an empty one."""
         m = TypeModel("k")
         p, _ = self._profile()
-        m.observe(p, "dram")
+        m.observe(p)
         empty = TypeModel("empty", n_profiles=1)  # ready, no slots
         objs = [DataObject(name=f"o{i}", size_bytes=int(MIB)) for i in range(4)]
         g = TaskGraph()
@@ -226,8 +226,9 @@ class TestTypeModel:
                    accesses={objs[3]: read_footprint(objs[3].size_bytes)}))
         policy = DataManagerPolicy()
         policy._models = {"k": m, "empty": empty}
+        core, every = g.exec_core(), np.arange(2)
         _, (batch, _, _) = policy._demand_stats_split(
-            g.exec_core(), np.arange(2), window_len=2
+            core, every, 2, True, core.accesses.gather(every)
         )
         rows = dict(zip(batch.uid.tolist(), zip(batch.loads.tolist(), batch.stores.tolist())))
         last, first = m.slots[-1], m.slots[0]
@@ -239,7 +240,7 @@ class TestTypeModel:
         m = TypeModel("k")
         for seed in range(4):
             p, _ = self._profile(seed)
-            m.observe(p, "dram")
+            m.observe(p)
         assert m.n_profiles == 4
         assert m.slots[0].n == 4
 
@@ -247,7 +248,7 @@ class TestTypeModel:
         m = TypeModel("k")
         for seed in range(4):
             p, _ = self._profile(seed)
-            m.observe(p, "dram")
+            m.observe(p)
         assert m.slots[0].confidence > 0.9
 
     def test_confidence_low_for_erratic_slots(self):
@@ -299,7 +300,10 @@ class TestObjectStats:
             "a": TypeModel("a", slots=[a], n_profiles=1),
             "b": TypeModel("b", slots=[b], n_profiles=1),
         }
-        _, (st, _, _) = policy._demand_stats_split(g.exec_core(), np.arange(2), 2)
+        core, every = g.exec_core(), np.arange(2)
+        _, (st, _, _) = policy._demand_stats_split(
+            core, every, 2, True, core.accesses.gather(every)
+        )
         assert st.loads.tolist() == [20.0] and st.misses.tolist() == [16.0]
         assert st.bw_demand.tolist() == [2e9]  # max
         assert st.mem_seconds[0] == pytest.approx(0.4)

@@ -172,9 +172,10 @@ class TestLookahead:
         for t in tasks:
             g.add(t)
         core = g.exec_core()
+        every = np.arange(len(tasks))
         _, (objs, offsets) = first_use_offsets_split(
-            core, np.arange(len(tasks)), len(tasks),
-            np.ones(len(core.type_names)), n_workers,
+            core, every, len(tasks),
+            np.ones(len(core.type_names)), n_workers, core.accesses.gather(every),
         )
         return dict(zip(core.accesses.obj_uid[objs].tolist(), offsets.tolist()))
 

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from repro.baselines import DRAMOnlyPolicy, NVMOnlyPolicy, OracleStaticPolicy
+from repro.baselines import DRAMOnlyPolicy, HWCacheMode, NVMOnlyPolicy, OracleStaticPolicy
+from repro.experiments.runner import make_policy
+from repro.faults import FaultInjector
+from repro.faults.plan import CapacityLoss, FaultPlan
 from repro.memory.energy import EnergyReport, _access_energy, _static_energy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
@@ -16,8 +19,10 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.tasking.tracefmt import ascii_gantt, to_chrome_trace
 from repro.util.units import MIB
+from repro.workloads import build
 
 from tests.helpers import dram_for, make_fork_join_graph, run_graph
+from tests.reference_executor import ReferenceExecutor, energy_from_residency
 
 
 class TestEnergyModel:
@@ -73,6 +78,41 @@ class TestEnergyReport:
         tr = run_graph(g, dram(), nvm_bw, pol, workers=1)
         rep = EnergyReport.from_trace(tr, dram(), nvm_bw)
         assert rep.migration_j > 0
+
+    @pytest.mark.parametrize("case", ["tahoe-migrations", "hw-cache", "dram-loss-after-writes"])
+    def test_flags_match_residency_walk(self, case, nvm_bw):
+        """``from_trace`` reads one DRAM flag per access; the walk over
+        per-task residency dicts it replaced (kept as the oracle, fed by
+        the reference executor's dicts) gives bitwise the same report:
+        under migrations, under Memory Mode, and when DRAM shrinks after
+        writes have landed, so dirty residents are written back."""
+        w = build("heat", grid=6, iterations=8)
+        runs = []
+        for cls in (Executor, ReferenceExecutor):
+            d = dram(int(64 * MIB))
+            hms = HeterogeneousMemorySystem(d, nvm_bw)
+            cfg = ExecutorConfig(n_workers=4)
+            injector = None
+            if case == "hw-cache":
+                cfg = HWCacheMode.configure(cfg, d.capacity_bytes)
+            elif case == "dram-loss-after-writes":
+                loss = CapacityLoss(device="dram", at_s=0.05, lose_bytes=int(32 * MIB))
+                injector = FaultInjector.for_hms(FaultPlan(capacity_losses=(loss,)), hms)
+            executor = cls(hms, cfg, injector=injector)
+            policy = make_policy("hw-cache" if case == "hw-cache" else "tahoe")
+            runs.append((executor, executor.run(w.graph, policy)))
+        (_, got), (ref, want) = runs
+        if case == "tahoe-migrations":
+            assert got.migration_count > 0 and any(got.on_dram)
+        elif case == "dram-loss-after-writes":
+            assert got.faults["emergency_evictions"] > 0
+            assert any(
+                m.dst == nvm_bw.name and m.start_time >= 0.05
+                for m in got.migrations.records
+            )
+        have = EnergyReport.from_trace(got, d, nvm_bw)
+        oracle = energy_from_residency(want, ref.residencies, d, nvm_bw)
+        assert have == oracle
 
     def test_summary_keys(self, nvm_bw):
         tr, d, n = self._run(NVMOnlyPolicy(), nvm_bw)

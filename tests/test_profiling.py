@@ -1,4 +1,4 @@
-"""Sampling profiler emulation, exact counters, and calibration."""
+"""Sampling profiler emulation and calibration."""
 
 import struct
 from unittest import mock
@@ -13,7 +13,6 @@ from repro.memory.device import DeviceKind
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import MigrationEngine
 from repro.memory.presets import NVM_CONFIGS, dram, nvm_latency_scaled
-from repro.profiling.counters import GroundTruthCounters
 from repro.profiling.sampler import SamplingProfiler
 from repro.tasking.access import PATTERNS, AccessMode, AccessPattern, ObjectAccess
 from repro.tasking.dataobj import DataObject
@@ -117,7 +116,7 @@ class TestSamplingProfiler:
         prof = SamplingProfiler(seed=4)
         p = prof.sample_task(t, 5e-3, *placed_times(t, d))
         s = next(iter(p.objects.values()))
-        assert s.device == d.name
+        assert s.on_dram is True
         assert 0.0 <= s.mem_active_fraction <= 1.0
 
     def test_mem_active_fraction_reflects_memory_share(self):
@@ -140,9 +139,9 @@ class TestSamplingProfiler:
         t = stream_task()
         d = dram(int(64 * MIB))
         a = next(iter(t.accesses))
-        mem_times, devices = placed_times(t, d)
+        mem_times, on_dram = placed_times(t, d)
         duration = sum(mem_times) + t.compute_time
-        p = SamplingProfiler(seed=7).sample_task(t, duration, mem_times, devices)
+        p = SamplingProfiler(seed=7).sample_task(t, duration, mem_times, on_dram)
         bw = object_bandwidth(p.objects[a.uid], p.duration)
         # A streaming object's demand approaches device bandwidth.
         assert bw > 0.2 * d.read_bandwidth
@@ -225,19 +224,19 @@ def test_profiler_and_oracle_time_with_the_scalar_law(program):
     graph, hms = program
     ctx = ExecContext(graph, hms, MigrationEngine(), ExecutorConfig())
     received = []
-    ctx._profiler.sample_task = lambda task, duration, mem, devs: received.append(
-        (list(mem), list(devs))
+    ctx._profiler.sample_task = lambda task, duration, mem, on_dram: received.append(
+        (list(mem), list(on_dram))
     )
     for t in graph.tasks:
         record = TaskRecord(
             task=t, worker=0, start=0.0, finish=1e-3, compute_time=0.0,
-            memory_time=0.0, overhead_time=0.0, stall_time=0.0, residency={},
+            memory_time=0.0, overhead_time=0.0, stall_time=0.0,
         )
         ctx.profile(t, record)
-        mem, devs = received.pop()
+        mem, on_dram = received.pop()
         want = [memory_time(acc, hms.device_of(o)) for o, acc in t.accesses.items()]
         assert bits(mem) == bits(want)
-        assert devs == [hms.device_of(o).name for o in t.accesses]
+        assert on_dram == [hms.in_dram(o) for o in t.accesses]
 
     benefit = {o.uid: 0.0 for o in graph.objects}
     for t in graph.tasks:
@@ -249,39 +248,6 @@ def test_profiler_and_oracle_time_with_the_scalar_law(program):
         OracleStaticPolicy().on_run_start(ctx)
     values = solve.call_args.args[0]
     assert bits(values) == bits([benefit[o.uid] for o in graph.objects])
-
-
-class TestGroundTruthCounters:
-    def test_profile_graph_aggregates(self):
-        g = TaskGraph()
-        o = DataObject(name="o", size_bytes=int(MIB))
-        for i in range(3):
-            g.add(
-                Task(
-                    name=f"t{i}",
-                    type_name="t",
-                    accesses={o: read_footprint(o.size_bytes)},
-                )
-            )
-        c = GroundTruthCounters.profile_graph(g)
-        assert c.per_object[o.uid].tasks == 3
-        assert c.per_object[o.uid].loads == 3 * g.tasks[0].accesses[o].loads
-
-    def test_hottest_first_ranks_by_density(self):
-        g = TaskGraph()
-        hot = DataObject(name="hot", size_bytes=int(MIB))
-        cold = DataObject(name="cold", size_bytes=int(8 * MIB))
-        g.add(
-            Task(
-                name="t",
-                type_name="t",
-                accesses={
-                    hot: read_footprint(hot.size_bytes, reuse=8.0),
-                    cold: read_footprint(cold.size_bytes),
-                },
-            )
-        )
-        assert GroundTruthCounters.profile_graph(g).hottest_first()[0] == hot.uid
 
 
 class TestCalibration:

@@ -179,16 +179,15 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
         name: StubModel(*m) for name, m in models.items() if m is not None
     }
 
-    # Demand projection, both scopes, with and without the caller's
-    # gather of the remaining rows (the replan passes it).
+    # Demand projection, both scopes, from the gather of the remaining
+    # rows the replan passes.
     gathered = csr.gather(remaining)
     want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
-    for extra in ((), (gathered,)):
-        got = policy._demand_stats_split(core, remaining, window, need_window, *extra)
-        for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
-            assert_batch_bitwise(g_batch, w_batch)
-            assert bits(g_horizon) == bits(w_horizon)
-            assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
+    got = policy._demand_stats_split(core, remaining, window, need_window, gathered)
+    for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
+        assert_batch_bitwise(g_batch, w_batch)
+        assert bits(g_horizon) == bits(w_horizon)
+        assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
 
     # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
     durations = {
@@ -196,15 +195,14 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
         for name in core.type_names
     }
     want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
-    for extra in ((), (gathered,)):
-        got_fu = first_use_offsets_split(
-            core, remaining, window,
-            np.array([durations[n] for n in core.type_names]), n_workers, *extra,
-        )
-        for g_scope, w_scope in zip(got_fu, want_fu):
-            assert offsets_by_uid(csr, g_scope) == [
-                (u, bits(o)) for u, o in w_scope.items()
-            ]
+    got_fu = first_use_offsets_split(
+        core, remaining, window,
+        np.array([durations[n] for n in core.type_names]), n_workers, gathered,
+    )
+    for g_scope, w_scope in zip(got_fu, want_fu):
+        assert offsets_by_uid(csr, g_scope) == [
+            (u, bits(o)) for u, o in w_scope.items()
+        ]
 
     # Parallel slack over the full horizon and the window.
     depths = spawn_order_depths(graph)
@@ -249,7 +247,9 @@ def test_row_terms_follow_model_and_graph_changes() -> None:
     def check(remaining: np.ndarray, window: int = 24) -> None:
         core = graph.exec_core()
         tasks = tuple(core.tasks[i] for i in remaining.tolist())
-        got = policy._demand_stats_split(core, remaining, window)
+        got = policy._demand_stats_split(
+            core, remaining, window, True, core.accesses.gather(remaining)
+        )
         want = demand_stats_split_ref(tasks, window, policy._model_for)
         for (g_batch, g_horizon, _), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)

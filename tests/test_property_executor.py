@@ -145,7 +145,6 @@ def _record_tuple(r):
         r.memory_time,
         r.overhead_time,
         r.stall_time,
-        dict(r.residency),
     )
 
 
@@ -153,6 +152,7 @@ def _assert_traces_identical(got, want):
     assert len(got.records) == len(want.records)
     for g, w in zip(got.records, want.records):
         assert _record_tuple(g) == _record_tuple(w)
+    assert got.on_dram == want.on_dram
     assert got.makespan == want.makespan
     assert got.summary() == want.summary()
     assert getattr(got, "faults", None) == getattr(want, "faults", None)
@@ -249,5 +249,6 @@ def test_telemetry_leaves_trace_identical(graph, workers, make_policy):
     assert [_record_tuple(r) for r in instrumented.records] == [
         _record_tuple(r) for r in bare.records
     ]
+    assert instrumented.on_dram == bare.on_dram
     assert instrumented.makespan == bare.makespan
     assert instrumented.migrations.records == bare.migrations.records

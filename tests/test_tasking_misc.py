@@ -142,7 +142,6 @@ class TestTrace:
             memory_time=finish - start,
             overhead_time=ovh,
             stall_time=stall,
-            residency={},
         )
 
     def test_summary_fields(self):
