@@ -60,7 +60,7 @@ def test_bench_executor_throughput_nvm_only(benchmark):
         )
 
     tr = benchmark(run)
-    assert len(tr.records) == len(w.graph)
+    assert len(tr.tasks) == len(w.graph)
 
 
 def test_bench_executor_with_data_manager(benchmark):
@@ -78,7 +78,7 @@ def test_bench_executor_with_data_manager(benchmark):
         )
 
     tr = benchmark.pedantic(run, setup=clear_solver_cache, rounds=5)
-    assert len(tr.records) == len(w.graph)
+    assert len(tr.tasks) == len(w.graph)
 
 
 class _SeenModel:

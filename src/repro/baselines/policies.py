@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.tasking.executor import ExecContext
 from repro.tasking.task import Task
-from repro.tasking.trace import TaskRecord
 
 __all__ = [
     "BasePolicy",
@@ -25,7 +24,7 @@ class BasePolicy:
     def before_task(self, task: Task, ctx: ExecContext, now: float) -> float:  # noqa: ARG002
         return 0.0
 
-    def after_task(self, task: Task, record: TaskRecord, ctx: ExecContext) -> float:  # noqa: ARG002
+    def after_task(self, task: Task, duration: float, ctx: ExecContext) -> float:  # noqa: ARG002
         return 0.0
 
 

@@ -39,7 +39,6 @@ from repro.profiling.calibration import CalibrationResult, calibrate
 from repro.tasking.executor import ExecContext
 from repro.tasking.graph import AccessCSR, GraphExecCore
 from repro.tasking.task import Task
-from repro.tasking.trace import TaskRecord
 from repro.util.log import get_logger
 from repro.util.units import US
 
@@ -331,10 +330,9 @@ class DataManagerPolicy(BasePolicy):
             overhead += self._replan(ctx, now + overhead)
         return overhead
 
-    def after_task(self, task: Task, record: TaskRecord, ctx: ExecContext) -> float:
+    def after_task(self, task: Task, duration: float, ctx: ExecContext) -> float:
         cfg = self.config
         tname = task.type_name
-        duration = record.duration
         model = self._models.get(tname)
         if model is None:
             model = TypeModel(tname)
@@ -351,7 +349,7 @@ class DataManagerPolicy(BasePolicy):
                 model.recent_duration = rd + (duration - rd) * 0.3
             overhead = 0.0
         else:
-            profile = ctx.profile(task, record)
+            profile = ctx.profile(task, duration)
             model.observe(profile)
             overhead = ctx.profiling_overhead(duration)
             self.stats["profiled_tasks"] += 1

@@ -336,7 +336,7 @@ def _trace_main(argv: list[str]) -> int:
 
     print(
         f"{spec.label()}: makespan {trace.makespan * 1e3:.3f} ms, "
-        f"{len(trace.records)} tasks, {trace.migration_count} migrations "
+        f"{len(trace.tasks)} tasks, {trace.migration_count} migrations "
         f"({trace.migrated_mib:.1f} MiB)"
     )
     if trace.faults is not None:

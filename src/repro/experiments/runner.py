@@ -14,6 +14,7 @@ adds process fan-out and the on-disk result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.baselines import (
@@ -193,15 +194,11 @@ class ClosedRunOutcome:
 
     kind = "closed"
 
-    @property
+    @cached_property
     def result(self) -> RunResult:
         """The run digest, computed once on first access (trace-only
         consumers never pay for energy accounting)."""
-        cached = self.__dict__.get("_result")
-        if cached is None:
-            cached = RunResult.from_trace(self.spec, self.trace, self.dram, self.spec.nvm)
-            object.__setattr__(self, "_result", cached)
-        return cached
+        return RunResult.from_trace(self.spec, self.trace, self.dram, self.spec.nvm)
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,8 @@ class EnergyReport:
         dynamic_j = 0.0
         nvm_written = 0.0
         flags = iter(trace.on_dram)
-        for rec in trace.records:
-            for acc, on_dram in zip(rec.task.accesses.values(), flags):
+        for task in trace.tasks:
+            for acc, on_dram in zip(task.accesses.values(), flags):
                 wb = acc.write_traffic_bytes
                 if on_dram:
                     dynamic_j += (

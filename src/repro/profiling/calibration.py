@@ -72,19 +72,19 @@ class CalibrationResult:
 
 def _sum_counts(trace, times, profiler):
     """(miss_loads, miss_stores, raw_loads, raw_stores, bytes_est,
-    mem_active_seconds, time), profiling each record with ``times`` (the
+    mem_active_seconds, time), profiling each task with ``times`` (the
     run's :func:`placed_memory_times`), as the runtime profiles online."""
     ml = ms = rl = rs = be = ma = tt = 0.0
-    for rec in trace.records:
-        prof = profiler.sample_task(rec.task, rec.duration, *times(rec.task))
+    for task, duration in zip(trace.tasks, trace.durations()):
+        prof = profiler.sample_task(task, duration, *times(task))
         for s in prof.objects.values():
             ml += s.miss_loads
             ms += s.miss_stores
             rl += s.loads
             rs += s.stores
             be += s.accessed_bytes
-            ma += s.mem_active_fraction * rec.duration
-        tt += rec.duration
+            ma += s.mem_active_fraction * duration
+        tt += duration
     return ml, ms, rl, rs, be, ma, tt
 
 
@@ -129,7 +129,7 @@ def calibrate(
     tr_fast, on_fast = run(stream, dram, config.n_workers)
     tr_slow, _ = run(stream, slow_bw, config.n_workers)
     ml, ms, rl, rs, bytes_d, mem_d, t_fast = _sum_counts(tr_fast, on_fast, profiler)
-    t_slow = sum(r.duration for r in tr_slow.records)
+    t_slow = tr_slow.total_task_time
 
     # Time-based prediction: NVM time = measured memory-active time / r,
     # where r is the datasheet speed ratio the runtime will also use.

@@ -27,7 +27,7 @@ from repro.tasking.stream import (
     StreamDriver,
     StreamResult,
 )
-from repro.tasking.trace import ExecutionTrace, TaskRecord
+from repro.tasking.trace import ExecutionTrace
 from repro.tasking.runtime import TaskRuntime
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "PlacementPolicy",
     "ExecContext",
     "ExecutionTrace",
-    "TaskRecord",
     "TaskRuntime",
     "AdmissionController",
     "JobRequest",

@@ -50,7 +50,7 @@ from repro.tasking.dataobj import DataObject
 from repro.tasking.graph import AccessCSR, TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, SchedulingPolicy, make_scheduler
 from repro.tasking.task import Task
-from repro.tasking.trace import ExecutionTrace, TaskRecord
+from repro.tasking.trace import ExecutionTrace
 
 __all__ = ["ExecutorConfig", "ExecContext", "PlacementPolicy", "Executor"]
 
@@ -95,8 +95,9 @@ class PlacementPolicy(Protocol):
         """Called when a worker picks ``task``; may request migrations.
         Returns software overhead (seconds) charged to the worker."""
 
-    def after_task(self, task: Task, record: TaskRecord, ctx: "ExecContext") -> float:
-        """Called when ``task`` completes; may profile/adapt.
+    def after_task(self, task: Task, duration: float, ctx: "ExecContext") -> float:
+        """Called when ``task`` completes after ``duration`` seconds (from
+        dispatch, before this hook's own overhead); may profile/adapt.
         Returns software overhead (seconds) charged to the worker."""
 
 
@@ -343,8 +344,9 @@ class ExecContext:
         idx.flags.writeable = False
         return idx
 
-    def profile(self, task: Task, record: TaskRecord):
-        """Sample the task through the emulated hardware counters.
+    def profile(self, task: Task, duration: float):
+        """Sample a task that ran ``duration`` seconds through the
+        emulated hardware counters.
 
         This is the only sanctioned path from ground truth to a policy:
         it returns undercount-corrected but noisy per-object load/store
@@ -353,7 +355,7 @@ class ExecContext:
         if self._placed_times is None:
             self._placed_times = placed_memory_times(self.graph, self.hms)
         mem_times, on_dram = self._placed_times(task)
-        return self._profiler.sample_task(task, record.duration, mem_times, on_dram)
+        return self._profiler.sample_task(task, duration, mem_times, on_dram)
 
     def migration_backlog(self, now: float) -> float:
         """How far behind the helper thread's copy lane currently is —
@@ -416,9 +418,9 @@ class Executor:
         # incrementally (the drained-prefix pop below replaces a
         # per-dispatch rebuild).
         running: list[tuple[float, int, bool, bool]] = []
-        records: list[TaskRecord] = []
-        # Per access row, in record order: served from DRAM at task start.
-        on_dram = bytearray()
+        trace = ExecutionTrace(migrations=engine, n_workers=nw)
+        # Per access row, in dispatch order: served from DRAM at task start.
+        on_dram = trace.on_dram
 
         if telemetry is not None:
             # Bind instruments before any placement so initial allocations
@@ -505,7 +507,14 @@ class Executor:
         luf = ctx.last_use_finish
         luf_get = luf.get
         dispatched = ctx._dispatched_mask
-        records_append = records.append
+        tasks_append = trace.tasks.append
+        worker_append = trace.worker.append
+        start_append = trace.start.append
+        finish_append = trace.finish.append
+        compute_append = trace.compute_time.append
+        memory_append = trace.memory_time.append
+        overhead_append = trace.overhead_time.append
+        stall_append = trace.stall_time.append
         flag_append = on_dram.append
         flag_count = on_dram.count
         n_dram = n_nvm = 0  # live stream count per tier among `running`
@@ -648,25 +657,21 @@ class Executor:
                 exec_time = mem + overlap_keep * compute
             finish = start_exec + exec_time
 
-            record = TaskRecord(
-                task=task,
-                worker=wid,
-                start=now,
-                finish=finish,
-                compute_time=compute,
-                memory_time=mem,
-                overhead_time=overhead_before,
-                stall_time=stall,
-            )
+            # Called positionally: a wrapping policy may name the duration
+            # parameter differently.  The trace's finish includes the
+            # hook's overhead, the duration it receives does not.
             version_before_hook = hms._version
-            overhead_after = after_task(task, record, ctx)
+            overhead_after = after_task(task, finish - now, ctx)
             worker_free_t = finish + overhead_after
-            if overhead_after != 0.0:
-                object.__setattr__(record, "finish", worker_free_t)
-                object.__setattr__(
-                    record, "overhead_time", overhead_before + overhead_after
-                )
-            records_append(record)
+            oh = overhead_before + overhead_after
+            tasks_append(task)
+            worker_append(wid)
+            start_append(now)
+            finish_append(worker_free_t)
+            compute_append(compute)
+            memory_append(mem)
+            overhead_append(oh if overhead_after != 0.0 else overhead_before)
+            stall_append(stall)
             if telemetry is not None:
                 reg = telemetry.registry
                 reg.counter(
@@ -675,13 +680,12 @@ class Executor:
                 reg.histogram(
                     "task_duration_seconds",
                     help="End-to-end task time incl. overhead (virtual seconds)",
-                ).observe(record.duration)
+                ).observe(worker_free_t - now)
                 if stall > 0:
                     reg.histogram(
                         "task_stall_seconds",
                         help="Time spent waiting for in-flight migrations",
                     ).observe(stall)
-                oh = overhead_before + overhead_after
                 if oh > 0:
                     reg.counter(
                         "policy_overhead_seconds_total",
@@ -718,14 +722,7 @@ class Executor:
             heappush(completions, (worker_free_t, task.tid, di))
             wfl[wid] = worker_free_t
 
-        makespan = max((r.finish for r in records), default=0.0)
-        trace = ExecutionTrace(
-            records=records,
-            migrations=engine,
-            makespan=makespan,
-            n_workers=cfg.n_workers,
-            on_dram=on_dram,
-        )
+        makespan = trace.makespan = max(trace.finish, default=0.0)
         if telemetry is not None:
             telemetry.end_run(makespan)
             trace.telemetry = telemetry.export()

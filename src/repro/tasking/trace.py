@@ -1,9 +1,9 @@
 """Execution traces: everything the experiment harness reports.
 
-The trace is the simulator's measurement layer — per-task timings, one
-DRAM-residency flag per access, migration records (via the engine), and the
-aggregate statistics the paper's tables quote (#migrations, migrated MB,
-pure runtime overhead %, % overlap).
+The trace is the simulator's measurement layer — per-task timing columns,
+one DRAM-residency flag per access, migration records (via the engine),
+and the aggregate statistics the paper's tables quote (#migrations,
+migrated MB, pure runtime overhead %, % overlap).
 """
 
 from __future__ import annotations
@@ -15,37 +15,33 @@ from repro.memory.migration import MigrationEngine
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-__all__ = ["TaskRecord", "ExecutionTrace"]
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """Timing of one executed task."""
-
-    task: Task
-    worker: int
-    start: float
-    finish: float
-    compute_time: float
-    memory_time: float
-    overhead_time: float  #: placement-policy software overhead
-    stall_time: float  #: time spent waiting for in-flight migrations
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
+__all__ = ["ExecutionTrace"]
 
 
 @dataclass
 class ExecutionTrace:
-    """Full record of one simulated run."""
+    """Full record of one simulated run.
 
-    records: list[TaskRecord] = field(default_factory=list)
+    Per-task timings are columns, one list entry per executed task in
+    dispatch order: ``tasks[i]`` ran on ``worker[i]`` from ``start[i]``
+    to ``finish[i]`` (including the policy's after-task overhead).
+    """
+
+    tasks: list[Task] = field(default_factory=list)
+    worker: list[int] = field(default_factory=list)
+    start: list[float] = field(default_factory=list)
+    finish: list[float] = field(default_factory=list)
+    compute_time: list[float] = field(default_factory=list)
+    memory_time: list[float] = field(default_factory=list)
+    #: Placement-policy software overhead, before- plus after-task.
+    overhead_time: list[float] = field(default_factory=list)
+    #: Time spent waiting for in-flight migrations.
+    stall_time: list[float] = field(default_factory=list)
     migrations: MigrationEngine | None = None
     makespan: float = 0.0
     n_workers: int = 1
     meta: dict[str, Any] = field(default_factory=dict)
-    #: One byte per access of each record (record order, then the task's
+    #: One byte per access of each task (dispatch order, then the task's
     #: declaration order): 1 when the object was DRAM-resident at task
     #: start.
     on_dram: bytearray = field(default_factory=bytearray)
@@ -61,28 +57,38 @@ class ExecutionTrace:
     #: so disabling telemetry keeps summaries byte-identical.
     telemetry: dict[str, Any] | None = None
 
+    @property
+    def records(self) -> list[Task]:
+        """Read-only alias of :attr:`tasks` (the benchmark harness counts
+        tasks through it)."""
+        return self.tasks
+
+    def durations(self) -> list[float]:
+        """Per-task ``finish - start``, in dispatch order."""
+        return [f - s for f, s in zip(self.finish, self.start)]
+
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     @property
     def total_task_time(self) -> float:
-        return sum(r.duration for r in self.records)
+        return sum(self.durations())
 
     @property
     def total_compute_time(self) -> float:
-        return sum(r.compute_time for r in self.records)
+        return sum(self.compute_time)
 
     @property
     def total_memory_time(self) -> float:
-        return sum(r.memory_time for r in self.records)
+        return sum(self.memory_time)
 
     @property
     def total_overhead_time(self) -> float:
-        return sum(r.overhead_time for r in self.records)
+        return sum(self.overhead_time)
 
     @property
     def total_stall_time(self) -> float:
-        return sum(r.stall_time for r in self.records)
+        return sum(self.stall_time)
 
     def overhead_fraction(self) -> float:
         """Pure runtime cost as a fraction of makespan ("pure runtime cost"
@@ -114,7 +120,7 @@ class ExecutionTrace:
         """Flat metrics dict for tables and regression tests."""
         out = {
             "makespan": self.makespan,
-            "n_tasks": len(self.records),
+            "n_tasks": len(self.tasks),
             "n_workers": self.n_workers,
             "utilization": self.worker_utilization(),
             "compute_time": self.total_compute_time,
@@ -139,17 +145,14 @@ class ExecutionTrace:
 
     def validate(self) -> None:
         """Sanity invariants used by integration and property tests."""
-        for r in self.records:
-            assert r.finish >= r.start, "negative duration"
-            assert r.finish <= self.makespan + 1e-12, "task finishes after makespan"
-            assert r.stall_time >= -1e-12 and r.overhead_time >= -1e-12
-        n_accesses = sum(len(r.task.accesses) for r in self.records)
+        start, finish = self.start, self.finish
+        for s, f, ovh, stall in zip(start, finish, self.overhead_time, self.stall_time):
+            assert f >= s, "negative duration"
+            assert f <= self.makespan + 1e-12, "task finishes after makespan"
+            assert stall >= -1e-12 and ovh >= -1e-12
+        n_accesses = sum(len(t.accesses) for t in self.tasks)
         assert len(self.on_dram) == n_accesses, "one DRAM flag per access"
-        # No two records on the same worker may overlap in time.
-        by_worker: dict[int, list[TaskRecord]] = {}
-        for r in self.records:
-            by_worker.setdefault(r.worker, []).append(r)
-        for recs in by_worker.values():
-            recs.sort(key=lambda r: r.start)
-            for a, b in zip(recs, recs[1:]):
-                assert a.finish <= b.start + 1e-12, "worker runs two tasks at once"
+        # No two tasks on the same worker may overlap in time.
+        spans = sorted(zip(self.worker, start, finish))
+        for (wa, _, fa), (wb, sb, _) in zip(spans, spans[1:]):
+            assert wa != wb or fa <= sb + 1e-12, "worker runs two tasks at once"

@@ -37,19 +37,23 @@ def to_chrome_trace(trace: ExecutionTrace) -> str:
             }
         )
 
-    for rec in trace.records:
+    for task, worker, start, dur, compute, mem, stall in zip(
+        trace.tasks,
+        trace.worker,
+        trace.start,
+        trace.durations(),
+        trace.compute_time,
+        trace.memory_time,
+        trace.stall_time,
+    ):
         base = {
-            "type": rec.task.type_name,
-            "compute_ms": round(rec.compute_time * 1e3, 4),
-            "memory_ms": round(rec.memory_time * 1e3, 4),
+            "type": task.type_name,
+            "compute_ms": round(compute * 1e3, 4),
+            "memory_ms": round(mem * 1e3, 4),
         }
-        slice_event(
-            rec.task.name, "task", rec.start, rec.finish - rec.start, rec.worker, base
-        )
-        if rec.stall_time > 0:
-            slice_event(
-                f"{rec.task.name}:stall", "stall", rec.start, rec.stall_time, rec.worker
-            )
+        slice_event(task.name, "task", start, dur, worker, base)
+        if stall > 0:
+            slice_event(f"{task.name}:stall", "stall", start, stall, worker)
 
     lane_tid = trace.n_workers + 1
     if trace.migrations is not None:
@@ -149,7 +153,7 @@ def ascii_gantt(trace: ExecutionTrace, width: int = 80) -> str:
     ``x`` marks degraded windows, ``!`` marks injection events (copy
     failures, capacity losses).
     """
-    if trace.makespan <= 0 or not trace.records:
+    if trace.makespan <= 0 or not trace.tasks:
         return "(empty trace)"
     scale = width / trace.makespan
 
@@ -162,9 +166,9 @@ def ascii_gantt(trace: ExecutionTrace, width: int = 80) -> str:
     lines = []
     for w in range(trace.n_workers):
         row = ["."] * width
-        for rec in trace.records:
-            if rec.worker == w:
-                paint(row, rec.start, rec.finish, "#")
+        for worker, start, finish in zip(trace.worker, trace.start, trace.finish):
+            if worker == w:
+                paint(row, start, finish, "#")
         lines.append(f"worker {w:2d} |{''.join(row)}|")
     if trace.migrations is not None and trace.migrations.records:
         row = ["."] * width

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from repro.baselines import NVMOnlyPolicy
 from repro.core.demand import DemandBatch
@@ -16,7 +17,7 @@ from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
-from repro.tasking.trace import ExecutionTrace, TaskRecord
+from repro.tasking.trace import ExecutionTrace
 from repro.util.units import MIB
 
 
@@ -35,19 +36,49 @@ def residency(hms: HeterogeneousMemorySystem) -> dict[int, str]:
     return {uid: pl.device for uid, pl in hms._placements.items()}
 
 
-def dram_flags(trace: ExecutionTrace, record: TaskRecord) -> dict[int, bool]:
-    """One record's slice of the trace's per-access DRAM flags, keyed by
-    object uid: whether each object the task declared was DRAM-resident
-    at task start."""
-    lo = 0
-    for r in trace.records:
-        if r is record:
-            break
-        lo += len(r.task.accesses)
-    else:
-        raise ValueError("record is not in the trace")
-    flags = trace.on_dram[lo : lo + len(record.task.accesses)]
-    return {obj.uid: bool(f) for obj, f in zip(record.task.accesses, flags)}
+class Row(NamedTuple):
+    """One executed task, gathered from a trace's columns."""
+
+    task: Task
+    worker: int
+    start: float
+    finish: float
+    compute_time: float
+    memory_time: float
+    overhead_time: float
+    stall_time: float
+
+    @property
+    def duration(self) -> float:
+        return self.finish - self.start
+
+
+def rows(trace: ExecutionTrace) -> list[Row]:
+    """The trace's per-task columns as rows, in dispatch order."""
+    return [
+        Row(*r)
+        for r in zip(
+            trace.tasks,
+            trace.worker,
+            trace.start,
+            trace.finish,
+            trace.compute_time,
+            trace.memory_time,
+            trace.overhead_time,
+            trace.stall_time,
+            strict=True,
+        )
+    ]
+
+
+def dram_flags(trace: ExecutionTrace, i: int) -> dict[int, bool]:
+    """The ``i``-th task's slice of the trace's per-access DRAM flags,
+    keyed by object uid: whether each object the task declared was
+    DRAM-resident at task start."""
+    lo = sum(len(t.accesses) for t in trace.tasks[:i])
+    task = trace.tasks[i]
+    flags = trace.on_dram[lo : lo + len(task.accesses)]
+    return {obj.uid: bool(f) for obj, f in zip(task.accesses, flags)}
 
 
 def audit_select(audit: PlacementAuditLog, action: str) -> list[AuditEntry]:

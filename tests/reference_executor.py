@@ -3,12 +3,16 @@
 This is the pre-rewrite dispatch loop (telemetry plane stripped — the
 reference is only used for timing/trace equivalence): per task Python
 object traversal, dict-based indegree/ready bookkeeping, a ``(free_at,
-wid)`` worker heap, scalar :func:`memory_time` calls per access, and the
-double ``TaskRecord`` construction around ``after_task``.
+wid)`` worker heap, scalar :func:`memory_time` calls per access, and one
+record tuple (:class:`tests.helpers.Row`) built on each side of
+``after_task``: the hook gets the first record's duration, the trace the
+second record with the hook's overhead folded in.  The records are
+transposed into the trace's per-task columns at the end of the run.
 The production :class:`repro.tasking.executor.Executor` rewrote all of
-this around a structure-of-arrays core; the property suite asserts both
-produce byte-identical traces on random programs, with and without
-migrations, Memory Mode and fault injection.  The context's dispatch
+this around a structure-of-arrays core that appends straight to the
+columns; the property suite asserts both produce byte-identical traces,
+column by column, on random programs, with and without migrations,
+Memory Mode and fault injection.  The context's dispatch
 bookkeeping (last-use finish times, dispatched mask, frontier cursor) is
 written inline, as the production loop does it.
 
@@ -44,9 +48,9 @@ from repro.tasking.executor import (
 from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import FIFOPolicy, make_scheduler
 from repro.tasking.task import Task
-from repro.tasking.trace import ExecutionTrace, TaskRecord
+from repro.tasking.trace import ExecutionTrace
 
-from tests.helpers import writes
+from tests.helpers import Row, writes
 
 __all__ = [
     "ReferenceExecutor",
@@ -119,8 +123,8 @@ def energy_from_residency(
     dram: MemoryDevice,
     nvm: MemoryDevice,
 ) -> energy.EnergyReport:
-    """``EnergyReport.from_trace`` with each record's residency given as
-    a ``uid -> device name`` dict (``residencies``, in record order):
+    """``EnergyReport.from_trace`` with each task's residency given as
+    a ``uid -> device name`` dict (``residencies``, in dispatch order):
     one ``(read_coef, write_coef, is_nvm)`` triple per device name, an
     unknown name charged as NVM, summed in the production loop's order."""
     devices = {dram.name: dram, nvm.name: nvm}
@@ -133,8 +137,8 @@ def energy_from_residency(
         for name, dev in devices.items()
     }
     rep = energy.EnergyReport()
-    for rec, residency in zip(trace.records, residencies, strict=True):
-        for obj, acc in rec.task.accesses.items():
+    for task, residency in zip(trace.tasks, residencies, strict=True):
+        for obj, acc in task.accesses.items():
             re_, we_, is_nvm = coef.get(residency.get(obj.uid, nvm.name), coef[nvm.name])
             wb = acc.write_traffic_bytes
             rep.dynamic_j += acc.read_traffic_bytes * re_ + wb * we_
@@ -196,7 +200,7 @@ class ReferenceExecutor:
             sched = make_scheduler(sched)
         self.scheduler = sched if sched is not None else FIFOPolicy()
         self.injector = injector
-        #: Per record of the last run: ``uid -> device name`` at task start.
+        #: Per task of the last run: ``uid -> device name`` at task start.
         self.residencies: list[dict[int, str]] = []
 
     # ------------------------------------------------------------------
@@ -210,7 +214,7 @@ class ReferenceExecutor:
         heapq.heapify(workers)
         completions: list[tuple[float, int]] = []
         running: list[tuple[float, Task, frozenset[str]]] = []
-        records: list[TaskRecord] = []
+        records: list[Row] = []
         self.residencies = []
         on_dram = bytearray()
 
@@ -312,7 +316,7 @@ class ReferenceExecutor:
             residency = {o.uid: device_of(o).name for o in task.accesses}
             self.residencies.append(residency)
             on_dram.extend(hms.in_dram(o) for o in task.accesses)
-            record = TaskRecord(
+            record = Row(
                 task=task,
                 worker=wid,
                 start=now,
@@ -322,9 +326,9 @@ class ReferenceExecutor:
                 overhead_time=overhead_before,
                 stall_time=stall,
             )
-            overhead_after = after_task(task, record, ctx)
+            overhead_after = after_task(task, record.duration, ctx)
             worker_free = finish + overhead_after
-            record = TaskRecord(
+            record = Row(
                 task=task,
                 worker=wid,
                 start=now,
@@ -352,8 +356,10 @@ class ReferenceExecutor:
             heappush(workers, (worker_free, wid))
 
         makespan = max((r.finish for r in records), default=0.0)
+        # The trace's per-task columns are declared in Row's field order.
+        columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
         trace = ExecutionTrace(
-            records=records,
+            *columns,
             migrations=engine,
             makespan=makespan,
             n_workers=cfg.n_workers,

@@ -137,7 +137,7 @@ class TestManagerConfigKnobs:
         pol = DataManagerPolicy()
         hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
         tr = Executor(hms, ExecutorConfig(n_workers=2)).run(g, pol)
-        first = min(tr.records, key=lambda r: r.start)
+        first = min(range(len(tr.tasks)), key=tr.start.__getitem__)
         assert dram_flags(tr, first)[hot.uid]
 
     def test_disable_initial_placement(self, nvm_bw):
@@ -146,7 +146,7 @@ class TestManagerConfigKnobs:
         pol = DataManagerPolicy(ManagerConfig(enable_initial_placement=False))
         hms = HeterogeneousMemorySystem(dram(int(16 * MIB)), nvm_bw)
         tr = Executor(hms, ExecutorConfig(n_workers=2)).run(g, pol)
-        first = min(tr.records, key=lambda r: r.start)
+        first = min(range(len(tr.tasks)), key=tr.start.__getitem__)
         assert not dram_flags(tr, first)[hot.uid]
 
     def test_disable_both_searches_never_migrates(self, nvm_bw):

@@ -4,7 +4,6 @@ weigher (:func:`repro.core.placement._weights_for`), the demand
 projection and ``DataManagerPolicy.after_task``."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,7 +276,7 @@ class TestTypeModel:
         o = DataObject(name="o", size_bytes=int(MIB))
         task = Task(name="k0", type_name="k", accesses={o: read_footprint(o.size_bytes)})
         for duration in (1.0, 2.0):
-            policy.after_task(task, SimpleNamespace(duration=duration), ctx=None)
+            policy.after_task(task, duration, ctx=None)
         assert m.recent_duration == pytest.approx(1.3)
         assert m.n_instances == 2
 

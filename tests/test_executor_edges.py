@@ -19,7 +19,13 @@ from repro.tasking.scheduler import (
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import dram_for, make_chain_graph, make_fork_join_graph, run_graph
+from tests.helpers import (
+    dram_for,
+    make_chain_graph,
+    make_fork_join_graph,
+    rows,
+    run_graph,
+)
 
 
 class TestTimeTravelRegression:
@@ -30,7 +36,7 @@ class TestTimeTravelRegression:
         for workers in (2, 4, 8):
             tr = run_graph(g, dram_for(g), nvm_bw, DRAMOnlyPolicy(), workers=workers)
             tr.validate()
-            recs = sorted(tr.records, key=lambda r: r.start)
+            recs = sorted(rows(tr), key=lambda r: r.start)
             for a, b in zip(recs, recs[1:]):
                 assert b.start >= a.finish - 1e-12
 
@@ -49,7 +55,7 @@ class TestTimeTravelRegression:
                           accesses={a: update_footprint(MIB, MIB),
                                     b: update_footprint(32 * MIB, 32 * MIB)}))
         tr = run_graph(g, dram_for(g), nvm_bw, DRAMOnlyPolicy(), workers=4)
-        rec = {r.task.name: r for r in tr.records}
+        rec = {r.task.name: r for r in rows(tr)}
         assert rec["sink"].start >= rec["slow"].finish - 1e-12
         assert rec["sink"].start >= rec["fast"].finish - 1e-12
 
@@ -90,7 +96,7 @@ class TestContentionEffects:
                 HeterogeneousMemorySystem(dram_for(g), nvm_bw),
                 ExecutorConfig(n_workers=n_workers),
             ).run(g, DRAMOnlyPolicy())
-            return tr.total_memory_time / len(tr.records)
+            return tr.total_memory_time / len(tr.tasks)
 
         assert mean_memory_time(16) > mean_memory_time(1) * 1.3
 
@@ -107,7 +113,7 @@ class TestSchedulerPolicyMatrix:
             g, policy_cls()
         )
         tr.validate()
-        assert len(tr.records) == len(g.tasks)
+        assert len(tr.tasks) == len(g.tasks)
 
 
 class TestDeterministicDrainOrder:
@@ -143,8 +149,8 @@ class TestDeterministicDrainOrder:
         g = self._layered(width=4)
         hms = HeterogeneousMemorySystem(dram(), nvm_bw)
         tr = Executor(hms, ExecutorConfig(n_workers=4)).run(g, NVMOnlyPolicy())
-        roots = [r for r in tr.records if r.task.type_name == "root"]
-        children = [r for r in tr.records if r.task.type_name == "child"]
+        roots = [r for r in rows(tr) if r.task.type_name == "root"]
+        children = [r for r in rows(tr) if r.task.type_name == "child"]
         # all roots really do finish simultaneously — the drain is one batch
         assert len({r.finish for r in roots}) == 1
         # and the batch is drained deterministically by (t_done, tid)
@@ -156,7 +162,7 @@ class TestDeterministicDrainOrder:
             g = self._layered(width=6)
             hms = HeterogeneousMemorySystem(dram(), nvm_bw)
             tr = Executor(hms, ExecutorConfig(n_workers=6)).run(g, NVMOnlyPolicy())
-            return [(r.task.name, r.worker, r.start, r.finish) for r in tr.records]
+            return [(r.task.name, r.worker, r.start, r.finish) for r in rows(tr)]
 
         assert one_run() == one_run()
 
@@ -193,7 +199,7 @@ class TestSchedulerActuallyEngages:
             tr = Executor(hms, ExecutorConfig(n_workers=1, scheduler=sched)).run(
                 g, NVMOnlyPolicy()
             )
-            names[type(sched).__name__] = [r.task.name for r in tr.records]
+            names[type(sched).__name__] = [t.name for t in tr.tasks]
         assert names["FIFOPolicy"] == ["t0", "t1", "t2", "t3", "t4"]
         assert names["CriticalPathPolicy"] == ["t4", "t3", "t2", "t1", "t0"]
 
@@ -218,7 +224,7 @@ class TestSchedulerActuallyEngages:
         ex = Executor(hms, ExecutorConfig(n_workers=1, scheduler="critical-path"))
         assert isinstance(ex.scheduler, CriticalPathPolicy)
         tr = ex.run(g, NVMOnlyPolicy())
-        assert [r.task.name for r in tr.records] == ["t4", "t3", "t2", "t1", "t0"]
+        assert [t.name for t in tr.tasks] == ["t4", "t3", "t2", "t1", "t0"]
 
 
 class TestSamplingConfigPlumbs:

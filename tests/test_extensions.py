@@ -178,9 +178,14 @@ class TestDirtyTracking:
             def on_run_start(self, ctx):
                 ctx.place_initial(obj, ctx.dram)
 
-            def after_task(self, task, record, ctx):
+            def before_task(self, task, ctx, now):
+                self.start = now
+                return 0.0
+
+            def after_task(self, task, duration, ctx):
                 if task.name == "r0":
-                    assert ctx.request_migration(obj, ctx.nvm, record.finish) is None
+                    finish = self.start + duration
+                    assert ctx.request_migration(obj, ctx.nvm, finish) is None
                 return 0.0
 
         tr = run_graph(g, dram(), nvm_bw, EvictAfterFirst(), workers=1)
@@ -206,9 +211,14 @@ class TestDirtyTracking:
             def on_run_start(self, ctx):
                 ctx.place_initial(obj, ctx.dram)
 
-            def after_task(self, task, record, ctx):
+            def before_task(self, task, ctx, now):
+                self.start = now
+                return 0.0
+
+            def after_task(self, task, duration, ctx):
                 if task.name == "w0":
-                    assert ctx.request_migration(obj, ctx.nvm, record.finish) is not None
+                    finish = self.start + duration
+                    assert ctx.request_migration(obj, ctx.nvm, finish) is not None
                 return 0.0
 
         tr = run_graph(g, dram(), nvm_bw, EvictAfterFirst(), workers=1)
@@ -225,7 +235,7 @@ class TestTraceExport:
         doc = json.loads(to_chrome_trace(tr))
         events = doc["traceEvents"]
         tasks = [e for e in events if e.get("cat") == "task"]
-        assert len(tasks) == len(tr.records)
+        assert len(tasks) == len(tr.tasks)
         assert all(e["ph"] in ("X", "M") for e in events)
         assert all(e["dur"] >= 0 for e in tasks)
 

@@ -72,7 +72,7 @@ class TestDegenerateGraphs:
         o = DataObject(name="o", size_bytes=int(MIB))
         g.add(Task(name="t", type_name="t", accesses={o: read_footprint(MIB)}))
         tr, pol, hms = run(g, nvm_bw, dram_cap=16 * MIB)
-        assert len(tr.records) == 1
+        assert len(tr.tasks) == 1
         # one instance < profile_instances: never modeled, never migrated
         assert tr.migration_count == 0
 

@@ -333,7 +333,7 @@ class TestStablePolicyAPI:
         hooks = {
             "on_run_start": ["self", "ctx"],
             "before_task": ["self", "task", "ctx", "now"],
-            "after_task": ["self", "task", "record", "ctx"],
+            "after_task": ["self", "task", "duration", "ctx"],
         }
         for name, params in hooks.items():
             sig = inspect.signature(getattr(PlacementPolicy, name))

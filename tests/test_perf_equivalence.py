@@ -242,7 +242,7 @@ def test_spot_specs_in_shuffled_order_match_goldens(goldens: dict) -> None:
 )
 def test_soa_executor_matches_object_mode_reference(workload, params, scheduler):
     """Real workloads through the SoA executor vs. the retired object-mode
-    loop (tests/reference_executor.py): every TaskRecord field identical.
+    loop (tests/reference_executor.py): all eight per-task columns identical.
     The property suite covers random programs; this pins the shapes the
     tier-1 experiments actually run."""
     from repro.core.manager import DataManagerPolicy
@@ -251,6 +251,7 @@ def test_soa_executor_matches_object_mode_reference(workload, params, scheduler)
     from repro.tasking.executor import Executor, ExecutorConfig
     from repro.workloads import build
 
+    from tests.helpers import rows
     from tests.reference_executor import ReferenceExecutor
 
     cfg = ExecutorConfig(n_workers=4, scheduler=scheduler)
@@ -261,27 +262,7 @@ def test_soa_executor_matches_object_mode_reference(workload, params, scheduler)
         hms = HeterogeneousMemorySystem(dram(), nvm)
         traces.append(cls(hms, cfg).run(w.graph, DataManagerPolicy()))
     got, want = traces
-    assert len(got.records) == len(want.records)
-    for g, w in zip(got.records, want.records):
-        assert (
-            g.task.name,
-            g.worker,
-            g.start,
-            g.finish,
-            g.compute_time,
-            g.memory_time,
-            g.overhead_time,
-            g.stall_time,
-        ) == (
-            w.task.name,
-            w.worker,
-            w.start,
-            w.finish,
-            w.compute_time,
-            w.memory_time,
-            w.overhead_time,
-            w.stall_time,
-        )
+    assert rows(got) == rows(want)
     assert got.on_dram == want.on_dram
     assert got.makespan == want.makespan
     assert got.summary() == want.summary()

@@ -20,7 +20,6 @@ from repro.tasking.executor import ExecContext, ExecutorConfig
 from repro.tasking.footprints import chase_footprint, read_footprint, write_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
-from repro.tasking.trace import TaskRecord
 from repro.util.units import MIB
 
 from tests.helpers import reads, writes
@@ -228,11 +227,7 @@ def test_profiler_and_oracle_time_with_the_scalar_law(program):
         (list(mem), list(on_dram))
     )
     for t in graph.tasks:
-        record = TaskRecord(
-            task=t, worker=0, start=0.0, finish=1e-3, compute_time=0.0,
-            memory_time=0.0, overhead_time=0.0, stall_time=0.0,
-        )
-        ctx.profile(t, record)
+        ctx.profile(t, 1e-3)
         mem, on_dram = received.pop()
         want = [memory_time(acc, hms.device_of(o)) for o, acc in t.accesses.items()]
         assert bits(mem) == bits(want)

@@ -4,10 +4,10 @@ The second half of this module is the differential harness for the
 structure-of-arrays executor rewrite: every random program is run through
 both the production :class:`Executor` and the object-mode
 :class:`tests.reference_executor.ReferenceExecutor` (the pre-rewrite
-dispatch loop, kept verbatim), and the two traces must agree on every
-``TaskRecord`` field bit-for-bit — with and without schedulers,
+dispatch loop, kept verbatim), and the two traces must agree on all
+eight per-task columns bit-for-bit — with and without schedulers,
 migrations, Memory Mode, and fault injection.  A last property pins
-that turning telemetry on leaves every record untouched.
+that turning telemetry on leaves every column untouched.
 """
 
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
-from tests.helpers import predecessors, reads, residency, writes
+from tests.helpers import predecessors, reads, residency, rows, writes
 from tests.reference_executor import ReferenceExecutor
 
 
@@ -78,10 +78,10 @@ def test_execution_invariants_nvm_only(graph, workers):
     hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
     tr = Executor(hms, ExecutorConfig(n_workers=workers)).run(graph, NVMOnlyPolicy())
     tr.validate()
-    assert len(tr.records) == len(graph.tasks)
+    assert len(tr.tasks) == len(graph.tasks)
     # dependence order respected in time
-    finish = {r.task.tid: r.finish for r in tr.records}
-    start = {r.task.tid: r.start for r in tr.records}
+    finish = {t.tid: f for t, f in zip(tr.tasks, tr.finish)}
+    start = {t.tid: s for t, s in zip(tr.tasks, tr.start)}
     for t in graph.tasks:
         for p in predecessors(graph, t):
             assert start[t.tid] >= finish[p.tid] - 1e-12
@@ -127,31 +127,20 @@ class _PromotingPolicy(BasePolicy):
 
     name = "promoting"
 
-    def after_task(self, task, record, ctx):
+    def before_task(self, task, ctx, now):
+        self.start = now
+        return 0.0
+
+    def after_task(self, task, duration, ctx):
         for obj, acc in task.accesses.items():
             if reads(acc.mode) and not ctx.hms.in_dram(obj):
                 if ctx.hms.dram_free_bytes() >= obj.size_bytes:
-                    ctx.request_migration(obj, ctx.dram, record.finish)
+                    ctx.request_migration(obj, ctx.dram, self.start + duration)
         return 0.0
 
 
-def _record_tuple(r):
-    return (
-        r.task.tid,
-        r.worker,
-        r.start,
-        r.finish,
-        r.compute_time,
-        r.memory_time,
-        r.overhead_time,
-        r.stall_time,
-    )
-
-
 def _assert_traces_identical(got, want):
-    assert len(got.records) == len(want.records)
-    for g, w in zip(got.records, want.records):
-        assert _record_tuple(g) == _record_tuple(w)
+    assert rows(got) == rows(want)
     assert got.on_dram == want.on_dram
     assert got.makespan == want.makespan
     assert got.summary() == want.summary()
@@ -246,9 +235,7 @@ def test_telemetry_leaves_trace_identical(graph, workers, make_policy):
         traces.append(executor.run(graph, make_policy()))
     bare, instrumented = traces
     assert instrumented.telemetry is not None
-    assert [_record_tuple(r) for r in instrumented.records] == [
-        _record_tuple(r) for r in bare.records
-    ]
+    assert rows(instrumented) == rows(bare)
     assert instrumented.on_dram == bare.on_dram
     assert instrumented.makespan == bare.makespan
     assert instrumented.migrations.records == bare.migrations.records

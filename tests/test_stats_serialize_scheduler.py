@@ -44,7 +44,7 @@ class TestMemoryAwareScheduler:
             w.graph, DataManagerPolicy()
         )
         tr.validate()
-        assert len(tr.records) == len(w.graph)
+        assert len(tr.tasks) == len(w.graph)
 
     def test_prefers_dram_resident_ready_tasks(self):
         from repro.tasking.dataobj import DataObject

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.policies import BasePolicy, DRAMOnlyPolicy, NVMOnlyPolicy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram
+from repro.metrics import Telemetry, TelemetryConfig
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint, write_footprint
@@ -18,6 +19,7 @@ from tests.helpers import (
     dram_for,
     make_chain_graph,
     make_fork_join_graph,
+    rows,
     run_graph,
 )
 
@@ -27,7 +29,7 @@ class TestBasicExecution:
         g = make_chain_graph(n_tasks=5)
         tr = run_graph(g, dram_for(g), nvm_bw, DRAMOnlyPolicy(), workers=4)
         tr.validate()
-        recs = sorted(tr.records, key=lambda r: r.start)
+        recs = sorted(rows(tr), key=lambda r: r.start)
         for a, b in zip(recs, recs[1:]):
             assert b.start >= a.finish - 1e-12
 
@@ -46,8 +48,8 @@ class TestBasicExecution:
     def test_all_tasks_run_exactly_once(self, nvm_bw):
         g = make_fork_join_graph(width=6)
         tr = run_graph(g, dram_for(g), nvm_bw, NVMOnlyPolicy())
-        assert len(tr.records) == len(g.tasks)
-        assert len({r.task.tid for r in tr.records}) == len(g.tasks)
+        assert len(tr.tasks) == len(g.tasks)
+        assert len({t.tid for t in tr.tasks}) == len(g.tasks)
 
     def test_placement_affects_timing(self, nvm_bw):
         g = make_chain_graph(n_tasks=4, obj_mib=32)
@@ -57,14 +59,14 @@ class TestBasicExecution:
 
     def test_empty_graph(self, nvm_bw):
         tr = run_graph(TaskGraph(), dram(), nvm_bw, NVMOnlyPolicy())
-        assert tr.makespan == 0.0 and tr.records == []
+        assert tr.makespan == 0.0 and tr.tasks == []
 
     def test_deterministic_across_runs(self, nvm_bw):
         g = make_fork_join_graph(width=8)
         t1 = run_graph(g, dram_for(g), nvm_bw, NVMOnlyPolicy())
         t2 = run_graph(g, dram_for(g), nvm_bw, NVMOnlyPolicy())
         assert t1.makespan == t2.makespan
-        assert [r.task.tid for r in t1.records] == [r.task.tid for r in t2.records]
+        assert [t.tid for t in t1.tasks] == [t.tid for t in t2.tasks]
 
 
 class TestSchedulers:
@@ -76,7 +78,7 @@ class TestSchedulers:
             g, NVMOnlyPolicy()
         )
         tr.validate()
-        assert len(tr.records) == len(g.tasks)
+        assert len(tr.tasks) == len(g.tasks)
 
 
 class _MigratingPolicy(BasePolicy):
@@ -89,9 +91,14 @@ class _MigratingPolicy(BasePolicy):
         self.after = after_task_name
         self.record = None
 
-    def after_task(self, task, record, ctx):
+    def before_task(self, task, ctx, now):
+        self.start = now
+        return 0.0
+
+    def after_task(self, task, duration, ctx):
         if task.name == self.after and not ctx.hms.in_dram(self.obj):
-            self.record = ctx.request_migration(self.obj, ctx.dram, record.finish)
+            finish = self.start + duration
+            self.record = ctx.request_migration(self.obj, ctx.dram, finish)
         return 0.0
 
 
@@ -125,7 +132,7 @@ class TestMigrationInteraction:
         pol = _MigratingPolicy(hot, "w0")
         tr = run_graph(g, dram(), nvm_bw, pol, workers=1)
         # w1 writes the object, so it must wait for the in-flight copy.
-        w1 = next(r for r in tr.records if r.task.name == "w1")
+        w1 = next(r for r in rows(tr) if r.task.name == "w1")
         assert w1.stall_time > 0
 
     def test_reader_proceeds_on_source_copy(self, nvm_bw):
@@ -151,7 +158,7 @@ class TestMigrationInteraction:
         pol = _MigratingPolicy(hot, "init")
         tr = run_graph(g, dram(), nvm_bw, pol, workers=2)
         # Readers during the copy use the NVM source; none of them stall.
-        readers = [r for r in tr.records if r.task.name.startswith("r")]
+        readers = [r for r in rows(tr) if r.task.name.startswith("r")]
         assert all(r.stall_time == 0 for r in readers)
 
 
@@ -168,6 +175,44 @@ class TestOverheadAccounting:
         tr = run_graph(g, dram(), nvm_bw, Overhead(), workers=1)
         assert tr.makespan == pytest.approx(base.makespan + 4e-3, rel=0.01)
         assert tr.total_overhead_time == pytest.approx(4e-3)
+
+    def test_after_task_overhead_follows_the_hook(self, nvm_bw):
+        """The hook gets the duration before its own overhead; the trace's
+        finish and overhead columns, and the duration histogram, include
+        it."""
+        ovh = 2e-3
+        seen = []
+
+        class Costly(BasePolicy):
+            name = "costly"
+
+            def before_task(self, task, ctx, now):
+                self.start = now
+                return 0.0
+
+            def after_task(self, task, duration, ctx):
+                seen.append((self.start, duration))
+                return ovh
+
+        g = make_chain_graph(n_tasks=4)
+        base = run_graph(g, dram(), nvm_bw, NVMOnlyPolicy(), workers=1)
+        telemetry = Telemetry(TelemetryConfig())
+        hms = HeterogeneousMemorySystem(dram(), nvm_bw)
+        tr = Executor(hms, ExecutorConfig(n_workers=1), telemetry=telemetry).run(
+            g, Costly()
+        )
+        assert [s for s, _ in seen] == tr.start
+        # The first task starts at 0, so its hook duration is its finish.
+        assert tr.finish[0] == seen[0][1] + ovh
+        for (start, duration), finish, want in zip(seen, tr.finish, base.durations()):
+            assert duration == pytest.approx(want, rel=1e-12)
+            assert finish == pytest.approx(start + duration + ovh, rel=1e-12)
+        assert tr.overhead_time == [ovh] * 4
+        assert tr.makespan == tr.finish[-1]
+        assert tr.makespan == pytest.approx(base.makespan + 4 * ovh, rel=1e-12)
+        hist = telemetry.registry.histogram("task_duration_seconds")
+        assert hist.count == 4
+        assert hist.sum == tr.total_task_time
 
 
 class TestContextLookahead:

@@ -7,7 +7,7 @@ from repro.tasking.footprints import read_footprint, update_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.scheduler import CriticalPathPolicy, FIFOPolicy
 from repro.tasking.task import Task
-from repro.tasking.trace import ExecutionTrace, TaskRecord
+from repro.tasking.trace import ExecutionTrace
 from repro.util.units import MIB
 
 
@@ -131,42 +131,51 @@ class TestSchedulerPolicies:
 
 
 class TestTrace:
-    def _record(self, start, finish, worker=0, stall=0.0, ovh=0.0):
-        t = Task(name="t", type_name="t", accesses={}, compute_time=0.0)
-        return TaskRecord(
-            task=t,
-            worker=worker,
-            start=start,
-            finish=finish,
-            compute_time=0.0,
-            memory_time=finish - start,
-            overhead_time=ovh,
-            stall_time=stall,
+    def _trace(self, *spans, ovh=0.0, **kwargs):
+        """A trace of one task per ``(start, finish, worker)`` span."""
+        tasks = [
+            Task(name=f"t{i}", type_name="t", accesses={}, compute_time=0.0)
+            for i in range(len(spans))
+        ]
+        return ExecutionTrace(
+            tasks=tasks,
+            worker=[w for _, _, w in spans],
+            start=[s for s, _, _ in spans],
+            finish=[f for _, f, _ in spans],
+            compute_time=[0.0] * len(spans),
+            memory_time=[f - s for s, f, _ in spans],
+            overhead_time=[ovh] * len(spans),
+            stall_time=[0.0] * len(spans),
+            **kwargs,
         )
 
     def test_summary_fields(self):
-        tr = ExecutionTrace(records=[self._record(0, 1)], makespan=1.0, n_workers=2)
+        tr = self._trace((0, 1, 0), makespan=1.0, n_workers=2)
         s = tr.summary()
         assert s["makespan"] == 1.0
         assert s["n_tasks"] == 1
         assert s["utilization"] == pytest.approx(0.5)
 
     def test_overhead_fraction(self):
-        tr = ExecutionTrace(
-            records=[self._record(0, 1, ovh=0.5)], makespan=1.0, n_workers=1
-        )
+        tr = self._trace((0, 1, 0), ovh=0.5, makespan=1.0, n_workers=1)
         assert tr.overhead_fraction() == pytest.approx(0.5)
 
     def test_validate_catches_worker_overlap(self):
-        tr = ExecutionTrace(
-            records=[self._record(0, 1, worker=0), self._record(0.5, 2, worker=0)],
-            makespan=2.0,
-            n_workers=1,
-        )
+        tr = self._trace((0, 1, 0), (0.5, 2, 0), makespan=2.0, n_workers=1)
         with pytest.raises(AssertionError):
             tr.validate()
 
+    def test_validate_accepts_back_to_back_tasks(self):
+        tr = self._trace((1, 2, 0), (0, 1, 0), (0, 2, 1), makespan=2.0, n_workers=2)
+        tr.validate()
+
+    def test_records_aliases_tasks(self):
+        tr = self._trace((0, 1, 0), makespan=1.0)
+        assert tr.records is tr.tasks
+        with pytest.raises(AttributeError):
+            tr.records = []
+
     def test_no_migrations_means_full_overlap(self):
-        tr = ExecutionTrace(records=[], makespan=0.0)
+        tr = ExecutionTrace(makespan=0.0)
         assert tr.migration_overlap() == 1.0
         assert tr.migration_count == 0

@@ -82,5 +82,5 @@ class TestExecution:
         tr = rt.run(pol)
         tr.validate()
         # Tasks now touch chunks, not the monolithic object.
-        names = {o.name for r in tr.records for o in r.task.accesses}
+        names = {o.name for t in tr.tasks for o in t.accesses}
         assert any("[" in n for n in names)

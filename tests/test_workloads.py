@@ -62,7 +62,7 @@ class TestEveryWorkload:
         tr = run_graph(w.graph, dram_for(w.graph), nvm_bandwidth_scaled(0.5),
                        DRAMOnlyPolicy(), workers=4)
         tr.validate()
-        assert len(tr.records) == len(w.graph)
+        assert len(tr.tasks) == len(w.graph)
 
     def test_static_refs_nonnegative(self, name):
         w = build(name, **SMALL[name])
