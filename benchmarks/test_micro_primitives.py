@@ -4,8 +4,8 @@ These are classic pytest-benchmark targets (many fast iterations): the
 executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
 the simulator can handle — plus one cold graph build with its access
-table, the set-up cost of a new spec, and the replans of one managed
-run.
+table, the set-up cost of a new spec, the replans of one managed run,
+and the energy accounting of a finished run.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
 from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack_arrays
 from repro.core.manager import DataManagerPolicy
+from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.profiling.sampler import SamplingProfiler
@@ -79,6 +80,18 @@ def test_bench_executor_with_data_manager(benchmark):
 
     tr = benchmark.pedantic(run, setup=clear_solver_cache, rounds=5)
     assert len(tr.tasks) == len(w.graph)
+
+
+def test_bench_energy_from_trace(benchmark):
+    """Energy accounting of a finished heat-3k ``nvm-only`` run (16x16
+    tiles x 12 sweeps): the dispatched tasks' traffic gathered from the
+    access table, priced per row by its DRAM flag and summed left to
+    right."""
+    w = build("heat", grid=16, iterations=12)
+    hms = _machine()
+    tr = Executor(hms, ExecutorConfig(n_workers=8)).run(w.graph, NVMOnlyPolicy())
+    rep = benchmark(EnergyReport.from_trace, tr, hms.dram, hms.nvm)
+    assert rep.nvm_bytes_written > 0 and rep.dynamic_j > 0
 
 
 class _SeenModel:

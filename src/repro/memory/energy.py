@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.memory.device import DeviceKind, MemoryDevice
 from repro.tasking.trace import ExecutionTrace
 from repro.util.units import GIB
@@ -42,6 +44,11 @@ def _access_energy(device: MemoryDevice, read_bytes: float, write_bytes: float) 
     if device.kind is DeviceKind.DRAM:
         return read_bytes * DRAM_READ_ENERGY + write_bytes * DRAM_WRITE_ENERGY
     return read_bytes * NVM_READ_ENERGY + write_bytes * NVM_WRITE_ENERGY
+
+
+def _running_total(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...`` in that order."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _static_energy(device: MemoryDevice, seconds: float) -> float:
@@ -73,27 +80,30 @@ class EnergyReport:
         """Account a finished run.
 
         Task traffic goes to the tier each object resided on at task
-        start (the trace's per-access DRAM flags); migration copies
-        charge a read on the source and a write on the destination.
+        start: the dispatched rows of the trace's access table, in the
+        order of its DRAM flags, are priced by flag and added strictly
+        left to right (``np.cumsum``, bitwise the scalar ``+=`` walk;
+        ``np.sum`` adds pairwise).  Under Memory Mode every flag is 0, so
+        cache hits are charged at NVM rates; charging them as DRAM would
+        change only the per-row coefficients.  Migration copies charge a
+        read on the source and a write on the destination.
         """
         rep = cls()
-        dynamic_j = 0.0
-        nvm_written = 0.0
-        flags = iter(trace.on_dram)
-        for task in trace.tasks:
-            for acc, on_dram in zip(task.accesses.values(), flags):
-                wb = acc.write_traffic_bytes
-                if on_dram:
-                    dynamic_j += (
-                        acc.read_traffic_bytes * DRAM_READ_ENERGY + wb * DRAM_WRITE_ENERGY
-                    )
-                else:
-                    dynamic_j += (
-                        acc.read_traffic_bytes * NVM_READ_ENERGY + wb * NVM_WRITE_ENERGY
-                    )
-                    nvm_written += wb
-        rep.dynamic_j = dynamic_j
-        rep.nvm_bytes_written = nvm_written
+        csr = trace.accesses
+        if len(trace.index) != len(trace.tasks) or (csr is None and trace.tasks):
+            raise ValueError(
+                "trace records no access table rows for its tasks "
+                "(`accesses` and one `index` per task, as Executor.run does)"
+            )
+        if csr is not None:
+            rows, _ = csr.gather(np.array(trace.index, dtype=np.int64))
+            on_dram = np.frombuffer(trace.on_dram, dtype=np.bool_)
+            rb = csr.read_bytes[rows]
+            wb = csr.write_bytes[rows]
+            read_coef = np.where(on_dram, DRAM_READ_ENERGY, NVM_READ_ENERGY)
+            write_coef = np.where(on_dram, DRAM_WRITE_ENERGY, NVM_WRITE_ENERGY)
+            rep.dynamic_j = _running_total(rb * read_coef + wb * write_coef)
+            rep.nvm_bytes_written = _running_total(wb[~on_dram])
         if trace.migrations is not None:
             for m in trace.migrations.records:
                 src = dram if m.src == dram.name else nvm

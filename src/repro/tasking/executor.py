@@ -14,10 +14,10 @@ virtual time:
 
 The core is array-shaped: task state lives in flat lists indexed by the
 graph's dense spawn order (unresolved-dependency counts, ready times; see
-:meth:`TaskGraph.exec_core`), and per-task access rows carry precomputed
-base (latency, bandwidth) times for both tiers so the dispatch loop never
-re-derives timing from Python object traversal.  Completions drain from a
-flat event heap ordered by the deterministic ``(finish, tid)`` tie-break.
+:meth:`TaskGraph.exec_core`).  The access rows the loop walks are built
+once per graph; a run computes only the timing law's four base-time
+columns, read by row index.  Completions drain from a flat event heap
+ordered by the deterministic ``(finish, tid)`` tie-break.
 Every policy runs the same dispatch loop; one whose hooks are no-ops
 never hands the migration engine a record, so the loop's copy-tracking
 passes stay off for it.
@@ -109,9 +109,10 @@ def law_times(csr: AccessCSR, dev: MemoryDevice) -> tuple[np.ndarray, np.ndarray
     costs the fixed CPU-side base latency plus the device latency, and
     the pattern's memory-level parallelism divides the exposed total;
     the bandwidth law streams the counted traffic at the device's read
-    and write bandwidths.  The dispatch loop takes
-    ``max(lat * lat_slowdown, bw * bw_slowdown)`` per access;
-    :func:`memory_times` is the uncontended pick.
+    and write bandwidths.  The executor evaluates it for both tiers once
+    per run and its dispatch loop takes
+    ``max(lat * lat_slowdown, bw * bw_slowdown)`` per access from those
+    columns; :func:`memory_times` is the uncontended pick.
     """
     lat = (
         csr.miss_loads * (MISS_BASE_LATENCY_S + dev.read_latency_s)
@@ -151,48 +152,6 @@ def placed_memory_times(
         return mem, on_dram
 
     return times
-
-
-def _timing_rows(
-    csr: AccessCSR, dram: MemoryDevice, nvm: MemoryDevice
-) -> tuple[tuple, ...]:
-    """Per-task access rows with precomputed per-tier base times.
-
-    One ``(rows, traffic, writer_uids)`` triple per dense task index:
-
-    - ``rows``: ``(uid, writes, has_traffic, lat_dram, bw_dram, lat_nvm,
-      bw_nvm)`` for every access — the :func:`law_times` pair for each
-      tier, so the dispatch loop reduces every access to
-      ``max(lat * lat_slowdown, bw * bw_slowdown)`` without touching the
-      access object;
-    - ``traffic``: the ``(uid, writes)`` projection of the rows that
-      actually move bytes — the migration stall pass reads nothing else;
-    - ``writer_uids``: traffic rows that write, for the dirty-bit pass.
-
-    The device-independent columns come from the graph's access table,
-    so retiming one graph for another machine (what-if variants on an
-    interned graph, NVM sweeps) pays only the two vectorized law
-    evaluations below.
-    """
-    lat_d, bw_d = law_times(csr, dram)
-    lat_n, bw_n = law_times(csr, nvm)
-
-    rows_flat = list(
-        zip(
-            csr.obj_uid[csr.obj].tolist(),
-            csr.writes.tolist(),
-            csr.traffic.tolist(),
-            lat_d.tolist(),
-            bw_d.tolist(),
-            lat_n.tolist(),
-            bw_n.tolist(),
-        )
-    )
-    bounds = csr.indptr.tolist()
-    return tuple(
-        (tuple(rows_flat[bounds[i] : bounds[i + 1]]), traffic, writers)
-        for i, (traffic, writers) in enumerate(zip(csr.task_traffic, csr.task_writers))
-    )
 
 
 class ExecContext:
@@ -418,7 +377,7 @@ class Executor:
         # incrementally (the drained-prefix pop below replaces a
         # per-dispatch rebuild).
         running: list[tuple[float, int, bool, bool]] = []
-        trace = ExecutionTrace(migrations=engine, n_workers=nw)
+        trace = ExecutionTrace(migrations=engine, n_workers=nw, accesses=core.accesses)
         # Per access row, in dispatch order: served from DRAM at task start.
         on_dram = trace.on_dram
 
@@ -488,7 +447,13 @@ class Executor:
         # Loop-invariant bindings for the dispatch loop: attribute and
         # bound-method lookups on these dominate the per-task overhead of
         # small-task graphs, and none of them can change mid-run.
-        rows_all = _timing_rows(core.accesses, hms.dram, hms.nvm)
+        # Task di's k-th access is row indptr[di] + k of the timing columns.
+        csr = core.accesses
+        task_rows = csr.task_rows
+        task_writers = csr.task_writers
+        row_lo = csr.indptr.tolist()
+        lat_d_l, bw_d_l = (c.tolist() for c in law_times(csr, hms.dram))
+        lat_n_l, bw_n_l = (c.tolist() for c in law_times(csr, hms.nvm))
         dram_name = hms.dram.name
         nvm_name = hms.nvm.name
         placements = hms._placements
@@ -508,6 +473,7 @@ class Executor:
         luf_get = luf.get
         dispatched = ctx._dispatched_mask
         tasks_append = trace.tasks.append
+        index_append = trace.index.append
         worker_append = trace.worker.append
         start_append = trace.start.append
         finish_append = trace.finish.append
@@ -555,7 +521,7 @@ class Executor:
             now = free_at if free_at >= r else r
             overhead_before = before_task(task, ctx, now)
             t0 = now + overhead_before
-            rows, traffic_rows, writer_uids = rows_all[di]
+            rows = task_rows[di]
             eng_active = bool(eng_records)
 
             # Writers block until in-flight migrations of their data land;
@@ -567,7 +533,9 @@ class Executor:
             # so the whole pass degenerates to dirty marking.
             avail = 0.0
             if eng_active:
-                for uid, writes in traffic_rows:
+                for uid, writes, has_traffic in rows:
+                    if not has_traffic:
+                        continue
                     if writes:
                         if placements[uid].device == dram_name:
                             dirty.add(uid)
@@ -582,7 +550,7 @@ class Executor:
                         if pending:
                             pending.pop().needed_by = t0
             else:
-                for uid in writer_uids:
+                for uid in task_writers[di]:
                     if placements[uid].device == dram_name:
                         dirty.add(uid)
             start_exec = t0 if t0 >= avail else avail
@@ -619,19 +587,19 @@ class Executor:
             if dram_cache is not None:
                 # Memory Mode: hardware cache, placement-oblivious.
                 blend = dram_cache.blend
-                for uid, _w, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
+                for j, (uid, _w, has_traffic) in enumerate(rows, row_lo[di]):
                     flag_append(placements[uid].device == dram_name)
                     if not has_traffic:
                         continue
-                    lat = lat_d * pen_d
-                    b = bw_d * s_d
+                    lat = lat_d_l[j] * pen_d
+                    b = bw_d_l[j] * s_d
                     t_d = lat if lat >= b else b
-                    lat = lat_n * pen_n
-                    b = bw_n * s_n
+                    lat = lat_n_l[j] * pen_n
+                    b = bw_n_l[j] * s_n
                     t_n = lat if lat >= b else b
                     mem += blend(t_d, t_n, working_set)
             else:
-                for uid, writes, has_traffic, lat_d, bw_d, lat_n, bw_n in rows:
+                for j, (uid, writes, has_traffic) in enumerate(rows, row_lo[di]):
                     in_dram = placements[uid].device == dram_name
                     flag_append(in_dram)
                     if not has_traffic:
@@ -643,11 +611,11 @@ class Executor:
                         if rec is not None:
                             in_dram = rec.src == dram_name
                     if in_dram:
-                        lat = lat_d * pen_d
-                        b = bw_d * s_d
+                        lat = lat_d_l[j] * pen_d
+                        b = bw_d_l[j] * s_d
                     else:
-                        lat = lat_n * pen_n
-                        b = bw_n * s_n
+                        lat = lat_n_l[j] * pen_n
+                        b = bw_n_l[j] * s_n
                     mem += lat if lat >= b else b
 
             compute = task.compute_time
@@ -665,6 +633,7 @@ class Executor:
             worker_free_t = finish + overhead_after
             oh = overhead_before + overhead_after
             tasks_append(task)
+            index_append(di)
             worker_append(wid)
             start_append(now)
             finish_append(worker_free_t)

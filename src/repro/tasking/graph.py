@@ -44,16 +44,15 @@ class AccessCSR:
     spawn order.  :meth:`TaskGraph.add` appends the rows as it infers
     dependences (see :class:`_AccessRows`); the snapshot only turns the
     finished buffers into arrays.  Two readers share the table: the
-    executor's dispatch loop (the timing-law operands and the per-task
-    traffic and writer rows) and the data manager's per-replan passes
-    (demand projection, first-use offsets), which gather from the arrays
-    instead of walking ``Task`` objects.  Columns only the manager reads
-    are derived on first use.
+    executor (the timing-law operands, the per-task rows its dispatch
+    loop walks, and the traffic columns energy accounting gathers) and
+    the data manager's per-replan passes (demand projection, first-use
+    offsets), which gather from the arrays instead of walking ``Task``
+    objects.  Columns only the manager reads are derived on first use.
     """
 
     indptr: np.ndarray  #: int64 row pointers (len = n_tasks + 1)
     obj: np.ndarray  #: int64 dense object index per access
-    writes: np.ndarray  #: bool: the access's mode writes
     traffic: np.ndarray  #: bool: the access has nonzero counted traffic
     #: float64 per access, the operands of the two timing laws
     #: (``ObjectAccess.miss_loads``/``miss_stores``/``read_traffic_bytes``
@@ -63,9 +62,10 @@ class AccessCSR:
     read_bytes: np.ndarray
     write_bytes: np.ndarray
     mlp: np.ndarray
-    #: Per task, ``(uid, writes)`` of its accesses with traffic — all the
-    #: executor's migration-stall pass reads.
-    task_traffic: tuple[tuple[tuple[int, bool], ...], ...]
+    #: Per task, one ``(uid, writes, has_traffic)`` row per access, in row
+    #: order, interned per graph (an equal row is one shared tuple holding
+    #: the object's own uid): what the dispatch loop walks.
+    task_rows: tuple[tuple[tuple[int, bool, bool], ...], ...]
     #: Per task, the uids of its traffic accesses that write (dirty bits).
     task_writers: tuple[tuple[int, ...], ...]
     obj_uid: np.ndarray  #: int64 uid per dense object index
@@ -81,17 +81,17 @@ class AccessCSR:
         )
 
     @cached_property
-    def rank(self) -> np.ndarray:
-        """int64 per access: how many earlier accesses (spawn order)
-        touch the same object."""
-        order = np.argsort(self.obj, kind="stable")
-        grouped = self.obj[order]
-        n = len(grouped)
-        first = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        group_start = np.repeat(first, np.diff(np.append(first, n)))
+    def _by_object(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows grouped by object: each access's sorted int64 ``obj *
+        n_rows + row`` key, where each object's group starts in the keys,
+        and each access's rank (how many earlier accesses, in spawn
+        order, touch its object)."""
+        n = len(self.obj)
+        keys = np.sort(self.obj * n + np.arange(n, dtype=np.int64))
+        starts = np.searchsorted(keys, np.arange(len(self.obj_uid) + 1, dtype=np.int64) * n)
         rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64) - group_start
-        return rank
+        rank[keys % n] = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], np.diff(starts))
+        return keys, starts, rank
 
     def gather(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Access-row indices of ``tasks`` (dense indices), concatenated
@@ -107,26 +107,31 @@ class AccessCSR:
         """Per gathered row (``rows, _ = gather(tasks)``, ``tasks``
         ascending), how many earlier gathered rows touch the same object.
 
-        That is the row's graph-wide :attr:`rank` less the accesses of
-        its object by the tasks left out: those before ``tasks[0]`` (a
-        per-object count) and those after it (typically a narrow band of
-        tasks dispatched out of order), counted per row by a search
-        over their sorted ``(object, row)`` keys — no sort over the
-        gathered rows themselves.
+        That is the row's graph-wide rank less the accesses of its
+        object by the tasks left out: those before ``tasks[0]`` (read per
+        object off the sorted ``(object, row)`` keys) and those after it
+        (typically a few dispatched out of order), counted per row by a
+        search over their sorted keys — no sort over the gathered rows
+        themselves.
         """
         if len(tasks) == 0:
             return rows.copy()
         lo = int(tasks[0])
+        n_tasks = len(self.indptr) - 1
+        n_rows = len(self.obj)
         objs = self.obj[rows]
-        before = np.bincount(self.obj[: self.indptr[lo]], minlength=len(self.obj_uid))
-        gathered = np.zeros(len(self.indptr) - 1 - lo, dtype=np.bool_)
+        keys, starts, rank = self._by_object
+        at_first = np.arange(len(starts) - 1, dtype=np.int64) * n_rows + int(self.indptr[lo])
+        out = rank[rows] - (np.searchsorted(keys, at_first) - starts[:-1])[objs]
+        if lo + len(tasks) == n_tasks:  # every task from tasks[0] on
+            return out
+        gathered = np.zeros(n_tasks - lo, dtype=np.bool_)
         gathered[tasks - lo] = True
         left_out, _ = self.gather(np.flatnonzero(~gathered) + lo)
-        n_rows = len(self.obj)
-        keys = np.sort(self.obj[left_out] * n_rows + left_out)
+        left_keys = np.sort(self.obj[left_out] * n_rows + left_out)
         first_key = objs * n_rows
-        skipped = np.searchsorted(keys, first_key + rows) - np.searchsorted(keys, first_key)
-        return self.rank[rows] - before[objs] - skipped
+        skipped = np.searchsorted(left_keys, first_key + rows) - np.searchsorted(left_keys, first_key)
+        return out - skipped
 
 
 class _AccessRows:
@@ -145,15 +150,15 @@ class _AccessRows:
     """
 
     __slots__ = (
-        "obj", "fp", "indptr", "task_traffic", "task_writers", "obj_index",
-        "obj_uid", "obj_size", "footprints", "fp_of", "frozen",
+        "obj", "fp", "indptr", "task_rows", "task_writers", "obj_index",
+        "obj_uid", "obj_size", "footprints", "fp_of", "row_of", "frozen",
     )
 
     def __init__(self) -> None:
         self.obj: list[int] | np.ndarray = []  #: dense object index per row
         self.fp: list[int] | np.ndarray = []  #: footprint index per row
         self.indptr: list[int] | np.ndarray = [0]  #: row count after each task
-        self.task_traffic: list | tuple = []
+        self.task_rows: list | tuple = []
         self.task_writers: list | tuple = []
         self.obj_index: dict[int, int] = {}  #: uid -> dense object index
         self.obj_uid: list[int] | np.ndarray = []
@@ -164,6 +169,8 @@ class _AccessRows:
         #: id(footprint) -> (footprint index, writes, has traffic,
         #: dependence mode or ``None`` when inference skips it).
         self.fp_of: dict[int, tuple[int, bool, bool, AccessMode | None]] = {}
+        #: Each distinct row of ``task_rows``, keyed by itself (interning).
+        self.row_of: dict[tuple[int, bool, bool], tuple[int, bool, bool]] = {}
         self.frozen = False
 
     def __copy__(self) -> "_AccessRows":
@@ -173,13 +180,14 @@ class _AccessRows:
         new.obj = self.obj.tolist()
         new.fp = self.fp.tolist()
         new.indptr = self.indptr.tolist()
-        new.task_traffic = list(self.task_traffic)
+        new.task_rows = list(self.task_rows)
         new.task_writers = list(self.task_writers)
         new.obj_index = dict(self.obj_index)
         new.obj_uid = self.obj_uid.tolist()
         new.obj_size = self.obj_size.tolist()
         new.footprints = list(self.footprints)
         new.fp_of = dict(self.fp_of)
+        new.row_of = dict(self.row_of)
         return new
 
     def footprint(self, access: ObjectAccess) -> tuple[int, bool, bool, AccessMode | None]:
@@ -203,7 +211,7 @@ class _AccessRows:
         # Kept only as gather indices: the narrowest dtype that holds them.
         self.fp = np.array(self.fp, dtype=np.min_scalar_type(len(self.footprints)))
         self.indptr = np.array(self.indptr, dtype=i64)
-        self.task_traffic = tuple(self.task_traffic)
+        self.task_rows = tuple(self.task_rows)
         self.task_writers = tuple(self.task_writers)
         self.obj_uid = np.array(self.obj_uid, dtype=i64)
         self.obj_size = np.array(self.obj_size, dtype=i64)
@@ -214,15 +222,7 @@ class _AccessRows:
         values, one row per column, gathered onto the access rows by one
         fancy index per dtype (``np.take`` keeps each column contiguous)."""
         fps = self.footprints
-        read_mode = AccessMode.READ
-        flags = np.take(
-            np.array(
-                [[a.mode is not read_mode for a in fps], [a.accesses > 0 for a in fps]],
-                dtype=np.bool_,
-            ),
-            self.fp,
-            axis=1,
-        )
+        traffic = np.take(np.array([a.accesses > 0 for a in fps], dtype=np.bool_), self.fp)
         values = np.take(
             np.array(
                 [
@@ -240,14 +240,13 @@ class _AccessRows:
         return AccessCSR(
             indptr=self.indptr,
             obj=self.obj,
-            writes=flags[0],
-            traffic=flags[1],
+            traffic=traffic,
             miss_loads=values[0],
             miss_stores=values[1],
             read_bytes=values[2],
             write_bytes=values[3],
             mlp=values[4],
-            task_traffic=self.task_traffic,
+            task_rows=self.task_rows,
             task_writers=self.task_writers,
             obj_uid=self.obj_uid,
             obj_index=self.obj_index,
@@ -417,7 +416,8 @@ class TaskGraph:
         read_mode = AccessMode.READ
         write_mode = AccessMode.WRITE
         add_pred = preds.add if preds is not None else None
-        traffic: list[tuple[int, bool]] = []
+        row_of = rows.row_of
+        task_rows: list[tuple[int, bool, bool]] = []
         writers: list[int] = []
         for obj, access in task.accesses.items():
             uid = obj.uid
@@ -433,10 +433,10 @@ class TaskGraph:
             f, writes, has_traffic, mode = entry
             obj_append(k)
             fp_append(f)
-            if has_traffic:
-                traffic.append((uid, writes))
-                if writes:
-                    writers.append(uid)
+            row = (uid, writes, has_traffic)
+            task_rows.append(row_of.setdefault(row, row))
+            if has_traffic and writes:
+                writers.append(uid)
             if mode is None or add_pred is None:
                 continue
             lw = last_writer.get(uid)
@@ -450,7 +450,7 @@ class TaskGraph:
             last_writer[uid] = task
             readers_since[uid] = [] if mode is write_mode else [task]
         rows.indptr.append(len(rows.obj))
-        rows.task_traffic.append(tuple(traffic))
+        rows.task_rows.append(tuple(task_rows))
         rows.task_writers.append(tuple(writers))
 
     def add_edge(self, src: Task, dst: Task) -> None:

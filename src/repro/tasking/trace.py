@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.memory.migration import MigrationEngine
+from repro.tasking.graph import AccessCSR
 from repro.tasking.task import Task
 from repro.util.units import MIB
 
@@ -25,6 +26,8 @@ class ExecutionTrace:
     Per-task timings are columns, one list entry per executed task in
     dispatch order: ``tasks[i]`` ran on ``worker[i]`` from ``start[i]``
     to ``finish[i]`` (including the policy's after-task overhead).
+    ``index[i]`` is its dense index into ``accesses``, the access table
+    of the graph version that ran.
     """
 
     tasks: list[Task] = field(default_factory=list)
@@ -37,6 +40,8 @@ class ExecutionTrace:
     overhead_time: list[float] = field(default_factory=list)
     #: Time spent waiting for in-flight migrations.
     stall_time: list[float] = field(default_factory=list)
+    index: list[int] = field(default_factory=list)
+    accesses: AccessCSR | None = field(default=None, repr=False, compare=False)
     migrations: MigrationEngine | None = None
     makespan: float = 0.0
     n_workers: int = 1
@@ -152,6 +157,12 @@ class ExecutionTrace:
             assert stall >= -1e-12 and ovh >= -1e-12
         n_accesses = sum(len(t.accesses) for t in self.tasks)
         assert len(self.on_dram) == n_accesses, "one DRAM flag per access"
+        assert len(self.index) == len(self.tasks), "one dense index per task"
+        if self.tasks:
+            assert self.accesses is not None, "no access table for the indices"
+            ptr = self.accesses.indptr.tolist()
+            for i, t in zip(self.index, self.tasks):
+                assert ptr[i + 1] - ptr[i] == len(t.accesses), "index misses its task's rows"
         # No two tasks on the same worker may overlap in time.
         spans = sorted(zip(self.worker, start, finish))
         for (wa, _, fa), (wb, sb, _) in zip(spans, spans[1:]):

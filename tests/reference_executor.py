@@ -23,10 +23,12 @@ production code computes in vectorized or indexed form: the timing law
 queries (:func:`available_at`, :func:`in_flight_source`,
 :func:`note_first_use`), which scan the engine's ``records`` backwards
 instead of reading the per-object indices the production loop keeps.
-It also keeps the energy walk over per-task residency dicts
-(:func:`energy_from_residency`), the oracle of
-``EnergyReport.from_trace``, which reads the trace's DRAM flags; the
-reference executor records those dicts in ``residencies``.
+It also keeps two oracles of ``EnergyReport.from_trace``, which sums
+its per-row energies as columns gathered from the access table: the
+walk over per-task residency dicts (:func:`energy_from_residency`; the
+reference executor records those dicts in ``residencies``) and the
+scalar walk over the trace's DRAM flags it replaced
+(:func:`energy_from_flags`).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "available_at",
     "bandwidth_time",
     "base_times",
+    "energy_from_flags",
     "energy_from_residency",
     "in_flight_source",
     "latency_time",
@@ -148,6 +151,45 @@ def energy_from_residency(
         for m in trace.migrations.records:
             src = devices.get(m.src, nvm)
             dst = devices.get(m.dst, nvm)
+            rep.migration_j += energy._access_energy(src, m.nbytes, 0)
+            rep.migration_j += energy._access_energy(dst, 0, m.nbytes)
+            if dst.kind is DeviceKind.NVM:
+                rep.nvm_bytes_written += m.nbytes
+    rep.static_j += energy._static_energy(dram, trace.makespan)
+    rep.static_j += energy._static_energy(nvm, trace.makespan)
+    return rep
+
+
+def energy_from_flags(
+    trace: ExecutionTrace, dram: MemoryDevice, nvm: MemoryDevice
+) -> energy.EnergyReport:
+    """``EnergyReport.from_trace`` as one ``+=`` per access: each task's
+    accesses (dispatch, then declaration order) zipped with the trace's
+    DRAM flags, the DRAM or NVM coefficients picked per access."""
+    rep = energy.EnergyReport()
+    dynamic_j = 0.0
+    nvm_written = 0.0
+    flags = iter(trace.on_dram)
+    for task in trace.tasks:
+        for acc, on_dram in zip(task.accesses.values(), flags):
+            wb = acc.write_traffic_bytes
+            if on_dram:
+                dynamic_j += (
+                    acc.read_traffic_bytes * energy.DRAM_READ_ENERGY
+                    + wb * energy.DRAM_WRITE_ENERGY
+                )
+            else:
+                dynamic_j += (
+                    acc.read_traffic_bytes * energy.NVM_READ_ENERGY
+                    + wb * energy.NVM_WRITE_ENERGY
+                )
+                nvm_written += wb
+    rep.dynamic_j = dynamic_j
+    rep.nvm_bytes_written = nvm_written
+    if trace.migrations is not None:
+        for m in trace.migrations.records:
+            src = dram if m.src == dram.name else nvm
+            dst = dram if m.dst == dram.name else nvm
             rep.migration_j += energy._access_energy(src, m.nbytes, 0)
             rep.migration_j += energy._access_energy(dst, 0, m.nbytes)
             if dst.kind is DeviceKind.NVM:
@@ -360,6 +402,8 @@ class ReferenceExecutor:
         columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
         trace = ExecutionTrace(
             *columns,
+            index=[core.index[r.task.tid] for r in records],
+            accesses=core.accesses,
             migrations=engine,
             makespan=makespan,
             n_workers=cfg.n_workers,

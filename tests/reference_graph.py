@@ -143,17 +143,16 @@ def reference_access_table(tasks: tuple[Task, ...]) -> AccessCSR:
     obj_size: list[int] = []
     counts: list[int] = []
     objs: list[int] = []
-    writes_l: list[bool] = []
     traffic_l: list[bool] = []
     miss_loads: list[float] = []
     miss_stores: list[float] = []
     read_bytes: list[float] = []
     write_bytes: list[float] = []
     mlps: list[float] = []
-    task_traffic: list[tuple[tuple[int, bool], ...]] = []
+    task_rows: list[tuple[tuple[int, bool, bool], ...]] = []
     task_writers: list[tuple[int, ...]] = []
     for t in tasks:
-        traffic: list[tuple[int, bool]] = []
+        rows: list[tuple[int, bool, bool]] = []
         writers: list[int] = []
         for obj, acc in t.accesses.items():
             uid = obj.uid
@@ -165,19 +164,17 @@ def reference_access_table(tasks: tuple[Task, ...]) -> AccessCSR:
             objs.append(k)
             w = acc.mode is not AccessMode.READ
             has_traffic = acc.accesses > 0
-            writes_l.append(w)
             traffic_l.append(has_traffic)
-            if has_traffic:
-                traffic.append((uid, w))
-                if w:
-                    writers.append(uid)
+            rows.append((uid, w, has_traffic))
+            if has_traffic and w:
+                writers.append(uid)
             miss_loads.append(acc.miss_loads)
             miss_stores.append(acc.miss_stores)
             read_bytes.append(acc.read_traffic_bytes)
             write_bytes.append(acc.write_traffic_bytes)
             mlps.append(acc.pattern.mlp)
         counts.append(len(t.accesses))
-        task_traffic.append(tuple(traffic))
+        task_rows.append(tuple(rows))
         task_writers.append(tuple(writers))
     indptr = np.zeros(len(tasks) + 1, dtype=np.int64)
     np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
@@ -185,14 +182,13 @@ def reference_access_table(tasks: tuple[Task, ...]) -> AccessCSR:
     return AccessCSR(
         indptr=indptr,
         obj=np.array(objs, dtype=np.int64),
-        writes=np.array(writes_l, dtype=np.bool_),
         traffic=np.array(traffic_l, dtype=np.bool_),
         miss_loads=np.array(miss_loads, dtype=f64),
         miss_stores=np.array(miss_stores, dtype=f64),
         read_bytes=np.array(read_bytes, dtype=f64),
         write_bytes=np.array(write_bytes, dtype=f64),
         mlp=np.array(mlps, dtype=f64),
-        task_traffic=tuple(task_traffic),
+        task_rows=tuple(task_rows),
         task_writers=tuple(task_writers),
         obj_uid=np.array(obj_uid, dtype=np.int64),
         obj_index=obj_index,

@@ -1,9 +1,13 @@
 """Extension features: energy/endurance accounting, trace export,
 clean-eviction dirty tracking, and the oracle-static baseline."""
 
+import dataclasses
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import DRAMOnlyPolicy, HWCacheMode, NVMOnlyPolicy, OracleStaticPolicy
 from repro.experiments.runner import make_policy
@@ -12,17 +16,79 @@ from repro.faults.plan import CapacityLoss, FaultPlan
 from repro.memory.energy import EnergyReport, _access_energy, _static_energy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
+from repro.tasking.access import PATTERNS, AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import read_footprint, update_footprint
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
+from repro.tasking.trace import ExecutionTrace
 from repro.tasking.tracefmt import ascii_gantt, to_chrome_trace
 from repro.util.units import MIB
 from repro.workloads import build
 
-from tests.helpers import dram_for, make_fork_join_graph, run_graph
-from tests.reference_executor import ReferenceExecutor, energy_from_residency
+from tests.helpers import dram_for, make_fork_join_graph, reads, run_graph, writes
+from tests.reference_executor import (
+    ReferenceExecutor,
+    energy_from_flags,
+    energy_from_residency,
+)
+from tests.test_property_executor import _PromotingPolicy
+
+
+def ieee(rep: EnergyReport) -> bytes:
+    """A report's four accumulators as IEEE-754 bytes."""
+    return struct.pack(
+        "<4d", rep.dynamic_j, rep.static_j, rep.migration_j, rep.nvm_bytes_written
+    )
+
+
+#: Load and store counts from zero to 2**36, so the per-row energies of
+#: one run mix magnitudes: a left-to-right sum and a pairwise one
+#: (``np.sum``) round differently on such rows.
+_COUNTS = st.one_of(
+    st.just(0),
+    st.integers(1, 64),
+    st.integers(64, 1 << 20),
+    st.integers(1 << 20, 1 << 36),
+)
+
+
+@st.composite
+def energy_programs(draw):
+    """A random task program over 2-6 shared objects, 1-4 accesses a
+    task, each access's loads and stores drawn from ``_COUNTS`` (a draw
+    of zero for both gives a zero-traffic row)."""
+    n_objects = draw(st.integers(2, 6))
+    objects = [
+        DataObject(name=f"o{i}", size_bytes=draw(st.integers(1, 16)) * MIB)
+        for i in range(n_objects)
+    ]
+    pattern_names = sorted(PATTERNS)
+    graph = TaskGraph()
+    for i in range(draw(st.integers(1, 30))):
+        k = draw(st.integers(1, min(4, n_objects)))
+        idxs = draw(
+            st.lists(st.integers(0, n_objects - 1), min_size=k, max_size=k, unique=True)
+        )
+        accesses = {}
+        for oi in idxs:
+            mode = draw(st.sampled_from(list(AccessMode)))
+            accesses[objects[oi]] = ObjectAccess(
+                mode,
+                loads=draw(_COUNTS) if reads(mode) else 0,
+                stores=draw(_COUNTS) if writes(mode) else 0,
+                pattern=PATTERNS[draw(st.sampled_from(pattern_names))],
+            )
+        graph.add(
+            Task(
+                name=f"t{i}",
+                type_name=f"k{i % 3}",
+                accesses=accesses,
+                compute_time=draw(st.floats(0, 1e-3)),
+            )
+        )
+    return graph
 
 
 class TestEnergyModel:
@@ -112,7 +178,65 @@ class TestEnergyReport:
             )
         have = EnergyReport.from_trace(got, d, nvm_bw)
         oracle = energy_from_residency(want, ref.residencies, d, nvm_bw)
-        assert have == oracle
+        assert ieee(have) == ieee(oracle) == ieee(energy_from_flags(got, d, nvm_bw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=energy_programs(),
+        case=st.sampled_from(["nvm-only", "migrations", "hw-cache", "dram-loss"]),
+        loss_at=st.floats(1e-6, 2e-3),
+        workers=st.integers(1, 6),
+    )
+    def test_columns_match_scalar_walks(self, graph, case, loss_at, workers):
+        """Differential: the column sums of ``from_trace`` equal, byte
+        for byte, the scalar ``+=`` walk over the trace's DRAM flags and
+        the walk over the reference executor's residency dicts — with
+        migrations, under Memory Mode, and when DRAM shrinks (by half,
+        at a drawn time) under a DRAM-resident working set, so dirty
+        residents are written back."""
+        nvm_bw = nvm_bandwidth_scaled(0.5)
+        runs = []
+        for cls in (Executor, ReferenceExecutor):
+            if case == "dram-loss":
+                d = dram_for(graph)
+                policy = DRAMOnlyPolicy()
+            else:
+                d = dram(int(16 * MIB))
+                policy = _PromotingPolicy() if case == "migrations" else NVMOnlyPolicy()
+            hms = HeterogeneousMemorySystem(d, nvm_bw)
+            cfg = ExecutorConfig(n_workers=workers)
+            injector = None
+            if case == "hw-cache":
+                cfg = HWCacheMode.configure(cfg, d.capacity_bytes)
+                policy = make_policy("hw-cache")
+            elif case == "dram-loss":
+                loss = CapacityLoss(
+                    device="dram", at_s=loss_at, lose_bytes=d.capacity_bytes // 2
+                )
+                injector = FaultInjector.for_hms(FaultPlan(capacity_losses=(loss,)), hms)
+            executor = cls(hms, cfg, injector=injector)
+            runs.append((executor, executor.run(graph, policy)))
+        (_, got), (ref, want) = runs
+        have = ieee(EnergyReport.from_trace(got, d, nvm_bw))
+        assert have == ieee(energy_from_flags(got, d, nvm_bw))
+        assert have == ieee(energy_from_residency(want, ref.residencies, d, nvm_bw))
+        assert have == ieee(EnergyReport.from_trace(want, d, nvm_bw))
+
+    def test_trace_without_access_rows_is_refused(self, nvm_bw):
+        """``from_trace`` prices the access table's rows at the trace's
+        task indices: a trace with tasks but no table, or with indices
+        missing, raises instead of mispricing; an empty trace has no
+        dynamic energy."""
+        tr, d, n = self._run(NVMOnlyPolicy(), nvm_bw)
+        for broken in (
+            dataclasses.replace(tr, accesses=None),
+            dataclasses.replace(tr, index=tr.index[:-1]),
+        ):
+            with pytest.raises(ValueError, match="access table"):
+                EnergyReport.from_trace(broken, d, n)
+            with pytest.raises(AssertionError):
+                broken.validate()
+        assert EnergyReport.from_trace(ExecutionTrace(), d, n).dynamic_j == 0.0
 
     def test_summary_keys(self, nvm_bw):
         tr, d, n = self._run(NVMOnlyPolicy(), nvm_bw)

@@ -214,6 +214,37 @@ def test_projection_passes_match_scalar_reference(scenario) -> None:
         assert bits(got_slack) == bits(want_slack)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n_tasks=st.integers(1, 60),
+    n_objects=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ranks_count_earlier_gathered_rows(n_tasks, n_objects, seed, data) -> None:
+    """``AccessCSR.ranks`` over a frontier: everything before a first
+    remaining task left out, then a band of drawn width with drawn tasks
+    left out (dispatched out of order), then every task to the end —
+    each gathered row's count of earlier gathered rows of its object,
+    against a counting walk."""
+    csr = build_graph(n_tasks, n_objects, seed, False).exec_core().accesses
+    lo = data.draw(st.integers(0, n_tasks - 1))
+    band = range(lo + 1, min(n_tasks, lo + 1 + data.draw(st.integers(0, 12))))
+    left_out = data.draw(st.sets(st.sampled_from(band))) if band else set()
+    tasks = np.array(
+        [i for i in range(lo, n_tasks) if i not in left_out], dtype=np.int64
+    )
+    rows, _ = csr.gather(tasks)
+    seen: dict[int, int] = {}
+    want = []
+    for k in csr.obj[rows].tolist():
+        want.append(seen.get(k, 0))
+        seen[k] = want[-1] + 1
+    got = csr.ranks(tasks, rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 def test_row_terms_follow_model_and_graph_changes() -> None:
     """One policy instance across the events that change the projection's
     per-row terms: a model's rows replaced by a new tuple (profiling

@@ -325,7 +325,7 @@ def test_depths_cache_resets_on_mutation():
 
 #: The array columns of an ``AccessCSR``.
 CSR_ARRAYS = (
-    "indptr", "obj", "writes", "traffic", "miss_loads", "miss_stores",
+    "indptr", "obj", "traffic", "miss_loads", "miss_stores",
     "read_bytes", "write_bytes", "mlp", "obj_uid", "obj_size",
 )
 
@@ -333,16 +333,22 @@ CSR_ARRAYS = (
 def assert_table_matches_walk(core):
     """The snapshot's access table equals the retired walk over its
     tasks: every column by dtype and bytes (and contiguous), the per-task
-    traffic and writer rows, and the uid -> index map in order."""
+    access and writer rows, and the uid -> index map in order.  Equal
+    access rows are one interned tuple, holding the object's own uid."""
     got, want = core.accesses, reference_access_table(core.tasks)
     for name in CSR_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.flags.c_contiguous, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.task_traffic == want.task_traffic
+    assert got.task_rows == want.task_rows
     assert got.task_writers == want.task_writers
     assert list(got.obj_index.items()) == list(want.obj_index.items())
+    interned = {}
+    for task, rows in zip(core.tasks, got.task_rows, strict=True):
+        for obj, row in zip(task.accesses, rows, strict=True):
+            assert interned.setdefault(row, row) is row
+            assert row[0] is obj.uid
 
 
 def program_tasks(specs, objs, spans=None):

@@ -133,12 +133,15 @@ class TestSchedulerPolicies:
 class TestTrace:
     def _trace(self, *spans, ovh=0.0, **kwargs):
         """A trace of one task per ``(start, finish, worker)`` span."""
+        g = TaskGraph()
         tasks = [
-            Task(name=f"t{i}", type_name="t", accesses={}, compute_time=0.0)
+            g.add(Task(name=f"t{i}", type_name="t", accesses={}, compute_time=0.0))
             for i in range(len(spans))
         ]
         return ExecutionTrace(
             tasks=tasks,
+            index=list(range(len(tasks))),
+            accesses=g.exec_core().accesses,
             worker=[w for _, _, w in spans],
             start=[s for s, _, _ in spans],
             finish=[f for _, f, _ in spans],
