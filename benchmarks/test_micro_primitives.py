@@ -10,6 +10,8 @@ and the energy accounting of a finished run.
 
 from __future__ import annotations
 
+import numpy as np
+
 import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
 from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack_arrays
@@ -109,10 +111,10 @@ class _SeenModel:
 
 def test_bench_replan(benchmark, monkeypatch):
     """The replans of one managed heat-1k run on an interned graph:
-    every demand projection, first-use pass and plan (weigher and
-    knapsack) they ran, recorded with their inputs and replayed in order
-    on a fresh policy, so the per-run row-term table is rebuilt as in
-    the run.  Enforcement, which moves data, is not replayed.  The
+    every demand projection, first-use pass and two-scope plan (one
+    weigher call over both scopes, then each scope's knapsack) they
+    ran, recorded with their inputs and replayed in order on a fresh
+    policy, so the per-run row-term table is rebuilt as in the run.  Enforcement, which moves data, is not replayed.  The
     solver memo is cleared in the un-timed setup."""
     calls = []
     split = DataManagerPolicy._demand_stats_split
@@ -161,11 +163,15 @@ def test_bench_replan(benchmark, monkeypatch):
 def test_bench_knapsack_dp(benchmark):
     """One cold DP solve per rep: the exact-fingerprint memo is dropped
     in the un-timed setup, otherwise every rep after the first measures
-    a dict probe instead of the DP."""
+    a dict probe instead of the DP.  The sizes are whole 512 KiB DP
+    units whose gcd is 1, so the DP runs at full width (a common factor
+    would narrow it)."""
     rng = spawn_rng(1, "bench-knap")
     n = 200
     values = rng.uniform(0.1, 10.0, n).tolist()
-    sizes = (rng.integers(1, 64, n) * 2**20).tolist()
+    units = rng.integers(1, 128, n)
+    assert np.gcd.reduce(units) == 1
+    sizes = (units * 2**19).tolist()
     mask = benchmark.pedantic(
         solve_knapsack_arrays,
         args=(values, sizes, 256 * 2**20),

@@ -19,8 +19,9 @@ The batch is split in two halves:
   machine state, attached per plan without copying the projection.
 
 A batch is the only planning input: :func:`~repro.core.placement.make_plan`
-takes one, and the scalar reference weigher (``tests/reference_weigher.py``)
-walks its columns lane by lane.
+takes one per scope and weighs them stacked (:meth:`DemandBatch.stack`),
+and the scalar reference weigher (``tests/reference_weigher.py``) walks
+its columns lane by lane.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ class DemandBatch:
             self.dram_frac,
             in_dram=np.asarray(in_dram, dtype=np.bool_),
             first_use_offset=np.asarray(first_use_offset, dtype=np.float64),
+        )
+
+    @classmethod
+    def stack(cls, batches: Sequence["DemandBatch"]) -> "DemandBatch":
+        """The rows of ``batches`` in order, as one batch; each must have
+        its placement columns attached.  One batch is returned as is."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            *(np.concatenate([getattr(b, name) for b in batches]) for name in cls.__slots__)
         )
 
     # ------------------------------------------------------------------

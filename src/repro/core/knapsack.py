@@ -20,6 +20,12 @@ The placement manager re-solves every adaptation epoch:
   is re-solved from scratch, because the weigher reorders and re-values
   candidates every replan, so a changed instance almost never shares a
   DP prefix);
+- a DP solve divides the sizes and the capacity by the sizes' gcd ``g``
+  (after the memo key is built): every subset's size is a multiple of
+  ``g``, so each DP row is a function of ``cell // g``, and the narrowed
+  table — ``cap_units // g + 1`` cells — holds the full table's values
+  and keep bits at every ``g``-th cell, giving the same mask (a one-size
+  instance sent back by the top-k guard has ``g`` equal to its size);
 - the backtracking ``keep`` table is bit-packed (one bit per DP cell
   instead of a numpy bool byte), cutting its memory traffic 8x;
 - instances whose DP table would exceed :data:`AUTO_GREEDY_CELLS` cells
@@ -152,6 +158,12 @@ def solve_knapsack_arrays(
         return list(cached)
 
     _stats["solves"] += 1
+    # Every subset's size is a multiple of the sizes' gcd, so each DP row
+    # is a function of ``cell // g``: the narrowed table is the full one
+    # read at every g-th cell, and its backtrack takes the same items.
+    g = int(np.gcd.reduce(w))
+    w //= g
+    cap_units //= g
     mask = _backtrack(_dp_rows(w, v, cap_units), idx_arr.tolist(), w, n, cap_units)
     _memo.put(key, mask)
     return list(mask)

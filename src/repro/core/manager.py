@@ -240,6 +240,29 @@ def _fold_rows(
     return out
 
 
+def _resident_worth(
+    weights: np.ndarray, objects: np.ndarray, resident_idx: list[int], n_objects: int
+) -> float:
+    """The worth of the current DRAM residents under one plan: the sum of
+    their positive weights.
+
+    ``weights`` are the plan's lanes, ``objects`` their dense object
+    indices, and ``resident_idx`` the residents' dense indices in
+    residency-snapshot order; a resident without a lane is worth 0.
+    The positive weights are added left to right in that order.
+    Skipping non-positive weights is exact: adding ``max(w, 0.0)`` for
+    ``w <= 0`` adds a zero, which never changes the non-negative
+    accumulator.
+    """
+    dense = np.zeros(n_objects)
+    dense[objects] = weights
+    current = 0.0
+    for w in dense[resident_idx].tolist():
+        if w > 0.0:
+            current += w
+    return current
+
+
 # Calibration results are per-platform, reused across runs and policies,
 # exactly as the paper's offline step prescribes.
 _CALIBRATION_CACHE: dict[tuple[str, str, int, int], CalibrationResult] = {}
@@ -491,7 +514,7 @@ class DataManagerPolicy(BasePolicy):
         # Horizon: the sequential sum of the kept tasks' durations.
         horizon = np.cumsum(np.concatenate(([0.0], durations[type_of])))
         objs = csr.obj[rows]
-        rank = csr.ranks(kept, rows)
+        rank = csr.ranks(kept, rows, objs)
         cols = np.take(row_terms, rows, axis=1)
         terms, bw = cols[:6], cols[6]
 
@@ -640,21 +663,22 @@ class DataManagerPolicy(BasePolicy):
             core, remaining, cfg.lookahead_tasks, durations, n_workers, gathered
         )
         resident_uids = ctx.hms.dram_resident_uids()
-        resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
         index_of = csr.obj_index.get
-        resident[[i for i in map(index_of, resident_uids) if i is not None]] = True
-        dram_capacity = ctx.dram.capacity_bytes
-        dram_used = ctx.hms.dram_used_bytes()
+        resident_idx = [i for i in map(index_of, resident_uids) if i is not None]
+        resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
+        resident[resident_idx] = True
 
-        def build(
-            scope: str,
-            projection: tuple[DemandBatch, float, np.ndarray],
-            offsets: tuple[np.ndarray, np.ndarray],
-            tasks: np.ndarray,
-        ) -> tuple[PlacementPlan, float, float] | None:
-            batch, horizon, objects = projection
-            if len(batch) == 0:
-                return None
+        # One make_plan call weighs both scopes: each is (name, batch
+        # with placement columns, benefit scale), kept beside its dense
+        # objects and its horizon per worker.
+        scopes: list[tuple[str, DemandBatch, float]] = []
+        spans: list[tuple[np.ndarray, float]] = []
+        for name, (batch, horizon, objects), offsets, tasks, wanted in (
+            ("global", global_proj, global_offsets, remaining, cfg.enable_global_search),
+            ("local", local_proj, local_offsets, window, need_window),
+        ):
+            if not wanted or len(batch) == 0:
+                continue
             if cfg.plan.use_parallel_slack:
                 slack = self._parallel_slack(core.depth[tasks], n_workers)
             else:
@@ -664,51 +688,33 @@ class DataManagerPolicy(BasePolicy):
             # object with no traffic in scope has offset 0.
             first_use = np.zeros(len(csr.obj_uid))
             first_use[offsets[0]] = offsets[1]
-            plan = make_plan(
-                scope,
-                batch.with_placement(resident[objects], first_use[objects]),
-                dram_capacity,
-                dram_used,
-                ctx.nvm,
-                ctx.dram,
-                self.calib,
-                cfg.plan,
-                benefit_scale=self._skepticism * slack,
-            )
+            batch = batch.with_placement(resident[objects], first_use[objects])
+            scopes.append((name, batch, self._skepticism * slack))
+            spans.append((objects, max(horizon / max(1, n_workers), 1e-9)))
+        if not scopes:
+            return overhead
+        built = make_plan(
+            scopes,
+            ctx.dram.capacity_bytes,
+            ctx.hms.dram_used_bytes(),
+            ctx.nvm,
+            ctx.dram,
+            self.calib,
+            cfg.plan,
+        )
+        for plan, (objects, horizon) in zip(built, spans):
             # Delta gain: what enforcing the plan buys *over doing
             # nothing* — the plan set's worth minus the worth of the
             # current resident set under the same demand model.
             # Comparing raw set worth would favour whichever scope sees
             # more total traffic, not whichever scope's enforcement helps
-            # more.  Skipping non-positive weights is exact: adding
-            # ``max(w, 0.0)`` for ``w <= 0`` adds a zero, which never
-            # changes the non-negative accumulator.
-            weights_get = plan.weights.get
-            current = 0.0
-            for uid in resident_uids:
-                w = weights_get(uid, 0.0)
-                if w > 0.0:
-                    current += w
-            delta = plan.predicted_gain - current
-            return plan, delta, max(horizon / max(1, n_workers), 1e-9)
-
-        if cfg.enable_global_search:
-            built = build("global", global_proj, global_offsets, remaining)
-            if built is not None:
-                plan, delta, horizon = built
-                plans.append((delta / horizon, plan))
-                overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
-                if scopes_coincide:
-                    overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
-        if cfg.enable_local_search and not scopes_coincide:
-            built = build("local", local_proj, local_offsets, window)
-            if built is not None:
-                plan, delta, horizon = built
-                plans.append((delta / horizon, plan))
+            # more.
+            current = _resident_worth(plan.weights, objects, resident_idx, len(resident))
+            plans.append(((plan.predicted_gain - current) / horizon, plan))
+            overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
+            if scopes_coincide:
                 overhead += len(plan.weights) * PER_DEMAND_PLAN_OVERHEAD_S
 
-        if not plans:
-            return overhead
         plans.sort(key=lambda p: -p[0])
         best_rate, best = plans[0]
         log.debug(
@@ -781,7 +787,7 @@ class DataManagerPolicy(BasePolicy):
                     inputs={"reason": reason, **inputs},
                 )
 
-        weights_get = plan.weights.get
+        weights_get = plan.weight_of.get
         incoming = [
             by_uid[uid]
             for uid in sorted(plan.dram_set, key=lambda u: -weights_get(u, 0.0))
@@ -794,7 +800,7 @@ class DataManagerPolicy(BasePolicy):
         victims = [
             o for o in ctx.hms.objects_in_dram() if o.uid not in plan.dram_set
         ]
-        victims.sort(key=lambda o: (plan.weights.get(o.uid, 0.0), -o.size_bytes))
+        victims.sort(key=lambda o: (plan.weight_of.get(o.uid, 0.0), -o.size_bytes))
 
         for obj in incoming:
             if backlog > cfg.max_lane_backlog_s:
@@ -806,8 +812,8 @@ class DataManagerPolicy(BasePolicy):
                 refuse(obj, "pinned", moves=self._move_counts[obj.uid])
                 continue
             ct = copy_time(obj.size_bytes, ctx.nvm, ctx.dram)
-            first_use = plan.first_use.get(obj.uid, 0.0)
-            in_weight = plan.weights.get(obj.uid, 0.0)
+            first_use = plan.first_use_of.get(obj.uid, 0.0)
+            in_weight = plan.weight_of.get(obj.uid, 0.0)
             # Evictions needed for this object also occupy the lane, cost
             # a copy, and forfeit the victims' own remaining benefit.
             evict_time = 0.0
@@ -826,9 +832,9 @@ class DataManagerPolicy(BasePolicy):
                     # lands; the part of the copy its next use cannot hide
                     # is a real cost of the swap.
                     victim_value += max(
-                        0.0, ct_v - plan.first_use.get(v.uid, 0.0)
+                        0.0, ct_v - plan.first_use_of.get(v.uid, 0.0)
                     )
-                victim_value += max(plan.weights.get(v.uid, 0.0), 0.0)
+                victim_value += max(plan.weight_of.get(v.uid, 0.0), 0.0)
                 free += v.size_bytes
             if free < obj.size_bytes:
                 refuse(obj, "no_room", free=free)
@@ -858,7 +864,7 @@ class DataManagerPolicy(BasePolicy):
                     v, ctx.nvm, now,
                     inputs={
                         "reason": "eviction",
-                        "victim_weight": plan.weights.get(v.uid, 0.0),
+                        "victim_weight": plan.weight_of.get(v.uid, 0.0),
                         "for_uid": obj.uid,
                     },
                 )

@@ -10,7 +10,8 @@ Two planning scopes, as in the paper:
   re-decided as the window slides.  Adapts to shifting hot sets at the
   price of more migrations, each hopefully hidden in its overlap window.
 
-Both produce a :class:`PlacementPlan` with a predicted net gain
+One :func:`make_plan` call weighs every scope of a replan and returns a
+:class:`PlacementPlan` per scope, each with a predicted net gain
 (benefit - migration cost - eviction pressure) so the manager can pick
 the better scope, per the paper's "choose the best of the two searches".
 
@@ -27,8 +28,10 @@ that pins the column path bitwise (see ``tests/test_placement_batch.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -71,16 +74,37 @@ class PlanConfig:
     use_parallel_slack: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class PlacementPlan:
-    """The chosen DRAM resident set and its predicted net gain."""
+    """One scope's chosen DRAM resident set and its predicted net gain,
+    as columns over the lanes of the batch it weighed.
+
+    The uid-keyed views (``dram_set``, ``weight_of``, ``first_use_of``)
+    are built on first read, so only the plan a replan enforces pays
+    for them."""
 
     scope: str
-    dram_set: set[int] = field(default_factory=set)
-    predicted_gain: float = 0.0
-    weights: dict[int, float] = field(default_factory=dict)
-    #: Seconds until each object's first use (for lane-aware enforcement).
-    first_use: dict[int, float] = field(default_factory=dict)
+    uid: np.ndarray
+    weights: np.ndarray
+    #: Seconds until each lane's first use (for lane-aware enforcement).
+    first_use: np.ndarray
+    #: The knapsack's keep-mask over the lanes.
+    keep: list[bool]
+    predicted_gain: float
+
+    @cached_property
+    def dram_set(self) -> set[int]:
+        # The kept uids enter the set in lane order, as one add per kept
+        # object would, so its iteration order is fixed by the batch.
+        return set(compress(self.uid.tolist(), self.keep))
+
+    @cached_property
+    def weight_of(self) -> dict[int, float]:
+        return dict(zip(self.uid.tolist(), self.weights.tolist()))
+
+    @cached_property
+    def first_use_of(self) -> dict[int, float]:
+        return dict(zip(self.uid.tolist(), self.first_use.tolist()))
 
 
 def _weights_for(
@@ -90,7 +114,7 @@ def _weights_for(
     calib: CalibrationResult,
     cfg: PlanConfig,
     dram_pressure: float,
-    benefit_scale: float = 1.0,
+    benefit_scale: float | np.ndarray = 1.0,
 ) -> np.ndarray:
     """Eq. 7 over a whole demand batch — the planner's hot loop, as
     straight-line column arithmetic.
@@ -101,6 +125,8 @@ def _weights_for(
     is nearly full (``dram_pressure`` ~ 1) — the eviction of an equal
     volume of victims.  Both copies carry the fixed per-migration
     overhead the enforcement path charges (inside :func:`copy_time`).
+    ``benefit_scale`` is one factor or a column of one per lane; either
+    way each lane's benefit is multiplied by its factor once.
 
     Both benefit estimators and the movement cost are evaluated on every
     lane; ``np.where`` then picks each object's estimator, sensitivity
@@ -236,41 +262,48 @@ def _weights_for(
 
 
 def make_plan(
-    scope: str,
-    demands: DemandBatch,
+    scopes: Sequence[tuple[str, DemandBatch, float]],
     dram_capacity_bytes: int,
     dram_used_bytes: int,
     nvm: MemoryDevice,
     dram: MemoryDevice,
     calib: CalibrationResult,
     cfg: PlanConfig,
-    benefit_scale: float = 1.0,
-) -> PlacementPlan:
-    """Weigh every demand and solve the capacity-constrained selection.
+) -> list[PlacementPlan]:
+    """Weigh every scope's demands and solve each scope's
+    capacity-constrained selection; one plan per scope, in order.
 
-    ``demands`` is a :class:`~repro.core.demand.DemandBatch` with
-    placement columns attached (:meth:`DemandBatch.with_placement`).
+    Each scope is ``(name, demands, benefit_scale)``, ``demands`` a
+    :class:`~repro.core.demand.DemandBatch` with placement columns
+    attached (:meth:`DemandBatch.with_placement`).  The scopes' batches
+    are stacked and weighed in one :func:`_weights_for` call, with each
+    scope's ``benefit_scale`` repeated over its lanes; the weigher is
+    elementwise, so every lane gets the weight a call on its own scope
+    would give it.  Each scope's knapsack then runs on its own slice.
     """
-    batch = demands
     budget = int(dram_capacity_bytes * CAPACITY_FRACTION)
     pressure = max(0.0, min(1.0, dram_used_bytes / max(1, budget)))
-    weights = _weights_for(batch, nvm, dram, calib, cfg, pressure, benefit_scale)
-    if cfg.solver == "greedy":
-        mask = greedy_by_density(weights, batch.size_bytes, budget)
-    else:
-        mask = solve_knapsack_arrays(weights, batch.size_bytes, budget)
-    uids = batch.uid.tolist()
-    w_list = weights.tolist()
-    # The kept uids enter the set in batch order, as one add per kept
-    # object would; the gain is a left-to-right float sum (not ``sum``,
-    # which compensates on Python 3.12).
-    gain = 0.0
-    for w in compress(w_list, mask):
-        gain += w
-    return PlacementPlan(
-        scope=scope,
-        dram_set=set(compress(uids, mask)),
-        predicted_gain=gain,
-        weights=dict(zip(uids, w_list)),
-        first_use=dict(zip(uids, batch.first_use_offset.tolist())),
+    batches = [demands for _, demands, _ in scopes]
+    lanes = [len(demands) for demands in batches]
+    weights = _weights_for(
+        DemandBatch.stack(batches), nvm, dram, calib, cfg, pressure,
+        np.repeat([scale for _, _, scale in scopes], lanes),
     )
+    plans = []
+    lo = 0
+    for (scope, demands, _), n in zip(scopes, lanes):
+        w = weights[lo : lo + n]
+        lo += n
+        if cfg.solver == "greedy":
+            mask = greedy_by_density(w, demands.size_bytes, budget)
+        else:
+            mask = solve_knapsack_arrays(w, demands.size_bytes, budget)
+        # The gain is a left-to-right float sum (not ``sum``, which
+        # compensates on Python 3.12).
+        gain = 0.0
+        for x in compress(w.tolist(), mask):
+            gain += x
+        plans.append(
+            PlacementPlan(scope, demands.uid, w, demands.first_use_offset, mask, gain)
+        )
+    return plans

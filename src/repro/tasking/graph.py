@@ -103,9 +103,10 @@ class AccessCSR:
         rows += np.repeat(starts - (ends - lens), lens)
         return rows, lens
 
-    def ranks(self, tasks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def ranks(self, tasks: np.ndarray, rows: np.ndarray, objs: np.ndarray) -> np.ndarray:
         """Per gathered row (``rows, _ = gather(tasks)``, ``tasks``
-        ascending), how many earlier gathered rows touch the same object.
+        ascending, ``objs = obj[rows]``), how many earlier gathered rows
+        touch the same object.
 
         That is the row's graph-wide rank less the accesses of its
         object by the tasks left out: those before ``tasks[0]`` (read per
@@ -119,7 +120,6 @@ class AccessCSR:
         lo = int(tasks[0])
         n_tasks = len(self.indptr) - 1
         n_rows = len(self.obj)
-        objs = self.obj[rows]
         keys, starts, rank = self._by_object
         at_first = np.arange(len(starts) - 1, dtype=np.int64) * n_rows + int(self.indptr[lo])
         out = rank[rows] - (np.searchsorted(keys, at_first) - starts[:-1])[objs]

@@ -277,3 +277,66 @@ def test_uniform_ties_count_exact_ties_at_the_cut():
         assert mask == dp_mask(values, [1] * len(values), 2, 2)
         stats = solver_cache_stats()
         assert {k: stats[k] for k in want} == want, values
+
+
+
+@st.composite
+def shared_factor_instances(draw):
+    """Multi-size instances for the gcd-narrowed DP, sizes in whole DP
+    units of ``unit`` bytes (``granularity`` is the unit count of the
+    capacity, which may carry a remainder below one unit).
+
+    ``shared`` draws two or three sizes with a common factor (``g > 1``),
+    ``coprime`` two consecutive sizes (``g = 1``), ``tie`` shared sizes
+    with bitwise-equal values, so the DP's choice at the cut is a tie,
+    and ``all_fit`` room for every candidate.
+    """
+    shape = draw(st.sampled_from(["shared", "coprime", "tie", "all_fit"]))
+    n = draw(st.integers(3, 10))
+    if shape == "coprime":
+        k = draw(st.integers(1, 20))
+        units = [k, k + 1] + draw(
+            st.lists(st.sampled_from([k, k + 1]), min_size=n - 2, max_size=n - 2)
+        )
+    else:
+        factor = draw(st.integers(2, 12))
+        pool = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True))
+        units = [factor * k for k in pool] + draw(
+            st.lists(st.sampled_from(pool), min_size=n - len(pool), max_size=n - len(pool))
+        )
+        units[len(pool):] = [factor * k for k in units[len(pool):]]
+    total_units = sum(units)
+    if shape == "all_fit":
+        cap_units = total_units + draw(st.integers(0, 5))
+    else:
+        cap_units = draw(st.integers(1, total_units - 1))
+    unit = draw(st.integers(1, 3))
+    capacity = unit * cap_units + draw(st.integers(0, min(unit, cap_units) - 1))
+    if shape == "tie":
+        values = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(0.001, 100.0), min_size=n, max_size=n))
+    return values, [u * unit for u in units], capacity, cap_units
+
+
+def test_gcd_narrowed_dp_matches_full_width():
+    """Property: a DP solve, run on sizes and capacity divided by the
+    sizes' gcd, returns the mask of the DP and backtrack at full width;
+    instances with ``g > 1`` and with ``g = 1`` both reach the DP."""
+    gcds = Counter()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(inst=shared_factor_instances())
+    # g = 3 with a tie at the cut: two 3-unit items of value 1 for 4 units.
+    @example(inst=([1.0, 1.0, 5.0], [3, 3, 6], 10, 10))
+    def check(inst):
+        values, sizes, capacity, granularity = inst
+        clear_solver_cache()
+        got = solve_knapsack_arrays(values, sizes, capacity, granularity)
+        assert got == dp_mask(values, sizes, capacity, granularity)
+        if solver_cache_stats()["solves"]:
+            unit = capacity // granularity
+            gcds["g>1" if np.gcd.reduce([s // unit for s in sizes]) > 1 else "g=1"] += 1
+
+    check()
+    assert gcds["g>1"] > 0 and gcds["g=1"] > 0, gcds

@@ -1,11 +1,15 @@
 """The data manager end-to-end on controlled micro-programs."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import NVMOnlyPolicy
-from repro.core import manager
-from repro.core.manager import DataManagerPolicy, ManagerConfig
+from repro.core import manager, placement
+from repro.core.manager import DataManagerPolicy, ManagerConfig, _resident_worth
 from repro.core.placement import (
     CAPACITY_FRACTION,
     COST_MARGIN,
@@ -15,7 +19,7 @@ from repro.core.placement import (
 from repro.experiments.runner import make_policy
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.migration import copy_time
-from repro.memory.presets import dram
+from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
 from repro.tasking.footprints import (
@@ -26,6 +30,7 @@ from repro.tasking.footprints import (
 from repro.tasking.graph import TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+from repro.workloads import build
 
 from tests.helpers import dram_flags
 
@@ -234,10 +239,10 @@ class TestPlanCopyCost:
         calls = []
         real = manager.make_plan
 
-        def spy(*args, **kw):
-            plan = real(*args, **kw)
-            calls.append((args, kw["benefit_scale"], plan))
-            return plan
+        def spy(*args):
+            plans = real(*args)
+            calls.append((args, plans))
+            return plans
 
         monkeypatch.setattr(manager, "make_plan", spy)
         g, *_ = hot_cold_program()
@@ -246,19 +251,117 @@ class TestPlanCopyCost:
         Executor(hms, config).run(g, DataManagerPolicy())
 
         priced = 0
-        for (_, batch, capacity, used, nvm, dram_dev, calib, cfg), scale, plan in calls:
-            # Each lane's benefit alone: the batch weighed as if resident.
-            resident = batch.with_placement(np.ones(len(batch)), batch.first_use_offset)
-            benefit = _weights_for(resident, nvm, dram_dev, calib, cfg, 0.0, scale)
-            pressure = max(0.0, min(1.0, used / max(1, int(capacity * CAPACITY_FRACTION))))
-            for i in np.flatnonzero(~batch.in_dram).tolist():
-                size = int(batch.size_bytes[i])
-                unhidden = copy_time(size, nvm, dram_dev) - max(
-                    float(batch.first_use_offset[i]), 0.0
+        for (scopes, capacity, used, nvm, dram_dev, calib, cfg), plans in calls:
+            for (_, batch, scale), plan in zip(scopes, plans, strict=True):
+                # Each lane's benefit alone: the batch weighed as if resident.
+                resident = batch.with_placement(
+                    np.ones(len(batch)), batch.first_use_offset
                 )
-                cost = max(unhidden, 0.0) + pressure * copy_time(size, dram_dev, nvm)
-                assert plan.weights[int(batch.uid[i])] == pytest.approx(
-                    benefit[i] - COST_MARGIN * cost, rel=1e-12
-                )
-                priced += cost > 0.0
+                benefit = _weights_for(resident, nvm, dram_dev, calib, cfg, 0.0, scale)
+                budget = int(capacity * CAPACITY_FRACTION)
+                pressure = max(0.0, min(1.0, used / max(1, budget)))
+                for i in np.flatnonzero(~batch.in_dram).tolist():
+                    size = int(batch.size_bytes[i])
+                    unhidden = copy_time(size, nvm, dram_dev) - max(
+                        float(batch.first_use_offset[i]), 0.0
+                    )
+                    cost = max(unhidden, 0.0) + pressure * copy_time(size, dram_dev, nvm)
+                    assert plan.weights[i] == pytest.approx(
+                        benefit[i] - COST_MARGIN * cost, rel=1e-12
+                    )
+                    priced += cost > 0.0
         assert priced > 0
+
+
+class TestOnePlanningPass:
+    def test_one_weigher_call_and_one_built_plan_per_replan(self, monkeypatch):
+        """Every replan weighs all its scopes in one ``_weights_for``
+        call, and only the enforced plan builds its uid set and maps."""
+        weighs = []
+        real_weigh = placement._weights_for
+
+        def weigh(*args):
+            weighs.append(len(args[0]))
+            return real_weigh(*args)
+
+        rounds = []
+        real_plan = manager.make_plan
+
+        def plan(*args):
+            before = len(weighs)
+            plans = real_plan(*args)
+            rounds.append((weighs[before:], plans))
+            return plans
+
+        monkeypatch.setattr(placement, "_weights_for", weigh)
+        monkeypatch.setattr(manager, "make_plan", plan)
+        w = build("heat", grid=6, iterations=6)
+        hms = HeterogeneousMemorySystem(dram(), nvm_bandwidth_scaled(0.5))
+        Executor(hms, ExecutorConfig(n_workers=8)).run(w.graph, DataManagerPolicy())
+
+        maps = ("dram_set", "weight_of", "first_use_of")
+        built = 0
+        for lanes, plans in rounds:
+            assert lanes == [sum(len(p.weights) for p in plans)]
+            n_built = sum(any(m in vars(p) for m in maps) for p in plans)
+            assert n_built <= 1
+            built += n_built
+        assert any(len(plans) == 2 for _, plans in rounds)
+        assert built > 0
+
+
+def dict_walk_worth(uids, weights, resident_uids) -> float:
+    """The resident worth as a walk of the residency snapshot over a
+    uid -> weight dict: the positive weights, left to right."""
+    weights_get = dict(zip(uids, weights)).get
+    current = 0.0
+    for uid in resident_uids:
+        w = weights_get(uid, 0.0)
+        if w > 0.0:
+            current += w
+    return current
+
+
+_WEIGHTS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1.0, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.2, 0.3, float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def resident_cases(draw):
+    """``(obj_uid, objects, weights, resident_uids)``: a graph's uids by
+    dense index, in another order than the indices, so the snapshot's
+    order is not the index order; a batch's dense objects and weights;
+    and residents in the batch, in the graph but outside the batch, and
+    outside the graph."""
+    n_objects = draw(st.integers(1, 30))
+    obj_uid = draw(st.permutations(range(n_objects)))
+    objects = draw(st.lists(st.integers(0, n_objects - 1), unique=True))
+    weights = draw(st.lists(_WEIGHTS, min_size=len(objects), max_size=len(objects)))
+    resident_uids = draw(st.sets(st.sampled_from(obj_uid))) | draw(
+        st.sets(st.integers(n_objects, 2**40), max_size=4)
+    )
+    return obj_uid, objects, weights, resident_uids
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=resident_cases())
+# Left to right in snapshot order: (0.3 + 0.2) + 0.1 rounds to 0.6,
+# (0.1 + 0.2) + 0.3 in index order to 0.6000000000000001.
+@example(case=([2, 1, 0], [0, 1, 2], [0.1, 0.2, 0.3], {0, 1, 2, 99}))
+def test_resident_worth_matches_dict_walk(case):
+    """Property: the resident worth gathered from a plan's weight column
+    is bitwise the dict walk."""
+    obj_uid, objects, weights, resident_uids = case
+    index_of = {u: i for i, u in enumerate(obj_uid)}
+    resident_idx = [i for i in map(index_of.get, resident_uids) if i is not None]
+    got = _resident_worth(
+        np.array(weights, dtype=np.float64),
+        np.array(objects, dtype=np.int64),
+        resident_idx,
+        len(obj_uid),
+    )
+    want = dict_walk_worth([obj_uid[i] for i in objects], weights, resident_uids)
+    assert struct.pack("<d", got) == struct.pack("<d", want)

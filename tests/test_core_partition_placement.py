@@ -233,24 +233,23 @@ class TestPlanning:
             in_dram=col(in_dram), first_use_offset=col(offset),
         )
         d, nvm = dram(), nvm_bandwidth_scaled(0.5)
-        plan = make_plan(
-            "global", batch, capacity, used, nvm, d, calib, PlanConfig(),
-            benefit_scale=benefit_scale,
+        (plan,) = make_plan(
+            [("global", batch, benefit_scale)], capacity, used, nvm, d, calib, PlanConfig()
         )
         return plan, batch
 
     def test_resident_weight_has_no_cost(self, calibration_bw):
         plan, _ = self._plan(calibration_bw, n=2, in_dram=[True, False])
-        assert plan.weights[1] > plan.weights[2]
+        assert plan.weight_of[1] > plan.weight_of[2]
 
     def test_overlap_window_reduces_cost(self, calibration_bw):
         plan, _ = self._plan(calibration_bw, n=2, offset=[0.0, 10.0])
-        assert plan.weights[2] > plan.weights[1]
+        assert plan.weight_of[2] > plan.weight_of[1]
 
     def test_dram_pressure_adds_eviction_cost(self, calibration_bw):
         empty, _ = self._plan(calibration_bw)
         full, _ = self._plan(calibration_bw, used=int(64 * MIB))
-        assert full.weights[1] < empty.weights[1]
+        assert full.weight_of[1] < empty.weight_of[1]
 
     def test_make_plan_respects_capacity(self, calibration_bw):
         plan, batch = self._plan(

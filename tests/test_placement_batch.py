@@ -28,7 +28,7 @@ from repro.core.knapsack import (
     clear_solver_cache,
     solve_knapsack_arrays,
 )
-from repro.core.placement import PlanConfig, _weights_for
+from repro.core.placement import PlanConfig, _weights_for, make_plan
 from repro.memory.presets import (
     dram,
     numa_emulated,
@@ -237,6 +237,65 @@ class TestWeightsDifferential:
         batch = DemandBatch.empty().with_placement([], [])
         vec = _weights_for(batch, NVM, DRAM, calibration_bw, PlanConfig(), 0.0)
         assert vec.shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Stacked scopes: one weigher call for every scope of a replan
+# ----------------------------------------------------------------------
+_SCOPE_SCALES = st.one_of(
+    st.sampled_from([1.0, 0.1, 0.5 * 0.37]),
+    st.floats(min_value=1e-3, max_value=4.0),
+)
+
+
+class TestStackedScopes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mach=machine(),
+        cfg=_CFGS,
+        scopes=st.lists(st.tuples(demand_batches(), _SCOPE_SCALES), min_size=1, max_size=3),
+        pressure=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_stacked_weigher_equals_per_scope_calls(self, mach, cfg, scopes, pressure):
+        """One call on the stacked batches with a per-lane scale column
+        gives every lane the bytes of a call on its own scope."""
+        nvm, dev_d, calib = mach
+        batches = [b for b, _ in scopes]
+        scale = np.repeat([s for _, s in scopes], [len(b) for b in batches])
+        vec = _weights_for(DemandBatch.stack(batches), nvm, dev_d, calib, cfg, pressure, scale)
+        ref = []
+        for batch, s in scopes:
+            ref += _weights_for(batch, nvm, dev_d, calib, cfg, pressure, s).tolist()
+        assert_bitwise(vec, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scopes=st.lists(
+            st.tuples(demand_batches(min_size=1), _SCOPE_SCALES), min_size=2, max_size=2
+        ),
+        capacity=st.sampled_from([1 << 22, 3 << 22, 1 << 26]),
+        used=st.sampled_from([0, 1 << 22]),
+        solver=st.sampled_from(["dp", "greedy"]),
+    )
+    def test_two_scope_plan_equals_one_scope_plans(
+        self, calibration_bw, scopes, capacity, used, solver
+    ):
+        """``make_plan`` over both scopes returns, per scope, the plan a
+        call on that scope alone returns: the same weight bytes, mask
+        and gain bytes."""
+        cfg = PlanConfig(solver=solver)
+        named = [(f"s{k}", b, s) for k, (b, s) in enumerate(scopes)]
+        args = (capacity, used, NVM, DRAM, calibration_bw, cfg)
+        clear_solver_cache()
+        together = make_plan(named, *args)
+        clear_solver_cache()
+        alone = [make_plan([scope], *args)[0] for scope in named]
+        assert [p.scope for p in together] == ["s0", "s1"]
+        for got, want in zip(together, alone, strict=True):
+            assert_bitwise(got.weights, want.weights.tolist())
+            assert got.keep == want.keep
+            assert bits(got.predicted_gain) == bits(want.predicted_gain)
+            assert got.dram_set == want.dram_set
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_ranks_count_earlier_gathered_rows(n_tasks, n_objects, seed, data) -> No
     for k in csr.obj[rows].tolist():
         want.append(seen.get(k, 0))
         seen[k] = want[-1] + 1
-    got = csr.ranks(tasks, rows)
+    got = csr.ranks(tasks, rows, csr.obj[rows])
     assert got.dtype == np.int64
     assert got.tolist() == want
 
