@@ -5,7 +5,8 @@ executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
 the simulator can handle — plus one cold graph build with its access
 table, the set-up cost of a new spec, the replans of one managed run,
-and the energy accounting of a finished run.
+the energy accounting of a finished run, and a run with the telemetry
+plane on.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.manager import DataManagerPolicy
 from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
+from repro.metrics import Telemetry, TelemetryConfig
 from repro.profiling.sampler import SamplingProfiler
 from repro.tasking.executor import Executor, ExecutorConfig, placed_memory_times
 from repro.util.rng import spawn_rng
@@ -64,6 +66,23 @@ def test_bench_executor_throughput_nvm_only(benchmark):
 
     tr = benchmark(run)
     assert len(tr.tasks) == len(w.graph)
+
+
+def test_bench_instrumented_run(benchmark):
+    """A warm nvm-only heat-3k run (16x16 tiles x 12 sweeps) with the
+    telemetry plane on: the per-task stream hand-off, the machine-state
+    change points and the end-of-run expansion onto the cadence grid."""
+    w = build_cached("heat", grid=16, iterations=12)
+
+    def run():
+        tel = Telemetry(TelemetryConfig())
+        return Executor(_machine(), ExecutorConfig(n_workers=8), telemetry=tel).run(
+            w.graph, NVMOnlyPolicy()
+        )
+
+    tr = benchmark(run)
+    assert len(tr.tasks) == len(w.graph)
+    assert len(tr.telemetry["samplers"]) == 9
 
 
 def test_bench_executor_with_data_manager(benchmark):

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.experiments.spec import RunResult, RunSpec, canonical_json
+from repro.experiments.spec import RunResult, RunSpec
 from repro.metrics.service import (
     record_service_metrics,
     service_summary,
@@ -113,6 +113,14 @@ def _closed_spec(spec: RunSpec, tenant: TenantSpec) -> RunSpec:
     return spec.replace(stream=None, workload=workload, workload_overrides=overrides)
 
 
+def _plain_json(value: Any) -> str:
+    """:func:`~repro.experiments.spec.canonical_json` of data that is
+    already plain JSON (``str`` keys; ``float``/``int``/``str`` leaves in
+    lists, tuples and dicts), byte for byte, without its normalizing walk
+    over every node."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _tenant_demand_bytes(spec: RunSpec, tenant: TenantSpec) -> int:
     """Working-set size of one of the tenant's jobs (charged as credits)."""
     from repro.experiments.runner import workload_params
@@ -190,7 +198,7 @@ def run_service(spec: RunSpec) -> RunResult:
         "demand_bytes": demand,
         "n_events": len(result.event_log),
         "event_log_digest": hashlib.sha256(
-            canonical_json(list(result.event_log)).encode("utf-8")
+            _plain_json(result.event_log).encode("utf-8")
         ).hexdigest(),
         "metrics_digest": json_digest(registry.snapshot()),
     }
@@ -198,6 +206,6 @@ def run_service(spec: RunSpec) -> RunResult:
         spec=spec,
         ok=True,
         makespan=result.horizon_s,
-        summary=json.loads(canonical_json(summary)),
+        summary=json.loads(_plain_json(summary)),
     )
     return out

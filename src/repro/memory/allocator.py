@@ -33,6 +33,8 @@ class FreeListAllocator:
         # Free list kept sorted by offset: list of [offset, size].
         self._free: list[list[int]] = [[0, self.capacity]]
         self._allocated: dict[int, int] = {}  # offset -> size
+        #: Running sum of ``_allocated``'s sizes (``used_bytes`` in O(1)).
+        self._used = 0
         # Optional telemetry registry + device label (attached per run).
         self._metrics = None
         self._device = ""
@@ -71,6 +73,7 @@ class FreeListAllocator:
             off, avail = entry
             if avail >= need:
                 self._allocated[off] = need
+                self._used += need
                 if avail == need:
                     self._free.remove(entry)
                 else:
@@ -99,6 +102,7 @@ class FreeListAllocator:
             size = self._allocated.pop(offset)
         except KeyError:
             raise KeyError(f"offset {offset} is not allocated") from None
+        self._used -= size
         insort(self._free, [offset, size])
         self._coalesce()
         if self._metrics is not None:
@@ -143,7 +147,7 @@ class FreeListAllocator:
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        return sum(self._allocated.values())
+        return self._used
 
     @property
     def free_bytes(self) -> int:
@@ -168,6 +172,7 @@ class FreeListAllocator:
 
     def check_invariants(self) -> None:
         """Assert internal consistency (used by property-based tests)."""
+        assert self._used == sum(self._allocated.values()), "stale used-bytes count"
         total_free = sum(size for _, size in self._free)
         assert total_free + self.used_bytes == self.capacity, "space leak"
         prev_end = -1

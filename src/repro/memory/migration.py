@@ -215,18 +215,6 @@ class MigrationEngine:
         """Virtual time at which the helper thread's copy lane drains."""
         return self._lane_free_at
 
-    def queue_depth(self, now: float) -> int:
-        """Copies scheduled but not yet landed at ``now`` (the telemetry
-        plane's migration-queue-depth series).  The lane is serial and
-        records are appended in lane order, so scanning back from the
-        tail stops at the first drained copy."""
-        depth = 0
-        for rec in reversed(self.records):
-            if rec.end_time <= now:
-                break
-            depth += 1
-        return depth
-
     # ------------------------------------------------------------------
     # Statistics (Table-5 analogues)
     # ------------------------------------------------------------------

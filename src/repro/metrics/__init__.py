@@ -1,13 +1,14 @@
-"""Telemetry plane: metrics registry, virtual-time samplers, placement
+"""Telemetry plane: metrics registry, virtual-time series, placement
 audit log, and exporters.
 
-The subsystem mirrors the fault plane's architecture (PR 2): a frozen
+The subsystem mirrors the fault plane's architecture: a frozen
 *description* (:class:`TelemetryConfig`) may ride on a ``RunSpec``; the
 runtime *mechanism* (:class:`Telemetry`) interposes on the machine only
-through explicit hook points (executor tick, ``ExecContext``
-attachment, ``attach_metrics`` on the HMS / migration engine /
-allocators); everything is **off by default** and costs a handful of
-``is not None`` checks when disabled.
+through explicit hook points (the executor's per-task stream hand-off
+and machine-state change points, ``ExecContext`` attachment,
+``attach_metrics`` on the HMS / migration engine / allocators);
+everything is **off by default** and costs a handful of ``is not None``
+checks when disabled.
 
 See ``docs/observability.md`` for the full tour.
 """
@@ -21,7 +22,6 @@ from repro.metrics.export import (
     to_prometheus,
 )
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.metrics.samplers import SamplerSet, TimeSeriesSampler
 from repro.metrics.service import (
     percentile,
     record_service_metrics,
@@ -37,8 +37,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SamplerSet",
-    "TimeSeriesSampler",
     "Telemetry",
     "TelemetryConfig",
     "resolve_telemetry",

@@ -261,6 +261,8 @@ class ExecContext:
         # shadow, so demotion is a remap, not a copy.
         if dst.name == self.hms.nvm.name and not self.hms.is_dirty(obj):
             self.hms.move(obj, dst)
+            if tel is not None:
+                tel.note_machine(now)
             if audit is not None:
                 audit.log(
                     now, "remap", obj_uid=obj.uid, size_bytes=obj.size_bytes,
@@ -280,6 +282,8 @@ class ExecContext:
             self.hms.move(obj, src)
             if was_dirty:
                 self.hms.mark_dirty(obj)
+        if tel is not None:
+            tel.note_machine(now)
         if audit is not None:
             audit.log(
                 now, "copy", obj_uid=obj.uid, size_bytes=obj.size_bytes,
@@ -383,26 +387,11 @@ class Executor:
 
         if telemetry is not None:
             # Bind instruments before any placement so initial allocations
-            # are counted too.  The sampler callables read the live
-            # ``running`` list — exact at any virtual time because machine
-            # state only changes at events.
-            def busy_workers(t: float) -> float:
-                return float(sum(1 for r in running if r[0] > t))
-
-            def active_streams(device: str, t: float) -> int:
-                k = 2 if device == hms.dram.name else 3
-                return sum(1 for r in running if r[0] > t and r[k])
-
-            # Export-side uid normalization: uids come from a process-global
-            # counter, so digest equality across runs needs per-run ids.
+            # are counted too.  Export-side uid normalization: uids come
+            # from a process-global counter, so digest equality across runs
+            # needs per-run ids.
             telemetry.uid_map = {obj.uid: i for i, obj in enumerate(core.objects)}
-            telemetry.begin_run(
-                hms,
-                engine,
-                nw,
-                busy_workers=busy_workers,
-                active_streams=active_streams,
-            )
+            telemetry.begin_run(hms, engine)
 
         # Initial placement: the policy places what it wants; everything
         # else lands on the NVM backing tier.
@@ -410,6 +399,8 @@ class Executor:
         for obj in core.objects:
             if not hms.is_placed(obj):
                 hms.allocate(obj, hms.nvm)
+        if telemetry is not None:
+            telemetry.note_machine(0.0)
 
         working_set = graph.total_object_bytes()
         scheduler = self.scheduler
@@ -483,6 +474,7 @@ class Executor:
         stall_append = trace.stall_time.append
         flag_append = on_dram.append
         flag_count = on_dram.count
+        streams_append = telemetry.streams.append if telemetry is not None else None
         n_dram = n_nvm = 0  # live stream count per tier among `running`
 
         while n_done < n_total:
@@ -495,8 +487,6 @@ class Executor:
                 if v < free_at:
                     free_at = v
                     wid = w
-            if telemetry is not None:
-                telemetry.tick(free_at)
             drain_completions(free_at)
             if injector is not None:
                 lost, evs = self._apply_capacity_losses(injector, engine, free_at)
@@ -641,25 +631,6 @@ class Executor:
             memory_append(mem)
             overhead_append(oh if overhead_after != 0.0 else overhead_before)
             stall_append(stall)
-            if telemetry is not None:
-                reg = telemetry.registry
-                reg.counter(
-                    "tasks_completed_total", help="Tasks run to completion"
-                ).inc()
-                reg.histogram(
-                    "task_duration_seconds",
-                    help="End-to-end task time incl. overhead (virtual seconds)",
-                ).observe(worker_free_t - now)
-                if stall > 0:
-                    reg.histogram(
-                        "task_stall_seconds",
-                        help="Time spent waiting for in-flight migrations",
-                    ).observe(stall)
-                if oh > 0:
-                    reg.counter(
-                        "policy_overhead_seconds_total",
-                        help="Software overhead charged by the placement policy",
-                    ).inc(oh)
 
             # Tiers this task streams against, *after* the policy hook —
             # after_task may have migrated some of its objects.  When no
@@ -673,7 +644,10 @@ class Executor:
                 n_on = sum([placements[r[0]].device == dram_name for r in rows])
             td = n_on > 0
             tn = n_on < n_rows
-            heappush(running, (finish, task.tid, td, tn))
+            stream = (finish, task.tid, td, tn)
+            heappush(running, stream)
+            if streams_append is not None:
+                streams_append(stream)
             n_dram += td
             n_nvm += tn
             # Dispatch bookkeeping the policy reads through the context:
@@ -693,7 +667,7 @@ class Executor:
 
         makespan = trace.makespan = max(trace.finish, default=0.0)
         if telemetry is not None:
-            telemetry.end_run(makespan)
+            telemetry.end_run(trace)
             trace.telemetry = telemetry.export()
         if injector is not None:
             trace.faults = {
@@ -760,6 +734,8 @@ class Executor:
                         inputs={"reason": "emergency_eviction"},
                     )
             injector.note_capacity_loss(loss, now, applied, len(evicted))
+            if tel is not None:
+                tel.note_machine(now)
             lost += applied
             evictions += len(evicted)
         return lost, evictions

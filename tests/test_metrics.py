@@ -1,18 +1,27 @@
 """Telemetry subsystem: registry/export determinism, Prometheus lint,
 audit-log reconciliation with the migration engine, disabled-mode
-neutrality, and the frozen policy-API surface."""
+neutrality, time series checked point by point against the trace, and
+the frozen policy-API surface."""
 
 from __future__ import annotations
 
 import inspect
 import json
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.policies import BasePolicy
+from repro.experiments import runner
 from repro.experiments.runner import execute_spec
 from repro.experiments.spec import RunSpec
-from repro.memory.presets import nvm_bandwidth_scaled
+from repro.memory.allocator import ALIGNMENT
+from repro.memory.contention import share
+from repro.memory.hms import HeterogeneousMemorySystem
+from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.metrics import (
     MetricsRegistry,
     PlacementAuditLog,
@@ -24,8 +33,14 @@ from repro.metrics import (
     to_json,
     to_prometheus,
 )
+from repro.tasking.executor import Executor, ExecutorConfig
 
-from tests.helpers import audit_migrated_bytes, audit_select, parse_labels_str
+from tests.helpers import (
+    audit_migrated_bytes,
+    audit_select,
+    make_fork_join_graph,
+    parse_labels_str,
+)
 
 NVM = nvm_bandwidth_scaled(0.5)
 
@@ -266,6 +281,152 @@ class TestAuditReconciliation:
         tel, _ = run
         uids = {e["obj_uid"] for e in tel.export()["audit"]["entries"]}
         assert uids and max(uids) < 200  # raw global uids would be unbounded
+
+
+class _StreamRecorder:
+    """Wraps a placement policy and records, after each ``after_task``
+    hook, the task's hook duration and whether its objects then sit on
+    DRAM / NVM: the span and tiers the task streams against."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.hms = None
+        self.objects = []
+        self.streams: list[tuple[float, bool, bool]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def on_run_start(self, ctx):
+        self.hms = ctx.hms
+        self.objects = ctx.graph.exec_core().objects
+        return self._inner.on_run_start(ctx)
+
+    def after_task(self, task, duration, ctx):
+        overhead = self._inner.after_task(task, duration, ctx)
+        on = [ctx.hms.in_dram(obj) for obj in task.accesses]
+        self.streams.append((duration, any(on), not all(on)))
+        return overhead
+
+
+def _key(name: str, labels: dict[str, str]) -> tuple:
+    return name, tuple(sorted(labels.items()))
+
+
+def _exported_series(tel: Telemetry) -> dict[tuple, list[float]]:
+    return {_key(e["name"], e["labels"]): e["v"] for e in tel.export()["samplers"]}
+
+
+def _reference_series(trace, tel, recorder) -> dict[tuple, list[float]]:
+    """Every series at every exported boundary ``b``, recomputed from the
+    trace's columns, the migration records and a replay of the placement
+    audit log: the state after each event stamped at or before ``b``."""
+    hms = recorder.hms
+    entries = tel.audit.entries
+    assert tel.audit.dropped == 0
+    records = trace.migrations.records
+    copies = audit_select(tel.audit, "copy")
+    assert len(copies) == len(records)
+    requested = [(e.time, r.end_time) for e, r in zip(copies, records)]
+    # Initial placement: what the policy placed, the rest on NVM.
+    initial = {obj.uid: hms.nvm.name for obj in recorder.objects}
+    for e in entries:
+        if e.action == "initial":
+            initial[e.obj_uid] = e.dst
+    moves = [
+        e for e in entries
+        if e.action == "remap" or (e.action == "copy" and e.outcome == "ok")
+    ]
+    size = {obj.uid: -(-obj.size_bytes // ALIGNMENT) * ALIGNMENT for obj in recorder.objects}
+    spans = [
+        (s, s + dur, (td, tn))
+        for s, (dur, td, tn) in zip(trace.start, recorder.streams, strict=True)
+    ]
+    grid = tel.export()["samplers"][0]["t"]
+    ref: dict[tuple, list[float]] = {}
+
+    def put(name, labels, value):
+        ref.setdefault(_key(name, labels), []).append(float(value))
+
+    for b in grid:
+        where = dict(initial)
+        for e in moves:
+            if e.time <= b:
+                where[e.obj_uid] = e.dst
+        used = {hms.dram.name: 0, hms.nvm.name: 0}
+        for uid, dev in where.items():
+            used[dev] += size[uid]
+        lane = max((end for t, end in requested if t <= b), default=0.0)
+        put("migration_backlog_seconds", {}, max(0.0, lane - b))
+        put("migration_queue_depth", {}, sum(t <= b < end for t, end in requested))
+        busy = sum(s <= b < f for s, f in zip(trace.start, trace.finish))
+        put("worker_utilization", {}, busy / trace.n_workers)
+        for k, dev in enumerate((hms.dram, hms.nvm)):
+            labels = {"device": dev.name, "kind": dev.kind.value}
+            n = sum(s <= b < end for s, end, tiers in spans if tiers[k])
+            put("device_occupancy_bytes", labels, used[dev.name])
+            put("device_occupancy_fraction", labels, used[dev.name] / dev.capacity_bytes)
+            put("device_bandwidth_share", labels, share(n))
+    return ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    workload=st.sampled_from(["cg", "heat", "sparselu", "cholesky"]),
+    policy=st.sampled_from(["nvm-only", "tahoe", "xmem", "hw-cache"]),
+    faults=st.sampled_from([None, "severe", "flaky-copies", "capacity-crunch"]),
+    scheduler=st.sampled_from(["fifo", "critical-path", "memory-aware"]),
+    workers=st.integers(1, 8),
+    cadence_s=st.sampled_from([1e-5, 1e-4, 1e-3]),
+    max_samples=st.integers(3, 96),
+)
+def test_series_match_the_trace_at_every_boundary(
+    workload, policy, faults, scheduler, workers, cadence_s, max_samples
+):
+    """Each series equals, point by point, the machine state recomputed
+    from the run's own record; the grid closes at the makespan and stays
+    under the point cap."""
+    make = runner.make_policy
+    recorders = []
+
+    def recording(name, **kwargs):
+        recorders.append(_StreamRecorder(make(name, **kwargs)))
+        return recorders[-1]
+
+    tel = Telemetry(TelemetryConfig(cadence_s=cadence_s, max_samples=max_samples))
+    s = spec(workload, policy, faults=faults, scheduler=scheduler, n_workers=workers)
+    with mock.patch.object(runner, "make_policy", recording):
+        trace = execute_spec(s, telemetry=tel)
+    series = tel.export()["samplers"]
+    assert len(series) == 9
+    for entry in series:
+        assert entry["t"][-1] == trace.makespan
+        assert len(entry["t"]) < max_samples
+    assert _exported_series(tel) == _reference_series(trace, tel, recorders[0])
+
+
+def test_series_follow_each_event_stamp_not_the_event_order():
+    """A policy stamps its own requests: here ``work0`` asks for a copy
+    stamped 0.5 ms after ``work1``'s, which is requested later at the same
+    dispatch time.  Each event counts from its own stamp on."""
+
+    class OutOfOrder(BasePolicy):
+        def before_task(self, task, ctx, now):
+            if task.name in ("work0", "work1"):
+                obj = next(o for o in task.accesses if o.name.startswith("out"))
+                late = 5e-4 if task.name == "work0" else 0.0
+                ctx.request_migration(obj, ctx.dram, now + late)
+            return 0.0
+
+    recorder = _StreamRecorder(OutOfOrder())
+    tel = Telemetry(TelemetryConfig(cadence_s=1e-5))
+    hms = HeterogeneousMemorySystem(dram(), NVM)
+    trace = Executor(hms, ExecutorConfig(n_workers=2), telemetry=tel).run(
+        make_fork_join_graph(width=2), recorder
+    )
+    stamps = [e.time for e in audit_select(tel.audit, "copy")]
+    assert stamps[0] > stamps[1]
+    assert _exported_series(tel) == _reference_series(trace, tel, recorder)
 
 
 class TestDisabledModeNeutrality:

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.service import StreamSpec, resolve_stream, run_service
+from repro.experiments.service import (
+    StreamSpec,
+    _plain_json,
+    resolve_stream,
+    run_service,
+)
 from repro.experiments.spec import RunSpec, canonical_json
 from repro.memory.presets import nvm_bandwidth_scaled
 from repro.tasking.stream import (
@@ -269,6 +274,36 @@ class TestRunService:
 
         with pytest.raises(ValueError, match="run_service"):
             execute_spec(_service_spec())
+
+
+_leaf = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0])
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.text()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log=st.lists(
+        st.tuples(
+            st.floats() | st.sampled_from([0.0, -0.0]),
+            st.text(),
+            st.integers(min_value=-(2**100), max_value=2**100),
+        ),
+        max_size=20,
+    ),
+    summary=st.dictionaries(
+        st.text(), _leaf | st.dictionaries(st.text(), _leaf, max_size=4), max_size=6
+    ),
+)
+def test_plain_json_is_canonical_json_byte_for_byte(log, summary):
+    """The event-log digest and the summary skip canonical_json's tree
+    walk; on their shapes (signed zeros, huge ints, non-ASCII names) the
+    text is the same."""
+    assert _plain_json(tuple(log)) == canonical_json(list(log))
+    assert _plain_json(summary) == canonical_json(summary)
 
 
 # ----------------------------------------------------------------------
