@@ -15,7 +15,12 @@ import numpy as np
 
 import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
-from repro.core.knapsack import clear_solver_cache, greedy_by_density, solve_knapsack_arrays
+from repro.core.knapsack import (
+    clear_solver_cache,
+    greedy_by_density,
+    solve_knapsack_arrays,
+    solver_cache_stats,
+)
 from repro.core.manager import DataManagerPolicy
 from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
@@ -184,7 +189,9 @@ def test_bench_knapsack_dp(benchmark):
     in the un-timed setup, otherwise every rep after the first measures
     a dict probe instead of the DP.  The sizes are whole 512 KiB DP
     units whose gcd is 1, so the DP runs at full width (a common factor
-    would narrow it)."""
+    would narrow it).  It stays multi-size so that it keeps timing the
+    DP: one-size instances never build the DP table (see
+    ``test_bench_knapsack_tie_group``)."""
     rng = spawn_rng(1, "bench-knap")
     n = 200
     values = rng.uniform(0.1, 10.0, n).tolist()
@@ -215,6 +222,27 @@ def test_bench_knapsack_uniform(benchmark):
         rounds=20,
     )
     assert sum(mask) == 32
+
+
+def test_bench_knapsack_tie_group(benchmark):
+    """One solve per rep of a one-size instance with an exact tie at the
+    cut, shaped like the median one-size tie of a managed heat what-if
+    run: 188 candidates, room for 56, an 11-way tie straddling the cut
+    with 6 slots left for it.  The pass over the tie group answers it
+    with the DP's mask without building the DP table;
+    ``test_bench_knapsack_dp`` stays multi-size so that it keeps timing
+    the DP."""
+    rng = spawn_rng(1, "bench-knap")
+    values = np.concatenate((rng.uniform(2.0, 10.0, 50), np.full(11, 1.0), rng.uniform(0.1, 0.9, 127)))
+    rng.shuffle(values)
+    sizes = np.full(values.size, 9 * 2**20)  # 9 DP units of 1 MiB: 56 fit in 512
+    mask = benchmark.pedantic(
+        solve_knapsack_arrays,
+        args=(values, sizes, 512 * 2**20),
+        setup=clear_solver_cache,
+        rounds=20,
+    )
+    assert sum(mask) == 56 and solver_cache_stats()["uniform_group"] == 1
 
 
 def test_bench_knapsack_greedy(benchmark):

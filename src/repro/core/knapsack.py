@@ -10,10 +10,13 @@ the fallback for item counts where the DP table would be wasteful.
 The placement manager re-solves every adaptation epoch:
 
 - when every candidate has the same size in DP units (heat's equal-sized
-  tiles), the optimum is the ``cap_units // size`` largest values; a
-  stable top-k returns it without the DP unless the boundary gap is
-  within the DP's float rounding, in which case the DP decides, so the
-  mask is always the one the DP would return;
+  tiles), the optimum is the ``cap_units // size`` largest values, and
+  :func:`_one_size` returns the DP's own mask without building the DP
+  table: a stable top-k when the gap at the cut exceeds the DP's float
+  rounding, else the DP recurrence run over the cut's near-tie group
+  only (``r + 1`` states for its ``r`` free slots), in index order, which
+  reproduces the DP's rounding bit for bit; only a group that reaches a
+  value within the rounding bound of zero goes back to the DP;
 - an exact-fingerprint memo returns the cached keep-mask when the whole
   (values, sizes, capacity) instance of a DP solve repeats (it does
   across what-if variants and repeated specs; a near-identical instance
@@ -25,7 +28,7 @@ The placement manager re-solves every adaptation epoch:
   ``g``, so each DP row is a function of ``cell // g``, and the narrowed
   table — ``cap_units // g + 1`` cells — holds the full table's values
   and keep bits at every ``g``-th cell, giving the same mask (a one-size
-  instance sent back by the top-k guard has ``g`` equal to its size);
+  instance sent back by the group pass has ``g`` equal to its size);
 - the backtracking ``keep`` table is bit-packed (one bit per DP cell
   instead of a numpy bool byte), cutting its memory traffic 8x;
 - instances whose DP table would exceed :data:`AUTO_GREEDY_CELLS` cells
@@ -65,15 +68,15 @@ _MEMO_MAX = 128
 
 #: exact instance fingerprint -> keep-mask
 _memo: BoundedLRU[Any, list[bool]] = BoundedLRU(_MEMO_MAX)
-#: ``uniform_ties`` counts the one-size instances sent back to the DP
-#: whose values at the cut are bitwise equal (the rest of the fallbacks
-#: are near-ties within the DP's rounding).
+#: ``uniform_topk`` counts the one-size instances answered by the top-k,
+#: ``uniform_group`` those answered by the cut group's pass; the rest of
+#: the one-size instances count under ``solves`` or ``exact_hits``.
 _stats = {
     "exact_hits": 0,
     "solves": 0,
     "greedy_routed": 0,
     "uniform_topk": 0,
-    "uniform_ties": 0,
+    "uniform_group": 0,
 }
 
 
@@ -85,8 +88,8 @@ def clear_solver_cache() -> None:
 
 
 def solver_cache_stats() -> dict[str, int]:
-    """Exact-memo hits, DP solves, greedy routes, one-size top-k routes
-    and one-size exact ties sent to the DP (observability)."""
+    """Exact-memo hits, DP solves, greedy routes, and one-size instances
+    answered by the top-k or by the cut group's pass (observability)."""
     return dict(_stats)
 
 
@@ -146,9 +149,8 @@ def solve_knapsack_arrays(
     v = v_all[idx_arr]
 
     if int(w.min()) == int(w.max()):
-        mask = _uniform_topk(idx_arr, v, int(w[0]), n, cap_units)
+        mask = _one_size(idx_arr, v, int(w[0]), n, cap_units)
         if mask is not None:
-            _stats["uniform_topk"] += 1
             return mask
 
     key = (int(capacity), int(granularity), n, idx_arr.tobytes(), w.tobytes(), v.tobytes())
@@ -169,7 +171,7 @@ def solve_knapsack_arrays(
     return list(mask)
 
 
-def _uniform_topk(
+def _one_size(
     idx_arr: np.ndarray,
     v: np.ndarray,
     unit_size: int,
@@ -178,31 +180,106 @@ def _uniform_topk(
 ) -> list[bool] | None:
     """The DP's mask for candidates that all weigh ``unit_size`` units.
 
-    Returns ``None`` when the float DP could pick another set; the caller
-    then runs the DP.
+    Returns ``None`` when the cut's group reaches a value within the
+    rounding bound of zero; the caller then runs the DP.
     """
     k = cap_units // unit_size
     mask = [False] * n
     if k == 0:
+        _stats["uniform_topk"] += 1
         return mask
     order = np.argsort(-v, kind="stable")
-    top = order[:k]
-    kept = v[top]
-    gap = kept[-1] - v[order[k]] if k < order.size else kept[-1]
-    # Each DP cell is a float sum of at most len(top) + 1 positive terms
-    # in item order, no larger than sum(kept), so it is off its exact value
-    # by under (len(top) + 1) * eps * sum(kept).  Every set but the top k
-    # is exactly at least ``gap`` short (a swap loses the boundary gap, a
-    # drop a kept value), so a gap above twice that error leaves the
-    # top k the DP's only pick; the factor 4 also covers the rounding of
-    # this test.  A tie at the boundary (gap 0) or a value that vanishes
-    # in the running sum (the DP's strict ``>`` never takes it) falls back.
-    if gap <= 4 * (top.size + 1) * np.finfo(np.float64).eps * float(kept.sum()):
-        if k < order.size and gap == 0.0:
-            _stats["uniform_ties"] += 1
+    ranked = v[order]
+    top = min(k, ranked.size)
+    # Each DP cell is a float sum of at most top + 1 positive terms in item
+    # order, no larger than sum(top-k), so it is off its exact value by
+    # under (top + 1) * eps * sum(top-k); the factor 4 covers twice that
+    # plus the rounding of the gap tests.  gaps[i] is ranked[i] minus the
+    # next value, or minus 0 (not taking) for the last.
+    bound = 4 * (top + 1) * np.finfo(np.float64).eps * float(ranked[:top].sum())
+    gaps = ranked - np.append(ranked[1:], 0.0)
+    wide = gaps > bound
+    if wide[top - 1]:
+        # Every set but the top k is exactly more than the bound short.
+        _stats["uniform_topk"] += 1
+        for i in idx_arr[order[:top]].tolist():
+            mask[i] = True
+        return mask
+    # The cut's group is ranked[lo:hi + 1], the maximal run around the cut
+    # whose neighbouring gaps are all within the bound.
+    lo_wide = np.flatnonzero(wide[: top - 1])
+    lo = int(lo_wide[-1]) + 1 if lo_wide.size else 0
+    below = wide[top - 1 :]
+    hi = top - 1 + int(below.argmax())
+    if not wide[hi]:
+        # The run reaches 0: a value that vanishes in the running sum is
+        # one the DP's strict ``>`` may never take.
         return None
-    for i in idx_arr[top].tolist():
-        mask[i] = True
+    _stats["uniform_group"] += 1
+    return _group_pass(idx_arr, v, order, lo, hi, k - lo, mask)
+
+
+def _group_pass(
+    idx_arr: np.ndarray,
+    v: np.ndarray,
+    order: np.ndarray,
+    lo: int,
+    hi: int,
+    slots: int,
+    mask: list[bool],
+) -> list[bool]:
+    """The DP's choice of ``slots`` items of the group ``order[lo:hi + 1]``,
+    with every item ranked above it kept and every item below left out.
+
+    Why this is the DP's mask: float rounding is monotone, so
+    ``fl(max(a, b) + x) = max(fl(a + x), fl(b + x))``, and a DP cell is
+    the largest left-to-right float sum over the subsets it allows.  A
+    subset that drops an item above the group, or takes one below it, is
+    exactly more than the bound short of one that does neither, so it is
+    short in floats too.  On the backtrack's path every comparison is then
+    either decided by that margin or compares the same float sums as this
+    pass, whose state ``t`` holds the items above the group so far plus
+    the best ``t`` group items.  The pass runs the DP recurrence over
+    those ``slots + 1`` states in index order: the items above the group
+    before its first item are one scalar sum, one inside the span adds its
+    value to every state, a group item makes the strict-``>`` take/skip
+    step, and items after the group's last item are skipped (the backtrack
+    takes each one above the group, so only the group's keep bits are
+    read).
+    """
+    pos = np.sort(order[: hi + 1])  # the group and the items above it, in index order
+    in_group = np.zeros(v.size, dtype=bool)
+    in_group[order[lo : hi + 1]] = True
+    flags = in_group[pos]
+    at = np.flatnonzero(flags)
+    first, last = int(at[0]), int(at[-1]) + 1
+    base = 0.0
+    for x in v[pos[:first]].tolist():
+        base += x  # left to right, as the DP adds (``sum`` compensates)
+    states = np.full(slots + 1, base)
+    cand = np.empty(slots, dtype=np.float64)
+    lower, upper = states[:slots], states[1:]
+    add, greater, maximum = np.add, np.greater, np.maximum
+    steps = []
+    span = pos[first:last]
+    for j, x, grouped in zip(span.tolist(), v[span].tolist(), flags[first:last].tolist()):
+        if grouped:
+            add(lower, x, out=cand)
+            better = greater(cand, upper)
+            maximum(upper, cand, out=upper)  # the copy where ``better``: no -0.0 or NaN here
+            steps.append((j, better))
+        else:
+            add(states, x, out=states)
+    idx_l = idx_arr.tolist()
+    for j in pos[~flags].tolist():
+        mask[idx_l[j]] = True
+    t = slots
+    for j, better in reversed(steps):
+        if better[t - 1]:
+            mask[idx_l[j]] = True
+            t -= 1
+            if t == 0:
+                break
     return mask
 
 

@@ -238,14 +238,56 @@ def one_size_instances(draw):
     return values, sizes, capacity, granularity
 
 
+def ulps(x, n):
+    """``x`` moved ``n`` representable steps (up for ``n > 0``)."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else 0.0))
+    return x
+
+
+@st.composite
+def cut_group_instances(draw):
+    """One-size instances built around the cut's near-tie group.
+
+    A ``group`` of values within 2 ulps of ``base`` (all exact ties when
+    every step is 0) straddles the cut when ``cut`` is ``inside``.  1-ulp
+    chains link it to values above and below, other values sit a wide
+    gap away on either side, and everything is shuffled into a drawn
+    index order.  The magnitudes mix: a far value up to 1e40 times
+    ``base`` makes the whole group vanish within the DP's rounding, and
+    1e-300 or 5e-324 below it reach zero, so the group may reach values
+    within the bound (the DP decides those).  ``all`` takes ``k = m``,
+    ``any`` cuts anywhere.
+    """
+    base = draw(st.sampled_from([1.0, 3.7, 0.1, 1e-5, 2.0**-1000, 1e-300, 1e250]))
+    steps = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=8))
+    group = [ulps(base, u) for u in steps]
+    above = [ulps(max(group), i + 1) for i in range(draw(st.integers(0, 3)))]
+    below = [ulps(min(group), -(i + 1)) for i in range(draw(st.integers(0, 3)))]
+    above += [base * f for f in draw(st.lists(st.sampled_from([1.5, 8.0, 1e6, 1e40]), max_size=4))]
+    below += draw(st.lists(st.sampled_from([base * 0.5, base * 1e-6, 1e-300, 5e-324]), max_size=4))
+    values = draw(st.permutations(above + group + below))
+    m = len(values)
+    cut = draw(st.sampled_from(["inside", "all", "any"]))
+    if cut == "inside":
+        k = draw(st.integers(len(above) + 1, len(above) + len(group) - 1))
+    elif cut == "all":
+        k = m
+    else:
+        k = draw(st.integers(1, m + 1))
+    size = draw(st.integers(1, 4))
+    capacity = k * size + draw(st.integers(0, size - 1))
+    return values, [size] * m, capacity, capacity
+
+
 def test_one_size_route_matches_dp():
     """Property: the solver's mask equals the DP's on every draw, whether
-    the one-size top-k route answers or its guard hands over to the DP;
-    each of the two routes is taken at least once."""
+    the top-k, the cut group's pass or the DP answers; each of the three
+    routes is taken at least once."""
     routes = Counter()
 
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(inst=one_size_instances())
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(inst=st.one_of(one_size_instances(), cut_group_instances()))
     # Everything fits, but the DP never adds 1e-300 to 1e6.
     @example(inst=([1e6, 1e-300], [1, 1], 2, 2))
     # A 1-ulp gap at the cut: the DP's sums round 7 + (1 - ulp) up to 8.
@@ -254,22 +296,25 @@ def test_one_size_route_matches_dp():
         values, sizes, capacity, granularity = inst
         clear_solver_cache()  # the DP route solves; no memo hit answers it
         got = solve_knapsack_arrays(values, sizes, capacity, granularity)
-        routes["topk" if solver_cache_stats()["uniform_topk"] else "dp"] += 1
+        stats = solver_cache_stats()
+        routes["topk" if stats["uniform_topk"] else "group" if stats["uniform_group"] else "dp"] += 1
         assert got == dp_mask(values, sizes, capacity, granularity)
 
     check()
-    assert routes["topk"] > 0 and routes["dp"] > 0, routes
+    assert routes["topk"] and routes["group"] and routes["dp"], routes
 
 
-def test_uniform_ties_count_exact_ties_at_the_cut():
-    """A one-size instance whose values at the cut are bitwise equal goes
-    to the DP and counts as a tie; a near-tie (1 ulp) goes to the DP
-    without counting; a clear gap takes the top-k route."""
+def test_one_size_routes_by_cut_group():
+    """A one-size instance whose cut falls inside a run of values within
+    the DP's rounding, an exact tie or a 1-ulp near-tie, takes the group
+    pass without a DP solve; a clear gap at the cut takes the top-k; a
+    run that reaches a value within the bound of zero goes to the DP."""
     near = float(np.nextafter(2.0, 0.0))
     cases = (
-        ([3.0, 2.0, 2.0, 1.0], {"uniform_ties": 1, "solves": 1, "uniform_topk": 0}),
-        ([3.0, 2.0, near, 1.0], {"uniform_ties": 0, "solves": 1, "uniform_topk": 0}),
-        ([3.0, 2.0, 1.0, 1.0], {"uniform_ties": 0, "solves": 0, "uniform_topk": 1}),
+        ([3.0, 2.0, 2.0, 1.0], {"uniform_group": 1, "solves": 0, "uniform_topk": 0}),
+        ([3.0, 2.0, near, 1.0], {"uniform_group": 1, "solves": 0, "uniform_topk": 0}),
+        ([3.0, 2.0, 1.0, 1.0], {"uniform_group": 0, "solves": 0, "uniform_topk": 1}),
+        ([2.0, 1e-300], {"uniform_group": 0, "solves": 1, "uniform_topk": 0}),
     )
     for values, want in cases:
         clear_solver_cache()
@@ -277,7 +322,6 @@ def test_uniform_ties_count_exact_ties_at_the_cut():
         assert mask == dp_mask(values, [1] * len(values), 2, 2)
         stats = solver_cache_stats()
         assert {k: stats[k] for k in want} == want, values
-
 
 
 @st.composite

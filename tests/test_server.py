@@ -292,7 +292,7 @@ class TestObservability:
         status, text = live.get("/metrics")
         assert status == 200
         assert "# TYPE repro_planner_knapsack_cache gauge" in text
-        for stat in ("exact_hits", "solves", "greedy_routed", "uniform_topk", "uniform_ties"):
+        for stat in ("exact_hits", "solves", "greedy_routed", "uniform_topk", "uniform_group"):
             assert f'repro_planner_knapsack_cache{{stat="{stat}"}}' in text
         assert "warm_started_rows" not in text
         assert 'repro_server_run_seconds_bucket{le="+Inf",phase="execute"}' in text
