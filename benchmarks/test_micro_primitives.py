@@ -5,8 +5,8 @@ executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
 the simulator can handle — plus one cold graph build with its access
 table, the set-up cost of a new spec, the replans of one managed run,
-the energy accounting of a finished run, and a run with the telemetry
-plane on.
+the demand projection's suffix table, the energy accounting of a
+finished run, and a run with the telemetry plane on.
 """
 
 from __future__ import annotations
@@ -182,6 +182,36 @@ def test_bench_replan(benchmark, monkeypatch):
         return (DataManagerPolicy(),), {}
 
     benchmark.pedantic(replay, setup=setup, rounds=5)
+
+
+def test_bench_suffix_table(benchmark):
+    """One suffix-table build and one full-horizon lookup on a warm
+    heat-3k graph (16x16 tiles x 12 sweeps) with every type modelled
+    and the whole graph remaining: the per-row suffix folds a row-term
+    epoch builds once, then the projection read off them.  The row
+    terms stay warm; the un-timed setup drops the table, so every rep
+    builds it."""
+    w = build_cached("heat", grid=16, iterations=12)
+    core = w.graph.exec_core()
+    rng = spawn_rng(1, "bench-suffix")
+    policy = DataManagerPolicy()
+    policy._models = {
+        name: _SeenModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(6)))
+        for name in core.type_names
+    }
+    remaining = np.arange(len(core.tasks), dtype=np.int64)
+    gathered = core.accesses.gather(remaining)
+
+    def project():
+        return policy._demand_stats_split(core, remaining, 48, False, gathered)
+
+    def setup():
+        if policy._row_table is not None:
+            policy._row_table = (*policy._row_table[:3], None)
+        return (), {}
+
+    _, (batch, _, _) = benchmark.pedantic(project, setup=setup, rounds=10)
+    assert policy._row_table[3] and len(batch) == len(core.accesses.obj_uid)
 
 
 def test_bench_knapsack_dp(benchmark):

@@ -96,8 +96,7 @@ def _fold_rows(
     terms: np.ndarray,
     bw: np.ndarray,
     csr: AccessCSR,
-    prefix: int | None = None,
-) -> list[tuple[DemandBatch, np.ndarray]]:
+) -> tuple[DemandBatch, np.ndarray]:
     """Fold projected access rows into per-object demand.
 
     Row ``i`` (rows in task order) touches dense object ``objs[i]`` for
@@ -105,9 +104,8 @@ def _fold_rows(
     ``(misses, mem_seconds)``, ``(loads, stores)`` and ``(confidence *
     misses, dram_frac * mem_seconds)``; ``bw[i]`` is its bandwidth
     demand, already ``0.0`` where it fails ``> 0.0``.  Returns
-    ``[(batch, objects)]``: batch rows in first-touch order and their
-    dense object indices.  With ``prefix``, a second entry holds the
-    fold of just the first ``prefix`` rows.
+    ``(batch, objects)``: batch rows in first-touch order and their
+    dense object indices.
 
     Each object's demand is a sequential fold over its own rows — sums,
     a strict ``>`` running max, and two running weighted means whose
@@ -129,14 +127,10 @@ def _fold_rows(
       active at that rank (columns are ordered by row count, so those
       are a prefix); a rank whose active weights are all positive
       divides unmasked, which computes the same quotients.
-
-    An object's prefix rows are its first rows, so the prefix fold is
-    the full fold read early: sums at the object's prefix row count, the
-    means snapshotted when the loop reaches that rank.
     """
     n_rows = len(objs)
     if n_rows == 0:
-        return [(DemandBatch.empty(), objs)] * (1 if prefix is None else 2)
+        return DemandBatch.empty(), objs
     n_all = len(csr.obj_uid)
     order = objs[rank == 0]  # first-touch order: an object's rank-0 row
     counts = np.bincount(objs, minlength=n_all)[order]
@@ -181,20 +175,6 @@ def _fold_rows(
     means = np.zeros((n, 2))
     means[:, 0] = 1.0  # confidence; dram_frac starts at 0
     flat = means.reshape(-1)
-    scopes = [(n_rows, counts, order, means)]
-    snapshots: dict[int, np.ndarray] = {}
-    if prefix is not None:
-        # Prefix row counts per column; a column's prefix means are final
-        # when the loop reaches its count.
-        p_counts = np.bincount(rcol[:prefix], minlength=n)
-        by_p = np.argsort(p_counts, kind="stable")
-        edges = np.searchsorted(p_counts[by_p], np.arange(depth + 2)).tolist()
-        for k in range(1, depth + 1):
-            if edges[k] < edges[k + 1]:
-                snapshots[k] = by_p[edges[k] : edges[k + 1]]
-        p_means = np.empty((n, 2))
-        p_order = order[: n - edges[1]]
-        scopes.append((prefix, p_counts[col[p_order]], p_order, p_means))
     buf = np.empty(2 * n)
     multiply, divide = np.multiply, np.divide
     for lo, hi, a in runs:
@@ -205,39 +185,108 @@ def _fold_rows(
         p = products[lo:hi, :m]
         q = positive[lo:hi, :m]
         for j in range(hi - lo):
-            taken = snapshots.get(lo + j)
-            if taken is not None:
-                p_means[taken] = means[taken]
             multiply(cur, w[j], out=acc)
             acc += p[j]
             if clean[lo + j]:
                 divide(acc, w[j + 1], out=cur)
             else:
                 divide(acc, w[j + 1], out=cur, where=q[j])
-    taken = snapshots.get(depth)
-    if taken is not None:
-        p_means[taken] = means[taken]
 
-    out = []
-    for rows, n_scope, objects, folded in scopes:
-        c = col[objects]
-        totals = pad[n_scope, :2, c].reshape(-1, 4).T.copy()
-        folded = folded[c].T.copy()
-        bw_max = np.zeros(n_all)
-        np.maximum.at(bw_max, objs[:rows], bw[:rows])
-        batch = DemandBatch(
-            csr.obj_uid[objects],
-            csr.obj_size[objects],
-            totals[2],  # loads
-            totals[3],  # stores
-            totals[0],  # misses
-            bw_max[objects],
-            folded[0],  # confidence
-            totals[1],  # mem_seconds
-            folded[1],  # dram_frac
-        )
-        out.append((batch, objects))
-    return out
+    c = col[order]
+    totals = pad[counts, :2, c].reshape(-1, 4).T.copy()
+    folded = means[c].T.copy()
+    bw_max = np.zeros(n_all)
+    np.maximum.at(bw_max, objs, bw)
+    batch = DemandBatch(
+        csr.obj_uid[order],
+        csr.obj_size[order],
+        totals[2],  # loads
+        totals[3],  # stores
+        totals[0],  # misses
+        bw_max[order],
+        folded[0],  # confidence
+        totals[1],  # mem_seconds
+        folded[1],  # dram_frac
+    )
+    return batch, order
+
+
+def _suffix_folds(csr: AccessCSR, row_terms: np.ndarray, lo: int) -> np.ndarray:
+    """Per access row from row ``lo`` on, the fold of its object over
+    that row and every later row of the object, in task order.
+
+    ``row_terms`` are the seven per-row columns of
+    ``DataManagerPolicy._row_terms``.  Column ``row - lo`` of the result
+    is the fold starting at ``row`` as seven :class:`DemandBatch`
+    columns ``(loads, stores, misses, bw_demand, confidence,
+    mem_seconds, dram_frac)``.  A frontier whose remaining rows of each
+    object are all of its rows from the first remaining one on folds,
+    per object, exactly the suffix of that first row, so its
+    full-horizon demand is a lookup.
+
+    One column per row, ordered by descending suffix length, so the
+    columns still folding at step ``j`` are a prefix; step ``j`` feeds
+    each of them the ``j``-th row of its suffix.  Every float operation
+    is the one :func:`_fold_rows` makes on that suffix: sums run
+    ``total + term`` from ``0.0``, the means ``(cur * old + term) /
+    new`` with the divide masked by ``new > 0``, and ``bw_demand`` is a
+    max from ``0.0``.
+    """
+    keys, starts, _ = csr._by_object
+    n = len(csr.obj)
+    obj = csr.obj[lo:]
+    suffix_len = csr._chain[1][lo:]
+    # The rows from lo on, grouped by object (task order within), and
+    # where each row's suffix starts in that order.
+    grouped = keys % n
+    grouped = grouped[grouped >= lo] - lo
+    counts = np.bincount(obj, minlength=len(starts) - 1)
+    cols = np.argsort(-suffix_len, kind="stable")
+    head = (np.cumsum(counts)[obj] - suffix_len)[cols]
+    depth = int(counts.max())
+    active = np.searchsorted(-suffix_len[cols], -np.arange(depth), side="left")
+    terms = np.take(row_terms[:, lo:], grouped, axis=1)
+    # Accumulators in row-term order: misses, mem_seconds, loads,
+    # stores, confidence, dram_frac, bw_demand.
+    acc = np.zeros((7, n - lo))
+    acc[4] = 1.0
+    prod = np.empty((2, n - lo))
+    positive = np.empty((2, n - lo), dtype=np.bool_)
+    add, multiply, divide = np.add, np.multiply, np.divide
+    for j, a in enumerate(active.tolist()):
+        t = np.take(terms, head[:a] + j, axis=1)
+        sums = acc[:4, :a]
+        weights = sums[:2]
+        p = multiply(acc[4:6, :a], weights, out=prod[:, :a])
+        p += t[4:6]
+        add(sums, t[:4], out=sums)
+        q = np.greater(weights, 0.0, out=positive[:, :a])
+        divide(p, weights, out=acc[4:6, :a], where=q)
+        np.maximum(acc[6, :a], t[6], out=acc[6, :a])
+    folds = np.empty((7, n - lo))
+    folds[:, cols] = acc[[2, 3, 0, 6, 4, 1, 5]]
+    return folds
+
+
+def _first_remaining(csr: AccessCSR, rows: np.ndarray) -> np.ndarray | None:
+    """Which of the remaining ``rows`` (task order) is its object's first
+    remaining row, or ``None`` unless each object's remaining rows are
+    all of its rows from that one on.
+
+    A first remaining row is one whose previous row of the object has
+    run (or that has none); in task order, those rows are the
+    first-touch order.  The rows from each of them to its object's last
+    row add up to the number of remaining rows exactly when no object
+    has a row that ran after its first remaining one.
+    """
+    prev, rows_left = csr._chain
+    remaining = np.zeros(len(prev), dtype=np.bool_)
+    remaining[rows] = True
+    before = prev[rows]
+    first = (before < 0) | ~remaining[before]
+    if int(rows_left[rows[first]].sum()) != len(rows):
+        return None
+    return first
 
 
 def _resident_worth(
@@ -293,8 +342,10 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        #: The demand projection's per-row terms with their key (see
-        #: ``_row_terms``); per run, dropped in on_run_start.
+        #: The demand projection's per-row terms with their key and,
+        #: once a replan could read them, their suffix folds (see
+        #: ``_row_terms`` and ``_suffix_table``); per run, dropped in
+        #: on_run_start.
         self._row_table: tuple | None = None
         self.stats: dict[str, float] = {}
 
@@ -465,8 +516,18 @@ class DataManagerPolicy(BasePolicy):
             fallback,
         )
         cols = np.take(slot_cols, slot, axis=1)
-        self._row_table = (csr, key, cols)
+        self._row_table = (csr, key, cols, None)
         return cols
+
+    def _suffix_table(self, csr: AccessCSR, lo: int) -> tuple[int, np.ndarray]:
+        """``(lo, _suffix_folds(csr, row_terms, lo))`` for the current row
+        terms, built at the first frontier of their epoch that the table
+        can answer (``lo`` its first remaining row) and kept with them."""
+        _, key, cols, table = self._row_table
+        if table is None:
+            table = (lo, _suffix_folds(csr, cols, lo))
+            self._row_table = (csr, key, cols, table)
+        return table
 
     def _demand_stats_split(
         self,
@@ -486,8 +547,14 @@ class DataManagerPolicy(BasePolicy):
         first-touch order and ``objects`` holds their dense indices into
         ``core.accesses``.  Tasks whose type has no ready model are
         skipped; every other task's access rows take their row terms
-        (:meth:`_row_terms`).  The rows are folded per object by
-        :func:`_fold_rows`, the window as the fold of the prefix rows.
+        (:meth:`_row_terms`).
+
+        When every task has a ready model and each object's remaining
+        rows are all of its rows from its first remaining one on, the
+        full scope is read off the suffix table (:meth:`_suffix_table`)
+        at those first rows, which are in first-touch order.  Otherwise
+        the rows are folded per object by :func:`_fold_rows`.  The window
+        is always folded directly; its rows are a prefix of the rows.
 
         ``need_window=False`` skips the window fold when the caller will
         not build a window-scoped plan (the window is then empty unless
@@ -514,25 +581,40 @@ class DataManagerPolicy(BasePolicy):
         # Horizon: the sequential sum of the kept tasks' durations.
         horizon = np.cumsum(np.concatenate(([0.0], durations[type_of])))
         objs = csr.obj[rows]
-        rank = csr.ranks(kept, rows, objs)
-        cols = np.take(row_terms, rows, axis=1)
-        terms, bw = cols[:6], cols[6]
-
-        if len(tasks) <= window_len or not need_window:
-            ((batch, order),) = _fold_rows(objs, rank, terms, bw, csr)
-            full = (batch, float(horizon[-1]), order)
-            if len(tasks) <= window_len:
-                return full, full
-            return (DemandBatch.empty(), 0.0, order[:0]), full
         # The window's rows are a prefix of the rows.
-        n_kept = int(np.count_nonzero(keep[:window_len]))
-        (batch, order), (w_batch, w_order) = _fold_rows(
-            objs, rank, terms, bw, csr, prefix=int(lens[:n_kept].sum())
-        )
-        return (
-            (w_batch, float(horizon[n_kept]), w_order),
-            (batch, float(horizon[-1]), order),
-        )
+        split = len(tasks) > window_len and need_window
+        n_kept = int(np.count_nonzero(keep[:window_len])) if split else 0
+        n_window = int(lens[:n_kept].sum())
+
+        # The table answers only frontiers where every task is kept.
+        first = _first_remaining(csr, rows) if kept is tasks and len(rows) else None
+        table = None if first is None else self._suffix_table(csr, int(rows[0]))
+        if table is not None and rows[0] >= table[0]:
+            lo, folds = table
+            order = objs[first]
+            firsts = rows[first]
+            batch = DemandBatch(
+                csr.obj_uid[order], csr.obj_size[order], *folds[:, firsts - lo]
+            )
+            # A rank among the remaining rows is the graph-wide rank less
+            # that of the object's first remaining row.
+            ranks = csr._by_object[2]
+            base = np.zeros(len(csr.obj_uid), dtype=np.int64)
+            base[order] = ranks[firsts]
+            w_rank = ranks[rows[:n_window]] - base[objs[:n_window]]
+        else:
+            rank = csr.ranks(kept, rows, objs)
+            cols = np.take(row_terms, rows, axis=1)
+            batch, order = _fold_rows(objs, rank, cols[:6], cols[6], csr)
+            w_rank = rank[:n_window]
+        full = (batch, float(horizon[-1]), order)
+        if len(tasks) <= window_len:
+            return full, full
+        if not need_window:
+            return (DemandBatch.empty(), 0.0, order[:0]), full
+        w_cols = np.take(row_terms, rows[:n_window], axis=1)
+        w_batch, w_order = _fold_rows(objs[:n_window], w_rank, w_cols[:6], w_cols[6], csr)
+        return (w_batch, float(horizon[n_kept]), w_order), full
 
     def _update_skepticism(self) -> None:
         """Realized-benefit feedback (monitor-and-adjust).
@@ -643,9 +725,8 @@ class DataManagerPolicy(BasePolicy):
 
         need_window = cfg.enable_local_search and not scopes_coincide
 
-        # Both scopes come from one fold of the remaining tasks' access
-        # rows: the window is a prefix, read off the same fold.  The
-        # rows are gathered once for the fold and the first-use pass.
+        # Both scopes come from the remaining tasks' access rows, gathered
+        # once for the demand projection and the first-use pass.
         csr = core.accesses
         gathered = csr.gather(remaining)
         local_proj, global_proj = self._demand_stats_split(

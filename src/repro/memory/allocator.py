@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 
+from repro.metrics.registry import bind
 from repro.util.validation import require_nonnegative, require_positive
 
 __all__ = ["FreeListAllocator", "OutOfMemoryError"]
@@ -35,26 +36,27 @@ class FreeListAllocator:
         self._allocated: dict[int, int] = {}  # offset -> size
         #: Running sum of ``_allocated``'s sizes (``used_bytes`` in O(1)).
         self._used = 0
-        # Optional telemetry registry + device label (attached per run).
-        self._metrics = None
-        self._device = ""
+        # Telemetry instruments, bound per run by attach_metrics.
+        self._instrumented = False
 
     def attach_metrics(self, registry, device: str) -> None:
         """Enable alloc/free/fragmentation instrumentation (telemetry)."""
-        self._metrics = registry
-        self._device = device
+        labels = {"device": device}
+        self._allocs = bind(registry.counter, "allocator_allocs_total", labels,
+                            "Successful allocations")
+        self._ooms = bind(registry.counter, "allocator_oom_total", labels,
+                          "Allocations refused for lack of a fitting extent")
+        self._frees = bind(registry.counter, "allocator_frees_total", labels, "Frees")
+        self._free_gauge = bind(registry.gauge, "allocator_free_bytes", labels,
+                                "Free space on the device")
+        self._frag_gauge = bind(registry.gauge, "allocator_fragmentation", labels,
+                                "1 - largest free extent / total free")
+        self._instrumented = True
 
     def _note_state(self) -> None:
         """Refresh the per-device gauges after a mutation."""
-        m = self._metrics
-        labels = {"device": self._device}
-        m.gauge(
-            "allocator_free_bytes", labels, help="Free space on the device"
-        ).set(self.free_bytes)
-        m.gauge(
-            "allocator_fragmentation", labels,
-            help="1 - largest free extent / total free",
-        ).set(self.fragmentation)
+        self._free_gauge().set(self.free_bytes)
+        self._frag_gauge().set(self.fragmentation)
 
     # ------------------------------------------------------------------
     def _round_up(self, size: int) -> int:
@@ -79,18 +81,12 @@ class FreeListAllocator:
                 else:
                     entry[0] = off + need
                     entry[1] = avail - need
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "allocator_allocs_total", {"device": self._device},
-                        help="Successful allocations",
-                    ).inc()
+                if self._instrumented:
+                    self._allocs().inc()
                     self._note_state()
                 return off
-        if self._metrics is not None:
-            self._metrics.counter(
-                "allocator_oom_total", {"device": self._device},
-                help="Allocations refused for lack of a fitting extent",
-            ).inc()
+        if self._instrumented:
+            self._ooms().inc()
         raise OutOfMemoryError(
             f"cannot allocate {need} bytes: free={self.free_bytes}, "
             f"largest extent={self.largest_free_extent}"
@@ -105,10 +101,8 @@ class FreeListAllocator:
         self._used -= size
         insort(self._free, [offset, size])
         self._coalesce()
-        if self._metrics is not None:
-            self._metrics.counter(
-                "allocator_frees_total", {"device": self._device}, help="Frees"
-            ).inc()
+        if self._instrumented:
+            self._frees().inc()
             self._note_state()
         return size
 

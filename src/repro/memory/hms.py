@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import DeviceKind, MemoryDevice
+from repro.metrics.registry import bind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.registry import MetricsRegistry
@@ -82,6 +83,19 @@ class HeterogeneousMemorySystem:
         self.metrics = registry
         for name, alloc in self._allocators.items():
             alloc.attach_metrics(registry, name)
+        names = list(self._devices)
+        self._allocations = {
+            name: bind(registry.counter, "hms_allocations_total", {"device": name},
+                       "Objects placed on each tier")
+            for name in names
+        }
+        self._moves = {
+            (src, dst): bind(registry.counter, "hms_moves_total", {"src": src, "dst": dst},
+                             "Placement flips between tiers")
+            for src in names
+            for dst in names
+            if src != dst
+        }
 
     # ------------------------------------------------------------------
     # Queries
@@ -148,10 +162,7 @@ class HeterogeneousMemorySystem:
         self._objects[obj.uid] = obj
         self._version += 1
         if self.metrics is not None:
-            self.metrics.counter(
-                "hms_allocations_total", {"device": name},
-                help="Objects placed on each tier",
-            ).inc()
+            self._allocations[name]().inc()
         return pl
 
     def move(self, obj: Placeable, device: MemoryDevice | str) -> Placement:
@@ -173,10 +184,7 @@ class HeterogeneousMemorySystem:
         # A fresh DRAM copy starts clean; leaving DRAM drops dirty state.
         self._dirty.discard(obj.uid)
         if self.metrics is not None:
-            self.metrics.counter(
-                "hms_moves_total", {"src": old.device, "dst": name},
-                help="Placement flips between tiers",
-            ).inc()
+            self._moves[old.device, name]().inc()
         return pl
 
     def lose_capacity(

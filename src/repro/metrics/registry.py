@@ -16,9 +16,10 @@ byte-identical snapshots (the property the determinism tests pin).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Mapping
+from functools import cache, partial
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "bind"]
 
 #: Default histogram buckets (seconds-ish magnitudes; powers of ten with
 #: 1-2-5 steps cover virtual durations from sub-microsecond to minutes).
@@ -28,12 +29,26 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
 
 LabelsArg = Mapping[str, str] | None
 LabelsKey = tuple[tuple[str, str], ...]
+_I = TypeVar("_I")
 
 
 def _label_key(labels: LabelsArg) -> LabelsKey:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def bind(
+    make: Callable[..., _I], name: str, labels: LabelsArg, help: str
+) -> Callable[[], _I]:
+    """One series of a registry, bound once: ``make`` is the registry's
+    ``counter``, ``gauge`` or ``histogram``; the returned callable asks
+    it for ``(name, labels)`` on its first call and returns that
+    instrument from then on.  A hot path binds its series when telemetry
+    is attached and skips the lookup by name per update, while a series
+    still appears only with its first update, as one made by name
+    would."""
+    return cache(partial(make, name, labels, help=help))
 
 
 class _Instrument:

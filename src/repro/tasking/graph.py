@@ -93,6 +93,20 @@ class AccessCSR:
         rank[keys % n] = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], np.diff(starts))
         return keys, starts, rank
 
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per access, the previous access of its object in spawn order
+        (``-1`` for the object's first) and the number of the object's
+        accesses from it to the last, both included; read off
+        :attr:`_by_object`."""
+        keys, starts, rank = self._by_object
+        n = len(self.obj)
+        grouped = keys % n
+        prev = np.empty(n, dtype=np.int64)
+        prev[grouped[1:]] = grouped[:-1]
+        prev[rank == 0] = -1
+        return prev, np.diff(starts)[self.obj] - rank
+
     def gather(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Access-row indices of ``tasks`` (dense indices), concatenated
         in the given task order, plus the row count of each task."""

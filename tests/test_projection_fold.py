@@ -10,17 +10,23 @@ slot tables — zero-miss and zero-memory-seconds rows, signed zeros,
 objects touched once and objects touched 500+ times, model-less types,
 slot-less models, windows longer than the remaining list and empty
 remaining lists — and every float is compared by its IEEE-754 bytes.
+The remaining sets include every task from a frontier on, which the
+projection reads off its suffix-fold table, and frontiers with tasks
+dispatched out of order or gaps at the tail, which it folds directly;
+each case asserts the route it took.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.manager as manager
 from repro.baselines.policies import BasePolicy
 from repro.core.demand import DemandBatch
 from repro.core.lookahead import first_use_offsets_split
@@ -97,24 +103,81 @@ _READY = st.tuples(
 
 @st.composite
 def scenarios(draw):
-    # Long runs keep every task and model every type, so the hot object
-    # really folds 500+ rows; short runs cover model-less types and
-    # sparse remaining sets (empty ones included).
+    # Long runs model every type, so the hot object really folds 500+
+    # rows; short runs cover model-less types and sparse remaining sets
+    # (empty ones included).  Half the short runs model every type too,
+    # which the suffix table needs.
     long_run = draw(st.booleans())
-    model = _READY if long_run else st.one_of(st.none(), _READY)
+    every_type = long_run or draw(st.booleans())
+    model = _READY if every_type else st.one_of(st.none(), _READY)
     models = {name: draw(model) for name in TYPES}
     n_tasks = draw(
         st.integers(500, 560) if long_run else st.integers(0, 40)
     )
     n_objects = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**32 - 1))
-    keep = 1.0 if long_run else draw(
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    )
+    remaining = draw(remaining_sets(n_tasks, seed, long_run))
     window = draw(st.one_of(st.just(n_tasks + 8), st.integers(0, n_tasks + 8)))
     n_workers = draw(st.integers(1, 8))
     need_window = draw(st.booleans())
-    return models, n_tasks, n_objects, seed, keep, window, n_workers, need_window
+    # Project every task from the first remaining one on before the
+    # drawn set, as an earlier replan of the same row terms would: the
+    # drawn set then meets the table that frontier built.
+    warm = draw(st.booleans())
+    return (models, n_tasks, n_objects, seed, remaining, window, n_workers,
+            need_window, warm)
+
+
+@st.composite
+def remaining_sets(draw, n_tasks: int, seed: int, long_run: bool) -> np.ndarray:
+    """Remaining task indices (ascending): a random subset (every task on
+    long runs), every task from a drawn frontier on, or such a frontier
+    less a band of tasks just past it (dispatched out of order) or less
+    some of the last tasks (gaps at the tail)."""
+    kind = draw(st.sampled_from(("subset", "frontier", "band", "tail")))
+    if kind == "subset":
+        keep = 1.0 if long_run else draw(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        )
+        rng = np.random.default_rng(seed + 1)
+        return np.flatnonzero(rng.random(n_tasks) < keep).astype(np.int64)
+    lo = draw(st.integers(0, n_tasks))
+    tasks = set(range(lo, n_tasks))
+    if kind == "band" and lo + 1 < n_tasks:
+        hi = min(n_tasks - 1, lo + draw(st.integers(1, 12)))
+        tasks -= draw(st.sets(st.integers(lo + 1, hi), min_size=1))
+    elif kind == "tail" and lo < n_tasks:
+        tail = max(lo, n_tasks - draw(st.integers(1, 12)))
+        tasks -= draw(st.sets(st.integers(tail, n_tasks - 1), min_size=1))
+    return np.array(sorted(tasks), dtype=np.int64)
+
+
+def contiguous_from_first(csr, remaining: np.ndarray) -> bool:
+    """Whether each object's remaining access rows are all of its rows
+    from its first remaining one on (counted by a walk over the rows)."""
+    rows, _ = csr.gather(remaining)
+    kept = set(rows.tolist())
+    first: dict[int, int] = {}
+    for r in rows.tolist():
+        first.setdefault(int(csr.obj[r]), r)
+    return all(
+        r in kept
+        for r, o in enumerate(csr.obj.tolist())
+        if o in first and r > first[o]
+    )
+
+
+def count_folds(monkeypatch) -> list[int]:
+    """Record the row count of every direct fold from here on."""
+    calls: list[int] = []
+    fold = manager._fold_rows
+
+    def counted(objs, *args):
+        calls.append(len(objs))
+        return fold(objs, *args)
+
+    monkeypatch.setattr(manager, "_fold_rows", counted)
+    return calls
 
 
 def build_graph(n_tasks: int, n_objects: int, seed: int, long_run: bool):
@@ -163,55 +226,94 @@ def offsets_by_uid(csr, scope) -> list[tuple[int, bytes]]:
     return [(u, bits(o)) for u, o in zip(csr.obj_uid[objs].tolist(), offs.tolist())]
 
 
-@settings(max_examples=120, deadline=None)
-@given(scenarios())
-def test_projection_passes_match_scalar_reference(scenario) -> None:
-    models, n_tasks, n_objects, seed, keep, window, n_workers, need_window = scenario
-    graph = build_graph(n_tasks, n_objects, seed, n_tasks >= 500)
-    core = graph.exec_core()
-    csr = core.accesses
-    rng = np.random.default_rng(seed + 1)
-    remaining = np.flatnonzero(rng.random(n_tasks) < keep).astype(np.int64)
-    tasks = tuple(core.tasks[i] for i in remaining.tolist())
+def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
+    """Property: both demand scopes, the first-use offsets and the slack
+    match the scalar reference bitwise.  The full scope is read off the
+    suffix table exactly when every remaining task has a ready model and
+    each object's remaining rows run to its last; the first such
+    frontier builds the table.  Each route is taken at least once: the
+    table, and the direct fold beside a built table (tasks dispatched
+    out of order or gaps at the tail after the table's frontier)."""
+    folds = count_folds(monkeypatch)
+    routes = Counter()
 
-    policy = DataManagerPolicy()
-    policy._models = {
-        name: StubModel(*m) for name, m in models.items() if m is not None
-    }
+    ready = {name: (0.1, ((1.0, 2.0, 3.0, 4.0, 0.5, 5.0, 0.25),) * 2) for name in TYPES}
+    frontier = np.arange(10, 40, dtype=np.int64)
 
-    # Demand projection, both scopes, from the gather of the remaining
-    # rows the replan passes.
-    gathered = csr.gather(remaining)
-    want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
-    got = policy._demand_stats_split(core, remaining, window, need_window, gathered)
-    for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
-        assert_batch_bitwise(g_batch, w_batch)
-        assert bits(g_horizon) == bits(w_horizon)
-        assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
+    @settings(max_examples=160, deadline=None)
+    @given(scenarios())
+    # Every task from task 10 on, so each window rank is rebased to the
+    # object's first remaining row; then task 11 dispatched early.
+    @example((ready, 40, 4, 3, frontier, 12, 4, True, False))
+    @example((ready, 40, 4, 3, np.delete(frontier, 1), 12, 4, True, True))
+    def check(scenario) -> None:
+        (models, n_tasks, n_objects, seed, remaining, window, n_workers,
+         need_window, warm) = scenario
+        graph = build_graph(n_tasks, n_objects, seed, n_tasks >= 500)
+        core = graph.exec_core()
+        csr = core.accesses
+        tasks = tuple(core.tasks[i] for i in remaining.tolist())
 
-    # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
-    durations = {
-        name: models[name][0] if models.get(name) is not None else 1e-4
-        for name in core.type_names
-    }
-    want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
-    got_fu = first_use_offsets_split(
-        core, remaining, window,
-        np.array([durations[n] for n in core.type_names]), n_workers, gathered,
-    )
-    for g_scope, w_scope in zip(got_fu, want_fu):
-        assert offsets_by_uid(csr, g_scope) == [
-            (u, bits(o)) for u, o in w_scope.items()
-        ]
+        policy = DataManagerPolicy()
+        policy._models = {
+            name: StubModel(*m) for name, m in models.items() if m is not None
+        }
+        if warm and len(remaining):
+            earlier = np.arange(remaining[0], n_tasks, dtype=np.int64)
+            policy._demand_stats_split(
+                core, earlier, window, need_window, csr.gather(earlier)
+            )
 
-    # Parallel slack over the full horizon and the window.
-    depths = spawn_order_depths(graph)
-    for scope in (remaining, remaining[:window]):
-        got_slack = DataManagerPolicy._parallel_slack(core.depth[scope], n_workers)
-        want_slack = parallel_slack_ref(
-            tuple(core.tasks[i] for i in scope.tolist()), depths, n_workers
+        # Demand projection, both scopes, from the gather of the remaining
+        # rows the replan passes.
+        gathered = csr.gather(remaining)
+        want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
+        folds.clear()
+        got = policy._demand_stats_split(core, remaining, window, need_window, gathered)
+        for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
+            assert_batch_bitwise(g_batch, w_batch)
+            assert bits(g_horizon) == bits(w_horizon)
+            assert csr.obj_uid[g_objs].tolist() == w_batch.uid.tolist()
+
+        # The route: a window fold when the window is a proper prefix,
+        # plus the full fold unless the table answered.
+        built = policy._row_table[3]
+        modelled = all(policy._model_for(t.type_name) is not None for t in tasks)
+        table = modelled and len(gathered[0]) > 0 and contiguous_from_first(csr, remaining)
+        n_window = int(need_window and len(remaining) > window)
+        assert len(folds) == n_window + (not table)
+        if table:
+            assert built is not None
+            routes["table"] += 1
+        elif built is not None:
+            routes["fold beside table"] += 1
+
+        # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
+        durations = {
+            name: models[name][0] if models.get(name) is not None else 1e-4
+            for name in core.type_names
+        }
+        want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
+        got_fu = first_use_offsets_split(
+            core, remaining, window,
+            np.array([durations[n] for n in core.type_names]), n_workers, gathered,
         )
-        assert bits(got_slack) == bits(want_slack)
+        for g_scope, w_scope in zip(got_fu, want_fu):
+            assert offsets_by_uid(csr, g_scope) == [
+                (u, bits(o)) for u, o in w_scope.items()
+            ]
+
+        # Parallel slack over the full horizon and the window.
+        depths = spawn_order_depths(graph)
+        for scope in (remaining, remaining[:window]):
+            got_slack = DataManagerPolicy._parallel_slack(core.depth[scope], n_workers)
+            want_slack = parallel_slack_ref(
+                tuple(core.tasks[i] for i in scope.tolist()), depths, n_workers
+            )
+            assert bits(got_slack) == bits(want_slack)
+
+    check()
+    assert len(routes) == 2, routes
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,14 +347,17 @@ def test_ranks_count_earlier_gathered_rows(n_tasks, n_objects, seed, data) -> No
     assert got.tolist() == want
 
 
-def test_row_terms_follow_model_and_graph_changes() -> None:
+def test_row_terms_follow_model_and_graph_changes(monkeypatch) -> None:
     """One policy instance across the events that change the projection's
-    per-row terms: a model's rows replaced by a new tuple (profiling
-    completes), a type losing its model or gaining one (adaptation
-    archives it, a stale model is read) and a new run on a repartitioned
-    graph.  Every projection must still match the scalar reference
-    bitwise, so a row-term table kept past its models or its graph
-    fails."""
+    per-row terms: a type gaining a model, a model's rows replaced by a
+    new tuple (profiling completes), a type losing its model (adaptation
+    archives it, later its stale model is read) and a new run on a
+    repartitioned graph.  Each row-term epoch builds its suffix table at
+    its first frontier with all types modelled, and every later such
+    frontier from the table's first row on reads the full scope off it.
+    Every projection must
+    still match the scalar reference bitwise, so a row-term or suffix
+    table kept past its models or its graph fails."""
     rng = np.random.default_rng(7)
     pool = [
         DataObject(f"p{k}", int(rng.integers(1, 4)) * MIB, partitionable=True)
@@ -274,10 +379,12 @@ def test_row_terms_follow_model_and_graph_changes() -> None:
         return tuple(tuple(r.random(7).tolist()) for _ in range(n_slots))
 
     policy = DataManagerPolicy(ManagerConfig(enable_initial_placement=False))
+    folds = count_folds(monkeypatch)
 
-    def check(remaining: np.ndarray, window: int = 24) -> None:
+    def check(remaining: np.ndarray, route: str, window: int = 24) -> None:
         core = graph.exec_core()
         tasks = tuple(core.tasks[i] for i in remaining.tolist())
+        folds.clear()
         got = policy._demand_stats_split(
             core, remaining, window, True, core.accesses.gather(remaining)
         )
@@ -285,23 +392,28 @@ def test_row_terms_follow_model_and_graph_changes() -> None:
         for (g_batch, g_horizon, _), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)
             assert bits(g_horizon) == bits(w_horizon)
+        # The window fold, and the full fold unless the table answered.
+        assert len(folds) == {"table": 1, "fold": 2}[route]
 
     every = np.arange(len(graph))
     a, b = StubModel(0.1, slot_rows(1, 2)), StubModel(0.2, slot_rows(2, 3))
-    policy._models = {"a": a, "b": b}
-    check(every)
-    check(every[10:])
+    c = StubModel(0.3, slot_rows(4, 1))
+    policy._models = {"a": a, "b": b, "c": c}
+    check(every, "fold")  # "d" has no model yet
+    # A type gains a model.
+    d = policy._models["d"] = StubModel(0.4, slot_rows(5, 2))
+    check(every, "table")
+    check(every[10:], "table")
     # Profiling completes: the same model reports a new rows tuple.
     a._rows = slot_rows(3, 2)
-    check(every[10:])
+    check(every[10:], "table")
+    # A frontier before the first row the table covers.
+    check(every[5:], "fold")
     # Adaptation archives "b"; later its stale model is read again.
     del policy._models["b"]
-    check(every[20:])
+    check(every[20:], "fold")
     policy._stale_models["b"] = b
-    check(every[20:])
-    # A type gains a model.
-    c = policy._models["c"] = StubModel(0.3, slot_rows(4, 1))
-    check(every[30:])
+    check(every[20:], "table")
 
     # A new run on the repartitioned graph, with the same model objects.
     partition_graph(graph, MIB // 2)
@@ -312,9 +424,9 @@ def test_row_terms_follow_model_and_graph_changes() -> None:
         config=ExecutorConfig(n_workers=4),
     )
     policy.on_run_start(ctx)
-    policy._models = {"a": a, "b": b, "c": c}
-    check(every)
-    check(every[40:])
+    policy._models = {"a": a, "b": b, "c": c, "d": d}
+    check(every, "table")
+    check(every[40:], "table")
 
 
 def spawn_order_depths(graph: TaskGraph) -> dict[int, int]:
