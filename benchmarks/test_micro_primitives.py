@@ -5,13 +5,15 @@ executor's event loop throughput, dependence inference, the knapsack DP,
 and the sampling profiler — the costs that bound how large a task program
 the simulator can handle — plus one cold graph build with its access
 table, the set-up cost of a new spec, the replans of one managed run,
-the demand projection's suffix table, the energy accounting of a
+the demand projections of managed sparselu and cg runs, the demand
+projection's suffix table, the energy accounting of a
 finished run, and a run with the telemetry plane on.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro.core.manager as manager
 from repro.baselines import NVMOnlyPolicy
@@ -133,13 +135,11 @@ class _SeenModel:
         return self._rows
 
 
-def test_bench_replan(benchmark, monkeypatch):
-    """The replans of one managed heat-1k run on an interned graph:
-    every demand projection, first-use pass and two-scope plan (one
-    weigher call over both scopes, then each scope's knapsack) they
-    ran, recorded with their inputs and replayed in order on a fresh
-    policy, so the per-run row-term table is rebuilt as in the run.  Enforcement, which moves data, is not replayed.  The
-    solver memo is cleared in the un-timed setup."""
+def _record_replans(monkeypatch, workload: str, **overrides):
+    """Run one managed run of ``workload`` on an interned graph and
+    return every demand projection, first-use pass and two-scope plan
+    its replans ran, with their inputs, in order (each projection with
+    the type models it read)."""
     calls = []
     split = DataManagerPolicy._demand_stats_split
 
@@ -163,25 +163,60 @@ def test_bench_replan(benchmark, monkeypatch):
     monkeypatch.setattr(manager, "first_use_offsets_split",
                         recording(manager.first_use_offsets_split))
     monkeypatch.setattr(manager, "make_plan", recording(manager.make_plan))
-    w = build_cached("heat", grid=10, iterations=10)
+    w = build_cached(workload, **overrides)
     policy = DataManagerPolicy()
     Executor(_machine(), ExecutorConfig(n_workers=8)).run(w.graph, policy)
     monkeypatch.undo()
     assert policy.stats["replans"] > 0 and calls
+    return calls, split
 
-    def replay(fresh):
-        for fn, args, kwargs in calls:
-            if fn is split:
-                fresh._models = kwargs["models"]
-                fn(fresh, *args)
-            else:
-                fn(*args, **kwargs)
+
+def _replay(calls, split, fresh, only_projections=False):
+    for fn, args, kwargs in calls:
+        if fn is split:
+            fresh._models = kwargs["models"]
+            fn(fresh, *args)
+        elif not only_projections:
+            fn(*args, **kwargs)
+
+
+def test_bench_replan(benchmark, monkeypatch):
+    """The replans of one managed heat-1k run on an interned graph:
+    every demand projection, first-use pass and two-scope plan (one
+    weigher call over both scopes, then each scope's knapsack) they
+    ran, recorded with their inputs and replayed in order on a fresh
+    policy, so the per-run row-term table is rebuilt as in the run.  Enforcement, which moves data, is not replayed.  The
+    solver memo is cleared in the un-timed setup."""
+    calls, split = _record_replans(monkeypatch, "heat", grid=10, iterations=10)
 
     def setup():
         clear_solver_cache()
-        return (DataManagerPolicy(),), {}
+        return (calls, split, DataManagerPolicy()), {}
 
-    benchmark.pedantic(replay, setup=setup, rounds=5)
+    benchmark.pedantic(_replay, setup=setup, rounds=5)
+
+
+@pytest.mark.parametrize(
+    "workload, overrides",
+    [
+        ("sparselu", {"n_blocks": 20}),
+        ("cg", {"n_chunks": 16, "iterations": 16}),
+    ],
+    ids=["sparselu-1600", "cg-800"],
+)
+def test_bench_projection_replay(benchmark, monkeypatch, workload, overrides):
+    """The demand projections of one managed run of sparselu (20x20
+    blocks) or cg (16 chunks x 16 iterations), recorded as in
+    ``test_bench_replan`` and replayed in order on a fresh policy, so
+    each row-term epoch builds its suffix table again: these folds run
+    many steps (objects touched 15-28 times on sparselu, up to 512 on
+    cg), where heat's run five."""
+    calls, split = _record_replans(monkeypatch, workload, **overrides)
+
+    def setup():
+        return (calls, split, DataManagerPolicy(), True), {}
+
+    benchmark.pedantic(_replay, setup=setup, rounds=5)
 
 
 def test_bench_suffix_table(benchmark):

@@ -82,16 +82,17 @@ class AccessCSR:
 
     @cached_property
     def _by_object(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows grouped by object: each access's sorted int64 ``obj *
-        n_rows + row`` key, where each object's group starts in the keys,
+        """The rows grouped by object: the row indices sorted by
+        ``(object, row)``, where each object's group starts among them,
         and each access's rank (how many earlier accesses, in spawn
         order, touch its object)."""
         n = len(self.obj)
-        keys = np.sort(self.obj * n + np.arange(n, dtype=np.int64))
-        starts = np.searchsorted(keys, np.arange(len(self.obj_uid) + 1, dtype=np.int64) * n)
+        grouped = np.sort(self.obj * n + np.arange(n, dtype=np.int64)) % n
+        starts = np.zeros(len(self.obj_uid) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.obj, minlength=len(self.obj_uid)), out=starts[1:])
         rank = np.empty(n, dtype=np.int64)
-        rank[keys % n] = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], np.diff(starts))
-        return keys, starts, rank
+        rank[grouped] = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], np.diff(starts))
+        return grouped, starts, rank
 
     @cached_property
     def _chain(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,10 +100,8 @@ class AccessCSR:
         (``-1`` for the object's first) and the number of the object's
         accesses from it to the last, both included; read off
         :attr:`_by_object`."""
-        keys, starts, rank = self._by_object
-        n = len(self.obj)
-        grouped = keys % n
-        prev = np.empty(n, dtype=np.int64)
+        grouped, starts, rank = self._by_object
+        prev = np.empty(len(self.obj), dtype=np.int64)
         prev[grouped[1:]] = grouped[:-1]
         prev[rank == 0] = -1
         return prev, np.diff(starts)[self.obj] - rank
@@ -116,36 +115,6 @@ class AccessCSR:
         rows = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
         rows += np.repeat(starts - (ends - lens), lens)
         return rows, lens
-
-    def ranks(self, tasks: np.ndarray, rows: np.ndarray, objs: np.ndarray) -> np.ndarray:
-        """Per gathered row (``rows, _ = gather(tasks)``, ``tasks``
-        ascending, ``objs = obj[rows]``), how many earlier gathered rows
-        touch the same object.
-
-        That is the row's graph-wide rank less the accesses of its
-        object by the tasks left out: those before ``tasks[0]`` (read per
-        object off the sorted ``(object, row)`` keys) and those after it
-        (typically a few dispatched out of order), counted per row by a
-        search over their sorted keys — no sort over the gathered rows
-        themselves.
-        """
-        if len(tasks) == 0:
-            return rows.copy()
-        lo = int(tasks[0])
-        n_tasks = len(self.indptr) - 1
-        n_rows = len(self.obj)
-        keys, starts, rank = self._by_object
-        at_first = np.arange(len(starts) - 1, dtype=np.int64) * n_rows + int(self.indptr[lo])
-        out = rank[rows] - (np.searchsorted(keys, at_first) - starts[:-1])[objs]
-        if lo + len(tasks) == n_tasks:  # every task from tasks[0] on
-            return out
-        gathered = np.zeros(n_tasks - lo, dtype=np.bool_)
-        gathered[tasks - lo] = True
-        left_out, _ = self.gather(np.flatnonzero(~gathered) + lo)
-        left_keys = np.sort(self.obj[left_out] * n_rows + left_out)
-        first_key = objs * n_rows
-        skipped = np.searchsorted(left_keys, first_key + rows) - np.searchsorted(left_keys, first_key)
-        return out - skipped
 
 
 class _AccessRows:

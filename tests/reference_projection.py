@@ -3,8 +3,10 @@
 These are the per-task loops the data manager's replan ran before its
 demand projection, first-use offsets and parallel slack moved onto the
 graph's access CSR, kept statement for statement (minus the per-run
-task-row memo, which only cached what the loop recomputes).  The
-production passes — ``DataManagerPolicy._demand_stats_split``,
+task-row memo, which only cached what the loop recomputes); the
+per-row update of one object's demand is :func:`fold_row`, which the
+fold kernel's own property test folds against too.  The production
+passes — ``DataManagerPolicy._demand_stats_split``,
 :func:`repro.core.lookahead.first_use_offsets_split` and
 ``DataManagerPolicy._parallel_slack`` — fold the same rows with numpy;
 ``tests/test_projection_fold.py`` drives both over Hypothesis-generated
@@ -19,10 +21,41 @@ from repro.core.demand import DemandBatch
 from repro.tasking.task import Task
 
 __all__ = [
+    "EMPTY_DEMAND",
+    "fold_row",
     "demand_stats_split_ref",
     "first_use_offsets_split_ref",
     "parallel_slack_ref",
 ]
+
+
+#: One object's demand before any row: (loads, stores, misses, bw_demand,
+#: confidence, mem_seconds, dram_frac).
+EMPTY_DEMAND = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def fold_row(acc: list[float], row: tuple[float, ...]) -> None:
+    """Fold one projected access row into one object's running demand.
+
+    ``row`` is a slot row ``(loads, stores, misses, bw, conf,
+    mem_seconds, dram_frac)``; ``acc`` holds the object's demand in the
+    same field order, from :data:`EMPTY_DEMAND`.
+    """
+    loads, stores, misses, bw, conf, mem_s, dfrac = row
+    old_misses = acc[2]
+    new_misses = old_misses + misses
+    if new_misses > 0:
+        acc[4] = (acc[4] * old_misses + conf * misses) / new_misses
+    old_mem = acc[5]
+    new_mem = old_mem + mem_s
+    if new_mem > 0:
+        acc[6] = (acc[6] * old_mem + dfrac * mem_s) / new_mem
+    acc[5] = new_mem
+    acc[0] += loads
+    acc[1] += stores
+    acc[2] = new_misses
+    if bw > acc[3]:
+        acc[3] = bw
 
 
 def demand_stats_split_ref(
@@ -39,13 +72,7 @@ def demand_stats_split_ref(
     row_of: dict[int, int] = {}
     uids: list[int] = []
     sizes: list[int] = []
-    loads_c: list[float] = []
-    stores_c: list[float] = []
-    misses_c: list[float] = []
-    bw_c: list[float] = []
-    conf_c: list[float] = []
-    mem_c: list[float] = []
-    dfrac_c: list[float] = []
+    accs: list[list[float]] = []
     horizon = 0.0
     win_batch: DemandBatch | None = None
     win_horizon = 0.0
@@ -64,66 +91,36 @@ def demand_stats_split_ref(
             horizon += model.mean_duration
             rows = model.slot_rows()
             n_slots = len(rows)
-            task_rows = []
             for j, obj in enumerate(t.accesses):
                 if n_slots:
                     row = rows[j] if j < n_slots else rows[-1]
                 else:
                     row = empty_row
-                task_rows.append((obj.uid, obj.size_bytes) + row)
-            for uid, size_bytes, loads, stores, misses, bw, conf, mem_s, dfrac in task_rows:
                 try:
-                    r = row_of[uid]
+                    r = row_of[obj.uid]
                 except KeyError:
-                    r = row_of[uid] = len(uids)
-                    uids.append(uid)
-                    sizes.append(size_bytes)
-                    loads_c.append(0.0)
-                    stores_c.append(0.0)
-                    misses_c.append(0.0)
-                    bw_c.append(0.0)
-                    conf_c.append(1.0)
-                    mem_c.append(0.0)
-                    dfrac_c.append(0.0)
-                old_misses = misses_c[r]
-                new_misses = old_misses + misses
-                if new_misses > 0:
-                    conf_c[r] = (
-                        conf_c[r] * old_misses + conf * misses
-                    ) / new_misses
-                old_mem = mem_c[r]
-                new_mem = old_mem + mem_s
-                if new_mem > 0:
-                    dfrac_c[r] = (
-                        dfrac_c[r] * old_mem + dfrac * mem_s
-                    ) / new_mem
-                mem_c[r] = new_mem
-                loads_c[r] += loads
-                stores_c[r] += stores
-                misses_c[r] = new_misses
-                if bw > bw_c[r]:
-                    bw_c[r] = bw
+                    r = row_of[obj.uid] = len(uids)
+                    uids.append(obj.uid)
+                    sizes.append(obj.size_bytes)
+                    accs.append(list(EMPTY_DEMAND))
+                fold_row(accs[r], row)
+
+    def batch() -> DemandBatch:
+        return DemandBatch.from_columns(list(uids), list(sizes), *map(list, zip(*accs)))
 
     if need_window and len(tasks) > window_len:
         accumulate(tasks[:window_len])
-        win_batch = DemandBatch.from_columns(
-            list(uids), list(sizes), list(loads_c), list(stores_c),
-            list(misses_c), list(bw_c), list(conf_c), list(mem_c),
-            list(dfrac_c),
-        )
+        win_batch = batch() if uids else DemandBatch.empty()
         win_horizon = horizon
         accumulate(tasks[window_len:])
     else:
         accumulate(tasks)
-    batch = DemandBatch.from_columns(
-        uids, sizes, loads_c, stores_c, misses_c, bw_c, conf_c, mem_c,
-        dfrac_c,
-    )
+    full = batch() if uids else DemandBatch.empty()
     if len(tasks) <= window_len:
-        win_batch, win_horizon = batch, horizon
+        win_batch, win_horizon = full, horizon
     elif win_batch is None:
         win_batch = DemandBatch.empty()
-    return (win_batch, win_horizon), (batch, horizon)
+    return (win_batch, win_horizon), (full, horizon)
 
 
 def first_use_offsets_split_ref(

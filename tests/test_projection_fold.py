@@ -19,10 +19,12 @@ each case asserts the route it took.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,13 +39,16 @@ from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.tasking.access import AccessMode, ObjectAccess
 from repro.tasking.dataobj import DataObject
 from repro.tasking.executor import Executor, ExecutorConfig
-from repro.tasking.graph import TaskGraph
+from repro.tasking.graph import AccessCSR, TaskGraph
 from repro.tasking.task import Task
 from repro.util.units import MIB
+from repro.workloads.memo import build_cached
 
 from tests.helpers import predecessors, reads, task_depths, writes
 from tests.reference_projection import (
+    EMPTY_DEMAND,
     demand_stats_split_ref,
+    fold_row,
     first_use_offsets_split_ref,
     parallel_slack_ref,
 )
@@ -172,9 +177,9 @@ def count_folds(monkeypatch) -> list[int]:
     calls: list[int] = []
     fold = manager._fold_rows
 
-    def counted(objs, *args):
-        calls.append(len(objs))
-        return fold(objs, *args)
+    def counted(csr, rows, *args):
+        calls.append(len(rows))
+        return fold(csr, rows, *args)
 
     monkeypatch.setattr(manager, "_fold_rows", counted)
     return calls
@@ -242,8 +247,9 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
 
     @settings(max_examples=160, deadline=None)
     @given(scenarios())
-    # Every task from task 10 on, so each window rank is rebased to the
-    # object's first remaining row; then task 11 dispatched early.
+    # Every task from task 10 on, so each object's window rows start at
+    # its first remaining row, not its first row; then task 11
+    # dispatched early.
     @example((ready, 40, 4, 3, frontier, 12, 4, True, False))
     @example((ready, 40, 4, 3, np.delete(frontier, 1), 12, 4, True, True))
     def check(scenario) -> None:
@@ -316,35 +322,130 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
     assert len(routes) == 2, routes
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    n_tasks=st.integers(1, 60),
-    n_objects=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_ranks_count_earlier_gathered_rows(n_tasks, n_objects, seed, data) -> None:
-    """``AccessCSR.ranks`` over a frontier: everything before a first
-    remaining task left out, then a band of drawn width with drawn tasks
-    left out (dispatched out of order), then every task to the end —
-    each gathered row's count of earlier gathered rows of its object,
-    against a counting walk."""
-    csr = build_graph(n_tasks, n_objects, seed, False).exec_core().accesses
-    lo = data.draw(st.integers(0, n_tasks - 1))
-    band = range(lo + 1, min(n_tasks, lo + 1 + data.draw(st.integers(0, 12))))
-    left_out = data.draw(st.sets(st.sampled_from(band))) if band else set()
-    tasks = np.array(
-        [i for i in range(lo, n_tasks) if i not in left_out], dtype=np.int64
+# ----------------------------------------------------------------------
+# The fold kernel on its own
+# ----------------------------------------------------------------------
+_FIELDS = ("loads", "stores", "misses", "bw_demand", "confidence", "mem_seconds", "dram_frac")
+
+
+def one_access_tasks(objs: list[int], rows: list[tuple[float, ...]]):
+    """An access table with one task per row (task ``i`` touches dense
+    object ``objs[i]``, objects numbered in first-touch order) and the
+    row terms of a model per task whose one slot row is ``rows[i]``."""
+    n = len(objs)
+    zeros = np.zeros(n)
+    csr = AccessCSR(
+        indptr=np.arange(n + 1, dtype=np.int64),
+        obj=np.array(objs, dtype=np.int64),
+        traffic=np.ones(n, dtype=np.bool_),
+        miss_loads=zeros, miss_stores=zeros, read_bytes=zeros,
+        write_bytes=zeros, mlp=zeros,
+        task_rows=(), task_writers=(),
+        obj_uid=np.arange(max(objs) + 1, dtype=np.int64) + 1000,
+        obj_index={},
+        obj_size=np.arange(max(objs) + 1, dtype=np.int64) + 1,
     )
-    rows, _ = csr.gather(tasks)
-    seen: dict[int, int] = {}
-    want = []
-    for k in csr.obj[rows].tolist():
-        want.append(seen.get(k, 0))
-        seen[k] = want[-1] + 1
-    got = csr.ranks(tasks, rows, csr.obj[rows])
-    assert got.dtype == np.int64
-    assert got.tolist() == want
+    core = SimpleNamespace(accesses=csr, type_id=np.arange(n, dtype=np.int64))
+    terms = DataManagerPolicy()._row_terms(core, [StubModel(0.0, (row,)) for row in rows])
+    return csr, terms
+
+
+def folded(rows: list[tuple[float, ...]]) -> tuple[float, ...]:
+    acc = list(EMPTY_DEMAND)
+    for row in rows:
+        fold_row(acc, row)
+    return tuple(acc)
+
+
+def assert_columns_bitwise(got: DemandBatch, want: list[tuple[float, ...]]) -> None:
+    for k, name in enumerate(_FIELDS):
+        col = getattr(got, name)
+        assert col.dtype == np.float64
+        assert col.tobytes() == np.array([w[k] for w in want]).tobytes(), name
+
+
+@st.composite
+def segment_sets(draw):
+    """A row sequence over a few objects (one of them often hot, so its
+    column runs many steps), the rows' slot values, a kept subset of
+    the rows (ascending, whose objects partition it into segments) and
+    a first row for the per-row suffixes (overlapping segments)."""
+    n = draw(st.integers(1, 70))
+    n_objects = draw(st.integers(1, 6))
+    hot = draw(st.floats(0.0, 0.9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    raw = np.where(rng.random(n) < hot, 0, rng.integers(0, n_objects, n))
+    _, first_touch = np.unique(raw, return_index=True)
+    relabel = np.empty(raw.max() + 1, dtype=np.int64)
+    relabel[raw[np.sort(first_touch)]] = np.arange(len(first_touch))
+    rows = draw(st.lists(_ROW, min_size=n, max_size=n))
+    kept = draw(st.one_of(
+        st.just(list(range(n))),
+        st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted),
+    ))
+    lo = draw(st.integers(0, n - 1))
+    return relabel[raw].tolist(), rows, kept, lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_sets())
+def test_fold_kernel_matches_scalar_accumulator(case) -> None:
+    """Property: both drivers of the fold kernel match the scalar
+    accumulator byte for byte.  The direct fold takes each object's
+    kept rows (a partition of the kept rows) as one column; the suffix
+    table takes, for every row from the first on, its object's rows
+    from that row to the last (overlapping per-row suffixes)."""
+    objs, rows, kept, lo = case
+    csr, terms = one_access_tasks(objs, rows)
+
+    batch, objects = manager._fold_rows(csr, np.array(kept, dtype=np.int64), terms)
+    order = list(dict.fromkeys(objs[r] for r in kept))
+    assert objects.tolist() == order
+    assert batch.uid.tolist() == [1000 + o for o in order]
+    assert_columns_bitwise(
+        batch, [folded([rows[r] for r in kept if objs[r] == o]) for o in order]
+    )
+
+    col, (totals, means, bw) = manager._suffix_folds(csr, terms, lo)
+    c = col[np.arange(len(objs) - lo)]
+    table = manager._demand_batch(csr, csr.obj[lo:], totals[:, c], means[c], bw[c])
+    assert_columns_bitwise(
+        table,
+        [
+            folded([rows[s] for s in range(r, len(objs)) if objs[s] == objs[r]])
+            for r in range(lo, len(objs))
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "workload, overrides",
+    [("heat", {"grid": 16, "iterations": 12}), ("cg", {"n_chunks": 16, "iterations": 16})],
+)
+def test_suffix_build_memory_stays_within_twice_the_table(workload, overrides) -> None:
+    """One suffix-table build over every row of a heat-3k or cg-800
+    graph peaks, under ``tracemalloc``, at no more than twice the
+    table's seven floats per row: the folds go straight into the table,
+    a bounded block at a time.  The graph's cached row groupings and
+    one earlier build are not counted."""
+    core = build_cached(workload, **overrides).graph.exec_core()
+    csr = core.accesses
+    rng = np.random.default_rng(5)
+    policy = DataManagerPolicy()
+    policy._models = {
+        name: StubModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(4)))
+        for name in core.type_names
+    }
+    terms = policy._row_terms(core, [policy._model_for(n) for n in core.type_names])
+    manager._suffix_folds(csr, terms, 0)
+    tracemalloc.start()
+    try:
+        manager._suffix_folds(csr, terms, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 7 * 8 * len(csr.obj)
 
 
 def test_row_terms_follow_model_and_graph_changes(monkeypatch) -> None:
