@@ -23,6 +23,7 @@ from repro.core.knapsack import (
     solve_knapsack_arrays,
     solver_cache_stats,
 )
+from repro.core.lookahead import scan_frontier
 from repro.core.manager import DataManagerPolicy
 from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
@@ -137,9 +138,9 @@ class _SeenModel:
 
 def _record_replans(monkeypatch, workload: str, **overrides):
     """Run one managed run of ``workload`` on an interned graph and
-    return every demand projection, first-use pass and two-scope plan
-    its replans ran, with their inputs, in order (each projection with
-    the type models it read)."""
+    return every frontier pass, demand projection, first-use pass and
+    two-scope plan its replans ran, with their inputs, in order (each
+    projection with the type models it read)."""
     calls = []
     split = DataManagerPolicy._demand_stats_split
 
@@ -160,6 +161,7 @@ def _record_replans(monkeypatch, workload: str, **overrides):
         return record
 
     monkeypatch.setattr(DataManagerPolicy, "_demand_stats_split", recording_split)
+    monkeypatch.setattr(manager, "scan_frontier", recording(manager.scan_frontier))
     monkeypatch.setattr(manager, "first_use_offsets_split",
                         recording(manager.first_use_offsets_split))
     monkeypatch.setattr(manager, "make_plan", recording(manager.make_plan))
@@ -182,11 +184,12 @@ def _replay(calls, split, fresh, only_projections=False):
 
 def test_bench_replan(benchmark, monkeypatch):
     """The replans of one managed heat-1k run on an interned graph:
-    every demand projection, first-use pass and two-scope plan (one
-    weigher call over both scopes, then each scope's knapsack) they
-    ran, recorded with their inputs and replayed in order on a fresh
-    policy, so the per-run row-term table is rebuilt as in the run.  Enforcement, which moves data, is not replayed.  The
-    solver memo is cleared in the un-timed setup."""
+    every frontier pass, demand projection, first-use pass and two-scope
+    plan (one weigher call over both scopes, then each scope's knapsack)
+    they ran, recorded with their inputs and replayed in order on a
+    fresh policy, so the per-run row-term table is rebuilt as in the
+    run.  Enforcement, which moves data, is not replayed.  The solver
+    memo is cleared in the un-timed setup."""
     calls, split = _record_replans(monkeypatch, "heat", grid=10, iterations=10)
 
     def setup():
@@ -235,10 +238,10 @@ def test_bench_suffix_table(benchmark):
         for name in core.type_names
     }
     remaining = np.arange(len(core.tasks), dtype=np.int64)
-    gathered = core.accesses.gather(remaining)
+    front = scan_frontier(core, remaining, 48, np.ones(len(core.type_names)), 8)
 
     def project():
-        return policy._demand_stats_split(core, remaining, 48, False, gathered)
+        return policy._demand_stats_split(core, front, False)
 
     def setup():
         if policy._row_table is not None:

@@ -41,6 +41,7 @@ hit returns exactly the mask the from-scratch solve produced.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -184,39 +185,39 @@ def _one_size(
     rounding bound of zero; the caller then runs the DP.
     """
     k = cap_units // unit_size
-    mask = [False] * n
     if k == 0:
         _stats["uniform_topk"] += 1
-        return mask
+        return [False] * n
     order = np.argsort(-v, kind="stable")
     ranked = v[order]
     top = min(k, ranked.size)
     # Each DP cell is a float sum of at most top + 1 positive terms in item
     # order, no larger than sum(top-k), so it is off its exact value by
     # under (top + 1) * eps * sum(top-k); the factor 4 covers twice that
-    # plus the rounding of the gap tests.  gaps[i] is ranked[i] minus the
-    # next value, or minus 0 (not taking) for the last.
-    bound = 4 * (top + 1) * np.finfo(np.float64).eps * float(ranked[:top].sum())
-    gaps = ranked - np.append(ranked[1:], 0.0)
-    wide = gaps > bound
-    if wide[top - 1]:
+    # plus the rounding of the gap tests.  The gap after ranked[i] is
+    # ranked[i] minus the next value, or minus 0 (not taking) for the last.
+    bound = 4 * (top + 1) * sys.float_info.epsilon * float(ranked[:top].sum())
+    cut = float(ranked[top - 1]) - (float(ranked[top]) if top < ranked.size else 0.0)
+    if cut > bound:
         # Every set but the top k is exactly more than the bound short.
         _stats["uniform_topk"] += 1
-        for i in idx_arr[order[:top]].tolist():
-            mask[i] = True
-        return mask
+        keep = np.zeros(n, dtype=np.bool_)
+        keep[idx_arr[order[:top]]] = True
+        return keep.tolist()
+    gaps = ranked.copy()
+    gaps[:-1] -= ranked[1:]
+    wide = gaps > bound
     # The cut's group is ranked[lo:hi + 1], the maximal run around the cut
     # whose neighbouring gaps are all within the bound.
     lo_wide = np.flatnonzero(wide[: top - 1])
     lo = int(lo_wide[-1]) + 1 if lo_wide.size else 0
-    below = wide[top - 1 :]
-    hi = top - 1 + int(below.argmax())
+    hi = top - 1 + int(wide[top - 1 :].argmax())
     if not wide[hi]:
         # The run reaches 0: a value that vanishes in the running sum is
         # one the DP's strict ``>`` may never take.
         return None
     _stats["uniform_group"] += 1
-    return _group_pass(idx_arr, v, order, lo, hi, k - lo, mask)
+    return _group_pass(idx_arr, v, order, lo, hi, k - lo, [False] * n)
 
 
 def _group_pass(
@@ -296,7 +297,7 @@ def _dp_rows(w: np.ndarray, v: np.ndarray, cap_units: int) -> np.ndarray:
     row_bits = np.zeros((len(w), cap_units + 1), dtype=bool)
     cand_buf = np.empty(cap_units + 1, dtype=np.float64)
     v_l = v.tolist()  # Python floats are exact float64; avoids np scalars
-    add, greater, copyto = np.add, np.greater, np.copyto
+    add, greater, maximum = np.add, np.greater, np.maximum
     for k, wk in enumerate(w.tolist()):
         if wk <= cap_units:
             span = cap_units + 1 - wk
@@ -305,7 +306,11 @@ def _dp_rows(w: np.ndarray, v: np.ndarray, cap_units: int) -> np.ndarray:
             tail = dp[wk:]
             better = row_bits[k, wk:]
             greater(cand, tail, out=better)
-            copyto(tail, cand, where=better)
+            # The copy where ``better``: every cell is a sum of positive
+            # values from 0.0 and ``cand = dp + v`` with ``v > 0``, so no
+            # -0.0 or NaN meets the max, which then keeps ``tail`` exactly
+            # where ``cand > tail`` fails.
+            maximum(tail, cand, out=tail)
     return np.packbits(row_bits, axis=1)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from repro.baselines.policies import BasePolicy
 from repro.core.adaptation import DeviationDetector
 from repro.core.demand import DemandBatch
-from repro.core.lookahead import first_use_offsets_split
+from repro.core.lookahead import Frontier, first_use_offsets_split, scan_frontier
 from repro.core.models import TypeModel
 from repro.core.placement import COST_MARGIN, PlacementPlan, PlanConfig, make_plan
 from repro.profiling.calibration import CalibrationResult, calibrate
@@ -303,29 +303,8 @@ def _suffix_folds(
     return col, (totals, means, bw)
 
 
-def _first_remaining(csr: AccessCSR, rows: np.ndarray) -> np.ndarray | None:
-    """Which of the remaining ``rows`` (task order) is its object's first
-    remaining row, or ``None`` unless each object's remaining rows are
-    all of its rows from that one on.
-
-    A first remaining row is one whose previous row of the object has
-    run (or that has none); in task order, those rows are the
-    first-touch order.  The rows from each of them to its object's last
-    row add up to the number of remaining rows exactly when no object
-    has a row that ran after its first remaining one.
-    """
-    prev, rows_left = csr._chain
-    remaining = np.zeros(len(prev), dtype=np.bool_)
-    remaining[rows] = True
-    before = prev[rows]
-    first = (before < 0) | ~remaining[before]
-    if int(rows_left[rows[first]].sum()) != len(rows):
-        return None
-    return first
-
-
 def _resident_worth(
-    weights: np.ndarray, objects: np.ndarray, resident_idx: list[int], n_objects: int
+    weights: np.ndarray, objects: np.ndarray, resident_idx: np.ndarray, n_objects: int
 ) -> float:
     """The worth of the current DRAM residents under one plan: the sum of
     their positive weights.
@@ -571,18 +550,13 @@ class DataManagerPolicy(BasePolicy):
         return table
 
     def _demand_stats_split(
-        self,
-        core: GraphExecCore,
-        tasks: np.ndarray,
-        window_len: int,
-        need_window: bool,
-        gathered: tuple[np.ndarray, np.ndarray],
+        self, core: GraphExecCore, front: Frontier, need_window: bool
     ) -> tuple[
         tuple[DemandBatch, float, np.ndarray], tuple[DemandBatch, float, np.ndarray]
     ]:
-        """(window, full-horizon) demand projections of the dense-indexed
-        ``tasks`` (spawn order), the window being their first
-        ``window_len``.
+        """(window, full-horizon) demand projections of the remaining
+        tasks of ``front`` (spawn order), the window being their first
+        ``front.window_len``.
 
         Each scope is ``(batch, horizon, objects)``: the batch rows are in
         first-touch order and ``objects`` holds their dense indices into
@@ -590,19 +564,20 @@ class DataManagerPolicy(BasePolicy):
         skipped; every other task's access rows take their row terms
         (:meth:`_row_terms`).
 
-        When every task has a ready model and each object's remaining
-        rows are all of its rows from its first remaining one on, the
-        full scope is read off the suffix table (:meth:`_suffix_table`)
-        at those first rows, which are in first-touch order.  Otherwise
-        the rows are folded per object by :func:`_fold_rows`.  The window
-        is always folded directly; its rows are a prefix of the rows.
+        When every task has a ready model and the frontier knows each
+        object's first remaining row (every task from the first on
+        remains), the full scope is read off the suffix table
+        (:meth:`_suffix_table`) at those rows, which are in first-touch
+        order.  Otherwise the rows are folded per object by
+        :func:`_fold_rows`.  The window is always folded directly; its
+        rows are a prefix of the rows.
 
         ``need_window=False`` skips the window fold when the caller will
         not build a window-scoped plan (the window is then empty unless
-        it covers every task).  ``gathered`` is ``csr.gather(tasks)``;
-        it is used when no task is skipped.
+        it covers every task).
         """
         csr = core.accesses
+        tasks, window_len = front.tasks, front.window_len
         models = [self._model_for(name) for name in core.type_names]
         has_model = np.array([m is not None for m in models], dtype=np.bool_)
         durations = np.array(
@@ -610,29 +585,31 @@ class DataManagerPolicy(BasePolicy):
         )
         row_terms = self._row_terms(core, models)
 
-        type_of = core.type_id[tasks]
+        type_of = front.type_of
         keep = has_model[type_of]
         if keep.all():
             kept = tasks
-            rows, lens = gathered
+            rows, lens = front.rows, front.lens
         else:
             kept = tasks[keep]
             type_of = type_of[keep]
             rows, lens = csr.gather(kept)
         # Horizon: the sequential sum of the kept tasks' durations.
-        horizon = np.cumsum(np.concatenate(([0.0], durations[type_of])))
+        horizon = np.zeros(len(type_of) + 1)
+        np.take(durations, type_of, out=horizon[1:])
+        horizon.cumsum(out=horizon)
         # The window's rows are a prefix of the rows.
         split = len(tasks) > window_len and need_window
         n_kept = int(np.count_nonzero(keep[:window_len])) if split else 0
         n_window = int(lens[:n_kept].sum())
 
         # The table answers only frontiers where every task is kept.
-        first = _first_remaining(csr, rows) if kept is tasks and len(rows) else None
+        first = front.first if kept is tasks and len(rows) else None
         table = None if first is None else self._suffix_table(csr, int(rows[0]))
         if table is not None and rows[0] >= table[0]:
             lo, col, (totals, means, bw) = table
-            order = csr.obj[rows[first]]
-            c = col[rows[first] - lo]
+            order = csr.obj[first]
+            c = col[first - lo]
             batch = _demand_batch(csr, order, totals[:, c], means[c], bw[c])
         else:
             batch, order = _fold_rows(csr, rows, row_terms)
@@ -683,7 +660,7 @@ class DataManagerPolicy(BasePolicy):
         }
 
     @staticmethod
-    def _parallel_slack(depths: np.ndarray, n_workers: int) -> float:
+    def _parallel_slack(widths: list[int], n_workers: int) -> float:
         """Throughput-vs-wave discriminator for the additive benefit model.
 
         Per dependence level of the horizon, ask how the level's makespan
@@ -698,19 +675,16 @@ class DataManagerPolicy(BasePolicy):
           sibling does, so speeding one task contributes only ~1/width.
 
         The returned scale is the task-weighted mean of per-level shares;
-        ``depths`` holds the horizon's task depths in task order, and the
-        shares are summed over distinct depths in first-occurrence order.
+        ``widths`` holds the horizon's task count per level, levels in
+        first-occurrence order (see :class:`Frontier`), and the shares are
+        summed in that order.
         """
-        n = len(depths)
+        n = sum(widths)
         if n == 0:
             return 1.0
-        first = np.full(int(depths.max()) + 1, n)
-        np.minimum.at(first, depths, np.arange(n))
-        levels = np.flatnonzero(first < n)
-        widths = np.bincount(depths)[levels[np.argsort(first[levels])]]
         workers = max(1, n_workers)
         num = 0.0
-        for width in widths.tolist():
+        for width in widths:
             if width <= 1:
                 share = 1.0
             else:
@@ -733,7 +707,6 @@ class DataManagerPolicy(BasePolicy):
         self._update_skepticism()
 
         remaining = ctx.remaining_indices()
-        window = remaining[: cfg.lookahead_tasks]
         core = ctx.graph.exec_core()
         n_workers = ctx.config.n_workers
 
@@ -753,13 +726,6 @@ class DataManagerPolicy(BasePolicy):
 
         need_window = cfg.enable_local_search and not scopes_coincide
 
-        # Both scopes come from the remaining tasks' access rows, gathered
-        # once for the demand projection and the first-use pass.
-        csr = core.accesses
-        gathered = csr.gather(remaining)
-        local_proj, global_proj = self._demand_stats_split(
-            core, remaining, cfg.lookahead_tasks, need_window, gathered
-        )
         # Per-type durations for the start-offset estimate; 1e-4 s stands
         # in for a type without a ready model.
         durations = np.array(
@@ -768,12 +734,17 @@ class DataManagerPolicy(BasePolicy):
                 for m in map(self._model_for, core.type_names)
             ]
         )
-        local_offsets, global_offsets = first_use_offsets_split(
-            core, remaining, cfg.lookahead_tasks, durations, n_workers, gathered
-        )
+        # One pass over the remaining tasks feeds the demand projection,
+        # the first-use offsets and the parallel slack of both scopes.
+        front = scan_frontier(core, remaining, cfg.lookahead_tasks, durations, n_workers)
+        local_proj, global_proj = self._demand_stats_split(core, front, need_window)
+        local_offsets, global_offsets = first_use_offsets_split(core, front)
+        csr = core.accesses
         resident_uids = ctx.hms.dram_resident_uids()
         index_of = csr.obj_index.get
-        resident_idx = [i for i in map(index_of, resident_uids) if i is not None]
+        resident_idx = np.array(
+            [i for i in map(index_of, resident_uids) if i is not None], dtype=np.int64
+        )
         resident = np.zeros(len(csr.obj_uid), dtype=np.bool_)
         resident[resident_idx] = True
 
@@ -782,14 +753,14 @@ class DataManagerPolicy(BasePolicy):
         # objects and its horizon per worker.
         scopes: list[tuple[str, DemandBatch, float]] = []
         spans: list[tuple[np.ndarray, float]] = []
-        for name, (batch, horizon, objects), offsets, tasks, wanted in (
-            ("global", global_proj, global_offsets, remaining, cfg.enable_global_search),
-            ("local", local_proj, local_offsets, window, need_window),
+        for name, (batch, horizon, objects), offsets, widths, wanted in (
+            ("global", global_proj, global_offsets, front.widths[0], cfg.enable_global_search),
+            ("local", local_proj, local_offsets, front.widths[1], need_window),
         ):
             if not wanted or len(batch) == 0:
                 continue
             if cfg.plan.use_parallel_slack:
-                slack = self._parallel_slack(core.depth[tasks], n_workers)
+                slack = self._parallel_slack(widths, n_workers)
             else:
                 slack = 1.0
             # Placement columns (residency + overlap offsets) attach to
@@ -896,14 +867,18 @@ class DataManagerPolicy(BasePolicy):
                     inputs={"reason": reason, **inputs},
                 )
 
-        weights_get = plan.weight_of.get
+        # The non-resident planned objects, by descending weight; the sort
+        # is stable, so filtering first keeps the order a filter after it
+        # would give, and a plan with nothing to bring in builds no
+        # weight lookup.
         incoming = [
-            by_uid[uid]
-            for uid in sorted(plan.dram_set, key=lambda u: -weights_get(u, 0.0))
-            if uid not in resident_uids and uid in by_uid
+            uid for uid in plan.dram_set if uid not in resident_uids and uid in by_uid
         ]
         if not incoming:
             return overhead
+        weights_get = plan.weight_of.get
+        incoming.sort(key=lambda u: -weights_get(u, 0.0))
+        incoming = [by_uid[uid] for uid in incoming]
 
         backlog = ctx.migration_backlog(now)
         victims = [

@@ -17,10 +17,10 @@ the better scope, per the paper's "choose the best of the two searches".
 
 The weigher is straight-line column arithmetic: :func:`_weights_for`
 computes Eq. 7 for a whole :class:`~repro.core.demand.DemandBatch` —
-speed ratios, both benefit estimators and the movement cost as numpy
-columns over every lane, then ``np.where`` picks per object — with no
-per-object loop and no cross-plan memo.  It is the package's one
-implementation of the Eq. 1 classes and Eqs. 2–7.  The per-object loop
+speed ratios, the benefit estimators its lanes take and the movement
+cost as numpy columns over every lane, then ``np.where`` picks per
+object — with no per-object loop and no cross-plan memo.  It is the
+package's one implementation of the Eq. 1 classes and Eqs. 2–7.  The per-object loop
 it replaced survives, with its scalar benefit and cost helpers, in
 ``tests/reference_weigher.py``, the independent differential reference
 that pins the column path bitwise (see ``tests/test_placement_batch.py``).
@@ -128,15 +128,23 @@ def _weights_for(
     ``benefit_scale`` is one factor or a column of one per lane; either
     way each lane's benefit is multiplied by its factor once.
 
-    Both benefit estimators and the movement cost are evaluated on every
-    lane; ``np.where`` then picks each object's estimator, sensitivity
-    class and residency case.
+    Each benefit estimator that some lane takes (the time-based one on
+    lanes with measured memory seconds under the miss counter, the
+    count-based one on the others) and the movement cost are evaluated
+    on every lane; ``np.where`` then picks each object's estimator,
+    sensitivity class and residency case.  The bandwidth and latency
+    laws run as the two rows of ``(2, n)`` arrays, each device's rows
+    written against its scalars, so one ufunc call serves both laws
+    wherever they share an operation (the DRAM/NVM speed ratios, the
+    time gains, the count-law differences and the estimator choice).
 
     Bitwise contract: every per-object float comes out of the exact
     operation sequence the scalar reference
     (``tests/reference_weigher.py``) performs.  Elementwise float64 ufuncs
-    are IEEE-identical to the scalar ops, so the only places needing care
-    are the ones where numpy idioms *differ* from Python semantics:
+    are IEEE-identical to the scalar ops (an in-place ``+=`` or ``*=``
+    only swaps the operands of a commutative operation), so the only
+    places needing care are the ones where numpy idioms *differ* from
+    Python semantics:
 
     - ``max(a, b)`` is ``a if a >= b else b`` — emulated with
       ``np.where(b > a, b, a)`` (``np.maximum`` differs on signed
@@ -153,84 +161,101 @@ def _weights_for(
     loads, stores, bw_d = batch.loads, batch.stores, batch.bw_demand
     distinguish = cfg.distinguish_rw
     use_miss = cfg.use_miss_counter
-    # Read fraction per object, 1.0 where there are no counted accesses.
+    n = len(loads)
+    # Read and write fractions per object, (1.0, 0.0) where there are no
+    # counted accesses.
     total = loads + stores
-    lf = np.ones_like(total)
+    frac = np.ones((2, n))
+    lf = frac[0]
     np.divide(loads, total, out=lf, where=total > 0)
+    np.subtract(1.0, lf, out=frac[1])
+    # Each lane takes one of two estimators, for the bandwidth and the
+    # latency law at once (the rows of a (2, n) gain); an estimator no
+    # lane takes is not evaluated.
     timed = (batch.mem_seconds > 0) & use_miss
+    any_timed = bool(timed.any())
+    all_timed = any_timed and bool(timed.all())
+    # ``times[device]`` (DRAM, NVM) holds each law's time per object,
+    # bandwidth in row 0 and latency in row 1, for one estimator at a time.
+    times = np.empty((2, 2, n))
+    devices = (dram, nvm)
 
-    # Time-based estimator: benefit = (NVM-resident memory-active time) x
-    # (1 - DRAM/NVM speed ratio).  Exact for both laws regardless of
-    # memory-level parallelism, because the measured active time already
-    # embeds the overlap the count-based laws cannot see.  Without
-    # ``distinguish_rw`` everything is priced at read characteristics.
-    lf_t = lf if distinguish else np.ones_like(lf)
-    wf_t = 1.0 - lf_t
-    # Bandwidth-bound speed ratio from the datasheet bandwidths.
-    t_dram = lf_t / dram.read_bandwidth + wf_t / dram.write_bandwidth
-    t_nvm = lf_t / nvm.read_bandwidth + wf_t / nvm.write_bandwidth
-    r_bw = np.maximum(np.minimum(t_dram / t_nvm, 1.0), 1e-3)
-    # Latency-bound speed ratio: per-miss loaded latency from the
-    # calibration chase runs, read/write asymmetry from the datasheet;
-    # 1.0 where the NVM time is not positive.
-    chase = calib.chase_latency
-    t_dram = chase.get(dram.name, dram.read_latency_s) + wf_t * (
-        dram.write_latency_s - dram.read_latency_s
-    )
-    t_nvm = chase.get(nvm.name, nvm.read_latency_s) + wf_t * (
-        nvm.write_latency_s - nvm.read_latency_s
-    )
-    r_lat = np.ones_like(t_nvm)
-    np.divide(t_dram, t_nvm, out=r_lat, where=t_nvm > 0)
-    r_lat = np.maximum(np.minimum(r_lat, 1.0), 1e-3)
-    # Time gain = NVM-time minus DRAM-time from the measured memory-active
-    # seconds; ``dram_frac`` of the active time was observed DRAM-resident
-    # and is scaled to its NVM equivalent.
-    ms, df = batch.mem_seconds, batch.dram_frac
-    nvm_part = ms * (1.0 - df)
-    dram_part = ms * df
-    bw_time = ((nvm_part + dram_part / r_bw) * (1.0 - r_bw)) * calib.cf_bw
-    lat_time = ((nvm_part + dram_part / r_lat) * (1.0 - r_lat)) * calib.cf_lat
+    if any_timed:
+        # Time-based estimator: benefit = (NVM-resident memory-active
+        # time) x (1 - DRAM/NVM speed ratio).  Exact for both laws
+        # regardless of memory-level parallelism, because the measured
+        # active time already embeds the overlap the count-based laws
+        # cannot see.  Without ``distinguish_rw`` everything is priced
+        # at read characteristics.  The bandwidth-bound times come from
+        # the datasheet bandwidths; the latency-bound ones from the
+        # per-miss loaded latency of the calibration chase runs, with
+        # the read/write asymmetry from the datasheet.
+        if distinguish:
+            lf_t, wf_t = lf, frac[1]
+        else:
+            lf_t, wf_t = np.ones(n), np.zeros(n)
+        chase = calib.chase_latency
+        for k, dev in enumerate(devices):
+            bw_t, lat_t = times[k, 0], times[k, 1]
+            np.divide(lf_t, dev.read_bandwidth, out=bw_t)
+            bw_t += wf_t / dev.write_bandwidth
+            np.multiply(wf_t, dev.write_latency_s - dev.read_latency_s, out=lat_t)
+            lat_t += chase.get(dev.name, dev.read_latency_s)
+        # Speed ratios DRAM / NVM time per law, clamped; the latency
+        # law's is 1.0 where the NVM time is not positive.
+        r = np.ones((2, n))
+        where = times[1] > 0
+        where[0] = True
+        np.divide(times[0], times[1], out=r, where=where)
+        np.minimum(r, 1.0, out=r)
+        np.maximum(r, 1e-3, out=r)
+        # Time gain = NVM-time minus DRAM-time from the measured
+        # memory-active seconds; ``dram_frac`` of the active time was
+        # observed DRAM-resident and is scaled to its NVM equivalent.
+        ms, df = batch.mem_seconds, batch.dram_frac
+        nvm_part = ms * (1.0 - df)
+        gain = ms * df / r
+        gain += nvm_part
+        gain *= 1.0 - r
+        np.multiply(gain[0], calib.cf_bw, out=gain[0])
+        np.multiply(gain[1], calib.cf_lat, out=gain[1])
 
-    # Count-based laws (Eqs. 2-5): the paper's loads/stores-only
-    # configuration, corrected by the raw CF factors and the MLP discount
-    # on the latency law.  With the miss counter, magnitude comes from
-    # misses and direction from the load fraction.
-    if use_miss:
-        eff_loads = batch.misses * lf
-        eff_stores = batch.misses * (1.0 - lf)
-    else:
-        eff_loads, eff_stores = loads, stores
-    # MLP discount: min(1.0, chase / bw_demand), 1.0 where bw_demand <= 0
-    # or there was no chase run (the reference's ``mlp_discount``).
-    # Subnormal bw demands overflow the ratio to inf — harmless, the
-    # clamp takes 1.0 exactly as the scalar does.
-    chase_bw = calib.chase_bandwidth
-    discount = np.ones_like(bw_d)
-    with np.errstate(over="ignore"):
-        np.divide(chase_bw, bw_d, out=discount, where=(bw_d > 0) & (chase_bw > 0))
-    np.minimum(discount, 1.0, out=discount)
-    # Eqs. 2/4 and 3/5 elementwise: the reference's ``benefit_bandwidth``
-    # and ``benefit_latency``, same ops.
-    lb = eff_loads * CACHELINE_BYTES
-    sb = eff_stores * CACHELINE_BYTES
-    if distinguish:
-        t_nvm = lb / nvm.read_bandwidth + sb / nvm.write_bandwidth
-        t_dram = lb / dram.read_bandwidth + sb / dram.write_bandwidth
-    else:
-        t_nvm = (lb + sb) / nvm.read_bandwidth
-        t_dram = (lb + sb) / dram.read_bandwidth
-    bw_count = (t_nvm - t_dram) * calib.bandwidth_factor(False)
-    if distinguish:
-        t_nvm = eff_loads * nvm.read_latency_s + eff_stores * nvm.write_latency_s
-        t_dram = eff_loads * dram.read_latency_s + eff_stores * dram.write_latency_s
-    else:
-        t_nvm = (eff_loads + eff_stores) * nvm.read_latency_s
-        t_dram = (eff_loads + eff_stores) * dram.read_latency_s
-    lat_count = (t_nvm - t_dram) * (calib.latency_factor(False) * discount)
+    if not all_timed:
+        # Count-based laws (Eqs. 2-5): the paper's loads/stores-only
+        # configuration, corrected by the raw CF factors and the MLP
+        # discount on the latency law: the reference's
+        # ``benefit_bandwidth`` and ``benefit_latency``, same ops.  With
+        # the miss counter, magnitude comes from misses and direction
+        # from the load fraction: ``eff`` is the effective (loads,
+        # stores).
+        eff = batch.misses * frac if use_miss else np.stack((loads, stores))
+        eff_bytes = eff * CACHELINE_BYTES
+        for k, dev in enumerate(devices):
+            bw_t, lat_t = times[k, 0], times[k, 1]
+            if distinguish:
+                np.divide(eff_bytes[0], dev.read_bandwidth, out=bw_t)
+                bw_t += eff_bytes[1] / dev.write_bandwidth
+                np.multiply(eff[0], dev.read_latency_s, out=lat_t)
+                lat_t += eff[1] * dev.write_latency_s
+            else:
+                np.divide(eff_bytes[0] + eff_bytes[1], dev.read_bandwidth, out=bw_t)
+                np.multiply(eff[0] + eff[1], dev.read_latency_s, out=lat_t)
+        # MLP discount: min(1.0, chase / bw_demand), 1.0 where bw_demand
+        # <= 0 or there was no chase run (the reference's
+        # ``mlp_discount``).  Subnormal bw demands overflow the ratio to
+        # inf — harmless, the clamp takes 1.0 exactly as the scalar does.
+        chase_bw = calib.chase_bandwidth
+        discount = np.ones_like(bw_d)
+        if chase_bw > 0:
+            with np.errstate(over="ignore"):
+                np.divide(chase_bw, bw_d, out=discount, where=bw_d > 0)
+            np.minimum(discount, 1.0, out=discount)
+        count = times[1] - times[0]
+        np.multiply(count[0], calib.bandwidth_factor(False), out=count[0])
+        np.multiply(count[1], calib.latency_factor(False) * discount, out=count[1])
+        gain = np.where(timed, gain, count) if any_timed else count
 
-    bw_gain = np.where(timed, bw_time, bw_count)
-    lat_gain = np.where(timed, lat_time, lat_count)
+    bw_gain, lat_gain = gain[0], gain[1]
     # Eq. 1 sensitivity classes as comparisons against the threshold
     # products (bandwidth at >= T1 x peak, latency at <= T2 x peak);
     # mixed objects take max(bw, lat) with Python max semantics

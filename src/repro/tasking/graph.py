@@ -106,6 +106,28 @@ class AccessCSR:
         prev[rank == 0] = -1
         return prev, np.diff(starts)[self.obj] - rank
 
+    @cached_property
+    def _next_hot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per access, the first access of its object from it on (itself
+        included, in spawn order) with nonzero traffic, or ``len(obj)``
+        when none has; read off :attr:`_by_object`.  An access with
+        traffic is its own answer, so only the others are kept: their
+        row indices, ascending, and the answer for each."""
+        n = len(self.obj)
+        cold = np.flatnonzero(~self.traffic)
+        if len(cold) == 0:
+            return cold, cold
+        grouped, starts, rank = self._by_object
+        objs = self.obj[cold]
+        # Over the grouped rows: the first hot position after each cold
+        # row's own, then the row there when it lies inside the cold
+        # row's object group.
+        hot_at = np.flatnonzero(self.traffic[grouped])
+        at = np.append(hot_at, n)[hot_at.searchsorted(starts[objs] + rank[cold])]
+        hot = np.append(grouped, n)[at]
+        hot[at >= starts[objs + 1]] = n
+        return cold, hot
+
     def gather(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Access-row indices of ``tasks`` (dense indices), concatenated
         in the given task order, plus the row count of each task."""
@@ -300,6 +322,16 @@ class GraphExecCore:
                 if depth[s] < d:
                     depth[s] = d
         return np.array(depth, dtype=np.int64)
+
+    @cached_property
+    def _by_depth(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tasks grouped by depth: ``depth * n_tasks + task`` for
+        every task, sorted, then per depth its base ``depth * n_tasks``
+        and where its group ends among the keys."""
+        n = len(self.tasks)
+        keys = np.sort(self.depth * n + np.arange(n, dtype=np.int64))
+        base = np.arange(int(self.depth.max(initial=-1)) + 1, dtype=np.int64) * n
+        return keys, base, np.searchsorted(keys, base + n)
 
     @cached_property
     def type_names(self) -> tuple[str, ...]:

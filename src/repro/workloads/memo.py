@@ -20,11 +20,20 @@ The memo is a thread-safe LRU of :data:`_MEMO_MAX` workloads, so jobs on
 the digital-twin server's thread pool can share it.  Two threads that
 miss on the same key at once both build; the later build replaces the
 earlier entry, and each caller runs on the graph it built.
+
+A cold build allocates tens of thousands of objects that all stay alive
+(tasks, access maps, edge sets), so the cyclic garbage collector's young
+collections during it find nothing to free.  The collector is paused
+while any build runs and put back as it was when the last concurrent
+build ends.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import gc
+import threading
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.core.partition import partition_graph
 from repro.util.lru import BoundedLRU
@@ -37,6 +46,10 @@ _MEMO_MAX = 32
 #: (name, frozen params, partition bytes, model version) -> Workload
 _memo: BoundedLRU[Any, Workload] = BoundedLRU(_MEMO_MAX)
 _stats = {"hits": 0, "misses": 0}
+#: Cold builds in progress and whether the collector was enabled when the
+#: first of them started; both read and written under ``_build_lock``.
+_builds = {"running": 0, "collector_was_enabled": False}
+_build_lock = threading.Lock()
 
 
 def _freeze(value: Any) -> Any:
@@ -70,11 +83,32 @@ def build_cached(
         return wl
 
     _stats["misses"] += 1
-    wl = build(name, **params)
-    if partition_max_bytes:
-        partition_graph(wl.graph, partition_max_bytes)
+    with _collector_paused():
+        wl = build(name, **params)
+        if partition_max_bytes:
+            partition_graph(wl.graph, partition_max_bytes)
     _memo.put(key, wl)
     return wl
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for one cold build.  The first
+    of several concurrent builds records whether it was enabled and
+    pauses it; the last one to end restores that state, so no thread can
+    leave it disabled."""
+    with _build_lock:
+        if _builds["running"] == 0:
+            _builds["collector_was_enabled"] = gc.isenabled()
+            gc.disable()
+        _builds["running"] += 1
+    try:
+        yield
+    finally:
+        with _build_lock:
+            _builds["running"] -= 1
+            if _builds["running"] == 0 and _builds["collector_was_enabled"]:
+                gc.enable()
 
 
 def clear_build_cache() -> None:

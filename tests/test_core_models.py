@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptation import MIN_ITERATIONS, DeviationDetector
+from repro.core.lookahead import scan_frontier
 from repro.core.manager import DataManagerPolicy
 from repro.core.models import SlotStats, TypeModel
 from repro.core.placement import COST_MARGIN, PlanConfig, _weights_for
@@ -226,9 +227,8 @@ class TestTypeModel:
         policy = DataManagerPolicy()
         policy._models = {"k": m, "empty": empty}
         core, every = g.exec_core(), np.arange(2)
-        _, (batch, _, _) = policy._demand_stats_split(
-            core, every, 2, True, core.accesses.gather(every)
-        )
+        front = scan_frontier(core, every, 2, np.ones(2), 1)
+        _, (batch, _, _) = policy._demand_stats_split(core, front, True)
         rows = dict(zip(batch.uid.tolist(), zip(batch.loads.tolist(), batch.stores.tolist())))
         last, first = m.slots[-1], m.slots[0]
         assert rows[objs[2].uid] == (last.loads, last.stores)
@@ -300,9 +300,8 @@ class TestObjectStats:
             "b": TypeModel("b", slots=[b], n_profiles=1),
         }
         core, every = g.exec_core(), np.arange(2)
-        _, (st, _, _) = policy._demand_stats_split(
-            core, every, 2, True, core.accesses.gather(every)
-        )
+        front = scan_frontier(core, every, 2, np.ones(2), 1)
+        _, (st, _, _) = policy._demand_stats_split(core, front, True)
         assert st.loads.tolist() == [20.0] and st.misses.tolist() == [16.0]
         assert st.bw_demand.tolist() == [2e9]  # max
         assert st.mem_seconds[0] == pytest.approx(0.4)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import NVMOnlyPolicy
 from repro.core.initial import RESERVE_FRACTION, initial_placement
-from repro.core.lookahead import first_use_offsets_split
+from repro.core.lookahead import first_use_offsets_split, scan_frontier
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.partition import partition_graph
 from repro.core.placement import PlanConfig, make_plan
@@ -173,10 +173,10 @@ class TestLookahead:
             g.add(t)
         core = g.exec_core()
         every = np.arange(len(tasks))
-        _, (objs, offsets) = first_use_offsets_split(
-            core, every, len(tasks),
-            np.ones(len(core.type_names)), n_workers, core.accesses.gather(every),
+        front = scan_frontier(
+            core, every, len(tasks), np.ones(len(core.type_names)), n_workers
         )
+        _, (objs, offsets) = first_use_offsets_split(core, front)
         return dict(zip(core.accesses.obj_uid[objs].tolist(), offsets.tolist()))
 
     def _tasks(self, n=4, shared=True):

@@ -12,12 +12,14 @@ same way.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
 import threading
 
 import numpy as np
+import pytest
 
 import repro.experiments.cache as cache_module
 import repro.workloads.memo as workload_memo
@@ -106,6 +108,42 @@ def test_build_memo_concurrent_hits_and_evictions(monkeypatch):
         assert stats["hits"] > 0 and stats["misses"] > n_keys
     finally:
         workload_memo.clear_build_cache()
+
+
+def test_cold_builds_pause_the_collector_and_restore_it(monkeypatch):
+    """The cyclic collector is off while any cold build runs, overlapping
+    builds on several threads included, and comes back as it was once the
+    last one ends: on when it was on, off when it was off, and on after a
+    build that raised."""
+    seen: list[bool] = []
+
+    def build(name, **params):
+        seen.append(gc.isenabled())
+        if params["n"] < 0:
+            raise ValueError("bad build")
+        return (name, params["n"])
+
+    monkeypatch.setattr(workload_memo, "build", build)
+    workload_memo.clear_build_cache()
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        errors = hammer(lambda t, i: workload_memo.build_cached("stand-in", n=t * 1000 + i), 50)
+        assert errors == []
+        assert len(seen) == N_THREADS * 50 and not any(seen)
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            workload_memo.build_cached("stand-in", n=-1)
+        assert gc.isenabled()
+        gc.disable()
+        workload_memo.build_cached("stand-in", n=10**6)
+        assert not gc.isenabled()
+    finally:
+        workload_memo.clear_build_cache()
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_result_cache_concurrent_puts_of_one_key(tmp_path, monkeypatch):

@@ -220,6 +220,27 @@ class TestWeightsDifferential:
         ref = weights_for_ref(batch, nvm, dev_d, calib, cfg, pressure, scale)
         assert_bitwise(vec, ref)
 
+    @_FLAG_COMBOS
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mach=machine(),
+        cols=demand_columns(min_size=1),
+        mem_seconds=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=10.0)),
+        pressure=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_bitwise_equal_with_one_estimator(
+        self, distinguish_rw, use_miss_counter, mach, cols, mem_seconds, pressure
+    ):
+        # Every lane timed (or none): the weigher evaluates only the one
+        # estimator all lanes take.
+        nvm, dev_d, calib = mach
+        cols["mem_seconds"] = [mem_seconds] * len(cols["mem_seconds"])
+        batch = demand_batch(**cols)
+        cfg = PlanConfig(distinguish_rw=distinguish_rw, use_miss_counter=use_miss_counter)
+        vec = _weights_for(batch, nvm, dev_d, calib, cfg, pressure)
+        ref = weights_for_ref(batch, nvm, dev_d, calib, cfg, pressure)
+        assert_bitwise(vec, ref)
+
     @settings(max_examples=50, deadline=None)
     @given(batch=demand_batches(min_size=1), resident=st.booleans())
     def test_homogeneous_residency(self, calibration_bw, batch, resident):

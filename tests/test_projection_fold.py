@@ -10,10 +10,13 @@ slot tables — zero-miss and zero-memory-seconds rows, signed zeros,
 objects touched once and objects touched 500+ times, model-less types,
 slot-less models, windows longer than the remaining list and empty
 remaining lists — and every float is compared by its IEEE-754 bytes.
-The remaining sets include every task from a frontier on, which the
-projection reads off its suffix-fold table, and frontiers with tasks
-dispatched out of order or gaps at the tail, which it folds directly;
-each case asserts the route it took.
+All three read the remaining tasks through one frontier pass
+(:func:`repro.core.lookahead.scan_frontier`).  The remaining sets
+include every task from a frontier on, whose demand the projection
+reads off its suffix-fold table and whose first uses it reads off the
+graph's next-hot-row column, and frontiers with tasks dispatched out of
+order or gaps at the tail, which it folds and scans directly; each case
+asserts the routes it took.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 import repro.core.manager as manager
 from repro.baselines.policies import BasePolicy
 from repro.core.demand import DemandBatch
-from repro.core.lookahead import first_use_offsets_split
+from repro.core.lookahead import first_use_offsets_split, scan_frontier
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.partition import partition_graph
 from repro.memory.hms import HeterogeneousMemorySystem
@@ -157,19 +160,25 @@ def remaining_sets(draw, n_tasks: int, seed: int, long_run: bool) -> np.ndarray:
     return np.array(sorted(tasks), dtype=np.int64)
 
 
-def contiguous_from_first(csr, remaining: np.ndarray) -> bool:
-    """Whether each object's remaining access rows are all of its rows
-    from its first remaining one on (counted by a walk over the rows)."""
+def is_suffix(n_tasks: int, remaining: np.ndarray) -> bool:
+    """Whether the remaining tasks are every task from the first on."""
+    return len(remaining) > 0 and remaining.tolist() == list(range(remaining[0], n_tasks))
+
+
+def cold_first_rows(csr, remaining: np.ndarray) -> int:
+    """How many objects' first remaining access row has no traffic while
+    a later remaining row of the object has (counted by a walk over the
+    rows)."""
     rows, _ = csr.gather(remaining)
-    kept = set(rows.tolist())
-    first: dict[int, int] = {}
+    first_hot: dict[int, bool] = {}
+    cold = set()
     for r in rows.tolist():
-        first.setdefault(int(csr.obj[r]), r)
-    return all(
-        r in kept
-        for r, o in enumerate(csr.obj.tolist())
-        if o in first and r > first[o]
-    )
+        o, hot = int(csr.obj[r]), bool(csr.traffic[r])
+        if o not in first_hot:
+            first_hot[o] = hot
+        elif hot and not first_hot[o]:
+            cold.add(o)
+    return len(cold)
 
 
 def count_folds(monkeypatch) -> list[int]:
@@ -233,12 +242,17 @@ def offsets_by_uid(csr, scope) -> list[tuple[int, bytes]]:
 
 def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
     """Property: both demand scopes, the first-use offsets and the slack
-    match the scalar reference bitwise.  The full scope is read off the
-    suffix table exactly when every remaining task has a ready model and
-    each object's remaining rows run to its last; the first such
-    frontier builds the table.  Each route is taken at least once: the
-    table, and the direct fold beside a built table (tasks dispatched
-    out of order or gaps at the tail after the table's frontier)."""
+    of both scopes, all read through one frontier pass, match the scalar
+    reference bitwise.  The frontier knows each object's first remaining
+    row exactly when the remaining tasks are every task from the first
+    on; the full scope is then read off the suffix table when every
+    remaining task has a ready model (the first such frontier builds the
+    table), and the first uses off the next-hot-row column.  Each route
+    is taken at least once: the table, the direct fold beside a built
+    table (tasks dispatched out of order or gaps at the tail after the
+    table's frontier), the next-hot lookup (with an object whose first
+    remaining row has no traffic before a later one that has) and the
+    first-use scan of the gathered rows."""
     folds = count_folds(monkeypatch)
     routes = Counter()
 
@@ -249,7 +263,9 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
     @given(scenarios())
     # Every task from task 10 on, so each object's window rows start at
     # its first remaining row, not its first row; then task 11
-    # dispatched early.
+    # dispatched early.  In this graph two objects' first remaining rows
+    # (task 10) have no traffic, and their next rows (tasks 11 and 12)
+    # have.
     @example((ready, 40, 4, 3, frontier, 12, 4, True, False))
     @example((ready, 40, 4, 3, np.delete(frontier, 1), 12, 4, True, True))
     def check(scenario) -> None:
@@ -259,6 +275,18 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
         core = graph.exec_core()
         csr = core.accesses
         tasks = tuple(core.tasks[i] for i in remaining.tolist())
+        # Per-type durations of the start offsets: the modelless fallback
+        # is 1e-4 s.
+        durations = {
+            name: models[name][0] if models.get(name) is not None else 1e-4
+            for name in core.type_names
+        }
+        front = scan_frontier(
+            core, remaining, window,
+            np.array([durations[n] for n in core.type_names]), n_workers,
+        )
+        suffix = is_suffix(n_tasks, remaining)
+        assert (front.first is not None) == suffix
 
         policy = DataManagerPolicy()
         policy._models = {
@@ -267,15 +295,13 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
         if warm and len(remaining):
             earlier = np.arange(remaining[0], n_tasks, dtype=np.int64)
             policy._demand_stats_split(
-                core, earlier, window, need_window, csr.gather(earlier)
+                core, scan_frontier(core, earlier, window, np.ones(4), 1), need_window
             )
 
-        # Demand projection, both scopes, from the gather of the remaining
-        # rows the replan passes.
-        gathered = csr.gather(remaining)
+        # Demand projection, both scopes.
         want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
         folds.clear()
-        got = policy._demand_stats_split(core, remaining, window, need_window, gathered)
+        got = policy._demand_stats_split(core, front, need_window)
         for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)
             assert bits(g_horizon) == bits(w_horizon)
@@ -285,7 +311,7 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
         # plus the full fold unless the table answered.
         built = policy._row_table[3]
         modelled = all(policy._model_for(t.type_name) is not None for t in tasks)
-        table = modelled and len(gathered[0]) > 0 and contiguous_from_first(csr, remaining)
+        table = modelled and len(front.rows) > 0 and suffix
         n_window = int(need_window and len(remaining) > window)
         assert len(folds) == n_window + (not table)
         if table:
@@ -294,32 +320,36 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
         elif built is not None:
             routes["fold beside table"] += 1
 
-        # First-use offsets, both scopes (the modelless fallback is 1e-4 s).
-        durations = {
-            name: models[name][0] if models.get(name) is not None else 1e-4
-            for name in core.type_names
-        }
+        # First-use offsets, both scopes.
         want_fu = first_use_offsets_split_ref(tasks, window, durations, n_workers)
-        got_fu = first_use_offsets_split(
-            core, remaining, window,
-            np.array([durations[n] for n in core.type_names]), n_workers, gathered,
-        )
+        got_fu = first_use_offsets_split(core, front)
         for g_scope, w_scope in zip(got_fu, want_fu):
             assert offsets_by_uid(csr, g_scope) == [
                 (u, bits(o)) for u, o in w_scope.items()
             ]
+        if suffix:
+            routes["next hot"] += 1
+            routes["cold first row"] += cold_first_rows(csr, remaining) > 0
+        else:
+            routes["first-use scan"] += 1
 
         # Parallel slack over the full horizon and the window.
         depths = spawn_order_depths(graph)
-        for scope in (remaining, remaining[:window]):
-            got_slack = DataManagerPolicy._parallel_slack(core.depth[scope], n_workers)
+        for widths, scope in zip(front.widths, (remaining, remaining[:window])):
+            # The level widths themselves, in first-occurrence order.
+            assert widths == list(
+                Counter(depths[core.tasks[i].tid] for i in scope.tolist()).values()
+            )
+            got_slack = DataManagerPolicy._parallel_slack(widths, n_workers)
             want_slack = parallel_slack_ref(
                 tuple(core.tasks[i] for i in scope.tolist()), depths, n_workers
             )
             assert bits(got_slack) == bits(want_slack)
 
     check()
-    assert len(routes) == 2, routes
+    assert set(routes) == {
+        "table", "fold beside table", "next hot", "cold first row", "first-use scan"
+    }, routes
 
 
 # ----------------------------------------------------------------------
@@ -486,9 +516,8 @@ def test_row_terms_follow_model_and_graph_changes(monkeypatch) -> None:
         core = graph.exec_core()
         tasks = tuple(core.tasks[i] for i in remaining.tolist())
         folds.clear()
-        got = policy._demand_stats_split(
-            core, remaining, window, True, core.accesses.gather(remaining)
-        )
+        front = scan_frontier(core, remaining, window, np.ones(len(core.type_names)), 1)
+        got = policy._demand_stats_split(core, front, True)
         want = demand_stats_split_ref(tasks, window, policy._model_for)
         for (g_batch, g_horizon, _), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)
