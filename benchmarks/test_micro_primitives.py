@@ -23,7 +23,7 @@ from repro.core.knapsack import (
     solve_knapsack_arrays,
     solver_cache_stats,
 )
-from repro.core.lookahead import scan_frontier
+from repro.core.demand import DemandProjection, scan_frontier
 from repro.core.manager import DataManagerPolicy
 from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
@@ -140,18 +140,17 @@ def _record_replans(monkeypatch, workload: str, **overrides):
     """Run one managed run of ``workload`` on an interned graph and
     return every frontier pass, demand projection, first-use pass and
     two-scope plan its replans ran, with their inputs, in order (each
-    projection with the type models it read)."""
+    projection with a snapshot of the type models it read)."""
     calls = []
-    split = DataManagerPolicy._demand_stats_split
+    project = DemandProjection.project
 
-    def recording_split(self, core, *args):
-        models = {}
-        for name in core.type_names:
-            m = self._model_for(name)
-            if m is not None:
-                models[name] = _SeenModel(m.mean_duration, m.slot_rows())
-        calls.append((split, (core, *args), {"models": models}))
-        return split(self, core, *args)
+    def recording_project(self, core, front, models, need_window):
+        seen = [
+            _SeenModel(m.mean_duration, m.slot_rows()) if m is not None else None
+            for m in models
+        ]
+        calls.append((project, (core, front, seen, need_window), {}))
+        return project(self, core, front, models, need_window)
 
     def recording(fn):
         def record(*args, **kwargs):
@@ -160,7 +159,7 @@ def _record_replans(monkeypatch, workload: str, **overrides):
 
         return record
 
-    monkeypatch.setattr(DataManagerPolicy, "_demand_stats_split", recording_split)
+    monkeypatch.setattr(DemandProjection, "project", recording_project)
     monkeypatch.setattr(manager, "scan_frontier", recording(manager.scan_frontier))
     monkeypatch.setattr(manager, "first_use_offsets_split",
                         recording(manager.first_use_offsets_split))
@@ -170,13 +169,12 @@ def _record_replans(monkeypatch, workload: str, **overrides):
     Executor(_machine(), ExecutorConfig(n_workers=8)).run(w.graph, policy)
     monkeypatch.undo()
     assert policy.stats["replans"] > 0 and calls
-    return calls, split
+    return calls, project
 
 
-def _replay(calls, split, fresh, only_projections=False):
+def _replay(calls, project, fresh, only_projections=False):
     for fn, args, kwargs in calls:
-        if fn is split:
-            fresh._models = kwargs["models"]
+        if fn is project:
             fn(fresh, *args)
         elif not only_projections:
             fn(*args, **kwargs)
@@ -187,14 +185,14 @@ def test_bench_replan(benchmark, monkeypatch):
     every frontier pass, demand projection, first-use pass and two-scope
     plan (one weigher call over both scopes, then each scope's knapsack)
     they ran, recorded with their inputs and replayed in order on a
-    fresh policy, so the per-run row-term table is rebuilt as in the
-    run.  Enforcement, which moves data, is not replayed.  The solver
+    fresh ``DemandProjection``, so the per-run row-term table is rebuilt
+    as in the run.  Enforcement, which moves data, is not replayed.  The solver
     memo is cleared in the un-timed setup."""
-    calls, split = _record_replans(monkeypatch, "heat", grid=10, iterations=10)
+    calls, project = _record_replans(monkeypatch, "heat", grid=10, iterations=10)
 
     def setup():
         clear_solver_cache()
-        return (calls, split, DataManagerPolicy()), {}
+        return (calls, project, DemandProjection()), {}
 
     benchmark.pedantic(_replay, setup=setup, rounds=5)
 
@@ -210,14 +208,15 @@ def test_bench_replan(benchmark, monkeypatch):
 def test_bench_projection_replay(benchmark, monkeypatch, workload, overrides):
     """The demand projections of one managed run of sparselu (20x20
     blocks) or cg (16 chunks x 16 iterations), recorded as in
-    ``test_bench_replan`` and replayed in order on a fresh policy, so
+    ``test_bench_replan`` and replayed in order on a fresh
+    ``DemandProjection``, so
     each row-term epoch builds its suffix table again: these folds run
     many steps (objects touched 15-28 times on sparselu, up to 512 on
     cg), where heat's run five."""
-    calls, split = _record_replans(monkeypatch, workload, **overrides)
+    calls, project = _record_replans(monkeypatch, workload, **overrides)
 
     def setup():
-        return (calls, split, DataManagerPolicy(), True), {}
+        return (calls, project, DemandProjection(), True), {}
 
     benchmark.pedantic(_replay, setup=setup, rounds=5)
 
@@ -226,30 +225,31 @@ def test_bench_suffix_table(benchmark):
     """One suffix-table build and one full-horizon lookup on a warm
     heat-3k graph (16x16 tiles x 12 sweeps) with every type modelled
     and the whole graph remaining: the per-row suffix folds a row-term
-    epoch builds once, then the projection read off them.  The row
-    terms stay warm; the un-timed setup drops the table, so every rep
-    builds it."""
+    epoch builds once, then the projection read off them.  The un-timed
+    setup takes a fresh ``DemandProjection`` and builds its row terms,
+    so every rep builds the table over warm row terms."""
     w = build_cached("heat", grid=16, iterations=12)
     core = w.graph.exec_core()
     rng = spawn_rng(1, "bench-suffix")
-    policy = DataManagerPolicy()
-    policy._models = {
-        name: _SeenModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(6)))
-        for name in core.type_names
-    }
+    models = [
+        _SeenModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(6)))
+        for _ in core.type_names
+    ]
     remaining = np.arange(len(core.tasks), dtype=np.int64)
     front = scan_frontier(core, remaining, 48, np.ones(len(core.type_names)), 8)
+    last = []
 
-    def project():
-        return policy._demand_stats_split(core, front, False)
+    def project(proj):
+        return proj.project(core, front, models, False)
 
     def setup():
-        if policy._row_table is not None:
-            policy._row_table = (*policy._row_table[:3], None)
-        return (), {}
+        proj = DemandProjection()
+        proj.terms_for(core, models)
+        last[:] = [proj]
+        return (proj,), {}
 
     _, (batch, _, _) = benchmark.pedantic(project, setup=setup, rounds=10)
-    assert policy._row_table[3] and len(batch) == len(core.accesses.obj_uid)
+    assert last[0].suffix_table and len(batch) == len(core.accesses.obj_uid)
 
 
 def test_bench_knapsack_dp(benchmark):

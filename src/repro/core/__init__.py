@@ -7,8 +7,10 @@ granularity):
    through the emulated hardware counters (``repro.profiling``); a
    :class:`~repro.core.models.TypeModel` summarizes per-argument-slot
    load/store behaviour.
-2. **Modeling** — the manager folds the slot models over the planning
-   horizon into a :class:`~repro.core.demand.DemandBatch`, and one column
+2. **Modeling** — a per-run :class:`~repro.core.demand.DemandProjection`
+   folds the slot models over the planning horizon (the remaining tasks,
+   read once per replan by :func:`~repro.core.demand.scan_frontier`) into
+   a :class:`~repro.core.demand.DemandBatch` per scope, and one column
    weigher (``repro.core.placement._weights_for``) prices every object:
    per-object bandwidth demand (Eq. 1 analogue) picks bandwidth or
    latency sensitivity, benefit models with read/write asymmetry

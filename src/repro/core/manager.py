@@ -31,13 +31,12 @@ import numpy as np
 
 from repro.baselines.policies import BasePolicy
 from repro.core.adaptation import DeviationDetector
-from repro.core.demand import DemandBatch
-from repro.core.lookahead import Frontier, first_use_offsets_split, scan_frontier
+from repro.core.demand import DemandBatch, DemandProjection, first_use_offsets_split, scan_frontier
 from repro.core.models import TypeModel
 from repro.core.placement import COST_MARGIN, PlacementPlan, PlanConfig, make_plan
+from repro.memory.hms import Placeable
 from repro.profiling.calibration import CalibrationResult, calibrate
 from repro.tasking.executor import ExecContext
-from repro.tasking.graph import AccessCSR, GraphExecCore
 from repro.tasking.task import Task
 from repro.util.log import get_logger
 from repro.util.units import US
@@ -71,7 +70,6 @@ class ManagerConfig:
     lookahead_tasks: int = 48
     decide_every: int = 24
     plan: PlanConfig = field(default_factory=PlanConfig)
-    enable_global_search: bool = True
     enable_local_search: bool = True
     enable_initial_placement: bool = True
     enable_adaptation: bool = True
@@ -83,224 +81,6 @@ class ManagerConfig:
     #: serialize into a pile-up on devices with storage-class copy
     #: bandwidth (ReRAM writes); this bounds the pile.
     max_lane_backlog_s: float = 0.25
-
-
-#: Projection row of an access whose type model has no slots: field for
-#: field what an empty ``SlotStats()`` reports (confidence 1.0, the rest 0).
-_EMPTY_SLOT_ROW = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-
-def _fold_steps(
-    grouped: np.ndarray,
-    heads: np.ndarray,
-    first: int,
-    steps: int,
-    filler: np.ndarray | None,
-    terms: tuple[np.ndarray, np.ndarray],
-    state: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Fold one block of access rows into running per-column demand: the
-    step loop of every demand fold.
-
-    The block is ``steps`` steps from step ``first`` of ``m`` columns:
-    column ``c``'s ``j``-th row is ``grouped[heads[c] + j]``, except
-    where ``filler`` (``(steps, m)``; ``None`` when nothing is) marks
-    the steps past its last row, whose cells take the filler row.  Each
-    row brings the row ``terms`` (see ``DataManagerPolicy._row_terms``,
-    whose last row is the filler): the operand pairs ``(misses,
-    mem_seconds)``, ``(loads, stores)`` and ``(confidence * misses,
-    dram_frac * mem_seconds)``, ``-0.0`` for the filler, and the
-    bandwidth demand, ``-inf`` for the filler.  The ``state`` carries
-    from one block to the next and is updated in place: ``(totals,
-    means, bw)``, the first two pairs' running sums (``(2, m, 2)``),
-    the running confidence and ``dram_frac`` (``(m, 2)``, contiguous)
-    and the running ``bw_demand`` (``(m,)``).
-
-    Per column, every float operation is the scalar accumulator's, in
-    its order:
-
-    - sums run ``total + term``, from the ``0.0`` of a fresh state,
-      step by step down the block, which then holds every step's
-      running totals; adding a filler ``-0.0`` leaves any total as it
-      is, so a column's totals are those of the block's last step;
-    - the means run ``(cur * old + term) / new``, updated only where
-      ``new > 0`` at a step with a row: the positivity test runs over
-      the whole block at once, and each step divides unmasked, straight
-      into the means when every cell passes, else keeping the
-      quotients where it passes;
-    - ``bw_demand`` is a max from ``0.0``, whose order does not matter,
-      so it is taken over the whole block at once (``-inf`` never wins
-      it).
-    """
-    pairs, row_bw = terms
-    rows = grouped.take(heads + np.arange(first, first + steps)[:, None], mode="clip")
-    if filler is not None:
-        rows[filler] = len(row_bw) - 1
-    block, block_bw = np.take(pairs, rows, axis=1), row_bw[rows]
-    del rows
-    totals, means, bw = state
-
-    # Running sums, one np.add per step and pair, on contiguous operands
-    # (a step's two pairs together are not, and a strided add costs about
-    # twice as much).  An accumulate down the block makes the same
-    # additions, but runs one inner loop per running sum, which doubles
-    # the cost of the table's wide blocks.
-    sums = block[:2]
-    for prev, pair in zip(totals, sums):
-        for cur in pair:
-            np.add(prev, cur, out=cur)
-            prev = cur
-    np.maximum(bw, block_bw.max(axis=0), out=bw)
-    # Means over flat (column, mean) entries.  A step's product, sum and
-    # quotient overwrite its old weights, which nothing reads again (the
-    # last step's are the new totals).
-    weights = block[0].reshape(steps, -1)
-    positive = weights > 0.0
-    if filler is not None:
-        positive.reshape(steps, -1, 2)[filler] = False
-    flat = means.reshape(-1)
-    old = totals[0].reshape(-1)
-    multiply, divide, putmask = np.multiply, np.divide, np.putmask
-    clean = positive.all(axis=1).tolist()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for new, p, q, c in zip(weights, block[2].reshape(steps, -1), positive, clean):
-            multiply(flat, old, out=old)
-            old += p
-            if c:
-                divide(old, new, out=flat)
-            else:
-                divide(old, new, out=old)
-                putmask(flat, q, old)
-            old = new
-    totals[...] = sums[:, -1]
-
-
-def _fresh_state(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_fold_steps` state of ``m`` columns that have folded no
-    row: ``(totals, means, bw)``."""
-    means = np.zeros((m, 2))
-    means[:, 0] = 1.0
-    return np.zeros((2, m, 2)), means, np.zeros(m)
-
-
-def _demand_batch(
-    csr: AccessCSR,
-    order: np.ndarray,
-    totals: np.ndarray,
-    means: np.ndarray,
-    bw: np.ndarray,
-) -> DemandBatch:
-    """The :class:`DemandBatch` of the dense objects ``order`` from their
-    folded :func:`_fold_steps` state, in that order."""
-    sums = totals.transpose(0, 2, 1).reshape(4, -1)
-    conf, dram_frac = means.T.copy()
-    return DemandBatch(
-        csr.obj_uid[order],
-        csr.obj_size[order],
-        sums[2],  # loads
-        sums[3],  # stores
-        sums[0],  # misses
-        bw,
-        conf,
-        sums[1],  # mem_seconds
-        dram_frac,
-    )
-
-
-def _fold_rows(
-    csr: AccessCSR,
-    rows: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray],
-) -> tuple[DemandBatch, np.ndarray]:
-    """Fold the access ``rows`` (ascending) into per-object demand under
-    the row ``terms`` (see ``DataManagerPolicy._row_terms``).  Returns
-    ``(batch, objects)``: batch rows in first-touch order and their
-    dense object indices.
-
-    One block for :func:`_fold_steps`: each object is a column, in
-    first-touch order, whose ``k``-th step is its ``k``-th row.  An
-    object's rows between the first and the last of ``rows`` are
-    consecutive among the rows grouped by object
-    (``AccessCSR._by_object``), from its first row there on; when rows
-    between them are left out, those runs are copied without them.  No
-    sort runs over the rows.
-    """
-    if len(rows) == 0:
-        return DemandBatch.empty(), rows
-    grouped, starts, rank = csr._by_object
-    lo, hi = int(rows[0]), int(rows[-1]) + 1
-    # Each object's first row between lo and hi, in row order.
-    first = np.flatnonzero(csr._chain[0][lo:hi] < lo) + lo
-    objects = csr.obj[first]
-    counts = np.bincount(csr.obj[lo:hi], minlength=len(csr.obj_uid))[objects]
-    heads = starts[objects] + rank[first]
-    if len(rows) < hi - lo:
-        at = np.cumsum(counts) - counts
-        grouped = grouped[np.arange(hi - lo) + np.repeat(heads - at, counts)]
-        inside = np.zeros(hi - lo, dtype=np.bool_)
-        inside[rows - lo] = True
-        kept = inside[grouped - lo]
-        grouped = grouped[kept]
-        counts = np.add.reduceat(kept, at, dtype=np.int64)
-        objects, counts = objects[counts > 0], counts[counts > 0]
-        heads = np.cumsum(counts) - counts
-        first_touch = np.argsort(grouped[heads])
-        objects, counts, heads = objects[first_touch], counts[first_touch], heads[first_touch]
-    state = _fresh_state(len(objects))
-    steps = int(counts.max())
-    filler = np.arange(steps)[:, None] >= counts
-    _fold_steps(grouped, heads, 0, steps, filler, terms, state)
-    return _demand_batch(csr, objects, *state), objects
-
-
-def _suffix_folds(
-    csr: AccessCSR, terms: tuple[np.ndarray, np.ndarray], lo: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per access row from row ``lo`` on, the fold of its object over
-    that row and every later row of the object, in task order, under
-    the row ``terms`` (see ``DataManagerPolicy._row_terms``).
-
-    Returns ``(col, state)``: row ``r``'s fold is column ``col[r -
-    lo]`` of the folded :func:`_fold_steps` state.  A frontier whose
-    remaining rows of each object are all of its rows from the first
-    remaining one on folds, per object, exactly the suffix of that
-    first row, so its full-horizon demand is a lookup.
-
-    One column per row, whose rows are its object's from it on among
-    the rows grouped by object (``AccessCSR._by_object``), by
-    descending suffix length, so the columns with a row at step ``j``
-    are a prefix.  They fold straight into the state, half the columns
-    at a time, in blocks (:func:`_fold_steps`) of at most that many
-    cells in which more than half the columns have a row at every step,
-    so the transient memory stays below the state's own.
-    """
-    grouped, starts, rank = csr._by_object
-    suffix_len = csr._chain[1][lo:]
-    by_len = np.argsort(-suffix_len, kind="stable")
-    heads = (starts[csr.obj[lo:]] + rank[lo:])[by_len]
-    lens = suffix_len[by_len]
-    # Per step, how many columns have a row there.
-    active = np.searchsorted(-lens, -np.arange(int(lens[0])), side="left")
-    del by_len, lens
-    width = len(heads)
-    band = -(-width // 2)
-    totals, means, bw = _fresh_state(width)
-    for c0 in range(0, width, band):
-        widths = np.minimum(active[active > c0] - c0, band)
-        j = 0
-        while j < len(widths):
-            m = int(widths[j])
-            k = j + 1
-            while k < len(widths) and widths[k] > m // 2 and (k - j + 1) * m <= band:
-                k += 1
-            c1 = c0 + m
-            filler = np.arange(m) >= widths[j:k, None] if widths[k - 1] < m else None
-            state = totals[:, c0:c1], means[c0:c1], bw[c0:c1]
-            _fold_steps(grouped, heads[c0:c1], j, k - j, filler, terms, state)
-            j = k
-    col = np.empty(width, dtype=np.int64)
-    col[grouped[heads] - lo] = np.arange(width)
-    return col, (totals, means, bw)
 
 
 def _resident_worth(
@@ -356,11 +136,6 @@ class DataManagerPolicy(BasePolicy):
         self._watch: dict[str, tuple[float, int]] | None = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        #: The demand projection's per-row terms with their key and,
-        #: once a replan could read them, their suffix folds (see
-        #: ``_row_terms`` and ``_suffix_table``); per run, dropped in
-        #: on_run_start.
-        self._row_table: tuple | None = None
         self.stats: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -382,7 +157,7 @@ class DataManagerPolicy(BasePolicy):
         self._watch = None
         self._replan_interval = self.config.decide_every
         self._decision_overhead = 0.0
-        self._row_table = None
+        self._projection = DemandProjection()
         self.stats = {
             "replans": 0,
             "profiled_tasks": 0,
@@ -475,152 +250,6 @@ class DataManagerPolicy(BasePolicy):
             return s
         return None
 
-    def _row_terms(
-        self, core: GraphExecCore, models: list[TypeModel | None]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The fold's operands over the access rows of ``core.accesses``
-        under ``models`` (one per type, ``None`` for a type without a
-        ready model, whose rows are never read): ``(pairs, bw)``, where
-        ``pairs[:, row]`` is ``(misses, mem_seconds)``, ``(loads,
-        stores)`` and ``(confidence * misses, dram_frac * mem_seconds)``
-        and ``bw[row]`` the bandwidth demand (``0.0`` where it fails
-        ``> 0.0``).  One more row after the last is the filler of
-        :func:`_fold_steps`: ``-0.0`` pairs and a ``-inf`` bandwidth.
-
-        A row takes its slot's model row, the last slot for extra
-        accesses and an empty ``SlotStats`` row for a slot-less model.
-        The table depends only on the access table and the models' slot
-        rows, so it is kept until either changes: the key is the
-        ``AccessCSR`` and the ``slot_rows()`` tuple of every type, both
-        compared by identity (``slot_rows`` returns the same tuple until
-        its model observes another profile).  The key holds them, so
-        their ids cannot be reused; :meth:`on_run_start` drops it.
-        """
-        csr = core.accesses
-        key = tuple(m.slot_rows() if m is not None else None for m in models)
-        kept = self._row_table
-        if (
-            kept is not None
-            and kept[0] is csr
-            and all(a is b for a, b in zip(kept[1], key))
-        ):
-            return kept[2]
-        # One row table for every modelled type's slots, plus the
-        # fallback row: what an empty ``SlotStats()`` reports.
-        table: list[tuple[float, ...]] = []
-        base = np.zeros(len(key), dtype=np.int64)
-        last = np.full(len(key), -1, dtype=np.int64)
-        for k, slots in enumerate(key):
-            if slots is not None:
-                base[k] = len(table)
-                last[k] = len(slots) - 1
-                table.extend(slots)
-        fallback = len(table)
-        table.append(_EMPTY_SLOT_ROW)
-        # Past the last, the filler row.
-        slot_rows = np.array(table, dtype=np.float64)
-        slot_pairs = np.full((3, len(table) + 1, 2), -0.0)
-        slot_pairs[0, :-1] = slot_rows[:, [2, 5]]
-        slot_pairs[1, :-1] = slot_rows[:, [0, 1]]
-        slot_pairs[2, :-1] = slot_rows[:, [4, 6]] * slot_pairs[0, :-1]
-        bw = slot_rows[:, 3]
-        slot_bw = np.append(np.where(bw > 0.0, bw, 0.0), -np.inf)
-
-        row_type = np.repeat(core.type_id, np.diff(csr.indptr))
-        row_last = last[row_type]
-        slot = np.where(
-            row_last >= 0,
-            base[row_type] + np.minimum(csr.slot, row_last),
-            fallback,
-        )
-        slot = np.append(slot, len(table))
-        terms = (np.take(slot_pairs, slot, axis=1), np.take(slot_bw, slot))
-        self._row_table = (csr, key, terms, None)
-        return terms
-
-    def _suffix_table(self, csr: AccessCSR, lo: int) -> tuple:
-        """``(lo, *_suffix_folds(csr, row_terms, lo))`` for the current
-        row terms, built at the first frontier of their epoch that the
-        table can answer (``lo`` its first remaining row) and kept with
-        them."""
-        _, key, terms, table = self._row_table
-        if table is None:
-            table = (lo, *_suffix_folds(csr, terms, lo))
-            self._row_table = (csr, key, terms, table)
-        return table
-
-    def _demand_stats_split(
-        self, core: GraphExecCore, front: Frontier, need_window: bool
-    ) -> tuple[
-        tuple[DemandBatch, float, np.ndarray], tuple[DemandBatch, float, np.ndarray]
-    ]:
-        """(window, full-horizon) demand projections of the remaining
-        tasks of ``front`` (spawn order), the window being their first
-        ``front.window_len``.
-
-        Each scope is ``(batch, horizon, objects)``: the batch rows are in
-        first-touch order and ``objects`` holds their dense indices into
-        ``core.accesses``.  Tasks whose type has no ready model are
-        skipped; every other task's access rows take their row terms
-        (:meth:`_row_terms`).
-
-        When every task has a ready model and the frontier knows each
-        object's first remaining row (every task from the first on
-        remains), the full scope is read off the suffix table
-        (:meth:`_suffix_table`) at those rows, which are in first-touch
-        order.  Otherwise the rows are folded per object by
-        :func:`_fold_rows`.  The window is always folded directly; its
-        rows are a prefix of the rows.
-
-        ``need_window=False`` skips the window fold when the caller will
-        not build a window-scoped plan (the window is then empty unless
-        it covers every task).
-        """
-        csr = core.accesses
-        tasks, window_len = front.tasks, front.window_len
-        models = [self._model_for(name) for name in core.type_names]
-        has_model = np.array([m is not None for m in models], dtype=np.bool_)
-        durations = np.array(
-            [m.mean_duration if m is not None else 0.0 for m in models]
-        )
-        row_terms = self._row_terms(core, models)
-
-        type_of = front.type_of
-        keep = has_model[type_of]
-        if keep.all():
-            kept = tasks
-            rows, lens = front.rows, front.lens
-        else:
-            kept = tasks[keep]
-            type_of = type_of[keep]
-            rows, lens = csr.gather(kept)
-        # Horizon: the sequential sum of the kept tasks' durations.
-        horizon = np.zeros(len(type_of) + 1)
-        np.take(durations, type_of, out=horizon[1:])
-        horizon.cumsum(out=horizon)
-        # The window's rows are a prefix of the rows.
-        split = len(tasks) > window_len and need_window
-        n_kept = int(np.count_nonzero(keep[:window_len])) if split else 0
-        n_window = int(lens[:n_kept].sum())
-
-        # The table answers only frontiers where every task is kept.
-        first = front.first if kept is tasks and len(rows) else None
-        table = None if first is None else self._suffix_table(csr, int(rows[0]))
-        if table is not None and rows[0] >= table[0]:
-            lo, col, (totals, means, bw) = table
-            order = csr.obj[first]
-            c = col[first - lo]
-            batch = _demand_batch(csr, order, totals[:, c], means[c], bw[c])
-        else:
-            batch, order = _fold_rows(csr, rows, row_terms)
-        full = (batch, float(horizon[-1]), order)
-        if len(tasks) <= window_len:
-            return full, full
-        if not need_window:
-            return (DemandBatch.empty(), 0.0, order[:0]), full
-        w_batch, w_order = _fold_rows(csr, rows[:n_window], row_terms)
-        return (w_batch, float(horizon[n_kept]), w_order), full
-
     def _update_skepticism(self) -> None:
         """Realized-benefit feedback (monitor-and-adjust).
 
@@ -676,8 +305,8 @@ class DataManagerPolicy(BasePolicy):
 
         The returned scale is the task-weighted mean of per-level shares;
         ``widths`` holds the horizon's task count per level, levels in
-        first-occurrence order (see :class:`Frontier`), and the shares are
-        summed in that order.
+        first-occurrence order (see :class:`~repro.core.demand.Frontier`),
+        and the shares are summed in that order.
         """
         n = sum(widths)
         if n == 0:
@@ -719,28 +348,26 @@ class DataManagerPolicy(BasePolicy):
         # charged and the duplicate solve (and the window fold feeding
         # it) is skipped.
         scopes_coincide = (
-            len(remaining) <= cfg.lookahead_tasks
-            and cfg.enable_global_search
-            and cfg.enable_local_search
+            len(remaining) <= cfg.lookahead_tasks and cfg.enable_local_search
         )
 
         need_window = cfg.enable_local_search and not scopes_coincide
 
-        # Per-type durations for the start-offset estimate; 1e-4 s stands
-        # in for a type without a ready model.
-        durations = np.array(
-            [
-                m.mean_duration if m is not None else 1e-4
-                for m in map(self._model_for, core.type_names)
-            ]
-        )
+        # One model per type feeds the start offsets (1e-4 s stands in
+        # for the duration of a type without a ready model) and the
+        # demand projection (which skips that type's tasks).
+        models = [self._model_for(name) for name in core.type_names]
+        durations = np.array([m.mean_duration if m is not None else 1e-4 for m in models])
         # One pass over the remaining tasks feeds the demand projection,
         # the first-use offsets and the parallel slack of both scopes.
         front = scan_frontier(core, remaining, cfg.lookahead_tasks, durations, n_workers)
-        local_proj, global_proj = self._demand_stats_split(core, front, need_window)
+        local_proj, global_proj = self._projection.project(core, front, models, need_window)
         local_offsets, global_offsets = first_use_offsets_split(core, front)
         csr = core.accesses
-        resident_uids = ctx.hms.dram_resident_uids()
+        # One residency scan: the residents feed the worth of doing
+        # nothing here and the victims of enforcement.
+        residents = ctx.hms.objects_in_dram()
+        resident_uids = {o.uid for o in residents}
         index_of = csr.obj_index.get
         resident_idx = np.array(
             [i for i in map(index_of, resident_uids) if i is not None], dtype=np.int64
@@ -754,7 +381,7 @@ class DataManagerPolicy(BasePolicy):
         scopes: list[tuple[str, DemandBatch, float]] = []
         spans: list[tuple[np.ndarray, float]] = []
         for name, (batch, horizon, objects), offsets, widths, wanted in (
-            ("global", global_proj, global_offsets, front.widths[0], cfg.enable_global_search),
+            ("global", global_proj, global_offsets, front.widths[0], True),
             ("local", local_proj, local_offsets, front.widths[1], need_window),
         ):
             if not wanted or len(batch) == 0:
@@ -814,7 +441,7 @@ class DataManagerPolicy(BasePolicy):
                 },
             )
         migs_before = self.stats["migrations_requested"]
-        overhead += self._enforce(best, ctx, now, resident_uids)
+        overhead += self._enforce(best, ctx, now, residents, resident_uids)
         if self.stats["migrations_requested"] > migs_before and self._watch is None:
             self._snapshot_watch()
         self._throttle_planning(overhead, now, ctx)
@@ -837,6 +464,7 @@ class DataManagerPolicy(BasePolicy):
         plan: PlacementPlan,
         ctx: ExecContext,
         now: float,
+        residents: list[Placeable],
         resident_uids: set[int],
     ) -> float:
         """Issue helper-thread migrations to realize ``plan``.
@@ -848,7 +476,8 @@ class DataManagerPolicy(BasePolicy):
         predicted benefit; the lane backlog is tracked as copies (and the
         evictions that make room for them) are enqueued.
 
-        ``resident_uids`` is the caller's DRAM-residency snapshot (no
+        ``residents`` is the caller's DRAM-residency snapshot
+        (``objects_in_dram()``) and ``resident_uids`` their uids (no
         moves happen between a replan's snapshot and its enforcement).
         """
         from repro.memory.migration import copy_time
@@ -881,9 +510,7 @@ class DataManagerPolicy(BasePolicy):
         incoming = [by_uid[uid] for uid in incoming]
 
         backlog = ctx.migration_backlog(now)
-        victims = [
-            o for o in ctx.hms.objects_in_dram() if o.uid not in plan.dram_set
-        ]
+        victims = [o for o in residents if o.uid not in plan.dram_set]
         victims.sort(key=lambda o: (plan.weight_of.get(o.uid, 0.0), -o.size_bytes))
 
         for obj in incoming:

@@ -131,21 +131,13 @@ class HeterogeneousMemorySystem:
         if self._placements[obj.uid].device == self.dram.name:
             self._dirty.add(obj.uid)
 
-    def dram_resident_uids(self) -> set[int]:
-        """uids of every DRAM-resident object in one placement pass (the
-        planner asks per object otherwise — O(objects) method calls)."""
-        dram_name = self.dram.name
-        return {
-            uid
-            for uid, pl in self._placements.items()
-            if pl.device == dram_name
-        }
-
     def objects_in_dram(self) -> list[Placeable]:
+        """Every DRAM-resident object, in one pass over the placements."""
+        dram_name = self.dram.name
         return [
             self._objects[uid]
             for uid, pl in self._placements.items()
-            if pl.device == self.dram.name
+            if pl.device == dram_name
         ]
 
     # ------------------------------------------------------------------

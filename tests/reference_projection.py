@@ -6,9 +6,10 @@ graph's access CSR, kept statement for statement (minus the per-run
 task-row memo, which only cached what the loop recomputes); the
 per-row update of one object's demand is :func:`fold_row`, which the
 fold kernel's own property test folds against too.  The production
-passes — ``DataManagerPolicy._demand_stats_split``,
-:func:`repro.core.lookahead.first_use_offsets_split` and
-``DataManagerPolicy._parallel_slack`` — fold the same rows with numpy;
+passes — ``DemandProjection.project`` and
+:func:`~repro.core.demand.first_use_offsets_split` in
+:mod:`repro.core.demand`, and ``DataManagerPolicy._parallel_slack`` —
+fold the same rows with numpy;
 ``tests/test_projection_fold.py`` drives both over Hypothesis-generated
 graphs and slot tables and compares every column by its IEEE-754 bytes.
 """
@@ -64,7 +65,8 @@ def demand_stats_split_ref(
     model_for: Callable[[str], object],
     need_window: bool = True,
 ) -> tuple[tuple[DemandBatch, float], tuple[DemandBatch, float]]:
-    """(window, full-horizon) demand batches from a single pass.
+    """(window, full-horizon) demand batches from a single pass: the
+    reference for ``DemandProjection.project``.
 
     ``model_for(type_name)`` returns a ready type model (anything with
     ``mean_duration`` and ``slot_rows()``) or ``None``.
@@ -129,7 +131,8 @@ def first_use_offsets_split_ref(
     duration_by_type: dict[str, float],
     n_workers: int,
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """(window, full-horizon) ``{uid: first-use offset}`` maps."""
+    """(window, full-horizon) ``{uid: first-use offset}`` maps: the
+    reference for ``repro.core.demand.first_use_offsets_split``."""
     window: dict[int, float] = {}
     full: dict[int, float] = {}
     acc = 0.0

@@ -154,18 +154,6 @@ class TestManagerConfigKnobs:
         first = min(range(len(tr.tasks)), key=tr.start.__getitem__)
         assert not dram_flags(tr, first)[hot.uid]
 
-    def test_disable_both_searches_never_migrates(self, nvm_bw):
-        g, *_ = hot_cold_program()
-        pol = DataManagerPolicy(
-            ManagerConfig(
-                enable_global_search=False,
-                enable_local_search=False,
-                enable_initial_placement=False,
-            )
-        )
-        tr = run(g, pol, nvm_bw)
-        assert tr.migration_count == 0
-
     @pytest.mark.parametrize(
         "name",
         [

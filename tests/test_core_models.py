@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptation import MIN_ITERATIONS, DeviationDetector
-from repro.core.lookahead import scan_frontier
+from repro.core.demand import DemandProjection, scan_frontier
 from repro.core.manager import DataManagerPolicy
 from repro.core.models import SlotStats, TypeModel
 from repro.core.placement import COST_MARGIN, PlanConfig, _weights_for
@@ -224,11 +224,10 @@ class TestTypeModel:
                    accesses={o: read_footprint(o.size_bytes) for o in objs[:3]}))
         g.add(Task(name="bare", type_name="empty",
                    accesses={objs[3]: read_footprint(objs[3].size_bytes)}))
-        policy = DataManagerPolicy()
-        policy._models = {"k": m, "empty": empty}
         core, every = g.exec_core(), np.arange(2)
         front = scan_frontier(core, every, 2, np.ones(2), 1)
-        _, (batch, _, _) = policy._demand_stats_split(core, front, True)
+        models = [{"k": m, "empty": empty}[name] for name in core.type_names]
+        _, (batch, _, _) = DemandProjection().project(core, front, models, True)
         rows = dict(zip(batch.uid.tolist(), zip(batch.loads.tolist(), batch.stores.tolist())))
         last, first = m.slots[-1], m.slots[0]
         assert rows[objs[2].uid] == (last.loads, last.stores)
@@ -294,14 +293,14 @@ class TestObjectStats:
         a = SlotStats(loads=10, stores=5, misses=8, bw_demand=1e9, mem_seconds=0.1)
         b = SlotStats(loads=10, stores=5, misses=8, bw_demand=2e9, mem_seconds=0.3,
                       dram_frac=1.0, n=2, _m2_misses=64.0)
-        policy = DataManagerPolicy()
-        policy._models = {
+        by_type = {
             "a": TypeModel("a", slots=[a], n_profiles=1),
             "b": TypeModel("b", slots=[b], n_profiles=1),
         }
         core, every = g.exec_core(), np.arange(2)
+        models = [by_type[name] for name in core.type_names]
         front = scan_frontier(core, every, 2, np.ones(2), 1)
-        _, (st, _, _) = policy._demand_stats_split(core, front, True)
+        _, (st, _, _) = DemandProjection().project(core, front, models, True)
         assert st.loads.tolist() == [20.0] and st.misses.tolist() == [16.0]
         assert st.bw_demand.tolist() == [2e9]  # max
         assert st.mem_seconds[0] == pytest.approx(0.4)

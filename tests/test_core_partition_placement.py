@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import NVMOnlyPolicy
 from repro.core.initial import RESERVE_FRACTION, initial_placement
-from repro.core.lookahead import first_use_offsets_split, scan_frontier
+from repro.core.demand import first_use_offsets_split, scan_frontier
 from repro.core.manager import DataManagerPolicy, ManagerConfig
 from repro.core.partition import partition_graph
 from repro.core.placement import PlanConfig, make_plan

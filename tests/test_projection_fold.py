@@ -1,7 +1,7 @@
 """Differential suite for the replan's array-shaped projection passes.
 
-The demand projection (``DataManagerPolicy._demand_stats_split``), the
-first-use offsets (:func:`repro.core.lookahead.first_use_offsets_split`)
+The demand projection (:meth:`repro.core.demand.DemandProjection.project`),
+the first-use offsets (:func:`repro.core.demand.first_use_offsets_split`)
 and the parallel slack (``DataManagerPolicy._parallel_slack``) run on the
 graph's access CSR with numpy.  Each must be *bitwise* identical to the
 retired per-task loop kept in ``tests/reference_projection.py``.
@@ -11,7 +11,7 @@ objects touched once and objects touched 500+ times, model-less types,
 slot-less models, windows longer than the remaining list and empty
 remaining lists — and every float is compared by its IEEE-754 bytes.
 All three read the remaining tasks through one frontier pass
-(:func:`repro.core.lookahead.scan_frontier`).  The remaining sets
+(:func:`repro.core.demand.scan_frontier`).  The remaining sets
 include every task from a frontier on, whose demand the projection
 reads off its suffix-fold table and whose first uses it reads off the
 graph's next-hot-row column, and frontiers with tasks dispatched out of
@@ -31,11 +31,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.core.manager as manager
+import repro.core.demand as demand
 from repro.baselines.policies import BasePolicy
-from repro.core.demand import DemandBatch
-from repro.core.lookahead import first_use_offsets_split, scan_frontier
-from repro.core.manager import DataManagerPolicy, ManagerConfig
+from repro.core.demand import (
+    DemandBatch,
+    DemandProjection,
+    first_use_offsets_split,
+    scan_frontier,
+)
+from repro.core.manager import DataManagerPolicy
 from repro.core.partition import partition_graph
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
@@ -182,15 +186,16 @@ def cold_first_rows(csr, remaining: np.ndarray) -> int:
 
 
 def count_folds(monkeypatch) -> list[int]:
-    """Record the row count of every direct fold from here on."""
+    """Record the row count of every direct fold of the projection
+    module from here on."""
     calls: list[int] = []
-    fold = manager._fold_rows
+    fold = demand._fold_rows
 
     def counted(csr, rows, *args):
         calls.append(len(rows))
         return fold(csr, rows, *args)
 
-    monkeypatch.setattr(manager, "_fold_rows", counted)
+    monkeypatch.setattr(demand, "_fold_rows", counted)
     return calls
 
 
@@ -288,20 +293,20 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
         suffix = is_suffix(n_tasks, remaining)
         assert (front.first is not None) == suffix
 
-        policy = DataManagerPolicy()
-        policy._models = {
-            name: StubModel(*m) for name, m in models.items() if m is not None
-        }
+        live = {name: StubModel(*m) for name, m in models.items() if m is not None}
+        per_type = [live.get(name) for name in core.type_names]
+        proj = DemandProjection()
         if warm and len(remaining):
             earlier = np.arange(remaining[0], n_tasks, dtype=np.int64)
-            policy._demand_stats_split(
-                core, scan_frontier(core, earlier, window, np.ones(4), 1), need_window
+            proj.project(
+                core, scan_frontier(core, earlier, window, np.ones(4), 1), per_type,
+                need_window,
             )
 
         # Demand projection, both scopes.
-        want = demand_stats_split_ref(tasks, window, policy._model_for, need_window)
+        want = demand_stats_split_ref(tasks, window, live.get, need_window)
         folds.clear()
-        got = policy._demand_stats_split(core, front, need_window)
+        got = proj.project(core, front, per_type, need_window)
         for (g_batch, g_horizon, g_objs), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)
             assert bits(g_horizon) == bits(w_horizon)
@@ -309,8 +314,8 @@ def test_projection_passes_match_scalar_reference(monkeypatch) -> None:
 
         # The route: a window fold when the window is a proper prefix,
         # plus the full fold unless the table answered.
-        built = policy._row_table[3]
-        modelled = all(policy._model_for(t.type_name) is not None for t in tasks)
+        built = proj.suffix_table
+        modelled = all(t.type_name in live for t in tasks)
         table = modelled and len(front.rows) > 0 and suffix
         n_window = int(need_window and len(remaining) > window)
         assert len(folds) == n_window + (not table)
@@ -376,7 +381,7 @@ def one_access_tasks(objs: list[int], rows: list[tuple[float, ...]]):
         obj_size=np.arange(max(objs) + 1, dtype=np.int64) + 1,
     )
     core = SimpleNamespace(accesses=csr, type_id=np.arange(n, dtype=np.int64))
-    terms = DataManagerPolicy()._row_terms(core, [StubModel(0.0, (row,)) for row in rows])
+    terms = DemandProjection().terms_for(core, [StubModel(0.0, (row,)) for row in rows])
     return csr, terms
 
 
@@ -429,7 +434,7 @@ def test_fold_kernel_matches_scalar_accumulator(case) -> None:
     objs, rows, kept, lo = case
     csr, terms = one_access_tasks(objs, rows)
 
-    batch, objects = manager._fold_rows(csr, np.array(kept, dtype=np.int64), terms)
+    batch, objects = demand._fold_rows(csr, np.array(kept, dtype=np.int64), terms)
     order = list(dict.fromkeys(objs[r] for r in kept))
     assert objects.tolist() == order
     assert batch.uid.tolist() == [1000 + o for o in order]
@@ -437,9 +442,9 @@ def test_fold_kernel_matches_scalar_accumulator(case) -> None:
         batch, [folded([rows[r] for r in kept if objs[r] == o]) for o in order]
     )
 
-    col, (totals, means, bw) = manager._suffix_folds(csr, terms, lo)
+    col, (totals, means, bw) = demand._suffix_folds(csr, terms, lo)
     c = col[np.arange(len(objs) - lo)]
-    table = manager._demand_batch(csr, csr.obj[lo:], totals[:, c], means[c], bw[c])
+    table = demand._demand_batch(csr, csr.obj[lo:], totals[:, c], means[c], bw[c])
     assert_columns_bitwise(
         table,
         [
@@ -462,16 +467,15 @@ def test_suffix_build_memory_stays_within_twice_the_table(workload, overrides) -
     core = build_cached(workload, **overrides).graph.exec_core()
     csr = core.accesses
     rng = np.random.default_rng(5)
-    policy = DataManagerPolicy()
-    policy._models = {
-        name: StubModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(4)))
-        for name in core.type_names
-    }
-    terms = policy._row_terms(core, [policy._model_for(n) for n in core.type_names])
-    manager._suffix_folds(csr, terms, 0)
+    models = [
+        StubModel(1e-4, tuple(tuple(rng.random(7).tolist()) for _ in range(4)))
+        for _ in core.type_names
+    ]
+    terms = DemandProjection().terms_for(core, models)
+    demand._suffix_folds(csr, terms, 0)
     tracemalloc.start()
     try:
-        manager._suffix_folds(csr, terms, 0)
+        demand._suffix_folds(csr, terms, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -479,16 +483,15 @@ def test_suffix_build_memory_stays_within_twice_the_table(workload, overrides) -
 
 
 def test_row_terms_follow_model_and_graph_changes(monkeypatch) -> None:
-    """One policy instance across the events that change the projection's
-    per-row terms: a type gaining a model, a model's rows replaced by a
-    new tuple (profiling completes), a type losing its model (adaptation
-    archives it, later its stale model is read) and a new run on a
-    repartitioned graph.  Each row-term epoch builds its suffix table at
-    its first frontier with all types modelled, and every later such
+    """One projection across the events that change its per-row terms: a
+    type gaining a model, a model's rows replaced by a new tuple
+    (profiling completes), a type losing its model (adaptation archives
+    it, later its stale model is read) and a repartitioned graph.  Each
+    of them ends the row-term epoch; each epoch builds its suffix table
+    at its first frontier with all types modelled, and every later such
     frontier from the table's first row on reads the full scope off it.
-    Every projection must
-    still match the scalar reference bitwise, so a row-term or suffix
-    table kept past its models or its graph fails."""
+    Every projection must still match the scalar reference bitwise, so a
+    row-term or suffix table kept past its models or its graph fails."""
     rng = np.random.default_rng(7)
     pool = [
         DataObject(f"p{k}", int(rng.integers(1, 4)) * MIB, partitionable=True)
@@ -509,54 +512,49 @@ def test_row_terms_follow_model_and_graph_changes(monkeypatch) -> None:
         r = np.random.default_rng(seed)
         return tuple(tuple(r.random(7).tolist()) for _ in range(n_slots))
 
-    policy = DataManagerPolicy(ManagerConfig(enable_initial_placement=False))
+    proj = DemandProjection()
+    models: dict[str, StubModel] = {}
     folds = count_folds(monkeypatch)
 
-    def check(remaining: np.ndarray, route: str, window: int = 24) -> None:
+    def check(remaining: np.ndarray, route: str, epoch: str, window: int = 24) -> None:
         core = graph.exec_core()
         tasks = tuple(core.tasks[i] for i in remaining.tolist())
+        terms = proj.row_terms
         folds.clear()
         front = scan_frontier(core, remaining, window, np.ones(len(core.type_names)), 1)
-        got = policy._demand_stats_split(core, front, True)
-        want = demand_stats_split_ref(tasks, window, policy._model_for)
+        got = proj.project(core, front, [models.get(n) for n in core.type_names], True)
+        want = demand_stats_split_ref(tasks, window, models.get)
         for (g_batch, g_horizon, _), (w_batch, w_horizon) in zip(got, want):
             assert_batch_bitwise(g_batch, w_batch)
             assert bits(g_horizon) == bits(w_horizon)
         # The window fold, and the full fold unless the table answered.
         assert len(folds) == {"table": 1, "fold": 2}[route]
+        assert (proj.row_terms is terms) == {"same": True, "new": False}[epoch]
 
     every = np.arange(len(graph))
     a, b = StubModel(0.1, slot_rows(1, 2)), StubModel(0.2, slot_rows(2, 3))
     c = StubModel(0.3, slot_rows(4, 1))
-    policy._models = {"a": a, "b": b, "c": c}
-    check(every, "fold")  # "d" has no model yet
+    models.update(a=a, b=b, c=c)
+    check(every, "fold", "new")  # "d" has no model yet
     # A type gains a model.
-    d = policy._models["d"] = StubModel(0.4, slot_rows(5, 2))
-    check(every, "table")
-    check(every[10:], "table")
+    d = models["d"] = StubModel(0.4, slot_rows(5, 2))
+    check(every, "table", "new")
+    check(every[10:], "table", "same")
     # Profiling completes: the same model reports a new rows tuple.
     a._rows = slot_rows(3, 2)
-    check(every[10:], "table")
+    check(every[10:], "table", "new")
     # A frontier before the first row the table covers.
-    check(every[5:], "fold")
+    check(every[5:], "fold", "same")
     # Adaptation archives "b"; later its stale model is read again.
-    del policy._models["b"]
-    check(every[20:], "fold")
-    policy._stale_models["b"] = b
-    check(every[20:], "table")
+    del models["b"]
+    check(every[20:], "fold", "new")
+    models["b"] = b
+    check(every[20:], "table", "new")
 
-    # A new run on the repartitioned graph, with the same model objects.
+    # The repartitioned graph, with the same model objects.
     partition_graph(graph, MIB // 2)
-    ctx = SimpleNamespace(
-        engine=SimpleNamespace(injector=None),
-        dram=dram(),
-        nvm=nvm_bandwidth_scaled(0.5),
-        config=ExecutorConfig(n_workers=4),
-    )
-    policy.on_run_start(ctx)
-    policy._models = {"a": a, "b": b, "c": c, "d": d}
-    check(every, "table")
-    check(every[40:], "table")
+    check(every, "table", "new")
+    check(every[40:], "table", "same")
 
 
 def spawn_order_depths(graph: TaskGraph) -> dict[int, int]:
