@@ -7,7 +7,8 @@ the simulator can handle — plus one cold graph build with its access
 table, the set-up cost of a new spec, the replans of one managed run,
 the demand projections of managed sparselu and cg runs, the demand
 projection's suffix table, the energy accounting of a
-finished run, and a run with the telemetry plane on.
+finished run, a run with the telemetry plane on, and one stream round
+(arrivals, driver and service summaries) of a sweep-sized stream spec.
 """
 
 from __future__ import annotations
@@ -29,10 +30,19 @@ from repro.memory.energy import EnergyReport
 from repro.memory.hms import HeterogeneousMemorySystem
 from repro.memory.presets import dram, nvm_bandwidth_scaled
 from repro.metrics import Telemetry, TelemetryConfig
+from repro.metrics.registry import MetricsRegistry
+from repro.metrics.service import (
+    record_service_metrics,
+    service_summary,
+    tenant_summaries,
+)
 from repro.profiling.sampler import SamplingProfiler
 from repro.tasking.executor import Executor, ExecutorConfig, placed_memory_times
+from repro.tasking.stream import AdmissionController, StreamDriver
+from repro.util.units import MIB
 from repro.util.rng import spawn_rng
 from repro.workloads import build
+from repro.workloads.arrivals import TenantSpec, generate_arrivals
 from repro.workloads.memo import build_cached, clear_build_cache
 
 
@@ -195,6 +205,46 @@ def test_bench_replan(benchmark, monkeypatch):
         return (calls, project, DemandProjection()), {}
 
     benchmark.pedantic(_replay, setup=setup, rounds=5)
+
+
+#: The repository benchmark's sweep stream tenants (``perfbench/specs.py``).
+STREAM_TENANTS = (
+    TenantSpec(name="steady", rate_hz=900.0, arrival="poisson", credit_mib=512.0),
+    TenantSpec(name="bursty", rate_hz=500.0, arrival="burst", credit_mib=256.0),
+)
+#: Isolated makespan and working set of one of their heat 4x4x2 jobs
+#: under tahoe on the half-bandwidth NVM (the sweep spec's sub-runs).
+STREAM_JOB_S = 0.005676871466666665
+STREAM_JOB_BYTES = 144 * MIB
+
+
+def _stream_round(seed):
+    schedule = generate_arrivals(STREAM_TENANTS, 2.0, seed)
+    admission = AdmissionController(
+        {t.name: int(t.credit_mib * MIB) for t in STREAM_TENANTS}
+    )
+    result = StreamDriver(
+        schedule.submit_s,
+        schedule.tenant,
+        [STREAM_JOB_BYTES] * len(schedule.tenant),
+        admission,
+        job_runner=lambda job: STREAM_JOB_S,
+        round_interval_s=0.002,
+        lanes=4,
+    ).run()
+    record_service_metrics(result, MetricsRegistry())
+    return service_summary(result), tenant_summaries(result)
+
+
+def test_bench_stream_round(benchmark):
+    """One stream round of a sweep stream spec (seed 0): two seconds of
+    arrivals from a 900 Hz Poisson tenant and a 500 Hz burst tenant
+    (about 2,800 jobs), the driver over four lanes with 2 ms rounds
+    (about 4,700 events and 1,000 rounds), and the service summaries
+    and metrics.  The jobs' closed-DAG sub-runs are not timed: their
+    makespan and working set are fixed."""
+    summary, _ = benchmark(_stream_round, 0)
+    assert summary["jobs_submitted"] > 2000 and summary["rounds"] > 900
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import sqrt
 
+from repro.util.numeric import running_total
+
 __all__ = ["DeviationDetector"]
 
 #: Relative deviation of an iteration mean that re-activates profiling.
@@ -85,10 +87,10 @@ class DeviationDetector:
         if len(st.closed) < MIN_ITERATIONS:
             return False
         ref = list(st.closed)
-        ref_mean = sum(ref) / len(ref)
+        ref_mean = running_total(ref) / len(ref)
         if ref_mean <= 0:
             return False
-        var = sum((x - ref_mean) ** 2 for x in ref) / max(1, len(ref) - 1)
+        var = running_total((x - ref_mean) ** 2 for x in ref) / max(1, len(ref) - 1)
         ref_std = sqrt(var)
         dev = abs(mean - ref_mean)
         return dev > THRESHOLD * ref_mean and dev > SIGMAS * ref_std

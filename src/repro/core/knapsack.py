@@ -47,6 +47,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.util.lru import BoundedLRU
+from repro.util.numeric import running_total
 from repro.util.validation import require
 
 __all__ = [
@@ -382,7 +383,7 @@ def greedy_bounded(
     as the auto-route target for instances too large for the exact DP.
     """
     mask = greedy_by_density(values, sizes, capacity)
-    greedy_value = sum(values[i] for i in range(len(values)) if mask[i])
+    greedy_value = running_total(values[i] for i in range(len(values)) if mask[i])
     best_i = -1
     best_v = 0.0
     for i in range(len(values)):

@@ -31,7 +31,7 @@ from repro.metrics.service import (
     service_summary,
     tenant_summaries,
 )
-from repro.tasking.stream import AdmissionController, JobRequest, StreamDriver
+from repro.tasking.stream import AdmissionController, StreamDriver
 from repro.util.units import MIB
 from repro.util.validation import resolve_plane
 from repro.workloads.arrivals import TenantSpec, generate_arrivals
@@ -152,7 +152,7 @@ def run_service(spec: RunSpec) -> RunResult:
         seed = spec.seed if spec.seed is not None else 0
 
     tenants = stream.tenants
-    arrivals = generate_arrivals(tenants, stream.horizon_s, seed)
+    schedule = generate_arrivals(tenants, stream.horizon_s, seed)
 
     # One closed-DAG simulation per *distinct* tenant spec (deduped and
     # cached by run_many), not per arrival.
@@ -165,22 +165,15 @@ def run_service(spec: RunSpec) -> RunResult:
     makespan = {t.name: r.makespan for t, r in zip(tenants, isolated)}
     demand = {t.name: _tenant_demand_bytes(spec, t) for t in tenants}
 
-    jobs = [
-        JobRequest(
-            job_id=a.job_id,
-            tenant=a.tenant,
-            submit_s=a.time,
-            demand_bytes=demand[a.tenant],
-        )
-        for a in arrivals
-    ]
     admission = AdmissionController(
         {t.name: int(t.credit_mib * MIB) for t in tenants}
     )
     driver = StreamDriver(
-        jobs,
+        schedule.submit_s,
+        schedule.tenant,
+        [demand[t] for t in schedule.tenant],
         admission,
-        job_runner=lambda job: makespan[job.tenant],
+        job_runner=[makespan[t] for t in schedule.tenant].__getitem__,
         round_interval_s=stream.round_interval_s,
         lanes=stream.lanes,
     )

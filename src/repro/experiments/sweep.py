@@ -23,6 +23,7 @@ from typing import Any, Iterable, Sequence
 from repro.experiments.parallel import run_many
 from repro.experiments.spec import RunSpec
 from repro.memory.device import MemoryDevice
+from repro.util.numeric import running_total
 from repro.util.tables import Table
 
 __all__ = ["sweep", "sweep_specs", "pivot"]
@@ -119,6 +120,6 @@ def pivot(
             elif len(matches) == 1:
                 cells.append(matches[0])
             else:
-                cells.append(sum(matches) / len(matches))
+                cells.append(running_total(matches) / len(matches))
         table.add_row(cells)
     return table

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 
 from repro.faults.plan import CapacityLoss, FaultPlan
+from repro.util.numeric import running_total
 
 __all__ = ["InjectionEvent", "FaultInjector"]
 
@@ -189,4 +190,6 @@ class FaultInjector:
 
     def degraded_time(self, makespan: float) -> float:
         """Total degraded device-time within the run (sum over slices)."""
-        return sum(s["end_s"] - s["start_s"] for s in self.degraded_slices(makespan))
+        return running_total(
+            s["end_s"] - s["start_s"] for s in self.degraded_slices(makespan)
+        )

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.memory.device import DeviceKind, MemoryDevice
 from repro.tasking.trace import ExecutionTrace
+from repro.util.numeric import running_total
 from repro.util.units import GIB
 
 __all__ = ["EnergyReport"]
@@ -44,11 +45,6 @@ def _access_energy(device: MemoryDevice, read_bytes: float, write_bytes: float) 
     if device.kind is DeviceKind.DRAM:
         return read_bytes * DRAM_READ_ENERGY + write_bytes * DRAM_WRITE_ENERGY
     return read_bytes * NVM_READ_ENERGY + write_bytes * NVM_WRITE_ENERGY
-
-
-def _running_total(values: np.ndarray) -> float:
-    """``0.0 + values[0] + values[1] + ...`` in that order."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _static_energy(device: MemoryDevice, seconds: float) -> float:
@@ -102,8 +98,8 @@ class EnergyReport:
             wb = csr.write_bytes[rows]
             read_coef = np.where(on_dram, DRAM_READ_ENERGY, NVM_READ_ENERGY)
             write_coef = np.where(on_dram, DRAM_WRITE_ENERGY, NVM_WRITE_ENERGY)
-            rep.dynamic_j = _running_total(rb * read_coef + wb * write_coef)
-            rep.nvm_bytes_written = _running_total(wb[~on_dram])
+            rep.dynamic_j = running_total(rb * read_coef + wb * write_coef)
+            rep.nvm_bytes_written = running_total(wb[~on_dram])
         if trace.migrations is not None:
             for m in trace.migrations.records:
                 src = dram if m.src == dram.name else nvm

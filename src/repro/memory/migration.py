@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.memory.device import MemoryDevice
+from repro.util.numeric import running_total
 from repro.util.units import US
 from repro.util.validation import require_nonnegative
 
@@ -243,11 +244,11 @@ class MigrationEngine:
         return sum(1 for r in self.records if r.failed)
 
     def total_copy_time(self) -> float:
-        return sum(r.duration for r in self.records)
+        return running_total(r.duration for r in self.records)
 
     def exposed_time(self) -> float:
         """Copy time that was *not* hidden behind computation."""
-        return sum(min(r.duration, r.exposed) for r in self.records)
+        return running_total(min(r.duration, r.exposed) for r in self.records)
 
     def overlap_fraction(self) -> float:
         """Fraction of total copy time overlapped with computation."""

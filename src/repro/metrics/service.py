@@ -2,7 +2,7 @@
 counters, and round-duration samplers.
 
 Everything here is a pure, deterministic function of a
-:class:`~repro.tasking.stream.StreamResult` — values are virtual-time
+:class:`~repro.tasking.stream.StreamResult`'s columns — values are virtual-time
 only and percentiles use nearest-rank, so two runs of the same stream
 spec under the same seed summarize byte-identically (the same property
 the telemetry exporters pin).
@@ -11,6 +11,8 @@ the telemetry exporters pin).
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
+
+from repro.util.numeric import running_total
 
 if TYPE_CHECKING:  # structural only; no runtime dependency on tasking
     from repro.tasking.stream import StreamResult
@@ -38,6 +40,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[min(int(rank), len(ordered)) - 1])
 
 
+def _completed(result: "StreamResult") -> list[int]:
+    """Ids of the jobs that ran, in job-id order."""
+    return [j for j, rejected in enumerate(result.job_rejected) if not rejected]
+
+
 def tenant_summaries(result: "StreamResult") -> dict[str, dict[str, float]]:
     """Per-tenant service quality, keyed by tenant name (sorted).
 
@@ -46,30 +53,32 @@ def tenant_summaries(result: "StreamResult") -> dict[str, dict[str, float]]:
     headline multi-tenancy metric in E13.
     """
     tenants = sorted(result.admitted)
-    by_tenant: dict[str, list] = {t: [] for t in tenants}
-    rejected: dict[str, int] = {t: 0 for t in tenants}
-    for job in result.jobs:
-        if job.rejected:
-            rejected[job.tenant] = rejected.get(job.tenant, 0) + 1
+    done: dict[str, list[int]] = {t: [] for t in tenants}
+    n_rejected = dict.fromkeys(tenants, 0)
+    for j, (tenant, rejected) in enumerate(zip(result.tenant, result.job_rejected)):
+        if rejected:
+            n_rejected[tenant] += 1
         else:
-            by_tenant.setdefault(job.tenant, []).append(job)
+            done[tenant].append(j)
 
+    slowdown, response, service = result.slowdown, result.response, result.service
     out: dict[str, dict[str, float]] = {}
     for tenant in tenants:
-        done = by_tenant[tenant]
-        slowdowns = [j.slowdown for j in done]
-        responses = [j.response_s for j in done]
+        jobs = done[tenant]
+        # Sorted once: percentile's own sort of a sorted list is linear.
+        slowdowns = sorted([slowdown[j] for j in jobs])
+        responses = sorted([response[j] for j in jobs])
         out[tenant] = {
-            "submitted": float(len(done) + rejected[tenant]),
+            "submitted": float(len(jobs) + n_rejected[tenant]),
             "admitted": float(result.admitted.get(tenant, 0)),
             "rejected": float(result.rejected.get(tenant, 0)),
-            "completed": float(len(done)),
+            "completed": float(len(jobs)),
             "p50_slowdown": percentile(slowdowns, 50),
             "p99_slowdown": percentile(slowdowns, 99),
             "p50_response_s": percentile(responses, 50),
             "p99_response_s": percentile(responses, 99),
             "mean_service_s": (
-                sum(j.service_s for j in done) / len(done) if done else 0.0
+                running_total([service[j] for j in jobs]) / len(jobs) if jobs else 0.0
             ),
             "credit_floor_bytes": float(result.credit_floor.get(tenant, 0)),
         }
@@ -78,23 +87,26 @@ def tenant_summaries(result: "StreamResult") -> dict[str, dict[str, float]]:
 
 def service_summary(result: "StreamResult") -> dict[str, float]:
     """Flat whole-service summary (the shape experiment metrics expect)."""
-    done = [j for j in result.jobs if not j.rejected]
+    n_jobs = len(result.job_rejected)
     n_rejected = sum(result.rejected.values())
-    spans = [r.span_s for r in result.rounds]
-    scheduled = [float(r.scheduled) for r in result.rounds]
-    slowdowns = [j.slowdown for j in done]
+    n_rounds = len(result.scheduled)
+    slowdown = result.slowdown
+    done = _completed(result)
+    slowdowns = sorted([slowdown[j] for j in done])
+    spans = sorted(result.span)
     return {
-        "jobs_submitted": float(len(result.jobs)),
+        "jobs_submitted": float(n_jobs),
         "jobs_completed": float(len(done)),
         "jobs_rejected": float(n_rejected),
-        "reject_rate": (n_rejected / len(result.jobs)) if result.jobs else 0.0,
+        "reject_rate": (n_rejected / n_jobs) if n_jobs else 0.0,
         "p50_slowdown": percentile(slowdowns, 50),
         "p99_slowdown": percentile(slowdowns, 99),
-        "rounds": float(len(result.rounds)),
+        "rounds": float(n_rounds),
         "p50_round_span_s": percentile(spans, 50),
         "p99_round_span_s": percentile(spans, 99),
+        # An integer total, so the quotient is exact-then-rounded.
         "mean_jobs_per_round": (
-            sum(scheduled) / len(scheduled) if scheduled else 0.0
+            sum(result.scheduled) / n_rounds if n_rounds else 0.0
         ),
         "horizon_s": result.horizon_s,
     }
@@ -118,12 +130,13 @@ def record_service_metrics(result: "StreamResult", registry) -> None:
         registry.gauge("service_credit_floor_bytes", labels).set(
             result.credit_floor.get(tenant, 0)
         )
-    slowdown_hist = registry.histogram("service_job_slowdown")
-    for job in result.jobs:
-        if not job.rejected:
-            slowdown_hist.observe(job.slowdown)
-    span_hist = registry.histogram("service_round_span_seconds")
-    sched_hist = registry.histogram("service_round_jobs")
-    for rnd in result.rounds:
-        span_hist.observe(rnd.span_s)
-        sched_hist.observe(float(rnd.scheduled))
+    observe = registry.histogram("service_job_slowdown").observe
+    slowdown = result.slowdown
+    for j in _completed(result):
+        observe(slowdown[j])
+    observe = registry.histogram("service_round_span_seconds").observe
+    for span in result.span:
+        observe(span)
+    observe = registry.histogram("service_round_jobs").observe
+    for scheduled in result.scheduled:
+        observe(float(scheduled))

@@ -25,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.tasking.task import Task
+from repro.util.numeric import running_total
 from repro.util.rng import spawn_rng
 from repro.util.units import CACHELINE_BYTES
 
@@ -132,7 +133,7 @@ class SamplingProfiler:
         n_samp = self.n_samples(duration)
 
         total_accesses = max(1, task.total_accesses)
-        sum_mem = sum(mem_times)
+        sum_mem = running_total(mem_times)
 
         objects: dict[int, ObjectSample] = {}
         for (obj, acc), mem_time, in_dram in zip(

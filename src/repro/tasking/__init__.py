@@ -21,9 +21,6 @@ from repro.tasking.scheduler import (
 from repro.tasking.executor import Executor, ExecutorConfig, PlacementPolicy, ExecContext
 from repro.tasking.stream import (
     AdmissionController,
-    JobRecord,
-    JobRequest,
-    RoundRecord,
     StreamDriver,
     StreamResult,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "ExecutionTrace",
     "TaskRuntime",
     "AdmissionController",
-    "JobRequest",
-    "JobRecord",
-    "RoundRecord",
     "StreamDriver",
     "StreamResult",
 ]

@@ -7,108 +7,86 @@ gates entry under overload using per-tenant DRAM-budget credits, and the
 driver runs periodic **batch scheduling rounds** that assign the admitted
 backlog to a fixed pool of service lanes.
 
-The design follows the EventManager pattern: a single heap of
-``(time, priority, seq)``-ordered events (``JOB_END`` < ``SUBMIT`` <
-``ROUND`` at equal timestamps), popped one at a time, each handler
-pushing follow-on events.  Everything runs in *virtual* time — no wall
+Three event kinds are processed in ``(time, kind)`` order, ``JOB_END`` <
+``SUBMIT`` < ``ROUND`` at equal timestamps, and in the order they arose
+within a kind.  One loop merges their three sources: the submits, sorted
+once up front; the single pending round, a scalar that each round
+advances by ``round_interval_s``; and a heap that holds only the job
+ends the rounds scheduled.  Everything runs in *virtual* time — no wall
 clock, no host randomness — so a run is a pure function of its inputs
 and the event log is byte-reproducible.
 
-The driver never imports workloads or experiments: callers hand it
-:class:`JobRequest` records (submit time + memory demand) and an injected
-``job_runner`` callable that maps a request to its service time (in
-practice the job's closed-DAG makespan under the configured policy).
-That keeps this module dependency-pure and leaves the frozen executor
-API untouched — the executor is *used by* the service layer's job
-runner, never modified.
+The driver never imports workloads or experiments: callers hand it job
+columns (submit time, tenant and memory demand per job; job ``i`` is
+entry ``i``) and an injected ``job_runner`` callable that maps a job id
+to its service time (in practice the job's closed-DAG makespan under the
+configured policy).  That keeps this module dependency-pure and leaves
+the frozen executor API untouched — the executor is *used by* the
+service layer's job runner, never modified.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from functools import cached_property
+from heapq import heappop, heappush
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
-    "JobRequest",
-    "JobRecord",
-    "RoundRecord",
     "AdmissionController",
     "StreamDriver",
     "StreamResult",
 ]
 
-# Event priorities: ends free lanes/credits before same-instant submits
-# see them, and the round scheduler observes both.
-_END, _SUBMIT, _ROUND = 0, 1, 2
-_EVENT_NAMES = {_END: "JOB_END", _SUBMIT: "SUBMIT", _ROUND: "ROUND"}
-
-
-@dataclass(frozen=True)
-class JobRequest:
-    """One job submission: who, when, and how much memory it wants."""
-
-    job_id: int
-    tenant: str
-    submit_s: float
-    #: Working-set size charged against the tenant's credit line.
-    demand_bytes: int
-
-
-@dataclass(frozen=True)
-class JobRecord:
-    """Outcome of one job (admitted and finished, or rejected)."""
-
-    job_id: int
-    tenant: str
-    submit_s: float
-    demand_bytes: int
-    rejected: bool
-    start_s: float = 0.0
-    finish_s: float = 0.0
-    service_s: float = 0.0
-    lane: int = -1
-
-    @property
-    def response_s(self) -> float:
-        """Submit-to-finish latency (meaningless for rejected jobs)."""
-        return self.finish_s - self.submit_s
-
-    @property
-    def slowdown(self) -> float:
-        """Response time over isolated service time, floored at 1: for a
-        job that starts on submission, ``finish_s - submit_s`` can round
-        one ulp below ``service_s``."""
-        if self.service_s <= 0.0:
-            return 1.0
-        return max(1.0, self.response_s / self.service_s)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One batch scheduling round."""
-
-    index: int
-    scheduled: int
-    backlog: int
-    #: Virtual span from the round instant to the latest finish it
-    #: scheduled (0 when the round scheduled nothing).
-    span_s: float
+_END, _SUBMIT, _ROUND = "JOB_END", "SUBMIT", "ROUND"
 
 
 @dataclass
 class StreamResult:
-    """Everything a stream run produced, in deterministic order."""
+    """Everything a stream run produced, as columns.
 
-    jobs: tuple[JobRecord, ...]
-    rounds: tuple[RoundRecord, ...]
+    Per-job columns are in job-id order.  A rejected job keeps start,
+    finish and service 0.0 and lane -1.  Per-round columns are in round
+    order.
+    """
+
+    submit: list[float]
+    tenant: list[str]
+    #: True for a job the admission controller turned away (the
+    #: ``rejected`` mapping counts them per tenant).
+    job_rejected: list[bool]
+    start: list[float]
+    finish: list[float]
+    #: Isolated service time the job runner gave the job.
+    service: list[float]
+    lane: list[int]
+    #: Jobs each round assigned to a lane.
+    scheduled: list[int]
+    #: Virtual span from each round instant to the latest finish it
+    #: scheduled (0 when the round scheduled nothing).
+    span: list[float]
     #: ``(time_s, kind, job_id)`` triples in processing order; round
     #: events carry the round index in the third slot.
-    event_log: tuple[tuple[float, str, int], ...]
+    event_log: list[tuple[float, str, int]]
     admitted: dict[str, int]
     rejected: dict[str, int]
     credit_floor: dict[str, int]
     horizon_s: float
+
+    @cached_property
+    def response(self) -> list[float]:
+        """Per-job submit-to-finish latency (meaningless for rejected jobs)."""
+        return [f - s for f, s in zip(self.finish, self.submit)]
+
+    @cached_property
+    def slowdown(self) -> list[float]:
+        """Per-job response time over isolated service time, floored at
+        1: for a job that starts on submission, ``finish - submit`` can
+        round one ulp below ``service``.  1.0 when service is 0."""
+        return [
+            max(1.0, r / v) if v > 0.0 else 1.0
+            for r, v in zip(self.response, self.service)
+        ]
 
 
 class AdmissionController:
@@ -150,15 +128,12 @@ class AdmissionController:
             )
 
 
-@dataclass
-class _Lane:
-    free_at: float = 0.0
-
-
 class StreamDriver:
     """Virtual-time event loop over a fixed pool of service lanes.
 
-    ``job_runner`` maps an admitted :class:`JobRequest` to its service
+    Job ``i`` is submitted at ``submit_s[i]`` by ``tenant[i]`` and holds
+    ``demand_bytes[i]`` credits while admitted; the columns may come in
+    any order.  ``job_runner`` maps an admitted job's id to its service
     time in virtual seconds.  It is only invoked for admitted jobs, and
     exactly once per job, at schedule time — so callers can make it as
     expensive as a full simulated execution without paying for rejected
@@ -167,121 +142,120 @@ class StreamDriver:
 
     def __init__(
         self,
-        jobs: Iterable[JobRequest],
+        submit_s: Sequence[float],
+        tenant: Sequence[str],
+        demand_bytes: Sequence[int],
         admission: AdmissionController,
-        job_runner: Callable[[JobRequest], float],
+        job_runner: Callable[[int], float],
         round_interval_s: float,
         lanes: int,
     ):
-        self.jobs = sorted(jobs, key=lambda j: (j.submit_s, j.tenant, j.job_id))
+        if not len(submit_s) == len(tenant) == len(demand_bytes):
+            raise ValueError("job columns differ in length")
         if round_interval_s <= 0:
             raise ValueError("round_interval_s must be positive")
         if lanes < 1:
             raise ValueError("need at least one lane")
+        self.submit_s = list(submit_s)
+        self.tenant = list(tenant)
+        self.demand_bytes = list(demand_bytes)
         self.admission = admission
         self.job_runner = job_runner
         self.round_interval_s = float(round_interval_s)
         self.n_lanes = int(lanes)
 
     def run(self) -> StreamResult:
-        heap: list[tuple[float, int, int, Any]] = []
-        seq = 0
+        submit, tenant, demand = self.submit_s, self.tenant, self.demand_bytes
+        try_admit, release = self.admission.try_admit, self.admission.release
+        job_runner = self.job_runner
+        interval = self.round_interval_s
+        n = len(submit)
+        # Submits in (time, tenant, job id) order: job order[k] is the
+        # k-th, at sub_t[k].
+        order = [j for _, _, j in sorted(zip(submit, tenant, range(n)))]
+        sub_t = [submit[j] for j in order]
 
-        def push(time_s: float, prio: int, payload: Any) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time_s, prio, seq, payload))
-            seq += 1
-
-        for job in self.jobs:
-            push(job.submit_s, _SUBMIT, job)
-        push(0.0, _ROUND, 0)
-
-        lanes = [_Lane() for _ in range(self.n_lanes)]
-        backlog: list[JobRequest] = []  # admitted, waiting for a round
-        in_flight = 0
-        records: list[JobRecord] = []
-        rounds: list[RoundRecord] = []
+        job_rejected = [False] * n
+        start = [0.0] * n
+        finish = [0.0] * n
+        service = [0.0] * n
+        lane = [-1] * n
+        scheduled: list[int] = []
+        span: list[float] = []
         log: list[tuple[float, str, int]] = []
-        pending_submits = len(self.jobs)
+
+        ends: list[tuple[float, int, int]] = []  # (finish, push order, job)
+        n_pushed = 0
+        lane_free = [0.0] * self.n_lanes
+        backlog: list[int] = []  # admitted, waiting for a round
+        in_flight = 0
+        k = 0  # next submit
+        round_t, round_i, round_due = 0.0, 0, True
         horizon = 0.0
 
-        while heap:
-            time_s, prio, _, payload = heapq.heappop(heap)
-            horizon = max(horizon, time_s)
-            if prio == _END:
-                record: JobRecord = payload
-                self.admission.release(record.tenant, record.demand_bytes)
+        while True:
+            if (
+                ends
+                and (k == n or ends[0][0] <= sub_t[k])
+                and (not round_due or ends[0][0] <= round_t)
+            ):
+                time_s, _, j = heappop(ends)
+                release(tenant[j], demand[j])
                 in_flight -= 1
-                records.append(record)
-                log.append((time_s, _EVENT_NAMES[_END], record.job_id))
-            elif prio == _SUBMIT:
-                job: JobRequest = payload
-                pending_submits -= 1
-                log.append((time_s, _EVENT_NAMES[_SUBMIT], job.job_id))
-                if self.admission.try_admit(job.tenant, job.demand_bytes):
-                    backlog.append(job)
+                log.append((time_s, _END, j))
+            elif k < n and (not round_due or sub_t[k] <= round_t):
+                time_s = sub_t[k]
+                j = order[k]
+                k += 1
+                log.append((time_s, _SUBMIT, j))
+                if try_admit(tenant[j], demand[j]):
+                    backlog.append(j)
                 else:
-                    records.append(
-                        JobRecord(
-                            job_id=job.job_id,
-                            tenant=job.tenant,
-                            submit_s=job.submit_s,
-                            demand_bytes=job.demand_bytes,
-                            rejected=True,
-                        )
-                    )
-            else:  # _ROUND
-                index: int = payload
-                log.append((time_s, _EVENT_NAMES[_ROUND], index))
-                scheduled = 0
+                    job_rejected[j] = True
+            elif round_due:
+                time_s = round_t
+                log.append((time_s, _ROUND, round_i))
                 span_end = time_s
-                while backlog:
-                    job = backlog.pop(0)
-                    lane_i = min(
-                        range(self.n_lanes), key=lambda i: (lanes[i].free_at, i)
-                    )
-                    start = max(time_s, lanes[lane_i].free_at)
-                    service = float(self.job_runner(job))
-                    if service < 0:
-                        raise ValueError(f"negative service time for job {job.job_id}")
-                    finish = start + service
-                    lanes[lane_i].free_at = finish
-                    span_end = max(span_end, finish)
-                    push(
-                        finish,
-                        _END,
-                        JobRecord(
-                            job_id=job.job_id,
-                            tenant=job.tenant,
-                            submit_s=job.submit_s,
-                            demand_bytes=job.demand_bytes,
-                            rejected=False,
-                            start_s=start,
-                            finish_s=finish,
-                            service_s=service,
-                            lane=lane_i,
-                        ),
-                    )
-                    scheduled += 1
-                    in_flight += 1
-                rounds.append(
-                    RoundRecord(
-                        index=index,
-                        scheduled=scheduled,
-                        backlog=len(backlog),
-                        span_s=span_end - time_s,
-                    )
-                )
+                for j in backlog:
+                    # Earliest-free lane, lowest index on ties.
+                    free_at = min(lane_free)
+                    lane_i = lane_free.index(free_at)
+                    begin = free_at if free_at > time_s else time_s
+                    took = float(job_runner(j))
+                    if took < 0:
+                        raise ValueError(f"negative service time for job {j}")
+                    done = begin + took
+                    lane_free[lane_i] = done
+                    if done > span_end:
+                        span_end = done
+                    heappush(ends, (done, n_pushed, j))
+                    n_pushed += 1
+                    start[j], finish[j], service[j], lane[j] = begin, done, took, lane_i
+                in_flight += len(backlog)
+                scheduled.append(len(backlog))
+                span.append(span_end - time_s)
+                backlog.clear()
                 # Keep rounds firing while anything can still arrive or
                 # finish; the loop drains once the system is empty.
-                if pending_submits > 0 or in_flight > 0 or backlog:
-                    push(time_s + self.round_interval_s, _ROUND, index + 1)
+                round_i += 1
+                round_t = time_s + interval
+                round_due = k < n or in_flight > 0
+            else:
+                break
+            if time_s > horizon:
+                horizon = time_s
 
-        records.sort(key=lambda r: r.job_id)
         return StreamResult(
-            jobs=tuple(records),
-            rounds=tuple(rounds),
-            event_log=tuple(log),
+            submit=submit,
+            tenant=tenant,
+            job_rejected=job_rejected,
+            start=start,
+            finish=finish,
+            service=service,
+            lane=lane,
+            scheduled=scheduled,
+            span=span,
+            event_log=log,
             admitted=dict(self.admission.admitted),
             rejected=dict(self.admission.rejected),
             credit_floor=dict(self.admission.credit_floor),

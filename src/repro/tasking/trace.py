@@ -14,6 +14,7 @@ from typing import Any
 from repro.memory.migration import MigrationEngine
 from repro.tasking.graph import AccessCSR
 from repro.tasking.task import Task
+from repro.util.numeric import running_total
 from repro.util.units import MIB
 
 __all__ = ["ExecutionTrace"]
@@ -77,23 +78,23 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     @property
     def total_task_time(self) -> float:
-        return sum(self.durations())
+        return running_total(self.durations())
 
     @property
     def total_compute_time(self) -> float:
-        return sum(self.compute_time)
+        return running_total(self.compute_time)
 
     @property
     def total_memory_time(self) -> float:
-        return sum(self.memory_time)
+        return running_total(self.memory_time)
 
     @property
     def total_overhead_time(self) -> float:
-        return sum(self.overhead_time)
+        return running_total(self.overhead_time)
 
     @property
     def total_stall_time(self) -> float:
-        return sum(self.stall_time)
+        return running_total(self.stall_time)
 
     def overhead_fraction(self) -> float:
         """Pure runtime cost as a fraction of makespan ("pure runtime cost"

@@ -14,7 +14,7 @@ Registry: ``build(name, **params)`` constructs any registered workload;
 
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
-    Arrival,
+    Schedule,
     TenantSpec,
     generate_arrivals,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "build",
     "workload",
     "ARRIVAL_KINDS",
-    "Arrival",
+    "Schedule",
     "TenantSpec",
     "generate_arrivals",
 ]

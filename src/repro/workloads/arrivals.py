@@ -6,7 +6,7 @@ arrival process that spaces its submissions over *virtual* time, and the
 DRAM-budget credit line the admission controller charges against.
 
 :func:`generate_arrivals` materializes every tenant's process over a
-horizon into one globally ordered tuple of :class:`Arrival` records.
+horizon into one globally ordered :class:`Schedule` of job columns.
 Everything is driven by :func:`repro.util.rng.spawn_rng` streams keyed by
 ``(seed, "arrivals", tenant_name)``, so the schedule is bit-reproducible
 per seed and independent of tenant declaration order.
@@ -15,14 +15,14 @@ per seed and independent of tenant declaration order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, fields
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.util.rng import spawn_rng
 
-__all__ = ["ARRIVAL_KINDS", "Arrival", "TenantSpec", "generate_arrivals"]
+__all__ = ["ARRIVAL_KINDS", "Schedule", "TenantSpec", "generate_arrivals"]
 
 #: Supported arrival processes (see :func:`_arrival_times`).
 ARRIVAL_KINDS = ("poisson", "burst", "uniform")
@@ -88,16 +88,16 @@ class TenantSpec:
         return cls(**dict(data))
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One job submission event in the materialized schedule."""
+class Schedule(NamedTuple):
+    """The merged arrival schedule as columns, one entry per job.
 
-    time: float
-    tenant: str
-    #: Per-tenant submission index (0-based, arrival order).
-    seq: int
-    #: Global job id, dense in global (time, tenant, seq) order.
-    job_id: int = field(default=0, compare=False)
+    Job ``i`` is the ``i``-th arrival in global ``(time, tenant, seq)``
+    order, so job ids are the dense column positions."""
+
+    #: Submission time in virtual seconds.
+    submit_s: list[float]
+    #: Submitting tenant's name.
+    tenant: list[str]
 
 
 def _arrival_times(spec: TenantSpec, horizon_s: float, rng: np.random.Generator) -> list[float]:
@@ -110,55 +110,67 @@ def _arrival_times(spec: TenantSpec, horizon_s: float, rng: np.random.Generator)
         n = int(horizon_s / gap)
         return [gap * (i + 0.5) for i in range(n) if gap * (i + 0.5) < horizon_s]
     if spec.arrival == "poisson":
+        # Gaps come in blocks sized to the expected remaining count; a
+        # block's running sum (the carry added to its first gap) is the
+        # scalar ``t += gap`` loop's, and a vector draw takes the same
+        # variates as that many scalar draws.  Draws past the horizon are
+        # discarded: the tenant's generator is its own.
+        scale = 1.0 / spec.rate_hz
         times: list[float] = []
         t = 0.0
-        scale = 1.0 / spec.rate_hz
         while True:
-            t += float(rng.exponential(scale))
-            if t >= horizon_s:
+            gaps = rng.exponential(scale, size=int(spec.rate_hz * (horizon_s - t)) + 1)
+            gaps[0] += t
+            block = np.cumsum(gaps)
+            stop = int(np.searchsorted(block, horizon_s, side="left"))
+            times.extend(block[:stop].tolist())
+            if stop < len(block):
                 return times
-            times.append(t)
+            t = float(block[-1])
     # burst: thinned Poisson — candidates at the on-window peak rate,
     # accepted with probability current_rate / peak_rate, which keeps the
     # long-run mean at rate_hz while concentrating mass in the on-windows.
+    # Each candidate draws its gap, then its uniform.
     duty = min(max(spec.burst_duty, 1e-6), 1.0)
     factor = max(spec.burst_factor, 1.0)
     peak = spec.rate_hz * factor
     off_rate = spec.rate_hz * max(0.0, 1.0 - factor * duty) / max(1e-12, 1.0 - duty)
+    cycle = max(spec.burst_cycle_s, 1e-9)
+    on_span = duty * cycle
+    off_accept = off_rate / peak
+    scale = 1.0 / peak
+    exponential = rng.exponential
+    uniform = rng.random
     times = []
     t = 0.0
-    scale = 1.0 / peak
-    cycle = max(spec.burst_cycle_s, 1e-9)
     while True:
-        t += float(rng.exponential(scale))
+        t += exponential(scale)
         if t >= horizon_s:
             return times
-        in_on = (t % cycle) < duty * cycle
-        rate_now = peak if in_on else off_rate
-        if float(rng.random()) < rate_now / peak:
+        if uniform() < (1.0 if t % cycle < on_span else off_accept):
             times.append(t)
 
 
 def generate_arrivals(
     tenants: Iterable[TenantSpec], horizon_s: float, seed: int
-) -> tuple[Arrival, ...]:
+) -> Schedule:
     """Materialize every tenant's process into one global schedule.
 
     Each tenant draws from an independent stream keyed by its name, so
     adding or reordering tenants never perturbs another tenant's
-    schedule.  The result is sorted by ``(time, tenant, seq)`` and job
-    ids are dense in that order.
+    schedule.  Jobs are ordered by ``(time, tenant, seq)``, ``seq``
+    being the tenant's own submission index, and numbered densely in
+    that order.
     """
-    out: list[Arrival] = []
+    merged: list[tuple[float, str, int]] = []
     for spec in tenants:
         rng = spawn_rng(seed, "arrivals", spec.name)
-        for i, t in enumerate(_arrival_times(spec, horizon_s, rng)):
-            out.append(Arrival(time=t, tenant=spec.name, seq=i))
-    out.sort(key=lambda a: (a.time, a.tenant, a.seq))
-    return tuple(
-        Arrival(time=a.time, tenant=a.tenant, seq=a.seq, job_id=i)
-        for i, a in enumerate(out)
-    )
+        name = spec.name
+        merged.extend(
+            (t, name, i) for i, t in enumerate(_arrival_times(spec, horizon_s, rng))
+        )
+    merged.sort()
+    return Schedule([m[0] for m in merged], [m[1] for m in merged])
 
 
 def tenant_from_json(text: str | Mapping[str, Any]) -> TenantSpec:

@@ -15,11 +15,7 @@ from repro.experiments.service import (
 )
 from repro.experiments.spec import RunSpec, canonical_json
 from repro.memory.presets import nvm_bandwidth_scaled
-from repro.tasking.stream import (
-    AdmissionController,
-    JobRequest,
-    StreamDriver,
-)
+from repro.tasking.stream import AdmissionController, StreamDriver
 from repro.util.units import MIB
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
@@ -61,18 +57,16 @@ def job_batches():
 
 
 def _drive(batch, credits_mib=(256, 512), round_interval_s=0.01, lanes=2):
-    jobs = [
-        JobRequest(i, tenant, submit, demand * MIB)
-        for i, (submit, tenant, demand, _) in enumerate(batch)
-    ]
-    service = {i: s for i, (_, _, _, s) in enumerate(batch)}
+    service = [s for _, _, _, s in batch]
     admission = AdmissionController(
         {"a": credits_mib[0] * MIB, "b": credits_mib[1] * MIB}
     )
     driver = StreamDriver(
-        jobs,
+        [submit for submit, _, _, _ in batch],
+        [tenant for _, tenant, _, _ in batch],
+        [demand * MIB for _, _, demand, _ in batch],
         admission,
-        job_runner=lambda job: service[job.job_id],
+        job_runner=service.__getitem__,
         round_interval_s=round_interval_s,
         lanes=lanes,
     )
@@ -93,29 +87,27 @@ class TestArrivals:
     @settings(max_examples=25, deadline=None)
     @given(tenants=tenant_rosters(), seed=st.integers(0, 1000))
     def test_schedule_sorted_dense_and_bounded(self, tenants, seed):
-        arrivals = generate_arrivals(tenants, horizon_s=0.5, seed=seed)
-        assert [a.job_id for a in arrivals] == list(range(len(arrivals)))
-        times = [a.time for a in arrivals]
-        assert times == sorted(times)
-        assert all(0.0 <= t < 0.5 for t in times)
+        schedule = generate_arrivals(tenants, horizon_s=0.5, seed=seed)
+        assert len(schedule.submit_s) == len(schedule.tenant)
+        jobs = list(zip(schedule.submit_s, schedule.tenant))
+        assert jobs == sorted(jobs)
+        assert all(0.0 <= t < 0.5 for t in schedule.submit_s)
+        assert {t.name for t in tenants} >= set(schedule.tenant)
 
     def test_tenant_streams_independent_of_roster(self):
         solo = TenantSpec(name="x", rate_hz=50.0)
         other = TenantSpec(name="y", rate_hz=80.0)
         alone = generate_arrivals([solo], horizon_s=0.3, seed=9)
         mixed = generate_arrivals([other, solo], horizon_s=0.3, seed=9)
-        assert [a.time for a in alone] == [
-            a.time for a in mixed if a.tenant == "x"
+        assert alone.submit_s == [
+            t for t, name in zip(*mixed) if name == "x"
         ]
 
     def test_uniform_rate_and_spacing_exact(self):
         t = TenantSpec(name="u", rate_hz=10.0, arrival="uniform")
-        arrivals = generate_arrivals([t], horizon_s=1.0, seed=0)
-        assert len(arrivals) == 10
-        gaps = {
-            round(b.time - a.time, 12)
-            for a, b in zip(arrivals, arrivals[1:])
-        }
+        times = generate_arrivals([t], horizon_s=1.0, seed=0).submit_s
+        assert len(times) == 10
+        gaps = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert gaps == {0.1}
 
     def test_unknown_kind_rejected(self):
@@ -137,31 +129,43 @@ class TestStreamDriver:
     @settings(max_examples=40, deadline=None)
     @given(batch=job_batches())
     def test_conservation_and_ordering(self, batch):
-        result = _drive(batch)
-        assert len(result.jobs) == len(batch)
-        done = [j for j in result.jobs if not j.rejected]
-        assert len(done) + sum(result.rejected.values()) == len(batch)
-        assert sum(result.admitted.values()) == len(done)
+        r = _drive(batch)
+        assert len(r.job_rejected) == len(batch)
+        assert r.submit == [submit for submit, _, _, _ in batch]
+        done = [j for j in range(len(batch)) if not r.job_rejected[j]]
+        assert len(done) + sum(r.rejected.values()) == len(batch)
+        assert sum(r.admitted.values()) == len(done)
+        assert sum(r.scheduled) == len(done)
         for j in done:
-            assert j.finish_s >= j.start_s >= j.submit_s
+            assert r.finish[j] >= r.start[j] >= r.submit[j]
             # slowdown is floored at 1, so check the bound it rests on.
-            assert j.finish_s == j.start_s + j.service_s
-            assert j.slowdown >= 1.0 or j.service_s == 0.0
+            assert r.finish[j] == r.start[j] + r.service[j]
+            assert r.slowdown[j] >= 1.0 or r.service[j] == 0.0
+        # Every event is logged once, in nondecreasing time.
+        times = [t for t, _, _ in r.event_log]
+        assert times == sorted(times)
+        kinds = [k for _, k, _ in r.event_log]
+        assert kinds.count("SUBMIT") == len(batch)
+        assert kinds.count("JOB_END") == len(done)
+        assert kinds.count("ROUND") == len(r.scheduled)
 
     @settings(max_examples=25, deadline=None)
     @given(batch=job_batches())
     def test_lanes_never_overlap(self, batch):
-        result = _drive(batch, lanes=2)
+        r = _drive(batch, lanes=2)
         by_lane = {}
-        for j in result.jobs:
-            if not j.rejected:
-                by_lane.setdefault(j.lane, []).append(j)
-        for jobs in by_lane.values():
+        for j, rejected in enumerate(r.job_rejected):
+            if not rejected:
+                assert r.lane[j] in (0, 1)
+                by_lane.setdefault(r.lane[j], []).append((r.start[j], r.finish[j]))
+            else:
+                assert r.lane[j] == -1
+        for spans in by_lane.values():
             # Tie-break equal starts by finish: a zero-duration job may
             # legitimately share its instant with the next job's start.
-            jobs.sort(key=lambda j: (j.start_s, j.finish_s))
-            for a, b in zip(jobs, jobs[1:]):
-                assert b.start_s >= a.finish_s - 1e-12
+            spans.sort()
+            for (_, a_finish), (b_start, _) in zip(spans, spans[1:]):
+                assert b_start >= a_finish - 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(batch=job_batches())
@@ -169,7 +173,7 @@ class TestStreamDriver:
         a = _drive(batch)
         b = _drive(batch)
         assert a.event_log == b.event_log
-        assert a.jobs == b.jobs
+        assert a == b
 
     @pytest.mark.parametrize(
         "batch",
@@ -181,15 +185,17 @@ class TestStreamDriver:
     def test_immediate_start_slowdown_not_below_one(self, batch):
         # (submit + service) - submit rounds below service for these
         # inputs; the job starts on submission, so its slowdown is 1.
-        (job,) = _drive(batch).jobs
-        assert job.start_s == job.submit_s
-        assert job.response_s < job.service_s
-        assert job.slowdown == 1.0
+        r = _drive(batch)
+        assert r.start == r.submit
+        assert r.response[0] < r.service[0]
+        assert r.slowdown == [1.0]
 
     def test_overdraft_rejected_not_queued(self):
         batch = [(0.0, "a", 600, 0.01)]  # demand 600 MiB > 256 MiB credit
         result = _drive(batch)
-        assert result.jobs[0].rejected
+        assert result.job_rejected == [True]
+        assert result.lane == [-1]
+        assert result.scheduled == [0]
         assert result.rejected["a"] == 1
         assert result.credit_floor["a"] == 256 * MIB
 

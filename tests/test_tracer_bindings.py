@@ -7,7 +7,10 @@ name, a method, an inlined body) still installs, but the wrapper never
 runs, and that layer's time silently moves into the manager hooks' self
 time.  This test wraps the same bindings with counters and runs a tiny
 managed spec and a tiny stream spec through the runner: every counter
-must move.
+must move.  The executor and the stream driver are timed through
+subclasses of the classes bound in ``runner`` and ``service``; the
+driver's subclass also counts ``len(result.event_log)``, as the tracer
+does.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ def test_tracer_bindings_run(monkeypatch) -> None:
             return super().run(graph, policy)
 
     monkeypatch.setattr(runner, "Executor", CountedExecutor)
+
+    class CountedStreamDriver(service.StreamDriver):
+        # As the tracer's driver subclass: wrap run(), count its events.
+        def run(self):
+            result = super().run()
+            calls["StreamDriver.run"] += 1
+            calls["stream_events"] += len(result.event_log)
+            return result
+
+    monkeypatch.setattr(service, "StreamDriver", CountedStreamDriver)
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
     nvm = nvm_bandwidth_scaled(0.5)
@@ -65,5 +78,5 @@ def test_tracer_bindings_run(monkeypatch) -> None:
     )
     runner.dispatch_spec(stream)
 
-    want = [attr for _, attr in FUNCTIONS] + ["Executor.run"]
+    want = [attr for _, attr in FUNCTIONS] + ["Executor.run", "StreamDriver.run", "stream_events"]
     assert all(calls[name] > 0 for name in want), dict(calls)
